@@ -13,6 +13,8 @@ above and below.  The distinguished solutions are
 
 classify() names the solution through an initial condition by comparing
 against these two and integrating both ways for endpoint evidence.
+classify_as_posed() is the one place where the timelike pattern is
+flipped onto the strip and its evidence flipped back.
 
 The separatrix is found by bisection at the anchor s = c, where the
 critical line crosses the barrier.  Forward shooting cannot hold the
@@ -26,7 +28,7 @@ the anchor cross-checks it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -46,9 +48,9 @@ from .core import (
 from .engine import (
     EventKind,
     IntegratorConfig,
-    bowl_series_coeffs,
+    _series_anchored,
     bowl_start,
-    eval_series,
+    comparison_blowup_bound,
     integrate,
     merge_bidirectional,
 )
@@ -123,6 +125,13 @@ def _require_strip_form(params: FlowParams, what: str) -> None:
             "map timelike-boost parameters through canonical_strip() first")
 
 
+def _frozen(traj: Trajectory) -> Trajectory:
+    """Make the sample arrays of a cached trajectory read-only."""
+    traj.s.setflags(write=False)
+    traj.w.setflags(write=False)
+    return traj
+
+
 @lru_cache(maxsize=32)
 def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
                  s_start: float = 1e-4, order: int = 13) -> Trajectory:
@@ -131,32 +140,14 @@ def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
     The center limit w -> 0 is backward-unstable, so below s_start the
     trajectory is represented by its Taylor series (accurate there far
     below the integration tolerance) and integration only runs outward.
-    Results are cached per (params, config); treat them as immutable.
+    Results are cached per (params, config); their sample arrays are
+    read-only.
     """
     _require_strip_form(params, "compute_bowl")
     if not cfg.s_min_eps < s_start < 1.0:
         raise ValueError("series handoff s_start must sit in (s_min_eps, 1)")
-    coeffs = bowl_series_coeffs(params, order)
     start = bowl_start(params, s_start, order=order, abs_tol=cfg.abs_tol)
-    up = integrate(params, start, "toward_infinity", cfg)
-
-    s_head = np.geomspace(cfg.s_min_eps, s_start, 49)[:-1]
-    w_head = eval_series(coeffs, s_head)
-    s_all = np.concatenate([s_head, up.s])
-    w_all = np.concatenate([w_head, up.w])
-    up_dense = up.dense
-
-    def dense(q):
-        q = np.asarray(q, dtype=float)
-        out = np.where(q < s_start, eval_series(coeffs, np.minimum(q, s_start)),
-                       up_dense(np.maximum(q, s_start)))
-        return float(out) if out.ndim == 0 else out
-
-    left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
-                       value=float(w_head[0]))
-    return Trajectory(params, s_all, w_all, termination_left=left,
-                      termination_right=up.termination_right,
-                      events=up.events, dense=dense)
+    return _frozen(_series_anchored(params, start, order, cfg))
 
 
 def integrate_bidirectional(params: FlowParams, s0: float, w0: float,
@@ -207,7 +198,8 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     the barrier) squeezes the global/blow-up bracket to width tol.  The
     reported trajectory is integrated backward from a far-field start on
     the asymptote w = (s + defect)/c, which contracts onto the separatrix;
-    its anchor value must land inside the bisection bracket.
+    its anchor value must land inside the bisection bracket.  Results are
+    cached; the trajectory's sample arrays are read-only.
     """
     _require_strip_form(params, "compute_separatrix")
     c = params.fiber_coeff
@@ -263,11 +255,11 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
             f"backward-traced separatrix value {anchored!r} misses the "
             f"bisection bracket [{w_low!r}, {w_high!r}] at the anchor")
 
-    traj = Trajectory(params, back.s, back.w,
+    traj = _frozen(Trajectory(params, back.s, back.w,
                       termination_left=back.termination_left,
                       termination_right=Termination(TerminationKind.REACHED_S_MAX,
                                                     s=s_far, value=w_far),
-                      events=back.events, dense=back.dense)
+                      events=back.events, dense=back.dense))
     return SeparatrixResult(value=value, bracket=(w_low, w_high), anchor=a,
                             trajectory=traj)
 
@@ -327,3 +319,34 @@ def classify(params: FlowParams, s0: float, w0: float,
     tag = (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
            else SolutionClassTag.GAMMA_PLUS_BLOWUP)
     return SolutionClass(tag, init, **_evidence(traj))
+
+
+def _on_strip(params: FlowParams, w0: float) -> Tuple[FlowParams, int, float]:
+    """The timelike-to-strip flip: canonical parameters, flip and slope."""
+    canon, flip = params.canonical_strip()
+    return canon, flip, flip * w0
+
+
+def classify_as_posed(params: FlowParams, s0: float, w0: float,
+                      cfg: IntegratorConfig = IntegratorConfig()) -> SolutionClass:
+    """classify() for any sign pattern with barriers, reported as posed.
+
+    The tag names the class on canonical_strip(), where the timelike
+    pattern (et = -1, ep = +1) is mirrored by w -> -w.  The initial state,
+    limits, blow-up sign and causal sign (of ep + et*w^2, which the flip
+    negates) come back for the equation as posed.
+    """
+    canon, flip, w = _on_strip(params, w0)
+    sc = classify(canon, s0, w, cfg)
+    blowup = None if sc.blowup is None else (sc.blowup[0], flip * sc.blowup[1])
+    return replace(sc, init=PhaseState(s0, w0),
+                   limit_at_zero=flip * sc.limit_at_zero,
+                   limit_at_infinity=flip * sc.limit_at_infinity,
+                   blowup=blowup, causal=flip * sc.causal)
+
+
+def blowup_bound_as_posed(params: FlowParams, s0: float, w0: float) -> float:
+    """comparison_blowup_bound() for a start of any sign pattern with barriers
+    whose canonical image lies below the lower barrier."""
+    canon, _, w = _on_strip(params, w0)
+    return comparison_blowup_bound(canon, s0, w)

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import mesh
 from .core import FlowParams, boost, rotational
-from .engine import IntegratorConfig, comparison_blowup_bound
+from .engine import IntegratorConfig
 from .classify import (
     SolutionClassTag,
-    classify,
+    blowup_bound_as_posed,
+    classify_as_posed,
     compute_separatrix,
     integrate_bidirectional,
     limits_report,
@@ -34,7 +35,7 @@ from .geometry import (
     build_hybrid,
     build_spindle,
     build_wing,
-    center_profile_eval,
+    center_regular_profile,
 )
 from .verify import (
     GridField,
@@ -164,8 +165,7 @@ def cmd_classify(args) -> int:
         raise ValueError("s0 must be positive")
     params = _params_from_args(args)
     cfg = _cfg_from_args(args)
-    canon, flip = params.canonical_strip()
-    sc = classify(canon, s0, flip * w0, cfg)
+    sc = classify_as_posed(params, s0, w0, cfg)
 
     report = {
         "class": sc.tag.value,
@@ -176,14 +176,14 @@ def cmd_classify(args) -> int:
         "eps_tilde": params.eps_tilde,
         "fiber_coeff": params.fiber_coeff,
         "causal_sign": sc.causal,
-        "limit_at_zero": flip * sc.limit_at_zero,
-        "limit_at_infinity": flip * sc.limit_at_infinity,
+        "limit_at_zero": sc.limit_at_zero,
+        "limit_at_infinity": sc.limit_at_infinity,
         "critical_points": list(sc.critical_points),
         "blowup_s": None if sc.blowup is None else sc.blowup[0],
-        "blowup_sign": None if sc.blowup is None else flip * sc.blowup[1],
+        "blowup_sign": None if sc.blowup is None else sc.blowup[1],
     }
     if sc.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP:
-        report["blowup_bound"] = comparison_blowup_bound(canon, s0, flip * w0)
+        report["blowup_bound"] = blowup_bound_as_posed(params, s0, w0)
 
     if args.json:
         text = json.dumps(report, sort_keys=True, indent=2,
@@ -219,27 +219,20 @@ def _portrait_row(task) -> str:
             "blowup_sign": "", "critical_s": "", "error": ""}
     try:
         if params.has_barriers:
-            canon, flip = params.canonical_strip()
-            sc = classify(canon, s0, flip * w0, cfg)
-            vals["class"] = sc.tag.value
-            vals["causal"] = str(sc.causal)
-            vals["limit_zero"] = _fmt(flip * sc.limit_at_zero)
-            vals["limit_inf"] = _fmt(flip * sc.limit_at_infinity)
-            if sc.blowup is not None:
-                vals["blowup_s"] = _fmt(sc.blowup[0])
-                vals["blowup_sign"] = str(flip * sc.blowup[1])
-            vals["critical_s"] = ";".join(_fmt(s) for s in sc.critical_points)
+            sc = classify_as_posed(params, s0, w0, cfg)
+            tag, causal, crit = sc.tag.value, sc.causal, sc.critical_points
+            limits, blowup = (sc.limit_at_zero, sc.limit_at_infinity), sc.blowup
         else:
             # no barrier structure: report raw trajectory data untagged
             traj = integrate_bidirectional(params, s0, w0, cfg)
             rep = limits_report(traj)
-            vals["class"] = "untagged"
-            vals["causal"] = str(traj.causal_sign())
-            vals["limit_zero"] = _fmt(rep.at_zero)
-            vals["limit_inf"] = _fmt(rep.at_infinity)
-            if rep.blowup is not None:
-                vals["blowup_s"] = _fmt(rep.blowup[0])
-                vals["blowup_sign"] = str(rep.blowup[1])
+            tag, causal, crit = "untagged", traj.causal_sign(), ()
+            limits, blowup = (rep.at_zero, rep.at_infinity), rep.blowup
+        vals.update({"class": tag, "causal": str(causal),
+                     "limit_zero": _fmt(limits[0]), "limit_inf": _fmt(limits[1]),
+                     "critical_s": ";".join(_fmt(s) for s in crit)})
+        if blowup is not None:
+            vals["blowup_s"], vals["blowup_sign"] = _fmt(blowup[0]), str(blowup[1])
     except (ValueError, RuntimeError) as exc:
         vals["class"] = "error"
         vals["error"] = str(exc).replace(",", ";").replace("\n", " ")
@@ -286,26 +279,15 @@ def cmd_portrait(args) -> int:
 
 # ------------------------------------------------------------- profiles
 
-def _center_profile_for(params: FlowParams, cfg: IntegratorConfig,
-                        span: float):
-    """(f, w) evaluators and slope-flip for the center-regular profile."""
-    if params.has_barriers:
-        canon, flip = params.canonical_strip()
-        curve = bowl_curve(canon, cfg)
-        return curve.f_dense, curve.w_dense, flip
-    f_of, w_of = center_profile_eval(params, r_max=span * 1.01 + 0.5, cfg=cfg)
-    return f_of, w_of, +1
-
-
 def cmd_bowl(args) -> int:
     params = _params_from_args(args)
     cfg = _cfg_from_args(args)
     if not 0.0 < args.span <= cfg.s_max:
         raise ValueError("--span must lie in (0, s_max]")
-    f_of, w_of, flip = _center_profile_for(params, cfg, args.span)
+    f_of, w_of = center_regular_profile(params, args.span, cfg)
     s = np.linspace(0.0, args.span, args.samples)
-    f = flip * np.asarray(f_of(s), dtype=float)
-    w = flip * np.asarray(w_of(s), dtype=float)
+    f = np.asarray(f_of(s), dtype=float)
+    w = np.asarray(w_of(s), dtype=float)
     lines = [f"# profile: bowl\n# params: {_params_line(params)}\n", "s,f,w\n"]
     lines += [f"{_fmt(si)},{_fmt(fi)},{_fmt(wi)}\n"
               for si, fi, wi in zip(s, f, w)]
@@ -399,55 +381,13 @@ def cmd_hybrid(args) -> int:
 
 # ----------------------------------------------------------------- mesh
 
-def _obj_text(meta: Sequence[str], verts: np.ndarray,
-              faces: Sequence[Tuple[int, int, int]],
+def _obj_text(meta: Sequence[str], verts: np.ndarray, faces: np.ndarray,
               extra: Sequence[str] = ()) -> str:
     lines = [f"# {m}\n" for m in meta]
-    lines += [f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n" for v in verts]
+    lines += [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}\n" for x, y, z in verts.tolist()]
     lines += [f"# {m}\n" for m in extra]
-    lines += [f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in (faces + 1).tolist()]
     return "".join(lines)
-
-
-def _ring_faces(n_theta: int, n_prof: int, closed: bool):
-    """Quad-split triangles over a (theta x profile) vertex lattice."""
-    faces = []
-    t_range = n_theta if closed else n_theta - 1
-    for i in range(t_range):
-        i2 = (i + 1) % n_theta
-        for j in range(n_prof - 1):
-            a = i * n_prof + j
-            b = i2 * n_prof + j
-            faces.append((a, b, b + 1))
-            faces.append((a, b + 1, a + 1))
-    return faces
-
-
-def _mesh_rotational_graph(s: np.ndarray, f: np.ndarray, n_theta: int):
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    verts = np.empty((n_theta * len(s), 3))
-    for i, th in enumerate(theta):
-        block = slice(i * len(s), (i + 1) * len(s))
-        verts[block, 0] = s * math.cos(th)
-        verts[block, 1] = s * math.sin(th)
-        verts[block, 2] = f
-    return verts, _ring_faces(n_theta, len(s), closed=True)
-
-
-def _mesh_boost_graph(s: np.ndarray, f: np.ndarray, n_theta: int,
-                      theta_max: float, region: str):
-    theta = np.linspace(-theta_max, theta_max, n_theta)
-    verts = np.empty((n_theta * len(s), 3))
-    for i, th in enumerate(theta):
-        block = slice(i * len(s), (i + 1) * len(s))
-        if region == "timelike_T":
-            verts[block, 0] = s * math.sinh(th)
-            verts[block, 1] = s * math.cosh(th)
-        else:
-            verts[block, 0] = s * math.cosh(th)
-            verts[block, 1] = s * math.sinh(th)
-        verts[block, 2] = f
-    return verts, _ring_faces(n_theta, len(s), closed=False)
 
 
 def _profile_csv_fallback(s, f, params, what: str) -> str:
@@ -468,19 +408,19 @@ def cmd_mesh(args) -> int:
 
     if args.target == "bowl":
         params = _params_from_args(args)
-        f_of, _w_of, flip = _center_profile_for(params, cfg, args.span)
+        f_of = center_regular_profile(params, args.span, cfg)[0]
         s = np.linspace(args.span / n_p, args.span, n_p)
-        f = flip * np.asarray(f_of(s), dtype=float)
+        f = np.asarray(f_of(s), dtype=float)
         if args.n != 2:
             _emit(_profile_csv_fallback(s, f, params, "bowl"), args.out)
             return 0
         meta = [meta_cmd, f"params: {_params_line(params)}", "class: bowl"]
         if args.action == "boost":
-            region = args.region or "spacelike_S"
-            verts, faces = _mesh_boost_graph(s, f, n_t, args.theta_max, region)
+            timelike = args.region == "timelike_T"
+            surface = mesh.boost_sweep(s, f, n_t, args.theta_max, timelike)
         else:
-            verts, faces = _mesh_rotational_graph(s, f, n_t)
-        _emit(_obj_text(meta, verts, faces), args.out)
+            surface = mesh.revolve(s, f, n_t)
+        _emit(_obj_text(meta, *surface), args.out)
         return 0
 
     if args.target in ("spindle", "wing"):
@@ -498,18 +438,12 @@ def cmd_mesh(args) -> int:
             return 0
         meta = [meta_cmd, f"params: {_params_line(params)}",
                 f"class: {args.target}"]
-        verts, faces = _mesh_rotational_graph(alpha, y, n_t)
+        surface = mesh.revolve(alpha, y, n_t)
         if args.target == "spindle":
             # close the ends at the extrapolated axis contacts
-            verts = np.vstack([verts, [0.0, 0.0, curve.contact_y[0]],
-                               [0.0, 0.0, curve.contact_y[1]]])
-            cap_l, cap_r = len(verts) - 2, len(verts) - 1
-            for i in range(n_t):
-                i2 = (i + 1) % n_t
-                faces.append((cap_l, i2 * n_p, i * n_p))
-                faces.append((cap_r, i * n_p + n_p - 1, i2 * n_p + n_p - 1))
+            surface = mesh.cap_ends(surface, n_t, curve.contact_y)
             meta.append("closed: both axis contacts capped")
-        _emit(_obj_text(meta, verts, faces), args.out)
+        _emit(_obj_text(meta, *surface), args.out)
         return 0
 
     # hybrid height field over the Lorentzian plane
@@ -518,29 +452,14 @@ def cmd_mesh(args) -> int:
                              extent=args.extent, nodes=args.nodes, cfg=cfg)
     x, y = grid.axes
     m = len(x)
-    u = grid.values
-    verts = np.empty((m * m, 3))
-    for i in range(m):
-        block = slice(i * m, (i + 1) * m)
-        verts[block, 0] = x[i]
-        verts[block, 1] = y
-        verts[block, 2] = np.where(np.isfinite(u[i]), u[i], 0.0)
-    faces = []
-    for i in range(m - 1):
-        for j in range(m - 1):
-            corners = u[i, j], u[i + 1, j], u[i + 1, j + 1], u[i, j + 1]
-            if not all(np.isfinite(c) for c in corners):
-                continue
-            a, b = i * m + j, (i + 1) * m + j
-            faces.append((a, b, b + 1))
-            faces.append((a, b + 1, a + 1))
     cone_main = [i * m + i for i in range(m)]
     cone_anti = [i * m + (m - 1 - i) for i in range(m)]
     extra = ["cone_main: " + " ".join(str(k + 1) for k in cone_main),
              "cone_anti: " + " ".join(str(k + 1) for k in cone_anti)]
     meta = [meta_cmd, f"quadrants: {args.quadrants}",
             f"f2_sign: {hyb.f2_sign}", "class: hybrid"]
-    _emit(_obj_text(meta, verts, faces, extra), args.out)
+    _emit(_obj_text(meta, *mesh.height_field(x, y, grid.values), extra),
+          args.out)
     return 0
 
 

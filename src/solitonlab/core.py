@@ -20,9 +20,8 @@ form alpha(y), with y the height coordinate:
     alpha''(y) = (ep + et * alpha'(y)**2) * (h(alpha(y)) - alpha'(y)).
 
 This module holds the parameter and state types, the two right-hand
-sides, the phase-plane bookkeeping (regions, critical line, concavity at
-critical points), and the unit-gradient reparametrization used when
-switching between graph and wing descriptions.
+sides and the phase-plane bookkeeping (regions, critical line, concavity
+at critical points).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from enum import Enum
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 # |w -+ 1| within this counts as sitting on a barrier (machine equality).
 BARRIER_TOL = 1e-12
@@ -41,6 +39,11 @@ BARRIER_TOL = 1e-12
 # Barrier-approaching slopes plateau at +-1 exactly in double precision,
 # so this is a machine-noise floor, not a physical band.
 LIGHTLIKE_TOL = 1e-13
+
+
+def _scalar_or_array(out):
+    """A 0-d result as a Python float; arrays pass through unchanged."""
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -159,7 +162,7 @@ def rhs(params: FlowParams, s, w):
         raise ValueError("base coordinate s must be positive")
     w = np.asarray(w, dtype=float)
     val = (params.eps_tilde + params.eps_prime * w * w) * (1.0 - w * params.h(s))
-    return float(val) if val.ndim == 0 else val
+    return _scalar_or_array(val)
 
 
 def rhs_wing(params: FlowParams, alpha, alpha_prime):
@@ -172,7 +175,7 @@ def rhs_wing(params: FlowParams, alpha, alpha_prime):
         raise ValueError("wing profile alpha must be positive")
     ap = np.asarray(alpha_prime, dtype=float)
     val = (params.eps_prime + params.eps_tilde * ap * ap) * (params.h(alpha) - ap)
-    return float(val) if val.ndim == 0 else val
+    return _scalar_or_array(val)
 
 
 def critical_line(params: FlowParams, s):
@@ -181,7 +184,7 @@ def critical_line(params: FlowParams, s):
     if np.any(s <= 0.0):
         raise ValueError("base coordinate s must be positive")
     val = s * params.eps_tilde / params.fiber_coeff
-    return float(val) if val.ndim == 0 else val
+    return _scalar_or_array(val)
 
 
 def critical_concavity(params: FlowParams, s1: float) -> float:
@@ -280,22 +283,3 @@ class Trajectory:
         if self.dense is not None:
             return self.dense(s)
         return np.interp(s, self.s, self.w)
-
-
-def reparametrize_unit_gradient(s: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Arc parameter v with dv/ds = 1/z(s) and v = 0 at the left endpoint.
-
-    z must be a positive tabulated function on a strictly increasing grid;
-    the integral uses the composite trapezoid rule, so v is as accurate as
-    the grid is fine.  The result is strictly increasing, hence a bijection
-    onto its range.
-    """
-    s = np.asarray(s, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if s.ndim != 1 or s.size < 2 or s.shape != z.shape:
-        raise ValueError("need matching 1-d grids with at least two nodes")
-    if not np.all(np.diff(s) > 0.0):
-        raise ValueError("grid must be strictly increasing")
-    if not np.all(z > 0.0):
-        raise ValueError("z must be positive to invert the gradient")
-    return cumulative_trapezoid(1.0 / z, s, initial=0.0)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -36,6 +37,7 @@ from .core import (
     Termination,
     TerminationKind,
     Trajectory,
+    _scalar_or_array,
     critical_line,
 )
 
@@ -94,8 +96,7 @@ def _constant_trajectory(params: FlowParams, s0: float, w0: float,
     w = np.full_like(s, w0)
 
     def dense(q):
-        out = np.full_like(np.asarray(q, dtype=float), w0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(np.full_like(np.asarray(q, dtype=float), w0))
 
     return Trajectory(params, s, w, termination_left=left,
                       termination_right=right, dense=dense)
@@ -249,16 +250,9 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
 
     interpolant = sol.sol
 
-    if log_mode:
-        def dense(q):
-            q = np.asarray(q, dtype=float)
-            out = interpolant(np.log(q))[0]
-            return float(out) if out.ndim == 0 else out
-    else:
-        def dense(q):
-            q = np.asarray(q, dtype=float)
-            out = interpolant(q)[0]
-            return float(out) if out.ndim == 0 else out
+    def dense(q):
+        q = np.asarray(q, dtype=float)
+        return _scalar_or_array(interpolant(np.log(q) if log_mode else q)[0])
 
     if direction == "toward_zero":
         order = np.argsort(s_samples)
@@ -275,6 +269,17 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
     return traj
 
 
+def _handoff(below: Callable, above: Callable, r: float,
+            hi: Optional[float] = None) -> Callable:
+    """Evaluator reading below() left of r and above() from r on, each
+    called only with arguments on its own side (and at most hi)."""
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        return _scalar_or_array(np.where(q < r, below(np.minimum(q, r)),
+                                         above(np.clip(q, r, hi))))
+    return evaluate
+
+
 def merge_bidirectional(down: Trajectory, up: Trajectory) -> Trajectory:
     """Join a toward-zero arc and a toward-infinity arc sharing a start point."""
     if down.params != up.params:
@@ -285,15 +290,8 @@ def merge_bidirectional(down: Trajectory, up: Trajectory) -> Trajectory:
     s = np.concatenate([down.s, up.s[1:]])
     w = np.concatenate([down.w, up.w[1:]])
     dn, un = down.dense, up.dense
-
-    def dense(q):
-        q = np.asarray(q, dtype=float)
-        if dn is None or un is None:
-            return np.interp(q, s, w)
-        out = np.where(q < s_join, dn(np.minimum(q, s_join)),
-                       un(np.maximum(q, s_join)))
-        return float(out) if out.ndim == 0 else out
-
+    # without dense output Trajectory.w_at interpolates the samples
+    dense = None if dn is None or un is None else _handoff(dn, un, s_join)
     return Trajectory(down.params, s, w,
                       termination_left=down.termination_left,
                       termination_right=up.termination_right,
@@ -340,6 +338,23 @@ def integrate_series(coeffs: np.ndarray, const: float = 0.0) -> np.ndarray:
     out[0] = const
     out[1:] = np.asarray(coeffs) / np.arange(1, len(coeffs) + 1)
     return out
+
+
+def _series_anchored(params: FlowParams, start: PhaseState, order: int,
+                     cfg: IntegratorConfig) -> Trajectory:
+    """Center-regular trajectory: its order-`order` center series below
+    start.s (48 geometric sample nodes from cfg.s_min_eps on), forward
+    integration from start, which must sit on the series, beyond it."""
+    coeffs = bowl_series_coeffs(params, order)
+    up = integrate(params, start, "toward_infinity", cfg)
+    s_head = np.geomspace(cfg.s_min_eps, start.s, 49)[:-1]
+    w_head = eval_series(coeffs, s_head)
+    left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
+                       value=float(w_head[0]))
+    return Trajectory(params, np.concatenate([s_head, up.s]),
+                      np.concatenate([w_head, up.w]), termination_left=left,
+                      termination_right=up.termination_right, events=up.events,
+                      dense=_handoff(partial(eval_series, coeffs), up.dense, start.s))
 
 
 def bowl_start(params: FlowParams, s_start: float, order: int = 13,

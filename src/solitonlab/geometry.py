@@ -23,14 +23,23 @@ members from the canonical strip solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .core import FlowParams, PhaseState, Trajectory, boost, rhs_wing
+from .core import (
+    FlowParams,
+    PhaseState,
+    TerminationKind,
+    Trajectory,
+    _scalar_or_array,
+    boost,
+    rhs_wing,
+)
 from .classify import (
     SolutionClassTag,
     classify,
@@ -40,9 +49,10 @@ from .classify import (
 )
 from .engine import (
     IntegratorConfig,
+    _series_anchored,
     bowl_series_coeffs,
     eval_series,
-    integrate,
+    _handoff,
     integrate_series,
 )
 from .verify import GridField
@@ -86,6 +96,50 @@ class ProfileCurve:
             raise ValueError("wing curves need y, alpha and alpha_prime arrays")
 
 
+def _evaluator(fn: Callable, sign: float = 1.0,
+               hi: Optional[float] = None) -> Callable:
+    """sign * fn, returning floats for scalar input; given hi, points
+    outside [0, hi] are refused."""
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        if hi is not None and (np.any(q < 0.0) or np.any(q > hi * (1 + 1e-12))):
+            raise ValueError(f"profile evaluator domain is [0, {hi}]")
+        return _scalar_or_array(sign * np.asarray(fn(q), dtype=float))
+    return evaluate
+
+
+def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
+             f0: float = 0.0, series: Optional[np.ndarray] = None) -> ProfileCurve:
+    """The height profile of a slope trajectory; every graph builder ends here.
+
+    f is the cumulative Simpson integral of traj.w_at over
+    linspace(lo, hi, samples), anchored to f(lo) = f0, with a cubic
+    Hermite interpolant between the nodes.  series, the center slope
+    series of a center-regular traj handing off at lo, anchors f(0) = f0
+    instead; below lo the height then comes from the integrated series,
+    and both evaluators refuse points outside [0, hi].
+    """
+    if samples < 5:
+        raise ValueError("need at least 5 resampling nodes")
+    s_grid = np.linspace(lo, hi, samples)
+    w_grid = np.asarray(traj.w_at(s_grid), dtype=float)
+    fc = None if series is None else integrate_series(series, f0)
+    f_lo = f0 if fc is None else float(eval_series(fc, lo))
+    f_grid = f_lo + cumulative_simpson(w_grid, x=s_grid, initial=0.0)
+    spline = CubicHermiteSpline(s_grid, f_grid, w_grid)
+    if fc is None:
+        f_dense, w_dense = _evaluator(spline), traj.w_at
+    else:
+        f_dense = _evaluator(_handoff(partial(eval_series, fc), spline, lo, hi),
+                             hi=hi)
+        w_dense = _evaluator(traj.w_at, hi=hi)
+    trunc = any(t is not None and t.kind is TerminationKind.BLOW_UP
+                for t in (traj.termination_left, traj.termination_right))
+    return ProfileCurve(kind="graph", params=traj.params, s=s_grid, f=f_grid,
+                        w=w_grid, f0=f0, truncated=trunc, f_dense=f_dense,
+                        w_dense=w_dense)
+
+
 def build_graph(trajectory: Trajectory, f0: float = 0.0,
                 samples: int = 4001) -> ProfileCurve:
     """Integrate a slope trajectory into a height profile f(s).
@@ -97,26 +151,7 @@ def build_graph(trajectory: Trajectory, f0: float = 0.0,
     the last resolved sample before the pole).
     """
     s0, s1 = trajectory.s_span
-    if samples < 5:
-        raise ValueError("need at least 5 resampling nodes")
-    s_grid = np.linspace(s0, s1, samples)
-    w_grid = np.asarray(trajectory.w_at(s_grid), dtype=float)
-    f_grid = f0 + cumulative_simpson(w_grid, x=s_grid, initial=0.0)
-    spline = CubicHermiteSpline(s_grid, f_grid, w_grid)
-    trunc = any(t is not None and t.kind.value == "blow_up"
-                for t in (trajectory.termination_left, trajectory.termination_right))
-    w_of = trajectory.w_at
-
-    def w_dense(q):
-        return w_of(q)
-
-    def f_dense(q):
-        out = spline(np.asarray(q, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    return ProfileCurve(kind="graph", params=trajectory.params, s=s_grid,
-                        f=f_grid, w=w_grid, f0=f0, truncated=trunc,
-                        f_dense=f_dense, w_dense=w_dense)
+    return _profile(trajectory, s0, s1, samples, f0)
 
 
 def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
@@ -131,28 +166,8 @@ def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
     when the curve seeds finite-difference fields.
     """
     traj = compute_bowl(params, cfg, s_start=s_start, order=order)
-    fc = integrate_series(bowl_series_coeffs(params, order))
-    f_at_start = float(eval_series(fc, s_start))
-    s_grid = np.linspace(s_start, cfg.s_max, samples)
-    w_grid = np.asarray(traj.w_at(s_grid), dtype=float)
-    f_grid = f_at_start + cumulative_simpson(w_grid, x=s_grid, initial=0.0)
-    spline = CubicHermiteSpline(s_grid, f_grid, w_grid)
-    s_hi = cfg.s_max
-    w_of = traj.w_at
-
-    def f_dense(q):
-        q = np.asarray(q, dtype=float)
-        if np.any(q > s_hi * (1 + 1e-12)) or np.any(q < 0.0):
-            raise ValueError(f"bowl evaluator domain is [0, {s_hi}]")
-        out = np.where(q < s_start, eval_series(fc, np.minimum(q, s_start)),
-                       spline(np.clip(q, s_start, s_hi)))
-        return float(out) if out.ndim == 0 else out
-
-    def w_dense(q):
-        return w_of(q)
-
-    return ProfileCurve(kind="graph", params=params, s=s_grid, f=f_grid,
-                        w=w_grid, f0=0.0, f_dense=f_dense, w_dense=w_dense)
+    return _profile(traj, s_start, cfg.s_max, samples,
+                    series=bowl_series_coeffs(params, order))
 
 
 @dataclass
@@ -235,19 +250,10 @@ def _invert_branch(params: FlowParams, sol, y0: float, s0: float,
         if len(s_b) < 8:
             return None
     w_b = 1.0 / w_raw
-    w_spline = CubicSpline(s_b, w_b)
-    f_spline = CubicHermiteSpline(s_b, f_b, w_b)
-
-    def w_dense(q):
-        out = w_spline(np.asarray(q, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    def f_dense(q):
-        out = f_spline(np.asarray(q, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
     return ProfileCurve(kind="graph", params=params, s=s_b, f=f_b, w=w_b,
-                        f0=float(f_b[0]), f_dense=f_dense, w_dense=w_dense)
+                        f0=float(f_b[0]),
+                        f_dense=_evaluator(CubicHermiteSpline(s_b, f_b, w_b)),
+                        w_dense=_evaluator(CubicSpline(s_b, w_b)))
 
 
 def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
@@ -414,45 +420,42 @@ def center_profile_eval(params: FlowParams, order: int = 12,
     pattern.
     """
     a = bowl_series_coeffs(params, order)
-    fc = integrate_series(a)
-    w_start = float(eval_series(a, series_radius))
-    f_start = float(eval_series(fc, series_radius))
-    run_cfg = IntegratorConfig(rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
-                               max_step=cfg.max_step, min_step=cfg.min_step,
-                               escape_threshold=cfg.escape_threshold,
-                               s_max=max(r_max, series_radius * 2),
-                               s_min_eps=cfg.s_min_eps, method=cfg.method)
-    traj = integrate(params, PhaseState(series_radius, w_start),
-                     "toward_infinity", run_cfg)
-    s_grid = np.linspace(series_radius, run_cfg.s_max, samples)
-    w_grid = np.asarray(traj.w_at(s_grid), dtype=float)
-    f_grid = f_start + cumulative_simpson(w_grid, x=s_grid, initial=0.0)
-    spline = CubicHermiteSpline(s_grid, f_grid, w_grid)
-    s_hi = run_cfg.s_max
-    w_of = traj.w_at
+    run_cfg = replace(cfg, s_max=max(r_max, series_radius * 2))
+    start = PhaseState(series_radius, float(eval_series(a, series_radius)))
+    traj = _series_anchored(params, start, order, run_cfg)
+    curve = _profile(traj, series_radius, run_cfg.s_max, samples, series=a)
+    return curve.f_dense, curve.w_dense
 
-    def _check(r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > s_hi * (1 + 1e-12)):
-            raise ValueError(f"radial evaluator domain is [0, {s_hi}]")
-        return r
 
-    def f_eval(r):
-        r = _check(r)
-        out = np.where(r < series_radius,
-                       eval_series(fc, np.minimum(r, series_radius)),
-                       spline(np.clip(r, series_radius, s_hi)))
-        return float(out) if out.ndim == 0 else out
+def _as_posed(curve: ProfileCurve, params: FlowParams) -> ProfileCurve:
+    """A graph built on params.canonical_strip(), mapped back to params.
 
-    def w_eval(r):
-        r = _check(r)
-        out = np.where(r < series_radius,
-                       eval_series(a, np.minimum(r, series_radius)),
-                       np.asarray(w_of(np.clip(r, series_radius, s_hi)),
-                                  dtype=float))
-        return float(out) if out.ndim == 0 else out
+    The timelike pattern mirrors onto the canonical strip under f -> -f,
+    so its profile is the canonical one negated; this is the one place
+    where profiles are flipped.  Canonical parameters pass through.
+    """
+    if params.canonical_strip()[1] == +1:
+        return curve
+    return ProfileCurve(kind="graph", params=params, s=curve.s, f=-curve.f,
+                        w=-curve.w, f0=-curve.f0, truncated=curve.truncated,
+                        f_dense=_evaluator(curve.f_dense, -1.0),
+                        w_dense=_evaluator(curve.w_dense, -1.0))
 
-    return f_eval, w_eval
+
+def center_regular_profile(params: FlowParams, span: float,
+                           cfg: IntegratorConfig = IntegratorConfig()
+                           ) -> Tuple[Callable, Callable]:
+    """Dense (height, slope) evaluators, valid at least on [0, span], for
+    the center-regular profile of any sign pattern as posed.
+
+    Patterns with barriers use the bowl of canonical_strip() (valid on
+    [0, s_max]), flipped back for the timelike pattern; the others use
+    center_profile_eval out to a little beyond span.
+    """
+    if not params.has_barriers:
+        return center_profile_eval(params, r_max=span * 1.01 + 0.5, cfg=cfg)
+    curve = _as_posed(bowl_curve(params.canonical_strip()[0], cfg), params)
+    return curve.f_dense, curve.w_dense
 
 
 def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
@@ -505,7 +508,7 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
                 out[sel] = f1(r[sel])
             else:
                 out[sel] = f2_sign * f2(r[sel])
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
     def u_tilde(xvec, y):
         xvec = np.asarray(xvec, dtype=float)
@@ -532,15 +535,6 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
     return hyb, grid
 
 
-_DEFAULT_TIMELIKE = (
-    SolutionClassTag.BOWL, SolutionClassTag.BELOW_BOWL,
-    SolutionClassTag.ABOVE_BOWL, SolutionClassTag.GAMMA_MINUS_BLOWUP,
-    SolutionClassTag.SEPARATRIX, SolutionClassTag.GAMMA_PLUS_GLOBAL,
-    SolutionClassTag.GAMMA_PLUS_BLOWUP, SolutionClassTag.CONSTANT_PLUS,
-    SolutionClassTag.CONSTANT_MINUS,
-)
-
-
 def timelike_family_from_strip(params: FlowParams,
                                class_request: "SolutionClassTag | str",
                                cfg: IntegratorConfig = IntegratorConfig(),
@@ -561,9 +555,7 @@ def timelike_family_from_strip(params: FlowParams,
                          "(eps_tilde=-1, eps_prime=+1)")
     tag = (class_request if isinstance(class_request, SolutionClassTag)
            else SolutionClassTag(str(class_request)))
-    if tag not in _DEFAULT_TIMELIKE:
-        raise ValueError(f"unsupported class request {tag}")
-    canon, _flip = params.canonical_strip()
+    canon = params.canonical_strip()[0]
     c = canon.fiber_coeff
 
     if tag is SolutionClassTag.BOWL and strip_state is None:
@@ -600,16 +592,4 @@ def timelike_family_from_strip(params: FlowParams,
         traj = integrate_bidirectional(canon, state[0], state[1], cfg)
         base = build_graph(traj, f0=0.0, samples=samples)
 
-    fd, wd = base.f_dense, base.w_dense
-
-    def f_dense(q):
-        out = -np.asarray(fd(q), dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-    def w_dense(q):
-        out = -np.asarray(wd(q), dtype=float)
-        return float(out) if out.ndim == 0 else out
-
-    return ProfileCurve(kind="graph", params=params, s=base.s, f=-base.f,
-                        w=-base.w, f0=-base.f0, truncated=base.truncated,
-                        f_dense=f_dense, w_dense=w_dense)
+    return _as_posed(base, params)

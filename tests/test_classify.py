@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     IntegratorConfig,
     SolutionClassTag,
     boost,
     classify,
+    classify_as_posed,
     compute_bowl,
     compute_separatrix,
     critical_concavity,
@@ -45,6 +47,18 @@ def test_bowl_trajectory(bowl):
 
 def test_compute_bowl_cached():
     assert compute_bowl(ROT3) is compute_bowl(ROT3)
+
+
+def test_cached_results_are_read_only():
+    bowl = compute_bowl(ROT3)
+    traj = compute_separatrix(ROT3).trajectory
+    before = (float(bowl.w[5]), float(traj.w[5]))
+    for arr in (bowl.s, bowl.w, traj.s, traj.w):
+        with pytest.raises(ValueError):
+            arr[5] = 99.0
+    again = (float(compute_bowl(ROT3).w[5]),
+             float(compute_separatrix(ROT3).trajectory.w[5]))
+    assert again == before
 
 
 @pytest.mark.parametrize("s0, w0, tag", [
@@ -182,3 +196,40 @@ def test_classification_flag_independence():
     first = classify(ROT3, 1.3, 0.4).tag
     for _ in range(3):
         assert classify(ROT3, 1.3, 0.4).tag is first
+
+
+# --- the timelike-to-strip flip ---
+
+TIMELIKE2 = boost(2, region="timelike")
+
+
+def test_classify_as_posed_is_classify_on_canonical_pattern():
+    for w0 in (-2.0, -0.5, 0.9, 1.2, 1.0):
+        assert classify_as_posed(ROT3, 2.0, w0) == classify(ROT3, 2.0, w0)
+
+
+def test_classify_as_posed_rejects_barrierless():
+    with pytest.raises(ValueError, match="strip"):
+        classify_as_posed(boost(2, region="spacelike"), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("w_lo, w_hi", [(-0.95, 0.95), (1.05, 3.0), (-3.0, -1.05)],
+                         ids=["strip", "above", "below"])
+@settings(max_examples=6, deadline=None)
+@given(s0=st.floats(0.2, 5.0), u=st.floats(0.0, 1.0))
+def test_flip_matches_posed_equation(w_lo, w_hi, s0, u):
+    """The verdict taken on the canonical strip, reported as posed, carries
+    the evidence of the timelike equation integrated directly."""
+    w0 = w_lo + u * (w_hi - w_lo)
+    sc = classify_as_posed(TIMELIKE2, s0, w0)
+    traj = integrate_bidirectional(TIMELIKE2, s0, w0)
+    rep = limits_report(traj)
+    assert sc.init == (s0, w0)
+    assert sc.limit_at_zero == pytest.approx(rep.at_zero, rel=1e-9, abs=1e-12)
+    assert sc.limit_at_infinity == pytest.approx(rep.at_infinity, rel=1e-9,
+                                                 abs=1e-12)
+    assert (sc.blowup is None) == (rep.blowup is None)
+    if rep.blowup is not None:
+        assert sc.blowup[0] == pytest.approx(rep.blowup[0], rel=1e-9)
+        assert sc.blowup[1] == rep.blowup[1]
+    assert sc.causal == traj.causal_sign()

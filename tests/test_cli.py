@@ -54,6 +54,20 @@ def test_classify_timelike_flip(tmp_path):
     assert text.splitlines()[0] == "class: below_bowl"
 
 
+def test_timelike_causal_sign_as_posed(tmp_path):
+    # q = ep + et*w^2 = 1 - w^2 > 0 inside the strip of the posed equation
+    code, text = run(tmp_path, "classify", "--action", "boost",
+                     "--region", "timelike_T", "--s0", "1", "--w0", "0.4")
+    assert code == 0
+    got = dict(ln.split(": ", 1) for ln in text.splitlines())
+    assert got["causal_sign"] == "1"
+    code, text = run(tmp_path, "portrait", "--action", "boost",
+                     "--region", "timelike_T", "--s0-grid", "1:1:1",
+                     "--w0-grid", "0.4:0.4:1")
+    assert code == 0
+    assert text.splitlines()[1].split(",")[4] == "1"
+
+
 def test_classify_rejects_nonpositive_s0(tmp_path):
     code, _ = run(tmp_path, "classify", "--s0", "0", "--w0", "0.5")
     assert code == 2

@@ -11,7 +11,6 @@ from solitonlab import (
     critical_concavity,
     critical_line,
     region_of,
-    reparametrize_unit_gradient,
     rhs,
     rhs_wing,
     rotational,
@@ -225,26 +224,6 @@ def test_causal_sign_drops_lightlike_plateau():
 
 def test_causal_sign_scalar_input():
     assert causal_sign(ROT3, 0.2) == -1
-
-
-# --- arc reparametrization ---
-
-def test_reparametrize_log_profile():
-    s = np.linspace(1.0, np.e, 20001)
-    v = reparametrize_unit_gradient(s, s)
-    np.testing.assert_allclose(v, np.log(s), atol=2e-9)
-    assert v[0] == 0.0
-    assert np.all(np.diff(v) > 0.0)
-
-
-@pytest.mark.parametrize("s, z", [
-    (np.array([1.0]), np.array([1.0])),
-    (np.array([1.0, 0.5]), np.array([1.0, 1.0])),
-    (np.array([1.0, 2.0]), np.array([1.0, -1.0])),
-])
-def test_reparametrize_validation(s, z):
-    with pytest.raises(ValueError):
-        reparametrize_unit_gradient(s, z)
 
 
 def test_phase_state_tuple_access():

@@ -11,6 +11,7 @@ from solitonlab import (
     build_spindle,
     build_wing,
     center_profile_eval,
+    center_regular_profile,
     integrate_bidirectional,
     quadrant_of,
     residual_keyODE,
@@ -272,6 +273,21 @@ def test_center_profile_spacelike_wedge():
     f_eval, _ = center_profile_eval(boost(2, region="spacelike"), r_max=3.0)
     assert f_eval(1.0) == pytest.approx(SADDLE_F_AT_1, rel=1e-9)
     assert f_eval(0.0) == 0.0
+
+
+def test_center_regular_profile_as_posed(bowl2):
+    s = np.linspace(0.0, 3.0, 13)
+    f_tl, w_tl = center_regular_profile(boost(2, region="timelike"), 3.0)
+    np.testing.assert_array_equal(f_tl(s), -bowl2.f_dense(s))
+    np.testing.assert_array_equal(w_tl(s), -bowl2.w_dense(s))
+    assert f_tl(1.0) == -bowl2.f_dense(1.0)
+    f_rot = center_regular_profile(rotational(2), 3.0)[0]
+    np.testing.assert_array_equal(f_rot(s), bowl2.f_dense(s))
+    sp = boost(2, region="spacelike")
+    f_eval, w_eval = center_profile_eval(sp, r_max=3.0 * 1.01 + 0.5)
+    f_sp, w_sp = center_regular_profile(sp, 3.0)
+    np.testing.assert_array_equal(f_sp(s), f_eval(s))
+    np.testing.assert_array_equal(w_sp(s), w_eval(s))
 
 
 # --- timelike profiles transported from the canonical strip ---
