@@ -16,13 +16,14 @@ against these two and integrating both ways for endpoint evidence.
 classify_as_posed() is the one place where the timelike pattern is
 flipped onto the strip and its evidence flipped back.
 
-The separatrix is found by bisection at the anchor s = c, where the
-critical line crosses the barrier.  Forward shooting cannot hold the
-separatrix for long (nearby solutions diverge like exp(s^2/2c)), so the
-reported trajectory is instead integrated backward from a far-field
-start seeded on the asymptote; backward integration contracts onto the
-separatrix at the same exponential rate, and the bisection bracket at
-the anchor cross-checks it.
+The separatrix is traced backward.  Forward shooting cannot hold it for
+long (nearby solutions diverge like exp(s^2/2c)), so it is integrated
+backward from a far-field start seeded on the asymptote; backward
+integration contracts onto the separatrix at the same exponential rate.
+The traced value at the anchor s = c, where the critical line crosses
+the barrier, seeds a narrow window that forward shots must split into
+global and blow-up, and one bisection inside that window returns the
+bracket.
 """
 
 from __future__ import annotations
@@ -125,13 +126,6 @@ def _require_strip_form(params: FlowParams, what: str) -> None:
             "map timelike-boost parameters through canonical_strip() first")
 
 
-def _frozen(traj: Trajectory) -> Trajectory:
-    """Make the sample arrays of a cached trajectory read-only."""
-    traj.s.setflags(write=False)
-    traj.w.setflags(write=False)
-    return traj
-
-
 @lru_cache(maxsize=32)
 def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
                  s_start: float = 1e-4, order: int = 13) -> Trajectory:
@@ -140,14 +134,13 @@ def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
     The center limit w -> 0 is backward-unstable, so below s_start the
     trajectory is represented by its Taylor series (accurate there far
     below the integration tolerance) and integration only runs outward.
-    Results are cached per (params, config); their sample arrays are
-    read-only.
+    Results are cached per (params, config).
     """
     _require_strip_form(params, "compute_bowl")
     if not cfg.s_min_eps < s_start < 1.0:
         raise ValueError("series handoff s_start must sit in (s_min_eps, 1)")
     start = bowl_start(params, s_start, order=order, abs_tol=cfg.abs_tol)
-    return _frozen(_series_anchored(params, start, order, cfg))
+    return _series_anchored(params, start, order, cfg)
 
 
 def integrate_bidirectional(params: FlowParams, s0: float, w0: float,
@@ -190,52 +183,39 @@ def _evidence(traj: Trajectory) -> dict:
 
 @lru_cache(maxsize=8)
 def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
-                       tol: float = 1e-10,
-                       anchor: Optional[float] = None) -> SeparatrixResult:
-    """Locate the upper-region threshold solution and trace it.
+                       tol: float = 1e-10) -> SeparatrixResult:
+    """Trace the upper-region threshold solution, then bracket it.
 
-    Bisection at the anchor (default s = c, where the critical line meets
-    the barrier) squeezes the global/blow-up bracket to width tol.  The
-    reported trajectory is integrated backward from a far-field start on
-    the asymptote w = (s + defect)/c, which contracts onto the separatrix;
-    its anchor value must land inside the bisection bracket.  Results are
-    cached; the trajectory's sample arrays are read-only.
+    The reported trajectory is integrated backward from a far-field start
+    at cfg.s_max on the asymptote w = (s + defect)/c, which contracts onto
+    the separatrix.  Its value at the anchor s = c (where the critical
+    line meets the barrier) seeds a bisection window of +-1e3*tol, clipped
+    below at the barrier w = 1, which is a global solution.  The window
+    ends must shoot global and blow-up; bisection then squeezes them to
+    width tol.  Results are cached.
     """
     _require_strip_form(params, "compute_separatrix")
     c = params.fiber_coeff
-    a = c if anchor is None else float(anchor)
-    if not cfg.s_min_eps < a < cfg.s_max:
-        raise ValueError("anchor must lie inside the integration span")
+    if not cfg.s_min_eps < c < cfg.s_max:
+        raise ValueError("anchor s = c must lie inside the integration span")
+
+    s_far = cfg.s_max
+    w_far = s_far / c + s_far / (s_far * s_far - c * c)
+    back = integrate(params, (s_far, w_far), "toward_zero", cfg)
+    traced = float(back.w_at(c))
 
     def blows_up(w_at_anchor: float) -> bool:
-        run = integrate(params, (a, w_at_anchor), "toward_infinity", cfg,
+        # crossing below the critical line, or coasting to s_max, is global
+        run = integrate(params, (c, w_at_anchor), "toward_infinity", cfg,
                         stop_on_line_crossing=True)
         term = run.termination_right
-        if term is not None and term.kind is TerminationKind.BLOW_UP:
-            return True
-        # crossed below the critical line, or coasted to s_max under it
-        return False
+        return term is not None and term.kind is TerminationKind.BLOW_UP
 
-    w_low = 1.0 + 1e-6
-    for _ in range(8):
-        if not blows_up(w_low):
-            break
-        w_low = 1.0 + (w_low - 1.0) / 4.0
-    else:
-        raise RuntimeError("could not seed a globally existing lower bracket")
-
-    # seed the upper bracket by dropping backward from a deliberate blow-up
-    seeded = integrate(params, (1.5 * a, 1e4), "toward_zero", cfg)
-    w_high = float(seeded.w_at(a))
-    if not blows_up(w_high):
-        w_high = max(2.0, 2.0 * w_high)
-        for _ in range(12):
-            if blows_up(w_high):
-                break
-            w_high *= 2.0
-        else:
-            raise RuntimeError("could not seed a blow-up upper bracket")
-
+    w_low, w_high = max(1.0, traced - 1e3 * tol), traced + 1e3 * tol
+    if blows_up(w_low) or not blows_up(w_high):
+        raise RuntimeError(
+            f"backward-traced separatrix value {traced!r} is not bracketed "
+            f"by [{w_low!r}, {w_high!r}] at the anchor")
     while w_high - w_low > tol:
         mid = 0.5 * (w_low + w_high)
         if mid in (w_low, w_high):
@@ -244,24 +224,14 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
             w_high = mid
         else:
             w_low = mid
-    value = 0.5 * (w_low + w_high)
 
-    s_far = cfg.s_max
-    w_far = s_far / c + s_far / (s_far * s_far - c * c)
-    back = integrate(params, (s_far, w_far), "toward_zero", cfg)
-    anchored = float(back.w_at(a))
-    if not (w_low - 1e3 * tol <= anchored <= w_high + 1e3 * tol):
-        raise RuntimeError(
-            f"backward-traced separatrix value {anchored!r} misses the "
-            f"bisection bracket [{w_low!r}, {w_high!r}] at the anchor")
-
-    traj = _frozen(Trajectory(params, back.s, back.w,
+    traj = Trajectory(params, back.s, back.w,
                       termination_left=back.termination_left,
                       termination_right=Termination(TerminationKind.REACHED_S_MAX,
                                                     s=s_far, value=w_far),
-                      events=back.events, dense=back.dense))
-    return SeparatrixResult(value=value, bracket=(w_low, w_high), anchor=a,
-                            trajectory=traj)
+                      events=back.events, dense=back.dense)
+    return SeparatrixResult(value=0.5 * (w_low + w_high), bracket=(w_low, w_high),
+                            anchor=c, trajectory=traj)
 
 
 def classify(params: FlowParams, s0: float, w0: float,

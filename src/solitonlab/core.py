@@ -26,9 +26,9 @@ at critical points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -244,14 +244,15 @@ class Termination:
     sign: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """A solution arc of the phase-plane equation.
 
     Samples are the accepted integration nodes, strictly increasing in s.
     dense, when present, evaluates w(s) anywhere inside the sampled span.
     termination_left/right may be None at an end that is simply the start
-    of a one-sided integration.
+    of a one-sided integration.  Trajectories are immutable: s and w are
+    read-only copies of the arrays passed in, and events is a tuple.
     """
 
     params: FlowParams
@@ -259,16 +260,21 @@ class Trajectory:
     w: np.ndarray
     termination_left: Optional[Termination] = None
     termination_right: Optional[Termination] = None
-    events: List = field(default_factory=list)
+    events: Tuple = ()
     dense: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        self.s = np.asarray(self.s, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
-        if self.s.shape != self.w.shape:
+        s = np.array(self.s, dtype=float)
+        w = np.array(self.w, dtype=float)
+        if s.shape != w.shape:
             raise ValueError("sample arrays s and w must have equal shape")
-        if self.s.size >= 2 and not np.all(np.diff(self.s) > 0.0):
+        if s.size >= 2 and not np.all(np.diff(s) > 0.0):
             raise ValueError("samples must be strictly increasing in s")
+        s.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "events", tuple(self.events))
 
     @property
     def s_span(self) -> "tuple[float, float]":

@@ -120,18 +120,16 @@ def _extrapolate_pole(s_tail: np.ndarray, w_tail: np.ndarray, side: int) -> floa
 
 def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
               direction: str, cfg: IntegratorConfig = IntegratorConfig(),
-              use_log_substitution: bool = True,
               stop_on_line_crossing: bool = False) -> Trajectory:
     """Integrate the phase equation one-sidedly from init.
 
     direction is "toward_zero" or "toward_infinity".  Toward zero the
-    equation is integrated in t = log s unless use_log_substitution is
-    False (raw-s mode exists to cross-check the substitution).  The
-    returned Trajectory is ordered by increasing s, carries dense output
-    over its span, the list of located events, and a Termination at the
-    far end (the near end stays None).  stop_on_line_crossing makes the
-    critical-line crossing terminal (used by bisection decision runs,
-    where crossing below the line already decides global existence).
+    equation is integrated in t = log s.  The returned Trajectory is
+    ordered by increasing s, carries dense output over its span, the
+    located events, and a Termination at the far end (the near end stays
+    None).  stop_on_line_crossing makes the critical-line crossing
+    terminal (used by bisection decision runs, where crossing below the
+    line already decides global existence).
     """
     s0, w0 = float(init[0]), float(init[1])
     if not (s0 > 0.0 and math.isfinite(s0)):
@@ -145,7 +143,7 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
         return _constant_trajectory(params, s0, round(w0), direction, cfg)
 
     et, ep, c = params.eps_tilde, params.eps_prime, params.fiber_coeff
-    log_mode = direction == "toward_zero" and use_log_substitution
+    log_mode = direction == "toward_zero"
     # Rejected trial stages can overshoot far past the escape threshold;
     # clamping there keeps the arithmetic finite without touching any
     # state the integration can actually accept.
@@ -162,8 +160,7 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
         def s_of(t):
             return np.exp(t)
     else:
-        target = cfg.s_min_eps if direction == "toward_zero" else cfg.s_max
-        span = (s0, target)
+        span = (s0, cfg.s_max)
 
         def f(t, y):
             z = min(max(y[0], -z_cap), z_cap)

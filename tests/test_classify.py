@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
+    EventKind,
+    EventRecord,
     IntegratorConfig,
     SolutionClassTag,
+    TerminationKind,
+    Trajectory,
     boost,
     classify,
     classify_as_posed,
     compute_bowl,
     compute_separatrix,
     critical_concavity,
+    integrate,
     integrate_bidirectional,
     limits_report,
     rotational,
@@ -26,6 +31,8 @@ GP_BLOWUP_S = 2.8708136089142045      # pole of the (2, 1.5) orbit
 GM_BLOWUP_S = 1.0632503268240918      # pole of the (1, -2) orbit
 SEP_VALUE = 1.390627106179388         # threshold slope at anchor s = 2
 SEP_DEFECT_50 = 0.03992811602366686
+# separatrix w(c) for rotational(n) by an independent LSODA bisection
+LSODA_SEP = {2: 1.5470570400484722, 5: 1.2781160995707248}
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +66,26 @@ def test_cached_results_are_read_only():
     again = (float(compute_bowl(ROT3).w[5]),
              float(compute_separatrix(ROT3).trajectory.w[5]))
     assert again == before
+
+
+def test_cached_trajectories_are_immutable():
+    bowl = compute_bowl(ROT3)
+    events, w = bowl.events, bowl.w
+    with pytest.raises(AttributeError):
+        bowl.events.append(EventRecord(EventKind.CROSSED_LINE_R, 1.0, 0.5))
+    with pytest.raises(AttributeError):
+        bowl.w = np.zeros_like(w)
+    again = compute_bowl(ROT3)
+    assert again.events == events
+    assert again.w is w and float(again.w[5]) == float(w[5])
+
+
+def test_trajectory_copies_its_samples():
+    s, w = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
+    traj = Trajectory(ROT3, s, w, events=[])
+    s[0], w[0] = 0.5, 9.0
+    assert traj.s[0] == 1.0 and traj.w[0] == 0.1
+    assert traj.events == ()
 
 
 @pytest.mark.parametrize("s0, w0, tag", [
@@ -163,6 +190,50 @@ def test_gamma_plus_dichotomy_monotone(separatrix):
         want = (SolutionClassTag.GAMMA_PLUS_GLOBAL if d < 0
                 else SolutionClassTag.GAMMA_PLUS_BLOWUP)
         assert tag is want, (d, tag)
+
+
+def _forward_end(params, s0: float, w0: float) -> TerminationKind:
+    return integrate(params, (s0, w0), "toward_infinity").termination_right.kind
+
+
+def _assert_valid_bracket(params, sep, tol: float) -> None:
+    lo, hi = sep.bracket
+    assert hi - lo <= tol
+    assert lo <= sep.value <= hi
+    assert _forward_end(params, sep.anchor, lo) is TerminationKind.REACHED_S_MAX
+    assert _forward_end(params, sep.anchor, hi) is TerminationKind.BLOW_UP
+
+
+@pytest.mark.parametrize("n", sorted(LSODA_SEP))
+def test_separatrix_matches_lsoda(n):
+    params = rotational(n)
+    sep = compute_separatrix(params)
+    assert sep.anchor == n - 1
+    assert abs(sep.value - LSODA_SEP[n]) <= 1e-9
+    _assert_valid_bracket(params, sep, 1e-10)
+
+
+def test_separatrix_coarse_tol_bracket():
+    """A window of +-1e3*tol reaching below w = 1 is clipped to the barrier."""
+    sep = compute_separatrix(ROT3, tol=1e-2)
+    assert sep.bracket[0] >= 1.0
+    assert abs(sep.value - SEP_VALUE) <= 1e-2
+    _assert_valid_bracket(ROT3, sep, 1e-2)
+
+
+@settings(max_examples=8, deadline=None)
+@given(sign=st.sampled_from([-1, 1]), exponent=st.floats(-8.0, -2.0))
+def test_separatrix_splits_global_from_blowup(separatrix, sign, exponent):
+    """Below the separatrix at the anchor solutions exist globally, above
+    it they blow up, at log-uniform offsets from 1e-8 to 1e-2."""
+    w0 = separatrix.value + sign * 10.0 ** exponent
+    sc = classify(ROT3, separatrix.anchor, w0)
+    if sign < 0:
+        assert sc.tag is SolutionClassTag.GAMMA_PLUS_GLOBAL
+        assert sc.blowup is None and np.isfinite(sc.limit_at_infinity)
+    else:
+        assert sc.tag is SolutionClassTag.GAMMA_PLUS_BLOWUP
+        assert sc.blowup is not None and sc.blowup[1] == +1
 
 
 def test_limits_report_fields():

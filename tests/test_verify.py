@@ -12,6 +12,7 @@ from solitonlab import (
     sample_radial_field,
     smoothness_scan,
 )
+from solitonlab.verify import _ONE_SIDED
 
 
 def _grid(extent, nodes):
@@ -181,6 +182,34 @@ def test_scan_matched_hybrid_jumps_decay_quadratically():
     for q in (1, 2):
         assert j[0][q] == 0.0 or j[1][q] / j[0][q] < 1.0 / 3.0, q
     assert j[0][0] == 0.0 and j[1][0] == 0.0
+
+
+def _scan_by_node(u, delta, max_order):
+    """Node-by-node form of the scan: the reference for the vectorized one."""
+    m = u.shape[0]
+    need = max_order + 2 if max_order >= 1 else 1
+    jumps = np.zeros(max_order + 1)
+    for i in range(need, m - need):
+        for j, dj in ((i, -1), (m - 1 - i, 1)):
+            for q in range(max_order + 1):
+                coeff = _ONE_SIDED[q]
+                right = sum(cm * u[i + k, j + k * dj] for k, cm in enumerate(coeff))
+                left = sum(cm * u[i - k, j - k * dj] for k, cm in enumerate(coeff))
+                dr = right / delta ** q
+                dl = ((-1) ** q) * left / delta ** q
+                if np.isfinite(dr) and np.isfinite(dl):
+                    jumps[q] = max(jumps[q], abs(dr - dl))
+    return jumps
+
+
+@pytest.mark.parametrize("max_order", [0, 1, 2, 4])
+def test_scan_matches_node_by_node_reference(max_order):
+    ax, X, Y = _grid(1.0, 41)
+    vals = np.abs(X - Y) ** 1.5 + np.sin(3.0 * X) * np.cos(2.0 * Y) + 0.1 * np.abs(X + Y)
+    vals[12, 28] = np.inf
+    f = _field(vals, ax, signature=(1, -1), eps_prime=1)
+    want = _scan_by_node(vals, f.spacing[0] * np.sqrt(2.0), max_order)
+    assert smoothness_scan(f, max_order=max_order).tobytes() == want.tobytes()
 
 
 def test_scan_requires_square_grid():
