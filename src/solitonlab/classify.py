@@ -16,14 +16,23 @@ against these two and integrating both ways for endpoint evidence.
 classify_as_posed() is the one place where the timelike pattern is
 flipped onto the strip and its evidence flipped back.
 
+Each entry point has a batched form (integrate_bidirectional_batch,
+classify_batch, classify_as_posed_batch) that takes a list of starts,
+integrates all of them in one lockstep call per direction and returns
+one verdict, or that start's error, per start.  The scalar functions are
+batches of one.
+
 The separatrix is traced backward.  Forward shooting cannot hold it for
 long (nearby solutions diverge like exp(s^2/2c)), so it is integrated
 backward from a far-field start seeded on the asymptote; backward
 integration contracts onto the separatrix at the same exponential rate.
 The traced value at the anchor s = c, where the critical line crosses
 the barrier, seeds a narrow window that forward shots must split into
-global and blow-up, and one bisection inside that window returns the
-bracket.
+global and blow-up.  The window is narrowed by k-section: each round
+shoots 64 starts spread over it in one batched call, and the first
+blow-up next to a global start is the new window, 63 or 65 times
+narrower.  The first round includes both window ends, so it also checks
+that they split.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -49,12 +58,17 @@ from .core import (
 from .engine import (
     EventKind,
     IntegratorConfig,
+    _first,
     _series_anchored,
     bowl_start,
     comparison_blowup_bound,
     integrate,
+    integrate_batch,
     merge_bidirectional,
 )
+
+# starts per k-section round of compute_separatrix
+_SHOTS = 64
 
 
 class SolutionClassTag(Enum):
@@ -101,7 +115,7 @@ class SolutionClass:
 class SeparatrixResult:
     """Threshold solution data at the anchor, with the traced trajectory.
 
-    value is the bisection midpoint for w(anchor); bracket is the final
+    value is the k-section midpoint for w(anchor); bracket is the final
     (global, blow-up) pair around it of width <= the requested tolerance.
     """
 
@@ -143,12 +157,21 @@ def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
     return _series_anchored(params, start, order, cfg)
 
 
+def integrate_bidirectional_batch(
+        params: FlowParams, starts: Sequence[Tuple[float, float]],
+        cfg: IntegratorConfig = IntegratorConfig()) -> List[Union[Trajectory, Exception]]:
+    """integrate_bidirectional() for every start, one batched call per
+    direction; a start that fails gets its exception in its slot."""
+    downs = integrate_batch(params, starts, "toward_zero", cfg)
+    ups = integrate_batch(params, starts, "toward_infinity", cfg)
+    return [d if isinstance(d, Exception) else u if isinstance(u, Exception)
+            else merge_bidirectional(d, u) for d, u in zip(downs, ups)]
+
+
 def integrate_bidirectional(params: FlowParams, s0: float, w0: float,
                             cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Trajectory through (s0, w0) over the full configured span."""
-    down = integrate(params, (s0, w0), "toward_zero", cfg)
-    up = integrate(params, (s0, w0), "toward_infinity", cfg)
-    return merge_bidirectional(down, up)
+    return _first(integrate_bidirectional_batch(params, [(s0, w0)], cfg))
 
 
 def limits_report(traj: Trajectory) -> LimitsReport:
@@ -189,10 +212,12 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     The reported trajectory is integrated backward from a far-field start
     at cfg.s_max on the asymptote w = (s + defect)/c, which contracts onto
     the separatrix.  Its value at the anchor s = c (where the critical
-    line meets the barrier) seeds a bisection window of +-1e3*tol, clipped
-    below at the barrier w = 1, which is a global solution.  The window
-    ends must shoot global and blow-up; bisection then squeezes them to
-    width tol.  Results are cached.
+    line meets the barrier) seeds a window of +-1e3*tol, clipped below at
+    the barrier w = 1, which is a global solution.  k-section narrows the
+    window to width tol: each round shoots 64 starts at once (the first
+    round includes the window ends, which must shoot global and blow-up)
+    and keeps the step from the last global start below the first
+    blow-up.  Results are cached.
     """
     _require_strip_form(params, "compute_separatrix")
     c = params.fiber_coeff
@@ -204,49 +229,93 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     back = integrate(params, (s_far, w_far), "toward_zero", cfg)
     traced = float(back.w_at(c))
 
-    def blows_up(w_at_anchor: float) -> bool:
+    def blows_up(ws: np.ndarray) -> np.ndarray:
         # crossing below the critical line, or coasting to s_max, is global
-        run = integrate(params, (c, w_at_anchor), "toward_infinity", cfg,
-                        stop_on_line_crossing=True)
-        term = run.termination_right
-        return term is not None and term.kind is TerminationKind.BLOW_UP
+        runs = integrate_batch(params, [(c, w) for w in ws], "toward_infinity", cfg,
+                               stop_on_line_crossing=True)
+        for run in runs:
+            if isinstance(run, Exception):
+                raise run
+        return np.array([run.termination_right is not None
+                         and run.termination_right.kind is TerminationKind.BLOW_UP
+                         for run in runs])
+
+    def first_blowup(ws: np.ndarray, blown: np.ndarray) -> Tuple[float, float]:
+        k = int(np.argmax(blown))    # a global start sits below it
+        return float(ws[k - 1]), float(ws[k])
 
     w_low, w_high = max(1.0, traced - 1e3 * tol), traced + 1e3 * tol
-    if blows_up(w_low) or not blows_up(w_high):
+    ws = np.linspace(w_low, w_high, _SHOTS)
+    blown = blows_up(ws)
+    if blown[0] or not blown[-1]:
         raise RuntimeError(
             f"backward-traced separatrix value {traced!r} is not bracketed "
             f"by [{w_low!r}, {w_high!r}] at the anchor")
+    w_low, w_high = first_blowup(ws, blown)
     while w_high - w_low > tol:
-        mid = 0.5 * (w_low + w_high)
-        if mid in (w_low, w_high):
+        inner = np.unique(w_low + (w_high - w_low) * np.arange(1, _SHOTS + 1) / (_SHOTS + 1))
+        inner = inner[(inner > w_low) & (inner < w_high)]
+        if not inner.size:
             break
-        if blows_up(mid):
-            w_high = mid
-        else:
-            w_low = mid
+        w_low, w_high = first_blowup(np.concatenate(([w_low], inner, [w_high])),
+                                     np.concatenate(([False], blows_up(inner), [True])))
 
     traj = Trajectory(params, back.s, back.w,
                       termination_left=back.termination_left,
                       termination_right=Termination(TerminationKind.REACHED_S_MAX,
                                                     s=s_far, value=w_far),
-                      events=back.events, dense=back.dense)
+                      events=back.events, dense=back.dense, stats=back.stats)
     return SeparatrixResult(value=0.5 * (w_low + w_high), bracket=(w_low, w_high),
                             anchor=c, trajectory=traj)
 
 
-def classify(params: FlowParams, s0: float, w0: float,
-             cfg: IntegratorConfig = IntegratorConfig(),
-             bowl_tol: float = 1e-9,
-             separatrix_tol: float = 1e-9) -> SolutionClass:
-    """Name the solution through (s0, w0) and gather its evidence.
+def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
+                   cfg: IntegratorConfig = IntegratorConfig(),
+                   bowl_tol: float = 1e-9,
+                   separatrix_tol: float = 1e-9) -> List[Union[SolutionClass, Exception]]:
+    """classify() for every start, with one batched bidirectional
+    integration for all the starts that need a trajectory.
 
-    Strip initial conditions are compared against the bowl at s0; upper
-    outer ones against the separatrix.  Evidence (endpoint limits,
-    critical points, blow-up pole, causal type) comes from integrating
-    both ways, except for the two distinguished solutions themselves,
-    whose canonical trajectories are reused.
+    Returns one entry per start: its SolutionClass, or the ValueError or
+    RuntimeError that classify() would raise for it.
     """
     _require_strip_form(params, "classify")
+    out: List[Optional[Union[SolutionClass, Exception]]] = [None] * len(starts)
+    references: dict = {}
+
+    def reference(build):
+        # the cached bowl or separatrix, built (or failed) once per batch
+        if build not in references:
+            try:
+                references[build] = build(params, cfg)
+            except (ValueError, RuntimeError) as exc:
+                references[build] = exc
+        if isinstance(references[build], Exception):
+            raise references[build]
+        return references[build]
+
+    pending = []
+    for i, (s0, w0) in enumerate(starts):
+        try:
+            verdict = _verdict(params, float(s0), float(w0), cfg, bowl_tol,
+                               separatrix_tol, reference)
+        except (ValueError, RuntimeError) as exc:
+            verdict = exc
+        if isinstance(verdict, tuple):
+            pending.append((i, verdict))
+        else:
+            out[i] = verdict
+    trajs = integrate_bidirectional_batch(params, [init for _, (init, _) in pending], cfg)
+    for (i, (init, tag)), traj in zip(pending, trajs):
+        out[i] = traj if isinstance(traj, Exception) else SolutionClass(
+            tag, init, **_evidence(traj))
+    return out
+
+
+def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
+             bowl_tol: float, separatrix_tol: float, reference):
+    """The SolutionClass of a start that needs no integration of its own,
+    else its (init, tag) for the batched integration."""
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise ValueError(f"initial s must be positive and finite, got {s0}")
     if not math.isfinite(w0):
@@ -265,36 +334,58 @@ def classify(params: FlowParams, s0: float, w0: float,
                              causal_sign(params, lim))
 
     if region is Region.INNER_STRIP:
-        bowl = compute_bowl(params, cfg)
+        bowl = reference(compute_bowl)
         margin = w0 - float(bowl.w_at(s0))
         if abs(margin) <= bowl_tol:
             return SolutionClass(SolutionClassTag.BOWL, init, **_evidence(bowl))
-        traj = integrate_bidirectional(params, s0, w0, cfg)
-        tag = (SolutionClassTag.BELOW_BOWL if margin < 0
-               else SolutionClassTag.ABOVE_BOWL)
-        return SolutionClass(tag, init, **_evidence(traj))
+        return init, (SolutionClassTag.BELOW_BOWL if margin < 0
+                      else SolutionClassTag.ABOVE_BOWL)
 
     if region is Region.GAMMA_MINUS:
-        traj = integrate_bidirectional(params, s0, w0, cfg)
-        return SolutionClass(SolutionClassTag.GAMMA_MINUS_BLOWUP, init,
-                             **_evidence(traj))
+        return init, SolutionClassTag.GAMMA_MINUS_BLOWUP
 
-    sep = compute_separatrix(params, cfg)
+    sep = reference(compute_separatrix)
     threshold = float(sep.trajectory.w_at(s0))
     margin = w0 - threshold
     if abs(margin) <= separatrix_tol * max(1.0, abs(threshold)):
         return SolutionClass(SolutionClassTag.SEPARATRIX, init,
                              **_evidence(sep.trajectory))
-    traj = integrate_bidirectional(params, s0, w0, cfg)
-    tag = (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
-           else SolutionClassTag.GAMMA_PLUS_BLOWUP)
-    return SolutionClass(tag, init, **_evidence(traj))
+    return init, (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
+                  else SolutionClassTag.GAMMA_PLUS_BLOWUP)
 
 
-def _on_strip(params: FlowParams, w0: float) -> Tuple[FlowParams, int, float]:
-    """The timelike-to-strip flip: canonical parameters, flip and slope."""
+def classify(params: FlowParams, s0: float, w0: float,
+             cfg: IntegratorConfig = IntegratorConfig(),
+             bowl_tol: float = 1e-9,
+             separatrix_tol: float = 1e-9) -> SolutionClass:
+    """Name the solution through (s0, w0) and gather its evidence.
+
+    Strip initial conditions are compared against the bowl at s0; upper
+    outer ones against the separatrix.  Evidence (endpoint limits,
+    critical points, blow-up pole, causal type) comes from integrating
+    both ways, except for the two distinguished solutions themselves,
+    whose canonical trajectories are reused.  A batch of one of
+    classify_batch().
+    """
+    return _first(classify_batch(params, [(s0, w0)], cfg, bowl_tol, separatrix_tol))
+
+
+def classify_as_posed_batch(
+        params: FlowParams, starts: Sequence[Tuple[float, float]],
+        cfg: IntegratorConfig = IntegratorConfig()) -> List[Union[SolutionClass, Exception]]:
+    """classify_as_posed() for every start, through one classify_batch()."""
     canon, flip = params.canonical_strip()
-    return canon, flip, flip * w0
+    verdicts = classify_batch(canon, [(s0, flip * w0) for s0, w0 in starts], cfg)
+    out: List[Union[SolutionClass, Exception]] = []
+    for (s0, w0), sc in zip(starts, verdicts):
+        if not isinstance(sc, Exception):
+            blowup = None if sc.blowup is None else (sc.blowup[0], flip * sc.blowup[1])
+            sc = replace(sc, init=PhaseState(s0, w0),
+                         limit_at_zero=flip * sc.limit_at_zero,
+                         limit_at_infinity=flip * sc.limit_at_infinity,
+                         blowup=blowup, causal=flip * sc.causal)
+        out.append(sc)
+    return out
 
 
 def classify_as_posed(params: FlowParams, s0: float, w0: float,
@@ -306,17 +397,11 @@ def classify_as_posed(params: FlowParams, s0: float, w0: float,
     limits, blow-up sign and causal sign (of ep + et*w^2, which the flip
     negates) come back for the equation as posed.
     """
-    canon, flip, w = _on_strip(params, w0)
-    sc = classify(canon, s0, w, cfg)
-    blowup = None if sc.blowup is None else (sc.blowup[0], flip * sc.blowup[1])
-    return replace(sc, init=PhaseState(s0, w0),
-                   limit_at_zero=flip * sc.limit_at_zero,
-                   limit_at_infinity=flip * sc.limit_at_infinity,
-                   blowup=blowup, causal=flip * sc.causal)
+    return _first(classify_as_posed_batch(params, [(s0, w0)], cfg))
 
 
 def blowup_bound_as_posed(params: FlowParams, s0: float, w0: float) -> float:
     """comparison_blowup_bound() for a start of any sign pattern with barriers
     whose canonical image lies below the lower barrier."""
-    canon, _, w = _on_strip(params, w0)
-    return comparison_blowup_bound(canon, s0, w)
+    canon, flip = params.canonical_strip()
+    return comparison_blowup_bound(canon, s0, flip * w0)

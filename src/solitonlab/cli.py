@@ -14,20 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import mesh
-from .core import FlowParams, boost, rotational
+from .core import FlowParams, Trajectory, boost, rotational
 from .engine import IntegratorConfig
 from .classify import (
     SolutionClassTag,
     blowup_bound_as_posed,
     classify_as_posed,
+    classify_as_posed_batch,
     compute_separatrix,
-    integrate_bidirectional,
+    integrate_bidirectional_batch,
     limits_report,
 )
 from .geometry import (
@@ -212,30 +212,28 @@ _PORTRAIT_HEADER = ("traj,s0,w0,class,causal,limit_zero,limit_inf,"
                     "blowup_s,blowup_sign,critical_s,error\n")
 
 
-def _portrait_row(task) -> str:
-    idx, s0, w0, params, cfg = task
+def _portrait_row(idx: int, s0: float, w0: float, result) -> str:
+    """One CSV row from a start's verdict, raw trajectory or error."""
     vals = {"traj": str(idx), "s0": _fmt(s0), "w0": _fmt(w0), "class": "",
             "causal": "", "limit_zero": "", "limit_inf": "", "blowup_s": "",
             "blowup_sign": "", "critical_s": "", "error": ""}
-    try:
-        if params.has_barriers:
-            sc = classify_as_posed(params, s0, w0, cfg)
-            tag, causal, crit = sc.tag.value, sc.causal, sc.critical_points
-            limits, blowup = (sc.limit_at_zero, sc.limit_at_infinity), sc.blowup
-        else:
+    if isinstance(result, Exception):
+        vals["class"] = "error"
+        vals["error"] = str(result).replace(",", ";").replace("\n", " ")
+    else:
+        if isinstance(result, Trajectory):
             # no barrier structure: report raw trajectory data untagged
-            traj = integrate_bidirectional(params, s0, w0, cfg)
-            rep = limits_report(traj)
-            tag, causal, crit = "untagged", traj.causal_sign(), ()
+            rep = limits_report(result)
+            tag, causal, crit = "untagged", result.causal_sign(), ()
             limits, blowup = (rep.at_zero, rep.at_infinity), rep.blowup
+        else:
+            tag, causal, crit = result.tag.value, result.causal, result.critical_points
+            limits, blowup = (result.limit_at_zero, result.limit_at_infinity), result.blowup
         vals.update({"class": tag, "causal": str(causal),
                      "limit_zero": _fmt(limits[0]), "limit_inf": _fmt(limits[1]),
                      "critical_s": ";".join(_fmt(s) for s in crit)})
         if blowup is not None:
             vals["blowup_s"], vals["blowup_sign"] = _fmt(blowup[0]), str(blowup[1])
-    except (ValueError, RuntimeError) as exc:
-        vals["class"] = "error"
-        vals["error"] = str(exc).replace(",", ";").replace("\n", " ")
     return ",".join(vals[k] for k in ("traj", "s0", "w0", "class", "causal",
                                       "limit_zero", "limit_inf", "blowup_s",
                                       "blowup_sign", "critical_s",
@@ -259,20 +257,14 @@ def cmd_portrait(args) -> int:
     s0_grid = _parse_grid(args.s0_grid, "--s0-grid")
     w0_grid = _parse_grid(w0_spec, "--w0-grid")
 
-    tasks = []
-    idx = 0
-    for s0 in s0_grid:
-        for w0 in w0_grid:
-            tasks.append((idx, float(s0), float(w0), params, cfg))
-            idx += 1
-
-    if args.workers > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            chunk = max(1, len(tasks) // (4 * args.workers))
-            rows = list(pool.map(_portrait_row, tasks, chunksize=chunk))
+    starts = [(float(s0), float(w0)) for s0 in s0_grid for w0 in w0_grid]
+    # the whole grid in one batched integration per direction
+    if params.has_barriers:
+        results = classify_as_posed_batch(params, starts, cfg)
     else:
-        rows = [_portrait_row(t) for t in tasks]
-
+        results = integrate_bidirectional_batch(params, starts, cfg)
+    rows = [_portrait_row(idx, s0, w0, res)
+            for idx, ((s0, w0), res) in enumerate(zip(starts, results))]
     _emit(_PORTRAIT_HEADER + "".join(rows), args.out)
     return 0
 
@@ -572,7 +564,6 @@ def build_parser():
     sp.add_argument("--s0-grid", default="0.1:5:20", help="lo:hi:count")
     sp.add_argument("--w0-grid", default=None,
                     help="lo:hi:count (default from --region)")
-    sp.add_argument("--workers", type=int, default=1)
     _add_params(sp)
     _add_integrator(sp)
     _add_out(sp)

@@ -235,7 +235,13 @@ class Termination:
     """Endpoint record: the kind plus the location/value evidence.
 
     For BLOW_UP, s is the extrapolated pole location and sign the direction
-    (+1 for w -> +inf).  For the other kinds value carries the final slope.
+    (+1 for w -> +inf).  A blow-up decision run (integrate with
+    stop_on_line_crossing on the strip form, et = +1, ep = -1) may stop
+    early at a proof of blow-up instead: once w > S/c at some s with
+    s + arccoth(w)/k < S, where S = s_max and k = w*c/S - 1, the solution
+    of z' = k(z^2 - 1) through that point bounds w from below and has its
+    pole before S, and s is then that bound, an upper bound on the pole.
+    For the other kinds value carries the final slope.
     """
 
     kind: TerminationKind
@@ -245,14 +251,34 @@ class Termination:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """Cost of an integration: accepted and rejected steps, rhs evaluations.
+
+    Adding two records sums them, as merge_bidirectional does for the two
+    arcs of a trajectory.  A trajectory no stepper produced (a barrier
+    constant, hand-built samples) carries zeros.
+    """
+
+    accepted: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
+
+    def __add__(self, other: "SolverStats") -> "SolverStats":
+        return SolverStats(self.accepted + other.accepted,
+                           self.rejected + other.rejected,
+                           self.rhs_evals + other.rhs_evals)
+
+
+@dataclass(frozen=True)
 class Trajectory:
     """A solution arc of the phase-plane equation.
 
     Samples are the accepted integration nodes, strictly increasing in s.
     dense, when present, evaluates w(s) anywhere inside the sampled span.
     termination_left/right may be None at an end that is simply the start
-    of a one-sided integration.  Trajectories are immutable: s and w are
-    read-only copies of the arrays passed in, and events is a tuple.
+    of a one-sided integration.  stats is the solver cost of producing
+    it.  Trajectories are immutable: s and w are read-only copies of the
+    arrays passed in, and events is a tuple.
     """
 
     params: FlowParams
@@ -262,6 +288,7 @@ class Trajectory:
     termination_right: Optional[Termination] = None
     events: Tuple = ()
     dense: Optional[Callable] = None
+    stats: SolverStats = SolverStats()
 
     def __post_init__(self) -> None:
         s = np.array(self.s, dtype=float)

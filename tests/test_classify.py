@@ -236,6 +236,29 @@ def test_separatrix_splits_global_from_blowup(separatrix, sign, exponent):
         assert sc.blowup is not None and sc.blowup[1] == +1
 
 
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([2, 3, 5]), sign=st.sampled_from([-1, 1]),
+       exponent=st.floats(-8.0, -1.0))
+def test_decision_shot_verdict_matches_full_run(n, sign, exponent):
+    """A decision shot from the anchor, which may stop at a proof of
+    blow-up, names the same fate as a full run, and its certified pole
+    bound lies beyond the pole the full run finds."""
+    params = rotational(n)
+    sep = compute_separatrix(params)
+    start = (sep.anchor, sep.value + sign * 10.0 ** exponent)
+    shot = integrate(params, start, "toward_infinity", stop_on_line_crossing=True)
+    full = integrate(params, start, "toward_infinity")
+
+    def pole(traj):
+        term = traj.termination_right
+        return term.s if term is not None and term.kind is TerminationKind.BLOW_UP else None
+
+    assert (pole(shot) is None) == (pole(full) is None) == (sign < 0)
+    if sign > 0:
+        assert pole(full) <= pole(shot) < IntegratorConfig().s_max
+        assert shot.stats.accepted < full.stats.accepted
+
+
 def test_limits_report_fields():
     traj = integrate_bidirectional(ROT3, 1.0, -0.5)
     rep = limits_report(traj)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from solitonlab import classify_as_posed, rotational
 from solitonlab.cli import main
 
 GM_BLOWUP_S = 1.0632503268240918
@@ -118,13 +119,32 @@ def test_portrait_single_row(tmp_path):
     assert row[10] == ""
 
 
-def test_portrait_workers_deterministic(tmp_path):
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "parallel.csv"
-    grid = ["--s0-grid", "0.5:3:4", "--w0-grid=-0.8:0.8:3"]
+def test_portrait_batch_matches_single_starts(tmp_path):
+    """A grid classified in one batch is byte-identical from run to run,
+    and each row carries the verdict of its start classified alone."""
+    a = tmp_path / "first.csv"
+    b = tmp_path / "second.csv"
+    grid = ["--s0-grid", "0.5:3:4", "--w0-grid=-2:2:7"]
     assert main(["portrait", *grid, "--out", str(a)]) == 0
-    assert main(["portrait", *grid, "--workers", "2", "--out", str(b)]) == 0
+    assert main(["portrait", *grid, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    rows = a.read_text().splitlines()[1:]
+    assert len(rows) == 28
+    params = rotational(3)
+    for row in rows:
+        cells = row.split(",")
+        s0, w0 = float(cells[1]), float(cells[2])
+        sc = classify_as_posed(params, s0, w0)
+        assert cells[3] == sc.tag.value and cells[4] == str(sc.causal)
+        alone = [sc.limit_at_zero, sc.limit_at_infinity]
+        if sc.blowup is not None:
+            alone.append(sc.blowup[0])
+            assert cells[8] == str(sc.blowup[1])
+        got = [float(cells[5]), float(cells[6])] + ([float(cells[7])] if cells[7] else [])
+        crit = [float(c) for c in cells[9].split(";") if c]
+        assert len(got) == len(alone) and len(crit) == len(sc.critical_points)
+        np.testing.assert_allclose(got + crit, alone + list(sc.critical_points),
+                                   rtol=1e-12, atol=0)
 
 
 def test_portrait_rows_cover_gamma_regions(tmp_path):

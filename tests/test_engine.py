@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from solitonlab import (
@@ -10,18 +12,24 @@ from solitonlab import (
     FlowParams,
     IntegratorConfig,
     TerminationKind,
+    Trajectory,
     boost,
     bowl_series_coeffs,
     bowl_start,
     comparison_blowup_bound,
+    compute_bowl,
+    compute_separatrix,
     detect_blowup,
     eval_series,
     integrate,
+    integrate_batch,
+    integrate_bidirectional_batch,
     integrate_series,
     merge_bidirectional,
     rotational,
 )
 from solitonlab.classify import integrate_bidirectional
+from solitonlab.engine import DIRECTIONS
 
 ROT3 = rotational(3)
 CFG = IntegratorConfig()
@@ -238,3 +246,199 @@ def test_dense_output_matches_samples():
 def test_integrator_config_immutable():
     with pytest.raises(Exception):
         CFG.rel_tol = 1e-3
+
+
+def test_integrate_rejects_other_methods():
+    with pytest.raises(ValueError, match="DOP853"):
+        integrate(ROT3, (1.0, 0.5), "toward_infinity", IntegratorConfig(method="RK45"))
+
+
+# --- the batched engine against scipy ---
+
+def _scipy_arc(params, s0, w0, direction, cfg=CFG):
+    """One-sided reference: scipy's DOP853 on the phase equation (in
+    t = log s toward zero, trial slopes clamped at 100x the escape
+    threshold), its line crossings, and its pole from the two deepest
+    samples by the first-order model w ~ +-1/(s* - s) taken to 1/|w| -> 0."""
+    et, ep, c = params.eps_tilde, params.eps_prime, params.fiber_coeff
+    cap = 100.0 * cfg.escape_threshold
+    log = direction == "toward_zero"
+
+    def f(x, y):
+        z = min(max(y[0], -cap), cap)
+        return [(et + ep * z * z) * ((math.exp(x) - et * c * z) if log
+                                     else (1.0 - z * et * c / x))]
+
+    def s_of(x):
+        return np.exp(x) if log else np.asarray(x)
+
+    def cross(x, y):
+        return y[0] - float(s_of(x)) * et / c
+
+    def up(x, y):
+        return y[0] - cfg.escape_threshold
+
+    def down(x, y):
+        return y[0] + cfg.escape_threshold
+
+    up.terminal = down.terminal = True
+    span = (math.log(s0), math.log(cfg.s_min_eps)) if log else (s0, cfg.s_max)
+    sol = solve_ivp(f, span, [w0], method="DOP853", rtol=cfg.rel_tol,
+                    atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True,
+                    events=[cross, up, down])
+    pole = None
+    if sol.status == 1 or abs(sol.y[0, -1]) > 1000.0 * max(1.0, cfg.s_max / c):
+        s_t, w_t = s_of(sol.t[-2:]), sol.y[0, -2:]
+        x = 1.0 / np.abs(w_t)
+        e = s_t + (-x if log else x)
+        pole = e[-1] - (e[-1] - e[-2]) / (x[-1] - x[-2]) * x[-1]
+    crossings = sorted(float(s) for s in s_of(sol.t_events[0]))
+    s_lo, s_hi = sorted(float(s) for s in s_of(sol.t[[0, -1]]))
+    return (lambda q: sol.sol(np.log(q) if log else q)[0]), crossings, pole, (s_lo, s_hi)
+
+
+def _pole(traj):
+    for term in (traj.termination_left, traj.termination_right):
+        if term is not None and term.kind is TerminationKind.BLOW_UP:
+            return term.s
+    return None
+
+
+def _check_against_scipy(traj, params, s0, w0, directions, cfg=CFG, events=True):
+    crossings, poles = [], []
+    for direction in directions:
+        w_ref, cross, pole, (lo, hi) = _scipy_arc(params, s0, w0, direction, cfg)
+        crossings += cross
+        poles.append(pole)
+        probes = lo + (hi - lo) * np.array([0.0, 0.013, 0.1, 0.37, 0.5, 0.77, 0.9])
+        w_ref_at = w_ref(probes)
+        regular = np.abs(w_ref_at) < 1e3
+        np.testing.assert_allclose(traj.w_at(probes[regular]), w_ref_at[regular],
+                                   rtol=1e-10, atol=1e-10)
+    if events:
+        got = sorted(e.s for e in traj.events if e.kind is EventKind.CROSSED_LINE_R)
+        np.testing.assert_allclose(got, sorted(crossings), rtol=0, atol=1e-9)
+    want = [p for p in poles if p is not None]
+    assert len(want) <= 1
+    if want:
+        assert abs(_pole(traj) - want[0]) < 1e-9
+    else:
+        assert _pole(traj) is None
+
+
+# one start per class of the strip form of rotational(3), plus an untagged
+# start of the barrier-free boost(2, "spacelike") pattern
+BIDIRECTIONAL_CASES = {
+    "constant_plus": (ROT3, 3.0, 1.0),
+    "constant_minus": (ROT3, 3.0, -1.0),
+    "below_bowl": (ROT3, 1.0, -0.5),
+    "above_bowl": (ROT3, 1.0, 0.9),
+    "gamma_minus_blowup": (ROT3, 1.0, -2.0),
+    "gamma_plus_global": (ROT3, 2.0, 1.2),
+    "gamma_plus_blowup": (ROT3, 2.0, 1.5),
+    "untagged_spacelike_S": (boost(2, region="spacelike"), 2.0, 2.5),
+}
+
+
+@pytest.fixture(scope="module")
+def batched_rot3():
+    """The rotational(3) cases as one batch, per name."""
+    names = [k for k, (p, _, _) in BIDIRECTIONAL_CASES.items() if p == ROT3]
+    trajs = integrate_bidirectional_batch(
+        ROT3, [BIDIRECTIONAL_CASES[k][1:] for k in names])
+    return dict(zip(names, trajs))
+
+
+@pytest.mark.parametrize("name", sorted(BIDIRECTIONAL_CASES))
+def test_batched_engine_matches_scipy(batched_rot3, name):
+    params, s0, w0 = BIDIRECTIONAL_CASES[name]
+    traj = batched_rot3.get(name)
+    if traj is None:
+        (traj,) = integrate_bidirectional_batch(params, [(s0, w0)])
+    # the exact-constant shortcut on a barrier records no events
+    _check_against_scipy(traj, params, s0, w0, DIRECTIONS,
+                         events=not name.startswith("constant"))
+
+
+def test_bowl_matches_scipy():
+    start = bowl_start(ROT3, 1e-4)
+    _check_against_scipy(compute_bowl(ROT3), ROT3, start.s, start.w, ["toward_infinity"])
+
+
+def test_separatrix_trace_matches_scipy():
+    c, s_far = ROT3.fiber_coeff, CFG.s_max
+    w_far = s_far / c + s_far / (s_far * s_far - c * c)
+    traj = compute_separatrix(ROT3).trajectory
+    _check_against_scipy(traj, ROT3, s_far, w_far, ["toward_zero"])
+
+
+# --- lanes are independent of their batch ---
+
+_start = st.tuples(st.floats(0.2, 5.0), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=8, deadline=None)
+@given(lane=_start, others=st.lists(_start, min_size=1, max_size=5),
+       where=st.integers(0, 5), direction=st.sampled_from(DIRECTIONS),
+       decide=st.booleans())
+def test_lane_independent_of_batch(lane, others, where, direction, decide):
+    """A lane's samples, events, termination and counters are bit for bit
+    the same alone and among other lanes."""
+    where = min(where, len(others))
+    (alone,) = integrate_batch(ROT3, [lane], direction, stop_on_line_crossing=decide)
+    batch = integrate_batch(ROT3, others[:where] + [lane] + others[where:], direction,
+                            stop_on_line_crossing=decide)
+    among = batch[where]
+    assert alone.s.tobytes() == among.s.tobytes()
+    assert alone.w.tobytes() == among.w.tobytes()
+    assert alone.events == among.events
+    assert (alone.termination_left, alone.termination_right) == (
+        among.termination_left, among.termination_right)
+    assert alone.stats == among.stats
+    probes = np.linspace(alone.s[0], alone.s[-1], 9)
+    assert np.asarray(alone.w_at(probes)).tobytes() == np.asarray(among.w_at(probes)).tobytes()
+
+
+def test_failing_lane_leaves_the_batch_alone():
+    starts = [(1.0, 0.5), (-1.0, 0.5), (1.0, math.nan), (2.0, 1.2), (2.0, 1.0)]
+    out = integrate_batch(ROT3, starts, "toward_infinity")
+    assert isinstance(out[1], ValueError) and isinstance(out[2], ValueError)
+    for k in (0, 3, 4):
+        assert isinstance(out[k], Trajectory)
+        single = integrate(ROT3, starts[k], "toward_infinity")
+        assert out[k].w.tobytes() == single.w.tobytes()
+    with pytest.raises(ValueError, match="positive"):
+        integrate(ROT3, starts[1], "toward_infinity")
+
+
+# --- solver counters ---
+
+def test_stats_count_the_steps():
+    """Every accepted step is one sampling interval; the rhs runs twice to
+    start, 12 times per attempt and 3 times per step for dense output."""
+    starts = [(1.0, -0.5), (1.0, 0.9), (2.0, 1.2), (0.3, 0.2)]
+    for direction in DIRECTIONS:
+        for traj in integrate_batch(ROT3, starts, direction):
+            st_ = traj.stats
+            assert st_.accepted == len(traj.s) - 1
+            tries = st_.accepted + st_.rejected
+            assert st_.rhs_evals == 2 + 12 * tries + 3 * st_.accepted
+    down, up = (integrate(ROT3, (1.0, 0.9), d) for d in DIRECTIONS)
+    merged = merge_bidirectional(down, up)
+    assert merged.stats == down.stats + up.stats
+    assert merged.stats.accepted == len(merged.s) - 1
+    assert integrate(ROT3, (2.0, 1.0), "toward_infinity").stats.accepted == 0
+
+
+# --- the escape cutoff ---
+
+@pytest.mark.parametrize("s0, w0", [(1.0, -2.0), (0.5, -1.5), (2.0, 1.5),
+                                    (3.0, 2.5), (1.0, 1.6)])
+def test_pole_stable_under_escape_cutoff(s0, w0):
+    """A pole found through the escape event at 1e6 and one found through
+    step collapse below 1e8 agree to 1e-9."""
+    early = detect_blowup(integrate_bidirectional(
+        ROT3, s0, w0, IntegratorConfig(escape_threshold=1e6)))
+    late = detect_blowup(integrate_bidirectional(ROT3, s0, w0))
+    assert early[1] == late[1]
+    assert abs(early[0] - late[0]) < 1e-9
