@@ -281,24 +281,11 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
     """
     _require_strip_form(params, "classify")
     out: List[Optional[Union[SolutionClass, Exception]]] = [None] * len(starts)
-    references: dict = {}
-
-    def reference(build):
-        # the cached bowl or separatrix, built (or failed) once per batch
-        if build not in references:
-            try:
-                references[build] = build(params, cfg)
-            except (ValueError, RuntimeError) as exc:
-                references[build] = exc
-        if isinstance(references[build], Exception):
-            raise references[build]
-        return references[build]
-
     pending = []
     for i, (s0, w0) in enumerate(starts):
         try:
             verdict = _verdict(params, float(s0), float(w0), cfg, bowl_tol,
-                               separatrix_tol, reference)
+                               separatrix_tol)
         except (ValueError, RuntimeError) as exc:
             verdict = exc
         if isinstance(verdict, tuple):
@@ -313,7 +300,7 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
 
 
 def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
-             bowl_tol: float, separatrix_tol: float, reference):
+             bowl_tol: float, separatrix_tol: float):
     """The SolutionClass of a start that needs no integration of its own,
     else its (init, tag) for the batched integration."""
     if not (s0 > 0.0 and math.isfinite(s0)):
@@ -334,7 +321,7 @@ def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
                              causal_sign(params, lim))
 
     if region is Region.INNER_STRIP:
-        bowl = reference(compute_bowl)
+        bowl = compute_bowl(params, cfg)
         margin = w0 - float(bowl.w_at(s0))
         if abs(margin) <= bowl_tol:
             return SolutionClass(SolutionClassTag.BOWL, init, **_evidence(bowl))
@@ -344,7 +331,7 @@ def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
     if region is Region.GAMMA_MINUS:
         return init, SolutionClassTag.GAMMA_MINUS_BLOWUP
 
-    sep = reference(compute_separatrix)
+    sep = compute_separatrix(params, cfg)
     threshold = float(sep.trajectory.w_at(s0))
     margin = w0 - threshold
     if abs(margin) <= separatrix_tol * max(1.0, abs(threshold)):

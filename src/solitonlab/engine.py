@@ -59,7 +59,9 @@ from .core import (
 class IntegratorConfig:
     """Step-control and span settings shared by all integrations.
 
-    method names the stepper; DOP853 is the only one.
+    method names the stepper.  The phase-equation engine has one, DOP853,
+    and integrate() refuses any other value; only the wing ODE of
+    geometry, which still runs on scipy's solve_ivp, honours others.
     """
 
     rel_tol: float = 1e-10
@@ -129,15 +131,11 @@ class _Field:
     and it is s*w'(s), which stays bounded near 0.  Rejected trial stages
     can overshoot far past the escape threshold; the slope is clamped at
     cap = 100x that threshold, which keeps the arithmetic finite without
-    touching any state a step can accept.  For |z| > cap the field is
-    larger than `unclamped` in size (|et + ep*z^2| > cap^2 - 1, and the
-    second factor is at least c*cap - s_hi toward zero, c*cap/s_hi - 1
-    toward infinity, for s up to s_hi), so stages evaluated without the
-    clamp that all stay below it never needed it.
+    touching any state a step can accept.
     """
 
     def __init__(self, params: FlowParams, log_mode: bool,
-                 cfg: IntegratorConfig, s_hi: float) -> None:
+                 cfg: IntegratorConfig) -> None:
         self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
                                     params.fiber_coeff)
         self.etc = params.eps_tilde * params.fiber_coeff
@@ -148,16 +146,12 @@ class _Field:
         self.offsets = np.array([0.0, cfg.escape_threshold, -cfg.escape_threshold,
                                  1.0 - BARRIER_TOL, 1.0 + BARRIER_TOL])
         self.columns = np.arange(5 if params.has_barriers else 3)
-        cap, c = self.cap, params.fiber_coeff
-        margin = c * cap - s_hi if log_mode else c * cap / s_hi - 1.0
-        self.unclamped = 0.5 * (cap * cap - 1.0) * margin if margin > 1.0 else 0.0
 
     def s_of(self, x):
         return _libm(math.exp, x) if self.log_mode else x
 
-    def __call__(self, s, z, out=None, clamp=True):
-        if clamp:
-            z = np.minimum(np.maximum(z, -self.cap), self.cap)
+    def __call__(self, s, z, out=None):
+        z = np.minimum(np.maximum(z, -self.cap), self.cap)
         zz = z * z
         q = self.et - zz if self.ep < 0 else self.et + zz    # et + ep*z^2
         if self.log_mode:
@@ -244,15 +238,15 @@ def _initial_step(field: _Field, x0, y0, f0, bound: float, direction: float,
 _FINISHED, _TERMINAL, _COLLAPSED, _CERTIFIED = range(4)
 
 
-def _stages(field: _Field, heads, cols, s_stage, y, h, clamp: bool):
+def _stages(field: _Field, heads, cols, s_stage, y, h):
     """The DOP853 stages of one step into cols (cols[0] holds f(y)):
     scipy's rk_step, each stage sum a vecdot on lane rows, the one dot
     product per lane that scipy makes, whatever the batch around it."""
     for i in range(1, _NS):
         dy = np.vecdot(heads[i], _A_ROWS[i]) * h
-        field(s_stage[i], y + dy, cols[i], clamp)
+        field(s_stage[i], y + dy, cols[i])
     y_new = y + h * np.vecdot(heads[_NS], _B)
-    return y_new, field(s_stage[_NS], y_new, cols[_NS], clamp)
+    return y_new, field(s_stage[_NS], y_new, cols[_NS])
 
 
 def _advance(field: _Field, x, y, bound: float, direction: float,
@@ -265,10 +259,8 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
     ulp(x).  A lane stops at the bound, at a terminal event (escape, or
     the line crossing when stop_on_crossing), at step collapse, or, when
     certify, at a proof of blow-up before s_max (see Termination).  The
-    loop keeps its numpy calls to a few per stage: stages first run
-    without the slope clamp and are redone with it only when one of them
-    may have met it, and lanes that may stop are sorted out only in the
-    iterations where one may.
+    loop keeps its numpy calls to a few per stage: lanes that may stop are
+    sorted out only in the iterations where one may.
 
     Returns the steps (_Steps), and per lane: how it ended, the
     certified pole bound (nan elsewhere), attempts and accepted steps.
@@ -302,98 +294,95 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
         return K, [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
 
     K, cols, heads = buffers(lane.size)
-    with np.errstate(over="ignore", invalid="ignore"):    # unclamped trial stages
-        while lane.size:
-            it += 1
-            h_abs = np.minimum(h_abs, cfg.max_step)
-            stuck = None
-            if np.count_nonzero(h_abs < min_step_cap):
-                min_step = 10.0 * np.abs(np.nextafter(x, toward) - x)
-                stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
-                h_abs = np.maximum(h_abs, min_step)
-            x_new = clip_to_bound(x + h_abs * direction, bound)
-            h = x_new - x
-            h_abs = np.abs(h)
+    while lane.size:
+        it += 1
+        h_abs = np.minimum(h_abs, cfg.max_step)
+        stuck = None
+        if np.count_nonzero(h_abs < min_step_cap):
+            min_step = 10.0 * np.abs(np.nextafter(x, toward) - x)
+            stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
+            h_abs = np.maximum(h_abs, min_step)
+        x_new = clip_to_bound(x + h_abs * direction, bound)
+        h = x_new - x
+        h_abs = np.abs(h)
 
-            s_stage = field.s_of(x + _C[:, None] * h)
-            cols[0][:] = f
-            y_new, f_new = _stages(field, heads, cols, s_stage, y, h, clamp=False)
-            if not np.abs(K).max() < field.unclamped:
-                y_new, f_new = _stages(field, heads, cols, s_stage, y, h, clamp=True)
+        s_stage = field.s_of(x + _C[:, None] * h)
+        cols[0][:] = f
+        y_new, f_new = _stages(field, heads, cols, s_stage, y, h)
 
-            y_big = np.maximum(np.abs(y), np.abs(y_new))
-            err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
-            err *= err
-            e5 = err[:, 0]
-            denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
-            norm = h_abs * e5 / np.sqrt(denom)
-            ok = norm < 1.0
-            if stuck is not None:
-                ok &= ~stuck
-            grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
-            # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
-            h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
+        y_big = np.maximum(np.abs(y), np.abs(y_new))
+        err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
+        err *= err
+        e5 = err[:, 0]
+        denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
+        norm = h_abs * e5 / np.sqrt(denom)
+        ok = norm < 1.0
+        if stuck is not None:
+            ok &= ~stuck
+        grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
+        # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
+        h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
 
-            x_old, y_old = x, y
-            step = (lane, x, h, y, x_new, y_new, K.copy())
-            if np.count_nonzero(ok) == ok.size:
-                records.append(step)
-                x, y, f = x_new, y_new, step[-1][:, _NS]
-                if capped:
-                    grow_cap, capped = np.full(lane.size, _MAX_FACTOR), False
-            else:
-                records.append(tuple(a[ok] for a in step))
-                x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
-                grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
-                rejects += ~ok if stuck is None else ~ok & ~stuck
+        x_old, y_old = x, y
+        step = (lane, x, h, y, x_new, y_new, K.copy())
+        if np.count_nonzero(ok) == ok.size:
+            records.append(step)
+            x, y, f = x_new, y_new, step[-1][:, _NS]
+            if capped:
+                grow_cap, capped = np.full(lane.size, _MAX_FACTOR), False
+        else:
+            records.append(tuple(a[ok] for a in step))
+            x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
+            grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
+            rejects += ~ok if stuck is None else ~ok & ~stuck
 
-            maybe = (x_new == bound) | (y_big >= field.escape)
+        maybe = (x_new == bound) | (y_big >= field.escape)
+        if stop_on_crossing:
+            g_new = field.event(x_new, y_new, _CROSS)
+            maybe |= _straddles(g_cross, g_new)
+        if certify:
+            maybe |= y_new > w_certify
+        if stuck is not None:
+            maybe |= stuck
+        if not np.count_nonzero(maybe):
             if stop_on_crossing:
-                g_new = field.event(x_new, y_new, _CROSS)
-                maybe |= _straddles(g_cross, g_new)
-            if certify:
-                maybe |= y_new > w_certify
-            if stuck is not None:
-                maybe |= stuck
-            if not np.count_nonzero(maybe):
-                if stop_on_crossing:
-                    g_cross = np.where(ok, g_new, g_cross)
-                continue
-
-            # some lane may stop: sort out which, and how
-            done = ok & (x_new == bound)
-            hit = ok & (y_big >= field.escape)
-            if hit.any():
-                escapes = np.array([_ESC_UP, _ESC_DOWN])
-                hit &= _straddles(field.event(x_old[:, None], y_old[:, None], escapes),
-                                  field.event(x_new[:, None], y_new[:, None], escapes)).any(axis=1)
-            if stop_on_crossing:
-                hit |= ok & _straddles(g_cross, g_new)
                 g_cross = np.where(ok, g_new, g_cross)
-            cert = np.zeros(lane.size, dtype=bool)
-            cand = (ok & ~hit & (y_new > w_certify)) if certify else cert
-            if cand.any():
-                w = y_new[cand]
-                arccoth = 0.5 * _libm(math.log, (w + 1.0) / (w - 1.0))
-                pole_bound = x_new[cand] + arccoth / (w * c / s_max - 1.0)
-                cert[cand] = pole_bound < s_max
-                certified[lane[cand]] = np.where(pole_bound < s_max, pole_bound, np.nan)
-            stop = done | hit | cert
-            if stuck is not None:
-                stop |= stuck
-            if not stop.any():
-                continue
-            outcome[lane[stop]] = np.where(hit, _TERMINAL, np.where(
-                cert, _CERTIFIED, np.where(done, _FINISHED, _COLLAPSED)))[stop]
-            tries = it - (stuck[stop] if stuck is not None else 0)
-            attempts[lane[stop]] = tries
-            accepted[lane[stop]] = tries - rejects[stop]
-            keep = ~stop
-            lane, x, y, f, h_abs, grow_cap, rejects = (
-                a[keep] for a in (lane, x, y, f, h_abs, grow_cap, rejects))
-            if stop_on_crossing:
-                g_cross = g_cross[keep]
-            K, cols, heads = buffers(lane.size)
+            continue
+
+        # some lane may stop: sort out which, and how
+        done = ok & (x_new == bound)
+        hit = ok & (y_big >= field.escape)
+        if hit.any():
+            escapes = np.array([_ESC_UP, _ESC_DOWN])
+            hit &= _straddles(field.event(x_old[:, None], y_old[:, None], escapes),
+                              field.event(x_new[:, None], y_new[:, None], escapes)).any(axis=1)
+        if stop_on_crossing:
+            hit |= ok & _straddles(g_cross, g_new)
+            g_cross = np.where(ok, g_new, g_cross)
+        cert = np.zeros(lane.size, dtype=bool)
+        cand = (ok & ~hit & (y_new > w_certify)) if certify else cert
+        if cand.any():
+            w = y_new[cand]
+            arccoth = 0.5 * _libm(math.log, (w + 1.0) / (w - 1.0))
+            pole_bound = x_new[cand] + arccoth / (w * c / s_max - 1.0)
+            cert[cand] = pole_bound < s_max
+            certified[lane[cand]] = np.where(pole_bound < s_max, pole_bound, np.nan)
+        stop = done | hit | cert
+        if stuck is not None:
+            stop |= stuck
+        if not stop.any():
+            continue
+        outcome[lane[stop]] = np.where(hit, _TERMINAL, np.where(
+            cert, _CERTIFIED, np.where(done, _FINISHED, _COLLAPSED)))[stop]
+        tries = it - (stuck[stop] if stuck is not None else 0)
+        attempts[lane[stop]] = tries
+        accepted[lane[stop]] = tries - rejects[stop]
+        keep = ~stop
+        lane, x, y, f, h_abs, grow_cap, rejects = (
+            a[keep] for a in (lane, x, y, f, h_abs, grow_cap, rejects))
+        if stop_on_crossing:
+            g_cross = g_cross[keep]
+        K, cols, heads = buffers(lane.size)
 
     return _collect(field, records), outcome, certified, attempts, accepted
 
@@ -464,7 +453,7 @@ def _dense_output(field: _Field, x_nodes, steps: _Steps, lo: int, hi: int,
                   y_start: float) -> Callable:
     """w(s) of one lane from its step interpolants, picking the segment of
     a point as scipy's OdeSolution does (the step that starts there)."""
-    F, x0, h, y0 = (a[lo:hi] for a in (steps.F, steps.x0, steps.h, steps.y0))
+    F, x0, h, y0 = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0))
     last = hi - lo - 1
     ascending = not field.log_mode
     ordered = x_nodes if ascending else x_nodes[::-1]
@@ -537,7 +526,7 @@ def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
                   stop_on_line_crossing: bool) -> List[Result]:
     """Step the lanes together, then cut each lane's trajectory out."""
     log_mode = direction == "toward_zero"
-    field = _Field(params, log_mode, cfg, max(s0) if log_mode else cfg.s_max)
+    field = _Field(params, log_mode, cfg)
     sign = -1.0 if log_mode else 1.0
     x_start = np.array([math.log(s) for s in s0] if log_mode else s0, dtype=float)
     y_start = np.array(w0, dtype=float)
