@@ -23,16 +23,21 @@ one verdict, or that start's error, per start.  The scalar functions are
 batches of one.
 
 The separatrix is traced backward.  Forward shooting cannot hold it for
-long (nearby solutions diverge like exp(s^2/2c)), so it is integrated
-backward from a far-field start seeded on the asymptote; backward
-integration contracts onto the separatrix at the same exponential rate.
-The traced value at the anchor s = c, where the critical line crosses
-the barrier, seeds a narrow window that forward shots must split into
-global and blow-up.  The window is narrowed by k-section: each round
-shoots 64 starts spread over it in one batched call, and the first
-blow-up next to a global start is the new window, 63 or 65 times
-narrower.  The first round includes both window ends, so it also checks
-that they split.
+long (nearby solutions diverge like exp(s^2/2c)), and backward
+integration contracts onto it at the same rate, which makes a long
+backward run stiff.  Far out it is its own asymptotic series,
+w ~ s/c + sum_k a_k s^(1-2k) (engine.separatrix_series_coeffs), trusted
+from s_far on (about 8 to 15 for n = 2..5, see engine.separatrix_start):
+beyond s_far the trajectory is series samples, and the integration runs
+backward from the series value at s_far, or at s_max if that is nearer,
+so its cost does not depend on s_max.  The traced value at the anchor
+s = c, where the critical line crosses the barrier, seeds a narrow window
+that forward shots must split into global and blow-up.  The window is
+narrowed by k-section: the first round shoots 64 starts spread over it,
+both ends included, in one batched call, so it also checks that they
+split, and the first blow-up next to a global start is the new window,
+63 times narrower.  Later rounds shoot only as many starts as bring the
+window below the tolerance, plus one.
 """
 
 from __future__ import annotations
@@ -49,7 +54,6 @@ from .core import (
     FlowParams,
     PhaseState,
     Region,
-    Termination,
     TerminationKind,
     Trajectory,
     causal_sign,
@@ -58,11 +62,11 @@ from .core import (
 from .engine import (
     EventKind,
     IntegratorConfig,
+    _far_anchored,
     _first,
     _series_anchored,
     bowl_start,
     comparison_blowup_bound,
-    integrate,
     integrate_batch,
     merge_bidirectional,
 )
@@ -125,12 +129,15 @@ class SeparatrixResult:
     trajectory: Trajectory
 
     def asymptote_defect(self, s_from: float) -> float:
-        """sup over samples s >= s_from of |c*w(s) - s|, the asymptote gap."""
-        c = self.trajectory.params.fiber_coeff
-        m = self.trajectory.s >= s_from
-        if not np.any(m):
+        """max of |c*w(s) - s|, the asymptote gap, over s_from itself (read
+        from the dense output) and the samples beyond it."""
+        traj = self.trajectory
+        if s_from > traj.s[-1]:
             raise ValueError(f"no samples at or beyond s = {s_from}")
-        return float(np.max(np.abs(c * self.trajectory.w[m] - self.trajectory.s[m])))
+        m = traj.s > s_from
+        s = np.concatenate(([s_from], traj.s[m]))
+        w = np.concatenate(([traj.w_at(s_from)], traj.w[m]))
+        return float(np.max(np.abs(traj.params.fiber_coeff * w - s)))
 
 
 def _require_strip_form(params: FlowParams, what: str) -> None:
@@ -209,25 +216,27 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
                        tol: float = 1e-10) -> SeparatrixResult:
     """Trace the upper-region threshold solution, then bracket it.
 
-    The reported trajectory is integrated backward from a far-field start
-    at cfg.s_max on the asymptote w = (s + defect)/c, which contracts onto
-    the separatrix.  Its value at the anchor s = c (where the critical
-    line meets the barrier) seeds a window of +-1e3*tol, clipped below at
-    the barrier w = 1, which is a global solution.  k-section narrows the
-    window to width tol: each round shoots 64 starts at once (the first
-    round includes the window ends, which must shoot global and blow-up)
-    and keeps the step from the last global start below the first
-    blow-up.  Results are cached.
+    The reported trajectory is the far-field series beyond s_far (its
+    samples at most cfg.max_step apart; CSV rows beyond s_far are these)
+    and, below s_far, backward integration from the series value there,
+    which contracts onto the separatrix.  s_far is where the truncated
+    series is accurate to cfg.abs_tol; if s_max is nearer, the series only
+    supplies the start at s_max.  The traced value at the anchor s = c
+    (where the critical line meets the barrier) seeds a window of
+    +-1e3*tol, clipped below at the barrier w = 1, which is a global
+    solution.  k-section narrows the window to width tol: the first round
+    shoots 64 starts at once, the window ends among them, which must shoot
+    global and blow-up; each later round as many as take the window below
+    tol, plus one; each keeps the step from the last global start below
+    the first blow-up.  Results are cached.
     """
     _require_strip_form(params, "compute_separatrix")
     c = params.fiber_coeff
     if not cfg.s_min_eps < c < cfg.s_max:
         raise ValueError("anchor s = c must lie inside the integration span")
 
-    s_far = cfg.s_max
-    w_far = s_far / c + s_far / (s_far * s_far - c * c)
-    back = integrate(params, (s_far, w_far), "toward_zero", cfg)
-    traced = float(back.w_at(c))
+    traj = _far_anchored(params, cfg)
+    traced = float(traj.w_at(c))
 
     def blows_up(ws: np.ndarray) -> np.ndarray:
         # crossing below the critical line, or coasting to s_max, is global
@@ -253,18 +262,15 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
             f"by [{w_low!r}, {w_high!r}] at the anchor")
     w_low, w_high = first_blowup(ws, blown)
     while w_high - w_low > tol:
-        inner = np.unique(w_low + (w_high - w_low) * np.arange(1, _SHOTS + 1) / (_SHOTS + 1))
+        # enough starts to get below tol, plus one so rounding never forces another round
+        k = min(_SHOTS, math.ceil((w_high - w_low) / tol))
+        inner = np.unique(w_low + (w_high - w_low) * np.arange(1, k + 1) / (k + 1))
         inner = inner[(inner > w_low) & (inner < w_high)]
         if not inner.size:
             break
         w_low, w_high = first_blowup(np.concatenate(([w_low], inner, [w_high])),
                                      np.concatenate(([False], blows_up(inner), [True])))
 
-    traj = Trajectory(params, back.s, back.w,
-                      termination_left=back.termination_left,
-                      termination_right=Termination(TerminationKind.REACHED_S_MAX,
-                                                    s=s_far, value=w_far),
-                      events=back.events, dense=back.dense, stats=back.stats)
     return SeparatrixResult(value=0.5 * (w_low + w_high), bracket=(w_low, w_high),
                             anchor=c, trajectory=traj)
 

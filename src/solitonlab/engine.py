@@ -29,7 +29,9 @@ w ~ +-1/(s* - s), refined by eliminating the leading error term linearly
 in 1/|w|.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
-its Taylor series; the coefficient recursion lives here as well.
+its Taylor series, and the separatrix of the strip form is ended by its
+far-field asymptotic series; both coefficient recursions live here, as
+does the join of a series part and an integrated arc.
 """
 
 from __future__ import annotations
@@ -755,6 +757,30 @@ def integrate_series(coeffs: np.ndarray, const: float = 0.0) -> np.ndarray:
     return out
 
 
+def _series_joined(arc: Trajectory, series: Callable, s_series: np.ndarray) -> Trajectory:
+    """An integrated arc continued past its start by a series.
+
+    arc comes from integrate(), so its start end has no termination.  The
+    series samples s_series lie beyond that end and close the trajectory:
+    a head below an arc run toward infinity ends at the left cutoff, a
+    tail beyond an arc run toward zero at the span end.  The dense output
+    reads the series on its side of the start and the arc on the other.
+    """
+    w_series = np.asarray(series(s_series), dtype=float)
+    if arc.termination_left is None:
+        s, w = np.concatenate([s_series, arc.s]), np.concatenate([w_series, arc.w])
+        left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s[0]),
+                           value=float(w[0]))
+        right, dense = arc.termination_right, _handoff(series, arc.dense, arc.s[0])
+    else:
+        s, w = np.concatenate([arc.s, s_series]), np.concatenate([arc.w, w_series])
+        left = arc.termination_left
+        right = Termination(TerminationKind.REACHED_S_MAX, s=float(s[-1]), value=float(w[-1]))
+        dense = _handoff(arc.dense, series, arc.s[-1])
+    return Trajectory(arc.params, s, w, termination_left=left, termination_right=right,
+                      events=arc.events, dense=dense, stats=arc.stats)
+
+
 def _series_anchored(params: FlowParams, start: PhaseState, order: int,
                      cfg: IntegratorConfig) -> Trajectory:
     """Center-regular trajectory: its order-`order` center series below
@@ -762,15 +788,8 @@ def _series_anchored(params: FlowParams, start: PhaseState, order: int,
     integration from start, which must sit on the series, beyond it."""
     coeffs = bowl_series_coeffs(params, order)
     up = integrate(params, start, "toward_infinity", cfg)
-    s_head = np.geomspace(cfg.s_min_eps, start.s, 49)[:-1]
-    w_head = eval_series(coeffs, s_head)
-    left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
-                       value=float(w_head[0]))
-    return Trajectory(params, np.concatenate([s_head, up.s]),
-                      np.concatenate([w_head, up.w]), termination_left=left,
-                      termination_right=up.termination_right, events=up.events,
-                      dense=_handoff(partial(eval_series, coeffs), up.dense, start.s),
-                      stats=up.stats)
+    return _series_joined(up, partial(eval_series, coeffs),
+                          np.geomspace(cfg.s_min_eps, start.s, 49)[:-1])
 
 
 def bowl_start(params: FlowParams, s_start: float, order: int = 13,
@@ -794,6 +813,84 @@ def bowl_start(params: FlowParams, s_start: float, order: int = 13,
             f"s = {s_start} exceeds {abs_tol:.1e}; lower s_start or raise order")
     w = float(eval_series(a_ext[:order + 1], s_start))
     return PhaseState(s_start, w)
+
+
+def separatrix_series_coeffs(params: FlowParams, order: int) -> np.ndarray:
+    """Far-field coefficients of the upper separatrix of the strip form.
+
+    The solution that follows the critical line w = s/c has the asymptotic
+    expansion w ~ s/c + sum_{k>=1} a_k s^(1-2k).  Matching powers in
+    w' = (1 - w^2)(1 - c*w/s) gives a_1 = 1 and, for k >= 2,
+
+        a_k = (c(3 - 2k) + c^2) a_{k-1} - 2c sum_{i+j=k} a_i a_j
+              - c^2 sum_{i+j+l=k} a_i a_j a_l.
+
+    Returns b[0..order] with b_0 = 1/c and b_k = a_k, so that
+    w ~ s * sum_k b_k s^(-2k).  The series diverges: a truncation is only
+    trusted from some s on (see separatrix_start).
+    """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    if not (params.eps_tilde == +1 and params.eps_prime == -1):
+        raise ValueError("the far-field series needs the strip form et=+1, ep=-1")
+    c = params.fiber_coeff
+    a = np.zeros(order + 1)
+    a[1] = 1.0
+    for k in range(2, order + 1):
+        head = a[:k]
+        sq = np.convolve(head, head)
+        a[k] = ((c * (3 - 2 * k) + c * c) * a[k - 1] - 2.0 * c * sq[k]
+                - c * c * np.convolve(sq, head)[k])
+    a[0] = 1.0 / c
+    return a
+
+
+def _far_series(coeffs: np.ndarray, s):
+    """The far-field series s * sum_k b_k s^(-2k) at s."""
+    s = np.asarray(s, dtype=float)
+    return _scalar_or_array(s * eval_series(coeffs, 1.0 / (s * s)))
+
+
+# terms a_k kept of the separatrix's far-field series
+_FAR_ORDER = 30
+
+
+def separatrix_start(params: FlowParams, order: int = _FAR_ORDER,
+                     abs_tol: float = 1e-12) -> PhaseState:
+    """Series start on the separatrix at s_far, the nearest s where its
+    order-`order` far-field series can be trusted.
+
+    A truncation after a_K leaves a defect of about |a_{K+1}| s^(-2K)
+    times the slope scale 1/c in the phase equation, and a value error of
+    about |a_{K+1}| s^(-2K-1).  s_far is where the first two omitted
+    terms, read as that defect, sum to abs_tol (one fixed-point step from
+    the one-term root, which lands just beyond the two-term one); past
+    s_far the series satisfies the equation to abs_tol relative and its
+    value is off by less than abs_tol / s_far.  For rotational(n),
+    n = 2..5, s_far is about 8.3, 11.2, 13.1 and 14.9.
+    """
+    b = separatrix_series_coeffs(params, order + 2)
+    first, second = abs(b[-2]), abs(b[-1])
+    s = (first / abs_tol) ** (0.5 / order)
+    s = ((first + second / (s * s)) / abs_tol) ** (0.5 / order)
+    return PhaseState(float(s), float(_far_series(b[:order + 1], s)))
+
+
+def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
+    """The separatrix over [s_min_eps, s_max]: its far-field series beyond
+    s_far (or s_max, if nearer), with samples at most cfg.max_step apart,
+    and backward integration from there.
+
+    Nearby solutions contract onto the separatrix at rate s/c going
+    backward, which makes that integration stiff for an explicit stepper
+    at large s; starting it at s_far keeps its cost independent of s_max.
+    """
+    start = separatrix_start(params, abs_tol=cfg.abs_tol)
+    series = partial(_far_series, separatrix_series_coeffs(params, _FAR_ORDER))
+    s_far = min(start.s, cfg.s_max)
+    back = integrate(params, (s_far, float(series(s_far))), "toward_zero", cfg)
+    nodes = math.ceil((cfg.s_max - s_far) / cfg.max_step)
+    return _series_joined(back, series, np.linspace(s_far, cfg.s_max, nodes + 1)[1:])
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

@@ -22,6 +22,7 @@ from solitonlab import (
     build_spindle,
     build_wing,
     classify,
+    classify_batch,
     compute_bowl,
     compute_separatrix,
     comparison_blowup_bound,
@@ -30,6 +31,7 @@ from solitonlab import (
     detect_blowup,
     eval_series,
     integrate_bidirectional,
+    integrate_bidirectional_batch,
     residual_fund_eq,
     rotational,
     sample_radial_field,
@@ -68,14 +70,17 @@ def _oracle_coeffs(eps_tilde, eps_prime, c, order):
 
 @pytest.fixture(scope="module")
 def strip_grid():
-    """Classification plus raw trajectory on the 20x20 strip grid."""
-    out = []
-    for s0 in np.linspace(0.1, 5.0, 20):
-        for w0 in np.linspace(-0.95, 0.95, 20):
-            sc = classify(ROT3, float(s0), float(w0))
-            traj = integrate_bidirectional(ROT3, float(s0), float(w0))
-            out.append((float(s0), float(w0), sc, traj))
-    return out
+    """Classification plus raw trajectory on the 20x20 strip grid, each as
+    one batched call over the 400 starts (a lane is the same bit for bit
+    as its start alone)."""
+    starts = [(float(s0), float(w0)) for s0 in np.linspace(0.1, 5.0, 20)
+              for w0 in np.linspace(-0.95, 0.95, 20)]
+    verdicts = classify_batch(ROT3, starts)
+    trajs = integrate_bidirectional_batch(ROT3, starts)
+    for res in verdicts + trajs:
+        if isinstance(res, Exception):
+            raise res
+    return [(s0, w0, sc, traj) for (s0, w0), sc, traj in zip(starts, verdicts, trajs)]
 
 
 @pytest.fixture(scope="module")

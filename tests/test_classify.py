@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from solitonlab import (
     EventKind,
     EventRecord,
+    FlowParams,
     IntegratorConfig,
     SolutionClassTag,
     TerminationKind,
@@ -18,7 +20,10 @@ from solitonlab import (
     integrate,
     integrate_bidirectional,
     limits_report,
+    rhs,
     rotational,
+    separatrix_series_coeffs,
+    separatrix_start,
 )
 
 ROT3 = rotational(3)
@@ -30,7 +35,7 @@ GP_CROSSING_S = 2.4391949731195406    # line crossing of the (2, 1.2) orbit
 GP_BLOWUP_S = 2.8708136089142045      # pole of the (2, 1.5) orbit
 GM_BLOWUP_S = 1.0632503268240918      # pole of the (1, -2) orbit
 SEP_VALUE = 1.390627106179388         # threshold slope at anchor s = 2
-SEP_DEFECT_50 = 0.03992811602366686
+SEP_DEFECT_50 = 0.03996810142501772   # c*w(50) - 50 on the dense output
 # separatrix w(c) for rotational(n) by an independent LSODA bisection
 LSODA_SEP = {2: 1.5470570400484722, 5: 1.2781160995707248}
 
@@ -219,6 +224,74 @@ def test_separatrix_coarse_tol_bracket():
     assert sep.bracket[0] >= 1.0
     assert abs(sep.value - SEP_VALUE) <= 1e-2
     _assert_valid_bracket(ROT3, sep, 1e-2)
+
+
+@pytest.mark.parametrize("n", sorted(LSODA_SEP))
+def test_separatrix_fine_tol_bracket(n):
+    """At tol=1e-12 the later k-section rounds must still close the window."""
+    params = rotational(n)
+    sep = compute_separatrix(params, tol=1e-12)
+    assert abs(sep.value - LSODA_SEP[n]) <= 1e-9
+    _assert_valid_bracket(params, sep, 1e-12)
+
+
+# --- the far field: series tail beyond s_far ---
+
+@pytest.mark.parametrize("n", sorted(LSODA_SEP))
+def test_separatrix_cost_independent_of_s_max(n):
+    """The backward arc starts at s_far whatever s_max is: the same value
+    and the same solver counters at s_max 100, 200 and 1000."""
+    params = rotational(n)
+    s_far = separatrix_start(params).s
+    runs = []
+    for s_max in (100.0, 200.0, 1000.0):
+        cfg = IntegratorConfig(s_max=s_max)
+        sep = compute_separatrix.__wrapped__(params, cfg)
+        traj = sep.trajectory
+        assert traj.s[-1] == s_max
+        assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
+        assert np.diff(traj.s[traj.s >= s_far]).max() <= cfg.max_step
+        runs.append((sep.value, sep.bracket, traj.stats))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][2].accepted < 200
+
+
+@pytest.mark.parametrize("n", sorted(LSODA_SEP))
+def test_separatrix_tail_matches_stiff_reference(n):
+    """The series tail agrees with an implicit (Radau) backward run started
+    on the critical line at 2*s_max, which contracts onto the separatrix."""
+    params = rotational(n)
+    c, s_max = params.fiber_coeff, IntegratorConfig().s_max
+    probes = np.linspace(separatrix_start(params).s, s_max - 5.0, 25)
+
+    def f(s, y):
+        return (1.0 - y * y) * (1.0 - c * y / s)
+
+    def jac(s, y):
+        return [[-2.0 * y[0] * (1.0 - c * y[0] / s) - (1.0 - y[0] ** 2) * c / s]]
+
+    ref = solve_ivp(f, (2 * s_max, probes[0]), [2 * s_max / c], method="Radau",
+                    jac=jac, rtol=1e-13, atol=1e-14, t_eval=probes[::-1])
+    assert ref.success
+    got = compute_separatrix(params).trajectory.w_at(probes[::-1])
+    np.testing.assert_allclose(got, ref.y[0], rtol=1e-10, atol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(c=st.floats(0.5, 8.0), stretch=st.floats(1.0, 3.0))
+def test_far_series_solves_the_phase_equation(c, stretch):
+    """From s_far on, the derivative of the truncated far-field series is
+    the phase equation's right-hand side at the series value."""
+    params = FlowParams(n=3, fiber_coeff=c)
+    b = separatrix_series_coeffs(params, 30)
+    start = separatrix_start(params, 30)
+    s = start.s * stretch
+    k = np.arange(b.size)
+    w = float(np.sum(b * s ** (1.0 - 2.0 * k)))
+    slope = float(np.sum(b * (1.0 - 2.0 * k) * s ** (-2.0 * k)))
+    assert slope == pytest.approx(float(rhs(params, s, w)), rel=1e-12)
+    assert start.w == pytest.approx(float(np.sum(b * start.s ** (1.0 - 2.0 * k))),
+                                    rel=1e-15)
 
 
 @settings(max_examples=8, deadline=None)
