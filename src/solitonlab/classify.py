@@ -29,8 +29,9 @@ backward run stiff.  Far out it is its own asymptotic series,
 w ~ s/c + sum_k a_k s^(1-2k) (engine.separatrix_series_coeffs), trusted
 from s_far on (about 8 to 15 for n = 2..5, see engine.separatrix_start):
 beyond s_far the trajectory is series samples, and the integration runs
-backward from the series value at s_far, or at s_max if that is nearer,
-so its cost does not depend on s_max.  The traced value at the anchor
+backward from the series value at s_far, or at s_max if that is nearer
+(there from the series cut before its smallest term), so its cost does
+not depend on s_max.  The traced value at the anchor
 s = c, where the critical line crosses the barrier, seeds a narrow window
 that forward shots must split into global and blow-up.  The window is
 narrowed by k-section: the first round shoots 64 starts spread over it,
@@ -220,8 +221,8 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     samples at most cfg.max_step apart; CSV rows beyond s_far are these)
     and, below s_far, backward integration from the series value there,
     which contracts onto the separatrix.  s_far is where the truncated
-    series is accurate to cfg.abs_tol; if s_max is nearer, the series only
-    supplies the start at s_max.  The traced value at the anchor s = c
+    series is accurate to cfg.abs_tol; if s_max is nearer, the series, cut
+    before its smallest term at s_max, only supplies the start there.  The traced value at the anchor s = c
     (where the critical line meets the barrier) seeds a window of
     +-1e3*tol, clipped below at the barrier w = 1, which is a global
     solution.  k-section narrows the window to width tol: the first round

@@ -80,6 +80,8 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive")
         if not 0 < self.s_min_eps < self.s_max:
             raise ValueError("need 0 < s_min_eps < s_max")
+        if not self.max_step > 0:
+            raise ValueError("max_step must be positive")
         if self.escape_threshold <= 1:
             raise ValueError("escape threshold must exceed the barrier scale")
 
@@ -757,30 +759,6 @@ def integrate_series(coeffs: np.ndarray, const: float = 0.0) -> np.ndarray:
     return out
 
 
-def _series_joined(arc: Trajectory, series: Callable, s_series: np.ndarray) -> Trajectory:
-    """An integrated arc continued past its start by a series.
-
-    arc comes from integrate(), so its start end has no termination.  The
-    series samples s_series lie beyond that end and close the trajectory:
-    a head below an arc run toward infinity ends at the left cutoff, a
-    tail beyond an arc run toward zero at the span end.  The dense output
-    reads the series on its side of the start and the arc on the other.
-    """
-    w_series = np.asarray(series(s_series), dtype=float)
-    if arc.termination_left is None:
-        s, w = np.concatenate([s_series, arc.s]), np.concatenate([w_series, arc.w])
-        left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s[0]),
-                           value=float(w[0]))
-        right, dense = arc.termination_right, _handoff(series, arc.dense, arc.s[0])
-    else:
-        s, w = np.concatenate([arc.s, s_series]), np.concatenate([arc.w, w_series])
-        left = arc.termination_left
-        right = Termination(TerminationKind.REACHED_S_MAX, s=float(s[-1]), value=float(w[-1]))
-        dense = _handoff(arc.dense, series, arc.s[-1])
-    return Trajectory(arc.params, s, w, termination_left=left, termination_right=right,
-                      events=arc.events, dense=dense, stats=arc.stats)
-
-
 def _series_anchored(params: FlowParams, start: PhaseState, order: int,
                      cfg: IntegratorConfig) -> Trajectory:
     """Center-regular trajectory: its order-`order` center series below
@@ -788,8 +766,15 @@ def _series_anchored(params: FlowParams, start: PhaseState, order: int,
     integration from start, which must sit on the series, beyond it."""
     coeffs = bowl_series_coeffs(params, order)
     up = integrate(params, start, "toward_infinity", cfg)
-    return _series_joined(up, partial(eval_series, coeffs),
-                          np.geomspace(cfg.s_min_eps, start.s, 49)[:-1])
+    s_head = np.geomspace(cfg.s_min_eps, start.s, 49)[:-1]
+    w_head = eval_series(coeffs, s_head)
+    left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
+                       value=float(w_head[0]))
+    return Trajectory(params, np.concatenate([s_head, up.s]),
+                      np.concatenate([w_head, up.w]), termination_left=left,
+                      termination_right=up.termination_right, events=up.events,
+                      dense=_handoff(partial(eval_series, coeffs), up.dense, start.s),
+                      stats=up.stats)
 
 
 def bowl_start(params: FlowParams, s_start: float, order: int = 13,
@@ -827,7 +812,7 @@ def separatrix_series_coeffs(params: FlowParams, order: int) -> np.ndarray:
 
     Returns b[0..order] with b_0 = 1/c and b_k = a_k, so that
     w ~ s * sum_k b_k s^(-2k).  The series diverges: a truncation is only
-    trusted from some s on (see separatrix_start).
+    trusted from some s on (see _far_field).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -855,42 +840,68 @@ def _far_series(coeffs: np.ndarray, s):
 _FAR_ORDER = 30
 
 
-def separatrix_start(params: FlowParams, order: int = _FAR_ORDER,
-                     abs_tol: float = 1e-12) -> PhaseState:
-    """Series start on the separatrix at s_far, the nearest s where its
-    order-`order` far-field series can be trusted.
+def _far_field(params: FlowParams, abs_tol: float,
+               s_max: float) -> Tuple[PhaseState, np.ndarray]:
+    """Start of the backward separatrix trace and the far-field series
+    coefficients to use from there on.
 
     A truncation after a_K leaves a defect of about |a_{K+1}| s^(-2K)
     times the slope scale 1/c in the phase equation, and a value error of
-    about |a_{K+1}| s^(-2K-1).  s_far is where the first two omitted
-    terms, read as that defect, sum to abs_tol (one fixed-point step from
-    the one-term root, which lands just beyond the two-term one); past
-    s_far the series satisfies the equation to abs_tol relative and its
-    value is off by less than abs_tol / s_far.  For rotational(n),
-    n = 2..5, s_far is about 8.3, 11.2, 13.1 and 14.9.
+    about |a_{K+1}| s^(-2K-1).  s_far is where the first two omitted terms
+    of the order-_FAR_ORDER series, read as that defect, sum to abs_tol
+    (one fixed-point step from the one-term root, which lands just beyond
+    the two-term one); past s_far the series satisfies the equation to
+    abs_tol relative and its value is off by less than abs_tol / s_far.
+    The start is at min(s_far, s_max).  Below s_far a fixed order would
+    let the omitted terms grow like (s_far/s)^(2K+1), so there the series
+    is cut before its smallest term at s_max, the most accurate
+    truncation it has.
     """
-    b = separatrix_series_coeffs(params, order + 2)
+    b = separatrix_series_coeffs(params, _FAR_ORDER + 2)
     first, second = abs(b[-2]), abs(b[-1])
-    s = (first / abs_tol) ** (0.5 / order)
-    s = ((first + second / (s * s)) / abs_tol) ** (0.5 / order)
-    return PhaseState(float(s), float(_far_series(b[:order + 1], s)))
+    s = (first / abs_tol) ** (0.5 / _FAR_ORDER)
+    s = ((first + second / (s * s)) / abs_tol) ** (0.5 / _FAR_ORDER)
+    if s <= s_max:
+        b = b[:_FAR_ORDER + 1]
+    else:
+        s = s_max
+        k = np.arange(1, _FAR_ORDER + 2)
+        b = b[:int(k[np.argmin(np.abs(b[k]) * s ** (-2.0 * k))])]
+    return PhaseState(float(s), float(_far_series(b, s))), b
+
+
+def separatrix_start(params: FlowParams, abs_tol: float = 1e-12) -> PhaseState:
+    """Series start on the separatrix at s_far, the nearest s where its
+    order-30 far-field series can be trusted to abs_tol (see _far_field).
+    For rotational(n), n = 2..5, s_far is about 8.3, 11.2, 13.1 and 14.9.
+    """
+    return _far_field(params, abs_tol, math.inf)[0]
 
 
 def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
     """The separatrix over [s_min_eps, s_max]: its far-field series beyond
-    s_far (or s_max, if nearer), with samples at most cfg.max_step apart,
-    and backward integration from there.
+    s_far, with samples at most cfg.max_step apart, and backward
+    integration from min(s_far, s_max).
 
     Nearby solutions contract onto the separatrix at rate s/c going
     backward, which makes that integration stiff for an explicit stepper
     at large s; starting it at s_far keeps its cost independent of s_max.
     """
-    start = separatrix_start(params, abs_tol=cfg.abs_tol)
-    series = partial(_far_series, separatrix_series_coeffs(params, _FAR_ORDER))
-    s_far = min(start.s, cfg.s_max)
-    back = integrate(params, (s_far, float(series(s_far))), "toward_zero", cfg)
-    nodes = math.ceil((cfg.s_max - s_far) / cfg.max_step)
-    return _series_joined(back, series, np.linspace(s_far, cfg.s_max, nodes + 1)[1:])
+    start, coeffs = _far_field(params, cfg.abs_tol, cfg.s_max)
+    back = integrate(params, start, "toward_zero", cfg)
+    if start.s == cfg.s_max:
+        return back
+    series = partial(_far_series, coeffs)
+    nodes = max(1, math.ceil((cfg.s_max - start.s) / cfg.max_step))
+    s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)[1:]
+    w_tail = series(s_tail)
+    right = Termination(TerminationKind.REACHED_S_MAX, s=float(s_tail[-1]),
+                        value=float(w_tail[-1]))
+    return Trajectory(params, np.concatenate([back.s, s_tail]),
+                      np.concatenate([back.w, w_tail]),
+                      termination_left=back.termination_left, termination_right=right,
+                      events=back.events, dense=_handoff(back.dense, series, start.s),
+                      stats=back.stats)
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

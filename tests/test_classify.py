@@ -277,6 +277,35 @@ def test_separatrix_tail_matches_stiff_reference(n):
     np.testing.assert_allclose(got, ref.y[0], rtol=1e-10, atol=0)
 
 
+def test_separatrix_below_s_far():
+    """With s_max below s_far the trace starts at s_max, on the series cut
+    before its smallest term there.  At n = 2, s_max = 6 that start is off
+    by about 2e-7; the order-30 truncation would be off by about 7e-6."""
+    params = rotational(2)
+    c, s_max = params.fiber_coeff, 6.0
+    assert separatrix_start(params).s > s_max
+    sep = compute_separatrix.__wrapped__(params, IntegratorConfig(s_max=s_max))
+    traj = sep.trajectory
+    ref = solve_ivp(lambda s, y: (1.0 - y * y) * (1.0 - c * y / s), (400.0, s_max),
+                    [400.0 / c], method="Radau", rtol=1e-13, atol=1e-14,
+                    jac=lambda s, y: [[-2.0 * y[0] * (1.0 - c * y[0] / s)
+                                       - (1.0 - y[0] ** 2) * c / s]])
+    assert ref.success
+    assert traj.s[-1] == s_max
+    assert abs(traj.w[-1] - ref.y[0, -1]) <= 1e-6
+    assert abs(traj.w_at(c) - LSODA_SEP[2]) <= 1e-9
+    # the shots only run to s_max = 6, so the bracket is not checked at s_max = 100
+    assert sep.bracket[1] - sep.bracket[0] <= 1e-10
+
+
+def test_separatrix_tail_ends_at_s_max_at_any_max_step():
+    cfg = IntegratorConfig(max_step=np.inf)
+    traj = compute_separatrix.__wrapped__(ROT3, cfg).trajectory
+    assert traj.s[-1] == cfg.s_max
+    assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
+    assert traj.w_at(cfg.s_max) == traj.w[-1]
+
+
 @settings(max_examples=20, deadline=None)
 @given(c=st.floats(0.5, 8.0), stretch=st.floats(1.0, 3.0))
 def test_far_series_solves_the_phase_equation(c, stretch):
@@ -284,7 +313,7 @@ def test_far_series_solves_the_phase_equation(c, stretch):
     the phase equation's right-hand side at the series value."""
     params = FlowParams(n=3, fiber_coeff=c)
     b = separatrix_series_coeffs(params, 30)
-    start = separatrix_start(params, 30)
+    start = separatrix_start(params)
     s = start.s * stretch
     k = np.arange(b.size)
     w = float(np.sum(b * s ** (1.0 - 2.0 * k)))

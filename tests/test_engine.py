@@ -122,6 +122,12 @@ def test_bowl_start_values():
     assert st2.w == pytest.approx(0.0004999999687500013, rel=1e-13)
 
 
+def test_config_rejects_nonpositive_max_step():
+    for max_step in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="max_step"):
+            IntegratorConfig(max_step=max_step)
+
+
 def test_bowl_start_rejects_large_anchor():
     # the expansion only certifies a neighbourhood of the axis
     with pytest.raises(ValueError):
