@@ -222,14 +222,17 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     and, below s_far, backward integration from the series value there,
     which contracts onto the separatrix.  s_far is where the truncated
     series is accurate to cfg.abs_tol; if s_max is nearer, the series, cut
-    before its smallest term at s_max, only supplies the start there.  The traced value at the anchor s = c
-    (where the critical line meets the barrier) seeds a window of
-    +-1e3*tol, clipped below at the barrier w = 1, which is a global
-    solution.  k-section narrows the window to width tol: the first round
-    shoots 64 starts at once, the window ends among them, which must shoot
-    global and blow-up; each later round as many as take the window below
-    tol, plus one; each keeps the step from the last global start below
-    the first blow-up.  Results are cached.
+    before its smallest term at s_max, only supplies the start there.  The
+    traced value at the anchor s = c (where the critical line meets the
+    barrier) seeds a window of +-1e3*tol, clipped below at the barrier
+    w = 1, which is a global solution.  k-section narrows the window to
+    width tol: the first round shoots 64 starts at once, the window ends
+    among them, which must shoot global and blow-up; each later round as
+    many as take the window below tol, plus one; each keeps the step from
+    the last global start below the first blow-up.  A start tol off the
+    separatrix parts from it only near s_decide = sqrt(c^2 + 2c ln(1/tol)),
+    so the shots run to at least 2 s_decide, whatever s_max; one that ends
+    there undecided raises RuntimeError.  Results are cached.
     """
     _require_strip_form(params, "compute_separatrix")
     c = params.fiber_coeff
@@ -238,17 +241,28 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
 
     traj = _far_anchored(params, cfg)
     traced = float(traj.w_at(c))
+    # a start tol off the separatrix parts from it by O(1) near s_decide
+    s_decide = math.sqrt(c * c + 2 * c * math.log(1 / tol))
+    shot_cfg = replace(cfg, s_max=max(cfg.s_max, 2 * s_decide))
 
     def blows_up(ws: np.ndarray) -> np.ndarray:
-        # crossing below the critical line, or coasting to s_max, is global
-        runs = integrate_batch(params, [(c, w) for w in ws], "toward_infinity", cfg,
-                               stop_on_line_crossing=True)
-        for run in runs:
+        # global: crossing below the critical line, or the barrier itself
+        runs = integrate_batch(params, [(c, w) for w in ws], "toward_infinity",
+                               shot_cfg, stop_on_line_crossing=True)
+        blown = []
+        for w, run in zip(ws, runs):
             if isinstance(run, Exception):
                 raise run
-        return np.array([run.termination_right is not None
-                         and run.termination_right.kind is TerminationKind.BLOW_UP
-                         for run in runs])
+            end = run.termination_right
+            if end is not None and end.kind is TerminationKind.BLOW_UP:
+                blown.append(True)
+            elif w == 1.0 or (end is None and any(
+                    e.kind is EventKind.CROSSED_LINE_R for e in run.events)):
+                blown.append(False)
+            else:
+                raise RuntimeError(f"decision shot from w = {w!r} at the anchor "
+                                   f"reached s = {shot_cfg.s_max!r} undecided")
+        return np.array(blown)
 
     def first_blowup(ws: np.ndarray, blown: np.ndarray) -> Tuple[float, float]:
         k = int(np.argmax(blown))    # a global start sits below it

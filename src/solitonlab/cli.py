@@ -47,7 +47,9 @@ from .verify import (
 
 
 def _fmt(x) -> str:
-    """Fixed float formatting for round-trippable, byte-stable output."""
+    """Fixed float formatting for round-trippable, byte-stable output.
+
+    Data rows use the same %.17g in one % operation per row."""
     if x is None:
         return ""
     return "{:.17g}".format(float(x))
@@ -281,8 +283,8 @@ def cmd_bowl(args) -> int:
     f = np.asarray(f_of(s), dtype=float)
     w = np.asarray(w_of(s), dtype=float)
     lines = [f"# profile: bowl\n# params: {_params_line(params)}\n", "s,f,w\n"]
-    lines += [f"{_fmt(si)},{_fmt(fi)},{_fmt(wi)}\n"
-              for si, fi, wi in zip(s, f, w)]
+    lines += ["%.17g,%.17g,%.17g\n" % row
+              for row in zip(s.tolist(), f.tolist(), w.tolist())]
     _emit("".join(lines), args.out)
     return 0
 
@@ -295,8 +297,8 @@ def cmd_separatrix(args) -> int:
         lines = [f"# profile: separatrix\n# params: {_params_line(params)}\n",
                  f"# value_at_anchor: {_fmt(sep.value)}\n",
                  "s,w\n"]
-        lines += [f"{_fmt(si)},{_fmt(wi)}\n"
-                  for si, wi in zip(sep.trajectory.s, sep.trajectory.w)]
+        lines += ["%.17g,%.17g\n" % row for row in
+                  zip(sep.trajectory.s.tolist(), sep.trajectory.w.tolist())]
         _emit("".join(lines), args.out)
         return 0
     report = {
@@ -321,8 +323,8 @@ def _wing_csv(curve, params: FlowParams, label: str) -> str:
              f"# arm_stop: {stops}\n",
              f"# contact_y: {cts}\n",
              "y,alpha,alpha_prime\n"]
-    lines += [f"{_fmt(y)},{_fmt(a)},{_fmt(ap)}\n"
-              for y, a, ap in zip(curve.y, curve.alpha, curve.alpha_prime)]
+    lines += ["%.17g,%.17g,%.17g\n" % row for row in
+              zip(curve.y.tolist(), curve.alpha.tolist(), curve.alpha_prime.tolist())]
     return "".join(lines)
 
 
@@ -363,10 +365,9 @@ def cmd_hybrid(args) -> int:
     lines = [f"# field: hybrid\n# quadrants: {args.quadrants}\n",
              f"# f2_sign: {hyb.f2_sign}\n",
              "x,y,u\n"]
-    for i in range(len(x)):
-        for j in range(len(y)):
-            lines.append(f"{_fmt(x[i])},{_fmt(y[j])},"
-                         f"{_fmt(grid.values[i, j])}\n")
+    ys = y.tolist()
+    for xi, row in zip(x.tolist(), grid.values.tolist()):
+        lines += ["%.17g,%.17g,%.17g\n" % (xi, yj, u) for yj, u in zip(ys, row)]
     _emit("".join(lines), args.out)
     return 0
 
@@ -376,7 +377,7 @@ def cmd_hybrid(args) -> int:
 def _obj_text(meta: Sequence[str], verts: np.ndarray, faces: np.ndarray,
               extra: Sequence[str] = ()) -> str:
     lines = [f"# {m}\n" for m in meta]
-    lines += [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}\n" for x, y, z in verts.tolist()]
+    lines += ["v %.17g %.17g %.17g\n" % (x, y, z) for x, y, z in verts.tolist()]
     lines += [f"# {m}\n" for m in extra]
     lines += [f"f {a} {b} {c}\n" for a, b, c in (faces + 1).tolist()]
     return "".join(lines)
@@ -387,7 +388,7 @@ def _profile_csv_fallback(s, f, params, what: str) -> str:
              "# note: base dimension > 2 has no 3-coordinate embedding; "
              "emitting the profile instead\n",
              "s,f\n"]
-    lines += [f"{_fmt(a)},{_fmt(b)}\n" for a, b in zip(s, f)]
+    lines += ["%.17g,%.17g\n" % row for row in zip(s.tolist(), f.tolist())]
     return "".join(lines)
 
 

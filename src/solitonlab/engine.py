@@ -1,11 +1,12 @@
 """Lockstep adaptive integration of the phase-plane equation, with events.
 
 The phase equation w'(s) = (et + ep*w^2)(1 - w*h(s)) is integrated by one
-stepper: DOP853 with scipy's tableau and scipy's step control, ported
-lane by lane (Hairer-Norsett-Wanner, Solving ODEs I, II.4-6).  It
-advances N initial conditions ("lanes") of one direction in lockstep,
-each with its own step size, so every lane takes scipy's step sequence up
-to rounding, and the same one whether it runs alone or among others.
+stepper: DOP853 with scipy's tableau (a vendored copy, _dop853, so the
+engine imports numpy only) and scipy's step control, ported lane by lane
+(Hairer-Norsett-Wanner, Solving ODEs I, II.4-6).  It advances N initial
+conditions ("lanes") of one direction in lockstep, each with its own step
+size, so every lane takes scipy's step sequence up to rounding, and the
+same one whether it runs alone or among others.
 integrate() is a batch of one.  The two directions:
 
 * toward_infinity: raw arclength s up to a configured ceiling;
@@ -43,8 +44,8 @@ from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
+from . import _dop853
 from .core import (
     BARRIER_TOL,
     FlowParams,
@@ -62,8 +63,9 @@ class IntegratorConfig:
     """Step-control and span settings shared by all integrations.
 
     method names the stepper.  The phase-equation engine has one, DOP853,
-    and integrate() refuses any other value; only the wing ODE of
-    geometry, which still runs on scipy's solve_ivp, honours others.
+    and integrate() refuses any other value.  Only the wing ODE of
+    geometry honours others: it still runs on scipy's solve_ivp, imported
+    when a wing is built, so it is the one path that loads scipy.
     """
 
     rel_tol: float = 1e-10

@@ -28,8 +28,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .core import (
     FlowParams,
@@ -108,6 +106,58 @@ def _evaluator(fn: Callable, sign: float = 1.0,
     return evaluate
 
 
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy's cumulative_simpson(y, x=x, initial=0.0), bit for bit.
+
+    Each interval's integral is the three-point Simpson formula for
+    unequal spacing: forward from its left neighbour pair on even
+    intervals, backward (the same formula on the reversed arrays) on odd
+    ones and on the last.  The running sum starts at 0.
+    """
+    def forward(f, d):
+        x21, x32 = d[:-1], d[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * f[:-2]
+                          + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
+                          + -x21x21_x31x32 * f[2:])
+
+    dx = np.diff(x)
+    backward = forward(y[::-1], dx[::-1])[::-1]
+    parts = np.empty(len(y))
+    parts[0] = 0.0
+    parts[1:-1:2] = forward(y, dx)[::2]
+    parts[2::2] = backward[::2]
+    parts[-1] = backward[-1]
+    return np.cumsum(parts)
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> Callable:
+    """scipy's CubicHermiteSpline(x, y, dydx), bit for bit, extrapolating
+    from the end intervals.
+
+    The coefficients are the spline's PPoly ones (ck multiplies the k-th
+    power of the offset from the interval's left node), held in a copy;
+    a point is evaluated on the interval whose left node is the last one
+    at or below it, in the term order of PPoly's evaluation.
+    """
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dydx))):
+        raise ValueError("Hermite data must be finite")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = np.stack((y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t,
+                               t / dx))
+
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        i = np.clip(np.searchsorted(x, q, "right") - 1, 0, len(x) - 2)
+        d = q - x[i]
+        d2 = d * d
+        return c0[i] + c1[i] * d + c2[i] * d2 + c3[i] * (d2 * d)
+    return evaluate
+
+
 def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
              f0: float = 0.0, series: Optional[np.ndarray] = None) -> ProfileCurve:
     """The height profile of a slope trajectory; every graph builder ends here.
@@ -125,8 +175,8 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
     w_grid = np.asarray(traj.w_at(s_grid), dtype=float)
     fc = None if series is None else integrate_series(series, f0)
     f_lo = f0 if fc is None else float(eval_series(fc, lo))
-    f_grid = f_lo + cumulative_simpson(w_grid, x=s_grid, initial=0.0)
-    spline = CubicHermiteSpline(s_grid, f_grid, w_grid)
+    f_grid = f_lo + _cumulative_simpson(w_grid, s_grid)
+    spline = _hermite(s_grid, f_grid, w_grid)
     if fc is None:
         f_dense, w_dense = _evaluator(spline), traj.w_at
     else:
@@ -189,6 +239,8 @@ def _wing_arm(params: FlowParams, s0: float, y0: float, y_end: float,
     double precision, so steep_cap stays moderate).  Returns the solution
     and the stop reason.
     """
+    from scipy.integrate import solve_ivp  # the one scipy integrator left
+
     tiny = alpha_floor * 1e-3
     ap_clamp = 100.0 * steep_cap
 
@@ -229,6 +281,8 @@ def _wing_arm(params: FlowParams, s0: float, y0: float, y_end: float,
 def _invert_branch(params: FlowParams, sol, y0: float, s0: float,
                    apex_pad: float, samples: int) -> Optional[ProfileCurve]:
     """Resample one wing arm and invert it to a graph f(s) = y(alpha)."""
+    from scipy.interpolate import CubicSpline
+
     y_end = sol.t[-1]
     if abs(y_end - y0) <= 2 * apex_pad:
         return None
@@ -252,7 +306,7 @@ def _invert_branch(params: FlowParams, sol, y0: float, s0: float,
     w_b = 1.0 / w_raw
     return ProfileCurve(kind="graph", params=params, s=s_b, f=f_b, w=w_b,
                         f0=float(f_b[0]),
-                        f_dense=_evaluator(CubicHermiteSpline(s_b, f_b, w_b)),
+                        f_dense=_evaluator(_hermite(s_b, f_b, w_b)),
                         w_dense=_evaluator(CubicSpline(s_b, w_b)))
 
 

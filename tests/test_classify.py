@@ -235,6 +235,18 @@ def test_separatrix_fine_tol_bracket(n):
     _assert_valid_bracket(params, sep, 1e-12)
 
 
+@pytest.mark.parametrize("n, s_max", [(2, 6.0), (3, 8.0), (4, 10.0), (5, 12.0)])
+def test_separatrix_small_s_max(n, s_max):
+    """Decision shots outrun a small s_max: a start 1e-10 off the separatrix
+    only parts from it near s = 7..14, so shots stopped at s_max would be
+    undecided.  The value and both bracket ends still match LSODA."""
+    lsoda = {**LSODA_SEP, 3: 1.390627106195109, 4: 1.3203257162015776}[n]
+    sep = compute_separatrix(rotational(n), IntegratorConfig(s_max=s_max))
+    assert sep.trajectory.s[-1] == pytest.approx(s_max, rel=1e-15)
+    for w in (sep.value, *sep.bracket):
+        assert abs(w - lsoda) <= 1e-9
+
+
 # --- the far field: series tail beyond s_far ---
 
 @pytest.mark.parametrize("n", sorted(LSODA_SEP))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import solitonlab
 from solitonlab import classify_as_posed, rotational
 from solitonlab.cli import main
 
@@ -349,6 +353,17 @@ def test_verify_bowl_passes(tmp_path):
     assert rep["eps"] == -1
 
 
+def test_verify_bowl_n3_second_order_on_finer_grid(tmp_path):
+    """At n = 3 the extent-2 run at h = 0.16..0.04 is pre-asymptotic
+    (p_fine about 1.71); at h = 0.08..0.02 on extent 1 both orders are 2."""
+    code, text = run(tmp_path, "verify", "bowl", "--n", "3",
+                     "--h", "0.08,0.04,0.02", "--extent", "1")
+    assert code == 0
+    rep = json.loads(text)
+    assert 1.9 <= rep["p_coarse"] <= 2.1
+    assert 1.9 <= rep["p_fine"] <= 2.1
+
+
 def test_verify_hybrid_passes(tmp_path):
     code, text = run(tmp_path, "verify", "hybrid")
     assert code == 0
@@ -374,6 +389,29 @@ def test_verify_const_control_fails(tmp_path):
 
 
 # --- config file and plumbing ---
+
+NO_SCIPY_RUN = """
+import contextlib, io, sys
+import solitonlab.cli
+for argv in (["classify", "--s0", "1", "--w0=-0.5"], ["separatrix", "--n", "3"],
+             ["portrait", "--s0-grid", "0.5:4:3", "--w0-grid=-0.9:0.9:3"],
+             ["verify", "bowl", "--n", "2"], ["hybrid", "--nodes", "51"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert solitonlab.cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_importing_scipy():
+    """Only the wing builders need scipy; everything else is numpy alone."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
 
 def test_config_file_supplies_flags(tmp_path):
     cfgf = tmp_path / "c.json"

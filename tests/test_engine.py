@@ -261,6 +261,19 @@ def test_integrate_rejects_other_methods():
 
 # --- the batched engine against scipy ---
 
+def test_vendored_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from solitonlab import _dop853
+
+    assert _dop853.N_STAGES == ref.N_STAGES
+    assert _dop853.N_STAGES_EXTENDED == ref.N_STAGES_EXTENDED
+    for name in ("C", "A", "B", "E3", "E5", "D"):
+        got, want = getattr(_dop853, name), getattr(ref, name)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 def _scipy_arc(params, s0, w0, direction, cfg=CFG):
     """One-sided reference: scipy's DOP853 on the phase equation (in
     t = log s toward zero, trial slopes clamped at 100x the escape

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicHermiteSpline
 
 from solitonlab import (
     IntegratorConfig,
@@ -20,6 +23,7 @@ from solitonlab import (
     smoothness_scan,
     timelike_family_from_strip,
 )
+from solitonlab.geometry import _cumulative_simpson, _hermite
 
 ROT3 = rotational(3)
 EUCLID2 = rotational(2, eps_prime=+1)
@@ -321,3 +325,32 @@ def test_profile_curve_validation():
         ProfileCurve(kind="ribbon", params=ROT3)
     with pytest.raises(ValueError):
         ProfileCurve(kind="graph", params=ROT3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(5, 400), uniform=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_simpson_and_hermite_are_scipys_bit_for_bit(n, uniform, seed):
+    """The profile pipeline's quadrature and interpolant reproduce scipy's
+    cumulative_simpson and CubicHermiteSpline exactly: at the nodes,
+    between them, outside the range and for NaN."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-10.0, 10.0)
+    if uniform:
+        x = np.linspace(lo, lo + rng.uniform(0.1, 50.0), n)
+    else:
+        x = lo + np.cumsum(rng.uniform(1e-3, 1.0, n))
+    y, dydx = rng.normal(scale=10.0, size=(2, n))
+
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    assert np.array_equal(bits(_cumulative_simpson(y, x)),
+                          bits(cumulative_simpson(y, x=x, initial=0.0)))
+    q = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                        rng.uniform(x[0] - 5.0, x[-1] + 5.0, 64),
+                        [x[0] - 1.0, x[-1] + 1.0, np.nan]])
+    ours, ref = _hermite(x, y, dydx), CubicHermiteSpline(x, y, dydx)
+    assert np.array_equal(bits(ours(q)), bits(ref(q)))
+    assert np.array_equal(bits(ours(q.reshape(2, -1)[:, ::-1])),
+                          bits(ref(q.reshape(2, -1)[:, ::-1])))
+    assert bits(ours(x[n // 2])) == bits(ref(x[n // 2]))
