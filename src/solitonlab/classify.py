@@ -32,13 +32,11 @@ beyond s_far the trajectory is series samples, and the integration runs
 backward from the series value at s_far, or at s_max if that is nearer
 (there from the series cut before its smallest term), so its cost does
 not depend on s_max.  The traced value at the anchor
-s = c, where the critical line crosses the barrier, seeds a narrow window
-that forward shots must split into global and blow-up.  The window is
-narrowed by k-section: the first round shoots 64 starts spread over it,
-both ends included, in one batched call, so it also checks that they
-split, and the first blow-up next to a global start is the new window,
-63 times narrower.  Later rounds shoot only as many starts as bring the
-window below the tolerance, plus one.
+s = c, where the critical line crosses the barrier, is right to about
+1e-11, so at the default tolerance one batched pair of forward shots at
+traced +-0.49*tol, split into global and blow-up, is the bracket.  Else
+one loop widens that window 1e3-fold until its ends split, then narrows
+it by k-section rounds of as many starts as bring it below the tolerance.
 """
 
 from __future__ import annotations
@@ -120,14 +118,17 @@ class SolutionClass:
 class SeparatrixResult:
     """Threshold solution data at the anchor, with the traced trajectory.
 
-    value is the k-section midpoint for w(anchor); bracket is the final
-    (global, blow-up) pair around it of width <= the requested tolerance.
+    value is the midpoint of the final bracket for w(anchor); the traced
+    value when the first pair splits.  bracket is that (global, blow-up)
+    pair, of width <= the requested tolerance; shots counts the decision
+    shots fired.
     """
 
     value: float
     bracket: Tuple[float, float]
     anchor: float
     trajectory: Trajectory
+    shots: int
 
     def asymptote_defect(self, s_from: float) -> float:
         """max of |c*w(s) - s|, the asymptote gap, over s_from itself (read
@@ -224,15 +225,16 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     series is accurate to cfg.abs_tol; if s_max is nearer, the series, cut
     before its smallest term at s_max, only supplies the start there.  The
     traced value at the anchor s = c (where the critical line meets the
-    barrier) seeds a window of +-1e3*tol, clipped below at the barrier
-    w = 1, which is a global solution.  k-section narrows the window to
-    width tol: the first round shoots 64 starts at once, the window ends
-    among them, which must shoot global and blow-up; each later round as
-    many as take the window below tol, plus one; each keeps the step from
-    the last global start below the first blow-up.  A start tol off the
-    separatrix parts from it only near s_decide = sqrt(c^2 + 2c ln(1/tol)),
-    so the shots run to at least 2 s_decide, whatever s_max; one that ends
-    there undecided raises RuntimeError.  Results are cached.
+    barrier) seeds a window of +-0.49*tol; if its two ends, shot as one
+    batch, split into global and blow-up, they are the bracket.  Else the
+    window grows 1e3-fold, clipped below at the barrier w = 1 (a global
+    solution), until its ends split (RuntimeError past half-width 1), and
+    k-section narrows it to width tol: each round shoots as many inner
+    starts (at most 64) as take it below tol, plus one, and keeps the step
+    from the last global start below the first blow-up.  A start tol off
+    the separatrix parts from it only near s_decide = sqrt(c^2 + 2c
+    ln(1/tol)), so the shots run to at least 2 s_decide, whatever s_max;
+    one that ends there undecided raises RuntimeError.  Results are cached.
     """
     _require_strip_form(params, "compute_separatrix")
     c = params.fiber_coeff
@@ -264,30 +266,32 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
                                    f"reached s = {shot_cfg.s_max!r} undecided")
         return np.array(blown)
 
-    def first_blowup(ws: np.ndarray, blown: np.ndarray) -> Tuple[float, float]:
-        k = int(np.argmax(blown))    # a global start sits below it
-        return float(ws[k - 1]), float(ws[k])
-
-    w_low, w_high = max(1.0, traced - 1e3 * tol), traced + 1e3 * tol
-    ws = np.linspace(w_low, w_high, _SHOTS)
-    blown = blows_up(ws)
-    if blown[0] or not blown[-1]:
-        raise RuntimeError(
-            f"backward-traced separatrix value {traced!r} is not bracketed "
-            f"by [{w_low!r}, {w_high!r}] at the anchor")
-    w_low, w_high = first_blowup(ws, blown)
-    while w_high - w_low > tol:
-        # enough starts to get below tol, plus one so rounding never forces another round
-        k = min(_SHOTS, math.ceil((w_high - w_low) / tol))
-        inner = np.unique(w_low + (w_high - w_low) * np.arange(1, k + 1) / (k + 1))
-        inner = inner[(inner > w_low) & (inner < w_high)]
-        if not inner.size:
-            break
-        w_low, w_high = first_blowup(np.concatenate(([w_low], inner, [w_high])),
-                                     np.concatenate(([False], blows_up(inner), [True])))
+    # grow a window around the trace until its ends split, then narrow it
+    h, shots, split = 0.49 * tol, 0, False
+    while not split or w_high - w_low > tol:
+        if split:
+            # enough starts to get below tol, plus one so rounding never forces another round
+            k = min(_SHOTS, math.ceil((w_high - w_low) / tol))
+            ws = np.unique(w_low + (w_high - w_low) * np.arange(1, k + 1) / (k + 1))
+            ws = ws[(ws > w_low) & (ws < w_high)]
+            if not ws.size:
+                break
+            # the first blow-up, w_high if none, and the global start below it
+            j = int(np.argmax(np.append(blows_up(ws), True)))
+            ends = np.concatenate(([w_low], ws, [w_high]))
+            w_low, w_high = float(ends[j]), float(ends[j + 1])
+        else:
+            w_low, w_high = max(1.0, traced - h), traced + h
+            ws = np.array([w_low, w_high])
+            split = tuple(blows_up(ws)) == (False, True)
+            if not split and h * 1e3 > 1.0:
+                raise RuntimeError(f"backward-traced separatrix value {traced!r} is not "
+                                   f"bracketed by [{w_low!r}, {w_high!r}] at the anchor")
+            h *= 1e3
+        shots += ws.size
 
     return SeparatrixResult(value=0.5 * (w_low + w_high), bracket=(w_low, w_high),
-                            anchor=c, trajectory=traj)
+                            anchor=c, trajectory=traj, shots=shots)
 
 
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],

@@ -293,6 +293,7 @@ def cmd_separatrix(args) -> int:
     params = rotational(args.n)
     cfg = _cfg_from_args(args)
     sep = compute_separatrix(params, cfg, tol=args.tol)
+    defect_s = min(50.0, cfg.s_max / 2) if args.defect_s is None else args.defect_s
     if args.format == "csv":
         lines = [f"# profile: separatrix\n# params: {_params_line(params)}\n",
                  f"# value_at_anchor: {_fmt(sep.value)}\n",
@@ -306,8 +307,8 @@ def cmd_separatrix(args) -> int:
         "value_at_anchor": sep.value,
         "bracket": list(sep.bracket),
         "bracket_width": sep.bracket[1] - sep.bracket[0],
-        "asymptote_defect": sep.asymptote_defect(args.defect_s),
-        "defect_from_s": args.defect_s,
+        "asymptote_defect": sep.asymptote_defect(defect_s),
+        "defect_from_s": defect_s,
         "n": args.n,
     }
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
@@ -581,7 +582,7 @@ def build_parser():
     sp = subs.add_parser("separatrix", help="threshold solution report")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--defect-s", type=float, default=50.0)
+    sp.add_argument("--defect-s", type=float, help="default: min(50, s_max/2)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     _add_integrator(sp)
     _add_out(sp)

@@ -16,12 +16,11 @@ integrate() is a batch of one.  The two directions:
 
 Each lane carries its own slope clamp for trial stages, dense output (the
 seventh-degree DOP853 interpolant of every accepted step), solver
-counters, and its events: crossing the critical line and touching a
-barrier within machine tolerance, located on the step's interpolant
-(Shampine & Thompson, "Event location for ODEs", 2000), the terminal
-escape, and step collapse.  A lane that fails comes back as its own
-exception and does not stop the others.  Barrier starts are exact
-constant solutions and skip the stepper.
+counters, and its events: crossing the critical line, located on the
+step's interpolant (Shampine & Thompson, "Event location for ODEs",
+2000), the terminal escape, and step collapse.  A lane that fails comes
+back as its own exception and does not stop the others.  Barrier starts
+are exact constant solutions and skip the stepper.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up.  Blow-up locations are
@@ -90,7 +89,6 @@ class IntegratorConfig:
 
 class EventKind(Enum):
     CROSSED_LINE_R = "crossed_line_r"
-    TOUCHED_BARRIER = "touched_barrier"
     STEP_COLLAPSE = "step_collapse"
 
 
@@ -124,8 +122,7 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # event columns; the escapes are terminal, the line crossing on request
 _CROSS, _ESC_UP, _ESC_DOWN = 0, 1, 2
-_EVENT_KINDS = (EventKind.CROSSED_LINE_R, None, None,
-                EventKind.TOUCHED_BARRIER, EventKind.TOUCHED_BARRIER)
+_EVENT_KINDS = (EventKind.CROSSED_LINE_R, None, None)
 
 Result = Union[Trajectory, Exception]
 
@@ -148,10 +145,7 @@ class _Field:
         self.log_mode = log_mode
         self.cap = 100.0 * cfg.escape_threshold
         self.escape = cfg.escape_threshold
-        # event columns past the line crossing are y - offset, |y| - offset
-        self.offsets = np.array([0.0, cfg.escape_threshold, -cfg.escape_threshold,
-                                 1.0 - BARRIER_TOL, 1.0 + BARRIER_TOL])
-        self.columns = np.arange(5 if params.has_barriers else 3)
+        self.offsets = np.array([0.0, cfg.escape_threshold, -cfg.escape_threshold])
 
     def s_of(self, x):
         return _libm(math.exp, x) if self.log_mode else x
@@ -170,7 +164,7 @@ class _Field:
 
     def event(self, x, y, col):
         """Event function number col (see _EVENT_KINDS) at (x, y), broadcast."""
-        g = np.where(col >= 3, np.abs(y), y) - self.offsets[col]
+        g = y - self.offsets[col]
         line = np.broadcast_to(col == _CROSS, g.shape)
         if line.any():
             g = np.where(line, y - self.crit(self.s_of(x)), g)
@@ -178,7 +172,7 @@ class _Field:
 
     def events(self, x, y):
         """All event functions at points (x, y), one column each."""
-        return self.event(x[..., None], y[..., None], self.columns)
+        return self.event(x[..., None], y[..., None], np.arange(len(_EVENT_KINDS)))
 
 
 def _libm(fn, x):

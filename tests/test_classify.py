@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from solitonlab import (
     boost,
     classify,
     classify_as_posed,
+    classify_batch,
     compute_bowl,
     compute_separatrix,
     critical_concavity,
@@ -38,6 +41,7 @@ SEP_VALUE = 1.390627106179388         # threshold slope at anchor s = 2
 SEP_DEFECT_50 = 0.03996810142501772   # c*w(50) - 50 on the dense output
 # separatrix w(c) for rotational(n) by an independent LSODA bisection
 LSODA_SEP = {2: 1.5470570400484722, 5: 1.2781160995707248}
+LSODA_SEP_2_TO_5 = {**LSODA_SEP, 3: 1.390627106195109, 4: 1.3203257162015776}
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +201,30 @@ def test_gamma_plus_dichotomy_monotone(separatrix):
         assert tag is want, (d, tag)
 
 
+STRIP_ORDER = [SolutionClassTag.BELOW_BOWL, SolutionClassTag.BOWL,
+               SolutionClassTag.ABOVE_BOWL]
+UPPER_ORDER = [SolutionClassTag.GAMMA_PLUS_GLOBAL, SolutionClassTag.SEPARATRIX,
+               SolutionClassTag.GAMMA_PLUS_BLOWUP]
+
+
+@settings(max_examples=8, deadline=None)
+@given(s0=st.floats(0.5, 4.0),
+       strip=st.lists(st.floats(-0.999, 0.999), min_size=2, max_size=6),
+       upper=st.lists(st.floats(1.001, 4.0), min_size=2, max_size=6))
+def test_tags_ordered_in_w0(s0, strip, upper):
+    """At a fixed s0 the tags are ordered in w0: below bowl < bowl < above
+    bowl on the strip, global < separatrix < blow-up above w = 1.  The
+    bowl and the separatrix themselves are among the starts."""
+    sep = compute_separatrix(ROT3).trajectory
+    for ws, order in ((strip + [float(compute_bowl(ROT3).w_at(s0))], STRIP_ORDER),
+                      (upper + [float(sep.w_at(s0))], UPPER_ORDER)):
+        ws = sorted(ws)
+        verdicts = classify_batch(ROT3, [(s0, w) for w in ws])
+        ranks = [order.index(v.tag) for v in verdicts]
+        assert ranks == sorted(ranks), list(zip(ws, ranks))
+        assert order[1] in (v.tag for v in verdicts)
+
+
 def _forward_end(params, s0: float, w0: float) -> TerminationKind:
     return integrate(params, (s0, w0), "toward_infinity").termination_right.kind
 
@@ -245,6 +273,54 @@ def test_separatrix_small_s_max(n, s_max):
     assert sep.trajectory.s[-1] == pytest.approx(s_max, rel=1e-15)
     for w in (sep.value, *sep.bracket):
         assert abs(w - lsoda) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_separatrix_far_off_trace_still_bracketed(n):
+    """At s_max = 6 the trace is off by 3e-6 (n = 4) and 5e-5 (n = 5), far
+    outside the first pair of shots: the window grows until its ends split,
+    and k-section then closes it on the LSODA value."""
+    sep = compute_separatrix(rotational(n), IntegratorConfig(s_max=6.0))
+    assert sep.bracket[1] - sep.bracket[0] <= 1e-10
+    for w in (sep.value, *sep.bracket):
+        assert abs(w - LSODA_SEP_2_TO_5[n]) <= 1e-9
+    assert sep.shots > 2
+
+
+@pytest.mark.parametrize("n", sorted(LSODA_SEP_2_TO_5))
+def test_separatrix_first_pair_is_the_bracket(n):
+    """At the default tol the trace is close enough that the pair of shots
+    at traced +-0.49*tol splits: two decision shots, and value is the
+    traced value.  At tol = 1e-12 the pair does not split."""
+    params = rotational(n)
+    for s_max in (100.0, 200.0):
+        sep = compute_separatrix(params, IntegratorConfig(s_max=s_max))
+        assert sep.shots == 2
+        assert sep.value == pytest.approx(float(sep.trajectory.w_at(sep.anchor)),
+                                          rel=1e-15, abs=0)
+    assert compute_separatrix(params, tol=1e-12).shots > 2
+
+
+def test_separatrix_unsplit_window_raises(monkeypatch):
+    """A trace at w = 5, far above the separatrix: both ends of every window
+    up to half-width 0.049 blow up, and the window grows no further."""
+    class FarOff:
+        def w_at(self, s):
+            return 5.0
+
+    # solitonlab.classify names the function; the module is in sys.modules
+    module = importlib.import_module("solitonlab.classify")
+    monkeypatch.setattr(module, "_far_anchored", lambda params, cfg: FarOff())
+    with pytest.raises(RuntimeError, match="not bracketed"):
+        compute_separatrix.__wrapped__(ROT3)
+
+
+def test_separatrix_window_clipped_at_barrier():
+    """A window reaching below w = 1 is clipped to the barrier, a global
+    solution, which is then the lower bracket end."""
+    sep = compute_separatrix(ROT3, tol=1.0)
+    assert sep.bracket[0] == 1.0
+    _assert_valid_bracket(ROT3, sep, 1.0)
 
 
 # --- the far field: series tail beyond s_far ---

@@ -214,6 +214,19 @@ def test_separatrix_json(tmp_path):
     assert rep["defect_from_s"] == 50.0
 
 
+def test_separatrix_small_s_max_defect_default(tmp_path):
+    """The default --defect-s is min(50, s_max/2); an explicit one beyond
+    the span is still an error."""
+    code, text = run(tmp_path, "separatrix", "--n", "3", "--s-max", "8")
+    assert code == 0
+    rep = json.loads(text)
+    assert rep["defect_from_s"] == 4.0
+    assert rep["value_at_anchor"] == pytest.approx(SEP_VALUE, rel=1e-9)
+    assert rep["bracket_width"] <= 1e-10
+    code, _ = run(tmp_path, "separatrix", "--n", "3", "--s-max", "8", "--defect-s", "50")
+    assert code == 2
+
+
 def test_spindle_csv(tmp_path):
     code, text = run(tmp_path, "spindle", "--s0", "1")
     assert code == 0
