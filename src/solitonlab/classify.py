@@ -66,6 +66,7 @@ from .engine import (
     _series_anchored,
     bowl_start,
     comparison_blowup_bound,
+    detect_blowup,
     integrate_batch,
     merge_bidirectional,
 )
@@ -90,8 +91,9 @@ class LimitsReport(NamedTuple):
     """Endpoint evidence of a bidirectional trajectory.
 
     at_zero / at_infinity are the slope values at the integration cutoffs
-    (s_left, s_right); at_infinity is +-inf when the right end blew up,
-    with the pole recorded in blowup as (s*, sign).
+    (s_left, s_right).  An end that blew up (the right one when
+    et*ep = -1, else the left one) reads +-inf, its s is the pole, and
+    blowup records (s*, sign).
     """
 
     at_zero: float
@@ -185,16 +187,16 @@ def integrate_bidirectional(params: FlowParams, s0: float, w0: float,
 
 def limits_report(traj: Trajectory) -> LimitsReport:
     """Endpoint values and blow-up data of a (usually bidirectional) trajectory."""
-    blow: Optional[Tuple[float, int]] = None
-    at_inf = float(traj.w[-1])
-    s_right = float(traj.s[-1])
-    term = traj.termination_right
-    if term is not None and term.kind is TerminationKind.BLOW_UP:
-        blow = (float(term.s), int(term.sign))
-        at_inf = math.inf * term.sign
-        s_right = float(term.s)
-    return LimitsReport(at_zero=float(traj.w[0]), at_infinity=at_inf,
-                        s_left=float(traj.s[0]), s_right=s_right, blowup=blow)
+    limits = [float(traj.w[0]), float(traj.w[-1])]
+    span = [float(traj.s[0]), float(traj.s[-1])]
+    blow = detect_blowup(traj)
+    if blow is not None:
+        # at most one end blows up: |w| grows without bound forward when
+        # et*ep = -1 and toward zero otherwise
+        end = 1 if traj.params.has_barriers else 0
+        limits[end], span[end] = math.inf * blow[1], blow[0]
+    return LimitsReport(at_zero=limits[0], at_infinity=limits[1],
+                        s_left=span[0], s_right=span[1], blowup=blow)
 
 
 def _critical_points(traj: Trajectory) -> Tuple[float, ...]:
@@ -234,9 +236,12 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     from the last global start below the first blow-up.  A start tol off
     the separatrix parts from it only near s_decide = sqrt(c^2 + 2c
     ln(1/tol)), so the shots run to at least 2 s_decide, whatever s_max;
-    one that ends there undecided raises RuntimeError.  Results are cached.
+    one that ends there undecided raises RuntimeError.  tol must lie in
+    (0, 1].  Results are cached.
     """
     _require_strip_form(params, "compute_separatrix")
+    if not 0.0 < tol <= 1.0:
+        raise ValueError(f"separatrix tol must lie in (0, 1], got {tol!r}")
     c = params.fiber_coeff
     if not cfg.s_min_eps < c < cfg.s_max:
         raise ValueError("anchor s = c must lie inside the integration span")

@@ -234,14 +234,9 @@ class TerminationKind(Enum):
 class Termination:
     """Endpoint record: the kind plus the location/value evidence.
 
-    For BLOW_UP, s is the extrapolated pole location and sign the direction
-    (+1 for w -> +inf).  A blow-up decision run (integrate with
-    stop_on_line_crossing on the strip form, et = +1, ep = -1) may stop
-    early at a proof of blow-up instead: once w > S/c at some s with
-    s + arccoth(w)/k < S, where S = s_max and k = w*c/S - 1, the solution
-    of z' = k(z^2 - 1) through that point bounds w from below and has its
-    pole before S, and s is then that bound, an upper bound on the pole.
-    For the other kinds value carries the final slope.
+    For BLOW_UP, s is the pole location, where q = 1/w^2 falls to 1e-12
+    (|w| = 1e6), within about 1e-12 of the pole, and sign the direction
+    (+1 for w -> +inf).  For the other kinds value carries the final slope.
     """
 
     kind: TerminationKind

@@ -14,19 +14,21 @@ integrate() is a batch of one.  The two directions:
   coordinate singularity at s = 0 into an infinite horizon and lets the
   integrator coast to s = 1e-10 and beyond without step collapse.
 
-Each lane carries its own slope clamp for trial stages, dense output (the
-seventh-degree DOP853 interpolant of every accepted step), solver
-counters, and its events: crossing the critical line, located on the
-step's interpolant (Shampine & Thompson, "Event location for ODEs",
-2000), the terminal escape, and step collapse.  A lane that fails comes
-back as its own exception and does not stop the others.  Barrier starts
-are exact constant solutions and skip the stepper.
+Each lane carries its own dense output (the seventh-degree DOP853
+interpolant of every accepted step), solver counters, and its events:
+crossing the critical line, located on the step's interpolant (Shampine &
+Thompson, "Event location for ODEs", 2000).  A lane that fails (step
+collapse) comes back as its own exception and does not stop the others.
+Barrier starts are exact constant solutions and skip the stepper.
 
 Each end is classified by how it terminated: reaching the span end,
-reaching the s -> 0 cutoff, or blowing up.  Blow-up locations are
-extrapolated from the tail samples with the first-order pole model
-w ~ +-1/(s* - s), refined by eliminating the leading error term linearly
-in 1/|w|.
+reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  In
+the direction where |w| grows without bound (forward when et*ep = -1,
+toward zero otherwise) every solution past |w| = max(10, 2s/c) grows
+monotonically to a pole, so a lane that reaches that level continues in
+q = 1/w^2, where q' = -2(et*q + ep)(sigma*sqrt(q) - h(s)), sigma = sign w,
+and q ~ (2c/s)(s* - s).  It ends at q = 1e-12, within about 1e-12 of the
+pole: that is its BLOW_UP s.  The two arcs are joined at the switch.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -59,22 +61,13 @@ from .core import (
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Step-control and span settings shared by all integrations.
-
-    method names the stepper.  The phase-equation engine has one, DOP853,
-    and integrate() refuses any other value.  Only the wing ODE of
-    geometry honours others: it still runs on scipy's solve_ivp, imported
-    when a wing is built, so it is the one path that loads scipy.
-    """
+    """Step-control and span settings shared by all integrations."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = 1.0
-    min_step: float = 1e-14
-    escape_threshold: float = 1e8
     s_max: float = 100.0
     s_min_eps: float = 1e-10
-    method: str = "DOP853"
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -83,13 +76,10 @@ class IntegratorConfig:
             raise ValueError("need 0 < s_min_eps < s_max")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
-        if self.escape_threshold <= 1:
-            raise ValueError("escape threshold must exceed the barrier scale")
 
 
 class EventKind(Enum):
     CROSSED_LINE_R = "crossed_line_r"
-    STEP_COLLAPSE = "step_collapse"
 
 
 @dataclass(frozen=True)
@@ -120,59 +110,93 @@ _TINY = 1e-300
 _EPS = np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# event columns; the escapes are terminal, the line crossing on request
-_CROSS, _ESC_UP, _ESC_DOWN = 0, 1, 2
-_EVENT_KINDS = (EventKind.CROSSED_LINE_R, None, None)
+# event columns: the line crossing and the chart switch in the w chart, the
+# end level in the q chart; only the crossing is recorded, as an EventRecord
+_CROSS, _SWITCH, _END = 0, 1, 0
+# a lane growing without bound changes chart at |w| = max(_W_SWITCH, 2s/c)
+# and ends at q = 1/w^2 = _Q_END (|w| = 1e6), its pole
+_W_SWITCH = 10.0
+_Q_END = 1e-12
+# trial stages of a rejected step can overshoot far; the w chart reads
+# slopes beyond this as this, which keeps the arithmetic finite
+_W_CAP = 1e10
 
 Result = Union[Trajectory, Exception]
 
 
 class _Field:
-    """The phase equation in the stepping variable x, given s(x).
+    """The phase equation in the stepping variable x and one chart.
 
-    Toward infinity x = s and the field is w'(s); toward zero x = log s
-    and it is s*w'(s), which stays bounded near 0.  Rejected trial stages
-    can overshoot far past the escape threshold; the slope is clamped at
-    cap = 100x that threshold, which keeps the arithmetic finite without
-    touching any state a step can accept.
+    Toward infinity x = s and the field is the s-derivative; toward zero
+    x = log s and it is s times that, which stays bounded near 0.  The w
+    chart (sigma = 0) carries w, read clamped at +-_W_CAP; the q chart
+    carries q = 1/w^2 of lanes with sign w = sigma, read clamped at 0.
+    The clamps keep wild trial stages finite.
+
+    Event columns: the critical line w = s*et/c and, with switch, the
+    switch level |w| - max(_W_SWITCH, 2s/c) in the w chart; q - _Q_END in
+    the q chart.  kinds says what each records; terminal is the one that
+    ends the chart, met from below (w) or above (q), see stopped().
     """
 
-    def __init__(self, params: FlowParams, log_mode: bool,
-                 cfg: IntegratorConfig) -> None:
+    def __init__(self, params: FlowParams, log_mode: bool, sigma: float = 0.0,
+                 switch: bool = False) -> None:
         self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
                                     params.fiber_coeff)
         self.etc = params.eps_tilde * params.fiber_coeff
         self.log_mode = log_mode
-        self.cap = 100.0 * cfg.escape_threshold
-        self.escape = cfg.escape_threshold
-        self.offsets = np.array([0.0, cfg.escape_threshold, -cfg.escape_threshold])
+        self.sigma = sigma
+        self.switch = switch
+        self.kinds = (None,) if sigma else (EventKind.CROSSED_LINE_R,) + (None,) * switch
+        self.terminal = [_END] if sigma else [_SWITCH] * switch
 
     def s_of(self, x):
         return _libm(math.exp, x) if self.log_mode else x
 
     def __call__(self, s, z, out=None):
-        z = np.minimum(np.maximum(z, -self.cap), self.cap)
+        if self.sigma:
+            # -2(et*q + ep)(sigma*sqrt(q) - h(s))
+            a = -2.0 * (self.et * z + self.ep)
+            r = self.sigma * np.sqrt(np.maximum(z, 0.0))
+            if self.log_mode:
+                return np.multiply(a, r * s - self.etc, out=out)
+            return np.multiply(a, r - self.etc / s, out=out)
+        z = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
         zz = z * z
         q = self.et - zz if self.ep < 0 else self.et + zz    # et + ep*z^2
         if self.log_mode:
             return np.multiply(q, s - z * self.etc, out=out)
         return np.multiply(q, 1.0 - z * self.etc / s, out=out)
 
-    def crit(self, s):
-        """The critical line w = s*et/c."""
-        return s * self.et / self.c
+    def step_cap(self, y, f):
+        """The longest step from chart values y with slope f.  q is not
+        smooth at the pole (its next term goes like (s* - s)^(3/2)), so no
+        q-chart step goes past 0.7 of the way to where the tangent meets
+        q = _Q_END/2; the tangent overshoots the pole by less than 1.3x."""
+        return 0.7 * (y - 0.5 * _Q_END) / np.abs(f) if self.sigma else math.inf
 
-    def event(self, x, y, col):
-        """Event function number col (see _EVENT_KINDS) at (x, y), broadcast."""
-        g = y - self.offsets[col]
-        line = np.broadcast_to(col == _CROSS, g.shape)
-        if line.any():
-            g = np.where(line, y - self.crit(self.s_of(x)), g)
-        return g
+    def to_w(self, y):
+        """The slope at chart values y (in the q chart at most 1e6 in size)."""
+        return self.sigma / np.sqrt(np.maximum(y, _Q_END)) if self.sigma else y
+
+    def stopped(self, x, y):
+        """Whether points (x, y) lie at or past the end of the chart."""
+        if self.sigma:
+            return y <= _Q_END
+        far = (np.abs(y) >= _W_SWITCH) & self.switch
+        if np.count_nonzero(far):
+            far &= np.abs(y) >= 2.0 * self.s_of(x) / self.c
+        return far
 
     def events(self, x, y):
-        """All event functions at points (x, y), one column each."""
-        return self.event(x[..., None], y[..., None], np.arange(len(_EVENT_KINDS)))
+        """The event functions at points (x, y), one column each."""
+        if self.sigma:
+            return (y - _Q_END)[..., None]
+        s = self.s_of(x)
+        cols = [y - s * self.et / self.c]
+        if self.switch:
+            cols.append(np.abs(y) - np.maximum(_W_SWITCH, 2.0 * s / self.c))
+        return np.stack(cols, axis=-1)
 
 
 def _libm(fn, x):
@@ -235,7 +259,7 @@ def _initial_step(field: _Field, x0, y0, f0, bound: float, direction: float,
 
 
 # how a lane's stepping ended
-_FINISHED, _TERMINAL, _COLLAPSED, _CERTIFIED = range(4)
+_FINISHED, _TERMINAL, _COLLAPSED = range(3)
 
 
 def _stages(field: _Field, heads, cols, s_stage, y, h):
@@ -250,25 +274,22 @@ def _stages(field: _Field, heads, cols, s_stage, y, h):
 
 
 def _advance(field: _Field, x, y, bound: float, direction: float,
-             cfg: IntegratorConfig, stop_on_crossing: bool, certify: bool):
+             cfg: IntegratorConfig, stop_on_crossing: bool):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
     initial step, error norm, SAFETY 0.9, factor clamp [0.2, 10], no
     growth right after a rejection, max_step, and a minimum step of 10
-    ulp(x).  A lane stops at the bound, at a terminal event (escape, or
-    the line crossing when stop_on_crossing), at step collapse, or, when
-    certify, at a proof of blow-up before s_max (see Termination).  The
-    loop keeps its numpy calls to a few per stage: lanes that may stop are
-    sorted out only in the iterations where one may.
+    ulp(x).  A lane stops at the bound, at the end of the chart (see
+    _Field.stopped), at the line crossing when stop_on_crossing, or at
+    step collapse.
 
-    Returns the steps (_Steps), and per lane: how it ended, the
-    certified pole bound (nan elsewhere), attempts and accepted steps.
+    Returns the steps (_Steps), and per lane: how it ended, attempts and
+    accepted steps.
     """
     n = x.size
     rtol = max(cfg.rel_tol, 100 * _EPS)
     outcome = np.full(n, _FINISHED)
-    certified = np.full(n, np.nan)
     attempts = np.zeros(n, dtype=int)
     accepted = np.zeros(n, dtype=int)
     records = []
@@ -280,9 +301,7 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
     # growth cap of the next step: 10x, or 1x right after a rejection
     grow_cap, capped = np.full(lane.size, _MAX_FACTOR), False
     rejects = np.zeros(lane.size, dtype=int)
-    g_cross = field.event(x, y, _CROSS) if stop_on_crossing else None
-    s_max, c = cfg.s_max, field.c
-    w_certify = max(1.0, s_max / c)
+    g_cross = field.events(x, y)[:, _CROSS] if stop_on_crossing else None
     toward = direction * np.inf
     clip_to_bound = np.minimum if direction > 0 else np.maximum
     # no lane's minimum step 10*ulp(x) can exceed this
@@ -296,7 +315,7 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
     K, cols, heads = buffers(lane.size)
     while lane.size:
         it += 1
-        h_abs = np.minimum(h_abs, cfg.max_step)
+        h_abs = np.minimum(h_abs, np.minimum(field.step_cap(y, f), cfg.max_step))
         stuck = None
         if np.count_nonzero(h_abs < min_step_cap):
             min_step = 10.0 * np.abs(np.nextafter(x, toward) - x)
@@ -323,7 +342,6 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
         # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
         h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
 
-        x_old, y_old = x, y
         step = (lane, x, h, y, x_new, y_new, K.copy())
         if np.count_nonzero(ok) == ok.size:
             records.append(step)
@@ -336,44 +354,18 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
             grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
             rejects += ~ok if stuck is None else ~ok & ~stuck
 
-        maybe = (x_new == bound) | (y_big >= field.escape)
-        if stop_on_crossing:
-            g_new = field.event(x_new, y_new, _CROSS)
-            maybe |= _straddles(g_cross, g_new)
-        if certify:
-            maybe |= y_new > w_certify
-        if stuck is not None:
-            maybe |= stuck
-        if not np.count_nonzero(maybe):
-            if stop_on_crossing:
-                g_cross = np.where(ok, g_new, g_cross)
-            continue
-
-        # some lane may stop: sort out which, and how
         done = ok & (x_new == bound)
-        hit = ok & (y_big >= field.escape)
-        if hit.any():
-            escapes = np.array([_ESC_UP, _ESC_DOWN])
-            hit &= _straddles(field.event(x_old[:, None], y_old[:, None], escapes),
-                              field.event(x_new[:, None], y_new[:, None], escapes)).any(axis=1)
+        hit = ok & field.stopped(x_new, y_new)
         if stop_on_crossing:
+            g_new = field.events(x_new, y_new)[:, _CROSS]
             hit |= ok & _straddles(g_cross, g_new)
             g_cross = np.where(ok, g_new, g_cross)
-        cert = np.zeros(lane.size, dtype=bool)
-        cand = (ok & ~hit & (y_new > w_certify)) if certify else cert
-        if cand.any():
-            w = y_new[cand]
-            arccoth = 0.5 * _libm(math.log, (w + 1.0) / (w - 1.0))
-            pole_bound = x_new[cand] + arccoth / (w * c / s_max - 1.0)
-            cert[cand] = pole_bound < s_max
-            certified[lane[cand]] = np.where(pole_bound < s_max, pole_bound, np.nan)
-        stop = done | hit | cert
+        stop = done | hit
         if stuck is not None:
             stop |= stuck
-        if not stop.any():
+        if not np.count_nonzero(stop):
             continue
-        outcome[lane[stop]] = np.where(hit, _TERMINAL, np.where(
-            cert, _CERTIFIED, np.where(done, _FINISHED, _COLLAPSED)))[stop]
+        outcome[lane[stop]] = np.where(hit, _TERMINAL, np.where(done, _FINISHED, _COLLAPSED))[stop]
         tries = it - (stuck[stop] if stuck is not None else 0)
         attempts[lane[stop]] = tries
         accepted[lane[stop]] = tries - rejects[stop]
@@ -384,7 +376,7 @@ def _advance(field: _Field, x, y, bound: float, direction: float,
             g_cross = g_cross[keep]
         K, cols, heads = buffers(lane.size)
 
-    return _collect(field, records), outcome, certified, attempts, accepted
+    return _collect(field, records), outcome, attempts, accepted
 
 
 def _collect(field: _Field, records: list) -> _Steps:
@@ -423,7 +415,8 @@ def _event_roots(field: _Field, steps: _Steps, m: np.ndarray, col: np.ndarray):
     F, x0, h, y0 = steps.F[m], steps.x0[m], steps.h[m], steps.y0[m]
 
     def g(x, j):
-        return field.event(x, _interpolate(F[j], x0[j], h[j], y0[j], x), col[j])
+        y = _interpolate(F[j], x0[j], h[j], y0[j], x)
+        return np.take_along_axis(field.events(x, y), col[j, None], axis=1)[:, 0]
 
     every = np.arange(m.size)
     a, b = x0.copy(), steps.x1[m]
@@ -452,7 +445,8 @@ def _event_roots(field: _Field, steps: _Steps, m: np.ndarray, col: np.ndarray):
 def _dense_output(field: _Field, x_nodes, steps: _Steps, lo: int, hi: int,
                   y_start: float) -> Callable:
     """w(s) of one lane from its step interpolants, picking the segment of
-    a point as scipy's OdeSolution does (the step that starts there)."""
+    a point as scipy's OdeSolution does (the step that starts there), read
+    in the field's chart."""
     F, x0, h, y0 = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0))
     last = hi - lo - 1
     ascending = not field.log_mode
@@ -462,12 +456,12 @@ def _dense_output(field: _Field, x_nodes, steps: _Steps, lo: int, hi: int,
         q = np.asarray(q, dtype=float)
         x = (np.log(q) if field.log_mode else q).ravel()
         if last < 0:
-            return _scalar_or_array(np.full(q.shape, y_start))
+            return _scalar_or_array(np.full(q.shape, field.to_w(y_start)))
         seg = np.searchsorted(ordered, x, side="right" if ascending else "left") - 1
         seg = np.clip(seg, 0, last)
         if not ascending:
             seg = last - seg
-        w = _interpolate(F[seg], x0[seg], h[seg], y0[seg], x)
+        w = field.to_w(_interpolate(F[seg], x0[seg], h[seg], y0[seg], x))
         return _scalar_or_array(w.reshape(q.shape))
     return dense
 
@@ -492,22 +486,6 @@ def _constant_trajectory(params: FlowParams, s0: float, w0: float,
                       termination_right=right, dense=dense)
 
 
-def _extrapolate_pole(s_tail: np.ndarray, w_tail: np.ndarray, side: int) -> float:
-    """Pole location from tail samples, side = +1 for a pole to the right.
-
-    Each sample gives the first-order estimate s_k + side/|w_k|; the exact
-    location differs by O(1/w^2), so a linear fit in x = 1/|w| taken to
-    x -> 0 removes the leading error.
-    """
-    x = 1.0 / np.abs(w_tail)
-    e = s_tail + side * x
-    if len(e) < 2 or abs(x[-1] - x[-2]) == 0.0:
-        return float(e[-1])
-    # two-point linear extrapolation from the deepest pair
-    slope = (e[-1] - e[-2]) / (x[-1] - x[-2])
-    return float(e[-1] - slope * x[-1])
-
-
 def _checked_start(init, direction: str, cfg: IntegratorConfig) -> Tuple[float, float]:
     s0, w0 = float(init[0]), float(init[1])
     if not (s0 > 0.0 and math.isfinite(s0)):
@@ -521,31 +499,33 @@ def _checked_start(init, direction: str, cfg: IntegratorConfig) -> Tuple[float, 
     return s0, w0
 
 
-def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
-                  direction: str, cfg: IntegratorConfig,
-                  stop_on_line_crossing: bool) -> List[Result]:
-    """Step the lanes together, then cut each lane's trajectory out."""
-    log_mode = direction == "toward_zero"
-    field = _Field(params, log_mode, cfg)
-    sign = -1.0 if log_mode else 1.0
-    x_start = np.array([math.log(s) for s in s0] if log_mode else s0, dtype=float)
-    y_start = np.array(w0, dtype=float)
-    bound = math.log(cfg.s_min_eps) if log_mode else cfg.s_max
-    certify = (stop_on_line_crossing and not log_mode
-               and params.eps_tilde == +1 and params.eps_prime == -1)
-    steps, outcome, certified, attempts, accepted = _advance(
-        field, x_start, y_start, bound, sign, cfg, stop_on_line_crossing, certify)
+def _arcs(params: FlowParams, field: _Field, x_start, y_start, bound: float,
+          cfg: IntegratorConfig, stop_on_crossing: bool = False):
+    """Step the lanes of one chart together, then cut each lane's arc out.
 
+    Returns the arcs (a Trajectory, or the RuntimeError of a step
+    collapse) and per lane its terminal event (column, x, y), or None.  An
+    arc ends at its terminal event: BLOW_UP at q = _Q_END, else open.
+    """
+    log_mode = field.log_mode
+    sign = -1.0 if log_mode else 1.0
+    steps, outcome, attempts, accepted = _advance(field, x_start, y_start, bound,
+                                                  sign, cfg, stop_on_crossing)
+    terminal = field.terminal + [_CROSS] * stop_on_crossing
     g = _straddles(field.events(steps.x0, steps.y0), field.events(steps.x1, steps.y1))
     m, col = np.nonzero(g)
     ev_x, ev_y = _event_roots(field, steps, m, col)
-    terminal = [_ESC_UP, _ESC_DOWN] + ([_CROSS] if stop_on_line_crossing else [])
     step_of_lane = np.searchsorted(steps.lane, np.arange(x_start.size + 1))
     event_of_step = np.searchsorted(m, step_of_lane)
-    pole_scale = 1000.0 * max(1.0, cfg.s_max / params.fiber_coeff)
 
-    out: List[Result] = []
+    arcs: List[Result] = []
+    stops: List[Optional[Tuple[int, float, float]]] = []
     for k in range(x_start.size):
+        stops.append(None)
+        if outcome[k] == _COLLAPSED:
+            arcs.append(RuntimeError(
+                f"integrator failed before any terminal event: {_TOO_SMALL_STEP}"))
+            continue
         lo, hi = step_of_lane[k], step_of_lane[k + 1]
         e_lo, e_hi = event_of_step[k], event_of_step[k + 1]
         e_m, e_col, e_x, e_y = m[e_lo:e_hi], col[e_lo:e_hi], ev_x[e_lo:e_hi], ev_y[e_lo:e_hi]
@@ -560,53 +540,32 @@ def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
             stop = order[np.isin(e_col[order], terminal)][0]
             drop = order[np.flatnonzero(order == stop)[0] + 1:]
             keep = np.setdiff1d(np.arange(e_m.size), drop)
-            e_m, e_col, e_x, e_y = e_m[keep], e_col[keep], e_x[keep], e_y[keep]
-            if ev_x[e_lo + stop] == steps.x0[hi - 1]:
+            stops[k] = (int(e_col[stop]), float(e_x[stop]), float(e_y[stop]))
+            if e_x[stop] == steps.x0[hi - 1]:
                 xs, ys, seg_hi = xs[:-1], ys[:-1], hi - 1
             else:
-                xs[-1], ys[-1] = ev_x[e_lo + stop], ev_y[e_lo + stop]
+                xs[-1], ys[-1] = e_x[stop], e_y[stop]
+            e_m, e_col, e_x, e_y = e_m[keep], e_col[keep], e_x[keep], e_y[keep]
         # numpy's exp and argsort, as the samples of scipy's solution were
-        # mapped and sorted: tail nodes of a pole can share one s
+        # mapped and sorted
         s_samples = np.exp(xs) if log_mode else xs
-        escaped = bool(np.isin(e_col, [_ESC_UP, _ESC_DOWN]).any())
-        if outcome[k] == _COLLAPSED and not escaped:
-            # A square-root pole w ~ (s*-s)^(-1/2) outruns double precision:
-            # the step collapses at |w| ~ 1/sqrt(eps) before a 1e8 threshold
-            # can be crossed.  Collapse far outside the regular range is blow-up.
-            if abs(ys[-1]) <= pole_scale:
-                out.append(RuntimeError(
-                    f"integrator failed before any terminal event: {_TOO_SMALL_STEP}"))
-                continue
-            escaped = True
-
+        ws = field.to_w(ys)
         e_s = field.s_of(e_x)
-        records = [EventRecord(_EVENT_KINDS[e_col[j]], float(e_s[j]), float(e_y[j]))
-                   for j in np.lexsort((e_m, e_col)) if _EVENT_KINDS[e_col[j]] is not None]
-        far: Optional[Termination]
-        if escaped:
-            side = -1 if log_mode else +1
-            s_star = _extrapolate_pole(s_samples[-4:], ys[-4:], side)
-            far = Termination(TerminationKind.BLOW_UP, s=s_star, sign=+1 if ys[-1] > 0 else -1)
-            if len(s_samples) >= 2:
-                last_step = abs(s_samples[-1] - s_samples[-2])
-                if last_step < cfg.min_step * max(1.0, abs(s_samples[-1])):
-                    records.append(EventRecord(EventKind.STEP_COLLAPSE,
-                                               float(s_samples[-1]), float(ys[-1])))
-        elif outcome[k] == _CERTIFIED:
-            far = Termination(TerminationKind.BLOW_UP, s=float(certified[k]), sign=+1)
-        elif outcome[k] == _TERMINAL:
-            far = None    # stopped at the line crossing
-        elif log_mode:
-            far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO,
-                              s=float(s_samples[-1]), value=float(ys[-1]))
-        else:
-            far = Termination(TerminationKind.REACHED_S_MAX,
-                              s=float(s_samples[-1]), value=float(ys[-1]))
+        records = [EventRecord(field.kinds[e_col[j]], float(e_s[j]), float(e_y[j]))
+                   for j in np.lexsort((e_m, e_col)) if field.kinds[e_col[j]] is not None]
+        far = None    # open at the line crossing and at the switch
+        if stops[k] is None:
+            far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if log_mode else
+                              TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
+                              value=float(ws[-1]))
+        elif field.sigma:
+            far = Termination(TerminationKind.BLOW_UP, s=float(field.s_of(stops[k][1])),
+                              sign=int(field.sigma))
 
         dense = _dense_output(field, xs, steps, lo, seg_hi, float(ys[0]))
         if log_mode:
             order = np.argsort(s_samples)
-            s_samples, ys = s_samples[order], ys[order]
+            s_samples, ws = s_samples[order], ws[order]
             left, right = far, None
         else:
             left, right = None, far
@@ -614,10 +573,48 @@ def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
         keep = np.concatenate(([True], np.diff(s_samples) > 0))
         n_try, n_ok = int(attempts[k]), int(accepted[k])
         stats = SolverStats(n_ok, n_try - n_ok, 2 + _NS * n_try + len(_C_DENSE) * n_ok)
-        out.append(Trajectory(params, s_samples[keep], ys[keep], termination_left=left,
-                              termination_right=right,
-                              events=sorted(records, key=lambda r: r.s),
-                              dense=dense, stats=stats))
+        arcs.append(Trajectory(params, s_samples[keep], ws[keep], termination_left=left,
+                               termination_right=right,
+                               events=sorted(records, key=lambda r: r.s),
+                               dense=dense, stats=stats))
+    return arcs, stops
+
+
+def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
+                  direction: str, cfg: IntegratorConfig,
+                  stop_on_line_crossing: bool) -> List[Result]:
+    """Step the lanes together in the w chart and, past the switch level,
+    in the q chart of their sign, then join each lane's arcs."""
+    log_mode = direction == "toward_zero"
+    # the direction in which |w| can grow without bound
+    grows = params.has_barriers != log_mode
+    x = np.array([math.log(s) for s in s0] if log_mode else s0, dtype=float)
+    y = np.array(w0, dtype=float)
+    bound = math.log(cfg.s_min_eps) if log_mode else cfg.s_max
+    field = _Field(params, log_mode, switch=grows)
+    beyond = field.stopped(x, y)
+
+    out: List[Optional[Result]] = [None] * x.size
+    # where each lane enters the q chart, if it does (nan: it does not)
+    x_q, w_q = x.copy(), np.where(beyond, y, np.nan)
+    w_lanes = np.flatnonzero(~beyond)
+    if w_lanes.size:
+        arcs, stops = _arcs(params, field, x[w_lanes], y[w_lanes], bound, cfg,
+                            stop_on_line_crossing)
+        for k, arc, stop in zip(w_lanes, arcs, stops):
+            out[k] = arc
+            if stop is not None and stop[0] == _SWITCH:
+                x_q[k], w_q[k] = stop[1:]
+    for sigma in (1.0, -1.0):
+        lanes = np.flatnonzero(np.sign(w_q) == sigma)
+        if lanes.size:
+            # a start beyond |w| = 1e6 is at its pole already
+            q = np.maximum(1.0 / (w_q[lanes] * w_q[lanes]), _Q_END)
+            arcs, _ = _arcs(params, _Field(params, log_mode, sigma), x_q[lanes], q, bound, cfg)
+            for k, arc in zip(lanes, arcs):
+                if out[k] is not None and not isinstance(arc, Exception):
+                    arc = merge_bidirectional(*((arc, out[k]) if log_mode else (out[k], arc)))
+                out[k] = arc
     return out
 
 
@@ -637,14 +634,12 @@ def integrate_batch(params: FlowParams,
 
     Returns one entry per start, in order: what integrate() returns for
     it, or the exception integrate() would raise for it (ValueError for a
-    bad start, RuntimeError for a step collapse that is no pole).  A lane
+    bad start, RuntimeError for a step collapse).  A lane
     gets the same samples, events and termination bit for bit whatever
-    other lanes share its batch.  Bad direction or method raise at once.
+    other lanes share its batch.  A bad direction raises at once.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    if cfg.method != "DOP853":
-        raise ValueError(f"integration method must be 'DOP853', got {cfg.method!r}")
     out: List[Optional[Result]] = [None] * len(starts)
     lanes, s0, w0 = [], [], []
     for i, init in enumerate(starts):
@@ -674,11 +669,11 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
     direction is "toward_zero" or "toward_infinity".  Toward zero the
     equation is integrated in t = log s.  The returned Trajectory is
     ordered by increasing s, carries dense output over its span, the
-    located events, its solver counters, and a Termination at the far end
-    (the near end stays None).  stop_on_line_crossing makes the
-    critical-line crossing terminal and, on the strip form, stops at a
-    proof of blow-up (used by decision runs, where crossing below the
-    line already decides global existence).  A batch of one of
+    located events, its solver counters (summed over both charts of a
+    lane that blew up), and a Termination at the far end (the near end
+    stays None).  stop_on_line_crossing makes the critical-line crossing
+    terminal (used by decision runs, where crossing below the line
+    already decides global existence).  A batch of one of
     integrate_batch().
     """
     return _first(integrate_batch(params, [init], direction, cfg, stop_on_line_crossing))
@@ -696,7 +691,9 @@ def _handoff(below: Callable, above: Callable, r: float,
 
 
 def merge_bidirectional(down: Trajectory, up: Trajectory) -> Trajectory:
-    """Join a toward-zero arc and a toward-infinity arc sharing a start point."""
+    """Join two arcs that meet at one point: down ends there, up starts
+    there (a toward-zero and a toward-infinity arc from one start, or the
+    two charts of one lane)."""
     if down.params != up.params:
         raise ValueError("cannot merge trajectories with different parameters")
     s_join = down.s[-1]
@@ -901,7 +898,7 @@ def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:
-    """Extrapolated pole (s*, sign) if the trajectory ended in blow-up, else None."""
+    """The pole (s*, sign) if the trajectory ended in blow-up, else None."""
     for term in (traj.termination_right, traj.termination_left):
         if term is not None and term.kind is TerminationKind.BLOW_UP:
             return float(term.s), int(term.sign)

@@ -262,7 +262,7 @@ def _wing_arm(params: FlowParams, s0: float, y0: float, y_end: float,
     hit_floor.terminal = True
     hit_ceil.terminal = True
     hit_steep.terminal = True
-    sol = solve_ivp(f, (y0, y_end), [s0, 0.0], method=cfg.method,
+    sol = solve_ivp(f, (y0, y_end), [s0, 0.0], method="DOP853",
                     rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
                     dense_output=True, events=[hit_floor, hit_ceil, hit_steep])
     if sol.status == -1:

@@ -17,6 +17,7 @@ from solitonlab import (
     classify,
     classify_as_posed,
     classify_batch,
+    comparison_blowup_bound,
     compute_bowl,
     compute_separatrix,
     critical_concavity,
@@ -225,6 +226,31 @@ def test_tags_ordered_in_w0(s0, strip, upper):
         assert order[1] in (v.tag for v in verdicts)
 
 
+@settings(max_examples=8, deadline=None)
+@given(n=st.sampled_from([2, 3, 5]), s0=st.floats(0.05, 20.0),
+       gap=st.floats(-6.0, float(np.log10(1e4 - 1))))
+def test_gamma_minus_edges_blow_up_before_bound(n, s0, gap):
+    """Below the lower barrier, from 1e-6 under it down to w0 = -1e4 on a
+    log scale, every start blows up between s0 and the comparison bound,
+    with finite samples and dense output."""
+    params = rotational(n)
+    w0 = -(1.0 + 10.0 ** gap)
+    sc = classify(params, s0, w0)
+    assert sc.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
+    bound = comparison_blowup_bound(params, s0, w0)
+    assert s0 < sc.blowup[0] <= bound + 1e-9 * max(1.0, bound)
+    traj = integrate_bidirectional(params, s0, w0)
+    assert np.all(np.isfinite(traj.s)) and np.all(np.isfinite(traj.w))
+    probes = np.linspace(traj.s[0], traj.s[-1], 101)
+    assert np.all(np.isfinite(traj.w_at(probes)))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.inf, 3.0])
+def test_separatrix_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        compute_separatrix(ROT3, tol=tol)
+
+
 def _forward_end(params, s0: float, w0: float) -> TerminationKind:
     return integrate(params, (s0, w0), "toward_infinity").termination_right.kind
 
@@ -430,9 +456,9 @@ def test_separatrix_splits_global_from_blowup(separatrix, sign, exponent):
 @given(n=st.sampled_from([2, 3, 5]), sign=st.sampled_from([-1, 1]),
        exponent=st.floats(-8.0, -1.0))
 def test_decision_shot_verdict_matches_full_run(n, sign, exponent):
-    """A decision shot from the anchor, which may stop at a proof of
-    blow-up, names the same fate as a full run, and its certified pole
-    bound lies beyond the pole the full run finds."""
+    """A decision shot from the anchor names the same fate as a full run,
+    and a blow-up shot is the full run: the same samples, pole and
+    counters."""
     params = rotational(n)
     sep = compute_separatrix(params)
     start = (sep.anchor, sep.value + sign * 10.0 ** exponent)
@@ -445,8 +471,9 @@ def test_decision_shot_verdict_matches_full_run(n, sign, exponent):
 
     assert (pole(shot) is None) == (pole(full) is None) == (sign < 0)
     if sign > 0:
-        assert pole(full) <= pole(shot) < IntegratorConfig().s_max
-        assert shot.stats.accepted < full.stats.accepted
+        assert pole(shot) == pole(full)
+        assert shot.stats == full.stats
+        assert shot.w.tobytes() == full.w.tobytes()
 
 
 def test_limits_report_fields():

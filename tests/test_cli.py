@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import solitonlab
-from solitonlab import classify_as_posed, rotational
+from solitonlab import boost, classify_as_posed, detect_blowup, integrate_bidirectional, rotational
 from solitonlab.cli import main
 
 GM_BLOWUP_S = 1.0632503268240918
@@ -178,6 +178,23 @@ def test_portrait_euclidean_untagged(tmp_path):
     assert text.splitlines()[1].split(",")[3] == "untagged"
 
 
+def test_portrait_barrier_free_blows_up_toward_zero(tmp_path):
+    """Barrier-free orbits blow up toward zero: limit_zero reads inf and
+    blowup_s holds the pole, below s0."""
+    code, text = run(tmp_path, "portrait", "--action", "boost", "--region",
+                     "spacelike_S", "--n", "2", "--s0-grid", "1:2:2", "--w0-grid=2:3:2")
+    assert code == 0
+    header, *lines = text.splitlines()
+    rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+    assert len(rows) == 4
+    for row in rows:
+        s0, w0 = float(row["s0"]), float(row["w0"])
+        pole = detect_blowup(integrate_bidirectional(boost(2), s0, w0))
+        assert row["limit_zero"] == "inf"
+        assert (float(row["blowup_s"]), int(row["blowup_sign"])) == pole
+        assert 0.0 < pole[0] < s0
+
+
 # --- profile emitters ---
 
 def test_bowl_csv(tmp_path):
@@ -225,6 +242,13 @@ def test_separatrix_small_s_max_defect_default(tmp_path):
     assert rep["bracket_width"] <= 1e-10
     code, _ = run(tmp_path, "separatrix", "--n", "3", "--s-max", "8", "--defect-s", "50")
     assert code == 2
+
+
+def test_separatrix_rejects_zero_tol(capsys):
+    assert main(["separatrix", "--tol", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tol" in err
+    assert "Traceback" not in err
 
 
 def test_spindle_csv(tmp_path):

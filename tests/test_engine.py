@@ -28,6 +28,7 @@ from solitonlab import (
     merge_bidirectional,
     rotational,
 )
+from solitonlab import engine
 from solitonlab.classify import integrate_bidirectional
 from solitonlab.engine import DIRECTIONS
 
@@ -188,7 +189,6 @@ def test_blow_up_detection_and_pole():
     assert term.sign == -1
     assert term.s == pytest.approx(BLOWUP_S, abs=1e-9)
     assert detect_blowup(traj) == (term.s, -1)
-    assert any(e.kind is EventKind.STEP_COLLAPSE for e in traj.events)
 
 
 def test_pole_location_stable_under_tolerance():
@@ -211,6 +211,17 @@ def test_blow_up_before_comparison_bound():
     traj = integrate_bidirectional(ROT3, 1.0, -2.0)
     s_star = detect_blowup(traj)[0]
     assert 1.0 < s_star < comparison_blowup_bound(ROT3, 1.0, -2.0)
+
+
+def test_steep_start_below_the_switch_stays_finite():
+    """At large s the switch level 2s/c is far up: from (30, 50) the
+    barrier-free slope steepens fast toward zero while still in the w
+    chart, and trial stages of rejected steps overshoot far.  They stay
+    finite (a RuntimeWarning is an error in this suite) and the
+    trajectory reaches its pole."""
+    traj = integrate(boost(2, region="spacelike"), (30.0, 50.0), "toward_zero")
+    assert traj.termination_left.kind is TerminationKind.BLOW_UP
+    assert np.all(np.isfinite(traj.w))
 
 
 def test_log_substitution_agrees_with_raw():
@@ -254,11 +265,6 @@ def test_integrator_config_immutable():
         CFG.rel_tol = 1e-3
 
 
-def test_integrate_rejects_other_methods():
-    with pytest.raises(ValueError, match="DOP853"):
-        integrate(ROT3, (1.0, 0.5), "toward_infinity", IntegratorConfig(method="RK45"))
-
-
 # --- the batched engine against scipy ---
 
 def test_vendored_tableau_is_scipys():
@@ -276,11 +282,12 @@ def test_vendored_tableau_is_scipys():
 
 def _scipy_arc(params, s0, w0, direction, cfg=CFG):
     """One-sided reference: scipy's DOP853 on the phase equation (in
-    t = log s toward zero, trial slopes clamped at 100x the escape
-    threshold), its line crossings, and its pole from the two deepest
+    t = log s toward zero, trial slopes clamped at 100x its escape level
+    |w| = 1e8), its line crossings, and its pole from the two deepest
     samples by the first-order model w ~ +-1/(s* - s) taken to 1/|w| -> 0."""
     et, ep, c = params.eps_tilde, params.eps_prime, params.fiber_coeff
-    cap = 100.0 * cfg.escape_threshold
+    escape = 1e8
+    cap = 100.0 * escape
     log = direction == "toward_zero"
 
     def f(x, y):
@@ -295,10 +302,10 @@ def _scipy_arc(params, s0, w0, direction, cfg=CFG):
         return y[0] - float(s_of(x)) * et / c
 
     def up(x, y):
-        return y[0] - cfg.escape_threshold
+        return y[0] - escape
 
     def down(x, y):
-        return y[0] + cfg.escape_threshold
+        return y[0] + escape
 
     up.terminal = down.terminal = True
     span = (math.log(s0), math.log(cfg.s_min_eps)) if log else (s0, cfg.s_max)
@@ -434,14 +441,18 @@ def test_failing_lane_leaves_the_batch_alone():
 
 def test_stats_count_the_steps():
     """Every accepted step is one sampling interval; the rhs runs twice to
-    start, 12 times per attempt and 3 times per step for dense output."""
-    starts = [(1.0, -0.5), (1.0, 0.9), (2.0, 1.2), (0.3, 0.2)]
+    start each arc, 12 times per attempt and 3 times per step for dense
+    output.  A lane that switches to the q chart on its way to a pole has
+    two arcs, and its counters are their sum."""
+    starts = [(1.0, -0.5), (1.0, 0.9), (2.0, 1.2), (0.3, 0.2), (1.0, -2.0), (2.0, 1.5),
+              (1.0, -20.0)]
+    arcs = {"toward_zero": [1] * 7, "toward_infinity": [1, 1, 1, 1, 2, 2, 1]}
     for direction in DIRECTIONS:
-        for traj in integrate_batch(ROT3, starts, direction):
+        for traj, n_arcs in zip(integrate_batch(ROT3, starts, direction), arcs[direction]):
             st_ = traj.stats
             assert st_.accepted == len(traj.s) - 1
             tries = st_.accepted + st_.rejected
-            assert st_.rhs_evals == 2 + 12 * tries + 3 * st_.accepted
+            assert st_.rhs_evals == 2 * n_arcs + 12 * tries + 3 * st_.accepted
     down, up = (integrate(ROT3, (1.0, 0.9), d) for d in DIRECTIONS)
     merged = merge_bidirectional(down, up)
     assert merged.stats == down.stats + up.stats
@@ -449,15 +460,53 @@ def test_stats_count_the_steps():
     assert integrate(ROT3, (2.0, 1.0), "toward_infinity").stats.accepted == 0
 
 
-# --- the escape cutoff ---
+# --- the chart switch ---
+
+@pytest.mark.parametrize("params, s0, w0", [(ROT3, 1.0, -2.0), (ROT3, 2.0, 1.5),
+                                            (ROT3, 1.0, -20.0),
+                                            (boost(2, region="spacelike"), 2.0, 2.5)])
+def test_steps_stop_short_of_the_pole(params, s0, w0):
+    """q = 1/w^2 is not smooth at the pole, so q-chart steps close in on
+    it without passing it: the last sample before the pole lies within
+    1e-10 of it, and the pole sample has |w| near 1e6."""
+    traj = integrate_bidirectional(params, s0, w0)
+    s_star, sign = detect_blowup(traj)
+    end = -1 if params.has_barriers else 0
+    assert traj.s[end] == pytest.approx(s_star, abs=1e-15)
+    assert abs(traj.s[-2 if end else 1] - s_star) < 1e-10
+    assert traj.w[end] * sign == pytest.approx(1e6, rel=1e-2)
+
+
+@pytest.mark.parametrize("w0", [-1e7, 1e7])
+def test_start_past_the_end_level_is_at_its_pole(w0):
+    """Where |w| grows, a start with |w| >= 1e6 lies within about 1e-12 of
+    its pole: the trajectory blows up where it starts."""
+    traj = integrate(ROT3, (1.0, w0), "toward_infinity")
+    assert detect_blowup(traj) == (1.0, int(np.sign(w0)))
+    assert traj.s.tolist() == [1.0]
+
+
+def _gamma_grid(w_lo, w_hi):
+    return [(s, w) for s in np.linspace(0.5, 4.0, 8) for w in np.linspace(w_lo, w_hi, 8)]
+
+
+@pytest.mark.parametrize("w_range, most", [((1.05, 3.0), 12000), ((-3.0, -1.05), 14500)])
+def test_gamma_grid_step_budget(w_range, most):
+    """An 8x8 rotational(3) gamma grid, both directions in one batch, takes
+    at most half the attempts (accepted plus rejected steps) of chasing
+    its poles in the w chart: 24.1k for gamma_plus, 29.1k for gamma_minus."""
+    trajs = integrate_bidirectional_batch(ROT3, _gamma_grid(*w_range))
+    assert sum(t.stats.accepted + t.stats.rejected for t in trajs) <= most
+
 
 @pytest.mark.parametrize("s0, w0", [(1.0, -2.0), (0.5, -1.5), (2.0, 1.5),
                                     (3.0, 2.5), (1.0, 1.6)])
-def test_pole_stable_under_escape_cutoff(s0, w0):
-    """A pole found through the escape event at 1e6 and one found through
-    step collapse below 1e8 agree to 1e-9."""
-    early = detect_blowup(integrate_bidirectional(
-        ROT3, s0, w0, IntegratorConfig(escape_threshold=1e6)))
-    late = detect_blowup(integrate_bidirectional(ROT3, s0, w0))
-    assert early[1] == late[1]
-    assert abs(early[0] - late[0]) < 1e-9
+@pytest.mark.parametrize("w_switch", [4.0, 100.0])
+def test_pole_stable_under_chart_switch(monkeypatch, s0, w0, w_switch):
+    """A pole found with the switch to q = 1/w^2 at |w| = 4 or 100 agrees
+    with the one at the default switch level to 1e-9."""
+    default = detect_blowup(integrate_bidirectional(ROT3, s0, w0))
+    monkeypatch.setattr(engine, "_W_SWITCH", w_switch)
+    moved = detect_blowup(integrate_bidirectional(ROT3, s0, w0))
+    assert moved[1] == default[1]
+    assert abs(moved[0] - default[0]) < 1e-9
