@@ -2,7 +2,9 @@
 
 Output is deterministic: floats print with 17 significant digits, rows and
 JSON keys are ordered, and no timestamps or environment data are emitted,
-so identical configuration yields byte-identical files.
+so identical configuration yields byte-identical files.  Data-row writers
+format each distinct float once and reuse its text wherever it repeats;
+the bytes are those of formatting every entry on its own.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or domain
 error.  Configuration may come from flags or from a JSON file passed as
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence, Tuple
 
@@ -49,10 +52,34 @@ from .verify import (
 def _fmt(x) -> str:
     """Fixed float formatting for round-trippable, byte-stable output.
 
-    Data rows use the same %.17g in one % operation per row."""
+    For headers and single report fields.  Data rows go through _rows,
+    which formats each distinct value once with the same %.17g, so a row
+    reads byte for byte as if every value had gone through here."""
     if x is None:
         return ""
     return "{:.17g}".format(float(x))
+
+
+def _fmt_array(a) -> np.ndarray:
+    """The "%.17g" text of every entry of a, as an object array of a's shape.
+
+    Each distinct float is formatted once and gathered back to its entries.
+    Distinct means distinct by bit pattern, so -0.0 and 0.0 keep their own
+    texts and every NaN prints as "nan", exactly as formatting each entry
+    on its own would.
+    """
+    a = np.asarray(a, dtype=float)
+    keys, inv = np.unique(a.ravel().view(np.int64), return_inverse=True)
+    lines = ("%.17g\n" * len(keys)) % tuple(keys.view(float).tolist())
+    texts = np.array(lines.split("\n")[:-1], dtype=object)
+    return texts[inv.ravel()].reshape(a.shape)
+
+
+def _rows(template: str, *cols) -> str:
+    """One template line per entry of the equal-length float columns, all
+    lines in one % operation; template takes a %s per column."""
+    cells = _fmt_array(np.column_stack(cols))
+    return (template * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -145,6 +172,10 @@ def _parse_h_list(spec: str) -> Tuple[float, ...]:
 
 
 def _nodes_for(extent: float, h: float) -> int:
+    if not 0.0 < extent < math.inf:
+        raise ValueError("--extent must be positive and finite")
+    if not 0.0 < h < math.inf:
+        raise ValueError("--h spacings must be positive and finite")
     n = 2.0 * extent / h
     if abs(n - round(n)) > 1e-9:
         raise ValueError(f"spacing {h} does not tile [-{extent}, {extent}]")
@@ -273,18 +304,21 @@ def cmd_portrait(args) -> int:
 
 # ------------------------------------------------------------- profiles
 
+def _check_span(span: float, cfg: IntegratorConfig) -> None:
+    if not 0.0 < span <= cfg.s_max:
+        raise ValueError("--span must lie in (0, s_max]")
+
+
 def cmd_bowl(args) -> int:
     params = _params_from_args(args)
     cfg = _cfg_from_args(args)
-    if not 0.0 < args.span <= cfg.s_max:
-        raise ValueError("--span must lie in (0, s_max]")
+    _check_span(args.span, cfg)
     f_of, w_of = center_regular_profile(params, args.span, cfg)
     s = np.linspace(0.0, args.span, args.samples)
     f = np.asarray(f_of(s), dtype=float)
     w = np.asarray(w_of(s), dtype=float)
-    lines = [f"# profile: bowl\n# params: {_params_line(params)}\n", "s,f,w\n"]
-    lines += ["%.17g,%.17g,%.17g\n" % row
-              for row in zip(s.tolist(), f.tolist(), w.tolist())]
+    lines = [f"# profile: bowl\n# params: {_params_line(params)}\n", "s,f,w\n",
+             _rows("%s,%s,%s\n", s, f, w)]
     _emit("".join(lines), args.out)
     return 0
 
@@ -297,9 +331,8 @@ def cmd_separatrix(args) -> int:
     if args.format == "csv":
         lines = [f"# profile: separatrix\n# params: {_params_line(params)}\n",
                  f"# value_at_anchor: {_fmt(sep.value)}\n",
-                 "s,w\n"]
-        lines += ["%.17g,%.17g\n" % row for row in
-                  zip(sep.trajectory.s.tolist(), sep.trajectory.w.tolist())]
+                 "s,w\n",
+                 _rows("%s,%s\n", sep.trajectory.s, sep.trajectory.w)]
         _emit("".join(lines), args.out)
         return 0
     report = {
@@ -323,9 +356,8 @@ def _wing_csv(curve, params: FlowParams, label: str) -> str:
              f"# apex_alpha: {_fmt(curve.apex[1])}\n",
              f"# arm_stop: {stops}\n",
              f"# contact_y: {cts}\n",
-             "y,alpha,alpha_prime\n"]
-    lines += ["%.17g,%.17g,%.17g\n" % row for row in
-              zip(curve.y.tolist(), curve.alpha.tolist(), curve.alpha_prime.tolist())]
+             "y,alpha,alpha_prime\n",
+             _rows("%s,%s,%s\n", curve.y, curve.alpha, curve.alpha_prime)]
     return "".join(lines)
 
 
@@ -365,10 +397,9 @@ def cmd_hybrid(args) -> int:
     x, y = grid.axes
     lines = [f"# field: hybrid\n# quadrants: {args.quadrants}\n",
              f"# f2_sign: {hyb.f2_sign}\n",
-             "x,y,u\n"]
-    ys = y.tolist()
-    for xi, row in zip(x.tolist(), grid.values.tolist()):
-        lines += ["%.17g,%.17g,%.17g\n" % (xi, yj, u) for yj, u in zip(ys, row)]
+             "x,y,u\n",
+             _rows("%s,%s,%s\n", np.repeat(x, len(y)), np.tile(y, len(x)),
+                   grid.values.ravel())]
     _emit("".join(lines), args.out)
     return 0
 
@@ -378,9 +409,10 @@ def cmd_hybrid(args) -> int:
 def _obj_text(meta: Sequence[str], verts: np.ndarray, faces: np.ndarray,
               extra: Sequence[str] = ()) -> str:
     lines = [f"# {m}\n" for m in meta]
-    lines += ["v %.17g %.17g %.17g\n" % (x, y, z) for x, y, z in verts.tolist()]
+    lines.append(_rows("v %s %s %s\n", *verts.T))
     lines += [f"# {m}\n" for m in extra]
-    lines += [f"f {a} {b} {c}\n" for a, b, c in (faces + 1).tolist()]
+    lines.append(("f %d %d %d\n" * len(faces))
+                 % tuple((faces + 1).ravel().tolist()))
     return "".join(lines)
 
 
@@ -388,8 +420,8 @@ def _profile_csv_fallback(s, f, params, what: str) -> str:
     lines = [f"# profile: {what}\n# params: {_params_line(params)}\n",
              "# note: base dimension > 2 has no 3-coordinate embedding; "
              "emitting the profile instead\n",
-             "s,f\n"]
-    lines += ["%.17g,%.17g\n" % row for row in zip(s.tolist(), f.tolist())]
+             "s,f\n",
+             _rows("%s,%s\n", s, f)]
     return "".join(lines)
 
 
@@ -401,6 +433,7 @@ def cmd_mesh(args) -> int:
         raise ValueError("need --theta-samples >= 3 and --profile-samples >= 2")
 
     if args.target == "bowl":
+        _check_span(args.span, cfg)
         params = _params_from_args(args)
         f_of = center_regular_profile(params, args.span, cfg)[0]
         s = np.linspace(args.span / n_p, args.span, n_p)

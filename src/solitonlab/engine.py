@@ -70,10 +70,10 @@ class IntegratorConfig:
     s_min_eps: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not 0 < self.s_min_eps < self.s_max:
-            raise ValueError("need 0 < s_min_eps < s_max")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if not 0 < self.s_min_eps < self.s_max < math.inf:
+            raise ValueError("need 0 < s_min_eps < s_max < inf")
         if not self.max_step > 0:
             raise ValueError("max_step must be positive")
 

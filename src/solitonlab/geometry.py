@@ -536,6 +536,10 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
         raise ValueError("f2_sign must be +-1")
     if order < 5:
         raise ValueError("need series order >= 5 for a faithful gluing test")
+    if nodes < 5:
+        raise ValueError("need nodes >= 5 for a grid sample")
+    if not 0.0 < extent < math.inf:
+        raise ValueError("extent must be positive and finite")
     p1 = boost(2, "spacelike")
     p2 = boost(2, "timelike")
     r_need = extent * 1.05 + 0.5

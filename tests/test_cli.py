@@ -1,14 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import solitonlab
-from solitonlab import boost, classify_as_posed, detect_blowup, integrate_bidirectional, rotational
-from solitonlab.cli import main
+from solitonlab import (IntegratorConfig, boost, classify_as_posed, detect_blowup,
+                        integrate_bidirectional, mesh, rotational)
+from solitonlab.cli import _fmt_array, main
+from solitonlab.geometry import build_hybrid, build_spindle, center_regular_profile
 
 GM_BLOWUP_S = 1.0632503268240918
 COTH_BOUND = 1.549306144334055
@@ -311,6 +315,155 @@ def test_hybrid_quadrant_subset(tmp_path):
              ln.split(",")[2] for ln in data}
     assert by_xy[(-1.2, 0.0)] == "nan"
     assert by_xy[(1.2, 0.0)] != "nan"
+
+
+# --- bad arguments exit 2 ---
+
+@pytest.mark.parametrize("argv", [
+    ["hybrid", "--nodes", "0"],
+    ["hybrid", "--nodes", "1"],
+    ["mesh", "hybrid", "--nodes", "1"],
+    ["verify", "hybrid", "--nodes", "0"],
+    ["verify", "bowl", "--extent", "inf"],
+    ["verify", "bowl", "--extent", "nan"],
+    ["verify", "bowl", "--h", "0,0,0"],
+    ["mesh", "bowl", "--span", "0"],
+    ["mesh", "bowl", "--span", "nan"],
+])
+def test_bad_grid_arguments_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _cli_subprocess(*argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "solitonlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--s0", "1", "--w0=0.5", "--s-max", "inf"),
+    ("classify", "--s0", "1", "--w0=0.5", "--rel-tol", "nan"),
+    ("hybrid", "--extent", "inf"),
+    ("verify", "hybrid", "--extent", "inf"),
+])
+def test_non_finite_span_exits_2(argv):
+    """An infinite span or a NaN tolerance would keep the integrator
+    stepping forever; the subprocess timeout keeps a hang from stalling
+    the suite."""
+    done = _cli_subprocess(*argv)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ")
+
+
+# --- writers ---
+
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+            2.2250738585072014e-308, 1.0, -1.0, 0.1, 1e300,
+            float(np.array([0x7FF8000000000001], dtype=np.int64).view(float)[0])]
+_POOL = st.one_of(st.sampled_from(_SPECIAL), st.floats(), st.floats(width=32))
+
+
+@given(pool=st.lists(_POOL, min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), max_size=200),
+       cols=st.sampled_from([None, 1, 2, 3]))
+def test_fmt_array_matches_per_entry_formatting(pool, picks, cols):
+    # heavy duplicates: every entry is one of at most 8 pool values
+    a = np.array([pool[k % len(pool)] for k in picks], dtype=float)
+    if cols is not None:
+        a = a[:len(a) // cols * cols].reshape(-1, cols)
+    out = _fmt_array(a)
+    assert out.shape == a.shape
+    assert out.ravel().tolist() == ["%.17g" % v for v in a.ravel().tolist()]
+
+
+def test_fmt_array_empty_and_single():
+    assert _fmt_array(np.empty(0)).tolist() == []
+    assert _fmt_array(np.empty((0, 3))).shape == (0, 3)
+    assert _fmt_array(np.array([-0.0])).tolist() == ["-0"]
+    assert _fmt_array(np.array([1 / 3])).tolist() == ["0.33333333333333331"]
+
+
+def _stdout(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+# Reference writers: every float goes through its own per-row % expression.
+# The CLI, which formats each distinct float once, must match them byte for byte.
+
+def _old_obj_text(meta, verts, faces, extra=()):
+    lines = [f"# {m}\n" for m in meta]
+    lines += ["v %.17g %.17g %.17g\n" % (x, y, z) for x, y, z in verts.tolist()]
+    lines += [f"# {m}\n" for m in extra]
+    lines += [f"f {a} {b} {c}\n" for a, b, c in (faces + 1).tolist()]
+    return "".join(lines)
+
+
+_PARAMS_N2 = "params: n=2 eps_prime=-1 eps_tilde=1 fiber_coeff=1"
+
+
+def test_hybrid_csv_bytes_match_row_formatting(capsys):
+    # quadrants 1,2 leave NaN nodes; the +diagonal holds exact cone zeros
+    text = _stdout(capsys, "hybrid", "--nodes", "21", "--quadrants", "1,2")
+    _, grid = build_hybrid(order=12, mask=(1, 2), extent=2.0, nodes=21,
+                           cfg=IntegratorConfig())
+    x, y = grid.axes
+    lines = ["# field: hybrid\n# quadrants: 1,2\n", "# f2_sign: 1\n", "x,y,u\n"]
+    ys = y.tolist()
+    for xi, row in zip(x.tolist(), grid.values.tolist()):
+        lines += ["%.17g,%.17g,%.17g\n" % (xi, yj, u) for yj, u in zip(ys, row)]
+    assert "nan" in text and "\n-2,-2,0\n" in text
+    assert text == "".join(lines)
+
+
+def test_mesh_hybrid_bytes_match_row_formatting(capsys):
+    text = _stdout(capsys, "mesh", "hybrid", "--nodes", "21")
+    _, grid = build_hybrid(order=12, extent=2.0, nodes=21, cfg=IntegratorConfig())
+    x, y = grid.axes
+    m = len(x)
+    extra = ["cone_main: " + " ".join(str(i * m + i + 1) for i in range(m)),
+             "cone_anti: " + " ".join(str(i * m + (m - 1 - i) + 1) for i in range(m))]
+    meta = ["command: solitonlab mesh hybrid --nodes 21", "quadrants: 1,2,3,4",
+            "f2_sign: 1", "class: hybrid"]
+    expect = _old_obj_text(meta, *mesh.height_field(x, y, grid.values), extra)
+    assert text == expect
+
+
+def test_mesh_bowl_bytes_match_row_formatting(capsys):
+    text = _stdout(capsys, "mesh", "bowl")
+    f_of = center_regular_profile(rotational(2), 2.5, IntegratorConfig())[0]
+    s = np.linspace(2.5 / 200, 2.5, 200)
+    f = np.asarray(f_of(s), dtype=float)
+    meta = ["command: solitonlab mesh bowl", _PARAMS_N2, "class: bowl"]
+    assert text == _old_obj_text(meta, *mesh.revolve(s, f, 64))
+
+
+def test_mesh_spindle_bytes_match_row_formatting(capsys):
+    text = _stdout(capsys, "mesh", "spindle")
+    curve = build_spindle(rotational(2), 1.0, IntegratorConfig())
+    y = np.linspace(curve.y[0], curve.y[-1], 200)
+    alpha = np.interp(y, curve.y, curve.alpha)
+    surface = mesh.cap_ends(mesh.revolve(alpha, y, 64), 64, curve.contact_y)
+    meta = ["command: solitonlab mesh spindle", _PARAMS_N2, "class: spindle",
+            "closed: both axis contacts capped"]
+    assert text == _old_obj_text(meta, *surface)
+
+
+def test_bowl_csv_bytes_match_row_formatting(capsys):
+    text = _stdout(capsys, "bowl", "--samples", "50")
+    f_of, w_of = center_regular_profile(rotational(3), 5.0, IntegratorConfig())
+    s = np.linspace(0.0, 5.0, 50)
+    f = np.asarray(f_of(s), dtype=float)
+    w = np.asarray(w_of(s), dtype=float)
+    lines = ["# profile: bowl\n# params: n=3 eps_prime=-1 eps_tilde=1 fiber_coeff=2\n",
+             "s,f,w\n"]
+    lines += ["%.17g,%.17g,%.17g\n" % row
+              for row in zip(s.tolist(), f.tolist(), w.tolist())]
+    assert text == "".join(lines)
 
 
 # --- meshes ---

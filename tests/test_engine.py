@@ -129,6 +129,20 @@ def test_config_rejects_nonpositive_max_step():
             IntegratorConfig(max_step=max_step)
 
 
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-10])
+def test_config_rejects_bad_tolerances(field, value):
+    # NaN fails every comparison, so only a check for 0 < tol < inf rejects it
+    with pytest.raises(ValueError, match="tolerances"):
+        IntegratorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("s_max", [math.inf, math.nan, 1e-12, -1.0])
+def test_config_rejects_bad_s_max(s_max):
+    with pytest.raises(ValueError, match="s_max"):
+        IntegratorConfig(s_max=s_max)
+
+
 def test_bowl_start_rejects_large_anchor():
     # the expansion only certifies a neighbourhood of the axis
     with pytest.raises(ValueError):
