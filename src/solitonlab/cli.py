@@ -451,9 +451,12 @@ def cmd_mesh(args) -> int:
         return 0
 
     if args.target in ("spindle", "wing"):
-        params = rotational(args.n, eps_prime=args.eps_prime)
+        if args.action == "boost":
+            raise ValueError(f"mesh {args.target} revolves a rotational profile; "
+                             "--action boost is not supported")
+        params = _params_from_args(args)
         if args.target == "spindle":
-            curve = build_spindle(rotational(args.n), args.s0, cfg)
+            curve = build_spindle(params, args.s0, cfg)
         else:
             curve = build_wing(params, args.s0, args.y0, cfg,
                                y_span=args.y_span).wing

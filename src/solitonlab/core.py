@@ -227,7 +227,6 @@ class TerminationKind(Enum):
     BLOW_UP = "blow_up"
     DOMAIN_BOUNDARY_ZERO = "domain_boundary_zero"
     REACHED_S_MAX = "reached_s_max"
-    BARRIER_CONTACT = "barrier_contact"
 
 
 @dataclass(frozen=True)

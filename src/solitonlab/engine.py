@@ -22,13 +22,17 @@ collapse) comes back as its own exception and does not stop the others.
 Barrier starts are exact constant solutions and skip the stepper.
 
 Each end is classified by how it terminated: reaching the span end,
-reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  In
-the direction where |w| grows without bound (forward when et*ep = -1,
-toward zero otherwise) every solution past |w| = max(10, 2s/c) grows
-monotonically to a pole, so a lane that reaches that level continues in
-q = 1/w^2, where q' = -2(et*q + ep)(sigma*sqrt(q) - h(s)), sigma = sign w,
-and q ~ (2c/s)(s* - s).  It ends at q = 1e-12, within about 1e-12 of the
-pole: that is its BLOW_UP s.  The two arcs are joined at the switch.
+reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
+chart rule holds in both directions: a lane is in the chart
+q = 1/w^2 of its sign sigma whenever |w| >= max(10, 2s/c), where
+q' = -2(et*q + ep)(sigma*sqrt(q) - h(s)), and in the w chart otherwise.
+Past that level |w| is monotone.  In the direction where it grows without
+bound (forward when et*ep = -1, toward zero otherwise) a lane passes from
+the w chart to the q chart at the level and ends at q = 1e-12, within
+about 1e-12 of its pole (q ~ (2c/s)(s* - s)): that is its BLOW_UP s.  In
+the other direction a lane passes from the q chart back to the w chart at
+the level; a private entry starts lanes at a pole itself, q = 0.  The
+arcs of the two charts are joined at the switch.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -111,10 +115,10 @@ _EPS = np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # event columns: the line crossing and the chart switch in the w chart, the
-# end level in the q chart; only the crossing is recorded, as an EventRecord
+# end of the q chart; only the crossing is recorded, as an EventRecord
 _CROSS, _SWITCH, _END = 0, 1, 0
-# a lane growing without bound changes chart at |w| = max(_W_SWITCH, 2s/c)
-# and ends at q = 1/w^2 = _Q_END (|w| = 1e6), its pole
+# a lane is in the q chart while |w| >= max(_W_SWITCH, 2s/c); where |w|
+# grows it ends at q = 1/w^2 = _Q_END (|w| = 1e6), its pole
 _W_SWITCH = 10.0
 _Q_END = 1e-12
 # trial stages of a rejected step can overshoot far; the w chart reads
@@ -131,24 +135,26 @@ class _Field:
     x = log s and it is s times that, which stays bounded near 0.  The w
     chart (sigma = 0) carries w, read clamped at +-_W_CAP; the q chart
     carries q = 1/w^2 of lanes with sign w = sigma, read clamped at 0.
-    The clamps keep wild trial stages finite.
+    The clamps keep wild trial stages finite.  grows says whether |w|
+    grows without bound in the stepping direction.
 
-    Event columns: the critical line w = s*et/c and, with switch, the
-    switch level |w| - max(_W_SWITCH, 2s/c) in the w chart; q - _Q_END in
-    the q chart.  kinds says what each records; terminal is the one that
-    ends the chart, met from below (w) or above (q), see stopped().
+    Event columns: the critical line w = s*et/c and, where |w| grows, the
+    switch level |w| - max(_W_SWITCH, 2s/c) in the w chart; in the q chart
+    q - _Q_END where |w| grows, else q - 1/max(_W_SWITCH, 2s/c)^2.  kinds
+    says what each records; terminal is the one that ends the chart, see
+    stopped().
     """
 
     def __init__(self, params: FlowParams, log_mode: bool, sigma: float = 0.0,
-                 switch: bool = False) -> None:
+                 grows: bool = False) -> None:
         self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
                                     params.fiber_coeff)
         self.etc = params.eps_tilde * params.fiber_coeff
         self.log_mode = log_mode
         self.sigma = sigma
-        self.switch = switch
-        self.kinds = (None,) if sigma else (EventKind.CROSSED_LINE_R,) + (None,) * switch
-        self.terminal = [_END] if sigma else [_SWITCH] * switch
+        self.grows = grows
+        self.kinds = (None,) if sigma else (EventKind.CROSSED_LINE_R,) + (None,) * grows
+        self.terminal = [_END] if sigma else [_SWITCH] * grows
 
     def s_of(self, x):
         return _libm(math.exp, x) if self.log_mode else x
@@ -171,31 +177,41 @@ class _Field:
     def step_cap(self, y, f):
         """The longest step from chart values y with slope f.  q is not
         smooth at the pole (its next term goes like (s* - s)^(3/2)), so no
-        q-chart step goes past 0.7 of the way to where the tangent meets
-        q = _Q_END/2; the tangent overshoots the pole by less than 1.3x."""
-        return 0.7 * (y - 0.5 * _Q_END) / np.abs(f) if self.sigma else math.inf
+        q-chart step toward it goes past 0.7 of the way to where the
+        tangent meets q = _Q_END/2; the tangent overshoots the pole by less
+        than 1.3x."""
+        return 0.7 * (y - 0.5 * _Q_END) / np.abs(f) if self.sigma and self.grows else math.inf
 
     def to_w(self, y):
         """The slope at chart values y (in the q chart at most 1e6 in size)."""
         return self.sigma / np.sqrt(np.maximum(y, _Q_END)) if self.sigma else y
 
+    def level(self, s):
+        """The switch level max(_W_SWITCH, 2s/c) at s."""
+        return np.maximum(_W_SWITCH, 2.0 * s / self.c)
+
+    def past_level(self, x, w):
+        """Whether slopes w at points x lie at or past the switch level."""
+        far = np.abs(w) >= _W_SWITCH
+        if np.count_nonzero(far):
+            far &= np.abs(w) >= 2.0 * self.s_of(x) / self.c
+        return far
+
     def stopped(self, x, y):
         """Whether points (x, y) lie at or past the end of the chart."""
-        if self.sigma:
-            return y <= _Q_END
-        far = (np.abs(y) >= _W_SWITCH) & self.switch
-        if np.count_nonzero(far):
-            far &= np.abs(y) >= 2.0 * self.s_of(x) / self.c
-        return far
+        if not self.sigma:
+            return self.past_level(x, y) if self.grows else np.zeros(y.shape, dtype=bool)
+        return y <= _Q_END if self.grows else y >= self.level(self.s_of(x)) ** -2.0
 
     def events(self, x, y):
         """The event functions at points (x, y), one column each."""
         if self.sigma:
-            return (y - _Q_END)[..., None]
+            end = _Q_END if self.grows else self.level(self.s_of(x)) ** -2.0
+            return (y - end)[..., None]
         s = self.s_of(x)
         cols = [y - s * self.et / self.c]
-        if self.switch:
-            cols.append(np.abs(y) - np.maximum(_W_SWITCH, 2.0 * s / self.c))
+        if self.grows:
+            cols.append(np.abs(y) - self.level(s))
         return np.stack(cols, axis=-1)
 
 
@@ -505,7 +521,8 @@ def _arcs(params: FlowParams, field: _Field, x_start, y_start, bound: float,
 
     Returns the arcs (a Trajectory, or the RuntimeError of a step
     collapse) and per lane its terminal event (column, x, y), or None.  An
-    arc ends at its terminal event: BLOW_UP at q = _Q_END, else open.
+    arc ends at its terminal event: BLOW_UP at q = _Q_END where |w| grows,
+    else open.
     """
     log_mode = field.log_mode
     sign = -1.0 if log_mode else 1.0
@@ -558,7 +575,7 @@ def _arcs(params: FlowParams, field: _Field, x_start, y_start, bound: float,
             far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if log_mode else
                               TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
                               value=float(ws[-1]))
-        elif field.sigma:
+        elif field.sigma and field.grows:
             far = Termination(TerminationKind.BLOW_UP, s=float(field.s_of(stops[k][1])),
                               sign=int(field.sigma))
 
@@ -583,39 +600,49 @@ def _arcs(params: FlowParams, field: _Field, x_start, y_start, bound: float,
 def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
                   direction: str, cfg: IntegratorConfig,
                   stop_on_line_crossing: bool) -> List[Result]:
-    """Step the lanes together in the w chart and, past the switch level,
-    in the q chart of their sign, then join each lane's arcs."""
+    """Step the lanes together in the w chart and, at or past the switch
+    level, in the q chart of their sign, then join each lane's arcs.  A
+    slope w0 = +-inf starts a lane at a pole, q = 0."""
     log_mode = direction == "toward_zero"
     # the direction in which |w| can grow without bound
     grows = params.has_barriers != log_mode
     x = np.array([math.log(s) for s in s0] if log_mode else s0, dtype=float)
-    y = np.array(w0, dtype=float)
+    w = np.array(w0, dtype=float)
     bound = math.log(cfg.s_min_eps) if log_mode else cfg.s_max
-    field = _Field(params, log_mode, switch=grows)
-    beyond = field.stopped(x, y)
+    in_q = _Field(params, log_mode).past_level(x, w)
 
     out: List[Optional[Result]] = [None] * x.size
-    # where each lane enters the q chart, if it does (nan: it does not)
-    x_q, w_q = x.copy(), np.where(beyond, y, np.nan)
-    w_lanes = np.flatnonzero(~beyond)
-    if w_lanes.size:
-        arcs, stops = _arcs(params, field, x[w_lanes], y[w_lanes], bound, cfg,
-                            stop_on_line_crossing)
-        for k, arc, stop in zip(w_lanes, arcs, stops):
-            out[k] = arc
-            if stop is not None and stop[0] == _SWITCH:
-                x_q[k], w_q[k] = stop[1:]
-    for sigma in (1.0, -1.0):
-        lanes = np.flatnonzero(np.sign(w_q) == sigma)
-        if lanes.size:
-            # a start beyond |w| = 1e6 is at its pole already
-            q = np.maximum(1.0 / (w_q[lanes] * w_q[lanes]), _Q_END)
-            arcs, _ = _arcs(params, _Field(params, log_mode, sigma), x_q[lanes], q, bound, cfg)
-            for k, arc in zip(lanes, arcs):
+    # lanes that passed to their second chart, which starts at x, w
+    switched = np.zeros(x.size, dtype=bool)
+    for q_chart in ((False, True) if grows else (True, False)):
+        todo = (in_q if q_chart else ~in_q) | switched
+        for sigma in ((1.0, -1.0) if q_chart else (0.0,)):
+            lanes = np.flatnonzero(todo & (np.sign(w) == sigma) if sigma else todo)
+            if not lanes.size:
+                continue
+            field = _Field(params, log_mode, sigma, grows)
+            y = 1.0 / (w[lanes] * w[lanes]) if sigma else w[lanes]
+            if sigma and grows:    # a start beyond |w| = 1e6 is at its pole already
+                y = np.maximum(y, _Q_END)
+            arcs, stops = _arcs(params, field, x[lanes], y, bound, cfg,
+                                stop_on_line_crossing and not sigma)
+            for k, arc, stop in zip(lanes, arcs, stops):
                 if out[k] is not None and not isinstance(arc, Exception):
                     arc = merge_bidirectional(*((arc, out[k]) if log_mode else (out[k], arc)))
                 out[k] = arc
+                if stop is not None and stop[0] in field.terminal:
+                    x[k], w[k], switched[k] = stop[1], field.to_w(stop[2]), True
     return out
+
+
+def _pole_batch(params: FlowParams, s0: float, sigmas: Sequence[float],
+                cfg: IntegratorConfig) -> List[Result]:
+    """Lanes leaving a pole at s0 (q = 0) with sign w = sigma each, in the
+    direction where |w| shrinks: toward zero when et*ep = -1, else toward
+    infinity."""
+    direction = DIRECTIONS[0] if params.has_barriers else DIRECTIONS[1]
+    return _lane_results(params, [s0] * len(sigmas), [sig * math.inf for sig in sigmas],
+                         direction, cfg, False)
 
 
 def _first(results: List[Result]):
@@ -758,16 +785,13 @@ def _series_anchored(params: FlowParams, start: PhaseState, order: int,
     start.s (48 geometric sample nodes from cfg.s_min_eps on), forward
     integration from start, which must sit on the series, beyond it."""
     coeffs = bowl_series_coeffs(params, order)
-    up = integrate(params, start, "toward_infinity", cfg)
-    s_head = np.geomspace(cfg.s_min_eps, start.s, 49)[:-1]
+    s_head = np.geomspace(cfg.s_min_eps, start.s, 49)
     w_head = eval_series(coeffs, s_head)
     left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
                        value=float(w_head[0]))
-    return Trajectory(params, np.concatenate([s_head, up.s]),
-                      np.concatenate([w_head, up.w]), termination_left=left,
-                      termination_right=up.termination_right, events=up.events,
-                      dense=_handoff(partial(eval_series, coeffs), up.dense, start.s),
-                      stats=up.stats)
+    head = Trajectory(params, s_head, w_head, termination_left=left,
+                      dense=partial(eval_series, coeffs))
+    return merge_bidirectional(head, integrate(params, start, "toward_infinity", cfg))
 
 
 def bowl_start(params: FlowParams, s_start: float, order: int = 13,
@@ -886,15 +910,12 @@ def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
         return back
     series = partial(_far_series, coeffs)
     nodes = max(1, math.ceil((cfg.s_max - start.s) / cfg.max_step))
-    s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)[1:]
+    s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
     w_tail = series(s_tail)
     right = Termination(TerminationKind.REACHED_S_MAX, s=float(s_tail[-1]),
                         value=float(w_tail[-1]))
-    return Trajectory(params, np.concatenate([back.s, s_tail]),
-                      np.concatenate([back.w, w_tail]),
-                      termination_left=back.termination_left, termination_right=right,
-                      events=back.events, dense=_handoff(back.dense, series, start.s),
-                      stats=back.stats)
+    return merge_bidirectional(back, Trajectory(params, s_tail, w_tail,
+                                                termination_right=right, dense=series))
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

@@ -5,10 +5,11 @@ Three kinds of geometric output:
 * graph profiles f(s): quadrature of a slope trajectory, with dense
   evaluators (cubic Hermite between fine samples, Taylor series inside
   the center handoff radius for the bowl);
-* wing profiles alpha(y): direct integration of the second-order wing
-  equation from an apex (alpha' = 0), split into monotone branches that
-  invert back to graphs f(s) = y(alpha); spindles are wings whose both
-  ends reach the rotation axis with lightlike slope;
+* wing profiles alpha(y): an apex (alpha' = 0) is a pole of the graph
+  slope w = f'(s), so each arm is a graph solution leaving that pole,
+  integrated by the engine; alpha(y) is the inverse of its height, and
+  the arms are also the monotone branches f(s); spindles are wings whose
+  both ends reach the rotation axis with lightlike slope;
 * the hybrid field u(x, y) = f1(sqrt(x^2-y^2)) / f2(sqrt(y^2-x^2)) on a
   Lorentzian plane, glued across the lightcone x = +-y from the two
   center-regular profiles of the boost reduction.  Because both pieces
@@ -47,6 +48,7 @@ from .classify import (
 )
 from .engine import (
     IntegratorConfig,
+    _pole_batch,
     _series_anchored,
     bowl_series_coeffs,
     eval_series,
@@ -228,103 +230,97 @@ class WingResult:
     branches: Tuple[ProfileCurve, ...]
 
 
-def _wing_arm(params: FlowParams, s0: float, y0: float, y_end: float,
-              cfg: IntegratorConfig, alpha_floor: float, alpha_ceil: float,
-              steep_cap: float):
-    """Integrate the wing equation from the apex toward y_end.
+# an arm stops where its slope |alpha'| = 1/|w| reaches this, just short of
+# a vertical tangent of alpha(y), past which y turns back
+_STEEP = 1e6
 
-    Stops at the axis floor (lightlike contact), the height ceiling, or a
-    vertical tangent (|alpha'| -> infinity at finite y, where the wing
-    chart ends; the square-root approach makes large caps unreachable in
-    double precision, so steep_cap stays moderate).  Returns the solution
-    and the stop reason.
+
+def _steep_end(traj: Trajectory, sigma: float, d: float) -> Optional[float]:
+    """The first s from the apex on where sigma*w falls to 1/_STEEP,
+    bisected on the dense output, or None where it does not."""
+    s, w = (traj.s, traj.w) if d > 0 else (traj.s[::-1], traj.w[::-1])
+    below = np.flatnonzero(sigma * w <= 1.0 / _STEEP)
+    if not below.size:
+        return None
+    a, b = s[below[0] - 1], s[below[0]]
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        a, b = (a, mid) if sigma * traj.w_at(mid) <= 1.0 / _STEEP else (mid, b)
+    return float(b)
+
+
+def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float,
+               nodes: int):
+    """An arm at nodes uniform in t = sqrt(|s - s0|) on [0, t_end]: t, s, w,
+    u = |y - y0| and du/dt.  With s = s0 + d*t^2, u = int 2t*|w| dt, whose
+    integrand is smooth and is sqrt(2*s0/c) at the apex, the pole of w."""
+    t = np.linspace(0.0, t_end, nodes)
+    s = s0 + d * t * t
+    w = np.append(sigma * math.inf, traj.w_at(s[1:]))
+    du = np.append(math.sqrt(2.0 * s0 / traj.params.fiber_coeff),
+                   2.0 * sigma * t[1:] * w[1:])
+    return t, s, w, _cumulative_simpson(du, t), du
+
+
+def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float,
+               alpha_floor: float, nodes: int):
+    """The arm where y falls and the one where it rises, each as its
+    trajectory, _arm_nodes up to its stop, and the stop.
+
+    Each arm is the graph solution w(s) leaving the pole at s0 in the
+    direction d where |w| shrinks (the two as one batch), so alpha = s
+    falls from a maximum apex (et*ep = -1) and rises from a minimum.  It
+    stops at the axis floor (contact), at the ceiling s_max, at
+    |alpha'| = _STEEP (steep) or at |y - y0| = span, whichever comes
+    first.  As |y - y0| >= |s - s0| while |w| >= 1, the arms run to
+    |s - s0| = span first, and further only where that falls short.
     """
-    from scipy.integrate import solve_ivp  # the one scipy integrator left
-
-    tiny = alpha_floor * 1e-3
-    ap_clamp = 100.0 * steep_cap
-
-    def f(y, state):
-        # trial stages may probe past the floor or the steepness cap
-        a = max(state[0], tiny)
-        ap = min(max(state[1], -ap_clamp), ap_clamp)
-        return [state[1], rhs_wing(params, a, ap)]
-
-    def hit_floor(y, state):
-        return state[0] - alpha_floor
-
-    def hit_ceil(y, state):
-        return state[0] - alpha_ceil
-
-    def hit_steep(y, state):
-        return abs(state[1]) - steep_cap
-
-    hit_floor.terminal = True
-    hit_ceil.terminal = True
-    hit_steep.terminal = True
-    sol = solve_ivp(f, (y0, y_end), [s0, 0.0], method="DOP853",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    dense_output=True, events=[hit_floor, hit_ceil, hit_steep])
-    if sol.status == -1:
-        raise RuntimeError(f"wing integration failed: {sol.message}")
-    if len(sol.t_events[0]):
-        stop = "contact"
-    elif len(sol.t_events[1]):
-        stop = "ceiling"
-    elif len(sol.t_events[2]):
-        stop = "steep"
-    else:
-        stop = "span"
-    return sol, stop
-
-
-def _invert_branch(params: FlowParams, sol, y0: float, s0: float,
-                   apex_pad: float, samples: int) -> Optional[ProfileCurve]:
-    """Resample one wing arm and invert it to a graph f(s) = y(alpha)."""
-    from scipy.interpolate import CubicSpline
-
-    y_end = sol.t[-1]
-    if abs(y_end - y0) <= 2 * apex_pad:
-        return None
-    y_grid = np.linspace(y0, y_end, samples)
-    state = sol.sol(y_grid)
-    a, ap = state[0], state[1]
-    keep = (np.abs(a - s0) > apex_pad) & (np.abs(y_grid - y0) > apex_pad)
-    if np.count_nonzero(keep) < 8:
-        return None
-    y_b, a_b, ap_b = y_grid[keep], a[keep], ap[keep]
-    order = np.argsort(a_b)
-    s_b, f_b, w_raw = a_b[order], y_b[order], ap_b[order]
-    # clip to the strictly monotone stretch next to the apex
-    d = np.diff(s_b)
-    bad = np.where(d <= 0)[0]
-    if len(bad):
-        cut = bad[0] + 1
-        s_b, f_b, w_raw = s_b[:cut], f_b[:cut], w_raw[:cut]
-        if len(s_b) < 8:
-            return None
-    w_b = 1.0 / w_raw
-    return ProfileCurve(kind="graph", params=params, s=s_b, f=f_b, w=w_b,
-                        f0=float(f_b[0]),
-                        f_dense=_evaluator(_hermite(s_b, f_b, w_b)),
-                        w_dense=_evaluator(CubicSpline(s_b, w_b)))
+    d = -1.0 if params.has_barriers else 1.0
+    # q near the pole needs a finer absolute tolerance than w
+    tight = replace(cfg, abs_tol=cfg.abs_tol * 1e-4, s_min_eps=alpha_floor)
+    arms = {}
+    for reach in (span, math.inf):
+        todo = [sigma for sigma in (-d, d) if sigma not in arms]
+        if not todo:
+            break
+        if d < 0:
+            run = replace(tight, s_min_eps=max(alpha_floor, s0 - reach))
+        else:
+            run = replace(tight, s_max=min(cfg.s_max, s0 + reach))
+        full = (run.s_min_eps, run.s_max) == (alpha_floor, cfg.s_max)
+        for sigma, traj in zip(todo, _pole_batch(params, s0, todo, run)):
+            if isinstance(traj, Exception):
+                raise traj
+            s_end, stop = _steep_end(traj, sigma, d), "steep"
+            if s_end is None:
+                s_end, stop = (traj.s[0], "contact") if d < 0 else (traj.s[-1], "ceiling")
+            arm = _arm_nodes(traj, s0, d, sigma, math.sqrt(abs(s_end - s0)), nodes)
+            t, u, du = arm[0], arm[3], arm[4]
+            if u[-1] >= span:
+                t_span = float(_hermite(u, t, 1.0 / du)(span))
+                arm, stop = _arm_nodes(traj, s0, d, sigma, t_span, nodes), "span"
+            elif stop != "steep" and not full:
+                continue
+            arms[sigma] = (traj, arm, stop)
+    return d, (arms[-d], arms[d])
 
 
 def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
                cfg: IntegratorConfig = IntegratorConfig(),
                y_span: Optional[float] = None, alpha_floor: float = 1e-4,
-               apex_pad: float = 1e-3, samples: int = 4001,
-               steep_cap: float = 1e6) -> WingResult:
+               apex_pad: float = 1e-3, samples: int = 4001) -> WingResult:
     """Wing profile through the apex (y0, s0), with inverted branches.
 
-    The apex is a strict extremum (alpha''(y0) = ep*h(s0) != 0), so each
-    arm is monotone and inverts to a graph branch f(s) with slope
-    w = 1/alpha'; branches exclude an apex neighborhood where the
-    inversion divides by alpha' -> 0.  Arms stop at the axis floor
-    (lightlike contact, extrapolated touch point recorded), at the height
-    ceiling s_max, at a vertical tangent (|alpha'| = steep_cap; the wing
-    continues past it only as a graph over the height, i.e. in the
-    inverted branch), or at y0 +- y_span; arm_stop records which.
+    The apex is a strict extremum (alpha''(y0) = ep*et*c/s0), a pole of
+    the graph slope w = 1/alpha'.  Each arm is the graph solution leaving
+    that pole, by the engine; its height y = y0 + int w ds is Simpson
+    quadrature in t = sqrt(|s - s0|), where the integrand is smooth, and
+    alpha(y) on samples // 2 points per arm is the cubic Hermite inverse.
+    Arms stop at the axis floor (lightlike contact, extrapolated touch
+    point recorded), at the height ceiling s_max, at a vertical tangent
+    (|alpha'| = 1e6; the wing continues past it only as a graph over the
+    height, i.e. in the inverted branch), or at y0 +- y_span; arm_stop
+    records which.  The branches are the arms as graphs f(s) at samples
+    nodes outside apex_pad of the apex, with the engine's dense slope.
 
     The translation direction breaks the y -> -y symmetry, so the two
     arms differ: a rotational spindle, for instance, is egg-shaped rather
@@ -332,55 +328,33 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
     """
     if s0 <= 0.0:
         raise ValueError("apex height s0 must be positive")
-    if abs(rhs_wing(params, s0, 0.0)) == 0.0:
-        raise ValueError("degenerate apex: alpha''(y0) = 0")
+    if not alpha_floor < s0 < cfg.s_max:
+        raise ValueError(f"apex height s0 = {s0} must lie between alpha_floor = "
+                         f"{alpha_floor} and s_max = {cfg.s_max}")
     span = cfg.s_max if y_span is None else float(y_span)
-    ceil = cfg.s_max
-
-    arms = {}
-    for side, y_end in (("left", y0 - span), ("right", y0 + span)):
-        arms[side] = _wing_arm(params, s0, y0, y_end, cfg, alpha_floor, ceil,
-                               steep_cap)
-
-    y_parts, a_parts, ap_parts = [], [], []
-    contact = []
-    contact_y = []
-    stops = []
-    for side in ("left", "right"):
-        sol, stop = arms[side]
-        n = max(9, int(samples) // 2)
-        y_g = np.linspace(y0, sol.t[-1], n)
-        st = sol.sol(y_g)
-        if side == "left":
-            y_parts.append(y_g[::-1][:-1])
-            a_parts.append(st[0][::-1][:-1])
-            ap_parts.append(st[1][::-1][:-1])
-        else:
-            y_parts.append(y_g)
-            a_parts.append(st[0])
-            ap_parts.append(st[1])
-        stops.append(stop)
-        contact.append(stop == "contact")
-        if stop == "contact":
-            a_e, ap_e = st[0][-1], st[1][-1]
-            contact_y.append(float(y_g[-1] - a_e / ap_e))
-        else:
-            contact_y.append(None)
-
-    y_all = np.concatenate([y_parts[0], y_parts[1]])
-    a_all = np.concatenate([a_parts[0], a_parts[1]])
-    ap_all = np.concatenate([ap_parts[0], ap_parts[1]])
-    wing = ProfileCurve(kind="wing", params=params, y=y_all, alpha=a_all,
-                        alpha_prime=ap_all, apex=(y0, s0),
-                        contact=(contact[0], contact[1]),
-                        contact_y=(contact_y[0], contact_y[1]),
-                        arm_stop=(stops[0], stops[1]))
-
-    branches = []
-    for side in ("left", "right"):
-        br = _invert_branch(params, arms[side][0], y0, s0, apex_pad, samples)
-        if br is not None:
-            branches.append(br)
+    d, arms = _wing_arms(params, s0, cfg, span, alpha_floor, max(9, int(samples)))
+    parts, contact_y, branches = [], [], []
+    for side, (traj, (t, s, w, u, du), stop) in zip((-1.0, 1.0), arms):
+        y = y0 + side * u
+        y_g = np.linspace(y0, y0 + side * span if stop == "span" else y[-1],
+                          max(9, int(samples) // 2))
+        t_g = _hermite(u, t, 1.0 / du)(np.abs(y_g - y0))
+        a_g = s0 + d * t_g * t_g
+        parts.append((y_g, a_g, np.where(t_g > 0.0, 1.0 / traj.w_at(a_g), 0.0)))
+        contact_y.append(float(y[-1] - s[-1] * w[-1]) if stop == "contact" else None)
+        keep = (np.abs(s - s0) > apex_pad) & (u > apex_pad)
+        if np.count_nonzero(keep) >= 8:
+            s_b, f_b, w_b = (a[keep][::int(d)] for a in (s, y, w))    # ascending in s
+            branches.append(ProfileCurve(kind="graph", params=params, s=s_b, f=f_b, w=w_b,
+                                         f0=float(f_b[0]),
+                                         f_dense=_evaluator(_hermite(s_b, f_b, w_b)),
+                                         w_dense=_evaluator(traj.w_at)))
+    (y_l, a_l, ap_l), (y_r, a_r, ap_r) = parts
+    wing = ProfileCurve(kind="wing", params=params, y=np.concatenate([y_l[:0:-1], y_r]),
+                        alpha=np.concatenate([a_l[:0:-1], a_r]),
+                        alpha_prime=np.concatenate([ap_l[:0:-1], ap_r]), apex=(y0, s0),
+                        contact=tuple(stop == "contact" for *_, stop in arms),
+                        contact_y=tuple(contact_y), arm_stop=tuple(stop for *_, stop in arms))
     return WingResult(wing=wing, branches=tuple(branches))
 
 

@@ -170,13 +170,12 @@ def residual_keyODE(profile, n_check: int = 1500, edge_skip: float = 0.01) -> fl
     if getattr(profile, "kind", "graph") != "graph":
         raise ValueError("reduced-equation residual applies to graph profiles; "
                          "check wing curves through their inverted branches")
+    if profile.w_dense is None:
+        raise ValueError("reduced-equation residual needs the profile's dense "
+                         "slope evaluator w_dense")
     params = profile.params
     s = np.asarray(profile.s, dtype=float)
-    if profile.w_dense is not None:
-        w_of = profile.w_dense
-    else:
-        from scipy.interpolate import CubicSpline
-        w_of = CubicSpline(s, np.asarray(profile.w, dtype=float))
+    w_of = profile.w_dense
     span = s[-1] - s[0]
     lo, hi = s[0] + edge_skip * span, s[-1] - edge_skip * span
     q = np.linspace(lo, hi, n_check)

@@ -504,6 +504,21 @@ def test_mesh_spindle_caps(tmp_path):
     assert "closed" in text
 
 
+def test_mesh_spindle_builds_the_parsed_parameters(capsys):
+    """--eps-prime 1 is the Euclidean pattern, whose apex is a minimum:
+    there is no spindle, and the header must not claim one."""
+    assert main(["mesh", "spindle", "--eps-prime", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no spindle" in captured.err
+
+
+@pytest.mark.parametrize("target", ["spindle", "wing"])
+def test_revolved_meshes_reject_boost(capsys, target):
+    assert main(["mesh", target, "--action", "boost", "--region", "timelike_T"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--action boost" in captured.err
+
+
 def test_mesh_boost_counts(tmp_path):
     code, text = run(tmp_path, "mesh", "bowl", "--action", "boost",
                      "--region", "timelike_T", "--theta-samples", "12",
@@ -585,15 +600,40 @@ import contextlib, io, sys
 import solitonlab.cli
 for argv in (["classify", "--s0", "1", "--w0=-0.5"], ["separatrix", "--n", "3"],
              ["portrait", "--s0-grid", "0.5:4:3", "--w0-grid=-0.9:0.9:3"],
-             ["verify", "bowl", "--n", "2"], ["hybrid", "--nodes", "51"]):
+             ["verify", "bowl", "--n", "2"], ["hybrid", "--nodes", "51"],
+             ["wing", "--s0", "1"], ["spindle", "--s0", "1"], ["mesh", "spindle"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert solitonlab.cli.main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
+# every subcommand and mesh/verify target, with scipy made unimportable
+SCIPY_BLOCKED_RUN = """
+import contextlib, io, sys
+sys.modules["scipy"] = None
+import solitonlab.cli
+for code, argv in ((0, ["classify", "--s0", "1", "--w0=-0.5"]),
+                   (0, ["portrait", "--s0-grid", "0.5:4:3", "--w0-grid=-0.9:0.9:3"]),
+                   (0, ["bowl", "--n", "2", "--samples", "20"]),
+                   (0, ["separatrix", "--n", "2"]),
+                   (0, ["wing", "--s0", "1", "--eps-prime", "1", "--n", "2", "--y-span", "2"]),
+                   (0, ["spindle", "--s0", "1"]),
+                   (0, ["hybrid", "--nodes", "21"]),
+                   (0, ["mesh", "bowl", "--theta-samples", "8", "--profile-samples", "9"]),
+                   (0, ["mesh", "spindle", "--theta-samples", "8", "--profile-samples", "9"]),
+                   (0, ["mesh", "wing", "--theta-samples", "8", "--profile-samples", "9"]),
+                   (0, ["mesh", "hybrid", "--nodes", "21"]),
+                   (0, ["verify", "bowl", "--n", "2"]),
+                   (0, ["verify", "hybrid"]),
+                   (1, ["verify", "const"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert solitonlab.cli.main(argv) == code, argv
+print("ok")
+"""
+
 
 def test_cli_runs_without_importing_scipy():
-    """Only the wing builders need scipy; everything else is numpy alone."""
+    """No subcommand needs scipy, the wing builders included."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -601,6 +641,26 @@ def test_cli_runs_without_importing_scipy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_every_subcommand_runs_with_scipy_unimportable():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_package_source_imports_no_scipy():
+    src = os.path.dirname(os.path.abspath(solitonlab.__file__))
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                lines = [ln.strip() for ln in fh]
+            assert not [ln for ln in lines
+                        if ln.startswith(("import scipy", "from scipy"))], name
 
 
 def test_config_file_supplies_flags(tmp_path):

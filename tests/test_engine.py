@@ -456,11 +456,12 @@ def test_failing_lane_leaves_the_batch_alone():
 def test_stats_count_the_steps():
     """Every accepted step is one sampling interval; the rhs runs twice to
     start each arc, 12 times per attempt and 3 times per step for dense
-    output.  A lane that switches to the q chart on its way to a pole has
-    two arcs, and its counters are their sum."""
+    output.  A lane that switches chart (to the q chart on its way to a
+    pole, back to the w chart from a steep start) has two arcs, and its
+    counters are their sum."""
     starts = [(1.0, -0.5), (1.0, 0.9), (2.0, 1.2), (0.3, 0.2), (1.0, -2.0), (2.0, 1.5),
               (1.0, -20.0)]
-    arcs = {"toward_zero": [1] * 7, "toward_infinity": [1, 1, 1, 1, 2, 2, 1]}
+    arcs = {"toward_zero": [1, 1, 1, 1, 1, 1, 2], "toward_infinity": [1, 1, 1, 1, 2, 2, 1]}
     for direction in DIRECTIONS:
         for traj, n_arcs in zip(integrate_batch(ROT3, starts, direction), arcs[direction]):
             st_ = traj.stats
@@ -498,6 +499,38 @@ def test_start_past_the_end_level_is_at_its_pole(w0):
     traj = integrate(ROT3, (1.0, w0), "toward_infinity")
     assert detect_blowup(traj) == (1.0, int(np.sign(w0)))
     assert traj.s.tolist() == [1.0]
+
+
+def test_steep_start_leaves_the_q_chart_where_w_shrinks():
+    """Toward zero |w| of rotational(3) shrinks: a start at w = -1e4 runs
+    in q = 1/w^2 down to the switch level and on in the w chart, in about
+    half the steps the w chart takes from there, and agrees with scipy."""
+    traj = integrate(ROT3, (1.0, -1e4), "toward_zero")
+    assert traj.stats.accepted <= 130
+    _check_against_scipy(traj, ROT3, 1.0, -1e4, ["toward_zero"])
+
+
+def test_steep_start_where_w_shrinks_reaches_s_max():
+    """Forward |w| of the barrier-free boost(2, "spacelike") shrinks: from
+    w = 1e7 the lane falls below the switch level in the q chart and runs on
+    to s_max instead of collapsing its steps."""
+    traj = integrate(boost(2, region="spacelike"), (1.0, 1e7), "toward_infinity")
+    assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
+
+
+@pytest.mark.parametrize("params, start, direction", [
+    (ROT3, (1.0, -1e4), "toward_zero"),
+    (boost(2, region="spacelike"), (1.0, 1e7), "toward_infinity")])
+def test_steep_start_independent_of_batch(params, start, direction):
+    others = [(0.5, 0.3), (2.0, -50.0), (3.0, 2.0)]
+    (alone,) = integrate_batch(params, [start], direction)
+    among = integrate_batch(params, others[:2] + [start] + others[2:], direction)[2]
+    assert alone.s.tobytes() == among.s.tobytes()
+    assert alone.w.tobytes() == among.w.tobytes()
+    assert (alone.termination_left, alone.termination_right, alone.stats) == (
+        among.termination_left, among.termination_right, among.stats)
+    probes = np.linspace(alone.s[0], alone.s[-1], 9)
+    assert np.asarray(alone.w_at(probes)).tobytes() == np.asarray(among.w_at(probes)).tobytes()
 
 
 def _gamma_grid(w_lo, w_hi):

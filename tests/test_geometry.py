@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from solitonlab import (
@@ -163,6 +163,59 @@ def test_euclidean_wing_steepens_without_contact():
     assert signs == [-1.0, 1.0]
 
 
+def _reference_arm(params, s0, y_end, cfg, alpha_floor=1e-4, steep=1e6):
+    """One wing arm from the apex (0, s0) toward y_end: scipy's DOP853 on
+    the second-order wing equation alpha(y) at rtol 1e-13, atol 1e-15,
+    stopped at the axis floor, the ceiling s_max or |alpha'| = steep.
+    Returns the solution, the stop and the extrapolated axis contact."""
+    def f(y, state):
+        # trial stages may probe past the floor or the steepness cap
+        a = max(state[0], alpha_floor * 1e-3)
+        ap = min(max(state[1], -100.0 * steep), 100.0 * steep)
+        return [state[1], rhs_wing(params, a, ap)]
+
+    events = [lambda y, st: st[0] - alpha_floor, lambda y, st: st[0] - cfg.s_max,
+              lambda y, st: abs(st[1]) - steep]
+    for ev in events:
+        ev.terminal = True
+    sol = solve_ivp(f, (0.0, y_end), [s0, 0.0], method="DOP853", rtol=1e-13, atol=1e-15,
+                    max_step=cfg.max_step, dense_output=True, events=events)
+    assert sol.status >= 0
+    stop = next((name for name, hits in zip(("contact", "ceiling", "steep"), sol.t_events)
+                 if len(hits)), "span")
+    contact_y = sol.t[-1] - sol.y[0, -1] / sol.y[1, -1] if stop == "contact" else None
+    return sol, stop, contact_y
+
+
+@pytest.mark.parametrize("params, s0, y_span, stops", [
+    (ROT3, 1.0, None, ("contact", "contact")),
+    (rotational(2), 1.1, None, ("contact", "contact")),
+    (ROT3, 2.0, 0.5, ("span", "span")),
+    (EUCLID2, 1.0, 3.0, ("steep", "span")),
+    (boost(2, "timelike"), 1.0, None, ("contact", "contact"))])
+def test_wing_matches_the_wing_chart(params, s0, y_span, stops):
+    """The wing from graph-chart arms against the wing equation integrated
+    in y: alpha within 2e-10 at every output y, the same stops, and axis
+    contacts within 1e-9.  A steep arm's last y lies a few 1e-12 past the
+    reference's; the reference reads its end value there."""
+    cfg = IntegratorConfig()
+    wing = build_wing(params, s0, 0.0, cfg, y_span=y_span).wing
+    span = cfg.s_max if y_span is None else y_span
+    assert wing.arm_stop == stops
+    for k, (side, y_end) in enumerate(((wing.y <= 0.0, -span), (wing.y >= 0.0, span))):
+        sol, stop, contact_y = _reference_arm(params, s0, y_end, cfg)
+        assert wing.arm_stop[k] == stop
+        lo, hi = sorted(sol.t[[0, -1]])
+        y = wing.y[side]
+        assert lo - 1e-11 <= y.min() and y.max() <= hi + 1e-11
+        ref = sol.sol(np.clip(y, lo, hi))[0]
+        assert np.max(np.abs(wing.alpha[side] - ref)) <= 2e-10
+        if contact_y is None:
+            assert wing.contact_y[k] is None
+        else:
+            assert abs(wing.contact_y[k] - contact_y) <= 1e-9
+
+
 def test_wing_rejects_nonpositive_apex():
     with pytest.raises(ValueError):
         build_wing(ROT3, 0.0)
@@ -318,6 +371,12 @@ def test_timelike_family_rejects_unknown_class():
     tl = boost(2, region="timelike")
     with pytest.raises(ValueError):
         timelike_family_from_strip(tl, "saddle")
+
+
+def test_keyode_residual_needs_dense_slope(bowl3):
+    bare = ProfileCurve(kind="graph", params=ROT3, s=bowl3.s, f=bowl3.f, w=bowl3.w)
+    with pytest.raises(ValueError, match="w_dense"):
+        residual_keyODE(bare)
 
 
 def test_profile_curve_validation():
