@@ -18,9 +18,9 @@ flipped onto the strip and its evidence flipped back.
 
 Each entry point has a batched form (integrate_bidirectional_batch,
 classify_batch, classify_as_posed_batch) that takes a list of starts,
-integrates all of them in one lockstep call per direction and returns
-one verdict, or that start's error, per start.  The scalar functions are
-batches of one.
+integrates both directions of all of them in one lockstep loop and
+returns one verdict, or that start's error, per start.  The scalar
+functions are batches of one.
 
 The separatrix is traced backward.  Forward shooting cannot hold it for
 long (nearby solutions diverge like exp(s^2/2c)), and backward
@@ -63,6 +63,7 @@ from .engine import (
     IntegratorConfig,
     _far_anchored,
     _first,
+    _integrate_lanes,
     _series_anchored,
     bowl_start,
     comparison_blowup_bound,
@@ -171,12 +172,14 @@ def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
 def integrate_bidirectional_batch(
         params: FlowParams, starts: Sequence[Tuple[float, float]],
         cfg: IntegratorConfig = IntegratorConfig()) -> List[Union[Trajectory, Exception]]:
-    """integrate_bidirectional() for every start, one batched call per
-    direction; a start that fails gets its exception in its slot."""
-    downs = integrate_batch(params, starts, "toward_zero", cfg)
-    ups = integrate_batch(params, starts, "toward_infinity", cfg)
+    """integrate_bidirectional() for every start, both directions of all
+    of them in one lockstep run; a start that fails gets its exception in
+    its slot."""
+    n = len(starts)
+    runs = _integrate_lanes(params, list(starts) * 2,
+                            ["toward_zero"] * n + ["toward_infinity"] * n, cfg)
     return [d if isinstance(d, Exception) else u if isinstance(u, Exception)
-            else merge_bidirectional(d, u) for d, u in zip(downs, ups)]
+            else merge_bidirectional(d, u) for d, u in zip(runs[:n], runs[n:])]
 
 
 def integrate_bidirectional(params: FlowParams, s0: float, w0: float,

@@ -291,7 +291,7 @@ def cmd_portrait(args) -> int:
     w0_grid = _parse_grid(w0_spec, "--w0-grid")
 
     starts = [(float(s0), float(w0)) for s0 in s0_grid for w0 in w0_grid]
-    # the whole grid in one batched integration per direction
+    # the whole grid, both directions, in one lockstep integration
     if params.has_barriers:
         results = classify_as_posed_batch(params, starts, cfg)
     else:
@@ -495,6 +495,13 @@ def cmd_mesh(args) -> int:
 
 # --------------------------------------------------------------- verify
 
+def _second_order(rep) -> bool:
+    """Whether a convergence report shows second order: defined, monotone,
+    and both observed orders in the window [1.7, 2.3]."""
+    return bool(rep.defined and rep.monotone
+                and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
+
+
 def _verify_bowl(args, cfg) -> Tuple[dict, bool]:
     params = rotational(args.n)
     hs = _parse_h_list(args.h)
@@ -506,8 +513,7 @@ def _verify_bowl(args, cfg) -> Tuple[dict, bool]:
     fields = [sample_radial_field(curve.f_dense, args.extent, nn, ndim=args.n)
               for nn in nodes]
     rep = convergence_order(*fields)
-    ok = (rep.defined and rep.monotone
-          and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
+    ok = _second_order(rep)
     return {
         "target": "bowl",
         "h": list(hs),
@@ -526,8 +532,7 @@ def _verify_hybrid(args, cfg) -> Tuple[dict, bool]:
     grids = [build_hybrid(order=12, extent=args.extent, nodes=nn, cfg=cfg,
                           f2_sign=sign)[1] for nn in node_seq]
     rep = convergence_order(*grids)
-    res_ok = (rep.defined and rep.monotone
-              and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
+    res_ok = _second_order(rep)
 
     jumps = [smoothness_scan(g, max_order=args.order) for g in grids[:2]]
     table = [{"order": q, "coarse": float(jumps[0][q]),

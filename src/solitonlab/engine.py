@@ -4,9 +4,9 @@ The phase equation w'(s) = (et + ep*w^2)(1 - w*h(s)) is integrated by one
 stepper: DOP853 with scipy's tableau (a vendored copy, _dop853, so the
 engine imports numpy only) and scipy's step control, ported lane by lane
 (Hairer-Norsett-Wanner, Solving ODEs I, II.4-6).  It advances N initial
-conditions ("lanes") of one direction in lockstep, each with its own step
-size, so every lane takes scipy's step sequence up to rounding, and the
-same one whether it runs alone or among others.
+conditions ("lanes") in one lockstep loop, each with its own step size,
+direction and chart, so every lane takes scipy's step sequence up to
+rounding, and the same one whether it runs alone or among others.
 integrate() is a batch of one.  The two directions:
 
 * toward_infinity: raw arclength s up to a configured ceiling;
@@ -31,8 +31,10 @@ bound (forward when et*ep = -1, toward zero otherwise) a lane passes from
 the w chart to the q chart at the level and ends at q = 1e-12, within
 about 1e-12 of its pole (q ~ (2c/s)(s* - s)): that is its BLOW_UP s.  In
 the other direction a lane passes from the q chart back to the w chart at
-the level; a private entry starts lanes at a pole itself, q = 0.  The
-arcs of the two charts are joined at the switch.
+the level; a start at w0 = +-inf leaves a pole, q = 0.  The switch is
+located on the step's interpolant, and the lane goes on in its next
+chart within the same loop, so a batch of any directions and charts is
+one loop; the arcs of the two charts are joined at the switch.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -43,6 +45,7 @@ does the join of a series part and an integrated arc.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -112,11 +115,11 @@ _EXPONENT = -1.0 / 8.0
 # an error norm below this is as good as zero: the growth clamp wins
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
-_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-# event columns: the line crossing and the chart switch in the w chart, the
-# end of the q chart; only the crossing is recorded, as an EventRecord
-_CROSS, _SWITCH, _END = 0, 1, 0
+# event columns, the same for every lane: the critical line, recorded in
+# the w chart only, and the end of the lane's chart (see _Field); a run
+# ends at the first event of a column from its terminal one on
+_CROSS, _END = 0, 1
 # a lane is in the q chart while |w| >= max(_W_SWITCH, 2s/c); where |w|
 # grows it ends at q = 1/w^2 = _Q_END (|w| = 1e6), its pole
 _W_SWITCH = 10.0
@@ -128,51 +131,112 @@ _W_CAP = 1e10
 Result = Union[Trajectory, Exception]
 
 
+def _s_at(log: bool, x):
+    """s at stepping-variable values x, which are log s where log, else s."""
+    return _libm(math.exp, x) if log else x
+
+
+def _points(mask):
+    """The points of a mask: a slice where they are contiguous, else their
+    indices; None where there are none."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return None
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
+
+
 class _Field:
-    """The phase equation in the stepping variable x and one chart.
+    """The phase equation at a set of points, each in its own stepping
+    variable and chart.
 
     Toward infinity x = s and the field is the s-derivative; toward zero
-    x = log s and it is s times that, which stays bounded near 0.  The w
-    chart (sigma = 0) carries w, read clamped at +-_W_CAP; the q chart
-    carries q = 1/w^2 of lanes with sign w = sigma, read clamped at 0.
-    The clamps keep wild trial stages finite.  grows says whether |w|
-    grows without bound in the stepping direction.
+    (log) x = log s and it is s times that, which stays bounded near 0.
+    Both are one expression in (L, D) = (1, s), or (s, 1) in log s, so
+    points of one chart share one evaluation whatever their directions.
+    The w chart (sigma = 0) carries w, read clamped at +-_W_CAP; the q
+    chart carries q = 1/w^2 of a slope with sign sigma, read clamped at 0.
+    The clamps keep wild trial stages finite.  |w| grows without bound
+    forward where et*ep = -1, else toward zero.
 
-    Event columns: the critical line w = s*et/c and, where |w| grows, the
-    switch level |w| - max(_W_SWITCH, 2s/c) in the w chart; in the q chart
-    q - _Q_END where |w| grows, else q - 1/max(_W_SWITCH, 2s/c)^2.  kinds
-    says what each records; terminal is the one that ends the chart, see
-    stopped().
+    Event columns (rows of events()): _CROSS, the critical line
+    w = s*et/c, in the w chart only; _END, the end of the chart, at or
+    past which the column is >= 0: where |w| grows, |w| - max(_W_SWITCH,
+    2s/c) in the w chart and _Q_END - q in the q chart; where it shrinks,
+    q - 1/max(_W_SWITCH, 2s/c)^2 in the q chart and none in the w chart.
+    A column that does not apply is NaN.
     """
 
-    def __init__(self, params: FlowParams, log_mode: bool, sigma: float = 0.0,
-                 grows: bool = False) -> None:
+    def __init__(self, params: FlowParams, log: np.ndarray, sigma: np.ndarray) -> None:
+        self.params, self.log, self.sigma = params, log, sigma
         self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
                                     params.fiber_coeff)
         self.etc = params.eps_tilde * params.fiber_coeff
-        self.log_mode = log_mode
-        self.sigma = sigma
-        self.grows = grows
-        self.kinds = (None,) if sigma else (EventKind.CROSSED_LINE_R,) + (None,) * grows
-        self.terminal = [_END] if sigma else [_SWITCH] * grows
+        n_log = np.count_nonzero(log)
+        self.any_log, self.all_log = n_log > 0, n_log == log.size
+        in_q = sigma != 0.0
+        # (points, sigma or None in the w chart) of each chart, and (points,
+        # log, sigma or None, whether |w| grows) of each chart and direction
+        self.charts = [(idx, sigma[idx] if q else None) for q in (False, True)
+                       if (idx := _points(in_q == q)) is not None]
+        self.groups = [(idx, lg, sigma[idx] if q else None, lg != params.has_barriers)
+                       for q in (False, True) for lg in (False, True)
+                       if (idx := _points((in_q == q) & (log == lg))) is not None]
+
+    def _each(self, fn, make, *arrays):
+        """fn(group, *arrays at its points) of each chart-and-direction
+        group, the points along the last axis, gathered into make(); a
+        single group is computed whole."""
+        if len(self.groups) == 1:
+            return fn(self.groups[0], *arrays)
+        out = make()
+        for group in self.groups:
+            out[..., group[0]] = fn(group, *(a[..., group[0]] for a in arrays))
+        return out
 
     def s_of(self, x):
-        return _libm(math.exp, x) if self.log_mode else x
+        """s at stepping-variable values x."""
+        if self.all_log or not self.any_log:
+            return _s_at(self.all_log, x)
+        s = x.copy()
+        s[..., self.log] = _libm(math.exp, x[..., self.log])
+        return s
+
+    def ld(self, s):
+        """(L, D) at s, None for 1 where all points share it."""
+        if self.all_log or not self.any_log:
+            return (s, None) if self.all_log else (None, s)
+        return np.where(self.log, s, 1.0), np.where(self.log, 1.0, s)
 
     def __call__(self, s, z, out=None):
-        if self.sigma:
-            # -2(et*q + ep)(sigma*sqrt(q) - h(s))
-            a = -2.0 * (self.et * z + self.ep)
-            r = self.sigma * np.sqrt(np.maximum(z, 0.0))
-            if self.log_mode:
-                return np.multiply(a, r * s - self.etc, out=out)
-            return np.multiply(a, r - self.etc / s, out=out)
-        z = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
-        zz = z * z
-        q = self.et - zz if self.ep < 0 else self.et + zz    # et + ep*z^2
-        if self.log_mode:
-            return np.multiply(q, s - z * self.etc, out=out)
-        return np.multiply(q, 1.0 - z * self.etc / s, out=out)
+        return self.rate(*self.ld(s), z, out)
+
+    def rate(self, L, D, z, out=None):
+        """The field at chart values z, with (L, D) from ld()."""
+        if len(self.charts) == 1:
+            return self._rate(self.charts[0][1], L, D, z, out)
+        out = np.empty_like(z) if out is None else out
+        for idx, sigma in self.charts:    # in place where idx is a slice
+            view = isinstance(idx, slice)
+            part = self._rate(sigma, None if L is None else L[idx], None if D is None else D[idx],
+                              z[idx], out[idx] if view else None)
+            if not view:
+                out[idx] = part
+        return out
+
+    def _rate(self, sigma, L, D, z, out):
+        """(et + ep*w^2)(L - w*etc/D) in the w chart (sigma None),
+        -2(et*q + ep)(sigma*sqrt(q)*L - etc/D) in the q chart."""
+        if sigma is None:
+            z = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
+            zz = z * z
+            q = self.et - zz if self.ep < 0 else self.et + zz
+            t = z * self.etc
+            return np.multiply(q, (1.0 if L is None else L) - (t if D is None else t / D),
+                               out=out)
+        a = -2.0 * (self.et * z + self.ep)
+        r = sigma * np.sqrt(np.maximum(z, 0.0))
+        return np.multiply(a, (r if L is None else r * L)
+                           - (self.etc if D is None else self.etc / D), out=out)
 
     def step_cap(self, y, f):
         """The longest step from chart values y with slope f.  q is not
@@ -180,39 +244,66 @@ class _Field:
         q-chart step toward it goes past 0.7 of the way to where the
         tangent meets q = _Q_END/2; the tangent overshoots the pole by less
         than 1.3x."""
-        return 0.7 * (y - 0.5 * _Q_END) / np.abs(f) if self.sigma and self.grows else math.inf
-
-    def to_w(self, y):
-        """The slope at chart values y (in the q chart at most 1e6 in size)."""
-        return self.sigma / np.sqrt(np.maximum(y, _Q_END)) if self.sigma else y
+        if not any(sigma is not None and grows for _, _, sigma, grows in self.groups):
+            return math.inf
+        return self._each(lambda g, y, f: 0.7 * (y - 0.5 * _Q_END) / np.abs(f)
+                          if g[2] is not None and g[3] else math.inf,
+                          lambda: np.empty(y.shape), y, f)
 
     def level(self, s):
         """The switch level max(_W_SWITCH, 2s/c) at s."""
         return np.maximum(_W_SWITCH, 2.0 * s / self.c)
 
-    def past_level(self, x, w):
-        """Whether slopes w at points x lie at or past the switch level."""
-        far = np.abs(w) >= _W_SWITCH
-        if np.count_nonzero(far):
-            far &= np.abs(w) >= 2.0 * self.s_of(x) / self.c
-        return far
+    def ended(self, x, y):
+        """Whether points (x, y) lie at or past the end of their chart."""
+        return self._each(self._ended, lambda: np.empty(y.shape, dtype=bool), x, y)
 
-    def stopped(self, x, y):
-        """Whether points (x, y) lie at or past the end of the chart."""
-        if not self.sigma:
-            return self.past_level(x, y) if self.grows else np.zeros(y.shape, dtype=bool)
-        return y <= _Q_END if self.grows else y >= self.level(self.s_of(x)) ** -2.0
+    def _ended(self, group, x, y):
+        _, log, sigma, grows = group
+        if sigma is not None:
+            return y <= _Q_END if grows else y >= self.level(_s_at(log, x)) ** -2.0
+        if not grows:
+            return np.zeros(y.shape, dtype=bool)
+        end = np.abs(y) >= _W_SWITCH
+        if np.count_nonzero(end):
+            end &= np.abs(y) >= 2.0 * _s_at(log, x) / self.c
+        return end
 
     def events(self, x, y):
-        """The event functions at points (x, y), one column each."""
-        if self.sigma:
-            end = _Q_END if self.grows else self.level(self.s_of(x)) ** -2.0
-            return (y - end)[..., None]
-        s = self.s_of(x)
-        cols = [y - s * self.et / self.c]
-        if self.grows:
-            cols.append(np.abs(y) - self.level(s))
-        return np.stack(cols, axis=-1)
+        """The event columns at points (x, y), one row each."""
+        return self._each(self._events, lambda: np.empty((2,) + y.shape), self.s_of(x), y)
+
+    def _events(self, group, s, y):
+        rows = (self.event(col, group[2] is not None, group[3], s, y) for col in (_CROSS, _END))
+        return np.stack([np.full(y.shape, np.nan) if e is None else e for e in rows])
+
+    def event(self, col, in_q, grows, s, y):
+        """Event column col at points (s, y) of one chart and direction
+        (arrays, or floats for one point); None where it does not apply."""
+        if col == _CROSS:
+            return None if in_q else y - s * self.et / self.c
+        if not in_q:
+            return np.abs(y) - self.level(s) if grows else None
+        # a 0-d array takes numpy's array power, as whole arrays do
+        return _Q_END - y if grows else y - np.asarray(self.level(s)) ** -2.0
+
+
+def _switch(sigma, y, grows):
+    """Lanes at chart values y of sign sigma (0: the w chart) in their other
+    chart: sigma and values.  From the w chart that is the q chart of the
+    sign of w, q = 1/w^2 (at least _Q_END where |w| grows; from |w| = 2^512
+    on, where w*w overflows, (1/w)^2); from the q chart the w chart."""
+    into_q = sigma == 0.0
+    w = np.where(into_q, y, sigma / np.sqrt(np.maximum(y, _Q_END)))
+    huge = np.abs(w) >= 2.0 ** 512
+    q = np.where(huge, (1.0 / w) ** 2, 1.0 / np.where(huge, 1.0, w) ** 2)
+    q = np.where(grows, np.maximum(q, _Q_END), q)
+    return np.where(into_q, np.sign(w), 0.0), np.where(into_q, q, w)
+
+
+def _to_w(sigma: float, y):
+    """The slope at chart values y (in the q chart at most 1e6 in size)."""
+    return sigma / np.sqrt(np.maximum(y, _Q_END)) if sigma else y
 
 
 def _libm(fn, x):
@@ -229,34 +320,37 @@ def _straddles(g_old, g_new):
     return np.sign(g_old) * np.sign(g_new) <= 0.0
 
 
-@dataclass
-class _Steps:
-    """Accepted steps grouped by lane, each lane's in the order taken.
+# accepted steps grouped by arc, each arc's in the order taken, with the
+# seven dense-output coefficient rows F of every step
+_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F")
 
-    F holds the seven dense-output coefficient rows of every step.
-    """
+# how a lane's stepping in one chart ended
+_FINISHED, _TERMINAL, _COLLAPSED = range(3)
 
-    lane: np.ndarray
-    x0: np.ndarray
-    h: np.ndarray
-    y0: np.ndarray
-    x1: np.ndarray
-    y1: np.ndarray
-    F: np.ndarray
+# one chart of one lane: its stepping variable and chart, its start in
+# chart values, how stepping ended, attempts and accepted steps
+_Arc = namedtuple("_Arc", "lane log sigma x0 y0 outcome attempts accepted",
+                  defaults=(_FINISHED, 0, 0))
+
+
+def _arc_field(params: FlowParams, arcs: List[_Arc], ids) -> _Field:
+    """The field at points of the arcs ids."""
+    log, sigma = (np.array(a)[ids] for a in list(zip(*arcs))[1:3])
+    return _Field(params, log, sigma)
 
 
 def _interpolate(F, x0, h, y0, x):
-    """The DOP853 dense output of each step at x (arrays aligned by step)."""
+    """The DOP853 dense output at x of steps with coefficient rows F[0..6]
+    (arrays aligned by step, or the floats of one step)."""
     u = (x - x0) / h
-    out = np.zeros_like(u)
-    for i in range(F.shape[1]):
-        out += F[:, -1 - i]
-        out *= u if i % 2 == 0 else 1.0 - u
+    out = 0.0
+    for i in range(7):
+        out = (out + F[6 - i]) * (u if i % 2 == 0 else 1.0 - u)
     return out + y0
 
 
-def _initial_step(field: _Field, x0, y0, f0, bound: float, direction: float,
-                  rtol: float, cfg: IntegratorConfig):
+def _initial_step(field: _Field, x0, y0, f0, bound, direction, rtol: float,
+                  cfg: IntegratorConfig):
     """scipy's select_initial_step for an order-7 error estimate, per lane."""
     span = np.abs(bound - x0)
     scale = cfg.abs_tol + np.abs(y0) * rtol
@@ -274,210 +368,257 @@ def _initial_step(field: _Field, x0, y0, f0, bound: float, direction: float,
     return np.minimum(np.minimum(np.minimum(100 * h0, h1), span), cfg.max_step)
 
 
-# how a lane's stepping ended
-_FINISHED, _TERMINAL, _COLLAPSED = range(3)
+def _stages(field: _Field, heads, cols, L, D, y, h):
+    """The DOP853 stages of one step into cols (cols[0] holds f(y)), with
+    (L, D) at the stage points: scipy's rk_step, each stage sum a vecdot
+    on lane rows, the one dot product per lane that scipy makes, whatever
+    the batch around it."""
+    for i in range(1, _NS + 1):
+        y_i = y + (np.vecdot(heads[i], _A_ROWS[i]) * h if i < _NS else
+                   h * np.vecdot(heads[_NS], _B))
+        field.rate(None if L is None else L[i], None if D is None else D[i], y_i, cols[i])
+    return y_i, cols[_NS]
 
 
-def _stages(field: _Field, heads, cols, s_stage, y, h):
-    """The DOP853 stages of one step into cols (cols[0] holds f(y)):
-    scipy's rk_step, each stage sum a vecdot on lane rows, the one dot
-    product per lane that scipy makes, whatever the batch around it."""
-    for i in range(1, _NS):
-        dy = np.vecdot(heads[i], _A_ROWS[i]) * h
-        field(s_stage[i], y + dy, cols[i])
-    y_new = y + h * np.vecdot(heads[_NS], _B)
-    return y_new, field(s_stage[_NS], y_new, cols[_NS])
+def _chart_ends(field: _Field, step, lanes, terminal: int):
+    """Of the lanes whose last step (step, arrays by lane) met a terminal
+    event: those whose first one met is the end of the chart, with its x
+    and y there."""
+    at = _Field(field.params, field.log[lanes], field.sigma[lanes])
+    Kd = np.empty((lanes.size, _NS + 1 + len(_C_DENSE)))
+    Kd[:, :_NS + 1] = step[-1][lanes]
+    arc, x0, h, y0, x1, y1 = (a[lanes] for a in step[:6])
+    last = _Steps(arc, x0, h, y0, x1, y1, _dense(at, x0, h, y0, y1, Kd))
+    m, col, e_x, e_y = _step_events(at, last)
+    t = np.flatnonzero(col >= terminal)
+    t = t[np.flatnonzero(np.diff(m[t], prepend=-1))]    # the first terminal event of each
+    t = t[col[t] == _END]
+    return lanes[m[t]], e_x[t], e_y[t]
 
 
-def _advance(field: _Field, x, y, bound: float, direction: float,
-             cfg: IntegratorConfig, stop_on_crossing: bool):
+def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
+             stop_on_crossing: bool):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
     initial step, error norm, SAFETY 0.9, factor clamp [0.2, 10], no
     growth right after a rejection, max_step, and a minimum step of 10
-    ulp(x).  A lane stops at the bound, at the end of the chart (see
-    _Field.stopped), at the line crossing when stop_on_crossing, or at
-    step collapse.
+    ulp(x).  Each lane has its own stepping variable (log: x = log s down
+    to log s_min_eps, else x = s up to s_max) and chart (sigma, see
+    _Field).  A lane stops at its bound, at step collapse, at the line
+    crossing when stop_on_crossing, or at the end of its chart.  Where
+    another chart follows that end (the q chart where |w| grows, the w
+    chart where it shrinks), the end is located on the step's
+    interpolant, and the lane goes on from there in that chart with a
+    fresh initial step, as a new arc.
 
-    Returns the steps (_Steps), and per lane: how it ended, attempts and
-    accepted steps.
+    Returns the steps (_Steps) and the arcs (_Arc): lane k's first arc at
+    index k, second arcs after all first ones.
     """
-    n = x.size
     rtol = max(cfg.rel_tol, 100 * _EPS)
-    outcome = np.full(n, _FINISHED)
-    attempts = np.zeros(n, dtype=int)
-    accepted = np.zeros(n, dtype=int)
-    records = []
-
-    f = field(field.s_of(x), y)
-    h_abs = _initial_step(field, x, y, f, bound, direction, rtol, cfg)
-    lane = np.flatnonzero(x != bound)
-    x, y, f, h_abs = x[lane], y[lane], f[lane], h_abs[lane]
-    # growth cap of the next step: 10x, or 1x right after a rejection
-    grow_cap, capped = np.full(lane.size, _MAX_FACTOR), False
-    rejects = np.zeros(lane.size, dtype=int)
-    g_cross = field.events(x, y)[:, _CROSS] if stop_on_crossing else None
-    toward = direction * np.inf
-    clip_to_bound = np.minimum if direction > 0 else np.maximum
+    x_min = math.log(cfg.s_min_eps)
+    terminal = _CROSS if stop_on_crossing else _END
+    arcs = list(map(_Arc, range(x.size), log.tolist(), sigma.tolist(), x.tolist(), y.tolist()))
+    arc, fresh = np.arange(x.size), np.ones(x.size, dtype=bool)
+    f, h_abs, g_cross, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(6))
+    bound = np.where(log, x_min, cfg.s_max)
     # no lane's minimum step 10*ulp(x) can exceed this
-    min_step_cap = 10.0 * 2.0 ** -52 * max(abs(bound), float(np.max(np.abs(x), initial=0.0)))
-    it = 0
+    min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(bound, x))))
+    keep, records, it = np.flatnonzero(x != bound), [], 0
+    while keep.size:
+        # the lanes still stepping, grouped by stepping variable and chart
+        keep = keep[np.argsort(2 * (sigma[keep] != 0.0) + log[keep], kind="stable")]
+        arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it, log, sigma, fresh = (
+            a[keep] for a in (arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it,
+                              log, sigma, fresh))
+        field = _Field(params, log, sigma)
+        bound, direction = np.where(log, x_min, cfg.s_max), np.where(log, -1.0, 1.0)
+        clip = (np.minimum if not field.any_log else np.maximum if field.all_log else
+                lambda v, b: np.where(log, np.maximum(v, b), np.minimum(v, b)))
+        # lanes that start a chart; the growth cap of a step is 10x, or 1x
+        # right after a rejection
+        new = np.flatnonzero(fresh)
+        if new.size:
+            at = _Field(params, log[new], sigma[new])
+            f[new] = at(at.s_of(x[new]), y[new])
+            h_abs[new] = _initial_step(at, x[new], y[new], f[new], bound[new], direction[new],
+                                       rtol, cfg)
+            if stop_on_crossing:
+                g_cross[new] = at.events(x[new], y[new])[_CROSS]
+            grow_cap[new], rejects[new], start_it[new], fresh[new] = _MAX_FACTOR, 0, it, False
+        capped = True
+        K = np.empty((keep.size, _NS + 1))
+        cols, heads = [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
 
-    def buffers(m):
-        K = np.empty((m, _NS + 1))
-        return K, [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
+        while True:
+            it += 1
+            h_abs = np.minimum(h_abs, np.minimum(field.step_cap(y, f), cfg.max_step))
+            stuck = None
+            if np.count_nonzero(h_abs < min_step_cap):
+                min_step = 10.0 * np.abs(np.nextafter(x, direction * np.inf) - x)
+                stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
+                h_abs = np.maximum(h_abs, min_step)
+            x_new = clip(x + h_abs * direction, bound)
+            h = x_new - x
+            h_abs = np.abs(h)
 
-    K, cols, heads = buffers(lane.size)
-    while lane.size:
-        it += 1
-        h_abs = np.minimum(h_abs, np.minimum(field.step_cap(y, f), cfg.max_step))
-        stuck = None
-        if np.count_nonzero(h_abs < min_step_cap):
-            min_step = 10.0 * np.abs(np.nextafter(x, toward) - x)
-            stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
-            h_abs = np.maximum(h_abs, min_step)
-        x_new = clip_to_bound(x + h_abs * direction, bound)
-        h = x_new - x
-        h_abs = np.abs(h)
+            cols[0][:] = f
+            y_new, f_new = _stages(field, heads, cols, *field.ld(field.s_of(x + _C[:, None] * h)),
+                                   y, h)
 
-        s_stage = field.s_of(x + _C[:, None] * h)
-        cols[0][:] = f
-        y_new, f_new = _stages(field, heads, cols, s_stage, y, h)
+            y_big = np.maximum(np.abs(y), np.abs(y_new))
+            err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
+            err *= err
+            e5 = err[:, 0]
+            denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
+            norm = h_abs * e5 / np.sqrt(denom)
+            ok = norm < 1.0
+            if stuck is not None:
+                ok &= ~stuck
+            grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
+            # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
+            h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
 
-        y_big = np.maximum(np.abs(y), np.abs(y_new))
-        err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
-        err *= err
-        e5 = err[:, 0]
-        denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
-        norm = h_abs * e5 / np.sqrt(denom)
-        ok = norm < 1.0
-        if stuck is not None:
-            ok &= ~stuck
-        grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
-        # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
-        h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
+            step = (arc, x, h, y, x_new, y_new, K.copy())
+            if np.count_nonzero(ok) == ok.size:
+                records.append(step)
+                x, y, f = x_new, y_new, step[-1][:, _NS]
+                if capped:
+                    grow_cap, capped = np.full(arc.size, _MAX_FACTOR), False
+            else:
+                records.append(tuple(a[ok] for a in step))
+                x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
+                grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
+                rejects += ~ok if stuck is None else ~ok & ~stuck
 
-        step = (lane, x, h, y, x_new, y_new, K.copy())
-        if np.count_nonzero(ok) == ok.size:
-            records.append(step)
-            x, y, f = x_new, y_new, step[-1][:, _NS]
-            if capped:
-                grow_cap, capped = np.full(lane.size, _MAX_FACTOR), False
-        else:
-            records.append(tuple(a[ok] for a in step))
-            x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
-            grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
-            rejects += ~ok if stuck is None else ~ok & ~stuck
+            done = ok & (x_new == bound)
+            hit = ok & field.ended(x_new, y_new)
+            if stop_on_crossing:
+                g_new = field.events(x_new, y_new)[_CROSS]
+                hit |= ok & _straddles(g_cross, g_new)
+                g_cross = np.where(ok, g_new, g_cross)
+            stop = done | hit
+            if stuck is not None:
+                stop |= stuck
+            if np.count_nonzero(stop):
+                break
 
-        done = ok & (x_new == bound)
-        hit = ok & field.stopped(x_new, y_new)
-        if stop_on_crossing:
-            g_new = field.events(x_new, y_new)[:, _CROSS]
-            hit |= ok & _straddles(g_cross, g_new)
-            g_cross = np.where(ok, g_new, g_cross)
-        stop = done | hit
-        if stuck is not None:
-            stop |= stuck
-        if not np.count_nonzero(stop):
-            continue
-        outcome[lane[stop]] = np.where(hit, _TERMINAL, np.where(done, _FINISHED, _COLLAPSED))[stop]
-        tries = it - (stuck[stop] if stuck is not None else 0)
-        attempts[lane[stop]] = tries
-        accepted[lane[stop]] = tries - rejects[stop]
-        keep = ~stop
-        lane, x, y, f, h_abs, grow_cap, rejects = (
-            a[keep] for a in (lane, x, y, f, h_abs, grow_cap, rejects))
-        if stop_on_crossing:
-            g_cross = g_cross[keep]
-        K, cols, heads = buffers(lane.size)
-
-    return _collect(field, records), outcome, attempts, accepted
+        ended = np.where(hit, _TERMINAL, np.where(done, _FINISHED, _COLLAPSED))
+        tries = it - start_it - (0 if stuck is None else stuck)
+        for k in np.flatnonzero(stop):
+            arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(ended[k]), attempts=int(tries[k]),
+                                                 accepted=int(tries[k] - rejects[k]))
+        # a lane at the end of a chart that another chart follows goes on in
+        # it, unless that chart starts at its bound
+        ends = np.flatnonzero(hit & ((sigma == 0.0) == (log != params.has_barriers)))
+        if ends.size:
+            ends, x_end, y_end = _chart_ends(field, step, ends, terminal)
+            arc, x, y = arc.copy(), x.copy(), y.copy()    # the step's arrays are on record
+            x[ends] = x_end
+            sigma[ends], y[ends] = _switch(sigma[ends], y_end, True)
+            for k in ends:
+                arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), float(sigma[k]),
+                                 float(x[k]), float(y[k])))
+                arc[k] = len(arcs) - 1
+            stop[ends], fresh[ends] = x_end == bound[ends], True
+        keep = np.flatnonzero(~stop)
+    return _collect(params, arcs, records), arcs
 
 
-def _collect(field: _Field, records: list) -> _Steps:
-    """Group the accepted steps by lane and build their dense output:
-    scipy's Dop853DenseOutput coefficients, for all steps at once."""
+def _collect(params: FlowParams, arcs: List[_Arc], records: list) -> _Steps:
+    """Group the accepted steps by arc and build their dense output, for
+    all steps at once."""
     if not records:
         records = [(np.zeros(0, dtype=int),) + (np.zeros(0),) * 5 + (np.zeros((0, _NS + 1)),)]
     parts = list(zip(*records))
     records.clear()    # the steps live on in parts, and only until copied
-    lane, x0, h, y0, x1, y1 = (np.concatenate(a) for a in parts[:6])
-    Kd = np.empty((lane.size, _NS + 1 + len(_C_DENSE)))
+    arc, x0, h, y0, x1, y1 = (np.concatenate(a) for a in parts[:6])
+    Kd = np.empty((arc.size, _NS + 1 + len(_C_DENSE)))
     np.concatenate(parts.pop(), out=Kd[:, :_NS + 1])
     del parts
+    F = _dense(_arc_field(params, arcs, arc), x0, h, y0, y1, Kd)
+    order = np.argsort(arc, kind="stable")
+    return _Steps(*(a[order] for a in (arc, x0, h, y0, x1, y1, F)))
+
+
+def _dense(field: _Field, x0, h, y0, y1, Kd):
+    """scipy's Dop853DenseOutput coefficients of steps whose stages fill
+    the first _NS + 1 columns of Kd; the rest of Kd is scratch."""
     for i, (a, c) in enumerate(zip(_A_DENSE, _C_DENSE), start=_NS + 1):
         dy = np.vecdot(Kd[:, :i], a[:i]) * h
-        Kd[:, i] = field(field.s_of(x0 + c * h), y0 + dy)
+        field(field.s_of(x0 + c * h), y0 + dy, Kd[:, i])
     dy = y1 - y0
-    F = np.empty((lane.size, 3 + len(_D)))
+    F = np.empty((h.size, 3 + len(_D)))
     F[:, 0] = dy
     F[:, 1] = h * Kd[:, 0] - dy
     F[:, 2] = 2 * dy - h * (Kd[:, _NS] + Kd[:, 0])
     F[:, 3:] = h[:, None] * np.vecdot(Kd[:, None, :], _D)
-    order = np.argsort(lane, kind="stable")
-    return _Steps(*(a[order] for a in (lane, x0, h, y0, x1, y1, F)))
+    return F
 
 
-def _event_roots(field: _Field, steps: _Steps, m: np.ndarray, col: np.ndarray):
-    """Zeros of event column col[j] on the interpolant of step m[j].
-
-    Illinois false position on each bracket [x0, x1] down to scipy's
-    4 eps, each iteration on the brackets still open, so a root does not
-    depend on the others.  A bracket the interpolant does not straddle
-    (rounding at its end) gives the end nearer zero.  Returns (x, y) of
-    the roots.
-    """
-    F, x0, h, y0 = steps.F[m], steps.x0[m], steps.h[m], steps.y0[m]
-
-    def g(x, j):
-        y = _interpolate(F[j], x0[j], h[j], y0[j], x)
-        return np.take_along_axis(field.events(x, y), col[j, None], axis=1)[:, 0]
-
-    every = np.arange(m.size)
-    a, b = x0.copy(), steps.x1[m]
-    ga, gb = g(a, every), g(b, every)
-    root = np.where(np.abs(ga) <= np.abs(gb), a, b)
-    kept = np.zeros(m.size, dtype=int)    # +1: a kept last time, -1: b kept
-    j = np.flatnonzero((ga != 0.0) & (gb != 0.0) & (np.sign(ga) != np.sign(gb)))
+def _root(g, a: float, b: float) -> float:
+    """A zero of g on [a, b] by Illinois false position down to scipy's
+    4 eps.  Where g does not change sign (rounding at an end), the end
+    nearer zero."""
+    ga, gb = g(a), g(b)
+    root = a if abs(ga) <= abs(gb) else b
+    if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
+        return root
+    kept = 0    # +1: a kept last time, -1: b kept
     for _ in range(200):
-        if not j.size:
+        mid = b - gb * (b - a) / (gb - ga)
+        if not (mid - a) * (mid - b) < 0.0:
+            mid = 0.5 * (a + b)
+        root, gm = mid, g(mid)
+        if (gm > 0.0) == (ga > 0.0):    # the zero lies in [mid, b]; gm = 0 ends the search
+            gb = 0.5 * gb if kept == -1 else gb
+            a, ga, kept = mid, gm, -1
+        else:
+            ga = 0.5 * ga if kept == 1 else ga
+            b, gb, kept = mid, gm, 1
+        if gm == 0.0 or not abs(b - a) > 4 * _EPS * (1.0 + abs(mid)):
             break
-        aj, bj, gaj, gbj = a[j], b[j], ga[j], gb[j]
-        mid = bj - gbj * (bj - aj) / (gbj - gaj)
-        mid = np.where((mid - aj) * (mid - bj) < 0.0, mid, 0.5 * (aj + bj))
-        gm = g(mid, j)
-        root[j] = mid
-        right = np.sign(gm) == np.sign(gaj)    # the zero lies in [mid, b]
-        ga[j] = np.where(~right & (kept[j] == 1), 0.5 * gaj, gaj)
-        gb[j] = np.where(right & (kept[j] == -1), 0.5 * gbj, gbj)
-        a[j[right]], ga[j[right]] = mid[right], gm[right]
-        b[j[~right]], gb[j[~right]] = mid[~right], gm[~right]
-        kept[j] = np.where(right, -1, 1)
-        j = j[(gm != 0.0) & (np.abs(b[j] - a[j]) > 4 * _EPS * (1.0 + np.abs(mid)))]
-    return root, _interpolate(F, x0, h, y0, root)
+    return root
 
 
-def _dense_output(field: _Field, x_nodes, steps: _Steps, lo: int, hi: int,
+def _step_events(field: _Field, steps: _Steps):
+    """The events met on steps: step index, column and the (x, y) of each,
+    located on the step's interpolant (_root), each step's in the order
+    met (ties by column)."""
+    g = _straddles(field.events(steps.x0, steps.y0), field.events(steps.x1, steps.y1))
+    m, col = np.nonzero(g.T)
+    log, in_q = field.log[m], field.sigma[m] != 0.0
+    kind = list(zip(col.tolist(), in_q.tolist(), (log != field.params.has_barriers).tolist(),
+                    log.tolist()))
+    x0, h, y0, x1, F = (steps[i][m].tolist() for i in (1, 2, 3, 4, 6))
+
+    def event(k, x):
+        c, q, grows, lg = kind[k]
+        return float(field.event(c, q, grows, math.exp(x) if lg else x,
+                                 _interpolate(F[k], x0[k], h[k], y0[k], x)))
+
+    root = np.array([_root(partial(event, k), x0[k], x1[k]) for k in range(m.size)])
+    y = _interpolate(steps.F[m].T, steps.x0[m], steps.h[m], steps.y0[m], root)
+    met = np.lexsort((col, np.where(log, -root, root), m))
+    return m[met], col[met], root[met], y[met]
+
+
+def _dense_output(log: bool, sigma: float, x_nodes, steps: _Steps, lo: int, hi: int,
                   y_start: float) -> Callable:
-    """w(s) of one lane from its step interpolants, picking the segment of
+    """w(s) of one arc from its step interpolants, picking the segment of
     a point as scipy's OdeSolution does (the step that starts there), read
-    in the field's chart."""
+    in the arc's chart."""
     F, x0, h, y0 = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0))
-    last = hi - lo - 1
-    ascending = not field.log_mode
-    ordered = x_nodes if ascending else x_nodes[::-1]
+    last, sign = hi - lo - 1, -1.0 if log else 1.0
+    ascending = sign * x_nodes
 
     def dense(q):
         q = np.asarray(q, dtype=float)
-        x = (np.log(q) if field.log_mode else q).ravel()
+        x = (np.log(q) if log else q).ravel()
         if last < 0:
-            return _scalar_or_array(np.full(q.shape, field.to_w(y_start)))
-        seg = np.searchsorted(ordered, x, side="right" if ascending else "left") - 1
-        seg = np.clip(seg, 0, last)
-        if not ascending:
-            seg = last - seg
-        w = field.to_w(_interpolate(F[seg], x0[seg], h[seg], y0[seg], x))
+            return _scalar_or_array(np.full(q.shape, _to_w(sigma, y_start)))
+        seg = np.clip(np.searchsorted(ascending, sign * x, side="right") - 1, 0, last)
+        w = _to_w(sigma, _interpolate(F[seg].T, x0[seg], h[seg], y0[seg], x))
         return _scalar_or_array(w.reshape(q.shape))
     return dense
 
@@ -485,28 +626,26 @@ def _dense_output(field: _Field, x_nodes, steps: _Steps, lo: int, hi: int,
 def _constant_trajectory(params: FlowParams, s0: float, w0: float,
                          direction: str, cfg: IntegratorConfig) -> Trajectory:
     # Barrier lines are exact solutions; skip the solver entirely.
-    if direction == "toward_zero":
-        s = np.geomspace(cfg.s_min_eps, s0, 33)
-        left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=cfg.s_min_eps, value=w0)
-        right = None
-    else:
-        s = np.linspace(s0, cfg.s_max, 33)
-        left = None
-        right = Termination(TerminationKind.REACHED_S_MAX, s=cfg.s_max, value=w0)
-    w = np.full_like(s, w0)
-
-    def dense(q):
-        return _scalar_or_array(np.full_like(np.asarray(q, dtype=float), w0))
-
-    return Trajectory(params, s, w, termination_left=left,
-                      termination_right=right, dense=dense)
+    zero = direction == "toward_zero"
+    s = np.geomspace(cfg.s_min_eps, s0, 33) if zero else np.linspace(s0, cfg.s_max, 33)
+    end = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if zero else
+                      TerminationKind.REACHED_S_MAX,
+                      s=cfg.s_min_eps if zero else cfg.s_max, value=w0)
+    return Trajectory(params, s, np.full_like(s, w0), termination_left=end if zero else None,
+                      termination_right=None if zero else end,
+                      dense=lambda q: _scalar_or_array(
+                          np.full_like(np.asarray(q, dtype=float), w0)))
 
 
-def _checked_start(init, direction: str, cfg: IntegratorConfig) -> Tuple[float, float]:
+def _checked_start(params: FlowParams, init, direction: str,
+                   cfg: IntegratorConfig) -> Tuple[float, float]:
+    """(s0, w0) of a start; w0 = +-inf, a pole, is a start only in the
+    direction where |w| shrinks."""
     s0, w0 = float(init[0]), float(init[1])
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise ValueError(f"initial s must be positive and finite, got {s0}")
-    if not math.isfinite(w0):
+    if not (math.isfinite(w0) or math.isinf(w0)
+            and (direction == "toward_zero") == params.has_barriers):    # leaving a pole
         raise ValueError(f"initial slope must be finite, got {w0}")
     if direction == "toward_zero" and s0 < cfg.s_min_eps:
         raise ValueError(f"initial s {s0} lies below the cutoff s_min_eps = {cfg.s_min_eps}")
@@ -515,123 +654,101 @@ def _checked_start(init, direction: str, cfg: IntegratorConfig) -> Tuple[float, 
     return s0, w0
 
 
-def _arcs(params: FlowParams, field: _Field, x_start, y_start, bound: float,
-          cfg: IntegratorConfig, stop_on_crossing: bool = False):
-    """Step the lanes of one chart together, then cut each lane's arc out.
+def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
+          stop_on_crossing: bool) -> List[Result]:
+    """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
+    a step collapse.  An arc ends at its terminal event: BLOW_UP at
+    q = _Q_END where |w| grows, else open."""
+    terminal = _CROSS if stop_on_crossing else _END
+    m, col, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
+    step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
+    event_of_step = np.searchsorted(m, step_of_arc)
 
-    Returns the arcs (a Trajectory, or the RuntimeError of a step
-    collapse) and per lane its terminal event (column, x, y), or None.  An
-    arc ends at its terminal event: BLOW_UP at q = _Q_END where |w| grows,
-    else open.
-    """
-    log_mode = field.log_mode
-    sign = -1.0 if log_mode else 1.0
-    steps, outcome, attempts, accepted = _advance(field, x_start, y_start, bound,
-                                                  sign, cfg, stop_on_crossing)
-    terminal = field.terminal + [_CROSS] * stop_on_crossing
-    g = _straddles(field.events(steps.x0, steps.y0), field.events(steps.x1, steps.y1))
-    m, col = np.nonzero(g)
-    ev_x, ev_y = _event_roots(field, steps, m, col)
-    step_of_lane = np.searchsorted(steps.lane, np.arange(x_start.size + 1))
-    event_of_step = np.searchsorted(m, step_of_lane)
-
-    arcs: List[Result] = []
-    stops: List[Optional[Tuple[int, float, float]]] = []
-    for k in range(x_start.size):
-        stops.append(None)
-        if outcome[k] == _COLLAPSED:
-            arcs.append(RuntimeError(
-                f"integrator failed before any terminal event: {_TOO_SMALL_STEP}"))
+    out: List[Result] = []
+    for k, arc in enumerate(arcs):
+        if arc.outcome == _COLLAPSED:
+            out.append(RuntimeError("integrator failed before any terminal event: Required "
+                                    "step size is less than spacing between numbers."))
             continue
-        lo, hi = step_of_lane[k], step_of_lane[k + 1]
-        e_lo, e_hi = event_of_step[k], event_of_step[k + 1]
-        e_m, e_col, e_x, e_y = m[e_lo:e_hi], col[e_lo:e_hi], ev_x[e_lo:e_hi], ev_y[e_lo:e_hi]
-        xs = np.concatenate(([x_start[k]], steps.x1[lo:hi]))
-        ys = np.concatenate(([y_start[k]], steps.y1[lo:hi]))
+        lo, hi = step_of_arc[k], step_of_arc[k + 1]
+        e_m, e_col, e_x, e_y = (a[event_of_step[k]:event_of_step[k + 1]]
+                                for a in (m, col, ev_x, ev_y))
+        xs = np.concatenate(([arc.x0], steps.x1[lo:hi]))
+        ys = np.concatenate(([arc.y0], steps.y1[lo:hi]))
         seg_hi = hi
-        if outcome[k] == _TERMINAL:
+        if arc.outcome == _TERMINAL:
             # scipy's handle_events: the last step's events in the order
             # met, up to the first terminal one, which ends the samples
-            last = np.flatnonzero(e_m == hi - 1)
-            order = last[np.argsort(sign * e_x[last])]
-            stop = order[np.isin(e_col[order], terminal)][0]
-            drop = order[np.flatnonzero(order == stop)[0] + 1:]
-            keep = np.setdiff1d(np.arange(e_m.size), drop)
-            stops[k] = (int(e_col[stop]), float(e_x[stop]), float(e_y[stop]))
+            stop = np.flatnonzero((e_m == hi - 1) & (e_col >= terminal))[0]
+            e_col, e_x, e_y = e_col[:stop + 1], e_x[:stop + 1], e_y[:stop + 1]
             if e_x[stop] == steps.x0[hi - 1]:
                 xs, ys, seg_hi = xs[:-1], ys[:-1], hi - 1
             else:
                 xs[-1], ys[-1] = e_x[stop], e_y[stop]
-            e_m, e_col, e_x, e_y = e_m[keep], e_col[keep], e_x[keep], e_y[keep]
         # numpy's exp and argsort, as the samples of scipy's solution were
         # mapped and sorted
-        s_samples = np.exp(xs) if log_mode else xs
-        ws = field.to_w(ys)
-        e_s = field.s_of(e_x)
-        records = [EventRecord(field.kinds[e_col[j]], float(e_s[j]), float(e_y[j]))
-                   for j in np.lexsort((e_m, e_col)) if field.kinds[e_col[j]] is not None]
+        s_samples = np.exp(xs) if arc.log else xs
+        ws = _to_w(arc.sigma, ys)
+        e_s = _s_at(arc.log, e_x)
+        records = [EventRecord(EventKind.CROSSED_LINE_R, float(e_s[j]), float(e_y[j]))
+                   for j in np.flatnonzero(e_col == _CROSS)]
         far = None    # open at the line crossing and at the switch
-        if stops[k] is None:
-            far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if log_mode else
+        if arc.outcome != _TERMINAL:
+            far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if arc.log else
                               TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
                               value=float(ws[-1]))
-        elif field.sigma and field.grows:
-            far = Termination(TerminationKind.BLOW_UP, s=float(field.s_of(stops[k][1])),
-                              sign=int(field.sigma))
+        elif arc.sigma and arc.log != params.has_barriers:
+            far = Termination(TerminationKind.BLOW_UP, s=float(e_s[-1]), sign=int(arc.sigma))
 
-        dense = _dense_output(field, xs, steps, lo, seg_hi, float(ys[0]))
-        if log_mode:
+        dense = _dense_output(arc.log, arc.sigma, xs, steps, lo, seg_hi, float(ys[0]))
+        if arc.log:
             order = np.argsort(s_samples)
             s_samples, ws = s_samples[order], ws[order]
-            left, right = far, None
-        else:
-            left, right = None, far
+        left, right = (far, None) if arc.log else (None, far)
         # collapse occasional duplicate nodes
         keep = np.concatenate(([True], np.diff(s_samples) > 0))
-        n_try, n_ok = int(attempts[k]), int(accepted[k])
-        stats = SolverStats(n_ok, n_try - n_ok, 2 + _NS * n_try + len(_C_DENSE) * n_ok)
-        arcs.append(Trajectory(params, s_samples[keep], ws[keep], termination_left=left,
-                               termination_right=right,
-                               events=sorted(records, key=lambda r: r.s),
-                               dense=dense, stats=stats))
-    return arcs, stops
+        stats = SolverStats(arc.accepted, arc.attempts - arc.accepted,
+                            2 + _NS * arc.attempts + len(_C_DENSE) * arc.accepted)
+        out.append(Trajectory(params, s_samples[keep], ws[keep], termination_left=left,
+                              termination_right=right,
+                              events=sorted(records, key=lambda r: r.s),
+                              dense=dense, stats=stats))
+    return out
 
 
-def _lane_results(params: FlowParams, s0: Sequence[float], w0: Sequence[float],
-                  direction: str, cfg: IntegratorConfig,
-                  stop_on_line_crossing: bool) -> List[Result]:
-    """Step the lanes together in the w chart and, at or past the switch
-    level, in the q chart of their sign, then join each lane's arcs.  A
-    slope w0 = +-inf starts a lane at a pole, q = 0."""
-    log_mode = direction == "toward_zero"
-    # the direction in which |w| can grow without bound
-    grows = params.has_barriers != log_mode
-    x = np.array([math.log(s) for s in s0] if log_mode else s0, dtype=float)
-    w = np.array(w0, dtype=float)
-    bound = math.log(cfg.s_min_eps) if log_mode else cfg.s_max
-    in_q = _Field(params, log_mode).past_level(x, w)
-
-    out: List[Optional[Result]] = [None] * x.size
-    # lanes that passed to their second chart, which starts at x, w
-    switched = np.zeros(x.size, dtype=bool)
-    for q_chart in ((False, True) if grows else (True, False)):
-        todo = (in_q if q_chart else ~in_q) | switched
-        for sigma in ((1.0, -1.0) if q_chart else (0.0,)):
-            lanes = np.flatnonzero(todo & (np.sign(w) == sigma) if sigma else todo)
-            if not lanes.size:
-                continue
-            field = _Field(params, log_mode, sigma, grows)
-            y = 1.0 / (w[lanes] * w[lanes]) if sigma else w[lanes]
-            if sigma and grows:    # a start beyond |w| = 1e6 is at its pole already
-                y = np.maximum(y, _Q_END)
-            arcs, stops = _arcs(params, field, x[lanes], y, bound, cfg,
-                                stop_on_line_crossing and not sigma)
-            for k, arc, stop in zip(lanes, arcs, stops):
-                if out[k] is not None and not isinstance(arc, Exception):
-                    arc = merge_bidirectional(*((arc, out[k]) if log_mode else (out[k], arc)))
-                out[k] = arc
-                if stop is not None and stop[0] in field.terminal:
-                    x[k], w[k], switched[k] = stop[1], field.to_w(stop[2]), True
+def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[str],
+                     cfg: IntegratorConfig, stop_on_line_crossing: bool = False) -> List[Result]:
+    """integrate() of each start in its own direction, all in one lockstep
+    run: per start its Trajectory, or the exception integrate() would
+    raise.  A lane starts in the w chart or, at or past the switch level,
+    in the q chart of its sign (at q = 0 from a pole, w0 = +-inf), and
+    its arcs are joined."""
+    out: List[Optional[Result]] = [None] * len(starts)
+    lanes = []
+    for i, (init, direction) in enumerate(zip(starts, directions)):
+        try:
+            s, w = _checked_start(params, init, direction, cfg)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        if params.has_barriers and (abs(w - 1.0) <= BARRIER_TOL or abs(w + 1.0) <= BARRIER_TOL):
+            out[i] = _constant_trajectory(params, s, round(w), direction, cfg)
+        else:
+            lanes.append((i, math.log(s) if direction == "toward_zero" else s, w,
+                          direction == "toward_zero"))
+    if not lanes:
+        return out
+    index, x, w, log = (np.array(a) for a in zip(*lanes))
+    sigma, y = np.zeros(w.size), w.copy()
+    field = _Field(params, log, sigma)
+    in_q = np.abs(w) >= field.level(field.s_of(x))
+    sigma[in_q], y[in_q] = _switch(sigma[in_q], w[in_q], log[in_q] != params.has_barriers)
+    steps, arcs = _advance(params, x, y, log, sigma, cfg, stop_on_line_crossing)
+    for arc, res in zip(arcs, _arcs(params, steps, arcs, stop_on_line_crossing)):
+        k = index[arc.lane]
+        if out[k] is not None and not isinstance(res, Exception):
+            res = merge_bidirectional(*((res, out[k]) if arc.log else (out[k], res)))
+        out[k] = res
     return out
 
 
@@ -641,8 +758,8 @@ def _pole_batch(params: FlowParams, s0: float, sigmas: Sequence[float],
     direction where |w| shrinks: toward zero when et*ep = -1, else toward
     infinity."""
     direction = DIRECTIONS[0] if params.has_barriers else DIRECTIONS[1]
-    return _lane_results(params, [s0] * len(sigmas), [sig * math.inf for sig in sigmas],
-                         direction, cfg, False)
+    return _integrate_lanes(params, [(s0, sig * math.inf) for sig in sigmas],
+                            [direction] * len(sigmas), cfg)
 
 
 def _first(results: List[Result]):
@@ -667,25 +784,8 @@ def integrate_batch(params: FlowParams,
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    out: List[Optional[Result]] = [None] * len(starts)
-    lanes, s0, w0 = [], [], []
-    for i, init in enumerate(starts):
-        try:
-            s, w = _checked_start(init, direction, cfg)
-        except ValueError as exc:
-            out[i] = exc
-            continue
-        if params.has_barriers and (abs(w - 1.0) <= BARRIER_TOL or abs(w + 1.0) <= BARRIER_TOL):
-            out[i] = _constant_trajectory(params, s, round(w), direction, cfg)
-        else:
-            lanes.append(i)
-            s0.append(s)
-            w0.append(w)
-    if lanes:
-        results = _lane_results(params, s0, w0, direction, cfg, stop_on_line_crossing)
-        for i, res in zip(lanes, results):
-            out[i] = res
-    return out
+    return _integrate_lanes(params, starts, [direction] * len(starts), cfg,
+                            stop_on_line_crossing)
 
 
 def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
@@ -700,7 +800,8 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
     lane that blew up), and a Termination at the far end (the near end
     stays None).  stop_on_line_crossing makes the critical-line crossing
     terminal (used by decision runs, where crossing below the line
-    already decides global existence).  A batch of one of
+    already decides global existence).  A slope of +-inf starts at a
+    pole, in the direction where |w| shrinks.  A batch of one of
     integrate_batch().
     """
     return _first(integrate_batch(params, [init], direction, cfg, stop_on_line_crossing))

@@ -319,8 +319,10 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
     point recorded), at the height ceiling s_max, at a vertical tangent
     (|alpha'| = 1e6; the wing continues past it only as a graph over the
     height, i.e. in the inverted branch), or at y0 +- y_span; arm_stop
-    records which.  The branches are the arms as graphs f(s) at samples
-    nodes outside apex_pad of the apex, with the engine's dense slope.
+    records which.  y_span, if given, must be positive and finite, and
+    alpha_floor positive.  The branches are the arms as graphs f(s) at
+    samples nodes outside apex_pad of the apex, with the engine's dense
+    slope.
 
     The translation direction breaks the y -> -y symmetry, so the two
     arms differ: a rotational spindle, for instance, is egg-shaped rather
@@ -328,6 +330,10 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
     """
     if s0 <= 0.0:
         raise ValueError("apex height s0 must be positive")
+    if not alpha_floor > 0.0:
+        raise ValueError(f"alpha_floor must be positive, got {alpha_floor}")
+    if y_span is not None and not 0.0 < y_span < math.inf:
+        raise ValueError(f"y_span must be positive and finite, got {y_span}")
     if not alpha_floor < s0 < cfg.s_max:
         raise ValueError(f"apex height s0 = {s0} must lie between alpha_floor = "
                          f"{alpha_floor} and s_max = {cfg.s_max}")

@@ -274,6 +274,13 @@ def test_wing_requires_s0(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("arg", ["--y-span=-1", "--y-span=0", "--y-span=nan", "--y-span=inf",
+                                 "--alpha-floor=0"])
+def test_wing_bad_span_or_floor_exits_2(arg, capsys):
+    assert main(["wing", "--s0", "2", arg]) == 2
+    assert arg[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
+
+
 def test_wing_csv_comments(tmp_path):
     code, text = run(tmp_path, "wing", "--s0", "1", "--eps-prime", "1",
                      "--n", "2", "--y-span", "2")

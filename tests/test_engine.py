@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -557,3 +558,107 @@ def test_pole_stable_under_chart_switch(monkeypatch, s0, w0, w_switch):
     moved = detect_blowup(integrate_bidirectional(ROT3, s0, w0))
     assert moved[1] == default[1]
     assert abs(moved[0] - default[0]) < 1e-9
+
+
+# --- huge slopes ---
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("w0", [1e300, -1e300])
+def test_huge_slope_start_does_not_overflow(w0, direction):
+    """A start with |w0| past 2^512, where w0*w0 overflows, is a start at
+    its pole where |w| grows and leaves it where |w| shrinks, with no
+    RuntimeWarning (an error in this suite)."""
+    traj = integrate(ROT3, (1.0, w0), direction)
+    if direction == "toward_infinity":
+        assert detect_blowup(traj) == (1.0, int(np.sign(w0)))
+    else:
+        assert traj.termination_left.kind is TerminationKind.DOMAIN_BOUNDARY_ZERO
+        assert np.all(np.isfinite(traj.w))
+
+
+def test_q_chart_start_keeps_its_bits_below_the_overflow():
+    """q = 1/w^2 at a q-chart start is 1/(w*w) bit for bit wherever w*w is
+    finite, and (1/w)^2 beyond."""
+    below = np.array([10.0, -37.5, 1e6, 1.3e154, -np.nextafter(2.0 ** 512, 0.0)])
+    sigma, q = engine._switch(np.zeros(below.size), below, False)
+    assert q.tobytes() == (1.0 / (below * below)).tobytes()
+    assert sigma.tolist() == np.sign(below).tolist()
+    beyond = np.array([2.0 ** 512, -1e300, math.inf])
+    assert engine._switch(np.zeros(3), beyond, False)[1].tolist() == [2.0 ** -1024, 1e-600, 0.0]
+
+
+# --- one loop per call ---
+
+def test_each_batch_is_one_loop(monkeypatch):
+    """integrate_batch, integrate_bidirectional_batch, classify_batch,
+    _pole_batch and each round of separatrix shots step all their lanes,
+    in every direction and chart, in one lockstep loop."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    compute_bowl(ROT3, CFG)    # the cache keys classify_batch reads
+    compute_separatrix(ROT3, CFG)
+    calls = []
+    advance = engine._advance
+    monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(1) or advance(*a))
+    grid = _gamma_grid(-3.0, 3.0)
+    for run in (lambda: integrate_batch(ROT3, grid, "toward_zero"),
+                lambda: integrate_bidirectional_batch(ROT3, grid),
+                lambda: classify_module.classify_batch(ROT3, grid),
+                lambda: engine._pole_batch(ROT3, 2.0, [1.0, -1.0], CFG)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+    rounds = []
+    shots = classify_module.integrate_batch
+    monkeypatch.setattr(classify_module, "integrate_batch",
+                        lambda *a, **k: rounds.append(1) or shots(*a, **k))
+    calls.clear()
+    compute_separatrix.__wrapped__(ROT3, CFG, 1e-13)
+    assert len(rounds) >= 2 and len(calls) == 1 + len(rounds)
+
+
+# --- mixed directions and charts in one batch ---
+
+def _same(a, b):
+    assert a.s.tobytes() == b.s.tobytes()
+    assert a.w.tobytes() == b.w.tobytes()
+    assert a.events == b.events
+    assert (a.termination_left, a.termination_right) == (b.termination_left,
+                                                         b.termination_right)
+    assert a.stats == b.stats
+    probes = np.linspace(a.s[0], a.s[-1], 9)
+    assert np.asarray(a.w_at(probes)).tobytes() == np.asarray(b.w_at(probes)).tobytes()
+
+
+_mixed_start = st.one_of(
+    st.tuples(st.floats(0.2, 5.0), st.floats(-0.99, 0.99)),                 # strip
+    st.tuples(st.floats(0.2, 5.0), st.floats(1.01, 3.0)),                   # gamma_plus
+    st.tuples(st.floats(0.2, 5.0), st.floats(-3.0, -1.01)),                 # gamma_minus
+    st.tuples(st.floats(0.5, 3.0), st.sampled_from([-1.0, 1.0])
+              .flatmap(lambda sg: st.floats(1e4, 1e8).map(lambda v: sg * v))),  # steep
+    st.tuples(st.floats(0.2, 5.0), st.sampled_from([-1.0, 1.0])))          # barrier
+
+
+@settings(max_examples=8, deadline=None)
+@given(starts=st.lists(_mixed_start, min_size=1, max_size=6))
+def test_bidirectional_batch_matches_one_sided_runs(starts):
+    """Both directions of every start in one batch give, bit for bit, what
+    the two one-sided integrate() calls give, joined."""
+    for (s0, w0), traj in zip(starts, integrate_bidirectional_batch(ROT3, starts)):
+        down, up = (integrate(ROT3, (s0, w0), d) for d in DIRECTIONS)
+        _same(traj, merge_bidirectional(down, up))
+
+
+@pytest.mark.parametrize("params, s0", [(ROT3, 2.0), (rotational(2, eps_prime=1), 1.0)])
+def test_pole_batch_signs_are_independent(params, s0):
+    """Both arms leaving a pole in one batch match each arm run alone."""
+    both = engine._pole_batch(params, s0, [1.0, -1.0], CFG)
+    for sigma, traj in zip((1.0, -1.0), both):
+        (alone,) = engine._pole_batch(params, s0, [sigma], CFG)
+        _same(traj, alone)
+
+
+def test_pole_lanes_get_the_start_check():
+    """A pole start is checked like any other: below the cutoff it is a
+    ValueError, not a run."""
+    out = engine._pole_batch(ROT3, 2.0, [1.0, -1.0], IntegratorConfig(s_min_eps=3.0))
+    assert all(isinstance(r, ValueError) and "cutoff" in str(r) for r in out)

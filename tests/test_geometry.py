@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +216,20 @@ def test_wing_matches_the_wing_chart(params, s0, y_span, stops):
             assert wing.contact_y[k] is None
         else:
             assert abs(wing.contact_y[k] - contact_y) <= 1e-9
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(y_span=0.0), "y_span"), (dict(y_span=-1.0), "y_span"),
+    (dict(y_span=math.nan), "y_span"), (dict(y_span=math.inf), "y_span"),
+    (dict(alpha_floor=0.0), "alpha_floor")])
+def test_wing_rejects_bad_span_and_floor(kwargs, name):
+    """A y_span that is not positive and finite, or an alpha_floor that is
+    not positive, is refused by name before any integration (a negative
+    span once ran the arms from a cutoff above the apex without end)."""
+    with pytest.raises(ValueError, match=name):
+        build_wing(ROT3, 2.0, **kwargs)
+    with pytest.raises(ValueError, match=name):
+        build_spindle(rotational(2), 1.0, **kwargs)
 
 
 def test_wing_rejects_nonpositive_apex():
