@@ -41,10 +41,11 @@ it by k-section rounds of as many starts as bring it below the tolerance.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -135,10 +136,12 @@ class SeparatrixResult:
 
     def asymptote_defect(self, s_from: float) -> float:
         """max of |c*w(s) - s|, the asymptote gap, over s_from itself (read
-        from the dense output) and the samples beyond it."""
+        from the dense output) and the samples beyond it.  s_from must lie
+        in the trajectory's span."""
         traj = self.trajectory
-        if s_from > traj.s[-1]:
-            raise ValueError(f"no samples at or beyond s = {s_from}")
+        if not traj.s[0] <= s_from <= traj.s[-1]:
+            raise ValueError(f"defect start s = {s_from} lies outside the span "
+                             f"[{traj.s[0]}, {traj.s[-1]}]")
         m = traj.s > s_from
         s = np.concatenate(([s_from], traj.s[m]))
         w = np.concatenate(([traj.w_at(s_from)], traj.w[m]))
@@ -152,7 +155,24 @@ def _require_strip_form(params: FlowParams, what: str) -> None:
             "map timelike-boost parameters through canonical_strip() first")
 
 
-@lru_cache(maxsize=32)
+def _cached(maxsize: int):
+    """lru_cache keyed on the arguments with their defaults filled in, so
+    that every spelling of one call is one entry; cache_clear(),
+    cache_info() and __wrapped__ as lru_cache's."""
+    def decorate(fn):
+        signature, cached = inspect.signature(fn), lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def call(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+    return decorate
+
+
+@_cached(maxsize=32)
 def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
                  s_start: float = 1e-4, order: int = 13) -> Trajectory:
     """The bowl trajectory over [s_min_eps, s_max], series-anchored at the center.
@@ -218,7 +238,7 @@ def _evidence(traj: Trajectory) -> dict:
                 causal=traj.causal_sign())
 
 
-@lru_cache(maxsize=8)
+@_cached(maxsize=8)
 def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
                        tol: float = 1e-10) -> SeparatrixResult:
     """Trace the upper-region threshold solution, then bracket it.

@@ -41,6 +41,7 @@ from .geometry import (
     center_regular_profile,
 )
 from .verify import (
+    MAX_JUMP_ORDER,
     GridField,
     convergence_order,
     residual_fund_eq,
@@ -527,6 +528,8 @@ def _verify_bowl(args, cfg) -> Tuple[dict, bool]:
 
 
 def _verify_hybrid(args, cfg) -> Tuple[dict, bool]:
+    if not 0 <= args.order <= MAX_JUMP_ORDER:
+        raise ValueError(f"--order must lie in 0..{MAX_JUMP_ORDER}, got {args.order}")
     sign = -1 if args.mismatch else +1
     node_seq = [args.nodes, 2 * args.nodes - 1, 4 * args.nodes - 3]
     grids = [build_hybrid(order=12, extent=args.extent, nodes=nn, cfg=cfg,

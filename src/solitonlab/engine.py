@@ -16,10 +16,11 @@ integrate() is a batch of one.  The two directions:
 
 Each lane carries its own dense output (the seventh-degree DOP853
 interpolant of every accepted step), solver counters, and its events:
-crossing the critical line, located on the step's interpolant (Shampine &
-Thompson, "Event location for ODEs", 2000).  A lane that fails (step
-collapse) comes back as its own exception and does not stop the others.
-Barrier starts are exact constant solutions and skip the stepper.
+crossing the critical line, located on the step's interpolant after the
+loop (Shampine & Thompson, "Event location for ODEs", 2000).  A lane that
+fails (step collapse) comes back as its own exception and does not stop
+the others.  Barrier starts are exact constant solutions and skip the
+stepper.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
@@ -29,12 +30,14 @@ q' = -2(et*q + ep)(sigma*sqrt(q) - h(s)), and in the w chart otherwise.
 Past that level |w| is monotone.  In the direction where it grows without
 bound (forward when et*ep = -1, toward zero otherwise) a lane passes from
 the w chart to the q chart at the level and ends at q = 1e-12, within
-about 1e-12 of its pole (q ~ (2c/s)(s* - s)): that is its BLOW_UP s.  In
-the other direction a lane passes from the q chart back to the w chart at
-the level; a start at w0 = +-inf leaves a pole, q = 0.  The switch is
-located on the step's interpolant, and the lane goes on in its next
-chart within the same loop, so a batch of any directions and charts is
-one loop; the arcs of the two charts are joined at the switch.
+about 1e-12 of its pole (q ~ (2c/s)(s* - s)): that is its BLOW_UP s,
+located like the crossings.  In the other direction a lane passes from
+the q chart back to the w chart at the level; a start at w0 = +-inf
+leaves a pole, q = 0.  A lane switches at the end of its first accepted
+step at or past the level, a point of the solution as accurate as any
+located one, and goes on in its next chart from there within the same
+loop, so a batch of any directions and charts is one loop; the arcs of
+the two charts are joined at that step end.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -117,8 +120,8 @@ _TINY = 1e-300
 _EPS = np.finfo(float).eps
 
 # event columns, the same for every lane: the critical line, recorded in
-# the w chart only, and the end of the lane's chart (see _Field); a run
-# ends at the first event of a column from its terminal one on
+# the w chart only, and the pole (see _Field); a run ends at the first
+# event of a column from its terminal one on
 _CROSS, _END = 0, 1
 # a lane is in the q chart while |w| >= max(_W_SWITCH, 2s/c); where |w|
 # grows it ends at q = 1/w^2 = _Q_END (|w| = 1e6), its pole
@@ -159,11 +162,9 @@ class _Field:
     forward where et*ep = -1, else toward zero.
 
     Event columns (rows of events()): _CROSS, the critical line
-    w = s*et/c, in the w chart only; _END, the end of the chart, at or
-    past which the column is >= 0: where |w| grows, |w| - max(_W_SWITCH,
-    2s/c) in the w chart and _Q_END - q in the q chart; where it shrinks,
-    q - 1/max(_W_SWITCH, 2s/c)^2 in the q chart and none in the w chart.
-    A column that does not apply is NaN.
+    w = s*et/c, in the w chart only; _END, the pole, _Q_END - q in the q
+    chart where |w| grows, >= 0 at or past it.  A column that does not
+    apply is NaN.  ended() tells the end of every chart (see _ended).
     """
 
     def __init__(self, params: FlowParams, log: np.ndarray, sigma: np.ndarray) -> None:
@@ -259,6 +260,9 @@ class _Field:
         return self._each(self._ended, lambda: np.empty(y.shape, dtype=bool), x, y)
 
     def _ended(self, group, x, y):
+        """Where |w| grows, |w| >= max(_W_SWITCH, 2s/c) in the w chart and
+        the pole q <= _Q_END in the q chart; where it shrinks,
+        q >= 1/max(_W_SWITCH, 2s/c)^2 in the q chart, never in the w chart."""
         _, log, sigma, grows = group
         if sigma is not None:
             return y <= _Q_END if grows else y >= self.level(_s_at(log, x)) ** -2.0
@@ -282,10 +286,7 @@ class _Field:
         (arrays, or floats for one point); None where it does not apply."""
         if col == _CROSS:
             return None if in_q else y - s * self.et / self.c
-        if not in_q:
-            return np.abs(y) - self.level(s) if grows else None
-        # a 0-d array takes numpy's array power, as whole arrays do
-        return _Q_END - y if grows else y - np.asarray(self.level(s)) ** -2.0
+        return _Q_END - y if in_q and grows else None
 
 
 def _switch(sigma, y, grows):
@@ -324,8 +325,10 @@ def _straddles(g_old, g_new):
 # seven dense-output coefficient rows F of every step
 _Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F")
 
-# how a lane's stepping in one chart ended
-_FINISHED, _TERMINAL, _COLLAPSED = range(3)
+# how a lane's stepping in one chart ended: at its bound, at a terminal
+# event, at step collapse, or past the end of the chart, open at its last
+# sample, where the lane goes on in the next chart
+_FINISHED, _TERMINAL, _COLLAPSED, _SWITCHED = range(4)
 
 # one chart of one lane: its stepping variable and chart, its start in
 # chart values, how stepping ended, attempts and accepted steps
@@ -380,22 +383,6 @@ def _stages(field: _Field, heads, cols, L, D, y, h):
     return y_i, cols[_NS]
 
 
-def _chart_ends(field: _Field, step, lanes, terminal: int):
-    """Of the lanes whose last step (step, arrays by lane) met a terminal
-    event: those whose first one met is the end of the chart, with its x
-    and y there."""
-    at = _Field(field.params, field.log[lanes], field.sigma[lanes])
-    Kd = np.empty((lanes.size, _NS + 1 + len(_C_DENSE)))
-    Kd[:, :_NS + 1] = step[-1][lanes]
-    arc, x0, h, y0, x1, y1 = (a[lanes] for a in step[:6])
-    last = _Steps(arc, x0, h, y0, x1, y1, _dense(at, x0, h, y0, y1, Kd))
-    m, col, e_x, e_y = _step_events(at, last)
-    t = np.flatnonzero(col >= terminal)
-    t = t[np.flatnonzero(np.diff(m[t], prepend=-1))]    # the first terminal event of each
-    t = t[col[t] == _END]
-    return lanes[m[t]], e_x[t], e_y[t]
-
-
 def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
              stop_on_crossing: bool):
     """Step all lanes in lockstep until each one is done.
@@ -406,18 +393,18 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
     ulp(x).  Each lane has its own stepping variable (log: x = log s down
     to log s_min_eps, else x = s up to s_max) and chart (sigma, see
     _Field).  A lane stops at its bound, at step collapse, at the line
-    crossing when stop_on_crossing, or at the end of its chart.  Where
-    another chart follows that end (the q chart where |w| grows, the w
-    chart where it shrinks), the end is located on the step's
-    interpolant, and the lane goes on from there in that chart with a
-    fresh initial step, as a new arc.
+    crossing when stop_on_crossing, or at its pole; those events are
+    located after the loop.  A step that ends at or past the end of a
+    chart that another chart follows (the q chart where |w| grows, the w
+    chart where it shrinks) ends its arc there, open, and the lane goes on
+    from that step end in the other chart with a fresh initial step, as a
+    new arc.
 
     Returns the steps (_Steps) and the arcs (_Arc): lane k's first arc at
-    index k, second arcs after all first ones.
+    index k, later arcs after all first ones.
     """
     rtol = max(cfg.rel_tol, 100 * _EPS)
     x_min = math.log(cfg.s_min_eps)
-    terminal = _CROSS if stop_on_crossing else _END
     arcs = list(map(_Arc, range(x.size), log.tolist(), sigma.tolist(), x.tolist(), y.tolist()))
     arc, fresh = np.arange(x.size), np.ones(x.size, dtype=bool)
     f, h_abs, g_cross, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(6))
@@ -435,6 +422,9 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
         bound, direction = np.where(log, x_min, cfg.s_max), np.where(log, -1.0, 1.0)
         clip = (np.minimum if not field.any_log else np.maximum if field.all_log else
                 lambda v, b: np.where(log, np.maximum(v, b), np.minimum(v, b)))
+        # lanes whose chart another one follows (the w chart where |w| grows,
+        # the q chart where it shrinks); a q chart where |w| grows ends at the pole
+        goes_on = (sigma == 0.0) == (log != params.has_barriers)
         # lanes that start a chart; the growth cap of a step is 10x, or 1x
         # right after a rejection
         new = np.flatnonzero(fresh)
@@ -492,7 +482,8 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
                 rejects += ~ok if stuck is None else ~ok & ~stuck
 
             done = ok & (x_new == bound)
-            hit = ok & field.ended(x_new, y_new)
+            ended = ok & field.ended(x_new, y_new)
+            hit = ended & ~goes_on
             if stop_on_crossing:
                 g_new = field.events(x_new, y_new)[_CROSS]
                 hit |= ok & _straddles(g_cross, g_new)
@@ -500,27 +491,24 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
             stop = done | hit
             if stuck is not None:
                 stop |= stuck
-            if np.count_nonzero(stop):
+            switch = ended & ~stop
+            if np.count_nonzero(stop | switch):
                 break
 
-        ended = np.where(hit, _TERMINAL, np.where(done, _FINISHED, _COLLAPSED))
+        outcome = np.select([hit, done, switch], [_TERMINAL, _FINISHED, _SWITCHED], _COLLAPSED)
         tries = it - start_it - (0 if stuck is None else stuck)
-        for k in np.flatnonzero(stop):
-            arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(ended[k]), attempts=int(tries[k]),
+        for k in np.flatnonzero(stop | switch):
+            arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
-        # a lane at the end of a chart that another chart follows goes on in
-        # it, unless that chart starts at its bound
-        ends = np.flatnonzero(hit & ((sigma == 0.0) == (log != params.has_barriers)))
+        ends = np.flatnonzero(switch)
         if ends.size:
-            ends, x_end, y_end = _chart_ends(field, step, ends, terminal)
-            arc, x, y = arc.copy(), x.copy(), y.copy()    # the step's arrays are on record
-            x[ends] = x_end
-            sigma[ends], y[ends] = _switch(sigma[ends], y_end, True)
+            arc, y = arc.copy(), y.copy()    # the step's arrays are on record
+            sigma[ends], y[ends] = _switch(sigma[ends], y[ends], True)
             for k in ends:
                 arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), float(sigma[k]),
                                  float(x[k]), float(y[k])))
                 arc[k] = len(arcs) - 1
-            stop[ends], fresh[ends] = x_end == bound[ends], True
+            fresh[ends] = True
         keep = np.flatnonzero(~stop)
     return _collect(params, arcs, records), arcs
 
@@ -657,8 +645,9 @@ def _checked_start(params: FlowParams, init, direction: str,
 def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
           stop_on_crossing: bool) -> List[Result]:
     """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
-    a step collapse.  An arc ends at its terminal event: BLOW_UP at
-    q = _Q_END where |w| grows, else open."""
+    a step collapse.  An arc ends at its terminal event (BLOW_UP at
+    q = _Q_END where |w| grows, else open), at its bound, or open at its
+    last sample, where its lane switched chart."""
     terminal = _CROSS if stop_on_crossing else _END
     m, col, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
     step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
@@ -693,7 +682,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
         records = [EventRecord(EventKind.CROSSED_LINE_R, float(e_s[j]), float(e_y[j]))
                    for j in np.flatnonzero(e_col == _CROSS)]
         far = None    # open at the line crossing and at the switch
-        if arc.outcome != _TERMINAL:
+        if arc.outcome == _FINISHED:
             far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if arc.log else
                               TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
                               value=float(ws[-1]))

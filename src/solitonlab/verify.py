@@ -238,6 +238,8 @@ _ONE_SIDED = {
     3: np.array([-2.5, 9.0, -12.0, 7.0, -1.5]),
     4: np.array([3.0, -14.0, 26.0, -24.0, 11.0, -2.0]),
 }
+# the highest jump order the stencil table resolves
+MAX_JUMP_ORDER = max(_ONE_SIDED)
 
 
 def smoothness_scan(field: GridField, max_order: int = 2) -> np.ndarray:
@@ -256,10 +258,10 @@ def smoothness_scan(field: GridField, max_order: int = 2) -> np.ndarray:
     x, y = field.axes
     if len(x) != len(y) or not np.allclose(x, y, rtol=0, atol=1e-12 * max(1, abs(x[-1]))):
         raise ValueError("scan needs identical axes so diagonal nodes exist")
-    if max_order > max(_ONE_SIDED):
-        warnings.warn(f"order capped at {max(_ONE_SIDED)} by the stencil table",
+    if max_order > MAX_JUMP_ORDER:
+        warnings.warn(f"order capped at {MAX_JUMP_ORDER} by the stencil table",
                       stacklevel=2)
-        max_order = max(_ONE_SIDED)
+        max_order = MAX_JUMP_ORDER
     m = len(x)
     need = max_order + 2 if max_order >= 1 else 1
     if need >= m // 2:

@@ -182,6 +182,31 @@ def test_separatrix_cached():
     assert compute_separatrix(ROT3) is compute_separatrix(ROT3)
 
 
+def test_one_cache_entry_per_computed_object(monkeypatch):
+    """Every spelling of a call, defaults left out or written out, is one
+    cache entry: after warming without cfg, classify_batch (which passes
+    it) integrates only its own starts, in one loop."""
+    engine_module = importlib.import_module("solitonlab.engine")
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    assert compute_bowl(ROT3) is compute_bowl(ROT3, IntegratorConfig())
+    assert compute_bowl(ROT3) is compute_bowl(ROT3, cfg=IntegratorConfig(), order=13)
+    assert compute_separatrix(ROT3) is compute_separatrix(ROT3, IntegratorConfig())
+    assert compute_separatrix(ROT3) is compute_separatrix(ROT3, IntegratorConfig(), tol=1e-10)
+    assert (compute_bowl.cache_info().currsize, compute_separatrix.cache_info().currsize) == (1, 1)
+    calls = []
+    advance = engine_module._advance
+    monkeypatch.setattr(engine_module, "_advance", lambda *a: calls.append(1) or advance(*a))
+    classify_batch(ROT3, [(1.0, 0.5), (2.0, 1.5)])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("s_from", [-1.0, np.nan, 101.0])
+def test_separatrix_asymptote_defect_needs_s_in_span(separatrix, s_from):
+    with pytest.raises(ValueError, match="span"):
+        separatrix.asymptote_defect(s_from)
+
+
 def test_separatrix_asymptote_defect(separatrix):
     d50 = separatrix.asymptote_defect(50.0)
     assert d50 == pytest.approx(SEP_DEFECT_50, rel=1e-6)

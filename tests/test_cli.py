@@ -248,6 +248,16 @@ def test_separatrix_small_s_max_defect_default(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("defect_s", ["-1", "nan"])
+def test_separatrix_defect_s_outside_the_span_exits_2(defect_s, capsys):
+    """A --defect-s below the span, or NaN, is an error, not a NaN in the
+    JSON report."""
+    assert main(["separatrix", "--n", "3", f"--defect-s={defect_s}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "span" in captured.err
+
+
 def test_separatrix_rejects_zero_tol(capsys):
     assert main(["separatrix", "--tol", "0"]) == 2
     err = capsys.readouterr().err
@@ -341,6 +351,15 @@ def test_bad_grid_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["-1", "5", "10"])
+def test_verify_hybrid_order_outside_the_stencil_table_exits_2(order, capsys):
+    """Jump orders past the stencil table (0..4) are a usage error, not a
+    traceback with the exit code of a failed verification."""
+    assert main(["verify", "hybrid", "--nodes", "21", f"--order={order}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--order" in err and "Traceback" not in err
 
 
 def _cli_subprocess(*argv):

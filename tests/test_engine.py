@@ -662,3 +662,29 @@ def test_pole_lanes_get_the_start_check():
     ValueError, not a run."""
     out = engine._pole_batch(ROT3, 2.0, [1.0, -1.0], IntegratorConfig(s_min_eps=3.0))
     assert all(isinstance(r, ValueError) and "cutoff" in str(r) for r in out)
+
+
+# --- the switch at a step end ---
+
+_BLOW_UP_STARTS = [(0.5, 3.0), (1.0, 2.5), (2.0, 3.0), (3.0, 3.5),
+                   (0.5, -1.5), (1.0, -3.0), (2.5, -1.2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("s0, w0", _BLOW_UP_STARTS)
+def test_switch_goes_on_from_the_step_end(n, s0, w0):
+    """A lane that reaches the switch level goes on in the q chart from
+    the end of that step: a run started at the first sample with
+    |w| >= max(10, 2s/c) gives, bit for bit, the lane's later samples,
+    its pole and its dense output past that sample."""
+    params = rotational(n)
+    traj = integrate(params, (s0, w0), "toward_infinity")
+    assert traj.termination_right.kind is TerminationKind.BLOW_UP
+    i = int(np.argmax(np.abs(traj.w) >= np.maximum(10.0, 2.0 * traj.s / params.fiber_coeff)))
+    assert 0 < i < traj.s.size - 1
+    rest = integrate(params, (traj.s[i], traj.w[i]), "toward_infinity")
+    assert rest.s.tobytes() == traj.s[i:].tobytes()
+    assert rest.w[1:].tobytes() == traj.w[i + 1:].tobytes()
+    assert rest.termination_right == traj.termination_right
+    probes = np.linspace(traj.s[i], traj.s[-1], 9)[1:]
+    assert np.asarray(rest.w_at(probes)).tobytes() == np.asarray(traj.w_at(probes)).tobytes()

@@ -23,42 +23,42 @@ GOLDEN = [
     (["portrait", "--n", "3", "--region", "strip", *_GRID, "--w0-grid=-0.95:0.95:4"], 0,
      "26a221dd7cbe456c8637323b4f1538c3638dc2e4ffc5c233f812c3e29ca676d2"),
     (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4"], 0,
-     "ef3dd32646008c871e4fe56136b0c9263b47c39edceb71a48d9459dc1d01d436"),
+     "73f53d4c066caa95cf580e2bb936b880807eab82702ade929f28bb26cea68e16"),
     (["portrait", "--n", "3", "--region", "gamma_minus", *_GRID, "--w0-grid=-3:-1.05:4"], 0,
-     "1327b859f6eb871a43b989979a9f2f53a1ce0e7e9b4d8cd0228ff2146eaba452"),
+     "5ca15a8675c791a30681d9f90972cdf9efa01c1791d6a6f271979e0cff9d5afb"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "timelike_T",
       "--s0-grid", "0.5:4:3", "--w0-grid=-0.95:0.95:3"], 0,
      "09953197119e5d959f1db98f73816b2bb777859839a885c74c113d7fb9fac03d"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "spacelike_S",
       "--s0-grid", "0.5:4:2", "--w0-grid=-3:3:2"], 0,
-     "d133dcf6635590f6f142bb75f598bb301b6e6c31238a90f701f6dbc10e872221"),
+     "8e52c57aa00d0c77702b44a33a953399dd94e02293e9b18918797ca5754f2d9e"),
     (["classify", "--s0", "1", "--w0", "0.5"], 0,
      "85132aa1501dcf71eabb922b43ee67d571e6a8320b436aabd6498196aa325624"),
     (["classify", "--s0", "2", "--w0", "3", "--json"], 0,
-     "26152bde6da86a1919e99859e7a8477333f88b549220d4f7af1b9e4a2103bb08"),
+     "d31a9556b9f8bfd328fe1bd1b0623c395a5af81b04d89d2aee54859607a3704b"),
     (["classify", "--s0", "1", "--w0=-2"], 0,
-     "bda02d4abc1e2c98e7eb48e646cc09b852533786f9ea24137791a60a9d80ce5c"),
+     "860c9c7d556da4ecb8ec968235e5a7e19e89b24d7c924fc811906cc67973cfc7"),
     (["classify", "--s0", "1", "--w0=-1e4"], 0,
-     "b71c5f6fced1bab0e3f1905af3a519634e9597d8575a0249521a286a866d4c51"),
+     "ee8d2068aadc8bccea807d42bbaf7b180136de06a7372f99456c6c23432f9552"),
     (["classify", "--s0", "1", "--w0", "1e5"], 0,
-     "6d81049fe2e6966cba7968b5d220c124bcdac112a52ec0b6785b6df7e1901008"),
+     "f536ddbc6512fbe219489377565121a12e72177e7082d6b10085ce53985dd8b7"),
     (["classify", "--s0", "1", "--w0=-1e300"], 0,
-     "71e84f15c5c2f63bc10334b9d25a7fb087b5e4dfeb239a45685e22417ad3edc6"),
+     "09c47b43965e8ea247f340ddf2715b870730e4b49866e6513f01d04bacb99815"),
     (["separatrix", "--n", "3"], 0,
      "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
      "e3768b8695c31f9cdc3154050e3bc0fed25a29568baca04f823b9581fdadcd56"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
-     "0600afaeb62a05f2af7590da0ae4129cafedc8a4126a3683db568758d92ffd43"),
+     "18396233ee059e202fd317b83a9bff3d4b52d4a26174aa6f086e3422bf48d770"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
-     "80a8f0209ac849a993cec514908ec22774258934ab53ef37e929f6970fca12b8"),
+     "45ebe2811f34e2da97c95f356debb31a8a2243ea85862e9eacac74967f299b64"),
     (["spindle", "--s0", "1", "--n", "2"], 0,
-     "be7cde2d3b107d2e02f351ee6bbbec3ca969e1c4347aced7796111179f5e73d8"),
+     "6eaab6f871d3d6aabe9f92cf8c1c76809cf10806e9528079b5e857129ee0662e"),
     (["bowl", "--n", "3", "--samples", "51"], 0,
      "317bd4a83c7c3682fb98a805e7f8fa97c63525b02806e1adc507565cb0af4abc"),
     (["mesh", "spindle", "--n", "2", "--s0", "1", "--theta-samples", "8",
       "--profile-samples", "16"], 0,
-     "31011c603028a8711228a93bf276a7431e1d29983665f267c8f91d7c3f6003c2"),
+     "b23a1f05a61e03bb3f44b9df06c8af2253fde29ba3ab6d90e535d3e235bfd4c5"),
     (["mesh", "hybrid", "--nodes", "21"], 0,
      "78c73dea9dbf36a86d65684a5913302727438f08b9b264740a379ee01bf46e6b"),
     (["verify", "hybrid", "--nodes", "21"], 1,
