@@ -445,7 +445,10 @@ def cmd_mesh(args) -> int:
         meta = [meta_cmd, f"params: {_params_line(params)}", "class: bowl"]
         if args.action == "boost":
             timelike = args.region == "timelike_T"
-            surface = mesh.boost_sweep(s, f, n_t, args.theta_max, timelike)
+            try:
+                surface = mesh.boost_sweep(s, f, n_t, args.theta_max, timelike)
+            except ValueError as exc:
+                raise ValueError(f"--theta-max: {exc}") from exc
         else:
             surface = mesh.revolve(s, f, n_t)
         _emit(_obj_text(meta, *surface), args.out)

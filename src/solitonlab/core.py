@@ -250,7 +250,11 @@ class SolverStats:
 
     Adding two records sums them, as merge_bidirectional does for the two
     arcs of a trajectory.  A trajectory no stepper produced (a barrier
-    constant, hand-built samples) carries zeros.
+    constant, hand-built samples) carries zeros.  The steps of a lane
+    after it lands on a barrier, w = +-1 exactly, are written out without
+    running the rhs, since the field is 0 there; they count as accepted
+    steps and in rhs_evals as if stepped, so accepted is still the number
+    of sampling intervals.
     """
 
     accepted: int = 0

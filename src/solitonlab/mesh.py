@@ -38,10 +38,21 @@ def revolve(s: np.ndarray, z: np.ndarray, n_theta: int):
 def boost_sweep(s: np.ndarray, z: np.ndarray, n_theta: int, theta_max: float,
                 timelike: bool):
     """Boost orbits of the profile z(s) over hyperbolic angles within
-    theta_max: (s cosh t, s sinh t), or (s sinh t, s cosh t) when timelike."""
+    theta_max: (s cosh t, s sinh t), or (s sinh t, s cosh t) when timelike.
+    theta_max must be positive and finite, and every vertex finite."""
+    if not 0.0 < theta_max < math.inf:
+        raise ValueError(f"theta_max must be positive and finite, got {theta_max}")
     theta = np.linspace(-theta_max, theta_max, n_theta)
     fx, fy = (math.sinh, math.cosh) if timelike else (math.cosh, math.sinh)
-    return _sweep(s, z, theta, fx, fy, closed=False)
+    try:
+        with np.errstate(over="raise"):
+            verts, faces = _sweep(s, z, theta, fx, fy, closed=False)
+        finite = np.isfinite(verts).all()
+    except (OverflowError, FloatingPointError):
+        finite = False
+    if not finite:
+        raise ValueError(f"theta_max = {theta_max} gives vertices that are not finite")
+    return verts, faces
 
 
 def cap_ends(surface, n_theta: int, z_ends):

@@ -362,6 +362,18 @@ def test_verify_hybrid_order_outside_the_stencil_table_exits_2(order, capsys):
     assert err.startswith("error: ") and "--order" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta_max", ["nan", "inf", "0", "-1", "1000"])
+def test_mesh_boost_bad_theta_max_exits_2(theta_max, capsys):
+    """A boost sweep needs a positive, finite angle range whose vertices
+    stay finite; NaN or infinite vertices, a degenerate or flipped sweep and
+    a cosh overflow are usage errors."""
+    argv = ["mesh", "bowl", "--action", "boost", f"--theta-max={theta_max}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--theta-max" in captured.err
+
+
 def _cli_subprocess(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

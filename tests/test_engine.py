@@ -165,6 +165,22 @@ def test_constant_barrier_shortcut():
     assert set(np.unique(down.w)) == {-1.0}
 
 
+@pytest.mark.parametrize("s0, direction", [(100.0, "toward_infinity"), (1e-10, "toward_zero")])
+@pytest.mark.parametrize("w0", [1.0, -1.0])
+def test_barrier_start_at_its_bound_is_one_sample(s0, direction, w0):
+    """A barrier start at the end of its span is the one sample there, with
+    the end's termination, as any other start at its bound."""
+    traj = integrate(ROT3, (s0, w0), direction)
+    assert traj.s.tolist() == [s0] and traj.w.tolist() == [w0]
+    end = traj.termination_left if direction == "toward_zero" else traj.termination_right
+    assert end.kind is (TerminationKind.DOMAIN_BOUNDARY_ZERO if direction == "toward_zero"
+                        else TerminationKind.REACHED_S_MAX)
+    assert traj.w_at(s0) == w0
+    both = integrate_bidirectional(ROT3, s0, w0)
+    assert both.s[0 if direction == "toward_zero" else -1] == s0
+    assert set(both.w.tolist()) == {w0}
+
+
 def test_strip_trajectories_stay_in_open_strip():
     rng = np.random.default_rng(11)
     for _ in range(12):
@@ -614,6 +630,64 @@ def test_each_batch_is_one_loop(monkeypatch):
     calls.clear()
     compute_separatrix.__wrapped__(ROT3, CFG, 1e-13)
     assert len(rounds) >= 2 and len(calls) == 1 + len(rounds)
+
+
+@pytest.mark.parametrize("grid, most", [((-0.95, 0.95), 66), ((1.05, 3.0), 106)])
+def test_coast_cost_does_not_depend_on_s_max(monkeypatch, grid, most):
+    """A lane whose accepted step lands on a barrier, w = +-1 exactly, is
+    not stepped on to s_max: its remaining steps are exact and come in
+    closed form.  An 8x8 strip or gamma_plus grid, both directions, takes
+    as many lockstep iterations at s_max = 1e4 as at 100 (the stepped
+    coast took 137 and 10037 on the strip grid)."""
+    calls = []
+    stages = engine._stages
+    monkeypatch.setattr(engine, "_stages", lambda *a: calls.append(1) or stages(*a))
+    counts = []
+    for s_max in (100.0, 1e4):
+        calls.clear()
+        integrate_bidirectional_batch(ROT3, _gamma_grid(*grid), IntegratorConfig(s_max=s_max))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= most
+    traj = integrate(ROT3, (1.0, 0.5), "toward_infinity", IntegratorConfig(s_max=1e4))
+    assert traj.w[-1] == 1.0 and traj.s[-1] == 1e4
+    assert traj.stats.accepted == len(traj.s) - 1 > 1e4 - 100
+
+
+def _stepped_coast(x, h, log, cfg):
+    """(x0, x1) of each step scipy's rule takes on a barrier, one by one:
+    the error norm is 0, so a step is the last one grown 10x, at most
+    max_step, at least 10 ulp of x, and cut at the bound."""
+    bound, sign = (math.log(cfg.s_min_eps), -1.0) if log else (cfg.s_max, 1.0)
+    steps = []
+    while not steps or steps[-1][1] != bound:
+        h = max(min(h, cfg.max_step), 10.0 * abs(float(np.nextafter(x, sign * np.inf)) - x))
+        x_new = max(x - h, bound) if log else min(x + h, bound)
+        steps.append((x, x_new))
+        h, x = abs(x_new - x) * 10.0, x_new
+    return steps
+
+
+@pytest.mark.parametrize("cfg", [CFG, IntegratorConfig(max_step=0.1, s_max=37.0),
+                                 IntegratorConfig(max_step=7.0, s_max=1e3, s_min_eps=1e-3)])
+def test_coast_takes_the_steps_of_the_step_rule(cfg):
+    """The closed-form coast gives, for every lane, the steps the step rule
+    takes one by one, from any landing x and next step size, down to steps
+    below the 10-ulp minimum, and counts them as accepted steps."""
+    rng = np.random.default_rng(3)
+    log = rng.random(60) < 0.5
+    x = np.where(log, rng.uniform(math.log(cfg.s_min_eps) + 0.1, 3.0, 60),
+                 rng.uniform(0.01, cfg.s_max - 0.1, 60))
+    x[:3], log[:3] = [0.0, 1e-300, 2.0], True
+    h = 10.0 ** rng.uniform(-320.0, 1.0, 60)
+    h[::7] = 0.0
+    arcs = [engine._Arc(k, bool(lg), 0.0, 0.0, 0.0) for k, lg in enumerate(log)]
+    arc, x0, _, y0, x1, _ = engine._coast(arcs, [(np.arange(60), x, -np.ones(60), h, log)], cfg)
+    assert set(y0.tolist()) == {-1.0}
+    for k in range(60):
+        mine = arc == k
+        want = _stepped_coast(float(x[k]), float(h[k]), bool(log[k]), cfg)
+        assert list(zip(x0[mine].tolist(), x1[mine].tolist())) == want
+        assert arcs[k].accepted == arcs[k].attempts == len(want)
 
 
 # --- mixed directions and charts in one batch ---

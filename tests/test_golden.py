@@ -63,6 +63,14 @@ GOLDEN = [
      "78c73dea9dbf36a86d65684a5913302727438f08b9b264740a379ee01bf46e6b"),
     (["verify", "hybrid", "--nodes", "21"], 1,
      "4681637d37103dae708c195b6f7bc625884be8478612738f543dfd07cabd7dc9"),
+    (["classify", "--s0", "1", "--w0", "0.5", "--s-max", "10000", "--json"], 0,
+     "af4ff08c49e30b33e92d6ad9cdb0c36bc279a7a5d7ed76b76e12e0378d63faf9"),
+    (["portrait", "--n", "3", "--region", "strip", *_GRID, "--w0-grid=-0.95:0.95:4",
+      "--s-max", "1000"], 0,
+     "26a221dd7cbe456c8637323b4f1538c3638dc2e4ffc5c233f812c3e29ca676d2"),
+    (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4",
+      "--s-max", "1000"], 0,
+     "73f53d4c066caa95cf580e2bb936b880807eab82702ade929f28bb26cea68e16"),
 ]
 
 
