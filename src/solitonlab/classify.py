@@ -75,6 +75,10 @@ from .engine import (
 
 # starts per k-section round of compute_separatrix
 _SHOTS = 64
+# a strip start within this of the bowl is the bowl; an upper start within
+# this, relative to max(1, |w|), of the separatrix is the separatrix
+_BOWL_TOL = 1e-9
+_SEPARATRIX_TOL = 1e-9
 
 
 class SolutionClassTag(Enum):
@@ -323,9 +327,8 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
 
 
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
-                   cfg: IntegratorConfig = IntegratorConfig(),
-                   bowl_tol: float = 1e-9,
-                   separatrix_tol: float = 1e-9) -> List[Union[SolutionClass, Exception]]:
+                   cfg: IntegratorConfig = IntegratorConfig()
+                   ) -> List[Union[SolutionClass, Exception]]:
     """classify() for every start, with one batched bidirectional
     integration for all the starts that need a trajectory.
 
@@ -337,8 +340,7 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
     pending = []
     for i, (s0, w0) in enumerate(starts):
         try:
-            verdict = _verdict(params, float(s0), float(w0), cfg, bowl_tol,
-                               separatrix_tol)
+            verdict = _verdict(params, float(s0), float(w0), cfg)
         except (ValueError, RuntimeError) as exc:
             verdict = exc
         if isinstance(verdict, tuple):
@@ -352,8 +354,7 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
     return out
 
 
-def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
-             bowl_tol: float, separatrix_tol: float):
+def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig):
     """The SolutionClass of a start that needs no integration of its own,
     else its (init, tag) for the batched integration."""
     if not (s0 > 0.0 and math.isfinite(s0)):
@@ -376,7 +377,7 @@ def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
     if region is Region.INNER_STRIP:
         bowl = compute_bowl(params, cfg)
         margin = w0 - float(bowl.w_at(s0))
-        if abs(margin) <= bowl_tol:
+        if abs(margin) <= _BOWL_TOL:
             return SolutionClass(SolutionClassTag.BOWL, init, **_evidence(bowl))
         return init, (SolutionClassTag.BELOW_BOWL if margin < 0
                       else SolutionClassTag.ABOVE_BOWL)
@@ -387,7 +388,7 @@ def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
     sep = compute_separatrix(params, cfg)
     threshold = float(sep.trajectory.w_at(s0))
     margin = w0 - threshold
-    if abs(margin) <= separatrix_tol * max(1.0, abs(threshold)):
+    if abs(margin) <= _SEPARATRIX_TOL * max(1.0, abs(threshold)):
         return SolutionClass(SolutionClassTag.SEPARATRIX, init,
                              **_evidence(sep.trajectory))
     return init, (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
@@ -395,9 +396,7 @@ def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig,
 
 
 def classify(params: FlowParams, s0: float, w0: float,
-             cfg: IntegratorConfig = IntegratorConfig(),
-             bowl_tol: float = 1e-9,
-             separatrix_tol: float = 1e-9) -> SolutionClass:
+             cfg: IntegratorConfig = IntegratorConfig()) -> SolutionClass:
     """Name the solution through (s0, w0) and gather its evidence.
 
     Strip initial conditions are compared against the bowl at s0; upper
@@ -407,7 +406,7 @@ def classify(params: FlowParams, s0: float, w0: float,
     whose canonical trajectories are reused.  A batch of one of
     classify_batch().
     """
-    return _first(classify_batch(params, [(s0, w0)], cfg, bowl_tol, separatrix_tol))
+    return _first(classify_batch(params, [(s0, w0)], cfg))
 
 
 def classify_as_posed_batch(

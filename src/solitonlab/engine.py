@@ -149,18 +149,9 @@ def _s_at(log: bool, x):
     return _libm(math.exp, x) if log else x
 
 
-def _points(mask):
-    """The points of a mask: a slice where they are contiguous, else their
-    indices; None where there are none."""
-    idx = np.flatnonzero(mask)
-    if not idx.size:
-        return None
-    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == idx.size else idx
-
-
 class _Field:
     """The phase equation at a set of points, each in its own stepping
-    variable and chart.
+    variable and chart, told apart by masks over the points.
 
     Toward infinity x = s and the field is the s-derivative; toward zero
     (log) x = log s and it is s times that, which stays bounded near 0.
@@ -168,13 +159,15 @@ class _Field:
     points of one chart share one evaluation whatever their directions.
     The w chart (sigma = 0) carries w, read clamped at +-_W_CAP; the q
     chart carries q = 1/w^2 of a slope with sign sigma, read clamped at 0.
-    The clamps keep wild trial stages finite.  |w| grows without bound
-    forward where et*ep = -1, else toward zero.
+    The clamps keep wild trial stages finite.  Where all points share a
+    chart the field is computed in that chart alone, else in both, each
+    point reading its own.  |w| grows without bound forward where
+    et*ep = -1, else toward zero.
 
     Event columns (rows of events()): _CROSS, the critical line
     w = s*et/c, in the w chart only; _END, the pole, _Q_END - q in the q
     chart where |w| grows, >= 0 at or past it.  A column that does not
-    apply is NaN.  ended() tells the end of every chart (see _ended).
+    apply is NaN.  ended() tells the end of every chart.
     """
 
     def __init__(self, params: FlowParams, log: np.ndarray, sigma: np.ndarray) -> None:
@@ -184,32 +177,23 @@ class _Field:
         self.etc = params.eps_tilde * params.fiber_coeff
         n_log = np.count_nonzero(log)
         self.any_log, self.all_log = n_log > 0, n_log == log.size
-        in_q = sigma != 0.0
-        # (points, sigma or None in the w chart) of each chart, and (points,
-        # log, sigma or None, whether |w| grows) of each chart and direction
-        self.charts = [(idx, sigma[idx] if q else None) for q in (False, True)
-                       if (idx := _points(in_q == q)) is not None]
-        self.groups = [(idx, lg, sigma[idx] if q else None, lg != params.has_barriers)
-                       for q in (False, True) for lg in (False, True)
-                       if (idx := _points((in_q == q) & (log == lg))) is not None]
+        self.in_q = sigma != 0.0
+        n_q = np.count_nonzero(self.in_q)
+        self.any_q, self.all_q = n_q > 0, n_q == sigma.size
+        grows = log != params.has_barriers
+        # w-chart points where |w| grows; q-chart points where it grows (to
+        # the pole) and where it shrinks
+        self.w_grows = grows & ~self.in_q
+        self.to_pole = np.flatnonzero(grows & self.in_q)
+        self.from_pole = np.flatnonzero(~grows & self.in_q)
 
-    def _each(self, fn, make, *arrays):
-        """fn(group, *arrays at its points) of each chart-and-direction
-        group, the points along the last axis, gathered into make(); a
-        single group is computed whole."""
-        if len(self.groups) == 1:
-            return fn(self.groups[0], *arrays)
-        out = make()
-        for group in self.groups:
-            out[..., group[0]] = fn(group, *(a[..., group[0]] for a in arrays))
-        return out
-
-    def s_of(self, x):
-        """s at stepping-variable values x."""
+    def s_of(self, x, at=slice(None)):
+        """s at stepping-variable values x of the points at (all of them)."""
         if self.all_log or not self.any_log:
             return _s_at(self.all_log, x)
+        log = self.log[at]
         s = x.copy()
-        s[..., self.log] = _libm(math.exp, x[..., self.log])
+        s[..., log] = _libm(math.exp, x[..., log])
         return s
 
     def ld(self, s):
@@ -222,32 +206,27 @@ class _Field:
         return self.rate(*self.ld(s), z, out)
 
     def rate(self, L, D, z, out=None):
-        """The field at chart values z, with (L, D) from ld()."""
-        if len(self.charts) == 1:
-            return self._rate(self.charts[0][1], L, D, z, out)
-        out = np.empty_like(z) if out is None else out
-        for idx, sigma in self.charts:    # in place where idx is a slice
-            view = isinstance(idx, slice)
-            part = self._rate(sigma, None if L is None else L[idx], None if D is None else D[idx],
-                              z[idx], out[idx] if view else None)
-            if not view:
-                out[idx] = part
-        return out
-
-    def _rate(self, sigma, L, D, z, out):
-        """(et + ep*w^2)(L - w*etc/D) in the w chart (sigma None),
+        """The field at chart values z, with (L, D) from ld():
+        (et + ep*w^2)(L - w*etc/D) in the w chart,
         -2(et*q + ep)(sigma*sqrt(q)*L - etc/D) in the q chart."""
-        if sigma is None:
-            z = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
-            zz = z * z
-            q = self.et - zz if self.ep < 0 else self.et + zz
-            t = z * self.etc
-            return np.multiply(q, (1.0 if L is None else L) - (t if D is None else t / D),
-                               out=out)
-        a = -2.0 * (self.et * z + self.ep)
-        r = sigma * np.sqrt(np.maximum(z, 0.0))
-        return np.multiply(a, (r if L is None else r * L)
-                           - (self.etc if D is None else self.etc / D), out=out)
+        if not self.all_q:
+            w = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
+            ww = w * w
+            a = self.et - ww if self.ep < 0 else self.et + ww
+            t = w * self.etc
+            out = np.multiply(a, (1.0 if L is None else L) - (t if D is None else t / D), out=out)
+            if not self.any_q:
+                return out
+        # w-chart slopes may be huge: the q chart reads them as 0
+        q = z if self.all_q else np.where(self.in_q, z, 0.0)
+        a = -2.0 * (self.et * q + self.ep)
+        r = self.sigma * np.sqrt(np.maximum(q, 0.0))
+        q = np.multiply(a, (r if L is None else r * L) - (self.etc if D is None else self.etc / D),
+                        out=out if self.all_q else None)
+        if self.all_q:
+            return q
+        np.copyto(out, q, where=self.in_q)
+        return out
 
     def step_cap(self, y, f):
         """The longest step from chart values y with slope f.  q is not
@@ -255,48 +234,40 @@ class _Field:
         q-chart step toward it goes past 0.7 of the way to where the
         tangent meets q = _Q_END/2; the tangent overshoots the pole by less
         than 1.3x."""
-        if not any(sigma is not None and grows for _, _, sigma, grows in self.groups):
+        at = self.to_pole
+        if not at.size:
             return math.inf
-        return self._each(lambda g, y, f: 0.7 * (y - 0.5 * _Q_END) / np.abs(f)
-                          if g[2] is not None and g[3] else math.inf,
-                          lambda: np.empty(y.shape), y, f)
+        cap = np.full(y.shape, math.inf)
+        cap[at] = 0.7 * (y[at] - 0.5 * _Q_END) / np.abs(f[at])
+        return cap
 
     def level(self, s):
         """The switch level max(_W_SWITCH, 2s/c) at s."""
         return np.maximum(_W_SWITCH, 2.0 * s / self.c)
 
     def ended(self, x, y):
-        """Whether points (x, y) lie at or past the end of their chart."""
-        return self._each(self._ended, lambda: np.empty(y.shape, dtype=bool), x, y)
-
-    def _ended(self, group, x, y):
-        """Where |w| grows, |w| >= max(_W_SWITCH, 2s/c) in the w chart and
-        the pole q <= _Q_END in the q chart; where it shrinks,
+        """Whether points (x, y) lie at or past the end of their chart:
+        where |w| grows, |w| >= max(_W_SWITCH, 2s/c) in the w chart and the
+        pole q <= _Q_END in the q chart; where it shrinks,
         q >= 1/max(_W_SWITCH, 2s/c)^2 in the q chart, never in the w chart."""
-        _, log, sigma, grows = group
-        if sigma is not None:
-            return y <= _Q_END if grows else y >= self.level(_s_at(log, x)) ** -2.0
-        if not grows:
-            return np.zeros(y.shape, dtype=bool)
-        end = np.abs(y) >= _W_SWITCH
+        end = self.w_grows & (np.abs(y) >= _W_SWITCH)
         if np.count_nonzero(end):
-            end &= np.abs(y) >= 2.0 * _s_at(log, x) / self.c
+            at = np.flatnonzero(end)
+            end[at] = np.abs(y[at]) >= 2.0 * self.s_of(x[at], at) / self.c
+        if self.any_q:
+            end[self.to_pole] = y[self.to_pole] <= _Q_END
+        at = self.from_pole
+        if at.size:
+            end[at] = y[at] >= self.level(self.s_of(x[at], at)) ** -2.0
         return end
 
     def events(self, x, y):
         """The event columns at points (x, y), one row each."""
-        return self._each(self._events, lambda: np.empty((2,) + y.shape), self.s_of(x), y)
-
-    def _events(self, group, s, y):
-        rows = (self.event(col, group[2] is not None, group[3], s, y) for col in (_CROSS, _END))
-        return np.stack([np.full(y.shape, np.nan) if e is None else e for e in rows])
-
-    def event(self, col, in_q, grows, s, y):
-        """Event column col at points (s, y) of one chart and direction
-        (arrays, or floats for one point); None where it does not apply."""
-        if col == _CROSS:
-            return None if in_q else y - s * self.et / self.c
-        return _Q_END - y if in_q and grows else None
+        cross, end = y - self.s_of(x) * self.et / self.c, np.full(y.shape, np.nan)
+        if self.any_q:
+            cross = np.where(self.in_q, np.nan, cross)
+            end[self.to_pole] = _Q_END - y[self.to_pole]
+        return np.stack([cross, end])
 
 
 def _switch(sigma, y, grows):
@@ -401,16 +372,18 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
     initial step, error norm, SAFETY 0.9, factor clamp [0.2, 10], no
     growth right after a rejection, max_step, and a minimum step of 10
     ulp(x).  Each lane has its own stepping variable (log: x = log s down
-    to log s_min_eps, else x = s up to s_max) and chart (sigma, see
-    _Field).  A lane stops at its bound, at step collapse, at the line
-    crossing when stop_on_crossing, or at its pole; those events are
-    located after the loop.  A step that ends at or past the end of a
-    chart that another chart follows (the q chart where |w| grows, the w
-    chart where it shrinks) ends its arc there, open, and the lane goes on
-    from that step end in the other chart with a fresh initial step, as a
-    new arc.  In a barrier pattern, unless stop_on_crossing, a w-chart
-    step that ends at w = +-1.0 exactly also stops the lane: its arc is
-    finished, and its remaining steps to the bound come from _coast.
+    to log s_min_eps, else x = s up to s_max) and chart (sigma), masks of
+    one _Field over all lanes still stepping.  A lane stops at its bound,
+    at step collapse, at the line crossing when stop_on_crossing, or at
+    its pole; those events are located after the loop.  A step that ends
+    at or past the end of a chart that another chart follows (the q chart
+    where |w| grows, the w chart where it shrinks) ends its arc there,
+    open, and the lane goes on from that step end in the other chart with
+    a fresh initial step, as a new arc.  In a barrier pattern, unless
+    stop_on_crossing, a w-chart step that ends at w = +-1.0 exactly also
+    stops the lane: its arc is finished, and its remaining steps to the
+    bound come from _coast.  After a step where a lane stops or switches,
+    the stopped lanes are dropped and the field is rebuilt.
 
     Returns the steps (_Steps) and the arcs (_Arc): lane k's first arc at
     index k, later arcs after all first ones.
@@ -418,99 +391,102 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
     rtol = max(cfg.rel_tol, 100 * _EPS)
     x_min = math.log(cfg.s_min_eps)
     arcs = list(map(_Arc, range(x.size), log.tolist(), sigma.tolist(), x.tolist(), y.tolist()))
-    arc, fresh = np.arange(x.size), np.ones(x.size, dtype=bool)
+    arc, switch = np.arange(x.size), np.zeros(x.size, dtype=bool)
     f, h_abs, g_cross, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(6))
     bound = np.where(log, x_min, cfg.s_max)
     # no lane's minimum step 10*ulp(x) can exceed this
     min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(bound, x))))
-    keep, records, it = np.flatnonzero(x != bound), [], 0
     # lanes that land on a barrier stop stepping and coast after the loop
     coasting, coasts = params.has_barriers and not stop_on_crossing, []
-    while keep.size:
-        # the lanes still stepping, grouped by stepping variable and chart
-        keep = keep[np.argsort(2 * (sigma[keep] != 0.0) + log[keep], kind="stable")]
-        arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it, log, sigma, fresh = (
-            a[keep] for a in (arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it,
-                              log, sigma, fresh))
-        field = _Field(params, log, sigma)
-        bound, direction = np.where(log, x_min, cfg.s_max), np.where(log, -1.0, 1.0)
-        clip = (np.minimum if not field.any_log else np.maximum if field.all_log else
-                lambda v, b: np.where(log, np.maximum(v, b), np.minimum(v, b)))
-        # lanes whose chart another one follows (the w chart where |w| grows,
-        # the q chart where it shrinks); a q chart where |w| grows ends at the pole
-        goes_on = (sigma == 0.0) == (log != params.has_barriers)
-        # lanes that start a chart; the growth cap of a step is 10x, or 1x
-        # right after a rejection
-        new = np.flatnonzero(fresh)
-        if new.size:
-            at = _Field(params, log[new], sigma[new])
-            f[new] = at(at.s_of(x[new]), y[new])
-            h_abs[new] = _initial_step(at, x[new], y[new], f[new], bound[new], direction[new],
-                                       rtol, cfg)
-            if stop_on_crossing:
-                g_cross[new] = at.events(x[new], y[new])[_CROSS]
-            grow_cap[new], rejects[new], start_it[new], fresh[new] = _MAX_FACTOR, 0, it, False
-        capped = True
-        K = np.empty((keep.size, _NS + 1))
-        cols, heads = [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
+    # the lanes to go on with after a step where lanes stopped or switched, else None
+    keep, records, it = np.flatnonzero(x != bound), [], 0
+    while keep is None or keep.size:
+        if keep is not None:
+            # copies: the last step's arrays are on record
+            arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it, log, sigma, switch = (
+                a[keep] for a in (arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it,
+                                  log, sigma, switch))
+            # lanes that start a chart: all at first, then the switched ones
+            new = np.flatnonzero(switch) if it else np.arange(arc.size)
+            if it:
+                sigma[new], y[new] = _switch(sigma[new], y[new], True)
+                for k in new.tolist():
+                    arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), float(sigma[k]),
+                                     float(x[k]), float(y[k])))
+                    arc[k] = len(arcs) - 1
+            field = _Field(params, log, sigma)
+            bound, direction = np.where(log, x_min, cfg.s_max), np.where(log, -1.0, 1.0)
+            # lanes whose chart another one follows (the w chart where |w| grows,
+            # the q chart where it shrinks); a q chart where |w| grows ends at the pole
+            goes_on = (sigma == 0.0) == (log != params.has_barriers)
+            if new.size:    # the growth cap of a step is 10x, or 1x right after a rejection
+                at = _Field(params, log[new], sigma[new])
+                f[new] = at(at.s_of(x[new]), y[new])
+                h_abs[new] = _initial_step(at, x[new], y[new], f[new], bound[new],
+                                           direction[new], rtol, cfg)
+                if stop_on_crossing:
+                    g_cross[new] = at.events(x[new], y[new])[_CROSS]
+                grow_cap[new], rejects[new], start_it[new] = _MAX_FACTOR, 0, it
+            capped, keep = True, None
+            K = np.empty((arc.size, _NS + 1))
+            cols, heads = [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
 
-        while True:
-            it += 1
-            h_abs = np.minimum(h_abs, np.minimum(field.step_cap(y, f), cfg.max_step))
-            stuck = None
-            if np.count_nonzero(h_abs < min_step_cap):
-                min_step = 10.0 * np.abs(np.nextafter(x, direction * np.inf) - x)
-                stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
-                h_abs = np.maximum(h_abs, min_step)
-            x_new = clip(x + h_abs * direction, bound)
-            h = x_new - x
-            h_abs = np.abs(h)
+        it += 1
+        h_abs = np.minimum(h_abs, np.minimum(field.step_cap(y, f), cfg.max_step))
+        stuck = None
+        if np.count_nonzero(h_abs < min_step_cap):
+            min_step = 10.0 * np.abs(np.nextafter(x, direction * np.inf) - x)
+            stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
+            h_abs = np.maximum(h_abs, min_step)
+        # the step end, cut at the bound (min or max: direction is +-1)
+        x_new = direction * np.minimum(direction * (x + h_abs * direction), direction * bound)
+        h = x_new - x
+        h_abs = np.abs(h)
 
-            cols[0][:] = f
-            y_new, f_new = _stages(field, heads, cols, *field.ld(field.s_of(x + _C[:, None] * h)),
-                                   y, h)
+        cols[0][:] = f
+        y_new, f_new = _stages(field, heads, cols, *field.ld(field.s_of(x + _C[:, None] * h)),
+                               y, h)
 
-            y_big = np.maximum(np.abs(y), np.abs(y_new))
-            err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
-            err *= err
-            e5 = err[:, 0]
-            denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
-            norm = h_abs * e5 / np.sqrt(denom)
-            ok = norm < 1.0
-            if stuck is not None:
-                ok &= ~stuck
-            grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
-            # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
-            h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
+        y_big = np.maximum(np.abs(y), np.abs(y_new))
+        err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
+        err *= err
+        e5 = err[:, 0]
+        denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
+        norm = h_abs * e5 / np.sqrt(denom)
+        ok = norm < 1.0
+        if stuck is not None:
+            ok &= ~stuck
+        grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
+        # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
+        h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
 
-            step = (arc, x, h, y, x_new, y_new, K.copy())
-            if np.count_nonzero(ok) == ok.size:
-                records.append(step)
-                x, y, f = x_new, y_new, step[-1][:, _NS]
-                if capped:
-                    grow_cap, capped = np.full(arc.size, _MAX_FACTOR), False
-            else:
-                records.append(tuple(a[ok] for a in step))
-                x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
-                grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
-                rejects += ~ok if stuck is None else ~ok & ~stuck
+        step = (arc, x, h, y, x_new, y_new, K.copy())
+        if np.count_nonzero(ok) == ok.size:
+            records.append(step)
+            x, y, f = x_new, y_new, step[-1][:, _NS]
+            if capped:
+                grow_cap, capped = np.full(arc.size, _MAX_FACTOR), False
+        else:
+            records.append(tuple(a[ok] for a in step))
+            x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
+            grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
+            rejects += ~ok if stuck is None else ~ok & ~stuck
 
-            done = ok & (x_new == bound)
-            ended = ok & field.ended(x_new, y_new)
-            hit = ended & ~goes_on
-            if stop_on_crossing:
-                g_new = field.events(x_new, y_new)[_CROSS]
-                hit |= ok & _straddles(g_cross, g_new)
-                g_cross = np.where(ok, g_new, g_cross)
-            landed = (ok & ~done & ~hit & (sigma == 0.0) & (np.abs(y_new) == 1.0)
-                      if coasting else False)
-            stop = done | hit | landed
-            if stuck is not None:
-                stop |= stuck
-            switch = ended & ~stop
-            if np.count_nonzero(stop | switch):
-                break
-
+        done = ok & (x_new == bound)
+        ended = ok & field.ended(x_new, y_new)
+        hit = ended & ~goes_on
+        if stop_on_crossing:
+            g_new = field.events(x_new, y_new)[_CROSS]
+            hit |= ok & _straddles(g_cross, g_new)
+            g_cross = np.where(ok, g_new, g_cross)
+        landed = (ok & ~done & ~hit & (sigma == 0.0) & (np.abs(y_new) == 1.0)
+                  if coasting else False)
+        stop = done | hit | landed
+        if stuck is not None:
+            stop |= stuck
+        switch = ended & ~stop
+        if not np.count_nonzero(stop | switch):
+            continue
         outcome = np.select([hit, done | landed, switch], [_TERMINAL, _FINISHED, _SWITCHED],
                             _COLLAPSED)
         tries = it - start_it - (0 if stuck is None else stuck)
@@ -519,15 +495,6 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
                                                  accepted=int(tries[k] - rejects[k]))
         if np.count_nonzero(landed):
             coasts.append(tuple(a[landed] for a in (arc, x, y, h_abs, log)))
-        ends = np.flatnonzero(switch)
-        if ends.size:
-            arc, y = arc.copy(), y.copy()    # the step's arrays are on record
-            sigma[ends], y[ends] = _switch(sigma[ends], y[ends], True)
-            for k in ends:
-                arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), float(sigma[k]),
-                                 float(x[k]), float(y[k])))
-                arc[k] = len(arcs) - 1
-            fresh[ends] = True
         keep = np.flatnonzero(~stop)
     return _collect(params, arcs, records, _coast(arcs, coasts, cfg)), arcs
 
@@ -624,51 +591,48 @@ def _dense(field: _Field, x0, h, y0, y1, Kd):
     return F
 
 
-def _root(g, a: float, b: float) -> float:
-    """A zero of g on [a, b] by Illinois false position down to scipy's
-    4 eps.  Where g does not change sign (rounding at an end), the end
-    nearer zero."""
+def _illinois(g, a, b):
+    """Zeros on [a, b] of g, a batch of functions evaluated together
+    (g(x)[k] at x[k]), all at once by Illinois false position down to
+    scipy's 4 eps.  Where g does not change sign (rounding at an end), the
+    end nearer zero."""
     ga, gb = g(a), g(b)
-    root = a if abs(ga) <= abs(gb) else b
-    if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
-        return root
-    kept = 0    # +1: a kept last time, -1: b kept
+    root = np.where(np.abs(ga) <= np.abs(gb), a, b)
+    at = np.flatnonzero((ga != 0.0) & (gb != 0.0) & ((ga > 0.0) != (gb > 0.0)))
+    a, b, ga, gb = a[at], b[at], ga[at], gb[at]
+    kept = np.zeros(at.size)    # +1: a kept last time, -1: b kept
     for _ in range(200):
-        mid = b - gb * (b - a) / (gb - ga)
-        if not (mid - a) * (mid - b) < 0.0:
-            mid = 0.5 * (a + b)
-        root, gm = mid, g(mid)
-        if (gm > 0.0) == (ga > 0.0):    # the zero lies in [mid, b]; gm = 0 ends the search
-            gb = 0.5 * gb if kept == -1 else gb
-            a, ga, kept = mid, gm, -1
-        else:
-            ga = 0.5 * ga if kept == 1 else ga
-            b, gb, kept = mid, gm, 1
-        if gm == 0.0 or not abs(b - a) > 4 * _EPS * (1.0 + abs(mid)):
+        if not at.size:
             break
+        mid = b - gb * (b - a) / (gb - ga)
+        mid = np.where((mid - a) * (mid - b) < 0.0, mid, 0.5 * (a + b))
+        root[at] = mid
+        gm = g(root)[at]
+        right = (gm > 0.0) == (ga > 0.0)    # the zero lies in [mid, b]
+        gb = np.where(right & (kept == -1), 0.5 * gb, gb)
+        ga = np.where(~right & (kept == 1), 0.5 * ga, ga)
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
+        ga, gb = np.where(right, gm, ga), np.where(right, gb, gm)
+        kept = np.where(right, -1.0, 1.0)
+        go = (gm != 0.0) & (np.abs(b - a) > 4 * _EPS * (1.0 + np.abs(mid)))
+        at, a, b, ga, gb, kept = (v[go] for v in (at, a, b, ga, gb, kept))
     return root
 
 
 def _step_events(field: _Field, steps: _Steps):
     """The events met on steps: step index, column and the (x, y) of each,
-    located on the step's interpolant (_root), each step's in the order
+    located on the step's interpolant (_illinois), each step's in the order
     met (ties by column)."""
     g = _straddles(field.events(steps.x0, steps.y0), field.events(steps.x1, steps.y1))
     m, col = np.nonzero(g.T)
-    log, in_q = field.log[m], field.sigma[m] != 0.0
-    kind = list(zip(col.tolist(), in_q.tolist(), (log != field.params.has_barriers).tolist(),
-                    log.tolist()))
-    x0, h, y0, x1, F = (steps[i][m].tolist() for i in (1, 2, 3, 4, 6))
-
-    def event(k, x):
-        c, q, grows, lg = kind[k]
-        return float(field.event(c, q, grows, math.exp(x) if lg else x,
-                                 _interpolate(F[k], x0[k], h[k], y0[k], x)))
-
-    root = np.array([_root(partial(event, k), x0[k], x1[k]) for k in range(m.size)])
-    y = _interpolate(steps.F[m].T, steps.x0[m], steps.h[m], steps.y0[m], root)
-    met = np.lexsort((col, np.where(log, -root, root), m))
-    return m[met], col[met], root[met], y[met]
+    met = _Field(field.params, field.log[m], field.sigma[m])
+    F, x0, h, y0 = steps.F[m].T, steps.x0[m], steps.h[m], steps.y0[m]
+    cols = (col, np.arange(m.size))
+    root = _illinois(lambda x: met.events(x, _interpolate(F, x0, h, y0, x))[cols], x0,
+                     steps.x1[m])
+    y = _interpolate(F, x0, h, y0, root)
+    order = np.lexsort((col, np.where(met.log, -root, root), m))
+    return m[order], col[order], root[order], y[order]
 
 
 def _dense_output(log: bool, sigma: float, x_nodes, steps: _Steps, lo: int, hi: int,
@@ -726,12 +690,13 @@ def _checked_start(params: FlowParams, init, direction: str,
     return s0, w0
 
 
-def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
+def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], cfg: IntegratorConfig,
           stop_on_crossing: bool) -> List[Result]:
     """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
     a step collapse.  An arc ends at its terminal event (BLOW_UP at
-    q = _Q_END where |w| grows, else open), at its bound, or open at its
-    last sample, where its lane switched chart."""
+    q = _Q_END where |w| grows, else open), at its bound (toward zero at
+    exactly s_min_eps, not at exp(log s_min_eps)), or open at its last
+    sample, where its lane switched chart."""
     terminal = _CROSS if stop_on_crossing else _END
     m, col, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
     step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
@@ -761,6 +726,8 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
         # numpy's exp and argsort, as the samples of scipy's solution were
         # mapped and sorted
         s_samples = np.exp(xs) if arc.log else xs
+        if arc.log and arc.outcome == _FINISHED:
+            s_samples[-1] = cfg.s_min_eps
         ws = _to_w(arc.sigma, ys)
         e_s = _s_at(arc.log, e_x)
         records = [EventRecord(EventKind.CROSSED_LINE_R, float(e_s[j]), float(e_y[j]))
@@ -805,7 +772,7 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
             out[i] = exc
             continue
         if params.has_barriers and (abs(w - 1.0) <= BARRIER_TOL or abs(w + 1.0) <= BARRIER_TOL):
-            out[i] = _constant_trajectory(params, s, round(w), direction, cfg)
+            out[i] = _constant_trajectory(params, s, math.copysign(1.0, w), direction, cfg)
         else:
             lanes.append((i, math.log(s) if direction == "toward_zero" else s, w,
                           direction == "toward_zero"))
@@ -817,7 +784,7 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
     in_q = np.abs(w) >= field.level(field.s_of(x))
     sigma[in_q], y[in_q] = _switch(sigma[in_q], w[in_q], log[in_q] != params.has_barriers)
     steps, arcs = _advance(params, x, y, log, sigma, cfg, stop_on_line_crossing)
-    for arc, res in zip(arcs, _arcs(params, steps, arcs, stop_on_line_crossing)):
+    for arc, res in zip(arcs, _arcs(params, steps, arcs, cfg, stop_on_line_crossing)):
         k = index[arc.lane]
         if out[k] is not None and not isinstance(res, Exception):
             res = merge_bidirectional(*((res, out[k]) if arc.log else (out[k], res)))

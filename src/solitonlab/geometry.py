@@ -233,6 +233,8 @@ class WingResult:
 # an arm stops where its slope |alpha'| = 1/|w| reaches this, just short of
 # a vertical tangent of alpha(y), past which y turns back
 _STEEP = 1e6
+# the branches of a wing leave out the nodes within this of its apex
+_APEX_PAD = 1e-3
 
 
 def _steep_end(traj: Trajectory, sigma: float, d: float) -> Optional[float]:
@@ -307,7 +309,7 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
 def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
                cfg: IntegratorConfig = IntegratorConfig(),
                y_span: Optional[float] = None, alpha_floor: float = 1e-4,
-               apex_pad: float = 1e-3, samples: int = 4001) -> WingResult:
+               samples: int = 4001) -> WingResult:
     """Wing profile through the apex (y0, s0), with inverted branches.
 
     The apex is a strict extremum (alpha''(y0) = ep*et*c/s0), a pole of
@@ -321,8 +323,8 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
     height, i.e. in the inverted branch), or at y0 +- y_span; arm_stop
     records which.  y_span, if given, must be positive and finite, and
     alpha_floor positive.  The branches are the arms as graphs f(s) at
-    samples nodes outside apex_pad of the apex, with the engine's dense
-    slope.
+    samples nodes more than _APEX_PAD = 1e-3 from the apex, with the
+    engine's dense slope.
 
     The translation direction breaks the y -> -y symmetry, so the two
     arms differ: a rotational spindle, for instance, is egg-shaped rather
@@ -348,7 +350,7 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
         a_g = s0 + d * t_g * t_g
         parts.append((y_g, a_g, np.where(t_g > 0.0, 1.0 / traj.w_at(a_g), 0.0)))
         contact_y.append(float(y[-1] - s[-1] * w[-1]) if stop == "contact" else None)
-        keep = (np.abs(s - s0) > apex_pad) & (u > apex_pad)
+        keep = (np.abs(s - s0) > _APEX_PAD) & (u > _APEX_PAD)
         if np.count_nonzero(keep) >= 8:
             s_b, f_b, w_b = (a[keep][::int(d)] for a in (s, y, w))    # ascending in s
             branches.append(ProfileCurve(kind="graph", params=params, s=s_b, f=f_b, w=w_b,
@@ -439,8 +441,13 @@ class HybridField:
     u_tilde: Callable = field(repr=False)
 
 
-def center_profile_eval(params: FlowParams, order: int = 12,
-                        series_radius: float = 0.5, r_max: float = 5.0,
+# center-regular profiles are their center series out to this radius
+_SERIES_RADIUS = 0.5
+# the lightcone tube masked in a hybrid grid sample is this many cells wide
+_TUBE_CELLS = 3
+
+
+def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
                         cfg: IntegratorConfig = IntegratorConfig(),
                         samples: int = 6001) -> Tuple[Callable, Callable]:
     """Dense (height, slope) evaluators on [0, r_max] for the center-regular
@@ -454,10 +461,10 @@ def center_profile_eval(params: FlowParams, order: int = 12,
     pattern.
     """
     a = bowl_series_coeffs(params, order)
-    run_cfg = replace(cfg, s_max=max(r_max, series_radius * 2))
-    start = PhaseState(series_radius, float(eval_series(a, series_radius)))
+    run_cfg = replace(cfg, s_max=max(r_max, _SERIES_RADIUS * 2))
+    start = PhaseState(_SERIES_RADIUS, float(eval_series(a, _SERIES_RADIUS)))
     traj = _series_anchored(params, start, order, run_cfg)
-    curve = _profile(traj, series_radius, run_cfg.s_max, samples, series=a)
+    curve = _profile(traj, _SERIES_RADIUS, run_cfg.s_max, samples, series=a)
     return curve.f_dense, curve.w_dense
 
 
@@ -495,21 +502,20 @@ def center_regular_profile(params: FlowParams, span: float,
 def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
                  extent: float = 2.0, nodes: int = 201,
                  cfg: IntegratorConfig = IntegratorConfig(),
-                 f2_sign: int = +1, series_radius: float = 0.5,
-                 tube_cells: int = 3) -> Tuple[HybridField, GridField]:
+                 f2_sign: int = +1) -> Tuple[HybridField, GridField]:
     """Assemble the glued lightcone-invariant graph and a grid sample.
 
     The two pieces are the center-regular profiles of the boost reduction
     on the spacelike and timelike sides of the cone (both with vanishing
-    center slope, evaluated by series inside series_radius and by
+    center slope, evaluated by series inside _SERIES_RADIUS = 0.5 and by
     integration beyond).  mask picks 2, 3 or 4 cyclically adjacent
     quadrants.  f2_sign = -1 deliberately breaks the gluing (a control
     for the smoothness scan: the order-2 transverse jump then persists
     under refinement instead of decaying).
 
     Returns the field plus a GridField sample on [-extent, extent]^2 with
-    Lorentzian signature (+, -), masked on a tube_cells-wide tube around
-    the lightcone and on excluded quadrants.
+    Lorentzian signature (+, -), masked on a tube _TUBE_CELLS = 3 cells
+    wide around the lightcone and on excluded quadrants.
     """
     qs = _validate_mask(mask)
     if f2_sign not in (-1, +1):
@@ -523,8 +529,8 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
     p1 = boost(2, "spacelike")
     p2 = boost(2, "timelike")
     r_need = extent * 1.05 + 0.5
-    f1 = center_profile_eval(p1, order, series_radius, r_need, cfg)[0]
-    f2 = center_profile_eval(p2, order, series_radius, r_need, cfg)[0]
+    f1 = center_profile_eval(p1, order, r_need, cfg)[0]
+    f2 = center_profile_eval(p2, order, r_need, cfg)[0]
     a1 = bowl_series_coeffs(p1, order)
     a2 = bowl_series_coeffs(p2, order)
     mask_set = set(qs)
@@ -563,7 +569,7 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
     values = u(X, Y)
     h = float(ax[1] - ax[0])
     dist_cone = np.minimum(np.abs(X - Y), np.abs(X + Y)) / math.sqrt(2.0)
-    gmask = dist_cone <= tube_cells * h
+    gmask = dist_cone <= _TUBE_CELLS * h
     qgrid = quadrant_of(X, Y)
     for qi in (1, 2, 3, 4):
         if qi not in mask_set:

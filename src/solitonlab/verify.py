@@ -159,7 +159,11 @@ def residual_fund_eq(field: GridField, w2_floor: float = 1e-6) -> ResidualStats:
                          field=residual, eps=eps)
 
 
-def residual_keyODE(profile, n_check: int = 1500, edge_skip: float = 0.01) -> float:
+# residual_keyODE checks the reduced equation at this many points
+_N_CHECK = 1500
+
+
+def residual_keyODE(profile, edge_skip: float = 0.01) -> float:
     """Max residual |f'' - (et + ep f'^2)(1 - f' h)| of a graph profile.
 
     f'' comes from centrally differencing the profile's dense slope
@@ -178,7 +182,7 @@ def residual_keyODE(profile, n_check: int = 1500, edge_skip: float = 0.01) -> fl
     w_of = profile.w_dense
     span = s[-1] - s[0]
     lo, hi = s[0] + edge_skip * span, s[-1] - edge_skip * span
-    q = np.linspace(lo, hi, n_check)
+    q = np.linspace(lo, hi, _N_CHECK)
     # optimal central-difference step for ~1e-13 evaluator noise
     dq = 6.7e-5 * np.maximum(np.abs(q), 0.05 * span)
     dq = np.minimum(dq, 0.45 * np.minimum(q - s[0], s[-1] - q))

@@ -1,6 +1,7 @@
 import importlib
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -179,6 +180,33 @@ def test_barrier_start_at_its_bound_is_one_sample(s0, direction, w0):
     both = integrate_bidirectional(ROT3, s0, w0)
     assert both.s[0 if direction == "toward_zero" else -1] == s0
     assert set(both.w.tolist()) == {w0}
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("w0", [1.0, -1.0])
+def test_barrier_termination_value_is_a_float(direction, w0):
+    """A barrier start reports the value at its end as a float, as every
+    stepped lane does."""
+    traj = integrate(ROT3, (2.0, w0), direction)
+    end = traj.termination_left if direction == "toward_zero" else traj.termination_right
+    assert type(end.value) is float and end.value == w0
+
+
+@pytest.mark.parametrize("s_min_eps", [1e-10, 1e-3])
+@pytest.mark.parametrize("start", ["coasting", "stepped", "constant", "at_bound"])
+def test_zero_cutoff_end_is_s_min_eps(s_min_eps, start):
+    """A run toward zero ends at s_min_eps exactly, not at exp(log
+    s_min_eps) (9.999999999999996e-11 at the default): stepped lanes, with
+    or without a closed-form coast, barrier constants and starts at the
+    cutoff alike; no sample lies below the start."""
+    cfg = IntegratorConfig(s_min_eps=s_min_eps)
+    init = {"coasting": (2.0, 0.5), "stepped": (2.0, 1.5), "constant": (2.0, 1.0),
+            "at_bound": (s_min_eps, 0.5)}[start]
+    traj = integrate(ROT3, init, "toward_zero", cfg)
+    assert traj.s[0] == traj.termination_left.s == s_min_eps
+    assert traj.termination_left.value == traj.w[0]
+    both = integrate_bidirectional(ROT3, *init, cfg)
+    assert both.s[0] == s_min_eps
 
 
 def test_strip_trajectories_stay_in_open_strip():
@@ -601,6 +629,46 @@ def test_q_chart_start_keeps_its_bits_below_the_overflow():
     assert sigma.tolist() == np.sign(below).tolist()
     beyond = np.array([2.0 ** 512, -1e300, math.inf])
     assert engine._switch(np.zeros(3), beyond, False)[1].tolist() == [2.0 ** -1024, 1e-600, 0.0]
+
+
+def _illinois_one(g, a, b):
+    """Illinois false position on one function, one float at a time: the
+    reference for engine._illinois."""
+    ga, gb = g(a), g(b)
+    root = a if abs(ga) <= abs(gb) else b
+    if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
+        return root
+    kept = 0
+    for _ in range(200):
+        mid = b - gb * (b - a) / (gb - ga)
+        if not (mid - a) * (mid - b) < 0.0:
+            mid = 0.5 * (a + b)
+        root, gm = mid, g(mid)
+        if (gm > 0.0) == (ga > 0.0):
+            gb = 0.5 * gb if kept == -1 else gb
+            a, ga, kept = mid, gm, -1
+        else:
+            ga = 0.5 * ga if kept == 1 else ga
+            b, gb, kept = mid, gm, 1
+        if gm == 0.0 or not abs(b - a) > 4 * np.finfo(float).eps * (1.0 + abs(mid)):
+            break
+    return root
+
+
+def test_illinois_matches_the_one_at_a_time_search():
+    """The batched event search gives each function the root, bit for bit,
+    that the search on it alone gives: roots inside, at either end, and
+    no sign change (the end nearer zero)."""
+    rng = np.random.default_rng(5)
+    r, c = rng.uniform(-3.0, 3.0, 40), rng.uniform(0.0, 5.0, 40)
+    a, b = r - rng.uniform(0.0, 2.0, 40), r + rng.uniform(0.0, 2.0, 40)
+    a[:3], b[3:6], a[6:9] = r[:3], r[3:6], r[6:9] + 0.5    # zero at a, at b, none
+
+    def g(x, k=slice(None)):
+        return (x - r[k]) * (1.0 + c[k] * (x - r[k]) * x)
+
+    roots = engine._illinois(g, a, b)
+    assert roots.tolist() == [_illinois_one(partial(g, k=k), a[k], b[k]) for k in range(40)]
 
 
 # --- one loop per call ---

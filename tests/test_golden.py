@@ -10,11 +10,14 @@ CHANGES.md.
 import hashlib
 import io
 from contextlib import redirect_stdout
+from functools import partial
 
+import numpy as np
 import pytest
 
-from solitonlab import cli
-from solitonlab.classify import compute_bowl, compute_separatrix
+from solitonlab import cli, rotational
+from solitonlab.classify import compute_bowl, compute_separatrix, integrate_bidirectional_batch
+from solitonlab.engine import IntegratorConfig, _pole_batch, integrate_batch
 
 _GRID = ["--s0-grid", "0.5:4:4"]
 
@@ -47,7 +50,7 @@ GOLDEN = [
     (["separatrix", "--n", "3"], 0,
      "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
-     "e3768b8695c31f9cdc3154050e3bc0fed25a29568baca04f823b9581fdadcd56"),
+     "d2445233a5350c60ca3a18a4583cd8a4c06e66d4571443e7de6f54dcbabbf8b3"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
      "18396233ee059e202fd317b83a9bff3d4b52d4a26174aa6f086e3422bf48d770"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
@@ -89,3 +92,47 @@ def test_stdout_is_byte_stable(argv, code, digest):
     got_code, text = run_cold(argv)
     assert got_code == code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _lane_bytes(res):
+    """The bytes of one lane's result: samples, events, terminations,
+    counters and dense output at 9 probes (the repr of a lane error)."""
+    if isinstance(res, Exception):
+        return repr(res).encode()
+    probes = np.linspace(res.s[0], res.s[-1], 9)
+    return b"|".join([res.s.tobytes(), res.w.tobytes(),
+                      repr((res.events, res.termination_left, res.termination_right,
+                            res.stats)).encode(),
+                      np.asarray(res.w_at(probes), dtype=float).tobytes()])
+
+
+# (n, w0 range) of the 8x8 grids, s0 in [0.5, 4]: strip, gamma_plus, gamma_minus
+_BITS_GRIDS = [(n, w) for n in (2, 3) for w in ((-0.95, 0.95), (1.05, 3.0), (-3.0, -1.05))]
+
+
+def test_engine_bits():
+    """The engine's samples, events, terminations, counters and dense
+    output, bit for bit, on the portrait grids, a decision-shot grid, the
+    bowl, the separatrix and a pole batch; every lane of a grid gets the
+    same bits with the lanes in reverse order."""
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    digest = hashlib.sha256()
+
+    def grid(run, starts):
+        lanes = [_lane_bytes(r) for r in run(starts)]
+        assert [_lane_bytes(r) for r in run(starts[::-1])][::-1] == lanes
+        digest.update(b"".join(lanes))
+
+    for n, (lo, hi) in _BITS_GRIDS:
+        starts = [(s, w) for s in np.linspace(0.5, 4.0, 8) for w in np.linspace(lo, hi, 8)]
+        grid(partial(integrate_bidirectional_batch, rotational(n)), starts)
+        if n == 3 and lo == 1.05:
+            grid(lambda st: integrate_batch(rotational(3), st, "toward_infinity",
+                                            stop_on_line_crossing=True), starts)
+    params, cfg = rotational(3), IntegratorConfig()
+    digest.update(_lane_bytes(compute_bowl(params)))
+    sep = compute_separatrix(params)
+    digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
+    grid(lambda sigmas: _pole_batch(params, 2.0, sigmas, cfg), [1.0, -1.0])
+    assert digest.hexdigest() == "ae3e3edea3cc363ef294e43ec8258622292ad6f203bc8a474057ee14336cb4ec"
