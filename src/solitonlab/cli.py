@@ -506,13 +506,18 @@ def _second_order(rep) -> bool:
                 and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
 
 
+def _check_grid(nodes: int, ndim: int, remedy: str) -> None:
+    """Refuse a verify grid of nodes^ndim points beyond 5,000,000 before
+    anything is allocated."""
+    if nodes ** ndim > 5_000_000:
+        raise ValueError(f"grid too large for this base dimension; {remedy}")
+
+
 def _verify_bowl(args, cfg) -> Tuple[dict, bool]:
     params = rotational(args.n)
     hs = _parse_h_list(args.h)
     nodes = [_nodes_for(args.extent, h) for h in hs]
-    if args.n >= 3 and max(nodes) ** args.n > 5_000_000:
-        raise ValueError("grid too large for this base dimension; "
-                         "coarsen --h or shrink --extent")
+    _check_grid(max(nodes), args.n, "coarsen --h or shrink --extent")
     curve = bowl_curve(params, cfg)
     fields = [sample_radial_field(curve.f_dense, args.extent, nn, ndim=args.n)
               for nn in nodes]
@@ -535,6 +540,7 @@ def _verify_hybrid(args, cfg) -> Tuple[dict, bool]:
         raise ValueError(f"--order must lie in 0..{MAX_JUMP_ORDER}, got {args.order}")
     sign = -1 if args.mismatch else +1
     node_seq = [args.nodes, 2 * args.nodes - 1, 4 * args.nodes - 3]
+    _check_grid(node_seq[-1], 2, "lower --nodes")
     grids = [build_hybrid(order=12, extent=args.extent, nodes=nn, cfg=cfg,
                           f2_sign=sign)[1] for nn in node_seq]
     rep = convergence_order(*grids)

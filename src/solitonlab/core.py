@@ -211,7 +211,8 @@ def causal_sign(params: FlowParams, w, tol: float = LIGHTLIKE_TOL) -> int:
     Barrier-asymptotic samples sit at +-1 exactly in double precision and
     are ignored rather than letting them mask the open-region sign.
     """
-    q = params.eps_prime + params.eps_tilde * np.asarray(w, dtype=float) ** 2
+    with np.errstate(over="ignore"):    # a slope near a pole squares to inf
+        q = params.eps_prime + params.eps_tilde * np.asarray(w, dtype=float) ** 2
     q = np.atleast_1d(q)[np.abs(np.atleast_1d(q)) > tol]
     if q.size == 0:
         return 0
@@ -233,9 +234,10 @@ class TerminationKind(Enum):
 class Termination:
     """Endpoint record: the kind plus the location/value evidence.
 
-    For BLOW_UP, s is the pole location, where q = 1/w^2 falls to 1e-12
-    (|w| = 1e6), within about 1e-12 of the pole, and sign the direction
-    (+1 for w -> +inf).  For the other kinds value carries the final slope.
+    For BLOW_UP, s is the pole location, s(0) in the chart s(p) of
+    p = 1/w, and sign the direction (+1 for w -> +inf); the trajectory's
+    last sample there sits at |w| = 1e6, about 1e-12 short of the pole.
+    For the other kinds value carries the final slope.
     """
 
     kind: TerminationKind

@@ -24,20 +24,21 @@ stepper.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
-chart rule holds in both directions: a lane is in the chart
-q = 1/w^2 of its sign sigma whenever |w| >= max(10, 2s/c), where
-q' = -2(et*q + ep)(sigma*sqrt(q) - h(s)), and in the w chart otherwise.
-Past that level |w| is monotone.  In the direction where it grows without
-bound (forward when et*ep = -1, toward zero otherwise) a lane passes from
-the w chart to the q chart at the level and ends at q = 1e-12, within
-about 1e-12 of its pole (q ~ (2c/s)(s* - s)): that is its BLOW_UP s,
-located like the crossings.  In the other direction a lane passes from
-the q chart back to the w chart at the level; a start at w0 = +-inf
-leaves a pole, q = 0.  A lane switches at the end of its first accepted
-step at or past the level, a point of the solution as accurate as any
-located one, and goes on in its next chart from there within the same
-loop, so a batch of any directions and charts is one loop; the arcs of
-the two charts are joined at that step end.
+chart rule holds in both directions: a lane is in the chart of
+p = 1/w, which steps p and carries s, with
+ds/dp = -p / ((et*p^2 + ep)(p - h(s))), whenever |w| >= max(10, 2s/c), and
+in the w chart otherwise.  Past that level |w| is monotone, and s(p) is
+regular at p = 0, where the w chart has its pole.  In the direction where
+|w| grows without bound (forward when et*ep = -1, toward zero otherwise)
+a lane passes from the w chart to the p chart at the level and steps p to
+0: the step end s(0) is its BLOW_UP s, and its last sample sits on that
+step at |w| = 1e6, about 1e-12 short of the pole.  In the other
+direction a lane passes from the p chart back to the w chart at the
+level; a start at w0 = +-inf leaves a pole, p = +-0.  A lane switches at
+the end of its first accepted step at or past the level, a point of the
+solution as accurate as any located one, and goes on in its next chart
+from there within the same loop, so a batch of any directions and charts
+is one loop; the arcs of the two charts are joined at that step end.
 
 The barriers w = +-1 of the patterns with et*ep = -1 are exact solutions,
 and most strip solutions settle onto one.  Once an accepted w-chart step
@@ -129,14 +130,10 @@ _EXPONENT = -1.0 / 8.0
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
 
-# event columns, the same for every lane: the critical line, recorded in
-# the w chart only, and the pole (see _Field); a run ends at the first
-# event of a column from its terminal one on
-_CROSS, _END = 0, 1
-# a lane is in the q chart while |w| >= max(_W_SWITCH, 2s/c); where |w|
-# grows it ends at q = 1/w^2 = _Q_END (|w| = 1e6), its pole
+# a lane is in the p chart, p = 1/w, while |w| >= max(_W_SWITCH, 2s/c)
 _W_SWITCH = 10.0
-_Q_END = 1e-12
+# a p-chart arc samples its pole end, p = 0, at |p| = _P_END (|w| = 1e6)
+_P_END = 1e-6
 # trial stages of a rejected step can overshoot far; the w chart reads
 # slopes beyond this as this, which keeps the arithmetic finite
 _W_CAP = 1e10
@@ -144,148 +141,125 @@ _W_CAP = 1e10
 Result = Union[Trajectory, Exception]
 
 
-def _s_at(log: bool, x):
-    """s at stepping-variable values x, which are log s where log, else s."""
-    return _libm(math.exp, x) if log else x
-
-
 class _Field:
     """The phase equation at a set of points, each in its own stepping
     variable and chart, told apart by masks over the points.
 
-    Toward infinity x = s and the field is the s-derivative; toward zero
-    (log) x = log s and it is s times that, which stays bounded near 0.
-    Both are one expression in (L, D) = (1, s), or (s, 1) in log s, so
-    points of one chart share one evaluation whatever their directions.
-    The w chart (sigma = 0) carries w, read clamped at +-_W_CAP; the q
-    chart carries q = 1/w^2 of a slope with sign sigma, read clamped at 0.
-    The clamps keep wild trial stages finite.  Where all points share a
-    chart the field is computed in that chart alone, else in both, each
-    point reading its own.  |w| grows without bound forward where
-    et*ep = -1, else toward zero.
+    In the w chart the state is w.  Toward infinity x = s and the field is
+    the s-derivative; toward zero (log) x = log s and it is s times that,
+    which stays bounded near 0.  Both are one expression in (L, D) = (1, s),
+    or (s, 1) in log s, so points of one chart share one evaluation
+    whatever their directions; w is read clamped at +-_W_CAP, which keeps
+    wild trial stages finite.  In the p chart (in_p) x = p = 1/w in either
+    direction and the state is s, with
+    ds/dp = -p*s / ((et*p^2 + ep)(p*s - et*c)), regular at the pole p = 0.
+    Where all points share a chart the field is computed in that chart
+    alone, else in both, each point reading its own.  |w| grows without
+    bound forward where et*ep = -1, else toward zero.
 
-    Event columns (rows of events()): _CROSS, the critical line
-    w = s*et/c, in the w chart only; _END, the pole, _Q_END - q in the q
-    chart where |w| grows, >= 0 at or past it.  A column that does not
-    apply is NaN.  ended() tells the end of every chart.
+    events() is the critical line w = s*et/c, in the w chart only (NaN in
+    the p chart); ended() tells the end of every chart another follows.
     """
 
-    def __init__(self, params: FlowParams, log: np.ndarray, sigma: np.ndarray) -> None:
-        self.params, self.log, self.sigma = params, log, sigma
+    def __init__(self, params: FlowParams, log: np.ndarray, in_p: np.ndarray) -> None:
+        self.params, self.log, self.in_p = params, log, in_p
         self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
                                     params.fiber_coeff)
         self.etc = params.eps_tilde * params.fiber_coeff
-        n_log = np.count_nonzero(log)
-        self.any_log, self.all_log = n_log > 0, n_log == log.size
-        self.in_q = sigma != 0.0
-        n_q = np.count_nonzero(self.in_q)
-        self.any_q, self.all_q = n_q > 0, n_q == sigma.size
-        grows = log != params.has_barriers
-        # w-chart points where |w| grows; q-chart points where it grows (to
-        # the pole) and where it shrinks
-        self.w_grows = grows & ~self.in_q
-        self.to_pole = np.flatnonzero(grows & self.in_q)
-        self.from_pole = np.flatnonzero(~grows & self.in_q)
+        # the points whose x is log s
+        self.exp = log & ~in_p
+        n_exp = np.count_nonzero(self.exp)
+        self.any_log, self.all_log = n_exp > 0, n_exp == log.size
+        n_p = np.count_nonzero(in_p)
+        self.any_p, self.all_p = n_p > 0, n_p == in_p.size
+        self.grows = log != params.has_barriers
 
     def s_of(self, x, at=slice(None)):
-        """s at stepping-variable values x of the points at (all of them)."""
+        """s at w-chart stepping-variable values x of the points at (all of
+        them); p-chart values pass through."""
         if self.all_log or not self.any_log:
-            return _s_at(self.all_log, x)
-        log = self.log[at]
+            return _libm(math.exp, x) if self.all_log else x
+        log = self.exp[at]
         s = x.copy()
         s[..., log] = _libm(math.exp, x[..., log])
         return s
 
-    def ld(self, s):
-        """(L, D) at s, None for 1 where all points share it."""
+    def at(self, x):
+        """What rate() reads of stepping-variable values x: (L, D) at s,
+        None for 1 where all points share it, and p = x."""
+        # p-chart points read as s = 1 in the w chart
+        s = np.where(self.in_p, 1.0, self.s_of(x)) if self.any_p else self.s_of(x)
         if self.all_log or not self.any_log:
-            return (s, None) if self.all_log else (None, s)
-        return np.where(self.log, s, 1.0), np.where(self.log, 1.0, s)
+            return (s, None, x) if self.all_log else (None, s, x)
+        return np.where(self.exp, s, 1.0), np.where(self.exp, 1.0, s), x
 
-    def __call__(self, s, z, out=None):
-        return self.rate(*self.ld(s), z, out)
+    def __call__(self, x, z, out=None):
+        return self.rate(*self.at(x), z, out)
 
-    def rate(self, L, D, z, out=None):
-        """The field at chart values z, with (L, D) from ld():
+    def rate(self, L, D, p, z, out=None):
+        """The field at chart values z, with (L, D, p) from at():
         (et + ep*w^2)(L - w*etc/D) in the w chart,
-        -2(et*q + ep)(sigma*sqrt(q)*L - etc/D) in the q chart."""
-        if not self.all_q:
+        -p*s / ((et*p^2 + ep)(p*s - etc)) in the p chart."""
+        if not self.all_p:
             w = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
             ww = w * w
             a = self.et - ww if self.ep < 0 else self.et + ww
             t = w * self.etc
             out = np.multiply(a, (1.0 if L is None else L) - (t if D is None else t / D), out=out)
-            if not self.any_q:
+            if not self.any_p:
                 return out
-        # w-chart slopes may be huge: the q chart reads them as 0
-        q = z if self.all_q else np.where(self.in_q, z, 0.0)
-        a = -2.0 * (self.et * q + self.ep)
-        r = self.sigma * np.sqrt(np.maximum(q, 0.0))
-        q = np.multiply(a, (r if L is None else r * L) - (self.etc if D is None else self.etc / D),
-                        out=out if self.all_q else None)
-        if self.all_q:
-            return q
-        np.copyto(out, q, where=self.in_q)
+            # w-chart points read as p = s = 0, where the field is 0
+            p, z = np.where(self.in_p, p, 0.0), np.where(self.in_p, z, 0.0)
+        f = np.divide(-p * z, (self.et * p * p + self.ep) * (p * z - self.etc),
+                      out=out if self.all_p else None)
+        if self.all_p:
+            return f
+        np.copyto(out, f, where=self.in_p)
         return out
 
-    def step_cap(self, y, f):
-        """The longest step from chart values y with slope f.  q is not
-        smooth at the pole (its next term goes like (s* - s)^(3/2)), so no
-        q-chart step toward it goes past 0.7 of the way to where the
-        tangent meets q = _Q_END/2; the tangent overshoots the pole by less
-        than 1.3x."""
-        at = self.to_pole
-        if not at.size:
-            return math.inf
-        cap = np.full(y.shape, math.inf)
-        cap[at] = 0.7 * (y[at] - 0.5 * _Q_END) / np.abs(f[at])
-        return cap
-
-    def level(self, s):
-        """The switch level max(_W_SWITCH, 2s/c) at s."""
-        return np.maximum(_W_SWITCH, 2.0 * s / self.c)
+    def heading(self, x, cfg: IntegratorConfig):
+        """Each point's direction in its stepping variable and the bound
+        its steps stop at: s up to s_max, log s down to log s_min_eps, and
+        p to the pole 0 where |w| grows, else away from it up to
+        |p| = 1/_W_SWITCH, at or past every switch level."""
+        away = np.copysign(1.0, x)
+        direction = np.where(self.in_p, np.where(self.grows, -away, away),
+                             np.where(self.log, -1.0, 1.0))
+        bound = np.where(self.in_p, np.where(self.grows, 0.0, away / _W_SWITCH),
+                         np.where(self.log, math.log(cfg.s_min_eps), cfg.s_max))
+        return direction, bound
 
     def ended(self, x, y):
-        """Whether points (x, y) lie at or past the end of their chart:
-        where |w| grows, |w| >= max(_W_SWITCH, 2s/c) in the w chart and the
-        pole q <= _Q_END in the q chart; where it shrinks,
-        q >= 1/max(_W_SWITCH, 2s/c)^2 in the q chart, never in the w chart."""
-        end = self.w_grows & (np.abs(y) >= _W_SWITCH)
+        """Whether points (x, y) lie at or past the end of a chart that
+        another follows: |w| >= max(_W_SWITCH, 2s/c) in the w chart where
+        |w| grows, |p| >= 1/max(_W_SWITCH, 2s/c) in the p chart where it
+        shrinks."""
+        end = self.grows & ~self.in_p & (np.abs(y) >= _W_SWITCH)
         if np.count_nonzero(end):
             at = np.flatnonzero(end)
             end[at] = np.abs(y[at]) >= 2.0 * self.s_of(x[at], at) / self.c
-        if self.any_q:
-            end[self.to_pole] = y[self.to_pole] <= _Q_END
-        at = self.from_pole
+        at = np.flatnonzero(~self.grows & self.in_p)
         if at.size:
-            end[at] = y[at] >= self.level(self.s_of(x[at], at)) ** -2.0
+            end[at] = np.abs(x[at]) * np.maximum(_W_SWITCH, 2.0 * y[at] / self.c) >= 1.0
         return end
 
     def events(self, x, y):
-        """The event columns at points (x, y), one row each."""
-        cross, end = y - self.s_of(x) * self.et / self.c, np.full(y.shape, np.nan)
-        if self.any_q:
-            cross = np.where(self.in_q, np.nan, cross)
-            end[self.to_pole] = _Q_END - y[self.to_pole]
-        return np.stack([cross, end])
+        """The critical line w - s*et/c at points (x, y), NaN in the p chart."""
+        cross = y - self.s_of(x) * self.et / self.c
+        return np.where(self.in_p, np.nan, cross) if self.any_p else cross
 
 
-def _switch(sigma, y, grows):
-    """Lanes at chart values y of sign sigma (0: the w chart) in their other
-    chart: sigma and values.  From the w chart that is the q chart of the
-    sign of w, q = 1/w^2 (at least _Q_END where |w| grows; from |w| = 2^512
-    on, where w*w overflows, (1/w)^2); from the q chart the w chart."""
-    into_q = sigma == 0.0
-    w = np.where(into_q, y, sigma / np.sqrt(np.maximum(y, _Q_END)))
-    huge = np.abs(w) >= 2.0 ** 512
-    q = np.where(huge, (1.0 / w) ** 2, 1.0 / np.where(huge, 1.0, w) ** 2)
-    q = np.where(grows, np.maximum(q, _Q_END), q)
-    return np.where(into_q, np.sign(w), 0.0), np.where(into_q, q, w)
-
-
-def _to_w(sigma: float, y):
-    """The slope at chart values y (in the q chart at most 1e6 in size)."""
-    return sigma / np.sqrt(np.maximum(y, _Q_END)) if sigma else y
+def _switch(field: _Field, x, y):
+    """(x, y, in_p) of the points of field in their other chart: from the
+    w chart p = 1/w and s, from the p chart s (log s where log) and 1/p.
+    s from log s is numpy's exp, as the arc's samples read it."""
+    s = np.where(field.in_p, y, x)
+    s[field.exp] = np.exp(x[field.exp])
+    inverse = 1.0 / np.where(field.in_p, x, y)
+    x_new = np.where(field.in_p, s, inverse)
+    back = field.in_p & field.log
+    x_new[back] = _libm(math.log, s[back])
+    return x_new, np.where(field.in_p, inverse, s), ~field.in_p
 
 
 def _libm(fn, x):
@@ -311,16 +285,16 @@ _Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F")
 # sample, where the lane goes on in the next chart
 _FINISHED, _TERMINAL, _COLLAPSED, _SWITCHED = range(4)
 
-# one chart of one lane: its stepping variable and chart, its start in
-# chart values, how stepping ended, attempts and accepted steps
-_Arc = namedtuple("_Arc", "lane log sigma x0 y0 outcome attempts accepted",
+# one chart of one lane: its direction and chart, its start (x, y), how
+# stepping ended, attempts and accepted steps
+_Arc = namedtuple("_Arc", "lane log in_p x0 y0 outcome attempts accepted",
                   defaults=(_FINISHED, 0, 0))
 
 
 def _arc_field(params: FlowParams, arcs: List[_Arc], ids) -> _Field:
     """The field at points of the arcs ids."""
-    log, sigma = (np.array(a)[ids] for a in list(zip(*arcs))[1:3])
-    return _Field(params, log, sigma)
+    log, in_p = (np.array(a, dtype=bool)[ids] for a in list(zip(*arcs))[1:3])
+    return _Field(params, log, in_p)
 
 
 def _interpolate(F, x0, h, y0, x):
@@ -343,7 +317,7 @@ def _initial_step(field: _Field, x0, y0, f0, bound, direction, rtol: float,
     h0 = np.minimum(np.where(flat0, 1e-6, 0.01 * d0 / np.where(flat0, 1.0, d1)), span)
     h0 = np.where(h0 > 0.0, h0, 1e-6)    # only lanes already at the bound
     y1 = y0 + h0 * direction * f0
-    f1 = field(field.s_of(x0 + h0 * direction), y1)
+    f1 = field(x0 + h0 * direction, y1)
     d2 = np.abs(f1 - f0) / scale / h0
     dmax = np.maximum(d1, d2)
     flat1 = (d1 <= 1e-15) & (d2 <= 1e-15)
@@ -352,32 +326,34 @@ def _initial_step(field: _Field, x0, y0, f0, bound, direction, rtol: float,
     return np.minimum(np.minimum(np.minimum(100 * h0, h1), span), cfg.max_step)
 
 
-def _stages(field: _Field, heads, cols, L, D, y, h):
+def _stages(field: _Field, heads, cols, at, y, h):
     """The DOP853 stages of one step into cols (cols[0] holds f(y)), with
-    (L, D) at the stage points: scipy's rk_step, each stage sum a vecdot
-    on lane rows, the one dot product per lane that scipy makes, whatever
-    the batch around it."""
+    field.at() of the stage points: scipy's rk_step, each stage sum a
+    vecdot on lane rows, the one dot product per lane that scipy makes,
+    whatever the batch around it."""
     for i in range(1, _NS + 1):
         y_i = y + (np.vecdot(heads[i], _A_ROWS[i]) * h if i < _NS else
                    h * np.vecdot(heads[_NS], _B))
-        field.rate(None if L is None else L[i], None if D is None else D[i], y_i, cols[i])
+        field.rate(*(None if a is None else a[i] for a in at), y_i, cols[i])
     return y_i, cols[_NS]
 
 
-def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
+def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
              stop_on_crossing: bool):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
-    initial step, error norm, SAFETY 0.9, factor clamp [0.2, 10], no
-    growth right after a rejection, max_step, and a minimum step of 10
-    ulp(x).  Each lane has its own stepping variable (log: x = log s down
-    to log s_min_eps, else x = s up to s_max) and chart (sigma), masks of
-    one _Field over all lanes still stepping.  A lane stops at its bound,
-    at step collapse, at the line crossing when stop_on_crossing, or at
-    its pole; those events are located after the loop.  A step that ends
-    at or past the end of a chart that another chart follows (the q chart
-    where |w| grows, the w chart where it shrinks) ends its arc there,
+    initial step, error norm (in the p chart against abs_tol alone),
+    SAFETY 0.9, factor clamp [0.2, 10], no growth right after a
+    rejection, max_step, and a minimum step of 10 ulp(x).  Each lane has its direction (log: toward zero) and chart
+    (in_p), masks of one _Field over all lanes still stepping, and steps
+    its x toward its bound (_Field.heading).  A lane stops at step
+    collapse, at the line crossing when stop_on_crossing, and at its
+    bound, except in the p chart where |w| shrinks; in the p chart also
+    where s leaves the span, and where |w| grows the bound is its pole,
+    p = 0.  Line crossings are located after the loop.  A step that ends
+    at or past the end of a chart that another chart follows (the w chart
+    where |w| grows, the p chart where it shrinks) ends its arc there,
     open, and the lane goes on from that step end in the other chart with
     a fresh initial step, as a new arc.  In a barrier pattern, unless
     stop_on_crossing, a w-chart step that ends at w = +-1.0 exactly also
@@ -389,50 +365,48 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
     index k, later arcs after all first ones.
     """
     rtol = max(cfg.rel_tol, 100 * _EPS)
-    x_min = math.log(cfg.s_min_eps)
-    arcs = list(map(_Arc, range(x.size), log.tolist(), sigma.tolist(), x.tolist(), y.tolist()))
+    arcs = list(map(_Arc, range(x.size), log.tolist(), in_p.tolist(), x.tolist(), y.tolist()))
     arc, switch = np.arange(x.size), np.zeros(x.size, dtype=bool)
     f, h_abs, g_cross, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(6))
-    bound = np.where(log, x_min, cfg.s_max)
+    x_min = math.log(cfg.s_min_eps)
     # no lane's minimum step 10*ulp(x) can exceed this
-    min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(bound, x))))
+    min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(x, (cfg.s_max, x_min)))))
     # lanes that land on a barrier stop stepping and coast after the loop
     coasting, coasts = params.has_barriers and not stop_on_crossing, []
     # the lanes to go on with after a step where lanes stopped or switched, else None
-    keep, records, it = np.flatnonzero(x != bound), [], 0
+    # (a p-chart lane never starts at its bound)
+    keep, records, it = np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))), [], 0
     while keep is None or keep.size:
         if keep is not None:
             # copies: the last step's arrays are on record
-            arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it, log, sigma, switch = (
+            arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it, log, in_p, switch = (
                 a[keep] for a in (arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it,
-                                  log, sigma, switch))
+                                  log, in_p, switch))
             # lanes that start a chart: all at first, then the switched ones
             new = np.flatnonzero(switch) if it else np.arange(arc.size)
             if it:
-                sigma[new], y[new] = _switch(sigma[new], y[new], True)
+                x[new], y[new], in_p[new] = _switch(_Field(params, log[new], in_p[new]),
+                                                    x[new], y[new])
                 for k in new.tolist():
-                    arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), float(sigma[k]),
+                    arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), bool(in_p[k]),
                                      float(x[k]), float(y[k])))
                     arc[k] = len(arcs) - 1
-            field = _Field(params, log, sigma)
-            bound, direction = np.where(log, x_min, cfg.s_max), np.where(log, -1.0, 1.0)
-            # lanes whose chart another one follows (the w chart where |w| grows,
-            # the q chart where it shrinks); a q chart where |w| grows ends at the pole
-            goes_on = (sigma == 0.0) == (log != params.has_barriers)
+            field = _Field(params, log, in_p)
+            direction, bound = field.heading(x, cfg)
             if new.size:    # the growth cap of a step is 10x, or 1x right after a rejection
-                at = _Field(params, log[new], sigma[new])
-                f[new] = at(at.s_of(x[new]), y[new])
+                at = _Field(params, log[new], in_p[new])
+                f[new] = at(x[new], y[new])
                 h_abs[new] = _initial_step(at, x[new], y[new], f[new], bound[new],
                                            direction[new], rtol, cfg)
                 if stop_on_crossing:
-                    g_cross[new] = at.events(x[new], y[new])[_CROSS]
+                    g_cross[new] = at.events(x[new], y[new])
                 grow_cap[new], rejects[new], start_it[new] = _MAX_FACTOR, 0, it
             capped, keep = True, None
             K = np.empty((arc.size, _NS + 1))
             cols, heads = [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
 
         it += 1
-        h_abs = np.minimum(h_abs, np.minimum(field.step_cap(y, f), cfg.max_step))
+        h_abs = np.minimum(h_abs, cfg.max_step)
         stuck = None
         if np.count_nonzero(h_abs < min_step_cap):
             min_step = 10.0 * np.abs(np.nextafter(x, direction * np.inf) - x)
@@ -444,10 +418,13 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
         h_abs = np.abs(h)
 
         cols[0][:] = f
-        y_new, f_new = _stages(field, heads, cols, *field.ld(field.s_of(x + _C[:, None] * h)),
-                               y, h)
+        y_new, f_new = _stages(field, heads, cols, field.at(x + _C[:, None] * h), y, h)
 
         y_big = np.maximum(np.abs(y), np.abs(y_new))
+        if field.any_p:
+            # w = 1/p hangs on s - s(0), which is O(p^2 s), not on s: a
+            # p-chart step holds the error of s to abs_tol alone
+            y_big = np.where(field.in_p, 0.0, y_big)
         err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
         err *= err
         e5 = err[:, 0]
@@ -473,13 +450,18 @@ def _advance(params: FlowParams, x, y, log, sigma, cfg: IntegratorConfig,
             rejects += ~ok if stuck is None else ~ok & ~stuck
 
         done = ok & (x_new == bound)
+        if field.any_p:
+            # a p lane is done at its pole or where s leaves the span; where
+            # |w| shrinks its bound lies past the switch
+            done = np.where(field.in_p, done & field.grows | ok & np.where(
+                log, y_new <= cfg.s_min_eps, y_new >= cfg.s_max), done)
         ended = ok & field.ended(x_new, y_new)
-        hit = ended & ~goes_on
+        hit = np.zeros(ok.size, dtype=bool)
         if stop_on_crossing:
-            g_new = field.events(x_new, y_new)[_CROSS]
-            hit |= ok & _straddles(g_cross, g_new)
+            g_new = field.events(x_new, y_new)
+            hit = ok & _straddles(g_cross, g_new)
             g_cross = np.where(ok, g_new, g_cross)
-        landed = (ok & ~done & ~hit & (sigma == 0.0) & (np.abs(y_new) == 1.0)
+        landed = (ok & ~done & ~hit & ~in_p & (np.abs(y_new) == 1.0)
                   if coasting else False)
         stop = done | hit | landed
         if stuck is not None:
@@ -581,7 +563,7 @@ def _dense(field: _Field, x0, h, y0, y1, Kd):
     the first _NS + 1 columns of Kd; the rest of Kd is scratch."""
     for i, (a, c) in enumerate(zip(_A_DENSE, _C_DENSE), start=_NS + 1):
         dy = np.vecdot(Kd[:, :i], a[:i]) * h
-        field(field.s_of(x0 + c * h), y0 + dy, Kd[:, i])
+        field(x0 + c * h, y0 + dy, Kd[:, i])
     dy = y1 - y0
     F = np.empty((h.size, 3 + len(_D)))
     F[:, 0] = dy
@@ -620,38 +602,39 @@ def _illinois(g, a, b):
 
 
 def _step_events(field: _Field, steps: _Steps):
-    """The events met on steps: step index, column and the (x, y) of each,
-    located on the step's interpolant (_illinois), each step's in the order
-    met (ties by column)."""
-    g = _straddles(field.events(steps.x0, steps.y0), field.events(steps.x1, steps.y1))
-    m, col = np.nonzero(g.T)
-    met = _Field(field.params, field.log[m], field.sigma[m])
+    """The line crossings met on steps: step index and the (x, y) of each,
+    located on the step's interpolant (_illinois), each step's in the
+    order met."""
+    m = np.flatnonzero(_straddles(field.events(steps.x0, steps.y0),
+                                  field.events(steps.x1, steps.y1)))
+    met = _Field(field.params, field.log[m], field.in_p[m])
     F, x0, h, y0 = steps.F[m].T, steps.x0[m], steps.h[m], steps.y0[m]
-    cols = (col, np.arange(m.size))
-    root = _illinois(lambda x: met.events(x, _interpolate(F, x0, h, y0, x))[cols], x0,
-                     steps.x1[m])
+    root = _illinois(lambda x: met.events(x, _interpolate(F, x0, h, y0, x)), x0, steps.x1[m])
     y = _interpolate(F, x0, h, y0, root)
-    order = np.lexsort((col, np.where(met.log, -root, root), m))
-    return m[order], col[order], root[order], y[order]
+    order = np.lexsort((np.where(met.log, -root, root), m))
+    return m[order], root[order], y[order]
 
 
-def _dense_output(log: bool, sigma: float, x_nodes, steps: _Steps, lo: int, hi: int,
-                  y_start: float) -> Callable:
+def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
     """w(s) of one arc from its step interpolants, picking the segment of
-    a point as scipy's OdeSolution does (the step that starts there), read
-    in the arc's chart."""
+    a point as scipy's OdeSolution does (the step that starts there).  In
+    the p chart a step's s(p) is monotone, and _illinois inverts it."""
     F, x0, h, y0 = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0))
-    last, sign = hi - lo - 1, -1.0 if log else 1.0
-    ascending = sign * x_nodes
+    last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
+    starts = sign * (y0 if arc.in_p else x0)
 
     def dense(q):
         q = np.asarray(q, dtype=float)
-        x = (np.log(q) if log else q).ravel()
         if last < 0:
-            return _scalar_or_array(np.full(q.shape, _to_w(sigma, y_start)))
-        seg = np.clip(np.searchsorted(ascending, sign * x, side="right") - 1, 0, last)
-        w = _to_w(sigma, _interpolate(F[seg].T, x0[seg], h[seg], y0[seg], x))
-        return _scalar_or_array(w.reshape(q.shape))
+            return _scalar_or_array(np.full(q.shape, arc.y0))
+        x = q.ravel() if arc.in_p or not arc.log else np.log(q).ravel()
+        seg = np.clip(np.searchsorted(starts, sign * x, side="right") - 1, 0, last)
+        step = F[seg].T, x0[seg], h[seg], y0[seg]
+        if not arc.in_p:
+            return _scalar_or_array(_interpolate(*step, x).reshape(q.shape))
+        p = _illinois(lambda p: _interpolate(*step, p) - x, x0[seg], x0[seg] + h[seg])
+        with np.errstate(divide="ignore"):    # at a pole w is +-inf
+            return _scalar_or_array((1.0 / p).reshape(q.shape))
     return dense
 
 
@@ -690,15 +673,38 @@ def _checked_start(params: FlowParams, init, direction: str,
     return s0, w0
 
 
-def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], cfg: IntegratorConfig,
-          stop_on_crossing: bool) -> List[Result]:
+def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, dense: Callable,
+               cfg: IntegratorConfig):
+    """The samples (p, s) of a p-chart arc, in place, and its BLOW_UP end
+    if it has one.  A finished arc ends at its pole s(0) where |w| grows,
+    unless s left the span before: then its last sample moves back to the
+    span end, read from its dense output.  A pole end, p = 0, is sampled
+    at |p| = _P_END on its step's interpolant (at the step's other end
+    where that is nearer)."""
+    def sample(k, i, p):
+        xs[k], ys[k] = p, _interpolate(steps.F[i], steps.x0[i], steps.h[i], steps.y0[i], p)
+
+    if xs[0] == 0.0:    # leaving a pole
+        sample(0, lo, math.copysign(min(_P_END, abs(steps.x1[lo])), xs[0]))
+    if arc.outcome != _FINISHED:
+        return None
+    s_end = cfg.s_min_eps if arc.log else cfg.s_max
+    if xs[-1] == 0.0 and (ys[-1] >= s_end if arc.log else ys[-1] <= s_end):
+        far = Termination(TerminationKind.BLOW_UP, s=float(ys[-1]), sign=int(np.sign(arc.x0)))
+        sample(-1, hi - 1, math.copysign(min(_P_END, abs(steps.x0[hi - 1])), arc.x0))
+        return far
+    xs[-1], ys[-1] = 1.0 / dense(s_end), s_end
+    return None
+
+
+def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
+          cfg: IntegratorConfig) -> List[Result]:
     """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
-    a step collapse.  An arc ends at its terminal event (BLOW_UP at
-    q = _Q_END where |w| grows, else open), at its bound (toward zero at
-    exactly s_min_eps, not at exp(log s_min_eps)), or open at its last
-    sample, where its lane switched chart."""
-    terminal = _CROSS if stop_on_crossing else _END
-    m, col, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
+    a step collapse.  An arc ends at its terminal line crossing, at its
+    bound (toward zero at exactly s_min_eps, not at exp(log s_min_eps)),
+    at its pole (_p_samples), or open at its last sample, where its lane
+    switched chart."""
+    m, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
     step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
     event_of_step = np.searchsorted(m, step_of_arc)
 
@@ -709,38 +715,33 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], cfg: IntegratorCo
                                     "step size is less than spacing between numbers."))
             continue
         lo, hi = step_of_arc[k], step_of_arc[k + 1]
-        e_m, e_col, e_x, e_y = (a[event_of_step[k]:event_of_step[k + 1]]
-                                for a in (m, col, ev_x, ev_y))
+        e_m, e_x, e_y = (a[event_of_step[k]:event_of_step[k + 1]] for a in (m, ev_x, ev_y))
         xs = np.concatenate(([arc.x0], steps.x1[lo:hi]))
         ys = np.concatenate(([arc.y0], steps.y1[lo:hi]))
         seg_hi = hi
         if arc.outcome == _TERMINAL:
-            # scipy's handle_events: the last step's events in the order
-            # met, up to the first terminal one, which ends the samples
-            stop = np.flatnonzero((e_m == hi - 1) & (e_col >= terminal))[0]
-            e_col, e_x, e_y = e_col[:stop + 1], e_x[:stop + 1], e_y[:stop + 1]
+            # scipy's handle_events: the last step's first crossing ends the samples
+            stop = np.flatnonzero(e_m == hi - 1)[0]
+            e_x, e_y = e_x[:stop + 1], e_y[:stop + 1]
             if e_x[stop] == steps.x0[hi - 1]:
                 xs, ys, seg_hi = xs[:-1], ys[:-1], hi - 1
             else:
                 xs[-1], ys[-1] = e_x[stop], e_y[stop]
-        # numpy's exp and argsort, as the samples of scipy's solution were
-        # mapped and sorted
-        s_samples = np.exp(xs) if arc.log else xs
-        if arc.log and arc.outcome == _FINISHED:
-            s_samples[-1] = cfg.s_min_eps
-        ws = _to_w(arc.sigma, ys)
-        e_s = _s_at(arc.log, e_x)
-        records = [EventRecord(EventKind.CROSSED_LINE_R, float(e_s[j]), float(e_y[j]))
-                   for j in np.flatnonzero(e_col == _CROSS)]
-        far = None    # open at the line crossing and at the switch
-        if arc.outcome == _FINISHED:
+        far, dense = None, _dense_output(arc, steps, lo, seg_hi)
+        if arc.in_p:    # far: the pole; else open at the line crossing and the switch
+            far = _p_samples(arc, steps, lo, hi, xs, ys, dense, cfg)
+            s_samples, ws = ys, 1.0 / xs
+        else:
+            # numpy's exp and argsort, as the samples of scipy's solution
+            # were mapped and sorted
+            s_samples, ws = np.exp(xs) if arc.log else xs, ys
+        if arc.outcome == _FINISHED and far is None:
+            s_samples[-1] = cfg.s_min_eps if arc.log else cfg.s_max
             far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if arc.log else
                               TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
                               value=float(ws[-1]))
-        elif arc.sigma and arc.log != params.has_barriers:
-            far = Termination(TerminationKind.BLOW_UP, s=float(e_s[-1]), sign=int(arc.sigma))
-
-        dense = _dense_output(arc.log, arc.sigma, xs, steps, lo, seg_hi, float(ys[0]))
+        records = [EventRecord(EventKind.CROSSED_LINE_R, float(s), float(w))
+                   for s, w in zip(_libm(math.exp, e_x) if arc.log else e_x, e_y)]
         if arc.log:
             order = np.argsort(s_samples)
             s_samples, ws = s_samples[order], ws[order]
@@ -760,9 +761,10 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
                      cfg: IntegratorConfig, stop_on_line_crossing: bool = False) -> List[Result]:
     """integrate() of each start in its own direction, all in one lockstep
     run: per start its Trajectory, or the exception integrate() would
-    raise.  A lane starts in the w chart or, at or past the switch level,
-    in the q chart of its sign (at q = 0 from a pole, w0 = +-inf), and
-    its arcs are joined."""
+    raise.  A lane starts in the w chart or, at or past the switch level
+    (past it where |w| shrinks, where the p chart ends at the level), in
+    the p chart at p = 1/w0 (+-0 from a pole, w0 = +-inf), and its arcs
+    are joined."""
     out: List[Optional[Result]] = [None] * len(starts)
     lanes = []
     for i, (init, direction) in enumerate(zip(starts, directions)):
@@ -774,17 +776,16 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
         if params.has_barriers and (abs(w - 1.0) <= BARRIER_TOL or abs(w + 1.0) <= BARRIER_TOL):
             out[i] = _constant_trajectory(params, s, math.copysign(1.0, w), direction, cfg)
         else:
-            lanes.append((i, math.log(s) if direction == "toward_zero" else s, w,
+            lanes.append((i, math.log(s) if direction == "toward_zero" else s, s, w,
                           direction == "toward_zero"))
     if not lanes:
         return out
-    index, x, w, log = (np.array(a) for a in zip(*lanes))
-    sigma, y = np.zeros(w.size), w.copy()
-    field = _Field(params, log, sigma)
-    in_q = np.abs(w) >= field.level(field.s_of(x))
-    sigma[in_q], y[in_q] = _switch(sigma[in_q], w[in_q], log[in_q] != params.has_barriers)
-    steps, arcs = _advance(params, x, y, log, sigma, cfg, stop_on_line_crossing)
-    for arc, res in zip(arcs, _arcs(params, steps, arcs, cfg, stop_on_line_crossing)):
+    index, x, s, y, log = (np.array(a) for a in zip(*lanes))
+    level = np.maximum(_W_SWITCH, 2.0 * s / params.fiber_coeff)
+    in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
+    x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
+    steps, arcs = _advance(params, x, y, log, in_p, cfg, stop_on_line_crossing)
+    for arc, res in zip(arcs, _arcs(params, steps, arcs, cfg)):
         k = index[arc.lane]
         if out[k] is not None and not isinstance(res, Exception):
             res = merge_bidirectional(*((res, out[k]) if arc.log else (out[k], res)))
@@ -794,7 +795,7 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
 
 def _pole_batch(params: FlowParams, s0: float, sigmas: Sequence[float],
                 cfg: IntegratorConfig) -> List[Result]:
-    """Lanes leaving a pole at s0 (q = 0) with sign w = sigma each, in the
+    """Lanes leaving a pole at s0 (p = +-0) with sign w = sigma each, in the
     direction where |w| shrinks: toward zero when et*ep = -1, else toward
     infinity."""
     direction = DIRECTIONS[0] if params.has_barriers else DIRECTIONS[1]

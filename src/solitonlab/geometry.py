@@ -277,8 +277,10 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
     |s - s0| = span first, and further only where that falls short.
     """
     d = -1.0 if params.has_barriers else 1.0
-    # q near the pole needs a finer absolute tolerance than w
-    tight = replace(cfg, abs_tol=cfg.abs_tol * 1e-4, s_min_eps=alpha_floor)
+    # w near 0 at a steep end needs a finer absolute tolerance, and the
+    # height of a steep arm a finer relative one
+    tight = replace(cfg, abs_tol=cfg.abs_tol * 1e-4, rel_tol=cfg.rel_tol * 0.1,
+                    s_min_eps=alpha_floor)
     arms = {}
     for reach in (span, math.inf):
         todo = [sigma for sigma in (-d, d) if sigma not in arms]
@@ -569,11 +571,8 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
     values = u(X, Y)
     h = float(ax[1] - ax[0])
     dist_cone = np.minimum(np.abs(X - Y), np.abs(X + Y)) / math.sqrt(2.0)
-    gmask = dist_cone <= _TUBE_CELLS * h
-    qgrid = quadrant_of(X, Y)
-    for qi in (1, 2, 3, 4):
-        if qi not in mask_set:
-            gmask |= qgrid == qi
+    # u is NaN exactly on the excluded quadrants off the cone
+    gmask = (dist_cone <= _TUBE_CELLS * h) | np.isnan(values)
     grid = GridField(axes=(ax, ax), signature=(+1, -1), eps_prime=+1,
                      values=values, mask=gmask)
     return hyb, grid

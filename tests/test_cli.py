@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import solitonlab
 from solitonlab import (IntegratorConfig, boost, classify_as_posed, detect_blowup,
                         integrate_bidirectional, mesh, rotational)
+from solitonlab import cli
 from solitonlab.cli import _fmt_array, main
 from solitonlab.geometry import build_hybrid, build_spindle, center_regular_profile
 
@@ -605,6 +606,21 @@ def test_verify_bowl_n3_second_order_on_finer_grid(tmp_path):
     rep = json.loads(text)
     assert 1.9 <= rep["p_coarse"] <= 2.1
     assert 1.9 <= rep["p_fine"] <= 2.1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "bowl", "--n", "2", "--h", "0.0016,0.0008,0.0004"],    # 10001^2 nodes
+    ["verify", "hybrid", "--nodes", "1200"]])                          # 4797^2 nodes
+def test_verify_grid_over_the_node_cap_exits_2(argv, monkeypatch, capsys):
+    """Every verify grid is held to 5,000,000 nodes, in any dimension: a
+    finer one is refused before its field is sampled or built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid over the cap was built")
+
+    monkeypatch.setattr(cli, "sample_radial_field", refuse)
+    monkeypatch.setattr(cli, "build_hybrid", refuse)
+    assert main(argv) == 2
+    assert "grid too large" in capsys.readouterr().err
 
 
 def test_verify_hybrid_passes(tmp_path):

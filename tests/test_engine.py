@@ -272,6 +272,40 @@ def test_blow_up_before_comparison_bound():
     assert 1.0 < s_star < comparison_blowup_bound(ROT3, 1.0, -2.0)
 
 
+# --- pole ordering in w0 at fixed s0 ---
+
+def _poles(params, s0, ws):
+    """The forward poles of the starts (s0, w), w in ws, run as one batch."""
+    runs = integrate_batch(params, [(s0, w) for w in ws], "toward_infinity")
+    return [detect_blowup(run)[0] for run in runs]
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([2, 3, 5]), s0=st.floats(0.2, 5.0),
+       w_hi=st.floats(-4.0, -1.001), gap=st.floats(1e-3, 2.0))
+def test_gamma_minus_poles_move_later_as_w0_rises(n, s0, w_hi, gap):
+    """Below the lower barrier, at fixed s0, a pole moves later as w0
+    rises toward -1, and lies between s0 and the comparison bound."""
+    params = rotational(n)
+    w_lo = w_hi - gap
+    s_lo, s_hi = _poles(params, s0, [w_lo, w_hi])
+    assert s_lo <= s_hi + 1e-9
+    for s_star, w0 in ((s_lo, w_lo), (s_hi, w_hi)):
+        assert s0 < s_star <= comparison_blowup_bound(params, s0, w0) + 1e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([2, 3, 5]), s0=st.floats(0.5, 4.0),
+       lift=st.floats(1e-3, 2.0), gap=st.floats(1e-3, 2.0))
+def test_gamma_plus_poles_move_earlier_as_w0_grows(n, s0, lift, gap):
+    """Above the separatrix (by at least 1e-3), at fixed s0, a blow-up
+    pole moves earlier as w0 grows."""
+    params = rotational(n)
+    w_lo = float(compute_separatrix(params).trajectory.w_at(s0)) + lift
+    s_lo, s_hi = _poles(params, s0, [w_lo, w_lo + gap])
+    assert s0 < s_hi <= s_lo + 1e-9
+
+
 def test_steep_start_below_the_switch_stays_finite():
     """At large s the switch level 2s/c is far up: from (30, 50) the
     barrier-free slope steepens fast toward zero while still in the w
@@ -526,24 +560,28 @@ def test_stats_count_the_steps():
                                             (ROT3, 1.0, -20.0),
                                             (boost(2, region="spacelike"), 2.0, 2.5)])
 def test_steps_stop_short_of_the_pole(params, s0, w0):
-    """q = 1/w^2 is not smooth at the pole, so q-chart steps close in on
-    it without passing it: the last sample before the pole lies within
-    1e-10 of it, and the pole sample has |w| near 1e6."""
+    """s(p), p = 1/w, is smooth at the pole, so p-chart steps end at it,
+    p = 0: the pole is the last step's end s(0), and the last sample is
+    that step's interpolant at |w| = 1e6, short of the pole by less than
+    1e-10, with the samples of the steps before it farther off."""
     traj = integrate_bidirectional(params, s0, w0)
     s_star, sign = detect_blowup(traj)
-    end = -1 if params.has_barriers else 0
-    assert traj.s[end] == pytest.approx(s_star, abs=1e-15)
-    assert abs(traj.s[-2 if end else 1] - s_star) < 1e-10
-    assert traj.w[end] * sign == pytest.approx(1e6, rel=1e-2)
+    end, inward = (-1, 1.0) if params.has_barriers else (0, -1.0)
+    assert traj.w[end] * sign == pytest.approx(1e6, rel=1e-12)
+    assert 0.0 < inward * (s_star - traj.s[end]) < 1e-10
+    assert inward * (s_star - traj.s[-2 if end else 1]) > inward * (s_star - traj.s[end])
 
 
 @pytest.mark.parametrize("w0", [-1e7, 1e7])
 def test_start_past_the_end_level_is_at_its_pole(w0):
-    """Where |w| grows, a start with |w| >= 1e6 lies within about 1e-12 of
-    its pole: the trajectory blows up where it starts."""
+    """Where |w| grows, a start with |w| >= 1e6, the last sample's level,
+    lies within about 1e-13 of its pole: one p-chart step reaches it, and
+    the start is the trajectory's one sample."""
     traj = integrate(ROT3, (1.0, w0), "toward_infinity")
-    assert detect_blowup(traj) == (1.0, int(np.sign(w0)))
-    assert traj.s.tolist() == [1.0]
+    s_star, sign = detect_blowup(traj)
+    assert sign == int(np.sign(w0)) and 0.0 < s_star - 1.0 < 1e-13
+    assert traj.s.tolist() == [1.0] and traj.w.tolist() == [w0]
+    assert traj.stats.accepted == 1
 
 
 def test_steep_start_leaves_the_q_chart_where_w_shrinks():
@@ -620,15 +658,16 @@ def test_huge_slope_start_does_not_overflow(w0, direction):
         assert np.all(np.isfinite(traj.w))
 
 
-def test_q_chart_start_keeps_its_bits_below_the_overflow():
-    """q = 1/w^2 at a q-chart start is 1/(w*w) bit for bit wherever w*w is
-    finite, and (1/w)^2 beyond."""
-    below = np.array([10.0, -37.5, 1e6, 1.3e154, -np.nextafter(2.0 ** 512, 0.0)])
-    sigma, q = engine._switch(np.zeros(below.size), below, False)
-    assert q.tobytes() == (1.0 / (below * below)).tobytes()
-    assert sigma.tolist() == np.sign(below).tolist()
-    beyond = np.array([2.0 ** 512, -1e300, math.inf])
-    assert engine._switch(np.zeros(3), beyond, False)[1].tolist() == [2.0 ** -1024, 1e-600, 0.0]
+def test_pole_start_keeps_its_sign_and_finite_samples():
+    """A start at a pole, w0 = +-inf, is the p-chart start p = +-0.0, whose
+    sign is the slope's: its first sample, at |w| = 1e6 on the first step,
+    lies just below s0 (toward zero |w| of rotational(3) shrinks), and
+    every sample is finite."""
+    for sign in (1.0, -1.0):
+        traj = integrate(ROT3, (2.0, sign * math.inf), "toward_zero")
+        assert traj.w[-1] == pytest.approx(sign * 1e6, rel=1e-12)
+        assert 0.0 < 2.0 - traj.s[-1] < 1e-10
+        assert np.all(np.isfinite(traj.w))
 
 
 def _illinois_one(g, a, b):

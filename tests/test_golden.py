@@ -26,42 +26,42 @@ GOLDEN = [
     (["portrait", "--n", "3", "--region", "strip", *_GRID, "--w0-grid=-0.95:0.95:4"], 0,
      "26a221dd7cbe456c8637323b4f1538c3638dc2e4ffc5c233f812c3e29ca676d2"),
     (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4"], 0,
-     "73f53d4c066caa95cf580e2bb936b880807eab82702ade929f28bb26cea68e16"),
+     "3d1593667de9e2ae77f3170fdfdb6c194bf198c4cd87907326158c9aa4ad953a"),
     (["portrait", "--n", "3", "--region", "gamma_minus", *_GRID, "--w0-grid=-3:-1.05:4"], 0,
-     "5ca15a8675c791a30681d9f90972cdf9efa01c1791d6a6f271979e0cff9d5afb"),
+     "3fea9496248bd56193b1cc9e1c0d0c26da92b5e71578358f4039b257eb1f7cfa"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "timelike_T",
       "--s0-grid", "0.5:4:3", "--w0-grid=-0.95:0.95:3"], 0,
      "09953197119e5d959f1db98f73816b2bb777859839a885c74c113d7fb9fac03d"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "spacelike_S",
       "--s0-grid", "0.5:4:2", "--w0-grid=-3:3:2"], 0,
-     "8e52c57aa00d0c77702b44a33a953399dd94e02293e9b18918797ca5754f2d9e"),
+     "d43accc13a6b29d88e5d17db8653ee89d1949e4b8badba88df5264643b5be5b9"),
     (["classify", "--s0", "1", "--w0", "0.5"], 0,
      "85132aa1501dcf71eabb922b43ee67d571e6a8320b436aabd6498196aa325624"),
     (["classify", "--s0", "2", "--w0", "3", "--json"], 0,
-     "d31a9556b9f8bfd328fe1bd1b0623c395a5af81b04d89d2aee54859607a3704b"),
+     "866e9c9c136284c4a6e86ea7d5c581e5734c6d3020a1e84b2251570682fe4ccc"),
     (["classify", "--s0", "1", "--w0=-2"], 0,
-     "860c9c7d556da4ecb8ec968235e5a7e19e89b24d7c924fc811906cc67973cfc7"),
+     "ee4a9591dcd44c332d0edfa64cbf81230c94b6f09cba7e356c13773b35df21b1"),
     (["classify", "--s0", "1", "--w0=-1e4"], 0,
-     "ee8d2068aadc8bccea807d42bbaf7b180136de06a7372f99456c6c23432f9552"),
+     "81953ebe25235381ebc75ad695260b88d165041508c45897b643c9a677fab5d2"),
     (["classify", "--s0", "1", "--w0", "1e5"], 0,
-     "f536ddbc6512fbe219489377565121a12e72177e7082d6b10085ce53985dd8b7"),
+     "2773aaa13e43480f06a15d6ea1ffd696ab92201be5bc8c18b319375f3724c5d9"),
     (["classify", "--s0", "1", "--w0=-1e300"], 0,
-     "09c47b43965e8ea247f340ddf2715b870730e4b49866e6513f01d04bacb99815"),
+     "3edbbc42cf5f075ed131e4f48a2eb626530597065928467d1f4e95aed94742be"),
     (["separatrix", "--n", "3"], 0,
      "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
      "d2445233a5350c60ca3a18a4583cd8a4c06e66d4571443e7de6f54dcbabbf8b3"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
-     "18396233ee059e202fd317b83a9bff3d4b52d4a26174aa6f086e3422bf48d770"),
+     "727109168ca9ea48d6819761995ccb0d0dc9283728fe8a4545366e22b88a2bee"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
-     "45ebe2811f34e2da97c95f356debb31a8a2243ea85862e9eacac74967f299b64"),
+     "0836afc67c41d2ad1fbacc1fe87af2e3e29581a99a75fe84fa64e9b74252f4a0"),
     (["spindle", "--s0", "1", "--n", "2"], 0,
-     "6eaab6f871d3d6aabe9f92cf8c1c76809cf10806e9528079b5e857129ee0662e"),
+     "f96045f1f9b2fd4f1d3656455f62c37d44ab0acdaba3800815fbceac26335e35"),
     (["bowl", "--n", "3", "--samples", "51"], 0,
      "317bd4a83c7c3682fb98a805e7f8fa97c63525b02806e1adc507565cb0af4abc"),
     (["mesh", "spindle", "--n", "2", "--s0", "1", "--theta-samples", "8",
       "--profile-samples", "16"], 0,
-     "b23a1f05a61e03bb3f44b9df06c8af2253fde29ba3ab6d90e535d3e235bfd4c5"),
+     "81fc1e3d27bd8eb2c302dbc2e24856542474289169843c2e535278316dd50b16"),
     (["mesh", "hybrid", "--nodes", "21"], 0,
      "78c73dea9dbf36a86d65684a5913302727438f08b9b264740a379ee01bf46e6b"),
     (["verify", "hybrid", "--nodes", "21"], 1,
@@ -73,7 +73,7 @@ GOLDEN = [
      "26a221dd7cbe456c8637323b4f1538c3638dc2e4ffc5c233f812c3e29ca676d2"),
     (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4",
       "--s-max", "1000"], 0,
-     "73f53d4c066caa95cf580e2bb936b880807eab82702ade929f28bb26cea68e16"),
+     "3d1593667de9e2ae77f3170fdfdb6c194bf198c4cd87907326158c9aa4ad953a"),
 ]
 
 
@@ -135,4 +135,4 @@ def test_engine_bits():
     sep = compute_separatrix(params)
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
     grid(lambda sigmas: _pole_batch(params, 2.0, sigmas, cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "ae3e3edea3cc363ef294e43ec8258622292ad6f203bc8a474057ee14336cb4ec"
+    assert digest.hexdigest() == "f340dd970093dfd0750bb1885ddf37ee4ce3a47621c97eb136784377696059ab"
