@@ -251,12 +251,13 @@ class SolverStats:
     """Cost of an integration: accepted and rejected steps, rhs evaluations.
 
     Adding two records sums them, as merge_bidirectional does for the two
-    arcs of a trajectory.  A trajectory no stepper produced (a barrier
-    constant, hand-built samples) carries zeros.  The steps of a lane
-    after it lands on a barrier, w = +-1 exactly, are written out without
-    running the rhs, since the field is 0 there; they count as accepted
-    steps and in rhs_evals as if stepped, so accepted is still the number
-    of sampling intervals.
+    arcs of a trajectory.  A trajectory no stepper produced (hand-built
+    samples, a series part) carries zeros.  The steps of a lane after it
+    lands on a barrier, w = +-1 exactly, are written out without running
+    the rhs, since the field is 0 there; they count as accepted steps and
+    in rhs_evals as if stepped, so accepted is still the number of
+    sampling intervals.  A start on a barrier is such a lane from its
+    first step on.
     """
 
     accepted: int = 0

@@ -19,8 +19,7 @@ interpolant of every accepted step), solver counters, and its events:
 crossing the critical line, located on the step's interpolant after the
 loop (Shampine & Thompson, "Event location for ODEs", 2000).  A lane that
 fails (step collapse) comes back as its own exception and does not stop
-the others.  Barrier starts are exact constant solutions and skip the
-stepper.
+the others.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
@@ -47,8 +46,10 @@ every later step is exact, with error norm 0, and only its size follows
 the step rule (10x growth up to max_step).  The lane stops stepping there
 and its steps to the bound are written out after the loop, in closed form
 for all such lanes at once (_coast), with the same bits as stepping them;
-its cost does not depend on s_max.  Lanes whose line crossing is terminal
-(the decision shots) keep stepping.
+its cost does not depend on s_max.  A start within BARRIER_TOL of a barrier
+is put on it, w0 = +-1.0, and is a lane like any other: its first step
+lands on the barrier.  Lanes whose line crossing is terminal (the decision
+shots) keep stepping.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -251,10 +252,8 @@ class _Field:
 
 def _switch(field: _Field, x, y):
     """(x, y, in_p) of the points of field in their other chart: from the
-    w chart p = 1/w and s, from the p chart s (log s where log) and 1/p.
-    s from log s is numpy's exp, as the arc's samples read it."""
-    s = np.where(field.in_p, y, x)
-    s[field.exp] = np.exp(x[field.exp])
+    w chart p = 1/w and s, from the p chart s (log s where log) and 1/p."""
+    s = np.where(field.in_p, y, field.s_of(x))
     inverse = 1.0 / np.where(field.in_p, x, y)
     x_new = np.where(field.in_p, s, inverse)
     back = field.in_p & field.log
@@ -263,10 +262,13 @@ def _switch(field: _Field, x, y):
 
 
 def _libm(fn, x):
-    """A math-module function element by element.  numpy's SIMD exp and
-    power differ from libm in the last bit now and then, and the error
-    estimate, a sum that cancels to ~1e-10 of its terms, would blow that
-    up into the step sizes; libm keeps each lane on scipy's steps."""
+    """A math-module function element by element.  numpy's SIMD exp, log
+    and power differ from libm in the last bit now and then, and which
+    SIMD path runs depends on the CPU.  The error estimate, a sum that
+    cancels to ~1e-10 of its terms, would blow such a bit up into the step
+    sizes; libm keeps each lane on scipy's steps.  Every exp and log that
+    reaches a sample goes through here, so the bits do not depend on
+    numpy's dispatch."""
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
@@ -627,7 +629,7 @@ def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
         q = np.asarray(q, dtype=float)
         if last < 0:
             return _scalar_or_array(np.full(q.shape, arc.y0))
-        x = q.ravel() if arc.in_p or not arc.log else np.log(q).ravel()
+        x = q.ravel() if arc.in_p or not arc.log else _libm(math.log, q.ravel())
         seg = np.clip(np.searchsorted(starts, sign * x, side="right") - 1, 0, last)
         step = F[seg].T, x0[seg], h[seg], y0[seg]
         if not arc.in_p:
@@ -636,24 +638,6 @@ def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
         with np.errstate(divide="ignore"):    # at a pole w is +-inf
             return _scalar_or_array((1.0 / p).reshape(q.shape))
     return dense
-
-
-def _constant_trajectory(params: FlowParams, s0: float, w0: float,
-                         direction: str, cfg: IntegratorConfig) -> Trajectory:
-    # Barrier lines are exact solutions; skip the solver entirely.  A start
-    # at its bound is the one sample.
-    zero = direction == "toward_zero"
-    if s0 == (cfg.s_min_eps if zero else cfg.s_max):
-        s = np.array([s0])
-    else:
-        s = np.geomspace(cfg.s_min_eps, s0, 33) if zero else np.linspace(s0, cfg.s_max, 33)
-    end = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if zero else
-                      TerminationKind.REACHED_S_MAX,
-                      s=cfg.s_min_eps if zero else cfg.s_max, value=w0)
-    return Trajectory(params, s, np.full_like(s, w0), termination_left=end if zero else None,
-                      termination_right=None if zero else end,
-                      dense=lambda q: _scalar_or_array(
-                          np.full_like(np.asarray(q, dtype=float), w0)))
 
 
 def _checked_start(params: FlowParams, init, direction: str,
@@ -697,16 +681,19 @@ def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, dense: Callab
     return None
 
 
-def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
+def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
           cfg: IntegratorConfig) -> List[Result]:
     """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
     a step collapse.  An arc ends at its terminal line crossing, at its
     bound (toward zero at exactly s_min_eps, not at exp(log s_min_eps)),
     at its pole (_p_samples), or open at its last sample, where its lane
-    switched chart."""
+    switched chart.  A w-chart arc starts at exactly the s its lane starts
+    it at (s0 of lane k, or the last sample of the arc before), not at
+    exp(log s)."""
     m, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
     step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
     event_of_step = np.searchsorted(m, step_of_arc)
+    s0 = list(s0)
 
     out: List[Result] = []
     for k, arc in enumerate(arcs):
@@ -732,9 +719,9 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
             far = _p_samples(arc, steps, lo, hi, xs, ys, dense, cfg)
             s_samples, ws = ys, 1.0 / xs
         else:
-            # numpy's exp and argsort, as the samples of scipy's solution
-            # were mapped and sorted
-            s_samples, ws = np.exp(xs) if arc.log else xs, ys
+            s_samples, ws = _libm(math.exp, xs) if arc.log else xs, ys
+            s_samples[0] = s0[arc.lane]
+        s0[arc.lane] = s_samples[-1]    # where a next arc starts
         if arc.outcome == _FINISHED and far is None:
             s_samples[-1] = cfg.s_min_eps if arc.log else cfg.s_max
             far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if arc.log else
@@ -742,9 +729,8 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc],
                               value=float(ws[-1]))
         records = [EventRecord(EventKind.CROSSED_LINE_R, float(s), float(w))
                    for s, w in zip(_libm(math.exp, e_x) if arc.log else e_x, e_y)]
-        if arc.log:
-            order = np.argsort(s_samples)
-            s_samples, ws = s_samples[order], ws[order]
+        if arc.log:    # stepping order, monotone in s
+            s_samples, ws = s_samples[::-1], ws[::-1]
         left, right = (far, None) if arc.log else (None, far)
         # collapse occasional duplicate nodes
         keep = np.concatenate(([True], np.diff(s_samples) > 0))
@@ -764,7 +750,7 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
     raise.  A lane starts in the w chart or, at or past the switch level
     (past it where |w| shrinks, where the p chart ends at the level), in
     the p chart at p = 1/w0 (+-0 from a pole, w0 = +-inf), and its arcs
-    are joined."""
+    are joined.  A start within BARRIER_TOL of a barrier starts on it."""
     out: List[Optional[Result]] = [None] * len(starts)
     lanes = []
     for i, (init, direction) in enumerate(zip(starts, directions)):
@@ -773,11 +759,10 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
         except ValueError as exc:
             out[i] = exc
             continue
-        if params.has_barriers and (abs(w - 1.0) <= BARRIER_TOL or abs(w + 1.0) <= BARRIER_TOL):
-            out[i] = _constant_trajectory(params, s, math.copysign(1.0, w), direction, cfg)
-        else:
-            lanes.append((i, math.log(s) if direction == "toward_zero" else s, s, w,
-                          direction == "toward_zero"))
+        if params.has_barriers and abs(abs(w) - 1.0) <= BARRIER_TOL:
+            w = math.copysign(1.0, w)
+        lanes.append((i, math.log(s) if direction == "toward_zero" else s, s, w,
+                      direction == "toward_zero"))
     if not lanes:
         return out
     index, x, s, y, log = (np.array(a) for a in zip(*lanes))
@@ -785,7 +770,7 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
     in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
     x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
     steps, arcs = _advance(params, x, y, log, in_p, cfg, stop_on_line_crossing)
-    for arc, res in zip(arcs, _arcs(params, steps, arcs, cfg)):
+    for arc, res in zip(arcs, _arcs(params, steps, arcs, s.tolist(), cfg)):
         k = index[arc.lane]
         if out[k] is not None and not isinstance(res, Exception):
             res = merge_bidirectional(*((res, out[k]) if arc.log else (out[k], res)))
@@ -927,7 +912,8 @@ def _series_anchored(params: FlowParams, start: PhaseState, order: int,
     start.s (48 geometric sample nodes from cfg.s_min_eps on), forward
     integration from start, which must sit on the series, beyond it."""
     coeffs = bowl_series_coeffs(params, order)
-    s_head = np.geomspace(cfg.s_min_eps, start.s, 49)
+    s_head = _libm(math.exp, np.linspace(math.log(cfg.s_min_eps), math.log(start.s), 49))
+    s_head[[0, -1]] = cfg.s_min_eps, start.s
     w_head = eval_series(coeffs, s_head)
     left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
                        value=float(w_head[0]))

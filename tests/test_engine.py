@@ -158,7 +158,9 @@ def test_integrate_rejects_bad_direction():
         integrate(ROT3, (1.0, 0.5), direction="up")
 
 
-def test_constant_barrier_shortcut():
+def test_barrier_start_stays_on_its_barrier():
+    """A start on a barrier is a lane like any other: its first step lands
+    on the barrier, and it coasts there to the end of its span."""
     traj = integrate(ROT3, (2.0, 1.0), direction="toward_infinity", cfg=CFG)
     assert set(np.unique(traj.w)) == {1.0}
     assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
@@ -207,6 +209,45 @@ def test_zero_cutoff_end_is_s_min_eps(s_min_eps, start):
     assert traj.termination_left.value == traj.w[0]
     both = integrate_bidirectional(ROT3, *init, cfg)
     assert both.s[0] == s_min_eps
+
+
+@pytest.mark.parametrize("start", ["coasting", "stepped", "barrier", "at_bound"])
+def test_zero_run_starts_at_s0(start):
+    """A run toward zero starts at s0 exactly, not at exp(log s0)
+    (3.7000000000000006 for s0 = 3.7): stepped lanes, with or without a
+    closed-form coast, barrier starts and a start at the other end of the
+    span, s_max, alike; so both directions join at s0."""
+    s0, w0 = {"coasting": (3.7, 0.5), "stepped": (3.7, 1.5), "barrier": (3.7, 1.0),
+              "at_bound": (100.0, 0.5)}[start]
+    traj = integrate(ROT3, (s0, w0), "toward_zero")
+    assert traj.s[-1] == s0 and traj.w[-1] == w0
+    assert s0 in integrate_bidirectional(ROT3, s0, w0).s.tolist()
+
+
+def test_w_arc_after_the_p_chart_starts_at_the_switch():
+    """Toward zero a steep lane leaves the p chart at a step end s and goes
+    on in the w chart from log s; its w arc starts at that s exactly, not
+    at exp(log s), one ulp off for this start."""
+    one = np.ones(1, dtype=bool)
+    steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.7]), one, one, CFG, False)
+    p_arc, w_arc = engine._arcs(ROT3, steps, arcs, [3.7], CFG)
+    assert w_arc.s[-1] == p_arc.s[0] != math.exp(math.log(p_arc.s[0]))
+
+
+@pytest.mark.parametrize("s0, direction", [(3.0, "toward_zero"), (1.0, "toward_infinity")])
+def test_barrier_start_crosses_the_line_at_c(s0, direction):
+    """The upper barrier meets the critical line w = s/c at s = c: a start
+    on it records that crossing, and with stop_on_line_crossing the run
+    ends there.  The lower barrier never meets it."""
+    c = ROT3.fiber_coeff
+    traj = integrate(ROT3, (s0, 1.0), direction)
+    assert [(e.s, e.w) for e in traj.events] == [(c, 1.0)]
+    assert traj.stats.accepted == len(traj.s) - 1
+    shot = integrate(ROT3, (s0, 1.0), direction, stop_on_line_crossing=True)
+    assert [(e.s, e.w) for e in shot.events] == [(c, 1.0)]
+    assert c in (shot.s[0], shot.s[-1])
+    assert (shot.termination_left, shot.termination_right) == (None, None)
+    assert integrate(ROT3, (s0, -1.0), direction).events == ()
 
 
 def test_strip_trajectories_stay_in_open_strip():
@@ -423,7 +464,7 @@ def _pole(traj):
     return None
 
 
-def _check_against_scipy(traj, params, s0, w0, directions, cfg=CFG, events=True):
+def _check_against_scipy(traj, params, s0, w0, directions, cfg=CFG):
     crossings, poles = [], []
     for direction in directions:
         w_ref, cross, pole, (lo, hi) = _scipy_arc(params, s0, w0, direction, cfg)
@@ -434,9 +475,8 @@ def _check_against_scipy(traj, params, s0, w0, directions, cfg=CFG, events=True)
         regular = np.abs(w_ref_at) < 1e3
         np.testing.assert_allclose(traj.w_at(probes[regular]), w_ref_at[regular],
                                    rtol=1e-10, atol=1e-10)
-    if events:
-        got = sorted(e.s for e in traj.events if e.kind is EventKind.CROSSED_LINE_R)
-        np.testing.assert_allclose(got, sorted(crossings), rtol=0, atol=1e-9)
+    got = sorted(e.s for e in traj.events if e.kind is EventKind.CROSSED_LINE_R)
+    np.testing.assert_allclose(got, sorted(crossings), rtol=0, atol=1e-9)
     want = [p for p in poles if p is not None]
     assert len(want) <= 1
     if want:
@@ -474,9 +514,7 @@ def test_batched_engine_matches_scipy(batched_rot3, name):
     traj = batched_rot3.get(name)
     if traj is None:
         (traj,) = integrate_bidirectional_batch(params, [(s0, w0)])
-    # the exact-constant shortcut on a barrier records no events
-    _check_against_scipy(traj, params, s0, w0, DIRECTIONS,
-                         events=not name.startswith("constant"))
+    _check_against_scipy(traj, params, s0, w0, DIRECTIONS)
 
 
 def test_bowl_matches_scipy():
@@ -535,9 +573,9 @@ def test_failing_lane_leaves_the_batch_alone():
 def test_stats_count_the_steps():
     """Every accepted step is one sampling interval; the rhs runs twice to
     start each arc, 12 times per attempt and 3 times per step for dense
-    output.  A lane that switches chart (to the q chart on its way to a
+    output.  A lane that switches chart (to the p chart on its way to a
     pole, back to the w chart from a steep start) has two arcs, and its
-    counters are their sum."""
+    counters are their sum; a barrier start is a lane like any other."""
     starts = [(1.0, -0.5), (1.0, 0.9), (2.0, 1.2), (0.3, 0.2), (1.0, -2.0), (2.0, 1.5),
               (1.0, -20.0)]
     arcs = {"toward_zero": [1, 1, 1, 1, 1, 1, 2], "toward_infinity": [1, 1, 1, 1, 2, 2, 1]}
@@ -551,7 +589,8 @@ def test_stats_count_the_steps():
     merged = merge_bidirectional(down, up)
     assert merged.stats == down.stats + up.stats
     assert merged.stats.accepted == len(merged.s) - 1
-    assert integrate(ROT3, (2.0, 1.0), "toward_infinity").stats.accepted == 0
+    barrier = integrate(ROT3, (2.0, 1.0), "toward_infinity")
+    assert barrier.stats.accepted == len(barrier.s) - 1
 
 
 # --- the chart switch ---
@@ -584,9 +623,9 @@ def test_start_past_the_end_level_is_at_its_pole(w0):
     assert traj.stats.accepted == 1
 
 
-def test_steep_start_leaves_the_q_chart_where_w_shrinks():
+def test_steep_start_leaves_the_p_chart_where_w_shrinks():
     """Toward zero |w| of rotational(3) shrinks: a start at w = -1e4 runs
-    in q = 1/w^2 down to the switch level and on in the w chart, in about
+    in p = 1/w down to the switch level and on in the w chart, in about
     half the steps the w chart takes from there, and agrees with scipy."""
     traj = integrate(ROT3, (1.0, -1e4), "toward_zero")
     assert traj.stats.accepted <= 130
@@ -595,7 +634,7 @@ def test_steep_start_leaves_the_q_chart_where_w_shrinks():
 
 def test_steep_start_where_w_shrinks_reaches_s_max():
     """Forward |w| of the barrier-free boost(2, "spacelike") shrinks: from
-    w = 1e7 the lane falls below the switch level in the q chart and runs on
+    w = 1e7 the lane falls below the switch level in the p chart and runs on
     to s_max instead of collapsing its steps."""
     traj = integrate(boost(2, region="spacelike"), (1.0, 1e7), "toward_infinity")
     assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
@@ -633,7 +672,7 @@ def test_gamma_grid_step_budget(w_range, most):
                                     (3.0, 2.5), (1.0, 1.6)])
 @pytest.mark.parametrize("w_switch", [4.0, 100.0])
 def test_pole_stable_under_chart_switch(monkeypatch, s0, w0, w_switch):
-    """A pole found with the switch to q = 1/w^2 at |w| = 4 or 100 agrees
+    """A pole found with the switch to p = 1/w at |w| = 4 or 100 agrees
     with the one at the default switch level to 1e-9."""
     default = detect_blowup(integrate_bidirectional(ROT3, s0, w0))
     monkeypatch.setattr(engine, "_W_SWITCH", w_switch)
@@ -854,7 +893,7 @@ _BLOW_UP_STARTS = [(0.5, 3.0), (1.0, 2.5), (2.0, 3.0), (3.0, 3.5),
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("s0, w0", _BLOW_UP_STARTS)
 def test_switch_goes_on_from_the_step_end(n, s0, w0):
-    """A lane that reaches the switch level goes on in the q chart from
+    """A lane that reaches the switch level goes on in the p chart from
     the end of that step: a run started at the first sample with
     |w| >= max(10, 2s/c) gives, bit for bit, the lane's later samples,
     its pole and its dense output past that sample."""

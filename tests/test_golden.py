@@ -9,12 +9,17 @@ CHANGES.md.
 
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from functools import partial
 
 import numpy as np
 import pytest
 
+import solitonlab
 from solitonlab import cli, rotational
 from solitonlab.classify import compute_bowl, compute_separatrix, integrate_bidirectional_batch
 from solitonlab.engine import IntegratorConfig, _pole_batch, integrate_batch
@@ -50,13 +55,13 @@ GOLDEN = [
     (["separatrix", "--n", "3"], 0,
      "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
-     "d2445233a5350c60ca3a18a4583cd8a4c06e66d4571443e7de6f54dcbabbf8b3"),
+     "5f5c52d200b16c25d751f58b28f84426d0bc62bd63623869def3f3d12d67ec62"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
-     "727109168ca9ea48d6819761995ccb0d0dc9283728fe8a4545366e22b88a2bee"),
+     "1eb382bede9a9da065130564b68c376cd183f07ef715e888c2601d8ab23b2bf3"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
      "0836afc67c41d2ad1fbacc1fe87af2e3e29581a99a75fe84fa64e9b74252f4a0"),
     (["spindle", "--s0", "1", "--n", "2"], 0,
-     "f96045f1f9b2fd4f1d3656455f62c37d44ab0acdaba3800815fbceac26335e35"),
+     "432557f5731cc4fe790639b8561c717ae75047e66dddbd6f3f608e376bd00d59"),
     (["bowl", "--n", "3", "--samples", "51"], 0,
      "317bd4a83c7c3682fb98a805e7f8fa97c63525b02806e1adc507565cb0af4abc"),
     (["mesh", "spindle", "--n", "2", "--s0", "1", "--theta-samples", "8",
@@ -92,6 +97,42 @@ def test_stdout_is_byte_stable(argv, code, digest):
     got_code, text = run_cold(argv)
     assert got_code == code
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# the cold runs of run_cold(), in a fresh process: exit code and digest per line
+_COLD_RUN = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from solitonlab import cli
+from solitonlab.classify import compute_bowl, compute_separatrix
+for argv in json.loads(sys.argv[1]):
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+# the commands whose bytes moved with numpy's SIMD dispatch while a numpy
+# exp or log reached their samples
+_DISPATCH = {"separatrix --n 2 --format csv", "wing --s0 2 --y-span 0.5",
+             "spindle --s0 1 --n 2"}
+
+
+def test_stdout_does_not_depend_on_simd_dispatch():
+    """The pinned digests hold with numpy's AVX-512 paths off: every exp
+    and log that reaches a sample is libm's.  On a CPU without these
+    features both runs take the same paths."""
+    cases = [(argv, code, digest) for argv, code, digest in GOLDEN
+             if " ".join(argv) in _DISPATCH]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", _COLD_RUN, json.dumps([a for a, *_ in cases])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [v for _, code, digest in cases for v in (str(code), digest)]
 
 
 def _lane_bytes(res):
@@ -135,4 +176,4 @@ def test_engine_bits():
     sep = compute_separatrix(params)
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
     grid(lambda sigmas: _pole_batch(params, 2.0, sigmas, cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "f340dd970093dfd0750bb1885ddf37ee4ce3a47621c97eb136784377696059ab"
+    assert digest.hexdigest() == "ab89a371127082b202e34ed365e57630a0f14f2fe799935236ab40fca16803b0"
