@@ -29,14 +29,14 @@ backward run stiff.  Far out it is its own asymptotic series,
 w ~ s/c + sum_k a_k s^(1-2k) (engine.separatrix_series_coeffs), trusted
 from s_far on (about 8 to 15 for n = 2..5, see engine.separatrix_start):
 beyond s_far the trajectory is series samples, and the integration runs
-backward from the series value at s_far, or at s_max if that is nearer
-(there from the series cut before its smallest term), so its cost does
-not depend on s_max.  The traced value at the anchor
-s = c, where the critical line crosses the barrier, is right to about
-1e-11, so at the default tolerance one batched pair of forward shots at
-traced +-0.49*tol, split into global and blow-up, is the bracket.  Else
-one loop widens that window 1e3-fold until its ends split, then narrows
-it by k-section rounds of as many starts as bring it below the tolerance.
+backward from the series value at s_far, so its cost does not depend on
+s_max; where s_far lies beyond s_max the trace is cut there.  The traced
+value at the anchor s = c, where the critical line crosses the barrier,
+is right to about 1e-11, so at the default tolerance one batched pair of
+forward shots at traced +-0.49*tol, split into global and blow-up, is
+the bracket.  Else one loop widens that window 1e3-fold until its ends
+split, then narrows it by k-section rounds of as many starts as bring it
+below the tolerance.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ from .engine import (
 
 # starts per k-section round of compute_separatrix
 _SHOTS = 64
+# compute_bowl's default series handoff s and series order
+_BOWL_S_START, _BOWL_ORDER = 1e-4, 13
 # a strip start within this of the bowl is the bowl; an upper start within
 # this, relative to max(1, |w|), of the separatrix is the separatrix
 _BOWL_TOL = 1e-9
@@ -178,7 +180,7 @@ def _cached(maxsize: int):
 
 @_cached(maxsize=32)
 def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
-                 s_start: float = 1e-4, order: int = 13) -> Trajectory:
+                 s_start: float = _BOWL_S_START, order: int = _BOWL_ORDER) -> Trajectory:
     """The bowl trajectory over [s_min_eps, s_max], series-anchored at the center.
 
     The center limit w -> 0 is backward-unstable, so below s_start the
@@ -251,9 +253,9 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     samples at most cfg.max_step apart; CSV rows beyond s_far are these)
     and, below s_far, backward integration from the series value there,
     which contracts onto the separatrix.  s_far is where the truncated
-    series is accurate to cfg.abs_tol; if s_max is nearer, the series, cut
-    before its smallest term at s_max, only supplies the start there.  The
-    traced value at the anchor s = c (where the critical line meets the
+    series is accurate to cfg.abs_tol; where it lies beyond s_max, the
+    trace starts there all the same and is cut at s_max.  The traced
+    value at the anchor s = c (where the critical line meets the
     barrier) seeds a window of +-0.49*tol; if its two ends, shot as one
     batch, split into global and blow-up, they are the bracket.  Else the
     window grows 1e3-fold, clipped below at the barrier w = 1 (a global

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple, Union
@@ -620,7 +620,8 @@ def _step_events(field: _Field, steps: _Steps):
 def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
     """w(s) of one arc from its step interpolants, picking the segment of
     a point as scipy's OdeSolution does (the step that starts there).  In
-    the p chart a step's s(p) is monotone, and _illinois inverts it."""
+    the p chart a step's s(p) is monotone, and _illinois inverts it.  A
+    w-chart arc toward zero, stepped in log s, refuses s <= 0."""
     F, x0, h, y0 = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0))
     last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
     starts = sign * (y0 if arc.in_p else x0)
@@ -629,6 +630,9 @@ def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
         q = np.asarray(q, dtype=float)
         if last < 0:
             return _scalar_or_array(np.full(q.shape, arc.y0))
+        if arc.log and not arc.in_p and np.any(q <= 0.0):
+            raise ValueError(f"w_at({float(q[q <= 0.0][0])!r}): s must be positive on "
+                             "an arc integrated toward zero")
         x = q.ravel() if arc.in_p or not arc.log else _libm(math.log, q.ravel())
         seg = np.clip(np.searchsorted(starts, sign * x, side="right") - 1, 0, last)
         step = F[seg].T, x0[seg], h[seg], y0[seg]
@@ -985,10 +989,9 @@ def _far_series(coeffs: np.ndarray, s):
 _FAR_ORDER = 30
 
 
-def _far_field(params: FlowParams, abs_tol: float,
-               s_max: float) -> Tuple[PhaseState, np.ndarray]:
-    """Start of the backward separatrix trace and the far-field series
-    coefficients to use from there on.
+def _far_field(params: FlowParams, abs_tol: float) -> Tuple[PhaseState, np.ndarray]:
+    """Start of the backward separatrix trace, at s_far, and the far-field
+    series coefficients to use from there on.
 
     A truncation after a_K leaves a defect of about |a_{K+1}| s^(-2K)
     times the slope scale 1/c in the phase equation, and a value error of
@@ -997,22 +1000,14 @@ def _far_field(params: FlowParams, abs_tol: float,
     (one fixed-point step from the one-term root, which lands just beyond
     the two-term one); past s_far the series satisfies the equation to
     abs_tol relative and its value is off by less than abs_tol / s_far.
-    The start is at min(s_far, s_max).  Below s_far a fixed order would
-    let the omitted terms grow like (s_far/s)^(2K+1), so there the series
-    is cut before its smallest term at s_max, the most accurate
-    truncation it has.
+    Below s_far the omitted terms grow like (s_far/s)^(2K+1), so the trace
+    starts there and nowhere nearer, whatever the span.
     """
     b = separatrix_series_coeffs(params, _FAR_ORDER + 2)
     first, second = abs(b[-2]), abs(b[-1])
     s = (first / abs_tol) ** (0.5 / _FAR_ORDER)
     s = ((first + second / (s * s)) / abs_tol) ** (0.5 / _FAR_ORDER)
-    if s <= s_max:
-        b = b[:_FAR_ORDER + 1]
-    else:
-        s = s_max
-        k = np.arange(1, _FAR_ORDER + 2)
-        b = b[:int(k[np.argmin(np.abs(b[k]) * s ** (-2.0 * k))])]
-    return PhaseState(float(s), float(_far_series(b, s))), b
+    return PhaseState(float(s), float(_far_series(b[:-2], s))), b[:-2]
 
 
 def separatrix_start(params: FlowParams, abs_tol: float = 1e-12) -> PhaseState:
@@ -1020,30 +1015,31 @@ def separatrix_start(params: FlowParams, abs_tol: float = 1e-12) -> PhaseState:
     order-30 far-field series can be trusted to abs_tol (see _far_field).
     For rotational(n), n = 2..5, s_far is about 8.3, 11.2, 13.1 and 14.9.
     """
-    return _far_field(params, abs_tol, math.inf)[0]
+    return _far_field(params, abs_tol)[0]
 
 
 def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
-    """The separatrix over [s_min_eps, s_max]: its far-field series beyond
-    s_far, with samples at most cfg.max_step apart, and backward
-    integration from min(s_far, s_max).
+    """The separatrix over [s_min_eps, s_max]: backward integration from
+    its far-field series at s_far, joined where s_far < s_max to the
+    series itself, with samples at most cfg.max_step apart, and cut at
+    s_max: the samples below s_max, a last one read from the dense output
+    there, and the events up to s_max.
 
     Nearby solutions contract onto the separatrix at rate s/c going
     backward, which makes that integration stiff for an explicit stepper
     at large s; starting it at s_far keeps its cost independent of s_max.
     """
-    start, coeffs = _far_field(params, cfg.abs_tol, cfg.s_max)
-    back = integrate(params, start, "toward_zero", cfg)
-    if start.s == cfg.s_max:
-        return back
-    series = partial(_far_series, coeffs)
-    nodes = max(1, math.ceil((cfg.s_max - start.s) / cfg.max_step))
-    s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
-    w_tail = series(s_tail)
-    right = Termination(TerminationKind.REACHED_S_MAX, s=float(s_tail[-1]),
-                        value=float(w_tail[-1]))
-    return merge_bidirectional(back, Trajectory(params, s_tail, w_tail,
-                                                termination_right=right, dense=series))
+    start, coeffs = _far_field(params, cfg.abs_tol)
+    traj = integrate(params, start, "toward_zero", cfg)
+    if start.s < cfg.s_max:
+        series = partial(_far_series, coeffs)
+        nodes = max(1, math.ceil((cfg.s_max - start.s) / cfg.max_step))
+        s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
+        traj = merge_bidirectional(traj, Trajectory(params, s_tail, series(s_tail), dense=series))
+    k, w_end = np.searchsorted(traj.s, cfg.s_max), float(traj.w_at(cfg.s_max))
+    end = Termination(TerminationKind.REACHED_S_MAX, s=float(cfg.s_max), value=w_end)
+    return replace(traj, s=np.append(traj.s[:k], cfg.s_max), w=np.append(traj.w[:k], w_end),
+                   termination_right=end, events=[e for e in traj.events if e.s <= cfg.s_max])
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

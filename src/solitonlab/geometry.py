@@ -40,6 +40,8 @@ from .core import (
     rhs_wing,
 )
 from .classify import (
+    _BOWL_ORDER,
+    _BOWL_S_START,
     SolutionClassTag,
     classify,
     compute_bowl,
@@ -171,8 +173,6 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
     instead; below lo the height then comes from the integrated series,
     and both evaluators refuse points outside [0, hi].
     """
-    if samples < 5:
-        raise ValueError("need at least 5 resampling nodes")
     s_grid = np.linspace(lo, hi, samples)
     w_grid = np.asarray(traj.w_at(s_grid), dtype=float)
     fc = None if series is None else integrate_series(series, f0)
@@ -192,8 +192,13 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
                         w_dense=w_dense)
 
 
-def build_graph(trajectory: Trajectory, f0: float = 0.0,
-                samples: int = 4001) -> ProfileCurve:
+# resampling nodes of a graph profile (build_graph, the wing and its
+# branches), of the bowl, which seeds finite-difference fields, and of a
+# center-regular profile
+_GRAPH_SAMPLES, _BOWL_SAMPLES, _CENTER_SAMPLES = 4001, 20001, 6001
+
+
+def build_graph(trajectory: Trajectory, f0: float = 0.0) -> ProfileCurve:
     """Integrate a slope trajectory into a height profile f(s).
 
     f is the cumulative Simpson integral of the dense slope over a fine
@@ -203,12 +208,10 @@ def build_graph(trajectory: Trajectory, f0: float = 0.0,
     the last resolved sample before the pole).
     """
     s0, s1 = trajectory.s_span
-    return _profile(trajectory, s0, s1, samples, f0)
+    return _profile(trajectory, s0, s1, _GRAPH_SAMPLES, f0)
 
 
-def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
-               order: int = 13, s_start: float = 1e-4,
-               samples: int = 20001) -> ProfileCurve:
+def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> ProfileCurve:
     """The bowl profile with evaluators valid on all of [0, s_max].
 
     Inside the series handoff radius the height comes from the integrated
@@ -217,9 +220,9 @@ def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
     enough that interpolation error stays near rounding, which matters
     when the curve seeds finite-difference fields.
     """
-    traj = compute_bowl(params, cfg, s_start=s_start, order=order)
-    return _profile(traj, s_start, cfg.s_max, samples,
-                    series=bowl_series_coeffs(params, order))
+    traj = compute_bowl(params, cfg)
+    return _profile(traj, _BOWL_S_START, cfg.s_max, _BOWL_SAMPLES,
+                    series=bowl_series_coeffs(params, _BOWL_ORDER))
 
 
 @dataclass
@@ -250,12 +253,12 @@ def _steep_end(traj: Trajectory, sigma: float, d: float) -> Optional[float]:
     return float(b)
 
 
-def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float,
-               nodes: int):
-    """An arm at nodes uniform in t = sqrt(|s - s0|) on [0, t_end]: t, s, w,
-    u = |y - y0| and du/dt.  With s = s0 + d*t^2, u = int 2t*|w| dt, whose
-    integrand is smooth and is sqrt(2*s0/c) at the apex, the pole of w."""
-    t = np.linspace(0.0, t_end, nodes)
+def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float):
+    """An arm at _GRAPH_SAMPLES nodes uniform in t = sqrt(|s - s0|) on
+    [0, t_end]: t, s, w, u = |y - y0| and du/dt.  With s = s0 + d*t^2,
+    u = int 2t*|w| dt, whose integrand is smooth and is sqrt(2*s0/c) at
+    the apex, the pole of w."""
+    t = np.linspace(0.0, t_end, _GRAPH_SAMPLES)
     s = s0 + d * t * t
     w = np.append(sigma * math.inf, traj.w_at(s[1:]))
     du = np.append(math.sqrt(2.0 * s0 / traj.params.fiber_coeff),
@@ -264,7 +267,7 @@ def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float
 
 
 def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float,
-               alpha_floor: float, nodes: int):
+               alpha_floor: float):
     """The arm where y falls and the one where it rises, each as its
     trajectory, _arm_nodes up to its stop, and the stop.
 
@@ -297,11 +300,11 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
             s_end, stop = _steep_end(traj, sigma, d), "steep"
             if s_end is None:
                 s_end, stop = (traj.s[0], "contact") if d < 0 else (traj.s[-1], "ceiling")
-            arm = _arm_nodes(traj, s0, d, sigma, math.sqrt(abs(s_end - s0)), nodes)
+            arm = _arm_nodes(traj, s0, d, sigma, math.sqrt(abs(s_end - s0)))
             t, u, du = arm[0], arm[3], arm[4]
             if u[-1] >= span:
                 t_span = float(_hermite(u, t, 1.0 / du)(span))
-                arm, stop = _arm_nodes(traj, s0, d, sigma, t_span, nodes), "span"
+                arm, stop = _arm_nodes(traj, s0, d, sigma, t_span), "span"
             elif stop != "steep" and not full:
                 continue
             arms[sigma] = (traj, arm, stop)
@@ -310,22 +313,21 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
 
 def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
                cfg: IntegratorConfig = IntegratorConfig(),
-               y_span: Optional[float] = None, alpha_floor: float = 1e-4,
-               samples: int = 4001) -> WingResult:
+               y_span: Optional[float] = None, alpha_floor: float = 1e-4) -> WingResult:
     """Wing profile through the apex (y0, s0), with inverted branches.
 
     The apex is a strict extremum (alpha''(y0) = ep*et*c/s0), a pole of
     the graph slope w = 1/alpha'.  Each arm is the graph solution leaving
     that pole, by the engine; its height y = y0 + int w ds is Simpson
     quadrature in t = sqrt(|s - s0|), where the integrand is smooth, and
-    alpha(y) on samples // 2 points per arm is the cubic Hermite inverse.
-    Arms stop at the axis floor (lightlike contact, extrapolated touch
-    point recorded), at the height ceiling s_max, at a vertical tangent
+    alpha(y) on _GRAPH_SAMPLES // 2 points per arm is the cubic Hermite
+    inverse.  Arms stop at the axis floor (lightlike contact, extrapolated
+    touch point recorded), at the height ceiling s_max, at a vertical tangent
     (|alpha'| = 1e6; the wing continues past it only as a graph over the
     height, i.e. in the inverted branch), or at y0 +- y_span; arm_stop
     records which.  y_span, if given, must be positive and finite, and
     alpha_floor positive.  The branches are the arms as graphs f(s) at
-    samples nodes more than _APEX_PAD = 1e-3 from the apex, with the
+    their nodes more than _APEX_PAD = 1e-3 from the apex, with the
     engine's dense slope.
 
     The translation direction breaks the y -> -y symmetry, so the two
@@ -342,12 +344,12 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
         raise ValueError(f"apex height s0 = {s0} must lie between alpha_floor = "
                          f"{alpha_floor} and s_max = {cfg.s_max}")
     span = cfg.s_max if y_span is None else float(y_span)
-    d, arms = _wing_arms(params, s0, cfg, span, alpha_floor, max(9, int(samples)))
+    d, arms = _wing_arms(params, s0, cfg, span, alpha_floor)
     parts, contact_y, branches = [], [], []
     for side, (traj, (t, s, w, u, du), stop) in zip((-1.0, 1.0), arms):
         y = y0 + side * u
         y_g = np.linspace(y0, y0 + side * span if stop == "span" else y[-1],
-                          max(9, int(samples) // 2))
+                          _GRAPH_SAMPLES // 2)
         t_g = _hermite(u, t, 1.0 / du)(np.abs(y_g - y0))
         a_g = s0 + d * t_g * t_g
         parts.append((y_g, a_g, np.where(t_g > 0.0, 1.0 / traj.w_at(a_g), 0.0)))
@@ -370,8 +372,7 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
 
 def build_spindle(params: FlowParams, s0: float,
                   cfg: IntegratorConfig = IntegratorConfig(),
-                  alpha_floor: float = 1e-4, y_span: Optional[float] = None,
-                  samples: int = 4001) -> ProfileCurve:
+                  alpha_floor: float = 1e-4, y_span: Optional[float] = None) -> ProfileCurve:
     """Closed wing profile touching the axis at both ends.
 
     Requires an apex that is a strict maximum (rhs_wing(s0, 0) < 0, the
@@ -384,7 +385,7 @@ def build_spindle(params: FlowParams, s0: float,
         raise ValueError("no spindle: the apex is not a maximum for these "
                          "parameters (rhs_wing(s0, 0) >= 0)")
     res = build_wing(params, s0, 0.0, cfg, y_span=y_span,
-                     alpha_floor=alpha_floor, samples=samples)
+                     alpha_floor=alpha_floor)
     wing = res.wing
     if not all(wing.contact):
         raise ValueError("spindle arms did not reach the axis inside the "
@@ -450,8 +451,7 @@ _TUBE_CELLS = 3
 
 
 def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
-                        cfg: IntegratorConfig = IntegratorConfig(),
-                        samples: int = 6001) -> Tuple[Callable, Callable]:
+                        cfg: IntegratorConfig = IntegratorConfig()) -> Tuple[Callable, Callable]:
     """Dense (height, slope) evaluators on [0, r_max] for the center-regular
     profile of any sign pattern.
 
@@ -466,7 +466,7 @@ def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
     run_cfg = replace(cfg, s_max=max(r_max, _SERIES_RADIUS * 2))
     start = PhaseState(_SERIES_RADIUS, float(eval_series(a, _SERIES_RADIUS)))
     traj = _series_anchored(params, start, order, run_cfg)
-    curve = _profile(traj, _SERIES_RADIUS, run_cfg.s_max, samples, series=a)
+    curve = _profile(traj, _SERIES_RADIUS, run_cfg.s_max, _CENTER_SAMPLES, series=a)
     return curve.f_dense, curve.w_dense
 
 
@@ -581,8 +581,8 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
 def timelike_family_from_strip(params: FlowParams,
                                class_request: "SolutionClassTag | str",
                                cfg: IntegratorConfig = IntegratorConfig(),
-                               strip_state: Optional[Tuple[float, float]] = None,
-                               samples: int = 4001) -> ProfileCurve:
+                               strip_state: Optional[Tuple[float, float]] = None
+                               ) -> ProfileCurve:
     """A timelike-boost profile realizing a requested strip class.
 
     The timelike pattern (et = -1, ep = +1) maps onto the canonical strip
@@ -605,7 +605,7 @@ def timelike_family_from_strip(params: FlowParams,
         base = bowl_curve(canon, cfg)
     elif tag is SolutionClassTag.SEPARATRIX and strip_state is None:
         sep = compute_separatrix(canon, cfg)
-        base = build_graph(sep.trajectory, f0=0.0, samples=samples)
+        base = build_graph(sep.trajectory)
     else:
         if strip_state is None:
             bowl = compute_bowl(canon, cfg)
@@ -633,6 +633,6 @@ def timelike_family_from_strip(params: FlowParams,
                 raise ValueError(f"strip state {state} classifies as {got.value}, "
                                  f"not the requested {tag.value}")
         traj = integrate_bidirectional(canon, state[0], state[1], cfg)
-        base = build_graph(traj, f0=0.0, samples=samples)
+        base = build_graph(traj)
 
     return _as_posed(base, params)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -108,13 +108,18 @@ class ResidualStats:
     eps: int
 
 
-def residual_fund_eq(field: GridField, w2_floor: float = 1e-6) -> ResidualStats:
+# residual_fund_eq refuses a field whose W^2, read in the sign of its median,
+# falls to this at an unmasked node
+_W2_FLOOR = 1e-6
+
+
+def residual_fund_eq(field: GridField) -> ResidualStats:
     """Discrete residual of the graph equation over the unmasked interior.
 
     Both derivative layers use centered differences, so the statistics
     cover nodes at least two cells from the boundary.  The sign eps of
     W^2 is inferred from the interior median and then enforced: any
-    unmasked node where eps*(ep + |grad u|^2) falls below w2_floor raises
+    unmasked node where eps*(ep + |grad u|^2) falls to _W2_FLOOR raises
     DegeneracyError, since the graph equation degenerates at the
     lightlike locus.
     """
@@ -134,11 +139,11 @@ def residual_fund_eq(field: GridField, w2_floor: float = 1e-6) -> ResidualStats:
     eps = +1 if med > 0.0 else -1
 
     w2 = eps * w2_raw
-    bad = usable1 & (w2 <= w2_floor)
+    bad = usable1 & (w2 <= _W2_FLOOR)
     if np.any(bad):
         worst = float(np.nanmin(np.where(usable1, w2, np.nan)))
         raise DegeneracyError(
-            f"W^2 (sign {eps:+d}) drops to {worst:.3e} <= floor {w2_floor:.1e} "
+            f"W^2 (sign {eps:+d}) drops to {worst:.3e} <= floor {_W2_FLOOR:.1e} "
             f"at {int(np.count_nonzero(bad))} unmasked nodes; the field "
             "crosses or grazes the lightlike locus")
 
@@ -207,7 +212,7 @@ class ConvergenceReport:
 
 
 def convergence_order(field_h: GridField, field_h2: GridField,
-                      field_h4: GridField, w2_floor: float = 1e-6) -> ConvergenceReport:
+                      field_h4: GridField) -> ConvergenceReport:
     """Estimate the residual convergence order from three nested grids.
 
     Computes max |R| at h, h/2, h/4; p = log2(R(h)/R(h/2)) cross-checked
@@ -226,7 +231,7 @@ def convergence_order(field_h: GridField, field_h2: GridField,
                 raise ValueError("grids must be successive halvings of the first")
             if abs(ax_a[0] - ax_b[0]) > 1e-12 or abs(ax_a[-1] - ax_b[-1]) > 1e-12:
                 raise ValueError("nested grids must share their extent")
-    res = tuple(residual_fund_eq(f, w2_floor=w2_floor).max_abs for f in fields)
+    res = tuple(residual_fund_eq(f).max_abs for f in fields)
     monotone = res[1] <= 1.05 * res[0] and res[2] <= 1.05 * res[1]
     if not monotone or any(r == 0.0 for r in res):
         return ConvergenceReport(res, None, None, monotone)
@@ -295,22 +300,20 @@ def smoothness_scan(field: GridField, max_order: int = 2) -> np.ndarray:
 
 
 def sample_radial_field(f_of_r, extent: float, nodes: int, ndim: int = 2,
-                        signature: Optional[Sequence[int]] = None,
-                        eps_prime: int = -1,
                         mask_cells: int = 3) -> GridField:
     """Sample u(x) = f(|x|) on a centered cube grid, masking an axis tube.
 
-    f_of_r must accept a vectorized radius >= 0.  The default mask
-    excludes a ball of mask_cells grid cells around the symmetry point,
-    where the radial coordinate degenerates.
+    The base is Euclidean (signature all +1) and the graph direction has
+    metric sign ep = -1, as for rotational(n).  f_of_r must accept a
+    vectorized radius >= 0.  The default mask excludes a ball of
+    mask_cells grid cells around the symmetry point, where the radial
+    coordinate degenerates.
     """
-    if signature is None:
-        signature = (1,) * ndim
     ax = np.linspace(-extent, extent, nodes)
     grids = np.meshgrid(*([ax] * ndim), indexing="ij")
     r = np.sqrt(sum(g * g for g in grids))
     values = np.asarray(f_of_r(r), dtype=float)
     h = ax[1] - ax[0]
     mask = r <= mask_cells * h
-    return GridField(axes=(ax,) * ndim, signature=tuple(signature),
-                     eps_prime=eps_prime, values=values, mask=mask)
+    return GridField(axes=(ax,) * ndim, signature=(1,) * ndim,
+                     eps_prime=-1, values=values, mask=mask)

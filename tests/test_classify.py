@@ -327,15 +327,15 @@ def test_separatrix_small_s_max(n, s_max):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_separatrix_far_off_trace_still_bracketed(n):
-    """At s_max = 6 the trace is off by 3e-6 (n = 4) and 5e-5 (n = 5), far
-    outside the first pair of shots: the window grows until its ends split,
-    and k-section then closes it on the LSODA value."""
+def test_separatrix_s_max_below_s_far_first_pair_is_the_bracket(n):
+    """At s_max = 6, below s_far (about 13 and 15), the trace still starts
+    at s_far, so it is as close at the anchor as at the default span: the
+    first pair of shots is the bracket, on the LSODA value."""
     sep = compute_separatrix(rotational(n), IntegratorConfig(s_max=6.0))
     assert sep.bracket[1] - sep.bracket[0] <= 1e-10
     for w in (sep.value, *sep.bracket):
         assert abs(w - LSODA_SEP_2_TO_5[n]) <= 1e-9
-    assert sep.shots > 2
+    assert sep.shots == 2
 
 
 @pytest.mark.parametrize("n", sorted(LSODA_SEP_2_TO_5))
@@ -417,9 +417,9 @@ def test_separatrix_tail_matches_stiff_reference(n):
 
 
 def test_separatrix_below_s_far():
-    """With s_max below s_far the trace starts at s_max, on the series cut
-    before its smallest term there.  At n = 2, s_max = 6 that start is off
-    by about 2e-7; the order-30 truncation would be off by about 7e-6."""
+    """With s_max below s_far the trace still starts at s_far and is cut at
+    s_max.  At n = 2, s_max = 6 its end is about 3e-12 off a stiff
+    reference; the order-30 series there would be off by about 7e-6."""
     params = rotational(2)
     c, s_max = params.fiber_coeff, 6.0
     assert separatrix_start(params).s > s_max
@@ -431,10 +431,42 @@ def test_separatrix_below_s_far():
                                        - (1.0 - y[0] ** 2) * c / s]])
     assert ref.success
     assert traj.s[-1] == s_max
-    assert abs(traj.w[-1] - ref.y[0, -1]) <= 1e-6
+    assert abs(traj.w[-1] - ref.y[0, -1]) <= 1e-10
     assert abs(traj.w_at(c) - LSODA_SEP[2]) <= 1e-9
     # the shots only run to s_max = 6, so the bracket is not checked at s_max = 100
     assert sep.bracket[1] - sep.bracket[0] <= 1e-10
+
+
+@pytest.mark.parametrize("n", [90, 100])
+def test_separatrix_large_n_independent_of_s_max(n):
+    """s_far (about 121 and 139) lies beyond the default s_max = 100: the
+    trace starts there all the same and is cut at s_max, so value, bracket
+    and trace agree bit for bit with a run at s_max = 400."""
+    params = rotational(n)
+    cfg = IntegratorConfig()
+    assert separatrix_start(params).s > cfg.s_max
+    short = compute_separatrix(params)
+    long = compute_separatrix(params, IntegratorConfig(s_max=400.0))
+    assert (short.value, short.bracket, short.shots) == (long.value, long.bracket, 2)
+    assert long.shots == 2
+    probes = np.linspace(cfg.s_min_eps, cfg.s_max, 401)
+    np.testing.assert_array_equal(short.trajectory.w_at(probes), long.trajectory.w_at(probes))
+    end = short.trajectory.termination_right
+    assert short.trajectory.s[-1] == end.s == cfg.s_max
+    assert end.kind is TerminationKind.REACHED_S_MAX
+    assert end.value == short.trajectory.w[-1] == short.trajectory.w_at(cfg.s_max)
+
+
+def test_classify_above_separatrix_beyond_s_far():
+    """A start 1e-6 above the separatrix at s = 99, n = 100: the trace at
+    the default span is the one at s_max = 400, so the start is above it.
+    Its pole lies past s_max (at about 129.6), so blowup stays None."""
+    params = rotational(100)
+    w_ref = float(compute_separatrix(params, IntegratorConfig(s_max=400.0))
+                  .trajectory.w_at(99.0))
+    verdict = classify(params, 99.0, w_ref + 1e-6)
+    assert verdict.tag is SolutionClassTag.GAMMA_PLUS_BLOWUP
+    assert verdict.blowup is None
 
 
 def test_separatrix_tail_ends_at_s_max_at_any_max_step():

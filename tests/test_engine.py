@@ -394,6 +394,17 @@ def test_dense_output_matches_samples():
     assert traj.w_at(mid) == pytest.approx(traj.w[idx], abs=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, np.array([0.5, 0.0])])
+def test_dense_output_toward_zero_refuses_nonpositive_s(s):
+    """An arc integrated toward zero is stepped in log s: w_at at s <= 0
+    names the query, not a math domain error.  A center-regular
+    trajectory reads w(0) from its series head."""
+    traj = integrate_bidirectional(ROT3, 1.0, 0.5)
+    with pytest.raises(ValueError, match=r"w_at\((0\.0|-1\.0)\): s must be positive"):
+        traj.w_at(s)
+    assert compute_bowl(ROT3).w_at(0.0) == 0.0
+
+
 def test_integrator_config_immutable():
     with pytest.raises(Exception):
         CFG.rel_tol = 1e-3
