@@ -137,13 +137,14 @@ class Region(Enum):
     BARRIER_MINUS = "barrier_minus"
 
 
-def region_of(w: float, tol: float = BARRIER_TOL) -> Region:
-    """Classify a slope value against the barriers, with a machine-equality band."""
+def region_of(w: float) -> Region:
+    """Classify a slope value against the barriers, with a machine-equality
+    band of BARRIER_TOL."""
     if not np.isfinite(w):
         raise ValueError(f"slope must be finite, got {w}")
-    if abs(w - 1.0) <= tol:
+    if abs(w - 1.0) <= BARRIER_TOL:
         return Region.BARRIER_PLUS
-    if abs(w + 1.0) <= tol:
+    if abs(w + 1.0) <= BARRIER_TOL:
         return Region.BARRIER_MINUS
     if w > 1.0:
         return Region.GAMMA_PLUS
@@ -202,18 +203,19 @@ def critical_concavity(params: FlowParams, s1: float) -> float:
     return (params.eps_tilde + params.eps_prime * w1 * w1) * (-dh * w1)
 
 
-def causal_sign(params: FlowParams, w, tol: float = LIGHTLIKE_TOL) -> int:
+def causal_sign(params: FlowParams, w) -> int:
     """Causal type of the graph along a slope sample: sign of ep + et*w^2.
 
     Returns +1 (timelike) or -1 (spacelike) when every sample that is
     numerically distinguishable from the lightlike locus agrees, else 0
     (mixed, or entirely lightlike as for the barrier constants).
-    Barrier-asymptotic samples sit at +-1 exactly in double precision and
-    are ignored rather than letting them mask the open-region sign.
+    Barrier-asymptotic samples sit at +-1 exactly in double precision and,
+    like every sample within LIGHTLIKE_TOL of the locus, are ignored
+    rather than letting them mask the open-region sign.
     """
     with np.errstate(over="ignore"):    # a slope near a pole squares to inf
         q = params.eps_prime + params.eps_tilde * np.asarray(w, dtype=float) ** 2
-    q = np.atleast_1d(q)[np.abs(np.atleast_1d(q)) > tol]
+    q = np.atleast_1d(q)[np.abs(np.atleast_1d(q)) > LIGHTLIKE_TOL]
     if q.size == 0:
         return 0
     pos, neg = np.any(q > 0.0), np.any(q < 0.0)
@@ -252,12 +254,13 @@ class SolverStats:
 
     Adding two records sums them, as merge_bidirectional does for the two
     arcs of a trajectory.  A trajectory no stepper produced (hand-built
-    samples, a series part) carries zeros.  The steps of a lane after it
-    lands on a barrier, w = +-1 exactly, are written out without running
-    the rhs, since the field is 0 there; they count as accepted steps and
-    in rhs_evals as if stepped, so accepted is still the number of
-    sampling intervals.  A start on a barrier is such a lane from its
-    first step on.
+    samples, a series part) carries zeros.  A lane that lands on a
+    barrier, w = +-1 exactly, ends in one closed step to its bound,
+    written out with zero stages, not stepped, since the field is 0
+    there; it counts as one attempt and one accepted step, with the
+    rhs_evals of a stepped one, so accepted is still the number of
+    sampling intervals.
+    A start on a barrier is such a lane from its first step on.
     """
 
     accepted: int = 0

@@ -41,15 +41,14 @@ is one loop; the arcs of the two charts are joined at that step end.
 
 The barriers w = +-1 of the patterns with et*ep = -1 are exact solutions,
 and most strip solutions settle onto one.  Once an accepted w-chart step
-of such a lane ends at w = +-1.0 exactly, the field there is exactly 0:
-every later step is exact, with error norm 0, and only its size follows
-the step rule (10x growth up to max_step).  The lane stops stepping there
-and its steps to the bound are written out after the loop, in closed form
-for all such lanes at once (_coast), with the same bits as stepping them;
-its cost does not depend on s_max.  A start within BARRIER_TOL of a barrier
-is put on it, w0 = +-1.0, and is a lane like any other: its first step
-lands on the barrier.  Lanes whose line crossing is terminal (the decision
-shots) keep stepping.
+of such a lane ends at w = +-1.0 exactly, the field there is exactly 0,
+and the lane ends in one closed step along the barrier to its bound, with
+stage rows 0: its dense output reads +-1 exactly, its events are located
+on it like on any step, and its cost does not depend on s_max.  Where the
+line crossing is terminal, that step ends the lane at the crossing if the
+critical line meets the barrier on the way.  A start within BARRIER_TOL
+of a barrier is put on it, w0 = +-1.0, and is a lane like any other: its
+first step lands on the barrier.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -357,11 +356,14 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     at or past the end of a chart that another chart follows (the w chart
     where |w| grows, the p chart where it shrinks) ends its arc there,
     open, and the lane goes on from that step end in the other chart with
-    a fresh initial step, as a new arc.  In a barrier pattern, unless
-    stop_on_crossing, a w-chart step that ends at w = +-1.0 exactly also
-    stops the lane: its arc is finished, and its remaining steps to the
-    bound come from _coast.  After a step where a lane stops or switches,
-    the stopped lanes are dropped and the field is rebuilt.
+    a fresh initial step, as a new arc.  In a barrier pattern a w-chart
+    step that ends at w = +-1.0 exactly lands the lane on the barrier,
+    where the field is 0: one closed step to its bound follows, with zero
+    stage rows, counted as one attempt and one accepted step, and finishes
+    its arc, or ends it as terminal when stop_on_crossing and the critical
+    line changes sign between the landing point and the bound.  After a
+    step where a lane stops or switches, the stopped lanes are dropped and
+    the field is rebuilt.
 
     Returns the steps (_Steps) and the arcs (_Arc): lane k's first arc at
     index k, later arcs after all first ones.
@@ -373,8 +375,6 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     x_min = math.log(cfg.s_min_eps)
     # no lane's minimum step 10*ulp(x) can exceed this
     min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(x, (cfg.s_max, x_min)))))
-    # lanes that land on a barrier stop stepping and coast after the loop
-    coasting, coasts = params.has_barriers and not stop_on_crossing, []
     # the lanes to go on with after a step where lanes stopped or switched, else None
     # (a p-chart lane never starts at its bound)
     keep, records, it = np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))), [], 0
@@ -464,86 +464,32 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             hit = ok & _straddles(g_cross, g_new)
             g_cross = np.where(ok, g_new, g_cross)
         landed = (ok & ~done & ~hit & ~in_p & (np.abs(y_new) == 1.0)
-                  if coasting else False)
+                  if params.has_barriers else False)
         stop = done | hit | landed
         if stuck is not None:
             stop |= stuck
         switch = ended & ~stop
         if not np.count_nonzero(stop | switch):
             continue
+        # a landed lane ends in one closed step to its bound, with stage rows 0
+        tries = it - start_it - (0 if stuck is None else stuck) + landed
+        if np.count_nonzero(landed):
+            records.append(tuple(a[landed] for a in (arc, x_new, bound - x_new, y_new, bound,
+                                                     y_new, np.zeros_like(K))))
+            if stop_on_crossing:    # the critical line meets the barrier on the way
+                hit |= landed & _straddles(g_new, field.events(bound, y_new))
         outcome = np.select([hit, done | landed, switch], [_TERMINAL, _FINISHED, _SWITCHED],
                             _COLLAPSED)
-        tries = it - start_it - (0 if stuck is None else stuck)
         for k in np.flatnonzero(stop | switch):
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
-        if np.count_nonzero(landed):
-            coasts.append(tuple(a[landed] for a in (arc, x, y, h_abs, log)))
         keep = np.flatnonzero(~stop)
-    return _collect(params, arcs, records, _coast(arcs, coasts, cfg)), arcs
+    return _collect(params, arcs, records), arcs
 
 
-def _past(x, bound, step):
-    """Whether x lies at or beyond the bound, in the direction of step."""
-    return np.where(step < 0.0, x <= bound, x >= bound)
-
-
-def _coast(arcs: List[_Arc], coasts: list, cfg: IntegratorConfig):
-    """The steps of lanes from the accepted step that landed them on a
-    barrier, w = +-1 exactly, to their bound, with no field evaluation.
-
-    coasts holds (arc, x, y, h_abs, log) arrays: the landing step's end,
-    y = +-1, and the step size the loop chose after it.  The field is 0 on
-    the barrier, so every later step is exact, its error norm is 0 and
-    scipy's rule grows it 10x, up to max_step, with the 10-ulp minimum step.
-    Once a step is max_step, no later one can be other than max_step (see
-    below), and the x of that stretch is a running sum, np.add.accumulate,
-    which adds in order as the loop did.  Each arc's attempts and accepted
-    steps gain its coasted steps.  Returns the steps as (arc, x0, h, y0,
-    x1, y1), each lane's in the order taken.
-    """
-    if not coasts:
-        return None
-    arc, x, y, h_abs, log = (np.concatenate(a) for a in zip(*coasts))
-    bound = np.where(log, math.log(cfg.s_min_eps), cfg.s_max)
-    step = np.where(log, -cfg.max_step, cfg.max_step)
-    # where max_step is at least 10 ulp of the largest |x| on the way, it is
-    # above the minimum step there and a max_step step advances x by more
-    # than 0.9 max_step, so once a step is max_step, every later one is
-    steady_from = 10.0 * 2.0 ** -52 * np.maximum(np.abs(x), np.abs(bound))
-    lane, parts = np.arange(x.size), []
-    while lane.size:    # steps below max_step, one per pass for every lane
-        d, b = step[lane], bound[lane]
-        h_abs = np.maximum(np.minimum(h_abs, cfg.max_step),
-                           10.0 * np.abs(np.nextafter(x, d * np.inf) - x))
-        x_new = x + h_abs * np.sign(d)
-        x_new = np.where(_past(x_new, b, d), b, x_new)
-        parts.append((lane, x, x_new))
-        h_abs = np.abs(x_new - x) * _MAX_FACTOR
-        go = x_new != b
-        steady = go & (h_abs >= cfg.max_step) & (cfg.max_step >= steady_from[lane])
-        go &= ~steady
-        if np.count_nonzero(steady):    # the max_step stretch, a running sum
-            ls, x0, d, b = lane[steady], x_new[steady], d[steady, None], b[steady, None]
-            run = np.empty((ls.size, int(np.max(np.abs(b[:, 0] - x0)) / (0.9 * cfg.max_step)) + 2))
-            run[:, 0], run[:, 1:] = x0, d
-            np.add.accumulate(run, axis=1, out=run)
-            ended = _past(run, b, d)
-            taken = ~ended[:, :-1]    # the steps that start short of the bound
-            parts.append((np.broadcast_to(ls[:, None], taken.shape)[taken], run[:, :-1][taken],
-                          np.where(ended[:, 1:], b, run[:, 1:])[taken]))
-        lane, x, h_abs = lane[go], x_new[go], h_abs[go]
-    lane, x0, x1 = (np.concatenate(a) for a in zip(*parts))
-    counts = np.bincount(lane, minlength=arc.size)
-    for k, m in zip(arc.tolist(), counts.tolist()):
-        arcs[k] = arcs[k]._replace(attempts=arcs[k].attempts + m, accepted=arcs[k].accepted + m)
-    return arc[lane], x0, x1 - x0, y[lane], x1, y[lane]
-
-
-def _collect(params: FlowParams, arcs: List[_Arc], records: list, coast) -> _Steps:
+def _collect(params: FlowParams, arcs: List[_Arc], records: list) -> _Steps:
     """Group the accepted steps by arc and build their dense output, for
-    all steps at once; the coasted steps (_coast) follow the stepped ones,
-    with dense rows F = 0."""
+    all steps at once."""
     if not records:
         records = [(np.zeros(0, dtype=int),) + (np.zeros(0),) * 5 + (np.zeros((0, _NS + 1)),)]
     parts = list(zip(*records))
@@ -553,9 +499,6 @@ def _collect(params: FlowParams, arcs: List[_Arc], records: list, coast) -> _Ste
     np.concatenate(parts.pop(), out=Kd[:, :_NS + 1])
     del parts
     F = _dense(_arc_field(params, arcs, arc), x0, h, y0, y1, Kd)
-    if coast is not None:
-        arc, x0, h, y0, x1, y1 = (np.concatenate(a) for a in zip((arc, x0, h, y0, x1, y1), coast))
-        F = np.concatenate([F, np.zeros((coast[0].size, F.shape[1]))])
     order = np.argsort(arc, kind="stable")
     return _Steps(*(a[order] for a in (arc, x0, h, y0, x1, y1, F)))
 

@@ -43,7 +43,6 @@ from .classify import (
     _BOWL_ORDER,
     _BOWL_S_START,
     SolutionClassTag,
-    classify,
     compute_bowl,
     compute_separatrix,
     integrate_bidirectional,
@@ -580,18 +579,15 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
 
 def timelike_family_from_strip(params: FlowParams,
                                class_request: "SolutionClassTag | str",
-                               cfg: IntegratorConfig = IntegratorConfig(),
-                               strip_state: Optional[Tuple[float, float]] = None
-                               ) -> ProfileCurve:
+                               cfg: IntegratorConfig = IntegratorConfig()) -> ProfileCurve:
     """A timelike-boost profile realizing a requested strip class.
 
     The timelike pattern (et = -1, ep = +1) maps onto the canonical strip
     under q = -f, so each strip class has a timelike graph realization:
-    the profile is built on the canonical side and flipped back.
-    strip_state optionally picks the representative as (s0, w0) in
-    canonical strip coordinates (w0 = -f'); by default a midline point
-    between the bowl and the relevant barrier (or the canonical solution
-    itself for bowl/separatrix/constants) is used.
+    the profile is built on the canonical side and flipped back.  The
+    representative is the canonical solution itself for bowl, separatrix
+    and the constants, else a midline point between the bowl (or the
+    separatrix) and the relevant barrier.
     """
     if not (params.eps_tilde == -1 and params.eps_prime == +1):
         raise ValueError("timelike family needs boost-timelike parameters "
@@ -601,37 +597,30 @@ def timelike_family_from_strip(params: FlowParams,
     canon = params.canonical_strip()[0]
     c = canon.fiber_coeff
 
-    if tag is SolutionClassTag.BOWL and strip_state is None:
+    if tag is SolutionClassTag.BOWL:
         base = bowl_curve(canon, cfg)
-    elif tag is SolutionClassTag.SEPARATRIX and strip_state is None:
+    elif tag is SolutionClassTag.SEPARATRIX:
         sep = compute_separatrix(canon, cfg)
         base = build_graph(sep.trajectory)
     else:
-        if strip_state is None:
-            bowl = compute_bowl(canon, cfg)
-            wb = float(bowl.w_at(c))
-            if tag is SolutionClassTag.BELOW_BOWL:
-                state = (c, 0.5 * (wb - 1.0))
-            elif tag is SolutionClassTag.ABOVE_BOWL:
-                state = (c, 0.5 * (wb + 1.0))
-            elif tag is SolutionClassTag.GAMMA_MINUS_BLOWUP:
-                state = (c, -2.0)
-            elif tag is SolutionClassTag.CONSTANT_PLUS:
-                state = (c, 1.0)
-            elif tag is SolutionClassTag.CONSTANT_MINUS:
-                state = (c, -1.0)
-            else:
-                sep = compute_separatrix(canon, cfg)
-                if tag is SolutionClassTag.GAMMA_PLUS_GLOBAL:
-                    state = (sep.anchor, 0.5 * (1.0 + sep.value))
-                else:
-                    state = (sep.anchor, sep.value + 1.0)
+        bowl = compute_bowl(canon, cfg)
+        wb = float(bowl.w_at(c))
+        if tag is SolutionClassTag.BELOW_BOWL:
+            state = (c, 0.5 * (wb - 1.0))
+        elif tag is SolutionClassTag.ABOVE_BOWL:
+            state = (c, 0.5 * (wb + 1.0))
+        elif tag is SolutionClassTag.GAMMA_MINUS_BLOWUP:
+            state = (c, -2.0)
+        elif tag is SolutionClassTag.CONSTANT_PLUS:
+            state = (c, 1.0)
+        elif tag is SolutionClassTag.CONSTANT_MINUS:
+            state = (c, -1.0)
         else:
-            state = (float(strip_state[0]), float(strip_state[1]))
-            got = classify(canon, state[0], state[1], cfg).tag
-            if got is not tag:
-                raise ValueError(f"strip state {state} classifies as {got.value}, "
-                                 f"not the requested {tag.value}")
+            sep = compute_separatrix(canon, cfg)
+            if tag is SolutionClassTag.GAMMA_PLUS_GLOBAL:
+                state = (sep.anchor, 0.5 * (1.0 + sep.value))
+            else:
+                state = (sep.anchor, sep.value + 1.0)
         traj = integrate_bidirectional(canon, state[0], state[1], cfg)
         base = build_graph(traj)
 

@@ -807,44 +807,40 @@ def test_coast_cost_does_not_depend_on_s_max(monkeypatch, grid, most):
     assert counts[0] == counts[1] <= most
     traj = integrate(ROT3, (1.0, 0.5), "toward_infinity", IntegratorConfig(s_max=1e4))
     assert traj.w[-1] == 1.0 and traj.s[-1] == 1e4
-    assert traj.stats.accepted == len(traj.s) - 1 > 1e4 - 100
+    short = integrate(ROT3, (1.0, 0.5), "toward_infinity")
+    assert traj.stats.accepted == len(traj.s) - 1 == len(short.s) - 1
 
 
-def _stepped_coast(x, h, log, cfg):
-    """(x0, x1) of each step scipy's rule takes on a barrier, one by one:
-    the error norm is 0, so a step is the last one grown 10x, at most
-    max_step, at least 10 ulp of x, and cut at the bound."""
-    bound, sign = (math.log(cfg.s_min_eps), -1.0) if log else (cfg.s_max, 1.0)
-    steps = []
-    while not steps or steps[-1][1] != bound:
-        h = max(min(h, cfg.max_step), 10.0 * abs(float(np.nextafter(x, sign * np.inf)) - x))
-        x_new = max(x - h, bound) if log else min(x + h, bound)
-        steps.append((x, x_new))
-        h, x = abs(x_new - x) * 10.0, x_new
-    return steps
+@settings(max_examples=20, deadline=None)
+@given(s0=st.floats(0.2, 5.0), w0=st.floats(-0.99, 0.99))
+def test_landed_lane_does_not_depend_on_s_max(s0, w0):
+    """A strip lane lands on a barrier and ends in one closed step to its
+    bound: at s_max = 1e4 it has the samples, dense output and counters
+    it has at 100 up to its last sample, and past the landing its dense
+    output reads the barrier exactly."""
+    near, far = (integrate(ROT3, (s0, w0), "toward_infinity", IntegratorConfig(s_max=s_max))
+                 for s_max in (100.0, 1e4))
+    assert near.s[:-1].tobytes() == far.s[:-1].tobytes() and far.s[-1] == 1e4
+    assert near.w.tobytes() == far.w.tobytes()
+    assert near.stats == far.stats and near.events == far.events
+    landing = near.s[-2]
+    assert abs(near.w[-2]) == 1.0
+    probes = np.linspace(landing, 1e4, 17)
+    assert set(np.asarray(far.w_at(probes)).tolist()) == {near.w[-1]}
+    probes = np.linspace(near.s[0], landing, 9)
+    assert np.asarray(near.w_at(probes)).tobytes() == np.asarray(far.w_at(probes)).tobytes()
 
 
-@pytest.mark.parametrize("cfg", [CFG, IntegratorConfig(max_step=0.1, s_max=37.0),
-                                 IntegratorConfig(max_step=7.0, s_max=1e3, s_min_eps=1e-3)])
-def test_coast_takes_the_steps_of_the_step_rule(cfg):
-    """The closed-form coast gives, for every lane, the steps the step rule
-    takes one by one, from any landing x and next step size, down to steps
-    below the 10-ulp minimum, and counts them as accepted steps."""
-    rng = np.random.default_rng(3)
-    log = rng.random(60) < 0.5
-    x = np.where(log, rng.uniform(math.log(cfg.s_min_eps) + 0.1, 3.0, 60),
-                 rng.uniform(0.01, cfg.s_max - 0.1, 60))
-    x[:3], log[:3] = [0.0, 1e-300, 2.0], True
-    h = 10.0 ** rng.uniform(-320.0, 1.0, 60)
-    h[::7] = 0.0
-    arcs = [engine._Arc(k, bool(lg), 0.0, 0.0, 0.0) for k, lg in enumerate(log)]
-    arc, x0, _, y0, x1, _ = engine._coast(arcs, [(np.arange(60), x, -np.ones(60), h, log)], cfg)
-    assert set(y0.tolist()) == {-1.0}
-    for k in range(60):
-        mine = arc == k
-        want = _stepped_coast(float(x[k]), float(h[k]), bool(log[k]), cfg)
-        assert list(zip(x0[mine].tolist(), x1[mine].tolist())) == want
-        assert arcs[k].accepted == arcs[k].attempts == len(want)
+def test_terminal_shot_on_a_barrier_is_one_closed_step():
+    """Where the line crossing is terminal, a lane that lands on a barrier
+    the critical line does not meet ahead ends at the bound in one closed
+    step, like any other lane: a start on the upper barrier at s = 3 > c
+    takes its landing step and that one."""
+    shot = integrate(ROT3, (3.0, 1.0), "toward_infinity", stop_on_line_crossing=True)
+    assert shot.stats.accepted == 2 and shot.stats.rejected == 0
+    assert shot.events == ()
+    assert shot.termination_right.kind is TerminationKind.REACHED_S_MAX
+    assert shot.s[-1] == CFG.s_max and set(shot.w.tolist()) == {1.0}
 
 
 # --- mixed directions and charts in one batch ---

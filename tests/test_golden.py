@@ -55,7 +55,7 @@ GOLDEN = [
     (["separatrix", "--n", "3"], 0,
      "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
-     "5f5c52d200b16c25d751f58b28f84426d0bc62bd63623869def3f3d12d67ec62"),
+     "7a2aa0e005b3b0442cf3e026d1356091eff9f43bc2c9b39989037fc236015dde"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
      "1eb382bede9a9da065130564b68c376cd183f07ef715e888c2601d8ab23b2bf3"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
@@ -176,4 +176,4 @@ def test_engine_bits():
     sep = compute_separatrix(params)
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
     grid(lambda sigmas: _pole_batch(params, 2.0, sigmas, cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "ab89a371127082b202e34ed365e57630a0f14f2fe799935236ab40fca16803b0"
+    assert digest.hexdigest() == "066d3fe334b5cffe0fc97dd84a90e7eced200962c20abc159b708b99cd4626a9"
