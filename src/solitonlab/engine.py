@@ -780,14 +780,18 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
     return _first(integrate_batch(params, [init], direction, cfg, stop_on_line_crossing))
 
 
-def _handoff(below: Callable, above: Callable, r: float,
-            hi: Optional[float] = None) -> Callable:
+def _handoff(below: Callable, above: Callable, r: float) -> Callable:
     """Evaluator reading below() left of r and above() from r on, each
-    called only with arguments on its own side (and at most hi)."""
+    called only on the points on its own side (on q itself where they
+    all are, as a scalar always is)."""
     def evaluate(q):
         q = np.asarray(q, dtype=float)
-        return _scalar_or_array(np.where(q < r, below(np.minimum(q, r)),
-                                         above(np.clip(q, r, hi))))
+        left = q < r
+        if not left.any() or left.all():
+            return _scalar_or_array(np.asarray((below if left.any() else above)(q)))
+        out = np.empty(q.shape)
+        out[left], out[~left] = below(q[left]), above(q[~left])
+        return out
     return evaluate
 
 

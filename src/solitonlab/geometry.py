@@ -100,11 +100,14 @@ class ProfileCurve:
 def _evaluator(fn: Callable, sign: float = 1.0,
                hi: Optional[float] = None) -> Callable:
     """sign * fn, returning floats for scalar input; given hi, points
-    outside [0, hi] are refused."""
+    outside [0, hi] are refused, but for a rounding sliver above hi that
+    is read at hi."""
     def evaluate(q):
         q = np.asarray(q, dtype=float)
-        if hi is not None and (np.any(q < 0.0) or np.any(q > hi * (1 + 1e-12))):
-            raise ValueError(f"profile evaluator domain is [0, {hi}]")
+        if hi is not None:
+            if np.any(q < 0.0) or np.any(q > hi * (1 + 1e-12)):
+                raise ValueError(f"profile evaluator domain is [0, {hi}]")
+            q = np.minimum(q, hi)
         return _scalar_or_array(sign * np.asarray(fn(q), dtype=float))
     return evaluate
 
@@ -181,8 +184,7 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
     if fc is None:
         f_dense, w_dense = _evaluator(spline), traj.w_at
     else:
-        f_dense = _evaluator(_handoff(partial(eval_series, fc), spline, lo, hi),
-                             hi=hi)
+        f_dense = _evaluator(_handoff(partial(eval_series, fc), spline, lo), hi=hi)
         w_dense = _evaluator(traj.w_at, hi=hi)
     trunc = any(t is not None and t.kind is TerminationKind.BLOW_UP
                 for t in (traj.termination_left, traj.termination_right))
@@ -256,12 +258,15 @@ def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float
     """An arm at _GRAPH_SAMPLES nodes uniform in t = sqrt(|s - s0|) on
     [0, t_end]: t, s, w, u = |y - y0| and du/dt.  With s = s0 + d*t^2,
     u = int 2t*|w| dt, whose integrand is smooth and is sqrt(2*s0/c) at
-    the apex, the pole of w."""
+    the apex, the pole of w.  Nodes whose s rounds onto s0 (t = 0, and
+    more on a short arm) take these apex limits."""
     t = np.linspace(0.0, t_end, _GRAPH_SAMPLES)
     s = s0 + d * t * t
-    w = np.append(sigma * math.inf, traj.w_at(s[1:]))
-    du = np.append(math.sqrt(2.0 * s0 / traj.params.fiber_coeff),
-                   2.0 * sigma * t[1:] * w[1:])
+    off = s != s0
+    w = np.full(t.shape, sigma * math.inf)
+    du = np.full(t.shape, math.sqrt(2.0 * s0 / traj.params.fiber_coeff))
+    w[off] = traj.w_at(s[off])
+    du[off] = 2.0 * sigma * t[off] * w[off]
     return t, s, w, _cumulative_simpson(du, t), du
 
 
@@ -371,24 +376,23 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
 
 def build_spindle(params: FlowParams, s0: float,
                   cfg: IntegratorConfig = IntegratorConfig(),
-                  alpha_floor: float = 1e-4, y_span: Optional[float] = None) -> ProfileCurve:
+                  alpha_floor: float = 1e-4) -> ProfileCurve:
     """Closed wing profile touching the axis at both ends.
 
     Requires an apex that is a strict maximum (rhs_wing(s0, 0) < 0, the
     rotational timelike regime); both arms then descend to the axis at
-    finite height with slope tending to a lightlike +-1.  The profile is
-    reported down to alpha = alpha_floor with the two axis touch points
-    extrapolated linearly.
+    finite height with slope tending to a lightlike +-1.  The arms are
+    searched out to |y| = s_max.  The profile is reported down to
+    alpha = alpha_floor with the two axis touch points extrapolated
+    linearly.
     """
     if rhs_wing(params, s0, 0.0) >= 0.0:
         raise ValueError("no spindle: the apex is not a maximum for these "
                          "parameters (rhs_wing(s0, 0) >= 0)")
-    res = build_wing(params, s0, 0.0, cfg, y_span=y_span,
-                     alpha_floor=alpha_floor)
-    wing = res.wing
+    wing = build_wing(params, s0, 0.0, cfg, alpha_floor=alpha_floor).wing
     if not all(wing.contact):
-        raise ValueError("spindle arms did not reach the axis inside the "
-                         "y-span; widen y_span")
+        raise ValueError("no spindle: the arms stopped at {} and {}, not both at the "
+                         "axis, within |y| <= {:g}".format(*wing.arm_stop, cfg.s_max))
     return wing
 
 
@@ -534,25 +538,16 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
     f2 = center_profile_eval(p2, order, r_need, cfg)[0]
     a1 = bowl_series_coeffs(p1, order)
     a2 = bowl_series_coeffs(p2, order)
-    mask_set = set(qs)
 
     def u(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        x, y = np.broadcast_arrays(x, y)
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         t = x * x - y * y
         r = np.sqrt(np.abs(t))
-        out = np.full(t.shape, np.nan)
-        out[t == 0.0] = 0.0
-        q = quadrant_of(x, y)
-        for qi in mask_set:
-            sel = q == qi
-            if not np.any(sel):
-                continue
-            if qi in (1, 3):
-                out[sel] = f1(r[sel])
-            else:
-                out[sel] = f2_sign * f2(r[sel])
+        out = np.where(t == 0.0, 0.0, np.nan)
+        on = np.isin(quadrant_of(x, y), qs)
+        side, top = on & (t > 0.0), on & (t < 0.0)
+        out[side] = f1(r[side])
+        out[top] = f2_sign * f2(r[top])
         return _scalar_or_array(out)
 
     def u_tilde(xvec, y):

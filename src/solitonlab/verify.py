@@ -299,21 +299,24 @@ def smoothness_scan(field: GridField, max_order: int = 2) -> np.ndarray:
     return jumps
 
 
-def sample_radial_field(f_of_r, extent: float, nodes: int, ndim: int = 2,
-                        mask_cells: int = 3) -> GridField:
+# sample_radial_field masks a ball of this radius, in grid cells, around the center
+_AXIS_CELLS = 3
+
+
+def sample_radial_field(f_of_r, extent: float, nodes: int, ndim: int = 2) -> GridField:
     """Sample u(x) = f(|x|) on a centered cube grid, masking an axis tube.
 
     The base is Euclidean (signature all +1) and the graph direction has
     metric sign ep = -1, as for rotational(n).  f_of_r must accept a
-    vectorized radius >= 0.  The default mask excludes a ball of
-    mask_cells grid cells around the symmetry point, where the radial
-    coordinate degenerates.
+    vectorized radius >= 0.  The mask excludes a ball of _AXIS_CELLS = 3
+    grid cells around the symmetry point, where the radial coordinate
+    degenerates.
     """
     ax = np.linspace(-extent, extent, nodes)
     grids = np.meshgrid(*([ax] * ndim), indexing="ij")
     r = np.sqrt(sum(g * g for g in grids))
     values = np.asarray(f_of_r(r), dtype=float)
     h = ax[1] - ax[0]
-    mask = r <= mask_cells * h
+    mask = r <= _AXIS_CELLS * h
     return GridField(axes=(ax,) * ndim, signature=(1,) * ndim,
                      eps_prime=-1, values=values, mask=mask)

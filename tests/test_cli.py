@@ -551,6 +551,20 @@ def test_mesh_spindle_builds_the_parsed_parameters(capsys):
     assert captured.out == "" and "no spindle" in captured.err
 
 
+def test_spindle_without_contact_names_the_arm_stops(capsys):
+    """At s0 = 50 the rising arm reaches the axis but the falling one runs
+    to y = -s_max: the error names both stops and the span searched."""
+    assert main(["spindle", "--s0", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "span and contact" in captured.err and "|y| <= 100" in captured.err
+    assert "y_span" not in captured.err
+
+
+def test_short_wing_has_no_nan_rows(capsys):
+    assert "nan" not in _stdout(capsys, "wing", "--s0", "1", "--y-span", "1e-5")
+
+
 @pytest.mark.parametrize("target", ["spindle", "wing"])
 def test_revolved_meshes_reject_boost(capsys, target):
     assert main(["mesh", target, "--action", "boost", "--region", "timelike_T"]) == 2

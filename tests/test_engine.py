@@ -1,5 +1,6 @@
 import importlib
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -385,6 +386,32 @@ def test_merge_bidirectional_continuity():
     # events from both halves, ordered by s
     ev_s = [e.s for e in merged.events]
     assert ev_s == sorted(ev_s)
+
+
+def test_merge_calls_each_side_only_on_its_own_points():
+    """w_at of a merged trajectory reads the down arc below the join and
+    the up arc from it on, calling each only on its own points (and a
+    scalar query one side, on the scalar itself)."""
+    down, up = (integrate(ROT3, (1.0, 0.5), d) for d in DIRECTIONS)
+    calls = []
+
+    def recording(name, dense):
+        def read(q):
+            calls.append((name, np.array(q, dtype=float).tolist()))
+            return dense(q)
+        return read
+
+    merged = merge_bidirectional(replace(down, dense=recording("down", down.dense)),
+                                 replace(up, dense=recording("up", up.dense)))
+    q = np.array([0.2, 1.5, 0.7, 1.0, 4.0])
+    w = merged.w_at(q)
+    assert sorted(calls) == [("down", [0.2, 0.7]), ("up", [1.5, 1.0, 4.0])]
+    assert np.array_equal(w, np.where(q < 1.0, down.w_at(q), up.w_at(q)))
+    for name, s, side in (("down", 0.3, down), ("up", 1.0, up), ("up", 2.0, up)):
+        calls.clear()
+        got = merged.w_at(s)
+        assert calls == [(name, s)]
+        assert type(got) is float and got == side.w_at(s)
 
 
 def test_dense_output_matches_samples():

@@ -84,6 +84,22 @@ def test_bowl_curve_domain_guard(bowl3):
         bowl3.f_dense(101.0)
 
 
+@pytest.mark.parametrize("case", ["center_spacelike", "bowl"])
+def test_profile_evaluators_read_the_sliver_above_hi_at_hi(case, bowl3):
+    """f_dense and w_dense agree on their domain: the rounding sliver up to
+    hi*(1 + 1e-12) is read at hi by both, and past it both refuse."""
+    if case == "bowl":
+        (f, w), hi = (bowl3.f_dense, bowl3.w_dense), IntegratorConfig().s_max
+    else:
+        (f, w), hi = center_profile_eval(boost(2, "spacelike"), r_max=3.0), 3.0
+    for dense in (f, w):
+        assert dense(hi * (1 + 5e-13)) == dense(hi)
+        assert np.array_equal(dense(np.array([1.0, hi * (1 + 5e-13)])),
+                              dense(np.array([1.0, hi])))
+        with pytest.raises(ValueError, match="domain"):
+            dense(hi * (1 + 2e-12))
+
+
 def test_build_graph_anchoring():
     traj = integrate_bidirectional(ROT3, 1.0, -0.5)
     g = build_graph(traj, f0=3.0)
@@ -225,11 +241,24 @@ def test_wing_matches_the_wing_chart(params, s0, y_span, stops):
 def test_wing_rejects_bad_span_and_floor(kwargs, name):
     """A y_span that is not positive and finite, or an alpha_floor that is
     not positive, is refused by name before any integration (a negative
-    span once ran the arms from a cutoff above the apex without end)."""
+    span once ran the arms from a cutoff above the apex without end).
+    build_spindle takes no y_span."""
     with pytest.raises(ValueError, match=name):
         build_wing(ROT3, 2.0, **kwargs)
-    with pytest.raises(ValueError, match=name):
-        build_spindle(rotational(2), 1.0, **kwargs)
+    if "y_span" not in kwargs:
+        with pytest.raises(ValueError, match=name):
+            build_spindle(rotational(2), 1.0, **kwargs)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y_span", [1e-12, 1e-9, 1e-5])
+def test_short_wing_reads_the_apex_limits(y_span):
+    """On a short arm the first nodes s0 + d*t^2 round onto the apex s0,
+    the pole of w, and take its limits as t = 0 does: alpha stays finite
+    and follows alpha = 1 - y^2 (alpha''(y0) = ep*et*c/s0 = -2)."""
+    wing = build_wing(ROT3, 1.0, y_span=y_span).wing
+    assert np.all(np.isfinite(wing.alpha)) and np.all(np.isfinite(wing.alpha_prime))
+    assert np.max(np.abs(wing.alpha - (1.0 - wing.y ** 2))) <= 1e-12
 
 
 def test_wing_rejects_nonpositive_apex():

@@ -79,6 +79,11 @@ GOLDEN = [
     (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4",
       "--s-max", "1000"], 0,
      "3d1593667de9e2ae77f3170fdfdb6c194bf198c4cd87907326158c9aa4ad953a"),
+    # masked hybrids: the first has 200 nan rows, off its two quadrants
+    (["hybrid", "--nodes", "21", "--quadrants", "1,2"], 0,
+     "6b922f4973c5874de3711ca3345cd512a205fd0c6a2b16ca6a984bec17e2752f"),
+    (["mesh", "hybrid", "--nodes", "21", "--quadrants", "2,3,4"], 0,
+     "e7db49a695f56767cd7e0dfc62d866b60f271f5d625b2f8f0a3356b990a444de"),
 ]
 
 

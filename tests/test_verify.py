@@ -260,7 +260,7 @@ def test_sample_radial_field_values():
 
 def test_sample_radial_field_masks_axis_cells():
     prof = bowl_curve(rotational(3))
-    field = sample_radial_field(prof.f_dense, extent=1.0, nodes=21, mask_cells=3)
+    field = sample_radial_field(prof.f_dense, extent=1.0, nodes=21)
     assert field.mask is not None and field.mask.any()
     # center cells excluded, corners kept
     assert field.mask[10, 10]
