@@ -250,27 +250,30 @@ class Termination:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Cost of an integration: accepted and rejected steps, rhs evaluations.
+    """Cost of an integration: accepted and rejected steps, rhs
+    evaluations, and closed steps.
 
     Adding two records sums them, as merge_bidirectional does for the two
     arcs of a trajectory.  A trajectory no stepper produced (hand-built
-    samples, a series part) carries zeros.  A lane that lands on a
-    barrier, w = +-1 exactly, ends in one closed step to its bound,
-    written out with zero stages, not stepped, since the field is 0
-    there; it counts as one attempt and one accepted step, with the
+    samples, a series part) carries zeros.  A lane that settles near a
+    barrier w = +-1 (it lands on it exactly, or its linearised tail stays
+    within sqrt(abs_tol) of it up to the bound) ends in one closed step to
+    its bound, written from the tail's formula, not stepped.  closed counts
+    these steps.  Each is also one attempt and one accepted step, with the
     rhs_evals of a stepped one, so accepted is still the number of
-    sampling intervals.
-    A start on a barrier is such a lane from its first step on.
+    sampling intervals.  A start on a barrier lands on its first step.
     """
 
     accepted: int = 0
     rejected: int = 0
     rhs_evals: int = 0
+    closed: int = 0
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(self.accepted + other.accepted,
                            self.rejected + other.rejected,
-                           self.rhs_evals + other.rhs_evals)
+                           self.rhs_evals + other.rhs_evals,
+                           self.closed + other.closed)
 
 
 @dataclass(frozen=True)

@@ -15,40 +15,50 @@ integrate() is a batch of one.  The two directions:
   integrator coast to s = 1e-10 and beyond without step collapse.
 
 Each lane carries its own dense output (the seventh-degree DOP853
-interpolant of every accepted step), solver counters, and its events:
-crossing the critical line, located on the step's interpolant after the
-loop (Shampine & Thompson, "Event location for ODEs", 2000).  A lane that
-fails (step collapse) comes back as its own exception and does not stop
-the others.
+interpolant of every stepped step, the tail formula of a closed one),
+solver counters, and its events: crossing the critical line, located on
+the step's dense output after the loop (Shampine & Thompson, "Event
+location for ODEs", 2000).  A lane that fails (step collapse) comes back
+as its own exception and does not stop the others.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
 chart rule holds in both directions: a lane is in the chart of
 p = 1/w, which steps p and carries s, with
-ds/dp = -p / ((et*p^2 + ep)(p - h(s))), whenever |w| >= max(10, 2s/c), and
-in the w chart otherwise.  Past that level |w| is monotone, and s(p) is
-regular at p = 0, where the w chart has its pole.  In the direction where
-|w| grows without bound (forward when et*ep = -1, toward zero otherwise)
-a lane passes from the w chart to the p chart at the level and steps p to
-0: the step end s(0) is its BLOW_UP s, and its last sample sits on that
-step at |w| = 1e6, about 1e-12 short of the pole.  In the other
-direction a lane passes from the p chart back to the w chart at the
-level; a start at w0 = +-inf leaves a pole, p = +-0.  A lane switches at
+ds/dp = -p / ((et*p^2 + ep)(p - h(s))), whenever |w| is at or past the
+switch level (_switch_level), and in the w chart otherwise.  The level is
+2 where w has the sign -et: the critical line w = s*et/c never reaches
+that side, so ds/dp has no singular point there and |w| is monotone past
+1.  On the line's side it is max(2, 2s/c), which keeps the p chart off
+the line.  s(p) is regular at p = 0, where the w chart has its pole.  In
+the direction where |w| grows without bound (forward when et*ep = -1,
+toward zero otherwise) a lane passes from the w chart to the p chart at
+the level and steps p to 0: the step end s(0) is its BLOW_UP s, and its
+last sample sits on that step at |w| = 1e6, about 1e-12 short of the
+pole.  In the other direction a lane passes from the p chart back to the
+w chart at the level; a start at w0 = +-inf leaves a pole, p = +-0.  A lane switches at
 the end of its first accepted step at or past the level, a point of the
 solution as accurate as any located one, and goes on in its next chart
 from there within the same loop, so a batch of any directions and charts
 is one loop; the arcs of the two charts are joined at that step end.
 
 The barriers w = +-1 of the patterns with et*ep = -1 are exact solutions,
-and most strip solutions settle onto one.  Once an accepted w-chart step
-of such a lane ends at w = +-1.0 exactly, the field there is exactly 0,
-and the lane ends in one closed step along the barrier to its bound, with
-stage rows 0: its dense output reads +-1 exactly, its events are located
-on it like on any step, and its cost does not depend on s_max.  Where the
-line crossing is terminal, that step ends the lane at the crossing if the
-critical line meets the barrier on the way.  A start within BARRIER_TOL
-of a barrier is put on it, w0 = +-1.0, and is a lane like any other: its
-first step lands on the barrier.
+and most strip solutions settle onto one, in either direction.  With
+u = w - sigma near the barrier sigma, the linearised equation has the
+closed solution u(s) = u1*exp(2*ep*sigma*((s - s1) - sigma*et*c*ln(s/s1)))
+from (s1, sigma + u1); the dropped O(u^2) terms move w by about u1^2.
+Once an accepted w-chart step of a lane ends where that solution stays
+within u* = sqrt(abs_tol) of the barrier up to the lane's bound, the lane
+ends in one closed step to its bound, written from the formula, not
+stepped: its samples, its dense output and the critical-line events on it
+all come from the formula (libm's exp and log, taken in log space, so no
+term overflows and the bits do not depend on numpy's dispatch), and its
+cost does not depend on s_max.  A step that ends at w = +-1.0 exactly,
+where the field is 0, is the case u1 = 0, and reads the barrier exactly.
+Where the line crossing is terminal, that step ends the lane at the
+crossing if the critical line meets the tail on the way.  A start within
+BARRIER_TOL of a barrier is put on it, w0 = +-1.0, and is a lane like any
+other: its first step lands on the barrier.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -130,8 +140,8 @@ _EXPONENT = -1.0 / 8.0
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
 
-# a lane is in the p chart, p = 1/w, while |w| >= max(_W_SWITCH, 2s/c)
-_W_SWITCH = 10.0
+# a lane is in the p chart, p = 1/w, while |w| is at or past _switch_level
+_W_SWITCH = 2.0
 # a p-chart arc samples its pole end, p = 0, at |p| = _P_END (|w| = 1e6)
 _P_END = 1e-6
 # trial stages of a rejected step can overshoot far; the w chart reads
@@ -139,6 +149,16 @@ _P_END = 1e-6
 _W_CAP = 1e10
 
 Result = Union[Trajectory, Exception]
+
+
+def _switch_level(params: FlowParams, s, w):
+    """The |w| at and past which a lane at (s, w) is in the p chart:
+    _W_SWITCH where w has the sign -et, which the critical line
+    w = s*et/c never reaches (there ds/dp has no singular point and |w| is
+    monotone past 1), and max(_W_SWITCH, 2s/c) on the line's side, which
+    keeps the p chart off the line, p*s = et*c."""
+    return np.where(np.asarray(w) * params.eps_tilde < 0.0, _W_SWITCH,
+                    np.maximum(_W_SWITCH, 2.0 * np.asarray(s) / params.fiber_coeff))
 
 
 class _Field:
@@ -231,16 +251,16 @@ class _Field:
 
     def ended(self, x, y):
         """Whether points (x, y) lie at or past the end of a chart that
-        another follows: |w| >= max(_W_SWITCH, 2s/c) in the w chart where
-        |w| grows, |p| >= 1/max(_W_SWITCH, 2s/c) in the p chart where it
+        another follows: |w| at or past _switch_level in the w chart where
+        |w| grows, |p| at or past its inverse in the p chart where |w|
         shrinks."""
         end = self.grows & ~self.in_p & (np.abs(y) >= _W_SWITCH)
         if np.count_nonzero(end):
             at = np.flatnonzero(end)
-            end[at] = np.abs(y[at]) >= 2.0 * self.s_of(x[at], at) / self.c
+            end[at] = np.abs(y[at]) >= _switch_level(self.params, self.s_of(x[at], at), y[at])
         at = np.flatnonzero(~self.grows & self.in_p)
         if at.size:
-            end[at] = np.abs(x[at]) * np.maximum(_W_SWITCH, 2.0 * y[at] / self.c) >= 1.0
+            end[at] = np.abs(x[at]) * _switch_level(self.params, y[at], x[at]) >= 1.0
         return end
 
     def events(self, x, y):
@@ -277,9 +297,59 @@ def _straddles(g_old, g_new):
     return np.sign(g_old) * np.sign(g_new) <= 0.0
 
 
+def _tail_rows(params: FlowParams, s1, y1):
+    """The rows F of closed steps from (s1, y1), w = y1 near a barrier
+    sigma = +-1, one row per step as _dense gives them: sigma,
+    u1 = y1 - sigma, s1, 2*ep*sigma, sigma*et*c, ln|u1| (0 at u1 = 0)
+    and 0.  Linearised about the barrier, u = w - sigma solves
+    u' = 2*ep*sigma*u*(1 - sigma*et*c/s), so u(s) = u1*exp(E(s)) with
+    E(s) = 2*ep*sigma*((s - s1) - sigma*et*c*ln(s/s1)); the dropped O(u^2)
+    terms move w by about u1^2."""
+    sigma = np.copysign(1.0, y1)
+    F = np.zeros((y1.size, 3 + len(_D)))
+    F[:, 0], F[:, 1], F[:, 2] = sigma, y1 - sigma, s1
+    F[:, 3] = 2.0 * params.eps_prime * sigma
+    F[:, 4] = sigma * params.eps_tilde * params.fiber_coeff
+    F[:, 5] = _libm(lambda u: math.log(u) if u else 0.0, np.abs(F[:, 1]))
+    return F
+
+
+def _tail_exponent(F, s):
+    """E(s) of closed steps with rows F (F[k] aligned with s)."""
+    return F[3] * ((s - F[2]) - F[4] * _libm(math.log, s / F[2]))
+
+
+def _tail_peak(F, s_end):
+    """ln of the largest |u| of closed steps with rows F on their way to
+    s_end, -inf at u1 = 0.  In a barrier pattern E'' = -2c/s^2, so E is
+    concave, and its largest value over the span lies at s1 (E = 0), at
+    s_end, or at its stationary point sigma*et*c clipped into the span."""
+    top = np.clip(F[4], np.minimum(F[2], s_end), np.maximum(F[2], s_end))
+    peak = np.maximum(np.maximum(_tail_exponent(F, s_end), _tail_exponent(F, top)), 0.0)
+    return np.where(F[1] != 0.0, F[5] + peak, -math.inf)
+
+
+def _tail(F, s):
+    """w at s on closed steps with rows F: sigma + u1*exp(E(s)), taken in
+    log space so that no term overflows.  On a step |u| stays below u*;
+    beyond its ends the exponent is read no higher than 0, |u| <= 1.
+    Where |u| < e^-40, sigma + u rounds to sigma, and w is sigma without a
+    call to libm.  Those points are found from a bound on E that takes no
+    logarithm: E = 2*ep*sigma*(s - s1) + 2c*ln(s/s1) in a barrier pattern,
+    and ln(s/s1) < q*ln 2 where frexp splits s/s1 into f*2^q with f < 1."""
+    w = np.array(F[0], dtype=float)
+    q = np.frexp(s / F[2])[1]
+    live = (F[1] != 0.0) & (F[5] + F[3] * (s - F[2]) - F[3] * F[4] * math.log(2.0) * q >= -40.0)
+    if np.count_nonzero(live):
+        u = _libm(math.exp, np.minimum(F[5][live] + _tail_exponent(F[:, live], s[live]), 0.0))
+        w[live] += np.copysign(u, F[1][live])
+    return w
+
+
 # accepted steps grouped by arc, each arc's in the order taken, with the
-# seven dense-output coefficient rows F of every step
-_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F")
+# seven dense-output coefficient rows F of every step; on a closed step
+# (closed) F holds its tail (_tail_rows) instead
+_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed")
 
 # how a lane's stepping in one chart ended: at its bound, at a terminal
 # event, at step collapse, or past the end of the chart, open at its last
@@ -346,9 +416,10 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
     initial step, error norm (in the p chart against abs_tol alone),
     SAFETY 0.9, factor clamp [0.2, 10], no growth right after a
-    rejection, max_step, and a minimum step of 10 ulp(x).  Each lane has its direction (log: toward zero) and chart
-    (in_p), masks of one _Field over all lanes still stepping, and steps
-    its x toward its bound (_Field.heading).  A lane stops at step
+    rejection, max_step, and a minimum step of 10 ulp(x).  Each lane has
+    its direction (log: toward zero) and chart (in_p), masks of one _Field
+    over all lanes still stepping, and steps its x toward its bound
+    (_Field.heading).  A lane stops at step
     collapse, at the line crossing when stop_on_crossing, and at its
     bound, except in the p chart where |w| shrinks; in the p chart also
     where s leaves the span, and where |w| grows the bound is its pole,
@@ -356,12 +427,16 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     at or past the end of a chart that another chart follows (the w chart
     where |w| grows, the p chart where it shrinks) ends its arc there,
     open, and the lane goes on from that step end in the other chart with
-    a fresh initial step, as a new arc.  In a barrier pattern a w-chart
-    step that ends at w = +-1.0 exactly lands the lane on the barrier,
-    where the field is 0: one closed step to its bound follows, with zero
-    stage rows, counted as one attempt and one accepted step, and finishes
-    its arc, or ends it as terminal when stop_on_crossing and the critical
-    line changes sign between the landing point and the bound.  After a
+    a fresh initial step, as a new arc.  In a barrier pattern a lane
+    settles once its accepted w-chart step ends within u* = sqrt(abs_tol)
+    of a barrier sigma and the linearised tail from there (_tail_rows)
+    stays within u* of it up to the bound; a step that ends at w = +-1.0
+    exactly, where the field is 0, is the case u1 = 0.  One closed step to
+    the bound follows, written from the tail's formula, counted as one
+    attempt and one accepted step, and finishes the arc, or ends it as
+    terminal when stop_on_crossing and the critical line changes sign
+    between the step's ends (the line is monotone in s and the tail stays
+    within u* of sigma, so they meet at most once).  After a
     step where a lane stops or switches, the stopped lanes are dropped and
     the field is rebuilt.
 
@@ -377,7 +452,11 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(x, (cfg.s_max, x_min)))))
     # the lanes to go on with after a step where lanes stopped or switched, else None
     # (a p-chart lane never starts at its bound)
-    keep, records, it = np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))), [], 0
+    keep, records, tails, it = (np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))),
+                                [], [], 0)
+    # u*: a tail's dropped O(u^2) terms move w by about u*^2 = abs_tol
+    u_star = math.sqrt(cfg.abs_tol)
+    ln_u_star = math.log(u_star)
     while keep is None or keep.size:
         if keep is not None:
             # copies: the last step's arrays are on record
@@ -463,33 +542,45 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             g_new = field.events(x_new, y_new)
             hit = ok & _straddles(g_cross, g_new)
             g_cross = np.where(ok, g_new, g_cross)
-        landed = (ok & ~done & ~hit & ~in_p & (np.abs(y_new) == 1.0)
-                  if params.has_barriers else False)
-        stop = done | hit | landed
+        # a lane whose linearised tail stays within u* of its barrier settles
+        settled = False
+        if params.has_barriers:
+            near = ok & ~done & ~hit & ~in_p & (np.abs(np.abs(y_new) - 1.0) < u_star)
+            near = np.flatnonzero(near)
+            if near.size:
+                tail = _tail_rows(params, field.s_of(x_new[near], near), y_new[near])
+                s_end = np.where(log[near], cfg.s_min_eps, cfg.s_max)
+                closes = _tail_peak(tail.T, s_end) <= ln_u_star
+                settled, near = np.zeros(ok.size, dtype=bool), near[closes]
+                settled[near] = True
+        stop = done | hit | settled
         if stuck is not None:
             stop |= stuck
         switch = ended & ~stop
         if not np.count_nonzero(stop | switch):
             continue
-        # a landed lane ends in one closed step to its bound, with stage rows 0
-        tries = it - start_it - (0 if stuck is None else stuck) + landed
-        if np.count_nonzero(landed):
-            records.append(tuple(a[landed] for a in (arc, x_new, bound - x_new, y_new, bound,
-                                                     y_new, np.zeros_like(K))))
-            if stop_on_crossing:    # the critical line meets the barrier on the way
-                hit |= landed & _straddles(g_new, field.events(bound, y_new))
-        outcome = np.select([hit, done | landed, switch], [_TERMINAL, _FINISHED, _SWITCHED],
+        # a settled lane ends in one closed step to its bound
+        tries = it - start_it - (0 if stuck is None else stuck) + settled
+        if np.count_nonzero(settled):
+            tail, y_end = tail[closes], y_new.copy()
+            y_end[near] = _tail(tail.T, s_end[closes])
+            tails.append((arc[near], x_new[near], (bound - x_new)[near], y_new[near],
+                          bound[near], y_end[near], tail))
+            if stop_on_crossing:    # the critical line meets the tail on the way
+                hit |= settled & _straddles(g_new, field.events(bound, y_end))
+        outcome = np.select([hit, done | settled, switch], [_TERMINAL, _FINISHED, _SWITCHED],
                             _COLLAPSED)
         for k in np.flatnonzero(stop | switch):
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
         keep = np.flatnonzero(~stop)
-    return _collect(params, arcs, records), arcs
+    return _collect(params, arcs, records, tails), arcs
 
 
-def _collect(params: FlowParams, arcs: List[_Arc], records: list) -> _Steps:
+def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -> _Steps:
     """Group the accepted steps by arc and build their dense output, for
-    all steps at once."""
+    all stepped steps (records, with their stages) at once; closed steps
+    (tails, with their rows F) come last in their arcs."""
     if not records:
         records = [(np.zeros(0, dtype=int),) + (np.zeros(0),) * 5 + (np.zeros((0, _NS + 1)),)]
     parts = list(zip(*records))
@@ -499,8 +590,12 @@ def _collect(params: FlowParams, arcs: List[_Arc], records: list) -> _Steps:
     np.concatenate(parts.pop(), out=Kd[:, :_NS + 1])
     del parts
     F = _dense(_arc_field(params, arcs, arc), x0, h, y0, y1, Kd)
-    order = np.argsort(arc, kind="stable")
-    return _Steps(*(a[order] for a in (arc, x0, h, y0, x1, y1, F)))
+    steps = [arc, x0, h, y0, x1, y1, F, np.zeros(arc.size, dtype=bool)]
+    if tails:
+        closed = list(map(np.concatenate, zip(*tails)))
+        steps = [np.concatenate(a) for a in zip(steps, closed + [np.ones(closed[0].size, bool)])]
+    order = np.argsort(steps[0], kind="stable")
+    return _Steps(*(a[order] for a in steps))
 
 
 def _dense(field: _Field, x0, h, y0, y1, Kd):
@@ -548,24 +643,34 @@ def _illinois(g, a, b):
 
 def _step_events(field: _Field, steps: _Steps):
     """The line crossings met on steps: step index and the (x, y) of each,
-    located on the step's interpolant (_illinois), each step's in the
-    order met."""
+    located on the step's interpolant, or its tail on a closed step
+    (_illinois), each step's in the order met."""
     m = np.flatnonzero(_straddles(field.events(steps.x0, steps.y0),
                                   field.events(steps.x1, steps.y1)))
     met = _Field(field.params, field.log[m], field.in_p[m])
-    F, x0, h, y0 = steps.F[m].T, steps.x0[m], steps.h[m], steps.y0[m]
-    root = _illinois(lambda x: met.events(x, _interpolate(F, x0, h, y0, x)), x0, steps.x1[m])
-    y = _interpolate(F, x0, h, y0, root)
+    F, tail = steps.F[m].T, steps.closed[m]
+    stepped = F[:, ~tail], steps.x0[m][~tail], steps.h[m][~tail], steps.y0[m][~tail]
+
+    def w(x):
+        y = np.empty(x.shape)
+        y[~tail] = _interpolate(*stepped, x[~tail])
+        y[tail] = _tail(F[:, tail], met.s_of(x[tail], tail))
+        return y
+
+    root = _illinois(lambda x: met.events(x, w(x)), steps.x0[m], steps.x1[m])
+    y = w(root)
     order = np.lexsort((np.where(met.log, -root, root), m))
     return m[order], root[order], y[order]
 
 
 def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
     """w(s) of one arc from its step interpolants, picking the segment of
-    a point as scipy's OdeSolution does (the step that starts there).  In
-    the p chart a step's s(p) is monotone, and _illinois inverts it.  A
-    w-chart arc toward zero, stepped in log s, refuses s <= 0."""
-    F, x0, h, y0 = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0))
+    a point as scipy's OdeSolution does (the step that starts there).  A
+    closed step reads its tail, which holds past its end too.  In the p
+    chart a step's s(p) is monotone, and _illinois inverts it.  A w-chart
+    arc toward zero, stepped in log s, refuses s <= 0."""
+    F, x0, h, y0, closed = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0,
+                                                      steps.closed))
     last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
     starts = sign * (y0 if arc.in_p else x0)
 
@@ -580,7 +685,13 @@ def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
         seg = np.clip(np.searchsorted(starts, sign * x, side="right") - 1, 0, last)
         step = F[seg].T, x0[seg], h[seg], y0[seg]
         if not arc.in_p:
-            return _scalar_or_array(_interpolate(*step, x).reshape(q.shape))
+            tail = closed[seg]
+            if not tail.any():
+                return _scalar_or_array(_interpolate(*step, x).reshape(q.shape))
+            w = np.empty(x.shape)
+            w[~tail] = _interpolate(*(a[..., ~tail] for a in step), x[~tail])
+            w[tail] = _tail(step[0][:, tail], q.ravel()[tail])
+            return _scalar_or_array(w.reshape(q.shape))
         p = _illinois(lambda p: _interpolate(*step, p) - x, x0[seg], x0[seg] + h[seg])
         with np.errstate(divide="ignore"):    # at a pole w is +-inf
             return _scalar_or_array((1.0 / p).reshape(q.shape))
@@ -682,7 +793,8 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
         # collapse occasional duplicate nodes
         keep = np.concatenate(([True], np.diff(s_samples) > 0))
         stats = SolverStats(arc.accepted, arc.attempts - arc.accepted,
-                            2 + _NS * arc.attempts + len(_C_DENSE) * arc.accepted)
+                            2 + _NS * arc.attempts + len(_C_DENSE) * arc.accepted,
+                            int(np.count_nonzero(steps.closed[lo:hi])))
         out.append(Trajectory(params, s_samples[keep], ws[keep], termination_left=left,
                               termination_right=right,
                               events=sorted(records, key=lambda r: r.s),
@@ -713,7 +825,7 @@ def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[
     if not lanes:
         return out
     index, x, s, y, log = (np.array(a) for a in zip(*lanes))
-    level = np.maximum(_W_SWITCH, 2.0 * s / params.fiber_coeff)
+    level = _switch_level(params, s, y)
     in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
     x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
     steps, arcs = _advance(params, x, y, log, in_p, cfg, stop_on_line_crossing)

@@ -230,8 +230,8 @@ def test_w_arc_after_the_p_chart_starts_at_the_switch():
     on in the w chart from log s; its w arc starts at that s exactly, not
     at exp(log s), one ulp off for this start."""
     one = np.ones(1, dtype=bool)
-    steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.7]), one, one, CFG, False)
-    p_arc, w_arc = engine._arcs(ROT3, steps, arcs, [3.7], CFG)
+    steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.8]), one, one, CFG, False)
+    p_arc, w_arc = engine._arcs(ROT3, steps, arcs, [3.8], CFG)
     assert w_arc.s[-1] == p_arc.s[0] != math.exp(math.log(p_arc.s[0]))
 
 
@@ -613,22 +613,29 @@ def test_stats_count_the_steps():
     start each arc, 12 times per attempt and 3 times per step for dense
     output.  A lane that switches chart (to the p chart on its way to a
     pole, back to the w chart from a steep start) has two arcs, and its
-    counters are their sum; a barrier start is a lane like any other."""
+    counters are their sum; a barrier start is a lane like any other.  A
+    lane that settles near a barrier ends in one closed step, counted in
+    closed and as one accepted step: here every run that does not blow up."""
     starts = [(1.0, -0.5), (1.0, 0.9), (2.0, 1.2), (0.3, 0.2), (1.0, -2.0), (2.0, 1.5),
-              (1.0, -20.0)]
-    arcs = {"toward_zero": [1, 1, 1, 1, 1, 1, 2], "toward_infinity": [1, 1, 1, 1, 2, 2, 1]}
+              (1.0, -20.0), (1.0, 1.9)]
     for direction in DIRECTIONS:
-        for traj, n_arcs in zip(integrate_batch(ROT3, starts, direction), arcs[direction]):
+        grows = direction == "toward_infinity"    # |w| of rotational(3)
+        for (s0, w0), traj in zip(starts, integrate_batch(ROT3, starts, direction)):
+            level = engine._switch_level(ROT3, s0, w0)
+            in_p = abs(w0) >= level if grows else abs(w0) > level
+            n_arcs = 1 + (in_p != (detect_blowup(traj) is not None))
             st_ = traj.stats
             assert st_.accepted == len(traj.s) - 1
             tries = st_.accepted + st_.rejected
             assert st_.rhs_evals == 2 * n_arcs + 12 * tries + 3 * st_.accepted
+            assert st_.closed == (abs(w0) < 1.0 or detect_blowup(traj) is None)
     down, up = (integrate(ROT3, (1.0, 0.9), d) for d in DIRECTIONS)
     merged = merge_bidirectional(down, up)
     assert merged.stats == down.stats + up.stats
     assert merged.stats.accepted == len(merged.s) - 1
+    assert merged.stats.closed == 2
     barrier = integrate(ROT3, (2.0, 1.0), "toward_infinity")
-    assert barrier.stats.accepted == len(barrier.s) - 1
+    assert barrier.stats.accepted == len(barrier.s) - 1 == 2 and barrier.stats.closed == 1
 
 
 # --- the chart switch ---
@@ -697,11 +704,13 @@ def _gamma_grid(w_lo, w_hi):
     return [(s, w) for s in np.linspace(0.5, 4.0, 8) for w in np.linspace(w_lo, w_hi, 8)]
 
 
-@pytest.mark.parametrize("w_range, most", [((1.05, 3.0), 12000), ((-3.0, -1.05), 14500)])
+@pytest.mark.parametrize("w_range, most", [((1.05, 3.0), 3500), ((-3.0, -1.05), 3100)])
 def test_gamma_grid_step_budget(w_range, most):
     """An 8x8 rotational(3) gamma grid, both directions in one batch, takes
-    at most half the attempts (accepted plus rejected steps) of chasing
-    its poles in the w chart: 24.1k for gamma_plus, 29.1k for gamma_minus."""
+    at most about an eighth of the attempts (accepted plus rejected steps)
+    of chasing its poles in the w chart (24.1k for gamma_plus, 29.1k for
+    gamma_minus), and about half of those with the p chart from
+    |w| = max(10, 2s/c) and barrier tails stepped (6.6k, 6.7k)."""
     trajs = integrate_bidirectional_batch(ROT3, _gamma_grid(*w_range))
     assert sum(t.stats.accepted + t.stats.rejected for t in trajs) <= most
 
@@ -816,46 +825,162 @@ def test_each_batch_is_one_loop(monkeypatch):
     assert len(rounds) >= 2 and len(calls) == 1 + len(rounds)
 
 
-@pytest.mark.parametrize("grid, most", [((-0.95, 0.95), 66), ((1.05, 3.0), 106)])
-def test_coast_cost_does_not_depend_on_s_max(monkeypatch, grid, most):
-    """A lane whose accepted step lands on a barrier, w = +-1 exactly, is
-    not stepped on to s_max: its remaining steps are exact and come in
-    closed form.  An 8x8 strip or gamma_plus grid, both directions, takes
-    as many lockstep iterations at s_max = 1e4 as at 100 (the stepped
-    coast took 137 and 10037 on the strip grid)."""
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """One entry per lockstep iteration (engine._stages call) from here on."""
     calls = []
     stages = engine._stages
     monkeypatch.setattr(engine, "_stages", lambda *a: calls.append(1) or stages(*a))
+    return calls
+
+
+@pytest.mark.parametrize("grid, most", [((-0.95, 0.95), 50), ((1.05, 3.0), 45)])
+def test_coast_cost_does_not_depend_on_s_max(stage_calls, grid, most):
+    """A lane whose accepted step settles near a barrier is not stepped on
+    to s_max: the rest of its run is one closed step.  An 8x8 strip or
+    gamma_plus grid, both directions, takes as many lockstep iterations
+    at s_max = 1e4 as at 100 (the stepped coast took 137 and 10037 on the
+    strip grid; closing only exact landings, 65 and 74)."""
     counts = []
     for s_max in (100.0, 1e4):
-        calls.clear()
+        stage_calls.clear()
         integrate_bidirectional_batch(ROT3, _gamma_grid(*grid), IntegratorConfig(s_max=s_max))
-        counts.append(len(calls))
+        counts.append(len(stage_calls))
     assert counts[0] == counts[1] <= most
     traj = integrate(ROT3, (1.0, 0.5), "toward_infinity", IntegratorConfig(s_max=1e4))
     assert traj.w[-1] == 1.0 and traj.s[-1] == 1e4
     short = integrate(ROT3, (1.0, 0.5), "toward_infinity")
     assert traj.stats.accepted == len(traj.s) - 1 == len(short.s) - 1
+    assert traj.stats.closed == short.stats.closed == 1
 
 
 @settings(max_examples=20, deadline=None)
 @given(s0=st.floats(0.2, 5.0), w0=st.floats(-0.99, 0.99))
 def test_landed_lane_does_not_depend_on_s_max(s0, w0):
-    """A strip lane lands on a barrier and ends in one closed step to its
-    bound: at s_max = 1e4 it has the samples, dense output and counters
-    it has at 100 up to its last sample, and past the landing its dense
-    output reads the barrier exactly."""
+    """A strip lane settles near a barrier and ends in one closed step to
+    its bound: at s_max = 1e4 it has the samples, dense output and
+    counters it has at 100 up to its last sample, and on the closed step
+    its dense output, the same tail at both, stays within
+    u* = sqrt(abs_tol) of the barrier, and reads it exactly at s_max."""
     near, far = (integrate(ROT3, (s0, w0), "toward_infinity", IntegratorConfig(s_max=s_max))
                  for s_max in (100.0, 1e4))
     assert near.s[:-1].tobytes() == far.s[:-1].tobytes() and far.s[-1] == 1e4
-    assert near.w.tobytes() == far.w.tobytes()
+    assert near.w[:-1].tobytes() == far.w[:-1].tobytes()
     assert near.stats == far.stats and near.events == far.events
-    landing = near.s[-2]
-    assert abs(near.w[-2]) == 1.0
-    probes = np.linspace(landing, 1e4, 17)
-    assert set(np.asarray(far.w_at(probes)).tolist()) == {near.w[-1]}
-    probes = np.linspace(near.s[0], landing, 9)
+    assert near.stats.closed == 1
+    settled, sigma = near.s[-2], np.sign(near.w[-2])
+    assert abs(near.w[-2] - sigma) < math.sqrt(CFG.abs_tol)
+    probes = np.linspace(near.s[0], 100.0, 17)
     assert np.asarray(near.w_at(probes)).tobytes() == np.asarray(far.w_at(probes)).tobytes()
+    probes = np.linspace(settled, 1e4, 17)
+    assert np.all(np.abs(np.asarray(far.w_at(probes)) - sigma) < math.sqrt(CFG.abs_tol))
+    assert near.w[-1] == far.w[-1] == sigma
+
+
+@pytest.mark.parametrize("run, most", [
+    (partial(integrate_bidirectional_batch, rotational(100), _gamma_grid(-0.95, 0.95)), 300),
+    (partial(integrate_bidirectional_batch, rotational(100), _gamma_grid(1.05, 3.0)), 45),
+    (partial(integrate_bidirectional_batch, rotational(100), _gamma_grid(-3.0, -1.05)), 45),
+    (partial(compute_separatrix.__wrapped__, rotational(100)), 170)],
+    ids=["strip", "gamma_plus", "gamma_minus", "separatrix"])
+def test_large_n_cost(stage_calls, run, most):
+    """At n = 100 (c = 99) a lane settled near a barrier contracts at rate
+    about 2c toward zero, which held DOP853's step near 3.2/c: 8x8 grids,
+    both directions, took about 800 lockstep iterations, and the
+    separatrix (its backward trace and its shots) 1022.  With closed tails
+    the strip grid takes at most 300, the gamma grids, whose poles the p
+    chart reaches from |w| = 2, at most 45, and the separatrix 170."""
+    run()
+    assert len(stage_calls) <= most
+
+
+def _stiff_arc(params, s0, w0, direction):
+    """One-sided reference: scipy's Radau at rtol 1e-13 with the analytic
+    Jacobian, in t = log s toward zero as _scipy_arc steps."""
+    et, ep, c = params.eps_tilde, params.eps_prime, params.fiber_coeff
+    log = direction == "toward_zero"
+
+    def f(x, y):
+        w = y[0]
+        return [(et + ep * w * w) * ((math.exp(x) - et * c * w) if log
+                                     else (1.0 - w * et * c / x))]
+
+    def jac(x, y):
+        w = y[0]
+        if log:
+            return [[2.0 * ep * w * (math.exp(x) - et * c * w) - (et + ep * w * w) * et * c]]
+        return [[2.0 * ep * w * (1.0 - w * et * c / x) - (et + ep * w * w) * et * c / x]]
+
+    span = (math.log(s0), math.log(CFG.s_min_eps)) if log else (s0, CFG.s_max)
+    sol = solve_ivp(f, span, [w0], method="Radau", jac=jac, rtol=1e-13, atol=1e-14,
+                    dense_output=True)
+    assert sol.success
+    return lambda q: sol.sol(np.log(q) if log else q)[0]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([2, 3, 5, 30]), s0=st.floats(0.2, 5.0), w0=st.floats(-0.99, 0.99),
+       direction=st.sampled_from(DIRECTIONS))
+def test_closed_tail_matches_stiff_reference(n, s0, w0, direction):
+    """A strip lane ends in one closed step, its barrier tail written from
+    the linearised solution.  On that step, and at its end, the tail agrees
+    with a Radau reference from the step's start to the tolerances
+    _check_against_scipy holds the stepped arcs to, and it ends on the
+    barrier exactly."""
+    params = rotational(n)
+    traj = integrate(params, (s0, w0), direction)
+    assert traj.stats.closed == 1
+    k, end = (1, 0) if direction == "toward_zero" else (-2, -1)
+    probes = np.geomspace(traj.s[k], traj.s[end], 25)
+    ref = _stiff_arc(params, traj.s[k], traj.w[k], direction)(probes)
+    np.testing.assert_allclose(traj.w_at(probes), ref, rtol=1e-10, atol=1e-10)
+    assert abs(traj.w[end]) == 1.0 and abs(traj.w[end] - ref[-1]) <= 1e-10
+
+
+def test_w_at_below_the_span_reads_the_tail():
+    """The tail of a closed step holds on all of (0, s1] toward zero, so
+    w_at below s_min_eps reads the barrier the solution tends to, not the
+    last stepped polynomial far outside its step; s <= 0 is still refused."""
+    traj = integrate_bidirectional(ROT3, 1.0, 0.5)
+    assert traj.w[0] == 1.0 and traj.termination_left.value == 1.0
+    assert traj.w_at(1e-300) == 1.0
+    assert np.asarray(traj.w_at([1e-300, 1e-20, CFG.s_min_eps])).tolist() == [1.0] * 3
+    with pytest.raises(ValueError, match="positive"):
+        traj.w_at(0.0)
+
+
+def test_tail_reads_its_formula_bit_for_bit():
+    """engine._tail skips libm where a bound puts |u| below e^-40; every
+    value it gives equals the formula sigma + u1*exp(E(s)) taken in full
+    through math.exp and math.log, bit for bit, on tails of both barriers
+    in both directions, from u1 = 0 to u*, with c up to 99."""
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 30, 100):
+        params = rotational(n)
+        s1 = rng.uniform(0.05, 120.0, 40)
+        y1 = rng.choice([-1.0, 1.0], 40) + rng.choice([-1.0, 1.0], 40) * np.append(
+            np.zeros(4), 10.0 ** rng.uniform(-15.5, -6.0, 36))
+        F = engine._tail_rows(params, s1, y1)
+        s = np.concatenate([s1[:, None] * 10.0 ** rng.uniform(-12, 2, (40, 30)),
+                            s1[:, None] + rng.uniform(-1.0, 1.0, (40, 10))], axis=1)
+        s = np.abs(s) + 1e-300
+        for k in range(40):
+            got = engine._tail(np.repeat(F[k][:, None], s.shape[1], axis=1), s[k])
+            sigma, u1 = F[k, 0], F[k, 1]
+            want = [sigma + (0.0 if u1 == 0.0 else math.copysign(math.exp(min(
+                math.log(abs(u1)) + F[k, 3] * ((q - s1[k]) - F[k, 4] * math.log(q / s1[k])),
+                0.0)), u1)) for q in s[k]]
+            assert got.tolist() == want
+
+
+def test_tail_that_would_grow_is_stepped():
+    """Toward zero the upper barrier repels down to s = c, where the tail's
+    exponent E peaks: from s1 = 20 in rotational(3) |u| would grow by
+    e^26.8.  So a start 1e-9 below the barrier there is stepped, not
+    closed, leaves it, and settles on the lower barrier."""
+    traj = integrate(ROT3, (20.0, 1.0 - 1e-9), "toward_zero")
+    assert traj.stats.closed == 1 and traj.w[0] == -1.0
+    assert np.min(traj.w) == -1.0 and np.max(traj.w) < 1.0
 
 
 def test_terminal_shot_on_a_barrier_is_one_closed_step():
@@ -928,13 +1053,20 @@ _BLOW_UP_STARTS = [(0.5, 3.0), (1.0, 2.5), (2.0, 3.0), (3.0, 3.5),
 @pytest.mark.parametrize("s0, w0", _BLOW_UP_STARTS)
 def test_switch_goes_on_from_the_step_end(n, s0, w0):
     """A lane that reaches the switch level goes on in the p chart from
-    the end of that step: a run started at the first sample with
-    |w| >= max(10, 2s/c) gives, bit for bit, the lane's later samples,
-    its pole and its dense output past that sample."""
+    the end of that step: a run started at the first sample with |w| at or
+    past the level (_switch_level) gives, bit for bit, the lane's later
+    samples, its pole and its dense output past that sample.  Where
+    (s0, w0) itself lies past the level the lane starts on the same
+    solution lower down: at its last sample below the level toward zero,
+    where |w| shrinks."""
     params = rotational(n)
+    if abs(w0) >= engine._switch_level(params, s0, w0):
+        down = integrate(params, (s0, w0), "toward_zero")
+        k = np.flatnonzero(np.abs(down.w) < engine._switch_level(params, down.s, down.w))[-1]
+        s0, w0 = down.s[k], down.w[k]
     traj = integrate(params, (s0, w0), "toward_infinity")
     assert traj.termination_right.kind is TerminationKind.BLOW_UP
-    i = int(np.argmax(np.abs(traj.w) >= np.maximum(10.0, 2.0 * traj.s / params.fiber_coeff)))
+    i = int(np.argmax(np.abs(traj.w) >= engine._switch_level(params, traj.s, traj.w)))
     assert 0 < i < traj.s.size - 1
     rest = integrate(params, (traj.s[i], traj.w[i]), "toward_infinity")
     assert rest.s.tobytes() == traj.s[i:].tobytes()

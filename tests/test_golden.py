@@ -29,56 +29,56 @@ _GRID = ["--s0-grid", "0.5:4:4"]
 # (command line, exit code, sha256 of stdout)
 GOLDEN = [
     (["portrait", "--n", "3", "--region", "strip", *_GRID, "--w0-grid=-0.95:0.95:4"], 0,
-     "26a221dd7cbe456c8637323b4f1538c3638dc2e4ffc5c233f812c3e29ca676d2"),
+     "95973388aa9c7883276257ceded893f9219074642a409e954307861d48a083fc"),
     (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4"], 0,
-     "3d1593667de9e2ae77f3170fdfdb6c194bf198c4cd87907326158c9aa4ad953a"),
+     "acc0be00e116286a549dcf73d3d82fc63e8ea61bca2c8f7d5a3a5a1c2bd343d9"),
     (["portrait", "--n", "3", "--region", "gamma_minus", *_GRID, "--w0-grid=-3:-1.05:4"], 0,
-     "3fea9496248bd56193b1cc9e1c0d0c26da92b5e71578358f4039b257eb1f7cfa"),
+     "d7e8be0721d320cb85ff0ed337dc9123de11b6a6785f481d79ee72ea0967d2ea"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "timelike_T",
       "--s0-grid", "0.5:4:3", "--w0-grid=-0.95:0.95:3"], 0,
      "09953197119e5d959f1db98f73816b2bb777859839a885c74c113d7fb9fac03d"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "spacelike_S",
       "--s0-grid", "0.5:4:2", "--w0-grid=-3:3:2"], 0,
-     "d43accc13a6b29d88e5d17db8653ee89d1949e4b8badba88df5264643b5be5b9"),
+     "d75e94742e6bf32af4d78a22d6bb4f1dc2966d9d1a050e7c5b1f4600bfcac77a"),
     (["classify", "--s0", "1", "--w0", "0.5"], 0,
-     "85132aa1501dcf71eabb922b43ee67d571e6a8320b436aabd6498196aa325624"),
+     "6e31e534841f09d0c63b741a801846ae4d494c5cfbef2f6231b68aada0f18d5c"),
     (["classify", "--s0", "2", "--w0", "3", "--json"], 0,
-     "866e9c9c136284c4a6e86ea7d5c581e5734c6d3020a1e84b2251570682fe4ccc"),
+     "f04cd7cd569d539e5a7237beddb678a598c07c6a142f09f523bf3e977136950c"),
     (["classify", "--s0", "1", "--w0=-2"], 0,
-     "ee4a9591dcd44c332d0edfa64cbf81230c94b6f09cba7e356c13773b35df21b1"),
+     "1d9457a01911ca3fded5619e12c23cdf5ad7aea786aa46aa24ff8b2ccb8e4819"),
     (["classify", "--s0", "1", "--w0=-1e4"], 0,
-     "81953ebe25235381ebc75ad695260b88d165041508c45897b643c9a677fab5d2"),
+     "0c0ecd3bec4cdc1430af45c0224c0adb68fca83e02199556475d83f5b1b46063"),
     (["classify", "--s0", "1", "--w0", "1e5"], 0,
-     "2773aaa13e43480f06a15d6ea1ffd696ab92201be5bc8c18b319375f3724c5d9"),
+     "75bad59c76dfdf447e24204b3e454a2b28c88c250e1dc91f39659412f2bf5601"),
     (["classify", "--s0", "1", "--w0=-1e300"], 0,
-     "3edbbc42cf5f075ed131e4f48a2eb626530597065928467d1f4e95aed94742be"),
+     "54c16876bc4593d4e6a6fae88b50b4227b8c337c344f491cdfd2d85bae5bf659"),
     (["separatrix", "--n", "3"], 0,
      "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
-     "7a2aa0e005b3b0442cf3e026d1356091eff9f43bc2c9b39989037fc236015dde"),
+     "84e9f322df6c69b47e3b8cd3b66faef57fd1d8ec021611ccf7d08ec6d3126737"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
-     "1eb382bede9a9da065130564b68c376cd183f07ef715e888c2601d8ab23b2bf3"),
+     "8f95f3acc75933324bafc83ee3b00c67c56998a82ce804869efa88ce9f46afa7"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
-     "0836afc67c41d2ad1fbacc1fe87af2e3e29581a99a75fe84fa64e9b74252f4a0"),
+     "7d0eed5a525634a572dc4067aa3a29f6e7acc98f56a636ab757e838dcfea6170"),
     (["spindle", "--s0", "1", "--n", "2"], 0,
-     "432557f5731cc4fe790639b8561c717ae75047e66dddbd6f3f608e376bd00d59"),
+     "f5116cf61389678b1b2d528b3db986ffe4c0a0ef711df5a65814116b034392d6"),
     (["bowl", "--n", "3", "--samples", "51"], 0,
      "317bd4a83c7c3682fb98a805e7f8fa97c63525b02806e1adc507565cb0af4abc"),
     (["mesh", "spindle", "--n", "2", "--s0", "1", "--theta-samples", "8",
       "--profile-samples", "16"], 0,
-     "81fc1e3d27bd8eb2c302dbc2e24856542474289169843c2e535278316dd50b16"),
+     "167942de619c407e92a9978b0594a91351be92cce6a91de092d387beb0bd38be"),
     (["mesh", "hybrid", "--nodes", "21"], 0,
      "78c73dea9dbf36a86d65684a5913302727438f08b9b264740a379ee01bf46e6b"),
     (["verify", "hybrid", "--nodes", "21"], 1,
      "4681637d37103dae708c195b6f7bc625884be8478612738f543dfd07cabd7dc9"),
     (["classify", "--s0", "1", "--w0", "0.5", "--s-max", "10000", "--json"], 0,
-     "af4ff08c49e30b33e92d6ad9cdb0c36bc279a7a5d7ed76b76e12e0378d63faf9"),
+     "86b8136e94ae3b03e201a811e2512e8553532d197f804d40c6c13da69059092b"),
     (["portrait", "--n", "3", "--region", "strip", *_GRID, "--w0-grid=-0.95:0.95:4",
       "--s-max", "1000"], 0,
-     "26a221dd7cbe456c8637323b4f1538c3638dc2e4ffc5c233f812c3e29ca676d2"),
+     "95973388aa9c7883276257ceded893f9219074642a409e954307861d48a083fc"),
     (["portrait", "--n", "2", "--region", "gamma_plus", *_GRID, "--w0-grid", "1.05:3:4",
       "--s-max", "1000"], 0,
-     "3d1593667de9e2ae77f3170fdfdb6c194bf198c4cd87907326158c9aa4ad953a"),
+     "acc0be00e116286a549dcf73d3d82fc63e8ea61bca2c8f7d5a3a5a1c2bd343d9"),
     # masked hybrids: the first has 200 nan rows, off its two quadrants
     (["hybrid", "--nodes", "21", "--quadrants", "1,2"], 0,
      "6b922f4973c5874de3711ca3345cd512a205fd0c6a2b16ca6a984bec17e2752f"),
@@ -181,4 +181,4 @@ def test_engine_bits():
     sep = compute_separatrix(params)
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
     grid(lambda sigmas: _pole_batch(params, 2.0, sigmas, cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "066d3fe334b5cffe0fc97dd84a90e7eced200962c20abc159b708b99cd4626a9"
+    assert digest.hexdigest() == "6249cbcdcfb355a27d83c7bcc53efc14067b7d7de121d0e2dc0b26138d9756bb"
