@@ -14,8 +14,8 @@ error.  Configuration may come from flags or from a JSON file passed as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 from typing import Optional, Sequence, Tuple
 
@@ -39,15 +39,10 @@ from .geometry import (
     build_spindle,
     build_wing,
     center_regular_profile,
+    hybrid_field,
+    resample_wing,
 )
-from .verify import (
-    MAX_JUMP_ORDER,
-    GridField,
-    convergence_order,
-    residual_fund_eq,
-    sample_radial_field,
-    smoothness_scan,
-)
+from .verify import bowl_study, const_study, hybrid_study
 
 
 def _fmt(x) -> str:
@@ -170,17 +165,6 @@ def _parse_h_list(spec: str) -> Tuple[float, ...]:
     if len(hs) != 3:
         raise ValueError("--h needs exactly three spacings (h, h/2, h/4)")
     return hs
-
-
-def _nodes_for(extent: float, h: float) -> int:
-    if not 0.0 < extent < math.inf:
-        raise ValueError("--extent must be positive and finite")
-    if not 0.0 < h < math.inf:
-        raise ValueError("--h spacings must be positive and finite")
-    n = 2.0 * extent / h
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"spacing {h} does not tile [-{extent}, {extent}]")
-    return int(round(n)) + 1
 
 
 # ------------------------------------------------------------ classify
@@ -464,8 +448,7 @@ def cmd_mesh(args) -> int:
         else:
             curve = build_wing(params, args.s0, args.y0, cfg,
                                y_span=args.y_span).wing
-        y = np.linspace(curve.y[0], curve.y[-1], n_p)
-        alpha = np.interp(y, curve.y, curve.alpha)
+        y, alpha = resample_wing(curve, n_p)
         if args.n != 2:
             _emit(_profile_csv_fallback(alpha, y, params, args.target),
                   args.out)
@@ -499,97 +482,19 @@ def cmd_mesh(args) -> int:
 
 # --------------------------------------------------------------- verify
 
-def _second_order(rep) -> bool:
-    """Whether a convergence report shows second order: defined, monotone,
-    and both observed orders in the window [1.7, 2.3]."""
-    return bool(rep.defined and rep.monotone
-                and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
-
-
-def _check_grid(nodes: int, ndim: int, remedy: str) -> None:
-    """Refuse a verify grid of nodes^ndim points beyond 5,000,000 before
-    anything is allocated."""
-    if nodes ** ndim > 5_000_000:
-        raise ValueError(f"grid too large for this base dimension; {remedy}")
-
-
-def _verify_bowl(args, cfg) -> Tuple[dict, bool]:
-    params = rotational(args.n)
-    hs = _parse_h_list(args.h)
-    nodes = [_nodes_for(args.extent, h) for h in hs]
-    _check_grid(max(nodes), args.n, "coarsen --h or shrink --extent")
-    curve = bowl_curve(params, cfg)
-    fields = [sample_radial_field(curve.f_dense, args.extent, nn, ndim=args.n)
-              for nn in nodes]
-    rep = convergence_order(*fields)
-    ok = _second_order(rep)
-    return {
-        "target": "bowl",
-        "h": list(hs),
-        "residual_max": list(rep.residuals),
-        "p_coarse": rep.p_coarse,
-        "p_fine": rep.p_fine,
-        "monotone": rep.monotone,
-        "eps": residual_fund_eq(fields[0]).eps,
-        "pass": ok,
-    }, ok
-
-
-def _verify_hybrid(args, cfg) -> Tuple[dict, bool]:
-    if not 0 <= args.order <= MAX_JUMP_ORDER:
-        raise ValueError(f"--order must lie in 0..{MAX_JUMP_ORDER}, got {args.order}")
-    sign = -1 if args.mismatch else +1
-    node_seq = [args.nodes, 2 * args.nodes - 1, 4 * args.nodes - 3]
-    _check_grid(node_seq[-1], 2, "lower --nodes")
-    grids = [build_hybrid(order=12, extent=args.extent, nodes=nn, cfg=cfg,
-                          f2_sign=sign)[1] for nn in node_seq]
-    rep = convergence_order(*grids)
-    res_ok = _second_order(rep)
-
-    jumps = [smoothness_scan(g, max_order=args.order) for g in grids[:2]]
-    table = [{"order": q, "coarse": float(jumps[0][q]),
-              "fine": float(jumps[1][q])} for q in range(args.order + 1)]
-    jump_ok = jumps[0][0] == 0.0 and jumps[1][0] == 0.0
-    for q in range(1, args.order + 1):
-        decayed = jumps[1][q] <= jumps[0][q] / 3.0 or jumps[1][q] < 1e-8
-        jump_ok = jump_ok and decayed
-    jump_ok = bool(jump_ok)
-    ok = bool(res_ok and jump_ok)
-    return {
-        "target": "hybrid",
-        "f2_sign": sign,
-        "nodes": node_seq,
-        "residual_max": list(rep.residuals),
-        "p_coarse": rep.p_coarse,
-        "p_fine": rep.p_fine,
-        "monotone": rep.monotone,
-        "jump_table": table,
-        "residual_pass": res_ok,
-        "jump_pass": jump_ok,
-        "pass": ok,
-    }, ok
-
-
-def _verify_const(args, cfg) -> Tuple[dict, bool]:
-    ax = np.linspace(-1.0, 1.0, 21)
-    field = GridField(axes=(ax, ax), signature=(1, 1), eps_prime=-1,
-                      values=np.full((21, 21), 0.3))
-    stats = residual_fund_eq(field)
-    return {
-        "target": "const",
-        "residual_max": stats.max_abs,
-        "residual_mean": stats.mean_abs,
-        "note": "a constant field is not a translator; its residual is "
-                "identically -1, so this control must fail",
-        "pass": False,
-    }, False
-
-
 def cmd_verify(args) -> int:
     cfg = _cfg_from_args(args)
-    handler = {"bowl": _verify_bowl, "hybrid": _verify_hybrid,
-               "const": _verify_const}[args.target]
-    report, ok = handler(args, cfg)
+    if args.target == "bowl":
+        params = rotational(args.n)
+        report, ok = bowl_study(lambda: bowl_curve(params, cfg).f_dense, args.extent,
+                                _parse_h_list(args.h), args.n)
+    elif args.target == "hybrid":
+        sign = -1 if args.mismatch else +1
+        report, ok = hybrid_study(lambda: hybrid_field(12, extent=args.extent, cfg=cfg,
+                                                       f2_sign=sign),
+                                  args.nodes, args.order)
+    else:
+        report, ok = const_study()
     _emit(json.dumps(report, sort_keys=True, indent=2) + "\n", args.out)
     return 0 if ok else 1
 
@@ -708,9 +613,13 @@ def build_parser():
     return parser, table
 
 
+# the parser of every call without --config; parsing leaves nothing in it
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, table = build_parser()
+    parser, table = _shared_parser()
     try:
         args = parser.parse_args(raw)
         if getattr(args, "config", None):
@@ -718,12 +627,13 @@ def main(argv=None) -> int:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("--config must hold a JSON object")
-            sub = table[args.command][0]
-            valid = {a.dest for a in sub._actions}
+            valid = {a.dest for a in table[args.command][0]._actions}
             unknown = sorted(set(overrides) - valid)
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-            sub.set_defaults(**overrides)
+            # the file's defaults go on a parser of this call's own
+            parser, table = build_parser()
+            table[args.command][0].set_defaults(**overrides)
             args = parser.parse_args(raw)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0

@@ -739,6 +739,21 @@ def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, dense: Callab
     return None
 
 
+def _refusing(dense: Callable, end: float, below: bool, where: str) -> Callable:
+    """dense, refusing the points below end (below) or above it, where an
+    arc's steps say nothing, but for a rounding sliver of 1e-12 relative;
+    where names the place, with {} for end."""
+    slack = 1e-12 * abs(end)
+
+    def bounded(q):
+        q = np.asarray(q, dtype=float)
+        past = q < end - slack if below else q > end + slack
+        if past.any():
+            raise ValueError(f"w_at({float(q[past][0])!r}): s lies {where.format(end)}")
+        return dense(q)
+    return bounded
+
+
 def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
           cfg: IntegratorConfig) -> List[Result]:
     """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
@@ -785,6 +800,13 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
             far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if arc.log else
                               TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
                               value=float(ws[-1]))
+        if arc.log and far is not None and far.kind is TerminationKind.BLOW_UP:
+            dense = _refusing(dense, far.s, True, "below the pole {} of an arc that blew "
+                                                  "up toward zero")
+        elif (not arc.log and arc.outcome != _SWITCHED and seg_hi > lo
+              and not steps.closed[seg_hi - 1]):
+            dense = _refusing(dense, s_samples[-1] if far is None else far.s, False,
+                              "past the far end {} of an arc that did not settle")
         records = [EventRecord(EventKind.CROSSED_LINE_R, float(s), float(w))
                    for s, w in zip(_libm(math.exp, e_x) if arc.log else e_x, e_y)]
         if arc.log:    # stepping order, monotone in s

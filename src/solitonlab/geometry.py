@@ -138,14 +138,47 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.cumsum(parts)
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> Callable:
+def _knot_index(x: np.ndarray, uniform: bool) -> Callable:
+    """The interval of each query on knots x: the last knot at or below it,
+    clipped to 0 .. len(x) - 2, as np.searchsorted(x, q, "right") - 1
+    gives it (NaN goes past the end).
+
+    uniform says x is np.linspace(x[0], x[-1], len(x)).  There the interval
+    is floor((q - x[0])/h), clipped, and one exact comparison with each of
+    its two knots corrects a rounding off by one; the work is in place
+    over one float array and integer arrays.  Knots closer than 1e4
+    doubles apart, where the quotient could be off by more, are searched.
+    """
+    last = len(x) - 2
+    lo, step = x[0], (x[-1] - x[0]) / (last + 1)
+    if not (uniform and step > 1e4 * np.spacing(max(abs(x[0]), abs(x[-1])))):
+        return lambda q: np.clip(np.searchsorted(x, q, "right") - 1, 0, last)
+
+    def index(q):
+        t = np.subtract(q, lo, out=np.empty(q.shape))
+        with np.errstate(over="ignore"):    # far points go to +-inf, then clipped
+            t /= step
+        np.fmin(t, last, out=t)    # NaN and points past hi: the last interval
+        np.fmax(t, 0, out=t)
+        i = t.astype(np.intp)
+        del t
+        i -= (q < x[i]) & (i > 0)
+        i += (q >= x[i + 1]) & (i < last)
+        return i
+    return index
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray,
+             uniform: bool = False) -> Callable:
     """scipy's CubicHermiteSpline(x, y, dydx), bit for bit, extrapolating
     from the end intervals.
 
     The coefficients are the spline's PPoly ones (ck multiplies the k-th
     power of the offset from the interval's left node), held in a copy;
     a point is evaluated on the interval whose left node is the last one
-    at or below it, in the term order of PPoly's evaluation.
+    at or below it, in the term order of PPoly's evaluation.  uniform
+    marks knots built by np.linspace, whose intervals are computed rather
+    than searched (_knot_index).
     """
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dydx))):
         raise ValueError("Hermite data must be finite")
@@ -154,10 +187,11 @@ def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray) -> Callable:
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     c0, c1, c2, c3 = np.stack((y[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t,
                                t / dx))
+    interval = _knot_index(x, uniform)
 
     def evaluate(q):
         q = np.asarray(q, dtype=float)
-        i = np.clip(np.searchsorted(x, q, "right") - 1, 0, len(x) - 2)
+        i = interval(q)
         d = q - x[i]
         d2 = d * d
         return c0[i] + c1[i] * d + c2[i] * d2 + c3[i] * (d2 * d)
@@ -180,7 +214,7 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
     fc = None if series is None else integrate_series(series, f0)
     f_lo = f0 if fc is None else float(eval_series(fc, lo))
     f_grid = f_lo + _cumulative_simpson(w_grid, s_grid)
-    spline = _hermite(s_grid, f_grid, w_grid)
+    spline = _hermite(s_grid, f_grid, w_grid, uniform=True)
     if fc is None:
         f_dense, w_dense = _evaluator(spline), traj.w_at
     else:
@@ -396,6 +430,13 @@ def build_spindle(params: FlowParams, s0: float,
     return wing
 
 
+def resample_wing(curve: ProfileCurve, samples: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(y, alpha) of a wing curve at samples heights spread evenly over its
+    y span, alpha read linearly between the curve's nodes."""
+    y = np.linspace(curve.y[0], curve.y[-1], samples)
+    return y, np.interp(y, curve.y, curve.alpha)
+
+
 def quadrant_of(x, y):
     """Lightcone quadrant index: 1 right, 2 top, 3 left, 4 bottom, 0 on cone."""
     x = np.asarray(x, dtype=float)
@@ -434,6 +475,9 @@ class HybridField:
     to higher dimension by rotational symmetry in the spatial slot:
     u_tilde(xvec, y) = u(|xvec|, y).  coeffs_f1/coeffs_f2 are the height
     Taylor coefficients at the origin (f2 as built, before any sign flip).
+    The profiles hold on the square [-extent, extent]^2, and sample(nodes)
+    reads u on a grid over it: one field, built once by hybrid_field,
+    samples any number of grids.
     """
 
     order: int
@@ -443,8 +487,25 @@ class HybridField:
     coeffs_f2: np.ndarray
     params_side: FlowParams
     params_topbottom: FlowParams
+    extent: float
     u: Callable = field(repr=False)
     u_tilde: Callable = field(repr=False)
+
+    def sample(self, nodes: int) -> GridField:
+        """u on a nodes x nodes grid over [-extent, extent]^2, as a GridField
+        with Lorentzian signature (+, -), masked on a tube _TUBE_CELLS = 3
+        cells wide around the lightcone and on excluded quadrants."""
+        if nodes < 5:
+            raise ValueError("need nodes >= 5 for a grid sample")
+        ax = np.linspace(-self.extent, self.extent, nodes)
+        X, Y = np.meshgrid(ax, ax, indexing="ij")
+        values = self.u(X, Y)
+        h = float(ax[1] - ax[0])
+        dist_cone = np.minimum(np.abs(X - Y), np.abs(X + Y)) / math.sqrt(2.0)
+        # u is NaN exactly on the excluded quadrants off the cone
+        gmask = (dist_cone <= _TUBE_CELLS * h) | np.isnan(values)
+        return GridField(axes=(ax, ax), signature=(+1, -1), eps_prime=+1,
+                         values=values, mask=gmask)
 
 
 # center-regular profiles are their center series out to this radius
@@ -504,31 +565,24 @@ def center_regular_profile(params: FlowParams, span: float,
     return curve.f_dense, curve.w_dense
 
 
-def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
-                 extent: float = 2.0, nodes: int = 201,
-                 cfg: IntegratorConfig = IntegratorConfig(),
-                 f2_sign: int = +1) -> Tuple[HybridField, GridField]:
-    """Assemble the glued lightcone-invariant graph and a grid sample.
+def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
+                 extent: float = 2.0, cfg: IntegratorConfig = IntegratorConfig(),
+                 f2_sign: int = +1) -> HybridField:
+    """The glued lightcone-invariant graph on [-extent, extent]^2.
 
     The two pieces are the center-regular profiles of the boost reduction
     on the spacelike and timelike sides of the cone (both with vanishing
     center slope, evaluated by series inside _SERIES_RADIUS = 0.5 and by
-    integration beyond).  mask picks 2, 3 or 4 cyclically adjacent
-    quadrants.  f2_sign = -1 deliberately breaks the gluing (a control
-    for the smoothness scan: the order-2 transverse jump then persists
-    under refinement instead of decaying).
-
-    Returns the field plus a GridField sample on [-extent, extent]^2 with
-    Lorentzian signature (+, -), masked on a tube _TUBE_CELLS = 3 cells
-    wide around the lightcone and on excluded quadrants.
+    integration beyond), each built once here.  mask picks 2, 3 or 4
+    cyclically adjacent quadrants.  f2_sign = -1 deliberately breaks the
+    gluing (a control for the smoothness scan: the order-2 transverse
+    jump then persists under refinement instead of decaying).
     """
     qs = _validate_mask(mask)
     if f2_sign not in (-1, +1):
         raise ValueError("f2_sign must be +-1")
     if order < 5:
         raise ValueError("need series order >= 5 for a faithful gluing test")
-    if nodes < 5:
-        raise ValueError("need nodes >= 5 for a grid sample")
     if not 0.0 < extent < math.inf:
         raise ValueError("extent must be positive and finite")
     p1 = boost(2, "spacelike")
@@ -555,21 +609,23 @@ def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
         r_sp = np.sqrt(np.sum(xvec * xvec, axis=-1))
         return u(r_sp, y)
 
-    hyb = HybridField(order=order, mask=qs, f2_sign=f2_sign,
-                      coeffs_f1=integrate_series(a1),
-                      coeffs_f2=integrate_series(a2),
-                      params_side=p1, params_topbottom=p2, u=u, u_tilde=u_tilde)
+    return HybridField(order=order, mask=qs, f2_sign=f2_sign,
+                       coeffs_f1=integrate_series(a1),
+                       coeffs_f2=integrate_series(a2),
+                       params_side=p1, params_topbottom=p2, extent=float(extent),
+                       u=u, u_tilde=u_tilde)
 
-    ax = np.linspace(-extent, extent, nodes)
-    X, Y = np.meshgrid(ax, ax, indexing="ij")
-    values = u(X, Y)
-    h = float(ax[1] - ax[0])
-    dist_cone = np.minimum(np.abs(X - Y), np.abs(X + Y)) / math.sqrt(2.0)
-    # u is NaN exactly on the excluded quadrants off the cone
-    gmask = (dist_cone <= _TUBE_CELLS * h) | np.isnan(values)
-    grid = GridField(axes=(ax, ax), signature=(+1, -1), eps_prime=+1,
-                     values=values, mask=gmask)
-    return hyb, grid
+
+def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
+                 extent: float = 2.0, nodes: int = 201,
+                 cfg: IntegratorConfig = IntegratorConfig(),
+                 f2_sign: int = +1) -> Tuple[HybridField, GridField]:
+    """hybrid_field(order, mask, extent, cfg, f2_sign) and its sample on a
+    nodes x nodes grid (HybridField.sample)."""
+    if nodes < 5:
+        raise ValueError("need nodes >= 5 for a grid sample")
+    hyb = hybrid_field(order, mask, extent, cfg, f2_sign)
+    return hyb, hyb.sample(nodes)
 
 
 def timelike_family_from_strip(params: FlowParams,

@@ -14,8 +14,12 @@ refinement, checks profile curves against the reduced ODE, and scans
 piecewise-assembled fields for derivative jumps across the lightcone
 diagonals with one-sided stencils.
 
-Everything here consumes plain sampled data; nothing depends on how the
-field was produced.
+The checks consume plain sampled data; nothing depends on how the field
+was produced.  The studies that `solitonlab verify` reports live here
+too: bowl_study and hybrid_study take a builder, check their grid sizes,
+call it once and sample what it returns on three nested grids (a
+geometry.HybridField samples itself, HybridField.sample); const_study is
+the negative control.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import rhs
+
+if TYPE_CHECKING:
+    from .geometry import HybridField
 
 
 class DegeneracyError(ValueError):
@@ -320,3 +327,125 @@ def sample_radial_field(f_of_r, extent: float, nodes: int, ndim: int = 2) -> Gri
     mask = r <= _AXIS_CELLS * h
     return GridField(axes=(ax,) * ndim, signature=(1,) * ndim,
                      eps_prime=-1, values=values, mask=mask)
+
+
+# --------------------------------------------------------- verify studies
+#
+# The studies that `solitonlab verify` reports.  Each checks its grid
+# sizes before it builds anything, so its errors name that command's
+# flags, and returns the JSON report with its verdict.
+
+def _second_order(rep: ConvergenceReport) -> bool:
+    """Whether a convergence report shows second order: defined, monotone,
+    and both observed orders in the window [1.7, 2.3]."""
+    return bool(rep.defined and rep.monotone
+                and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
+
+
+def _check_grid(nodes: int, ndim: int, remedy: str) -> None:
+    """Refuse a verify grid of nodes^ndim points beyond 5,000,000 before
+    anything is allocated."""
+    if nodes ** ndim > 5_000_000:
+        raise ValueError(f"grid too large for this base dimension; {remedy}")
+
+
+def _nodes_for(extent: float, h: float) -> int:
+    if not 0.0 < extent < math.inf:
+        raise ValueError("--extent must be positive and finite")
+    if not 0.0 < h < math.inf:
+        raise ValueError("--h spacings must be positive and finite")
+    n = 2.0 * extent / h
+    if abs(n - round(n)) > 1e-9:
+        raise ValueError(f"spacing {h} does not tile [-{extent}, {extent}]")
+    return int(round(n)) + 1
+
+
+def bowl_study(build: Callable[[], Callable], extent: float,
+               hs: Sequence[float], ndim: int) -> Tuple[dict, bool]:
+    """Residual convergence of a radial profile on three nested grids.
+
+    build() returns the height f(r); it is called once, after the grids
+    of spacings hs over [-extent, extent]^ndim have passed the size
+    check.  u = f(|x|) is sampled on each (sample_radial_field), and the
+    study passes where the residual decays at second order (observed
+    orders in [1.7, 2.3]).
+    """
+    nodes = [_nodes_for(extent, h) for h in hs]
+    _check_grid(max(nodes), ndim, "coarsen --h or shrink --extent")
+    f_of_r = build()
+    fields = [sample_radial_field(f_of_r, extent, nn, ndim=ndim) for nn in nodes]
+    rep = convergence_order(*fields)
+    ok = _second_order(rep)
+    return {
+        "target": "bowl",
+        "h": list(hs),
+        "residual_max": list(rep.residuals),
+        "p_coarse": rep.p_coarse,
+        "p_fine": rep.p_fine,
+        "monotone": rep.monotone,
+        "eps": residual_fund_eq(fields[0]).eps,
+        "pass": ok,
+    }, ok
+
+
+def hybrid_study(build: Callable[[], "HybridField"], nodes: int,
+                 max_order: int) -> Tuple[dict, bool]:
+    """Residual convergence and seam smoothness of a glued hybrid field.
+
+    build() returns the geometry.HybridField; it is called once, after
+    the refinement n, 2n - 1, 4n - 3 (n = nodes) and max_order have
+    passed their checks, and each grid is a sample of that one field.  The residual must decay at
+    second order over the three grids, the order-0 jump must be exactly 0
+    on the two coarser ones, and every jump of order 1..max_order must
+    fall by 3x from the coarse grid to the next or lie below 1e-8.
+    """
+    if not 0 <= max_order <= MAX_JUMP_ORDER:
+        raise ValueError(f"--order must lie in 0..{MAX_JUMP_ORDER}, got {max_order}")
+    node_seq = [nodes, 2 * nodes - 1, 4 * nodes - 3]
+    _check_grid(node_seq[-1], 2, "lower --nodes")
+    if nodes < 5:
+        raise ValueError("need nodes >= 5 for a grid sample")
+    hyb = build()
+    grids = [hyb.sample(nn) for nn in node_seq]
+    rep = convergence_order(*grids)
+    res_ok = _second_order(rep)
+
+    jumps = [smoothness_scan(g, max_order=max_order) for g in grids[:2]]
+    table = [{"order": q, "coarse": float(jumps[0][q]),
+              "fine": float(jumps[1][q])} for q in range(max_order + 1)]
+    jump_ok = jumps[0][0] == 0.0 and jumps[1][0] == 0.0
+    for q in range(1, max_order + 1):
+        decayed = jumps[1][q] <= jumps[0][q] / 3.0 or jumps[1][q] < 1e-8
+        jump_ok = jump_ok and decayed
+    jump_ok = bool(jump_ok)
+    ok = bool(res_ok and jump_ok)
+    return {
+        "target": "hybrid",
+        "f2_sign": hyb.f2_sign,
+        "nodes": node_seq,
+        "residual_max": list(rep.residuals),
+        "p_coarse": rep.p_coarse,
+        "p_fine": rep.p_fine,
+        "monotone": rep.monotone,
+        "jump_table": table,
+        "residual_pass": res_ok,
+        "jump_pass": jump_ok,
+        "pass": ok,
+    }, ok
+
+
+def const_study() -> Tuple[dict, bool]:
+    """The negative control: a constant field is not a translator, so its
+    residual is identically -1 and the study fails."""
+    ax = np.linspace(-1.0, 1.0, 21)
+    field = GridField(axes=(ax, ax), signature=(1, 1), eps_prime=-1,
+                      values=np.full((21, 21), 0.3))
+    stats = residual_fund_eq(field)
+    return {
+        "target": "const",
+        "residual_max": stats.max_abs,
+        "residual_mean": stats.mean_abs,
+        "note": "a constant field is not a translator; its residual is "
+                "identically -1, so this control must fail",
+        "pass": False,
+    }, False

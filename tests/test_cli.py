@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,8 +13,9 @@ from hypothesis import given, strategies as st
 import solitonlab
 from solitonlab import (IntegratorConfig, boost, classify_as_posed, detect_blowup,
                         integrate_bidirectional, mesh, rotational)
-from solitonlab import cli
+from solitonlab import cli, geometry, verify
 from solitonlab.cli import _fmt_array, main
+from solitonlab.classify import compute_bowl, compute_separatrix
 from solitonlab.geometry import build_hybrid, build_spindle, center_regular_profile
 
 GM_BLOWUP_S = 1.0632503268240918
@@ -631,10 +634,28 @@ def test_verify_grid_over_the_node_cap_exits_2(argv, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a grid over the cap was built")
 
-    monkeypatch.setattr(cli, "sample_radial_field", refuse)
-    monkeypatch.setattr(cli, "build_hybrid", refuse)
+    monkeypatch.setattr(verify, "sample_radial_field", refuse)
+    monkeypatch.setattr(cli, "bowl_curve", refuse)
+    monkeypatch.setattr(cli, "hybrid_field", refuse)
     assert main(argv) == 2
     assert "grid too large" in capsys.readouterr().err
+
+
+def test_verify_hybrid_builds_the_center_profiles_once(monkeypatch):
+    """verify hybrid samples one field on its three grids, so the two
+    center profiles (spacelike and timelike side) are built once per run,
+    not once per grid."""
+    built = []
+
+    def counted(params, *args, **kwargs):
+        built.append(params.eps_tilde)
+        return center_profile_eval(params, *args, **kwargs)
+
+    center_profile_eval = geometry.center_profile_eval
+    monkeypatch.setattr(geometry, "center_profile_eval", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "hybrid"]) == 0
+    assert sorted(built) == [-1, 1]
 
 
 def test_verify_hybrid_passes(tmp_path):
@@ -753,6 +774,72 @@ def test_unknown_config_key_rejected(tmp_path):
     cfgf.write_text(json.dumps({"s0": 1.0, "w0": -2.0, "bogus_key": 1}))
     code, _ = run(tmp_path, "classify", "--config", str(cfgf))
     assert code == 2
+
+
+def _in_process(*argv):
+    """exit code, stdout and stderr of one cli.main call, caches cleared."""
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_config_run_leaves_no_defaults_for_the_next_call(tmp_path):
+    """One process reuses its parser, but a --config run's defaults end
+    with it: a --config run and a plain one print, in either order, what
+    two fresh processes print."""
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"w0": -2.0, "json": True}))
+    with_config = ("classify", "--config", str(cfgf), "--s0", "1")
+    plain = ("classify", "--s0", "1", "--w0", "0.5")
+    fresh = {}
+    for argv in (with_config, plain):
+        done = _cli_subprocess(*argv)
+        fresh[argv] = (done.returncode, done.stdout, done.stderr)
+    assert json.loads(fresh[with_config][1])["class"] == "gamma_minus_blowup"
+    assert fresh[plain][1].startswith("class: above_bowl\n")
+    for order in ((with_config, plain), (plain, with_config), (with_config, with_config, plain)):
+        for argv in order:
+            assert _in_process(*argv) == fresh[argv], argv
+
+
+# surfaces-style commands: verify, mesh and field builds
+_SURFACES = [
+    ("verify", "bowl", "--n", "2"),
+    ("verify", "bowl", "--n", "3", "--h", "0.16,0.08,0.04"),
+    ("verify", "hybrid", "--nodes", "101"),
+    ("verify", "hybrid", "--nodes", "201", "--mismatch"),
+    ("mesh", "bowl"),
+    ("mesh", "bowl", "--action", "boost", "--region", "timelike_T"),
+    ("mesh", "spindle", "--s0", "1"),
+    ("mesh", "hybrid"),
+    ("mesh", "hybrid", "--quadrants", "2,3,4"),
+    ("hybrid",),
+    ("hybrid", "--quadrants", "1,2"),
+    ("wing", "--s0", "2", "--y-span", "0.5"),
+    ("bowl", "--n", "3"),
+    ("bowl", "--action", "boost", "--region", "timelike_T"),
+    ("bowl", "--eps-prime", "1", "--n", "2"),
+]
+
+
+def test_surfaces_commands_back_to_back_match_each_alone(tmp_path):
+    """The 15 surfaces-style commands, run back to back in one process
+    after --config runs of the same subcommands, print the bytes and exit
+    codes each prints alone with a parser of its own."""
+    alone = {}
+    for argv in _SURFACES:
+        cli._shared_parser.cache_clear()
+        alone[argv] = _in_process(*argv)
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"nodes": 21, "extent": 1.0, "n": 3}))
+    for sub in ("verify", "mesh"):
+        assert _in_process(sub, "hybrid", "--config", str(cfgf))[0] in (0, 1)
+    for argv in _SURFACES[::-1]:
+        assert _in_process(*argv) == alone[argv], argv
+    assert [alone[a][0] for a in _SURFACES[:4]] == [0, 0, 0, 1]
 
 
 def test_no_subcommand_exits_2():

@@ -432,6 +432,46 @@ def test_dense_output_toward_zero_refuses_nonpositive_s(s):
     assert compute_bowl(ROT3).w_at(0.0) == 0.0
 
 
+def test_dense_output_refuses_past_an_unsettled_far_end():
+    """A forward arc that reached s_max without settling has no dense
+    output past s_max: w_at there is refused by name, as s <= 0 is toward
+    zero, instead of extrapolating the last step (9.30 at s = 150).  Up
+    to s_max, and in the rounding sliver above it, it reads as before."""
+    traj = integrate(rotational(100), (1.0, 0.5), "toward_infinity")
+    assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
+    assert traj.stats.closed == 0
+    for s in (150.0, np.array([50.0, 1000.0])):
+        with pytest.raises(ValueError, match=r"w_at\((150|1000)\.0\): s lies past the far "
+                                             r"end 100\.0 of an arc that did not settle"):
+            traj.w_at(s)
+    assert traj.w_at(100.0) == traj.w[-1]
+    assert np.isfinite(traj.w_at(100.0 * (1 + 1e-13)))
+    assert np.all(np.abs(traj.w_at(np.linspace(1.0, 100.0, 50))) < 1.0)
+
+
+def test_dense_output_refuses_below_a_pole_toward_zero():
+    """Toward zero a barrier-free arc blows up at s = 0.9776; below that
+    pole w_at is refused by name instead of returning inf."""
+    traj = integrate(rotational(2, eps_prime=1), (1.0, 5.0), "toward_zero")
+    pole = traj.termination_left
+    assert pole.kind is TerminationKind.BLOW_UP
+    assert pole.s == pytest.approx(0.9776, abs=1e-4)
+    for s in (0.49, 0.0, np.array([0.99, 0.5])):
+        with pytest.raises(ValueError, match=r"w_at\((0\.49|0\.0|0\.5)\): s lies below "
+                                             r"the pole .* of an arc that blew up toward zero"):
+            traj.w_at(s)
+    w = traj.w_at(np.array([pole.s * (1 + 1e-6), 0.99, 1.0]))
+    assert w[0] > 100.0 and w[-1] == 5.0
+
+
+def test_settled_forward_arc_reads_its_tail_past_s_max():
+    """A forward lane that landed on a barrier ended in a closed step,
+    whose tail holds past its end: w_at there is not refused."""
+    traj = integrate(ROT3, (3.0, 1.0), "toward_infinity")
+    assert traj.stats.closed == 1
+    assert traj.w_at(150.0) == 1.0
+
+
 def test_integrator_config_immutable():
     with pytest.raises(Exception):
         CFG.rel_tol = 1e-3

@@ -17,6 +17,7 @@ from solitonlab import (
     build_wing,
     center_profile_eval,
     center_regular_profile,
+    hybrid_field,
     integrate_bidirectional,
     quadrant_of,
     residual_keyODE,
@@ -25,7 +26,7 @@ from solitonlab import (
     smoothness_scan,
     timelike_family_from_strip,
 )
-from solitonlab.geometry import _cumulative_simpson, _hermite
+from solitonlab.geometry import _cumulative_simpson, _hermite, _knot_index
 
 ROT3 = rotational(3)
 EUCLID2 = rotational(2, eps_prime=+1)
@@ -458,3 +459,70 @@ def test_simpson_and_hermite_are_scipys_bit_for_bit(n, uniform, seed):
     assert np.array_equal(bits(ours(q.reshape(2, -1)[:, ::-1])),
                           bits(ref(q.reshape(2, -1)[:, ::-1])))
     assert bits(ours(x[n // 2])) == bits(ref(x[n // 2]))
+
+
+def _searched(x, q):
+    return np.clip(np.searchsorted(x, q, "right") - 1, 0, len(x) - 2)
+
+
+@settings(deadline=None)
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), n=st.integers(2, 20001),
+       picks=st.lists(st.integers(0, 20000), min_size=1, max_size=40),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       outside=st.lists(st.floats(1e-300, 1e6), max_size=8))
+def test_computed_knot_index_is_the_searched_one(lo, width, n, picks, fracs, outside):
+    """On knots from np.linspace the interval found by arithmetic is the
+    one searchsorted gives: at the knots and next to them, between them,
+    for NaN and infinities, below lo, above hi and in the sliver above
+    hi that profile evaluators read at hi."""
+    x = np.linspace(lo, lo + width, n)
+    hi = x[-1]
+    k = np.array(picks) % n
+    j = np.minimum(np.array(picks) % (n - 1), n - 2)
+    q = np.concatenate([
+        x[k], np.nextafter(x[k], -np.inf), np.nextafter(x[k], np.inf),
+        x[j] + np.resize(fracs, j.size) * (x[j + 1] - x[j]),
+        lo - np.array(outside), hi + np.array(outside),
+        [np.nan, -np.inf, np.inf, hi * (1 + 1e-12), hi * (1 - 1e-12), lo * (1 + 1e-12)]])
+    index = _knot_index(x, uniform=True)
+    assert np.array_equal(index(q), _searched(x, q))
+    assert np.array_equal(index(q[:, None]), _searched(x, q)[:, None])
+    assert index(np.asarray(q[0])) == _searched(x, q[0])
+
+
+@pytest.mark.parametrize("lo, width", [(1e6, 1e-9), (-3.0, 1e-15), (0.0, 5e-324 * 64)])
+def test_knot_index_on_narrow_spans_is_the_searched_one(lo, width):
+    """Where the span is too narrow for floor((q - lo)/h) to be within one
+    cell, the uniform index falls back to the search."""
+    x = np.linspace(lo, lo + width, 33)
+    x = x[np.concatenate(([True], np.diff(x) > 0))]
+    q = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), [lo - 1.0, x[-1] + 1.0, np.nan]])
+    assert np.array_equal(_knot_index(x, uniform=True)(q), _searched(x, q))
+
+
+@pytest.mark.parametrize("samples", [5, 4001, 20001])
+def test_uniform_hermite_is_the_searched_hermite(samples):
+    """The profile spline, whose knots come from np.linspace, evaluates
+    bit for bit as with its intervals searched."""
+    rng = np.random.default_rng(samples)
+    x = np.linspace(0.5, 100.0, samples)
+    y, dydx = rng.normal(size=(2, samples))
+    q = np.concatenate([x, rng.uniform(-1.0, 101.0, 5000), [np.nan, 100.0 * (1 + 1e-12)]])
+    fast, searched = _hermite(x, y, dydx, uniform=True), _hermite(x, y, dydx)
+    assert np.array_equal(fast(q).view(np.uint64), searched(q).view(np.uint64))
+    assert fast(x[samples // 2]) == searched(x[samples // 2])
+
+
+def test_hybrid_field_samples_like_build_hybrid():
+    """One HybridField samples any grid over its square, bit for bit as
+    build_hybrid samples it, mask and axes included."""
+    hyb = hybrid_field(order=12, mask=(1, 2, 3), extent=1.5)
+    assert hyb.extent == 1.5
+    for nodes in (21, 41):
+        grid = hyb.sample(nodes)
+        _, ref = build_hybrid(order=12, mask=(1, 2, 3), extent=1.5, nodes=nodes)
+        assert np.array_equal(grid.values, ref.values, equal_nan=True)
+        assert np.array_equal(grid.mask, ref.mask)
+        assert all(np.array_equal(a, b) for a, b in zip(grid.axes, ref.axes))
+    with pytest.raises(ValueError, match="nodes >= 5"):
+        hyb.sample(4)

@@ -12,7 +12,8 @@ from solitonlab import (
     sample_radial_field,
     smoothness_scan,
 )
-from solitonlab.verify import _ONE_SIDED
+from solitonlab.geometry import hybrid_field
+from solitonlab.verify import _ONE_SIDED, bowl_study, hybrid_study
 
 
 def _grid(extent, nodes):
@@ -265,3 +266,30 @@ def test_sample_radial_field_masks_axis_cells():
     # center cells excluded, corners kept
     assert field.mask[10, 10]
     assert not field.mask[0, 0]
+
+
+def test_studies_build_once_after_their_checks():
+    """Each verify study calls its builder once, for all three grids, and
+    not at all when a grid or the jump order is refused."""
+    def refuse():
+        raise AssertionError("built a field that the checks refuse")
+
+    with pytest.raises(ValueError, match="grid too large"):
+        bowl_study(refuse, 2.0, (0.0016, 0.0008, 0.0004), 2)
+    with pytest.raises(ValueError, match="does not tile"):
+        bowl_study(refuse, 2.0, (0.03, 0.015, 0.0075), 2)
+    with pytest.raises(ValueError, match="grid too large"):
+        hybrid_study(refuse, 1200, 2)
+    with pytest.raises(ValueError, match="--order must lie"):
+        hybrid_study(refuse, 21, 5)
+    with pytest.raises(ValueError, match="nodes >= 5"):
+        hybrid_study(refuse, 4, 2)
+
+    built = []
+    report, ok = bowl_study(lambda: built.append("bowl") or bowl_curve(rotational(2)).f_dense,
+                            2.0, (0.04, 0.02, 0.01), 2)
+    assert ok and report["h"] == [0.04, 0.02, 0.01] and built == ["bowl"]
+    report, ok = hybrid_study(lambda: built.append("hybrid") or hybrid_field(f2_sign=-1),
+                              101, 2)
+    assert not ok and report["f2_sign"] == -1 and report["nodes"] == [101, 201, 401]
+    assert built == ["bowl", "hybrid"]
