@@ -18,9 +18,10 @@ flipped onto the strip and its evidence flipped back.
 
 Each entry point has a batched form (integrate_bidirectional_batch,
 classify_batch, classify_as_posed_batch) that takes a list of starts,
-integrates both directions of all of them in one lockstep loop and
-returns one verdict, or that start's error, per start.  The scalar
-functions are batches of one.
+integrates both directions of all of them in one lockstep loop, looks
+the bowl and the separatrix up at most once each, and returns one
+verdict, or that start's error, per start.  The scalar functions are
+batches of one.
 
 The separatrix is traced backward.  Forward shooting cannot hold it for
 long (nearby solutions diverge like exp(s^2/2c)), and backward
@@ -51,6 +52,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
+    LIGHTLIKE_TOL,
     FlowParams,
     PhaseState,
     Region,
@@ -60,6 +62,7 @@ from .core import (
     region_of,
 )
 from .engine import (
+    DIRECTIONS,
     EventKind,
     IntegratorConfig,
     _far_anchored,
@@ -70,7 +73,6 @@ from .engine import (
     comparison_blowup_bound,
     detect_blowup,
     integrate_batch,
-    merge_bidirectional,
 )
 
 # starts per k-section round of compute_separatrix
@@ -113,7 +115,14 @@ class LimitsReport(NamedTuple):
 
 @dataclass(frozen=True)
 class SolutionClass:
-    """Classification verdict plus the numeric evidence that backs it."""
+    """Classification verdict plus the numeric evidence that backs it.
+
+    margin is w0 minus the bowl's (inner strip) or the separatrix's (upper
+    region) value at s0, on the canonical strip as the tag is, and
+    margin_tol the tolerance it was compared with: within it the start is
+    that solution, else its sign picks the side.  Both are None where no
+    reference decides the tag (the barrier constants and gamma_minus).
+    """
 
     tag: SolutionClassTag
     init: PhaseState
@@ -122,6 +131,8 @@ class SolutionClass:
     critical_points: Tuple[float, ...]
     blowup: Optional[Tuple[float, int]]
     causal: int
+    margin: Optional[float] = None
+    margin_tol: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -199,13 +210,11 @@ def integrate_bidirectional_batch(
         params: FlowParams, starts: Sequence[Tuple[float, float]],
         cfg: IntegratorConfig = IntegratorConfig()) -> List[Union[Trajectory, Exception]]:
     """integrate_bidirectional() for every start, both directions of all
-    of them in one lockstep run; a start that fails gets its exception in
-    its slot."""
-    n = len(starts)
-    runs = _integrate_lanes(params, list(starts) * 2,
-                            ["toward_zero"] * n + ["toward_infinity"] * n, cfg)
-    return [d if isinstance(d, Exception) else u if isinstance(u, Exception)
-            else merge_bidirectional(d, u) for d, u in zip(runs[:n], runs[n:])]
+    of them in one lockstep run.  Each start's Trajectory is built once,
+    from the arcs of both its lanes, and is what merge_bidirectional()
+    gives for its two one-sided runs; a start that fails gets its
+    exception in its slot, the one toward zero first."""
+    return _integrate_lanes(params, starts, [DIRECTIONS] * len(starts), cfg)
 
 
 def integrate_bidirectional(params: FlowParams, s0: float, w0: float,
@@ -237,11 +246,13 @@ def _critical_points(traj: Trajectory) -> Tuple[float, ...]:
     return tuple(out)
 
 
-def _evidence(traj: Trajectory) -> dict:
+def _evidence(traj: Trajectory, causal: Optional[int] = None) -> dict:
+    """The evidence fields of a SolutionClass read off traj, with its
+    causal sign where already known."""
     rep = limits_report(traj)
     return dict(limit_at_zero=rep.at_zero, limit_at_infinity=rep.at_infinity,
                 critical_points=_critical_points(traj), blowup=rep.blowup,
-                causal=traj.causal_sign())
+                causal=traj.causal_sign() if causal is None else causal)
 
 
 @_cached(maxsize=8)
@@ -331,34 +342,80 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
                    cfg: IntegratorConfig = IntegratorConfig()
                    ) -> List[Union[SolutionClass, Exception]]:
-    """classify() for every start, with one batched bidirectional
-    integration for all the starts that need a trajectory.
+    """classify() for every start, in one pass over the batch.
+
+    Each start is checked and placed by region on its own.  The bowl is
+    looked up once if any start lies in the inner strip, and the
+    separatrix once if any lies in the upper region; each is read at all
+    its starts' s0 in one call.  One batched bidirectional integration
+    serves all the starts that need a trajectory, and their causal signs
+    are taken together.
 
     Returns one entry per start: its SolutionClass, or the ValueError or
-    RuntimeError that classify() would raise for it.
+    RuntimeError that classify() would raise for it.  A lookup or read of
+    a reference that fails puts its error into the slot of every start
+    that needed it.
     """
     _require_strip_form(params, "classify")
     out: List[Optional[Union[SolutionClass, Exception]]] = [None] * len(starts)
-    pending = []
+    pending = []    # (slot, init, tag, margin, margin_tol) of the starts to integrate
+    against = {Region.INNER_STRIP: [], Region.GAMMA_PLUS: []}
     for i, (s0, w0) in enumerate(starts):
         try:
-            verdict = _verdict(params, float(s0), float(w0), cfg)
-        except (ValueError, RuntimeError) as exc:
-            verdict = exc
-        if isinstance(verdict, tuple):
-            pending.append((i, verdict))
+            init = _checked(float(s0), float(w0), cfg)
+        except ValueError as exc:
+            out[i] = exc
+            continue
+        region = region_of(init.w)
+        if region is Region.BARRIER_PLUS or region is Region.BARRIER_MINUS:
+            lim = 1.0 if region is Region.BARRIER_PLUS else -1.0
+            tag = (SolutionClassTag.CONSTANT_PLUS if lim > 0
+                   else SolutionClassTag.CONSTANT_MINUS)
+            out[i] = SolutionClass(tag, init, lim, lim, (), None, causal_sign(params, lim))
+        elif region is Region.GAMMA_MINUS:
+            pending.append((i, init, SolutionClassTag.GAMMA_MINUS_BLOWUP, None, None))
         else:
-            out[i] = verdict
-    trajs = integrate_bidirectional_batch(params, [init for _, (init, _) in pending], cfg)
-    for (i, (init, tag)), traj in zip(pending, trajs):
+            against[region].append((i, init))
+
+    for region, group in against.items():
+        if not group:
+            continue
+        strip = region is Region.INNER_STRIP
+        try:
+            ref = (compute_bowl(params, cfg) if strip
+                   else compute_separatrix(params, cfg).trajectory)
+            values = np.asarray(ref.w_at(np.array([init.s for _, init in group])),
+                                dtype=float).tolist()
+        except (ValueError, RuntimeError) as exc:
+            for i, _ in group:
+                out[i] = exc
+            continue
+        on_ref = None
+        for (i, init), value in zip(group, values):
+            margin = init.w - value
+            tol = _BOWL_TOL if strip else _SEPARATRIX_TOL * max(1.0, abs(value))
+            if abs(margin) <= tol:
+                on_ref = on_ref or _evidence(ref)
+                tag = SolutionClassTag.BOWL if strip else SolutionClassTag.SEPARATRIX
+                out[i] = SolutionClass(tag, init, **on_ref, margin=margin, margin_tol=tol)
+                continue
+            if strip:
+                tag = SolutionClassTag.BELOW_BOWL if margin < 0 else SolutionClassTag.ABOVE_BOWL
+            else:
+                tag = (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
+                       else SolutionClassTag.GAMMA_PLUS_BLOWUP)
+            pending.append((i, init, tag, margin, tol))
+
+    trajs = integrate_bidirectional_batch(params, [init for _, init, *_ in pending], cfg)
+    causal = iter(_causal_signs(params, [t.w for t in trajs if not isinstance(t, Exception)]))
+    for (i, init, tag, margin, tol), traj in zip(pending, trajs):
         out[i] = traj if isinstance(traj, Exception) else SolutionClass(
-            tag, init, **_evidence(traj))
+            tag, init, **_evidence(traj, next(causal)), margin=margin, margin_tol=tol)
     return out
 
 
-def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig):
-    """The SolutionClass of a start that needs no integration of its own,
-    else its (init, tag) for the batched integration."""
+def _checked(s0: float, w0: float, cfg: IntegratorConfig) -> PhaseState:
+    """The start (s0, w0), if classify() takes it."""
     if not (s0 > 0.0 and math.isfinite(s0)):
         raise ValueError(f"initial s must be positive and finite, got {s0}")
     if not math.isfinite(w0):
@@ -366,35 +423,21 @@ def _verdict(params: FlowParams, s0: float, w0: float, cfg: IntegratorConfig):
     if not 2 * cfg.s_min_eps <= s0 <= 0.99 * cfg.s_max:
         raise ValueError("initial s must sit inside the configured span; "
                          "widen IntegratorConfig(s_max, s_min_eps) instead")
-    init = PhaseState(s0, w0)
+    return PhaseState(s0, w0)
 
-    region = region_of(w0)
-    if region is Region.BARRIER_PLUS or region is Region.BARRIER_MINUS:
-        lim = 1.0 if region is Region.BARRIER_PLUS else -1.0
-        tag = (SolutionClassTag.CONSTANT_PLUS if lim > 0
-               else SolutionClassTag.CONSTANT_MINUS)
-        return SolutionClass(tag, init, lim, lim, (), None,
-                             causal_sign(params, lim))
 
-    if region is Region.INNER_STRIP:
-        bowl = compute_bowl(params, cfg)
-        margin = w0 - float(bowl.w_at(s0))
-        if abs(margin) <= _BOWL_TOL:
-            return SolutionClass(SolutionClassTag.BOWL, init, **_evidence(bowl))
-        return init, (SolutionClassTag.BELOW_BOWL if margin < 0
-                      else SolutionClassTag.ABOVE_BOWL)
-
-    if region is Region.GAMMA_MINUS:
-        return init, SolutionClassTag.GAMMA_MINUS_BLOWUP
-
-    sep = compute_separatrix(params, cfg)
-    threshold = float(sep.trajectory.w_at(s0))
-    margin = w0 - threshold
-    if abs(margin) <= _SEPARATRIX_TOL * max(1.0, abs(threshold)):
-        return SolutionClass(SolutionClassTag.SEPARATRIX, init,
-                             **_evidence(sep.trajectory))
-    return init, (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
-                  else SolutionClassTag.GAMMA_PLUS_BLOWUP)
+def _causal_signs(params: FlowParams, ws: List[np.ndarray]) -> List[int]:
+    """causal_sign(params, w) of every slope array w of ws, in one pass
+    over them all (each holds at least one sample)."""
+    if not ws:
+        return []
+    with np.errstate(over="ignore"):    # a slope near a pole squares to inf
+        q = params.eps_prime + params.eps_tilde * np.concatenate(ws) ** 2
+    at = np.cumsum([0] + [w.size for w in ws[:-1]])
+    # a sample within LIGHTLIKE_TOL of the lightlike locus counts for neither
+    pos = np.logical_or.reduceat(q > LIGHTLIKE_TOL, at)
+    neg = np.logical_or.reduceat(q < -LIGHTLIKE_TOL, at)
+    return np.where(pos == neg, 0, np.where(pos, 1, -1)).tolist()
 
 
 def classify(params: FlowParams, s0: float, w0: float,

@@ -253,8 +253,10 @@ class SolverStats:
     """Cost of an integration: accepted and rejected steps, rhs
     evaluations, and closed steps.
 
-    Adding two records sums them, as merge_bidirectional does for the two
-    arcs of a trajectory.  A trajectory no stepper produced (hand-built
+    Adding two records sums them.  A stepped trajectory carries the sum
+    over the arcs it joins, both charts of each lane and both directions
+    of a bidirectional run, as merge_bidirectional sums the records of
+    the trajectories it joins.  A trajectory no stepper produced (hand-built
     samples, a series part) carries zeros.  A lane that settles near a
     barrier w = +-1 (it lands on it exactly, or its linearised tail stays
     within sqrt(abs_tol) of it up to the bound) ends in one closed step to

@@ -595,7 +595,10 @@ def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -
         closed = list(map(np.concatenate, zip(*tails)))
         steps = [np.concatenate(a) for a in zip(steps, closed + [np.ones(closed[0].size, bool)])]
     order = np.argsort(steps[0], kind="stable")
-    return _Steps(*(a[order] for a in steps))
+    steps = _Steps(*(a[order] for a in steps))
+    for a in steps:    # the arcs' dense outputs share them
+        a.setflags(write=False)
+    return steps
 
 
 def _dense(field: _Field, x0, h, y0, y1, Kd):
@@ -663,16 +666,17 @@ def _step_events(field: _Field, steps: _Steps):
     return m[order], root[order], y[order]
 
 
-def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int) -> Callable:
+def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts) -> Callable:
     """w(s) of one arc from its step interpolants, picking the segment of
-    a point as scipy's OdeSolution does (the step that starts there).  A
-    closed step reads its tail, which holds past its end too.  In the p
-    chart a step's s(p) is monotone, and _illinois inverts it.  A w-chart
-    arc toward zero, stepped in log s, refuses s <= 0."""
-    F, x0, h, y0, closed = (a[lo:hi].copy() for a in (steps.F, steps.x0, steps.h, steps.y0,
-                                                      steps.closed))
+    a point as scipy's OdeSolution does (the step that starts there; starts
+    holds where each step starts, in x or in p, signed to increase along
+    the arc).  A closed step reads its tail, which holds past its end too.
+    In the p chart a step's s(p) is monotone, and _illinois inverts it.  A
+    w-chart arc toward zero, stepped in log s, refuses s <= 0.  It reads
+    views of the batch's read-only steps."""
+    F, x0, h, y0, closed = (a[lo:hi] for a in (steps.F, steps.x0, steps.h, steps.y0,
+                                               steps.closed))
     last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
-    starts = sign * (y0 if arc.in_p else x0)
 
     def dense(q):
         q = np.asarray(q, dtype=float)
@@ -755,107 +759,185 @@ def _refusing(dense: Callable, end: float, below: bool, where: str) -> Callable:
 
 
 def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
-          cfg: IntegratorConfig) -> List[Result]:
-    """Cut each arc out of the steps: a Trajectory, or the RuntimeError of
-    a step collapse.  An arc ends at its terminal line crossing, at its
-    bound (toward zero at exactly s_min_eps, not at exp(log s_min_eps)),
-    at its pole (_p_samples), or open at its last sample, where its lane
-    switched chart.  A w-chart arc starts at exactly the s its lane starts
-    it at (s0 of lane k, or the last sample of the arc before), not at
-    exp(log s)."""
-    m, ev_x, ev_y = _step_events(_arc_field(params, arcs, steps.arc), steps)
-    step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
-    event_of_step = np.searchsorted(m, step_of_arc)
-    s0 = list(s0)
+          group: Sequence[int], cfg: IntegratorConfig) -> List[Result]:
+    """One result per group of lanes, built in one pass over all arcs: a
+    Trajectory through the arcs of its lanes in increasing s, or the
+    RuntimeError of a step collapse in any of them.  Lane k starts at s0[k]
+    and belongs to group[k]; the lanes of a group are consecutive, a lane
+    toward zero (its arcs reversed) before one toward infinity.
 
-    out: List[Result] = []
-    for k, arc in enumerate(arcs):
-        if arc.outcome == _COLLAPSED:
-            out.append(RuntimeError("integrator failed before any terminal event: Required "
-                                    "step size is less than spacing between numbers."))
-            continue
-        lo, hi = step_of_arc[k], step_of_arc[k + 1]
-        e_m, e_x, e_y = (a[event_of_step[k]:event_of_step[k + 1]] for a in (m, ev_x, ev_y))
-        xs = np.concatenate(([arc.x0], steps.x1[lo:hi]))
-        ys = np.concatenate(([arc.y0], steps.y1[lo:hi]))
-        seg_hi = hi
-        if arc.outcome == _TERMINAL:
-            # scipy's handle_events: the last step's first crossing ends the samples
-            stop = np.flatnonzero(e_m == hi - 1)[0]
-            e_x, e_y = e_x[:stop + 1], e_y[:stop + 1]
-            if e_x[stop] == steps.x0[hi - 1]:
-                xs, ys, seg_hi = xs[:-1], ys[:-1], hi - 1
-            else:
-                xs[-1], ys[-1] = e_x[stop], e_y[stop]
-        far, dense = None, _dense_output(arc, steps, lo, seg_hi)
-        if arc.in_p:    # far: the pole; else open at the line crossing and the switch
-            far = _p_samples(arc, steps, lo, hi, xs, ys, dense, cfg)
-            s_samples, ws = ys, 1.0 / xs
+    An arc ends at its terminal line crossing, at its bound (toward zero at
+    exactly s_min_eps, not at exp(log s_min_eps)), at its pole (_p_samples),
+    or open at its last sample, where its lane switched chart.  A w-chart
+    arc starts at exactly the s its lane starts it at (s0 of its lane, or
+    the last sample of the arc before), not at exp(log s).  The arcs join
+    as merge_bidirectional joins them: each arc's samples with occasional
+    duplicate nodes collapsed and, but for the lowest arc, without its
+    first sample, the join; one _piecewise evaluator of the arcs' dense
+    outputs; the events of all arcs in order of s; the counters summed.
+    """
+    lane, log, in_p, x0, y0, outcome, attempts, accepted = map(np.array, zip(*arcs))
+    step_log, step_p = log[steps.arc], in_p[steps.arc]
+    m, ev_x, ev_y = _step_events(_Field(params, step_log, step_p), steps)
+    step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
+    lo, hi = step_of_arc[:-1], step_of_arc[1:]
+    event_of_step = np.searchsorted(m, step_of_arc)
+    # the samples of all arcs, each arc's start and then its step ends, at [b[k], e[k])
+    b = lo + np.arange(len(arcs))
+    e, seg_hi = hi + np.arange(1, len(arcs) + 1), hi.copy()
+    X, Y, step_end = np.empty(e[-1]), np.empty(e[-1]), np.ones(e[-1], dtype=bool)
+    X[b], Y[b], step_end[b] = x0, y0, False
+    X[step_end], Y[step_end] = steps.x1, steps.y1
+
+    # the arcs of each live group in increasing s: by lane, then in stepping
+    # order toward infinity and against it toward zero
+    group = np.asarray(group)
+    dead = np.zeros(group[-1] + 1, dtype=bool)
+    dead[group[lane[outcome == _COLLAPSED]]] = True
+    out: List[Optional[Result]] = [RuntimeError(
+        "integrator failed before any terminal event: Required step size is less than "
+        "spacing between numbers.") if d else None for d in dead.tolist()]
+    index = np.arange(len(arcs))
+    P = np.lexsort((np.where(log, -index, index), lane))
+    P = P[~dead[group[lane[P]]]]
+    if not P.size:
+        return out
+    piece_of = np.full(len(arcs), -1)
+    piece_of[P] = np.arange(P.size)
+    g_of = group[lane[P]]
+    first = np.concatenate(([0], np.flatnonzero(g_of[1:] != g_of[:-1]) + 1, [P.size]))
+
+    ev_keep = np.ones(m.size, dtype=bool)
+    for k in P[outcome[P] == _TERMINAL].tolist():
+        # scipy's handle_events: the last step's first crossing ends the samples
+        own = np.arange(event_of_step[k], event_of_step[k + 1])
+        stop = own[m[own] == hi[k] - 1][0]
+        ev_keep[stop + 1:own[-1] + 1] = False
+        if ev_x[stop] == steps.x0[hi[k] - 1]:
+            e[k], seg_hi[k] = e[k] - 1, hi[k] - 1
         else:
-            s_samples, ws = _libm(math.exp, xs) if arc.log else xs, ys
-            s_samples[0] = s0[arc.lane]
-        s0[arc.lane] = s_samples[-1]    # where a next arc starts
-        if arc.outcome == _FINISHED and far is None:
-            s_samples[-1] = cfg.s_min_eps if arc.log else cfg.s_max
-            far = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if arc.log else
-                              TerminationKind.REACHED_S_MAX, s=float(s_samples[-1]),
-                              value=float(ws[-1]))
-        if arc.log and far is not None and far.kind is TerminationKind.BLOW_UP:
-            dense = _refusing(dense, far.s, True, "below the pole {} of an arc that blew "
-                                                  "up toward zero")
-        elif (not arc.log and arc.outcome != _SWITCHED and seg_hi > lo
-              and not steps.closed[seg_hi - 1]):
-            dense = _refusing(dense, s_samples[-1] if far is None else far.s, False,
-                              "past the far end {} of an arc that did not settle")
-        records = [EventRecord(EventKind.CROSSED_LINE_R, float(s), float(w))
-                   for s, w in zip(_libm(math.exp, e_x) if arc.log else e_x, e_y)]
-        if arc.log:    # stepping order, monotone in s
-            s_samples, ws = s_samples[::-1], ws[::-1]
-        left, right = (far, None) if arc.log else (None, far)
-        # collapse occasional duplicate nodes
-        keep = np.concatenate(([True], np.diff(s_samples) > 0))
-        stats = SolverStats(arc.accepted, arc.attempts - arc.accepted,
-                            2 + _NS * arc.attempts + len(_C_DENSE) * arc.accepted,
-                            int(np.count_nonzero(steps.closed[lo:hi])))
-        out.append(Trajectory(params, s_samples[keep], ws[keep], termination_left=left,
-                              termination_right=right,
-                              events=sorted(records, key=lambda r: r.s),
-                              dense=dense, stats=stats))
+            X[e[k] - 1], Y[e[k] - 1] = ev_x[stop], ev_y[stop]
+    # where a point's segment starts, increasing along each arc
+    starts = np.where(step_log, -1.0, 1.0) * np.where(step_p, steps.y0, steps.x0)
+    dense, far = [], []
+    for k, l0, l1, h1, b0, e0 in zip(P.tolist(), lo[P].tolist(), seg_hi[P].tolist(),
+                                     hi[P].tolist(), b[P].tolist(), e[P].tolist()):
+        arc = arcs[k]
+        dense.append(_dense_output(arc, steps, l0, l1, starts[l0:l1]))
+        far.append(_p_samples(arc, steps, l0, h1, X[b0:e0], Y[b0:e0], dense[-1], cfg)
+                   if arc.in_p else None)
+
+    # the samples of all pieces in increasing s: s, and w = 1/p in the p chart
+    n = e[P] - b[P]
+    off, rev, p_chart = np.cumsum(n) - n, log[P], in_p[P]
+    j = np.arange(off[-1] + n[-1]) - np.repeat(off, n)
+    at = np.where(np.repeat(rev, n), np.repeat(e[P] - 1, n) - j, np.repeat(b[P], n) + j)
+    xs, w = X[at], Y[at]
+    p_at = np.repeat(p_chart, n)
+    s = np.where(p_at, w, xs)
+    exp_at = np.flatnonzero(np.repeat(rev & ~p_chart, n))
+    s[exp_at] = _libm(math.exp, xs[exp_at])
+    w[p_at] = 1.0 / xs[p_at]
+    # each piece's first and last sample in stepping order
+    head, tail = np.where(rev, off + n - 1, off), np.where(rev, off, off + n - 1)
+    # a lane's later arcs (after the first ones, at index lane) start where
+    # the arc before them ends: the next piece toward zero, else the one before
+    s_start = np.array(s0)[lane[P]]
+    up = np.flatnonzero(P >= len(s0))
+    s_start[up] = s[tail[up + np.where(rev[up], 1, -1)]]
+    s[head[~p_chart]] = s_start[~p_chart]
+    ended = [i for i in np.flatnonzero(outcome[P] == _FINISHED).tolist() if far[i] is None]
+    s[tail[ended]] = np.where(rev[ended], cfg.s_min_eps, cfg.s_max)
+    for i, s_end, value in zip(ended, s[tail[ended]].tolist(), w[tail[ended]].tolist()):
+        far[i] = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if rev[i] else
+                             TerminationKind.REACHED_S_MAX, s=s_end, value=value)
+    ends = s[tail]
+    # collapse occasional duplicate nodes within an arc; drop each join's second copy
+    keep = np.empty(s.size, dtype=bool)
+    keep[0] = True
+    np.greater(s[1:], s[:-1], out=keep[1:])
+    keep[off] = False
+    keep[off[first[:-1]]] = True
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    s, w = s[keep], w[keep]
+    joins = s[kept[off + n] - 1]
+
+    for i, (k, l0, l1) in enumerate(zip(P.tolist(), lo[P].tolist(), seg_hi[P].tolist())):
+        arc, end = arcs[k], far[i]
+        if arc.log and end is not None and end.kind is TerminationKind.BLOW_UP:
+            dense[i] = _refusing(dense[i], end.s, True, "below the pole {} of an arc that "
+                                                        "blew up toward zero")
+        elif (not arc.log and arc.outcome != _SWITCHED and l1 > l0
+              and not steps.closed[l1 - 1]):
+            dense[i] = _refusing(dense[i], ends[i] if end is None else end.s, False,
+                                 "past the far end {} of an arc that did not settle")
+
+    # events: each group's in order of s, ties in the order of its arcs
+    records, event_of_group = [], [0] * first.size
+    ev = np.flatnonzero(ev_keep & (piece_of[steps.arc[m]] >= 0))
+    if ev.size:
+        ev_piece = piece_of[steps.arc[m[ev]]]
+        ev_s = ev_x[ev]
+        ev_log = np.flatnonzero(rev[ev_piece])
+        ev_s[ev_log] = _libm(math.exp, ev_s[ev_log])
+        ev_group = np.searchsorted(first, ev_piece, side="right") - 1
+        order = np.lexsort((ev_piece, ev_s, ev_group))
+        records = [EventRecord(EventKind.CROSSED_LINE_R, a, c)
+                   for a, c in zip(ev_s[order].tolist(), ev_y[ev][order].tolist())]
+        event_of_group = np.searchsorted(ev_group[order], np.arange(first.size)).tolist()
+
+    closed = np.concatenate(([0], np.cumsum(steps.closed)))
+    counts = np.array((accepted, attempts - accepted,
+                       2 + _NS * attempts + len(_C_DENSE) * accepted, closed[hi] - closed[lo]))
+    stats = np.add.reduceat(counts[:, P], first[:-1], axis=1).T.tolist()
+    bounds = kept[off[first[:-1]]].tolist() + [s.size]
+    first = first.tolist()
+    for gi, (g, st) in enumerate(zip(g_of[first[:-1]].tolist(), stats)):
+        i, t = first[gi], first[gi + 1] - 1
+        out[g] = Trajectory(params, s[bounds[gi]:bounds[gi + 1]], w[bounds[gi]:bounds[gi + 1]],
+                            termination_left=far[i] if rev[i] else None,
+                            termination_right=None if rev[t] else far[t],
+                            events=records[event_of_group[gi]:event_of_group[gi + 1]],
+                            dense=dense[i] if i == t else _piecewise(dense[i:t + 1],
+                                                                     joins[i:t]),
+                            stats=SolverStats(*st))
     return out
 
 
-def _integrate_lanes(params: FlowParams, starts: Sequence, directions: Sequence[str],
-                     cfg: IntegratorConfig, stop_on_line_crossing: bool = False) -> List[Result]:
-    """integrate() of each start in its own direction, all in one lockstep
-    run: per start its Trajectory, or the exception integrate() would
-    raise.  A lane starts in the w chart or, at or past the switch level
-    (past it where |w| shrinks, where the p chart ends at the level), in
-    the p chart at p = 1/w0 (+-0 from a pole, w0 = +-inf), and its arcs
-    are joined.  A start within BARRIER_TOL of a barrier starts on it."""
+def _integrate_lanes(params: FlowParams, starts: Sequence,
+                     directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig,
+                     stop_on_line_crossing: bool = False) -> List[Result]:
+    """integrate() of each start in each of its directions (a tuple in the
+    order of DIRECTIONS), all lanes in one lockstep run: per start one
+    Trajectory over all its lanes and their arcs (_arcs), as
+    merge_bidirectional would join them, or the first exception
+    integrate() would raise for one of its directions.  A lane starts in
+    the w chart or, at or past the switch level (past it where |w|
+    shrinks, where the p chart ends at the level), in the p chart at
+    p = 1/w0 (+-0 from a pole, w0 = +-inf).  A start within BARRIER_TOL of
+    a barrier starts on it."""
     out: List[Optional[Result]] = [None] * len(starts)
-    lanes = []
-    for i, (init, direction) in enumerate(zip(starts, directions)):
+    lanes, slots = [], []
+    for i, (init, sides) in enumerate(zip(starts, directions)):
         try:
-            s, w = _checked_start(params, init, direction, cfg)
+            checked = [(_checked_start(params, init, d, cfg), d == DIRECTIONS[0]) for d in sides]
         except ValueError as exc:
             out[i] = exc
             continue
-        if params.has_barriers and abs(abs(w) - 1.0) <= BARRIER_TOL:
-            w = math.copysign(1.0, w)
-        lanes.append((i, math.log(s) if direction == "toward_zero" else s, s, w,
-                      direction == "toward_zero"))
+        for (s, w), log in checked:
+            if params.has_barriers and abs(abs(w) - 1.0) <= BARRIER_TOL:
+                w = math.copysign(1.0, w)
+            lanes.append((len(slots), math.log(s) if log else s, s, w, log))
+        slots.append(i)
     if not lanes:
         return out
-    index, x, s, y, log = (np.array(a) for a in zip(*lanes))
+    group, x, s, y, log = (np.array(a) for a in zip(*lanes))
     level = _switch_level(params, s, y)
     in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
     x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
     steps, arcs = _advance(params, x, y, log, in_p, cfg, stop_on_line_crossing)
-    for arc, res in zip(arcs, _arcs(params, steps, arcs, s.tolist(), cfg)):
-        k = index[arc.lane]
-        if out[k] is not None and not isinstance(res, Exception):
-            res = merge_bidirectional(*((res, out[k]) if arc.log else (out[k], res)))
-        out[k] = res
+    for i, res in zip(slots, _arcs(params, steps, arcs, s.tolist(), group, cfg)):
+        out[i] = res
     return out
 
 
@@ -866,7 +948,7 @@ def _pole_batch(params: FlowParams, s0: float, sigmas: Sequence[float],
     infinity."""
     direction = DIRECTIONS[0] if params.has_barriers else DIRECTIONS[1]
     return _integrate_lanes(params, [(s0, sig * math.inf) for sig in sigmas],
-                            [direction] * len(sigmas), cfg)
+                            [(direction,)] * len(sigmas), cfg)
 
 
 def _first(results: List[Result]):
@@ -891,7 +973,7 @@ def integrate_batch(params: FlowParams,
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return _integrate_lanes(params, starts, [direction] * len(starts), cfg,
+    return _integrate_lanes(params, starts, [(direction,)] * len(starts), cfg,
                             stop_on_line_crossing)
 
 
@@ -914,25 +996,42 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
     return _first(integrate_batch(params, [init], direction, cfg, stop_on_line_crossing))
 
 
-def _handoff(below: Callable, above: Callable, r: float) -> Callable:
-    """Evaluator reading below() left of r and above() from r on, each
-    called only on the points on its own side (on q itself where they
-    all are, as a scalar always is)."""
+def _piecewise(pieces: Sequence[Callable], joins) -> Callable:
+    """Evaluator reading pieces[i] from joins[i - 1] on and left of joins[i]
+    (joins non-decreasing; the first piece below joins[0], the last from
+    joins[-1] on, NaN included), as nested two-piece joins would: each
+    piece called only on the points on its own part, in order, and on q
+    itself where they all are (as a scalar always is)."""
+    joins = [float(r) for r in joins]
+    kind = np.min_scalar_type(len(joins))
+
     def evaluate(q):
         q = np.asarray(q, dtype=float)
-        left = q < r
-        if not left.any() or left.all():
-            return _scalar_or_array(np.asarray((below if left.any() else above)(q)))
+        if q.ndim == 0 or not q.size:
+            x = float(q) if q.size else math.nan
+            return _scalar_or_array(np.asarray(pieces[sum(not x < r for r in joins)](q)))
+        # each point's piece: the number of joins it does not lie left of
+        which = np.zeros(q.shape, dtype=kind)
+        for r in joins:
+            which += ~(q < r)
+        lo, hi = int(which.min()), int(which.max())
+        if lo == hi:
+            return _scalar_or_array(np.asarray(pieces[lo](q)))
         out = np.empty(q.shape)
-        out[left], out[~left] = below(q[left]), above(q[~left])
+        for i in range(lo, hi + 1):
+            on = which == i
+            if on.any():
+                out[on] = pieces[i](q[on])
         return out
     return evaluate
 
 
 def merge_bidirectional(down: Trajectory, up: Trajectory) -> Trajectory:
-    """Join two arcs that meet at one point: down ends there, up starts
-    there (a toward-zero and a toward-infinity arc from one start, or the
-    two charts of one lane)."""
+    """Join two trajectories that meet at one point: down ends there, up
+    starts there (the one-sided runs toward zero and toward infinity from
+    one start, or a series part and an integrated arc).  The batched
+    integrations join the arcs of each start this way, in one pass
+    (_arcs)."""
     if down.params != up.params:
         raise ValueError("cannot merge trajectories with different parameters")
     s_join = down.s[-1]
@@ -942,7 +1041,7 @@ def merge_bidirectional(down: Trajectory, up: Trajectory) -> Trajectory:
     w = np.concatenate([down.w, up.w[1:]])
     dn, un = down.dense, up.dense
     # without dense output Trajectory.w_at interpolates the samples
-    dense = None if dn is None or un is None else _handoff(dn, un, s_join)
+    dense = None if dn is None or un is None else _piecewise((dn, un), (s_join,))
     return Trajectory(down.params, s, w,
                       termination_left=down.termination_left,
                       termination_right=up.termination_right,

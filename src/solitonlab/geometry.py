@@ -49,11 +49,11 @@ from .classify import (
 )
 from .engine import (
     IntegratorConfig,
+    _piecewise,
     _pole_batch,
     _series_anchored,
     bowl_series_coeffs,
     eval_series,
-    _handoff,
     integrate_series,
 )
 from .verify import GridField
@@ -218,7 +218,7 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
     if fc is None:
         f_dense, w_dense = _evaluator(spline), traj.w_at
     else:
-        f_dense = _evaluator(_handoff(partial(eval_series, fc), spline, lo), hi=hi)
+        f_dense = _evaluator(_piecewise((partial(eval_series, fc), spline), (lo,)), hi=hi)
         w_dense = _evaluator(traj.w_at, hi=hi)
     trunc = any(t is not None and t.kind is TerminationKind.BLOW_UP
                 for t in (traj.termination_left, traj.termination_right))

@@ -1,4 +1,5 @@
 import importlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from solitonlab import (
     TerminationKind,
     Trajectory,
     boost,
+    causal_sign,
     classify,
     classify_as_posed,
     classify_batch,
@@ -23,6 +25,7 @@ from solitonlab import (
     critical_concavity,
     integrate,
     integrate_bidirectional,
+    integrate_bidirectional_batch,
     limits_report,
     rhs,
     rotational,
@@ -176,6 +179,115 @@ def test_separatrix_bracket(separatrix):
     assert lo <= separatrix.value <= hi
     assert separatrix.anchor == 2.0
     assert separatrix.value == pytest.approx(SEP_VALUE, rel=1e-9)
+
+
+def _one(s0, w0, cfg):
+    """classify() of one start, or the error it raises."""
+    try:
+        return classify(ROT3, s0, w0, cfg)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def _start(kind, s0, u):
+    if kind == "bowl":
+        return s0, float(compute_bowl(ROT3).w_at(s0))
+    if kind == "separatrix":
+        return s0, float(compute_separatrix(ROT3).trajectory.w_at(s0))
+    if kind == "outside":
+        return (150.0 if u < 0.5 else -s0), 0.5
+    return s0, {"strip": -0.99 + 1.98 * u, "upper": 1.01 + 2.0 * u, "lower": -1.01 - 2.0 * u,
+                "barrier": 1.0 if u < 0.5 else -1.0}[kind]
+
+
+_REFERENCED = {SolutionClassTag.BOWL, SolutionClassTag.BELOW_BOWL, SolutionClassTag.ABOVE_BOWL,
+               SolutionClassTag.SEPARATRIX, SolutionClassTag.GAMMA_PLUS_GLOBAL,
+               SolutionClassTag.GAMMA_PLUS_BLOWUP}
+
+
+@settings(max_examples=10, deadline=None)
+@given(picks=st.lists(st.tuples(st.sampled_from(["strip", "upper", "lower", "barrier", "bowl",
+                                                 "separatrix", "outside"]),
+                                st.floats(0.2, 5.0), st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6),
+       s_max=st.sampled_from([100.0, 1.5]))
+def test_batch_matches_one_start_at_a_time(picks, s_max):
+    """classify_batch, which looks each reference up once and reads it at
+    all its starts at once, gives field by field, margins included, what
+    classify gives one start at a time.  At s_max = 1.5 the anchor s = 2
+    lies outside the span: the separatrix lookup fails for the upper
+    starts, and the strip starts are still tagged."""
+    cfg = IntegratorConfig(s_max=s_max)
+    starts = [_start(*pick) for pick in picks]
+    for (s0, w0), got in zip(starts, classify_batch(ROT3, starts, cfg)):
+        alone = _one(s0, w0, cfg)
+        if isinstance(alone, Exception):
+            assert type(got) is type(alone) and str(got) == str(alone)
+            continue
+        assert got == alone
+        assert (got.margin is None) == (got.margin_tol is None) == (got.tag not in _REFERENCED)
+        if got.margin is not None:
+            on = got.tag in (SolutionClassTag.BOWL, SolutionClassTag.SEPARATRIX)
+            assert (abs(got.margin) <= got.margin_tol) == on
+
+
+def test_margins_are_read_against_the_references(separatrix):
+    """The margin is w0 minus the reference at s0; the separatrix's
+    tolerance is relative to max(1, |w|).  A failed separatrix lookup (at
+    s_max = 1.5 the anchor s = 2 lies outside the span) goes to the upper
+    starts only."""
+    value = float(separatrix.trajectory.w_at(2.0))
+    near, strip = classify_batch(ROT3, [(2.0, value * (1 + 8e-10)), (1.0, 0.5)])
+    assert near.tag is SolutionClassTag.SEPARATRIX and near.margin_tol == 1e-9 * value
+    assert near.margin == value * (1 + 8e-10) - value > 1e-9
+    assert strip.tag is SolutionClassTag.ABOVE_BOWL and strip.margin_tol == 1e-9
+    assert strip.margin == 0.5 - float(compute_bowl(ROT3).w_at(1.0))
+    cfg = IntegratorConfig(s_max=1.5)
+    strip, upper, below = classify_batch(ROT3, [(1.0, 0.5), (1.0, 1.5), (1.0, -2.0)], cfg)
+    assert isinstance(upper, ValueError) and "anchor" in str(upper)
+    assert strip.tag is SolutionClassTag.ABOVE_BOWL
+    assert strip.margin == 0.5 - float(compute_bowl(ROT3, cfg).w_at(1.0))
+    assert below.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP and below.margin is None
+
+
+_SLOPES = [0.0, 0.5, 1.0, -1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-13, 1.0 - 1e-13,
+           -1.0 - 1e-15, 2.0, -3.0, 1e160, np.inf, np.nan]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ws=st.lists(st.lists(st.sampled_from(_SLOPES), min_size=1, max_size=5),
+                   max_size=5),
+       params=st.sampled_from([ROT3, rotational(2, eps_prime=1), boost(2, "timelike")]))
+def test_causal_signs_of_a_batch(ws, params):
+    """The causal signs taken over a whole batch at once are causal_sign
+    of each trajectory's slopes, with samples near the lightlike locus
+    ignored alike."""
+    arrays = [np.array(w) for w in ws]
+    classify_module = importlib.import_module("solitonlab.classify")
+    assert classify_module._causal_signs(params, arrays) == [causal_sign(params, w)
+                                                             for w in arrays]
+
+
+def test_batch_results_share_no_memory(monkeypatch):
+    """The samples of every Trajectory from one bidirectional batch, and of
+    those one classify_batch builds, are cut from one batch buffer: each
+    result holds its own read-only copy."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    built, batch = [], classify_module.integrate_bidirectional_batch
+
+    def recording(*args):
+        out = batch(*args)
+        built.extend(out)
+        return out
+
+    starts = [(s0, w0) for s0 in (0.5, 1.5, 3.0) for w0 in (-2.0, -0.5, 0.5, 1.5, 2.5, 1e5)]
+    trajs = integrate_bidirectional_batch(ROT3, starts)
+    monkeypatch.setattr(classify_module, "integrate_bidirectional_batch", recording)
+    classify_batch(ROT3, starts)
+    assert len(built) == len(starts)
+    arrays = [a for t in trajs + built for a in (t.s, t.w)]
+    assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for a, b in combinations(arrays, 2))
 
 
 def test_separatrix_cached():

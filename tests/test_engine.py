@@ -231,8 +231,12 @@ def test_w_arc_after_the_p_chart_starts_at_the_switch():
     at exp(log s), one ulp off for this start."""
     one = np.ones(1, dtype=bool)
     steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.8]), one, one, CFG, False)
-    p_arc, w_arc = engine._arcs(ROT3, steps, arcs, [3.8], CFG)
-    assert w_arc.s[-1] == p_arc.s[0] != math.exp(math.log(p_arc.s[0]))
+    s_switch = steps.y1[steps.arc == 0][-1]    # where the p arc ends
+    assert [a.in_p for a in arcs] == [True, False] and s_switch != math.exp(math.log(s_switch))
+    # the joined lane holds the join once: the w arc's last sample
+    (traj,) = engine._arcs(ROT3, steps, arcs, [3.8], [0], CFG)
+    assert s_switch in traj.s.tolist()
+    assert math.exp(math.log(s_switch)) not in traj.s.tolist()
 
 
 @pytest.mark.parametrize("s0, direction", [(3.0, "toward_zero"), (1.0, "toward_infinity")])
@@ -412,6 +416,59 @@ def test_merge_calls_each_side_only_on_its_own_points():
         got = merged.w_at(s)
         assert calls == [(name, s)]
         assert type(got) is float and got == side.w_at(s)
+
+
+_POINTS = [0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, math.nan]
+
+
+@settings(max_examples=40, deadline=None)
+@given(joins=st.lists(st.sampled_from([0.5, 1.0, 1.0, 2.0, 3.0]), min_size=1, max_size=4)
+       .map(sorted),
+       q=st.one_of(st.sampled_from(_POINTS), st.lists(st.sampled_from(_POINTS), max_size=8)
+                   .map(np.array), st.just(np.array(_POINTS[:6]).reshape(2, 3))),
+       right=st.booleans())
+def test_piecewise_routes_as_nested_joins(joins, q, right):
+    """One _piecewise over non-decreasing joins calls each piece on the
+    same points, in the same order, and returns the same values as the
+    two-piece joins (below r, and from r on) that merging one arc at a
+    time nests: toward zero each lower arc joins below the rest (right),
+    toward infinity each higher one above it."""
+    def run(build):
+        calls = []
+
+        def piece(i):
+            def read(x):
+                calls.append((i, repr(np.array(x, dtype=float).tolist())))
+                return np.asarray(x, dtype=float) * 0.0 + i
+            return read
+
+        got = build([piece(i) for i in range(len(joins) + 1)])(q)
+        return repr(calls), type(got), np.asarray(got).tobytes()
+
+    def join(below, above, r):
+        def evaluate(x):
+            x = np.asarray(x, dtype=float)
+            left = x < r
+            if not left.any() or left.all():
+                got = np.asarray((below if left.any() else above)(x))
+                return float(got) if got.ndim == 0 else got
+            out = np.empty(x.shape)
+            out[left], out[~left] = below(x[left]), above(x[~left])
+            return out
+        return evaluate
+
+    def nested(pieces):
+        if right:
+            inner = pieces[-1]
+            for p, r in zip(pieces[-2::-1], joins[::-1]):
+                inner = join(p, inner, r)
+            return inner
+        outer = pieces[0]
+        for p, r in zip(pieces[1:], joins):
+            outer = join(outer, p, r)
+        return outer
+
+    assert run(lambda pieces: engine._piecewise(pieces, joins)) == run(nested)
 
 
 def test_dense_output_matches_samples():
