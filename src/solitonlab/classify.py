@@ -52,13 +52,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    LIGHTLIKE_TOL,
     FlowParams,
     PhaseState,
     Region,
     TerminationKind,
     Trajectory,
     causal_sign,
+    causal_signs,
     region_of,
 )
 from .engine import (
@@ -352,9 +352,9 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
     are taken together.
 
     Returns one entry per start: its SolutionClass, or the ValueError or
-    RuntimeError that classify() would raise for it.  A lookup or read of
-    a reference that fails puts its error into the slot of every start
-    that needed it.
+    RuntimeError that classify() would raise for it.  A lookup of a
+    reference that fails puts its error into the slot of every start that
+    needed it; a read refused at one start's s0 fails that start only.
     """
     _require_strip_form(params, "classify")
     out: List[Optional[Union[SolutionClass, Exception]]] = [None] * len(starts)
@@ -384,14 +384,15 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
         try:
             ref = (compute_bowl(params, cfg) if strip
                    else compute_separatrix(params, cfg).trajectory)
-            values = np.asarray(ref.w_at(np.array([init.s for _, init in group])),
-                                dtype=float).tolist()
         except (ValueError, RuntimeError) as exc:
             for i, _ in group:
                 out[i] = exc
             continue
         on_ref = None
-        for (i, init), value in zip(group, values):
+        for (i, init), value in zip(group, _read(ref, [init.s for _, init in group])):
+            if isinstance(value, Exception):
+                out[i] = value
+                continue
             margin = init.w - value
             tol = _BOWL_TOL if strip else _SEPARATRIX_TOL * max(1.0, abs(value))
             if abs(margin) <= tol:
@@ -407,11 +408,27 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
             pending.append((i, init, tag, margin, tol))
 
     trajs = integrate_bidirectional_batch(params, [init for _, init, *_ in pending], cfg)
-    causal = iter(_causal_signs(params, [t.w for t in trajs if not isinstance(t, Exception)]))
+    causal = iter(causal_signs(params, [t.w for t in trajs if not isinstance(t, Exception)]))
     for (i, init, tag, margin, tol), traj in zip(pending, trajs):
         out[i] = traj if isinstance(traj, Exception) else SolutionClass(
             tag, init, **_evidence(traj, next(causal)), margin=margin, margin_tol=tol)
     return out
+
+
+def _read(ref: Trajectory, s0: List[float]) -> List[Union[float, Exception]]:
+    """ref.w_at at every s0 in one call; if that read is refused, each s0
+    read alone, so that a refused point fails only its own start."""
+    try:
+        return np.asarray(ref.w_at(np.array(s0)), dtype=float).tolist()
+    except (ValueError, RuntimeError):
+        pass
+    values: List[Union[float, Exception]] = []
+    for s in s0:
+        try:
+            values.extend(np.asarray(ref.w_at(np.array([s])), dtype=float).tolist())
+        except (ValueError, RuntimeError) as exc:
+            values.append(exc)
+    return values
 
 
 def _checked(s0: float, w0: float, cfg: IntegratorConfig) -> PhaseState:
@@ -424,20 +441,6 @@ def _checked(s0: float, w0: float, cfg: IntegratorConfig) -> PhaseState:
         raise ValueError("initial s must sit inside the configured span; "
                          "widen IntegratorConfig(s_max, s_min_eps) instead")
     return PhaseState(s0, w0)
-
-
-def _causal_signs(params: FlowParams, ws: List[np.ndarray]) -> List[int]:
-    """causal_sign(params, w) of every slope array w of ws, in one pass
-    over them all (each holds at least one sample)."""
-    if not ws:
-        return []
-    with np.errstate(over="ignore"):    # a slope near a pole squares to inf
-        q = params.eps_prime + params.eps_tilde * np.concatenate(ws) ** 2
-    at = np.cumsum([0] + [w.size for w in ws[:-1]])
-    # a sample within LIGHTLIKE_TOL of the lightlike locus counts for neither
-    pos = np.logical_or.reduceat(q > LIGHTLIKE_TOL, at)
-    neg = np.logical_or.reduceat(q < -LIGHTLIKE_TOL, at)
-    return np.where(pos == neg, 0, np.where(pos, 1, -1)).tolist()
 
 
 def classify(params: FlowParams, s0: float, w0: float,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,25 +203,33 @@ def critical_concavity(params: FlowParams, s1: float) -> float:
     return (params.eps_tilde + params.eps_prime * w1 * w1) * (-dh * w1)
 
 
-def causal_sign(params: FlowParams, w) -> int:
-    """Causal type of the graph along a slope sample: sign of ep + et*w^2.
+def causal_signs(params: FlowParams, ws: Sequence) -> List[int]:
+    """Causal type of the graph along each slope sample w of ws, in one
+    pass over them all: per w the sign of ep + et*w^2.
 
-    Returns +1 (timelike) or -1 (spacelike) when every sample that is
+    Gives +1 (timelike) or -1 (spacelike) when every sample that is
     numerically distinguishable from the lightlike locus agrees, else 0
-    (mixed, or entirely lightlike as for the barrier constants).
+    (mixed, entirely lightlike as for the barrier constants, or empty).
     Barrier-asymptotic samples sit at +-1 exactly in double precision and,
     like every sample within LIGHTLIKE_TOL of the locus, are ignored
     rather than letting them mask the open-region sign.
     """
-    with np.errstate(over="ignore"):    # a slope near a pole squares to inf
-        q = params.eps_prime + params.eps_tilde * np.asarray(w, dtype=float) ** 2
-    q = np.atleast_1d(q)[np.abs(np.atleast_1d(q)) > LIGHTLIKE_TOL]
-    if q.size == 0:
-        return 0
-    pos, neg = np.any(q > 0.0), np.any(q < 0.0)
-    if pos and neg:
-        return 0
-    return +1 if pos else -1
+    ws = [np.asarray(w, dtype=float).ravel() for w in ws]
+    sizes = np.array([w.size for w in ws], dtype=np.intp)
+    pos, neg = np.zeros(sizes.size, dtype=bool), np.zeros(sizes.size, dtype=bool)
+    full = sizes > 0
+    if full.any():
+        with np.errstate(over="ignore"):    # a slope near a pole squares to inf
+            q = params.eps_prime + params.eps_tilde * np.concatenate(ws) ** 2
+        at = (np.cumsum(sizes) - sizes)[full]
+        pos[full] = np.logical_or.reduceat(q > LIGHTLIKE_TOL, at)
+        neg[full] = np.logical_or.reduceat(q < -LIGHTLIKE_TOL, at)
+    return np.where(pos == neg, 0, np.where(pos, 1, -1)).tolist()
+
+
+def causal_sign(params: FlowParams, w) -> int:
+    """causal_signs() of one slope sample w, an array or a scalar."""
+    return causal_signs(params, [w])[0]
 
 
 class TerminationKind(Enum):

@@ -595,10 +595,7 @@ def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -
         closed = list(map(np.concatenate, zip(*tails)))
         steps = [np.concatenate(a) for a in zip(steps, closed + [np.ones(closed[0].size, bool)])]
     order = np.argsort(steps[0], kind="stable")
-    steps = _Steps(*(a[order] for a in steps))
-    for a in steps:    # the arcs' dense outputs share them
-        a.setflags(write=False)
-    return steps
+    return _Steps(*(a[order] for a in steps))
 
 
 def _dense(field: _Field, x0, h, y0, y1, Kd):
@@ -669,13 +666,14 @@ def _step_events(field: _Field, steps: _Steps):
 def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts) -> Callable:
     """w(s) of one arc from its step interpolants, picking the segment of
     a point as scipy's OdeSolution does (the step that starts there; starts
-    holds where each step starts, in x or in p, signed to increase along
-    the arc).  A closed step reads its tail, which holds past its end too.
-    In the p chart a step's s(p) is monotone, and _illinois inverts it.  A
-    w-chart arc toward zero, stepped in log s, refuses s <= 0.  It reads
-    views of the batch's read-only steps."""
-    F, x0, h, y0, closed = (a[lo:hi] for a in (steps.F, steps.x0, steps.h, steps.y0,
-                                               steps.closed))
+    holds where each step of the batch starts, in x or in p, signed to
+    increase along its arc).  A closed step reads its tail, which holds
+    past its end too.  In the p chart a step's s(p) is monotone, and
+    _illinois inverts it.  A w-chart arc toward zero, stepped in log s,
+    refuses s <= 0.  It holds copies of its own steps, so that no result
+    keeps the steps of its whole batch alive."""
+    F, x0, h, y0, closed, starts = (a[lo:hi].copy() for a in (
+        steps.F, steps.x0, steps.h, steps.y0, steps.closed, starts))
     last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
 
     def dense(q):
@@ -823,7 +821,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     for k, l0, l1, h1, b0, e0 in zip(P.tolist(), lo[P].tolist(), seg_hi[P].tolist(),
                                      hi[P].tolist(), b[P].tolist(), e[P].tolist()):
         arc = arcs[k]
-        dense.append(_dense_output(arc, steps, l0, l1, starts[l0:l1]))
+        dense.append(_dense_output(arc, steps, l0, l1, starts))
         far.append(_p_samples(arc, steps, l0, h1, X[b0:e0], Y[b0:e0], dense[-1], cfg)
                    if arc.in_p else None)
 

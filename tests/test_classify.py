@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,6 @@ from solitonlab import (
     TerminationKind,
     Trajectory,
     boost,
-    causal_sign,
     classify,
     classify_as_posed,
     classify_batch,
@@ -250,22 +250,28 @@ def test_margins_are_read_against_the_references(separatrix):
     assert below.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP and below.margin is None
 
 
-_SLOPES = [0.0, 0.5, 1.0, -1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-13, 1.0 - 1e-13,
-           -1.0 - 1e-15, 2.0, -3.0, 1e160, np.inf, np.nan]
-
-
-@settings(max_examples=30, deadline=None)
-@given(ws=st.lists(st.lists(st.sampled_from(_SLOPES), min_size=1, max_size=5),
-                   max_size=5),
-       params=st.sampled_from([ROT3, rotational(2, eps_prime=1), boost(2, "timelike")]))
-def test_causal_signs_of_a_batch(ws, params):
-    """The causal signs taken over a whole batch at once are causal_sign
-    of each trajectory's slopes, with samples near the lightlike locus
-    ignored alike."""
-    arrays = [np.array(w) for w in ws]
+def test_a_refused_read_fails_only_its_own_start(monkeypatch):
+    """When the bowl refuses to be read at one start's s0, the batch gives
+    every other start what classify gives it alone, and that start the
+    error."""
     classify_module = importlib.import_module("solitonlab.classify")
-    assert classify_module._causal_signs(params, arrays) == [causal_sign(params, w)
-                                                             for w in arrays]
+    bowl, lookup = compute_bowl(ROT3), classify_module.compute_bowl
+
+    def refusing(q):
+        q = np.asarray(q, dtype=float)
+        if np.any(q > 2.0):
+            raise ValueError(f"w_at({float(q[q > 2.0][0])!r}): refused")
+        return bowl.w_at(q)
+
+    monkeypatch.setattr(classify_module, "compute_bowl", lambda params, cfg=IntegratorConfig():
+                        replace(lookup(params, cfg), dense=refusing))
+    starts = [(1.0, 0.5), (3.0, 0.5), (1.5, -0.5), (3.0, 2.0)]
+    got = classify_batch(ROT3, starts)
+    assert isinstance(got[1], ValueError) and str(got[1]) == "w_at(3.0): refused"
+    for (s0, w0), g in zip(starts, got):
+        alone = _one(s0, w0, IntegratorConfig())
+        assert type(g) is type(alone) and str(g) == str(alone)
+        assert isinstance(g, Exception) or g == alone
 
 
 def test_batch_results_share_no_memory(monkeypatch):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     BARRIER_TOL,
@@ -15,6 +18,7 @@ from solitonlab import (
     rhs_wing,
     rotational,
 )
+from solitonlab.core import causal_signs
 
 ROT3 = rotational(3)
 
@@ -224,6 +228,29 @@ def test_causal_sign_drops_lightlike_plateau():
 
 def test_causal_sign_scalar_input():
     assert causal_sign(ROT3, 0.2) == -1
+
+
+_SLOPES = [0.0, 0.5, 1.0, -1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-13, 1.0 - 1e-13,
+           -1.0 - 1e-15, 2.0, -3.0, 1e160, math.inf, math.nan]
+
+
+def _sign_of(params, w):
+    """The causal sign of one slope sample, one sample at a time."""
+    signs = {math.copysign(1, q) for q in (params.eps_prime + params.eps_tilde * x * x
+                                           for x in w) if abs(q) > 1e-13}
+    return signs.pop() if len(signs) == 1 else 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(ws=st.lists(st.lists(st.sampled_from(_SLOPES), max_size=5), max_size=5),
+       params=st.sampled_from([ROT3, rotational(2, eps_prime=1), boost(2, "timelike")]))
+def test_causal_signs_of_a_batch(ws, params):
+    """The causal signs taken over a whole batch at once are those of each
+    slope sample alone: samples near the lightlike locus and NaN ignored,
+    mixed or empty giving 0."""
+    expected = [_sign_of(params, w) for w in ws]
+    assert causal_signs(params, [np.array(w) for w in ws]) == expected
+    assert [causal_sign(params, np.array(w)) for w in ws] == expected
 
 
 def test_phase_state_tuple_access():
