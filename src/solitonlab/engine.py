@@ -73,6 +73,7 @@ from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
+from itertools import repeat
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -129,6 +130,8 @@ _NS = _dop853.N_STAGES
 _A_ROWS = [_dop853.A[i, :i] for i in range(_NS)]
 _B = _dop853.B
 _C = np.append(_dop853.C[:_NS], 1.0)
+# the abscissae of stages 1.._NS - 1; stage _NS reads the last, _C[_NS - 1] == _C[_NS]
+_C_AT = _C[1:_NS, None]
 _E = np.stack([_dop853.E5, _dop853.E3])
 _A_DENSE = _dop853.A[_NS + 1:]
 _C_DENSE = _dop853.C[_NS + 1:]
@@ -186,13 +189,17 @@ class _Field:
         self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
                                     params.fiber_coeff)
         self.etc = params.eps_tilde * params.fiber_coeff
+        self.in_w = ~in_p
         # the points whose x is log s
-        self.exp = log & ~in_p
+        self.exp = log & self.in_w
         n_exp = np.count_nonzero(self.exp)
         self.any_log, self.all_log = n_exp > 0, n_exp == log.size
         n_p = np.count_nonzero(in_p)
         self.any_p, self.all_p = n_p > 0, n_p == in_p.size
         self.grows = log != params.has_barriers
+        # ended() reads the w-chart points where |w| grows, the p-chart ones where it shrinks
+        self.w_grows = (self.grows & self.in_w).nonzero()[0]
+        self.p_shrinks = (in_p & ~self.grows).nonzero()[0]
 
     def s_of(self, x, at=slice(None)):
         """s at w-chart stepping-variable values x of the points at (all of
@@ -254,19 +261,21 @@ class _Field:
         another follows: |w| at or past _switch_level in the w chart where
         |w| grows, |p| at or past its inverse in the p chart where |w|
         shrinks."""
-        end = self.grows & ~self.in_p & (np.abs(y) >= _W_SWITCH)
-        if np.count_nonzero(end):
-            at = np.flatnonzero(end)
+        end, at = np.zeros(y.size, dtype=bool), self.w_grows
+        if at.size:
+            at = at[np.abs(y[at]) >= _W_SWITCH]
+        if at.size:
             end[at] = np.abs(y[at]) >= _switch_level(self.params, self.s_of(x[at], at), y[at])
-        at = np.flatnonzero(~self.grows & self.in_p)
+        at = self.p_shrinks
         if at.size:
             end[at] = np.abs(x[at]) * _switch_level(self.params, y[at], x[at]) >= 1.0
         return end
 
-    def events(self, x, y):
-        """The critical line w - s*et/c at points (x, y), NaN in the p chart."""
-        cross = y - self.s_of(x) * self.et / self.c
-        return np.where(self.in_p, np.nan, cross) if self.any_p else cross
+    def events(self, x, y, s=None, at=slice(None)):
+        """The critical line w - s*et/c at points (x, y) (of the points at,
+        at their s if given), NaN in the p chart."""
+        cross = y - (self.s_of(x, at) if s is None else s) * self.et / self.c
+        return np.where(self.in_p[at], np.nan, cross) if self.any_p else cross
 
 
 def _switch(field: _Field, x, y):
@@ -280,16 +289,23 @@ def _switch(field: _Field, x, y):
     return x_new, np.where(field.in_p, inverse, s), ~field.in_p
 
 
-def _libm(fn, x):
-    """A math-module function element by element.  numpy's SIMD exp, log
+def _libm(fn, x, *const):
+    """A math-module function element by element, with any further
+    arguments the same for every element.  numpy's SIMD exp, log
     and power differ from libm in the last bit now and then, and which
     SIMD path runs depends on the CPU.  The error estimate, a sum that
     cancels to ~1e-10 of its terms, would blow such a bit up into the step
     sizes; libm keeps each lane on scipy's steps.  Every exp and log that
-    reaches a sample goes through here, so the bits do not depend on
-    numpy's dispatch."""
+    reaches a sample, and every power, goes through here, so the bits do
+    not depend on numpy's dispatch."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(fn, x.ravel().tolist(), *map(repeat, const)), float,
+                       x.size).reshape(x.shape)
+
+
+def _growth(norm):
+    """scipy's step factor SAFETY * max(norm, _TINY)**(-1/8), libm's pow."""
+    return _SAFETY * _libm(math.pow, np.maximum(norm, _TINY), _EXPONENT)
 
 
 def _straddles(g_old, g_new):
@@ -348,8 +364,8 @@ def _tail(F, s):
 
 # accepted steps grouped by arc, each arc's in the order taken, with the
 # seven dense-output coefficient rows F of every step; on a closed step
-# (closed) F holds its tail (_tail_rows) instead
-_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed")
+# (closed) F holds its tail (_tail_rows) instead; s1 is _Field.s_of(x1)
+_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed s1")
 
 # how a lane's stepping in one chart ended: at its bound, at a terminal
 # event, at step collapse, or past the end of the chart, open at its last
@@ -393,19 +409,21 @@ def _initial_step(field: _Field, x0, y0, f0, bound, direction, rtol: float,
     dmax = np.maximum(d1, d2)
     flat1 = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat1, np.maximum(1e-6, h0 * 1e-3),
-                  _libm(lambda v: v ** -_EXPONENT, 0.01 / np.where(flat1, 1.0, dmax)))
+                  _libm(math.pow, 0.01 / np.where(flat1, 1.0, dmax), -_EXPONENT))
     return np.minimum(np.minimum(np.minimum(100 * h0, h1), span), cfg.max_step)
 
 
 def _stages(field: _Field, heads, cols, at, y, h):
     """The DOP853 stages of one step into cols (cols[0] holds f(y)), with
-    field.at() of the stage points: scipy's rk_step, each stage sum a
-    vecdot on lane rows, the one dot product per lane that scipy makes,
-    whatever the batch around it."""
+    field.at() of the stage points at _C_AT: scipy's rk_step, each stage
+    sum a vecdot on lane rows, the one dot product per lane that scipy
+    makes, whatever the batch around it."""
+    L, D, p = at
     for i in range(1, _NS + 1):
         y_i = y + (np.vecdot(heads[i], _A_ROWS[i]) * h if i < _NS else
                    h * np.vecdot(heads[_NS], _B))
-        field.rate(*(None if a is None else a[i] for a in at), y_i, cols[i])
+        j = min(i, _NS - 1) - 1
+        field.rate(None if L is None else L[j], None if D is None else D[j], p[j], y_i, cols[i])
     return y_i, cols[_NS]
 
 
@@ -464,7 +482,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                 a[keep] for a in (arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it,
                                   log, in_p, switch))
             # lanes that start a chart: all at first, then the switched ones
-            new = np.flatnonzero(switch) if it else np.arange(arc.size)
+            new = switch.nonzero()[0] if it else np.arange(arc.size)
             if it:
                 x[new], y[new], in_p[new] = _switch(_Field(params, log[new], in_p[new]),
                                                     x[new], y[new])
@@ -474,6 +492,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                     arc[k] = len(arcs) - 1
             field = _Field(params, log, in_p)
             direction, bound = field.heading(x, cfg)
+            dir_bound = direction * bound
             if new.size:    # the growth cap of a step is 10x, or 1x right after a rejection
                 at = _Field(params, log[new], in_p[new])
                 f[new] = at(x[new], y[new])
@@ -494,12 +513,12 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             stuck = (grow_cap < _MAX_FACTOR) & (h_abs < min_step)    # on a retry
             h_abs = np.maximum(h_abs, min_step)
         # the step end, cut at the bound (min or max: direction is +-1)
-        x_new = direction * np.minimum(direction * (x + h_abs * direction), direction * bound)
+        x_new = direction * np.minimum(direction * (x + h_abs * direction), dir_bound)
         h = x_new - x
         h_abs = np.abs(h)
 
         cols[0][:] = f
-        y_new, f_new = _stages(field, heads, cols, field.at(x + _C[:, None] * h), y, h)
+        y_new, f_new = _stages(field, heads, cols, field.at(x + _C_AT * h), y, h)
 
         y_big = np.maximum(np.abs(y), np.abs(y_new))
         if field.any_p:
@@ -514,7 +533,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
         ok = norm < 1.0
         if stuck is not None:
             ok &= ~stuck
-        grow = _libm(lambda v: _SAFETY * max(v, _TINY) ** _EXPONENT, norm)
+        grow = _growth(norm)
         # accepted steps grow at most to the cap, rejected ones shrink to 0.2x at most
         h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
 
@@ -537,28 +556,33 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             done = np.where(field.in_p, done & field.grows | ok & np.where(
                 log, y_new <= cfg.s_min_eps, y_new >= cfg.s_max), done)
         ended = ok & field.ended(x_new, y_new)
-        hit = np.zeros(ok.size, dtype=bool)
+        stop = done
         if stop_on_crossing:
             g_new = field.events(x_new, y_new)
             hit = ok & _straddles(g_cross, g_new)
             g_cross = np.where(ok, g_new, g_cross)
+            stop = done | hit
         # a lane whose linearised tail stays within u* of its barrier settles
         settled = False
         if params.has_barriers:
-            near = ok & ~done & ~hit & ~in_p & (np.abs(np.abs(y_new) - 1.0) < u_star)
-            near = np.flatnonzero(near)
+            near = (np.abs(np.abs(y_new) - 1.0) < u_star).nonzero()[0]
+            if near.size:
+                near = near[(ok & ~stop & field.in_w)[near]]
             if near.size:
                 tail = _tail_rows(params, field.s_of(x_new[near], near), y_new[near])
                 s_end = np.where(log[near], cfg.s_min_eps, cfg.s_max)
                 closes = _tail_peak(tail.T, s_end) <= ln_u_star
                 settled, near = np.zeros(ok.size, dtype=bool), near[closes]
                 settled[near] = True
-        stop = done | hit | settled
+                stop = stop | settled
         if stuck is not None:
-            stop |= stuck
-        switch = ended & ~stop
-        if not np.count_nonzero(stop | switch):
+            stop = stop | stuck
+        # lanes switch where they ended and did not stop
+        if not (np.count_nonzero(stop) or np.count_nonzero(ended)):
             continue
+        switch = ended & ~stop
+        if not stop_on_crossing:
+            hit = np.zeros(ok.size, dtype=bool)
         # a settled lane ends in one closed step to its bound
         tries = it - start_it - (0 if stuck is None else stuck) + settled
         if np.count_nonzero(settled):
@@ -570,17 +594,18 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                 hit |= settled & _straddles(g_new, field.events(bound, y_end))
         outcome = np.select([hit, done | settled, switch], [_TERMINAL, _FINISHED, _SWITCHED],
                             _COLLAPSED)
-        for k in np.flatnonzero(stop | switch):
+        for k in (stop | switch).nonzero()[0].tolist():
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
-        keep = np.flatnonzero(~stop)
+        keep = (~stop).nonzero()[0]
     return _collect(params, arcs, records, tails), arcs
 
 
 def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -> _Steps:
     """Group the accepted steps by arc and build their dense output, for
     all stepped steps (records, with their stages) at once; closed steps
-    (tails, with their rows F) come last in their arcs."""
+    (tails, with their rows F) come last in their arcs; s1 is taken here,
+    once per batch."""
     if not records:
         records = [(np.zeros(0, dtype=int),) + (np.zeros(0),) * 5 + (np.zeros((0, _NS + 1)),)]
     parts = list(zip(*records))
@@ -589,11 +614,14 @@ def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -
     Kd = np.empty((arc.size, _NS + 1 + len(_C_DENSE)))
     np.concatenate(parts.pop(), out=Kd[:, :_NS + 1])
     del parts
-    F = _dense(_arc_field(params, arcs, arc), x0, h, y0, y1, Kd)
+    field = _arc_field(params, arcs, arc)
+    F = _dense(field, x0, h, y0, y1, Kd)
     steps = [arc, x0, h, y0, x1, y1, F, np.zeros(arc.size, dtype=bool)]
     if tails:
         closed = list(map(np.concatenate, zip(*tails)))
         steps = [np.concatenate(a) for a in zip(steps, closed + [np.ones(closed[0].size, bool)])]
+        field = _arc_field(params, arcs, steps[0])
+    steps.append(field.s_of(steps[4]))
     order = np.argsort(steps[0], kind="stable")
     return _Steps(*(a[order] for a in steps))
 
@@ -642,16 +670,26 @@ def _illinois(g, a, b):
 
 
 def _step_events(field: _Field, steps: _Steps):
-    """The line crossings met on steps: step index and the (x, y) of each,
-    located on the step's interpolant, or its tail on a closed step
-    (_illinois), each step's in the order met."""
-    m = np.flatnonzero(_straddles(field.events(steps.x0, steps.y0),
-                                  field.events(steps.x1, steps.y1)))
+    """The line crossings met on steps: step index and the (x, y, s) of
+    each, located on the step's interpolant, or its tail on a closed step
+    (_illinois), each step's in the order met.  A step starts where the
+    one before it in its arc ends."""
+    g1 = field.events(steps.x1, steps.y1, steps.s1)
+    g0, head = np.empty_like(g1), np.ones(g1.size, dtype=bool)
+    g0[1:], head[1:] = g1[:-1], steps.arc[1:] != steps.arc[:-1]
+    head = head.nonzero()[0]
+    g0[head] = field.events(steps.x0[head], steps.y0[head], at=head)
+    m = _straddles(g0, g1).nonzero()[0]
+    if not m.size:
+        return m, np.zeros(0), np.zeros(0), np.zeros(0)
     met = _Field(field.params, field.log[m], field.in_p[m])
     F, tail = steps.F[m].T, steps.closed[m]
     stepped = F[:, ~tail], steps.x0[m][~tail], steps.h[m][~tail], steps.y0[m][~tail]
+    closed = np.count_nonzero(tail)
 
     def w(x):
+        if not closed:
+            return _interpolate(*stepped, x)
         y = np.empty(x.shape)
         y[~tail] = _interpolate(*stepped, x[~tail])
         y[tail] = _tail(F[:, tail], met.s_of(x[tail], tail))
@@ -660,7 +698,8 @@ def _step_events(field: _Field, steps: _Steps):
     root = _illinois(lambda x: met.events(x, w(x)), steps.x0[m], steps.x1[m])
     y = w(root)
     order = np.lexsort((np.where(met.log, -root, root), m))
-    return m[order], root[order], y[order]
+    root, y = root[order], y[order]
+    return m[order], root, y, met.s_of(root, order)
 
 
 def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts) -> Callable:
@@ -776,16 +815,18 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     """
     lane, log, in_p, x0, y0, outcome, attempts, accepted = map(np.array, zip(*arcs))
     step_log, step_p = log[steps.arc], in_p[steps.arc]
-    m, ev_x, ev_y = _step_events(_Field(params, step_log, step_p), steps)
+    m, ev_x, ev_y, ev_s = _step_events(_Field(params, step_log, step_p), steps)
     step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
     lo, hi = step_of_arc[:-1], step_of_arc[1:]
     event_of_step = np.searchsorted(m, step_of_arc)
-    # the samples of all arcs, each arc's start and then its step ends, at [b[k], e[k])
+    # the samples of all arcs, each arc's start and then its step ends, at
+    # [b[k], e[k]), and their s in the w chart (an arc's start s is set below)
     b = lo + np.arange(len(arcs))
     e, seg_hi = hi + np.arange(1, len(arcs) + 1), hi.copy()
-    X, Y, step_end = np.empty(e[-1]), np.empty(e[-1]), np.ones(e[-1], dtype=bool)
-    X[b], Y[b], step_end[b] = x0, y0, False
-    X[step_end], Y[step_end] = steps.x1, steps.y1
+    X, Y, S = np.empty(e[-1]), np.empty(e[-1]), np.empty(e[-1])
+    step_end = np.ones(e[-1], dtype=bool)
+    X[b], Y[b], S[b], step_end[b] = x0, y0, x0, False
+    X[step_end], Y[step_end], S[step_end] = steps.x1, steps.y1, steps.s1
 
     # the arcs of each live group in increasing s: by lane, then in stepping
     # order toward infinity and against it toward zero
@@ -814,7 +855,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
         if ev_x[stop] == steps.x0[hi[k] - 1]:
             e[k], seg_hi[k] = e[k] - 1, hi[k] - 1
         else:
-            X[e[k] - 1], Y[e[k] - 1] = ev_x[stop], ev_y[stop]
+            X[e[k] - 1], Y[e[k] - 1], S[e[k] - 1] = ev_x[stop], ev_y[stop], ev_s[stop]
     # where a point's segment starts, increasing along each arc
     starts = np.where(step_log, -1.0, 1.0) * np.where(step_p, steps.y0, steps.x0)
     dense, far = [], []
@@ -832,9 +873,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     at = np.where(np.repeat(rev, n), np.repeat(e[P] - 1, n) - j, np.repeat(b[P], n) + j)
     xs, w = X[at], Y[at]
     p_at = np.repeat(p_chart, n)
-    s = np.where(p_at, w, xs)
-    exp_at = np.flatnonzero(np.repeat(rev & ~p_chart, n))
-    s[exp_at] = _libm(math.exp, xs[exp_at])
+    s = np.where(p_at, w, S[at])
     w[p_at] = 1.0 / xs[p_at]
     # each piece's first and last sample in stepping order
     head, tail = np.where(rev, off + n - 1, off), np.where(rev, off, off + n - 1)
@@ -874,10 +913,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     records, event_of_group = [], [0] * first.size
     ev = np.flatnonzero(ev_keep & (piece_of[steps.arc[m]] >= 0))
     if ev.size:
-        ev_piece = piece_of[steps.arc[m[ev]]]
-        ev_s = ev_x[ev]
-        ev_log = np.flatnonzero(rev[ev_piece])
-        ev_s[ev_log] = _libm(math.exp, ev_s[ev_log])
+        ev_piece, ev_s = piece_of[steps.arc[m[ev]]], ev_s[ev]
         ev_group = np.searchsorted(first, ev_piece, side="right") - 1
         order = np.lexsort((ev_piece, ev_s, ev_group))
         records = [EventRecord(EventKind.CROSSED_LINE_R, a, c)

@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -989,6 +990,89 @@ def test_large_n_cost(stage_calls, run, most):
     chart reaches from |w| = 2, at most 45, and the separatrix 170."""
     run()
     assert len(stage_calls) <= most
+
+
+def test_libm_cost_per_iteration_and_step_end(stage_calls, monkeypatch):
+    """A log-chart lane sends 11 stage abscissae (exp) and one step-growth
+    factor (pow) per lockstep iteration through libm: _C[_NS - 1] and
+    _C[_NS] are the same abscissa.  After the loop each step end goes
+    through exp once for the whole batch, not once more per reader."""
+    calls, steps = [], []
+    libm, collect = engine._libm, engine._collect
+    monkeypatch.setattr(engine, "_libm", lambda fn, x, *c: calls.append(
+        (fn, np.asarray(x, dtype=float).ravel().tolist(), bool(steps))) or libm(fn, x, *c))
+
+    def collecting(*a):
+        steps.append(None)    # the loop is over
+        steps[0] = collect(*a)
+        return steps[0]
+    monkeypatch.setattr(engine, "_collect", collecting)
+    traj = integrate(ROT3, (2.0, 0.5), "toward_zero")
+    iterations = len(stage_calls)
+    assert traj.stats.closed == 1 and iterations > 30
+
+    def elements(fn, after):
+        return [v for f, x, a in calls if f is fn and a == after for v in x]
+    # the initial step takes one pow and two exps, the barrier checks an exp each
+    assert len(elements(math.pow, False)) == iterations + 1
+    assert len(elements(math.exp, False)) <= 11 * iterations + 6
+    (done,) = steps
+    assert not done.closed[:-1].any() and done.closed[-1]
+    after = Counter(elements(math.exp, True))
+    assert all(after[x1] == 1 for x1 in done.x1.tolist())
+
+
+def test_stage_end_abscissa_is_the_last_row():
+    """field.at reads the stage abscissae _C[1.._NS - 1]; the step-end
+    stage reuses the last, the same double."""
+    assert engine._C[engine._NS - 1] == engine._C[engine._NS] == 1.0
+    assert engine._C_AT.ravel().tolist() == engine._C[1:engine._NS].tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(min_value=0.0), st.sampled_from(
+    [0.0, 5e-324, 2.2e-308, 1e-300, 1e-299, math.inf, math.nan])), min_size=1, max_size=20))
+def test_growth_factor_is_scipys_bit_for_bit(norms):
+    """The step-growth factor is scipy's SAFETY * max(norm, TINY)**(-1/8),
+    bit for bit, over positive, subnormal, zero, infinite and NaN norms."""
+    got = engine._growth(np.array(norms))
+    want = [engine._SAFETY * max(v, engine._TINY) ** engine._EXPONENT for v in norms]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+_SWITCH_PARAMS = [ROT3, rotational(100), rotational(2, eps_prime=1), boost(2, region="spacelike")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.sampled_from(_SWITCH_PARAMS), points=st.lists(st.tuples(
+    st.booleans(), st.booleans(), st.floats(0.05, 150.0),
+    st.one_of(st.floats(-300.0, 300.0), st.floats(-4.0, 4.0))).filter(lambda t: t[3] != 0.0),
+    min_size=1, max_size=16))
+def test_ended_is_the_switch_rule_per_point(params, points):
+    """_Field.ended, with its masks taken once per field, equals the switch
+    rule stated point by point: a w-chart point ends its chart where |w|
+    grows and |w| >= the level at (s, w); a p-chart point where |w|
+    shrinks and |p| * level >= 1; the level is 2 where w has the sign -et,
+    else max(2, 2s/c)."""
+    et, c = params.eps_tilde, params.fiber_coeff
+
+    def level(s, w):
+        return 2.0 if w * et < 0.0 else max(2.0, 2.0 * s / c)
+
+    want, xs, ys = [], [], []
+    for log, in_p, s, w in points:
+        grows = log != params.has_barriers
+        if in_p:
+            xs.append(1.0 / w)
+            ys.append(s)
+            want.append(not grows and abs(xs[-1]) * level(s, xs[-1]) >= 1.0)
+        else:
+            xs.append(math.log(s) if log else s)
+            ys.append(w)
+            want.append(grows and abs(w) >= level(math.exp(xs[-1]) if log else s, w))
+    log, in_p = (np.array([p[k] for p in points]) for k in (0, 1))
+    field = engine._Field(params, log, in_p)
+    assert field.ended(np.array(xs), np.array(ys)).tolist() == want
 
 
 def _stiff_arc(params, s0, w0, direction):
