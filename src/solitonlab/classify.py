@@ -37,7 +37,9 @@ is right to about 1e-11, so at the default tolerance one batched pair of
 forward shots at traced +-0.49*tol, split into global and blow-up, is
 the bracket.  Else one loop widens that window 1e3-fold until its ends
 split, then narrows it by k-section rounds of as many starts as bring it
-below the tolerance.
+below the tolerance.  A shot is an ordinary forward run, read by how it
+ends: it blows up, or it crosses below the critical line, which it never
+crosses back, and exists globally.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from .engine import (
 
 # starts per k-section round of compute_separatrix
 _SHOTS = 64
-# compute_bowl's default series handoff s and series order
+# compute_bowl's series handoff s and series order
 _BOWL_S_START, _BOWL_ORDER = 1e-4, 13
 # a strip start within this of the bowl is the bowl; an upper start within
 # this, relative to max(1, |w|), of the separatrix is the separatrix
@@ -190,20 +192,17 @@ def _cached(maxsize: int):
 
 
 @_cached(maxsize=32)
-def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
-                 s_start: float = _BOWL_S_START, order: int = _BOWL_ORDER) -> Trajectory:
+def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """The bowl trajectory over [s_min_eps, s_max], series-anchored at the center.
 
-    The center limit w -> 0 is backward-unstable, so below s_start the
-    trajectory is represented by its Taylor series (accurate there far
-    below the integration tolerance) and integration only runs outward.
-    Results are cached per (params, config).
+    The center limit w -> 0 is backward-unstable, so below s = _BOWL_S_START
+    the trajectory is its order-_BOWL_ORDER Taylor series (accurate there
+    far below the integration tolerance) and integration only runs
+    outward.  Results are cached per (params, config).
     """
     _require_strip_form(params, "compute_bowl")
-    if not cfg.s_min_eps < s_start < 1.0:
-        raise ValueError("series handoff s_start must sit in (s_min_eps, 1)")
-    start = bowl_start(params, s_start, order=order, abs_tol=cfg.abs_tol)
-    return _series_anchored(params, start, order, cfg)
+    start = bowl_start(params, _BOWL_S_START, order=_BOWL_ORDER, abs_tol=cfg.abs_tol)
+    return _series_anchored(params, start, _BOWL_ORDER, cfg)
 
 
 def integrate_bidirectional_batch(
@@ -273,7 +272,12 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     solution), until its ends split (RuntimeError past half-width 1), and
     k-section narrows it to width tol: each round shoots as many inner
     starts (at most 64) as take it below tol, plus one, and keeps the step
-    from the last global start below the first blow-up.  A start tol off
+    from the last global start below the first blow-up.  A shot is one
+    lane of an ordinary forward batch from (c, w), on or above the
+    critical line w = s/c: it is a blow-up if it ends in one, global if it
+    starts on the barrier w = 1 or records a line crossing (below the line,
+    with w > 1, the slope falls while the line rises, so the run never
+    crosses back and never blows up).  A start tol off
     the separatrix parts from it only near s_decide = sqrt(c^2 + 2c
     ln(1/tol)), so the shots run to at least 2 s_decide, whatever s_max;
     one that ends there undecided raises RuntimeError.  tol must lie in
@@ -293,9 +297,8 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     shot_cfg = replace(cfg, s_max=max(cfg.s_max, 2 * s_decide))
 
     def blows_up(ws: np.ndarray) -> np.ndarray:
-        # global: crossing below the critical line, or the barrier itself
-        runs = integrate_batch(params, [(c, w) for w in ws], "toward_infinity",
-                               shot_cfg, stop_on_line_crossing=True)
+        # global: the barrier itself, or a run that crosses below the critical line
+        runs = integrate_batch(params, [(c, w) for w in ws], "toward_infinity", shot_cfg)
         blown = []
         for w, run in zip(ws, runs):
             if isinstance(run, Exception):
@@ -303,8 +306,7 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
             end = run.termination_right
             if end is not None and end.kind is TerminationKind.BLOW_UP:
                 blown.append(True)
-            elif w == 1.0 or (end is None and any(
-                    e.kind is EventKind.CROSSED_LINE_R for e in run.events)):
+            elif w == 1.0 or any(e.kind is EventKind.CROSSED_LINE_R for e in run.events):
                 blown.append(False)
             else:
                 raise RuntimeError(f"decision shot from w = {w!r} at the anchor "

@@ -18,8 +18,10 @@ Each lane carries its own dense output (the seventh-degree DOP853
 interpolant of every stepped step, the tail formula of a closed one),
 solver counters, and its events: crossing the critical line, located on
 the step's dense output after the loop (Shampine & Thompson, "Event
-location for ODEs", 2000).  A lane that fails (step collapse) comes back
-as its own exception and does not stop the others.
+location for ODEs", 2000).  An event is a record, never an end: every
+lane runs to its bound, its pole or a step collapse.  A lane that fails
+(step collapse) comes back as its own exception and does not stop the
+others.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
@@ -55,10 +57,8 @@ all come from the formula (libm's exp and log, taken in log space, so no
 term overflows and the bits do not depend on numpy's dispatch), and its
 cost does not depend on s_max.  A step that ends at w = +-1.0 exactly,
 where the field is 0, is the case u1 = 0, and reads the barrier exactly.
-Where the line crossing is terminal, that step ends the lane at the
-crossing if the critical line meets the tail on the way.  A start within
-BARRIER_TOL of a barrier is put on it, w0 = +-1.0, and is a lane like any
-other: its first step lands on the barrier.
+A start within BARRIER_TOL of a barrier is put on it, w0 = +-1.0, and is
+a lane like any other: its first step lands on the barrier.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
@@ -367,13 +367,14 @@ def _tail(F, s):
 # (closed) F holds its tail (_tail_rows) instead; s1 is _Field.s_of(x1)
 _Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed s1")
 
-# how a lane's stepping in one chart ended: at its bound, at a terminal
-# event, at step collapse, or past the end of the chart, open at its last
-# sample, where the lane goes on in the next chart
-_FINISHED, _TERMINAL, _COLLAPSED, _SWITCHED = range(4)
+# how a lane's stepping in one chart ended: at its bound, at step
+# collapse, or past the end of the chart, open at its last sample, where
+# the lane goes on in the next chart
+_FINISHED, _COLLAPSED, _SWITCHED = range(3)
 
 # one chart of one lane: its direction and chart, its start (x, y), how
-# stepping ended, attempts and accepted steps
+# stepping ended (_FINISHED, _COLLAPSED or _SWITCHED), attempts and
+# accepted steps
 _Arc = namedtuple("_Arc", "lane log in_p x0 y0 outcome attempts accepted",
                   defaults=(_FINISHED, 0, 0))
 
@@ -427,8 +428,7 @@ def _stages(field: _Field, heads, cols, at, y, h):
     return y_i, cols[_NS]
 
 
-def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
-             stop_on_crossing: bool):
+def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
@@ -437,12 +437,11 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     rejection, max_step, and a minimum step of 10 ulp(x).  Each lane has
     its direction (log: toward zero) and chart (in_p), masks of one _Field
     over all lanes still stepping, and steps its x toward its bound
-    (_Field.heading).  A lane stops at step
-    collapse, at the line crossing when stop_on_crossing, and at its
-    bound, except in the p chart where |w| shrinks; in the p chart also
-    where s leaves the span, and where |w| grows the bound is its pole,
-    p = 0.  Line crossings are located after the loop.  A step that ends
-    at or past the end of a chart that another chart follows (the w chart
+    (_Field.heading).  A lane stops at step collapse and at its bound,
+    except in the p chart where |w| shrinks; in the p chart also where s
+    leaves the span, and where |w| grows the bound is its pole, p = 0.
+    Line crossings are located after the loop.  A step that ends at or
+    past the end of a chart that another chart follows (the w chart
     where |w| grows, the p chart where it shrinks) ends its arc there,
     open, and the lane goes on from that step end in the other chart with
     a fresh initial step, as a new arc.  In a barrier pattern a lane
@@ -451,12 +450,9 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     stays within u* of it up to the bound; a step that ends at w = +-1.0
     exactly, where the field is 0, is the case u1 = 0.  One closed step to
     the bound follows, written from the tail's formula, counted as one
-    attempt and one accepted step, and finishes the arc, or ends it as
-    terminal when stop_on_crossing and the critical line changes sign
-    between the step's ends (the line is monotone in s and the tail stays
-    within u* of sigma, so they meet at most once).  After a
-    step where a lane stops or switches, the stopped lanes are dropped and
-    the field is rebuilt.
+    attempt and one accepted step, and finishes the arc.  After a step
+    where a lane stops or switches, the stopped lanes are dropped and the
+    field is rebuilt.
 
     Returns the steps (_Steps) and the arcs (_Arc): lane k's first arc at
     index k, later arcs after all first ones.
@@ -464,7 +460,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     rtol = max(cfg.rel_tol, 100 * _EPS)
     arcs = list(map(_Arc, range(x.size), log.tolist(), in_p.tolist(), x.tolist(), y.tolist()))
     arc, switch = np.arange(x.size), np.zeros(x.size, dtype=bool)
-    f, h_abs, g_cross, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(6))
+    f, h_abs, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(5))
     x_min = math.log(cfg.s_min_eps)
     # no lane's minimum step 10*ulp(x) can exceed this
     min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(x, (cfg.s_max, x_min)))))
@@ -478,9 +474,9 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     while keep is None or keep.size:
         if keep is not None:
             # copies: the last step's arrays are on record
-            arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it, log, in_p, switch = (
-                a[keep] for a in (arc, x, y, f, h_abs, g_cross, grow_cap, rejects, start_it,
-                                  log, in_p, switch))
+            arc, x, y, f, h_abs, grow_cap, rejects, start_it, log, in_p, switch = (
+                a[keep] for a in (arc, x, y, f, h_abs, grow_cap, rejects, start_it, log, in_p,
+                                  switch))
             # lanes that start a chart: all at first, then the switched ones
             new = switch.nonzero()[0] if it else np.arange(arc.size)
             if it:
@@ -498,8 +494,6 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                 f[new] = at(x[new], y[new])
                 h_abs[new] = _initial_step(at, x[new], y[new], f[new], bound[new],
                                            direction[new], rtol, cfg)
-                if stop_on_crossing:
-                    g_cross[new] = at.events(x[new], y[new])
                 grow_cap[new], rejects[new], start_it[new] = _MAX_FACTOR, 0, it
             capped, keep = True, None
             K = np.empty((arc.size, _NS + 1))
@@ -557,11 +551,6 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                 log, y_new <= cfg.s_min_eps, y_new >= cfg.s_max), done)
         ended = ok & field.ended(x_new, y_new)
         stop = done
-        if stop_on_crossing:
-            g_new = field.events(x_new, y_new)
-            hit = ok & _straddles(g_cross, g_new)
-            g_cross = np.where(ok, g_new, g_cross)
-            stop = done | hit
         # a lane whose linearised tail stays within u* of its barrier settles
         settled = False
         if params.has_barriers:
@@ -581,8 +570,6 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
         if not (np.count_nonzero(stop) or np.count_nonzero(ended)):
             continue
         switch = ended & ~stop
-        if not stop_on_crossing:
-            hit = np.zeros(ok.size, dtype=bool)
         # a settled lane ends in one closed step to its bound
         tries = it - start_it - (0 if stuck is None else stuck) + settled
         if np.count_nonzero(settled):
@@ -590,10 +577,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             y_end[near] = _tail(tail.T, s_end[closes])
             tails.append((arc[near], x_new[near], (bound - x_new)[near], y_new[near],
                           bound[near], y_end[near], tail))
-            if stop_on_crossing:    # the critical line meets the tail on the way
-                hit |= settled & _straddles(g_new, field.events(bound, y_end))
-        outcome = np.select([hit, done | settled, switch], [_TERMINAL, _FINISHED, _SWITCHED],
-                            _COLLAPSED)
+        outcome = np.select([done | settled, switch], [_FINISHED, _SWITCHED], _COLLAPSED)
         for k in (stop | switch).nonzero()[0].tolist():
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
@@ -670,7 +654,7 @@ def _illinois(g, a, b):
 
 
 def _step_events(field: _Field, steps: _Steps):
-    """The line crossings met on steps: step index and the (x, y, s) of
+    """The line crossings met on steps: step index and the (w, s) of
     each, located on the step's interpolant, or its tail on a closed step
     (_illinois), each step's in the order met.  A step starts where the
     one before it in its arc ends."""
@@ -681,7 +665,7 @@ def _step_events(field: _Field, steps: _Steps):
     g0[head] = field.events(steps.x0[head], steps.y0[head], at=head)
     m = _straddles(g0, g1).nonzero()[0]
     if not m.size:
-        return m, np.zeros(0), np.zeros(0), np.zeros(0)
+        return m, np.zeros(0), np.zeros(0)
     met = _Field(field.params, field.log[m], field.in_p[m])
     F, tail = steps.F[m].T, steps.closed[m]
     stepped = F[:, ~tail], steps.x0[m][~tail], steps.h[m][~tail], steps.y0[m][~tail]
@@ -698,8 +682,7 @@ def _step_events(field: _Field, steps: _Steps):
     root = _illinois(lambda x: met.events(x, w(x)), steps.x0[m], steps.x1[m])
     y = w(root)
     order = np.lexsort((np.where(met.log, -root, root), m))
-    root, y = root[order], y[order]
-    return m[order], root, y, met.s_of(root, order)
+    return m[order], y[order], met.s_of(root[order], order)
 
 
 def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts) -> Callable:
@@ -803,26 +786,25 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     and belongs to group[k]; the lanes of a group are consecutive, a lane
     toward zero (its arcs reversed) before one toward infinity.
 
-    An arc ends at its terminal line crossing, at its bound (toward zero at
-    exactly s_min_eps, not at exp(log s_min_eps)), at its pole (_p_samples),
-    or open at its last sample, where its lane switched chart.  A w-chart
-    arc starts at exactly the s its lane starts it at (s0 of its lane, or
-    the last sample of the arc before), not at exp(log s).  The arcs join
-    as merge_bidirectional joins them: each arc's samples with occasional
+    An arc ends at its bound (toward zero at exactly s_min_eps, not at
+    exp(log s_min_eps)), at its pole (_p_samples), or open at its last
+    sample, where its lane switched chart.  A w-chart arc starts at
+    exactly the s its lane starts it at (s0 of its lane, or the last
+    sample of the arc before), not at exp(log s).  The arcs join as
+    merge_bidirectional joins them: each arc's samples with occasional
     duplicate nodes collapsed and, but for the lowest arc, without its
     first sample, the join; one _piecewise evaluator of the arcs' dense
     outputs; the events of all arcs in order of s; the counters summed.
     """
     lane, log, in_p, x0, y0, outcome, attempts, accepted = map(np.array, zip(*arcs))
     step_log, step_p = log[steps.arc], in_p[steps.arc]
-    m, ev_x, ev_y, ev_s = _step_events(_Field(params, step_log, step_p), steps)
+    m, ev_y, ev_s = _step_events(_Field(params, step_log, step_p), steps)
     step_of_arc = np.searchsorted(steps.arc, np.arange(len(arcs) + 1))
     lo, hi = step_of_arc[:-1], step_of_arc[1:]
-    event_of_step = np.searchsorted(m, step_of_arc)
     # the samples of all arcs, each arc's start and then its step ends, at
     # [b[k], e[k]), and their s in the w chart (an arc's start s is set below)
     b = lo + np.arange(len(arcs))
-    e, seg_hi = hi + np.arange(1, len(arcs) + 1), hi.copy()
+    e = hi + np.arange(1, len(arcs) + 1)
     X, Y, S = np.empty(e[-1]), np.empty(e[-1]), np.empty(e[-1])
     step_end = np.ones(e[-1], dtype=bool)
     X[b], Y[b], S[b], step_end[b] = x0, y0, x0, False
@@ -846,24 +828,14 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     g_of = group[lane[P]]
     first = np.concatenate(([0], np.flatnonzero(g_of[1:] != g_of[:-1]) + 1, [P.size]))
 
-    ev_keep = np.ones(m.size, dtype=bool)
-    for k in P[outcome[P] == _TERMINAL].tolist():
-        # scipy's handle_events: the last step's first crossing ends the samples
-        own = np.arange(event_of_step[k], event_of_step[k + 1])
-        stop = own[m[own] == hi[k] - 1][0]
-        ev_keep[stop + 1:own[-1] + 1] = False
-        if ev_x[stop] == steps.x0[hi[k] - 1]:
-            e[k], seg_hi[k] = e[k] - 1, hi[k] - 1
-        else:
-            X[e[k] - 1], Y[e[k] - 1], S[e[k] - 1] = ev_x[stop], ev_y[stop], ev_s[stop]
     # where a point's segment starts, increasing along each arc
     starts = np.where(step_log, -1.0, 1.0) * np.where(step_p, steps.y0, steps.x0)
     dense, far = [], []
-    for k, l0, l1, h1, b0, e0 in zip(P.tolist(), lo[P].tolist(), seg_hi[P].tolist(),
-                                     hi[P].tolist(), b[P].tolist(), e[P].tolist()):
+    for k, l0, l1, b0, e0 in zip(P.tolist(), lo[P].tolist(), hi[P].tolist(), b[P].tolist(),
+                                 e[P].tolist()):
         arc = arcs[k]
         dense.append(_dense_output(arc, steps, l0, l1, starts))
-        far.append(_p_samples(arc, steps, l0, h1, X[b0:e0], Y[b0:e0], dense[-1], cfg)
+        far.append(_p_samples(arc, steps, l0, l1, X[b0:e0], Y[b0:e0], dense[-1], cfg)
                    if arc.in_p else None)
 
     # the samples of all pieces in increasing s: s, and w = 1/p in the p chart
@@ -899,7 +871,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     s, w = s[keep], w[keep]
     joins = s[kept[off + n] - 1]
 
-    for i, (k, l0, l1) in enumerate(zip(P.tolist(), lo[P].tolist(), seg_hi[P].tolist())):
+    for i, (k, l0, l1) in enumerate(zip(P.tolist(), lo[P].tolist(), hi[P].tolist())):
         arc, end = arcs[k], far[i]
         if arc.log and end is not None and end.kind is TerminationKind.BLOW_UP:
             dense[i] = _refusing(dense[i], end.s, True, "below the pole {} of an arc that "
@@ -911,7 +883,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
 
     # events: each group's in order of s, ties in the order of its arcs
     records, event_of_group = [], [0] * first.size
-    ev = np.flatnonzero(ev_keep & (piece_of[steps.arc[m]] >= 0))
+    ev = np.flatnonzero(piece_of[steps.arc[m]] >= 0)
     if ev.size:
         ev_piece, ev_s = piece_of[steps.arc[m[ev]]], ev_s[ev]
         ev_group = np.searchsorted(first, ev_piece, side="right") - 1
@@ -939,8 +911,8 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
 
 
 def _integrate_lanes(params: FlowParams, starts: Sequence,
-                     directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig,
-                     stop_on_line_crossing: bool = False) -> List[Result]:
+                     directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig
+                     ) -> List[Result]:
     """integrate() of each start in each of its directions (a tuple in the
     order of DIRECTIONS), all lanes in one lockstep run: per start one
     Trajectory over all its lanes and their arcs (_arcs), as
@@ -969,20 +941,10 @@ def _integrate_lanes(params: FlowParams, starts: Sequence,
     level = _switch_level(params, s, y)
     in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
     x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
-    steps, arcs = _advance(params, x, y, log, in_p, cfg, stop_on_line_crossing)
+    steps, arcs = _advance(params, x, y, log, in_p, cfg)
     for i, res in zip(slots, _arcs(params, steps, arcs, s.tolist(), group, cfg)):
         out[i] = res
     return out
-
-
-def _pole_batch(params: FlowParams, s0: float, sigmas: Sequence[float],
-                cfg: IntegratorConfig) -> List[Result]:
-    """Lanes leaving a pole at s0 (p = +-0) with sign w = sigma each, in the
-    direction where |w| shrinks: toward zero when et*ep = -1, else toward
-    infinity."""
-    direction = DIRECTIONS[0] if params.has_barriers else DIRECTIONS[1]
-    return _integrate_lanes(params, [(s0, sig * math.inf) for sig in sigmas],
-                            [(direction,)] * len(sigmas), cfg)
 
 
 def _first(results: List[Result]):
@@ -995,8 +957,8 @@ def _first(results: List[Result]):
 
 def integrate_batch(params: FlowParams,
                     starts: Sequence[PhaseState | Tuple[float, float]],
-                    direction: str, cfg: IntegratorConfig = IntegratorConfig(),
-                    stop_on_line_crossing: bool = False) -> List[Result]:
+                    direction: str, cfg: IntegratorConfig = IntegratorConfig()
+                    ) -> List[Result]:
     """Integrate the phase equation one-sidedly from every start at once.
 
     Returns one entry per start, in order: what integrate() returns for
@@ -1007,13 +969,11 @@ def integrate_batch(params: FlowParams,
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return _integrate_lanes(params, starts, [(direction,)] * len(starts), cfg,
-                            stop_on_line_crossing)
+    return _integrate_lanes(params, starts, [(direction,)] * len(starts), cfg)
 
 
 def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
-              direction: str, cfg: IntegratorConfig = IntegratorConfig(),
-              stop_on_line_crossing: bool = False) -> Trajectory:
+              direction: str, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the phase equation one-sidedly from init.
 
     direction is "toward_zero" or "toward_infinity".  Toward zero the
@@ -1021,13 +981,10 @@ def integrate(params: FlowParams, init: PhaseState | Tuple[float, float],
     ordered by increasing s, carries dense output over its span, the
     located events, its solver counters (summed over both charts of a
     lane that blew up), and a Termination at the far end (the near end
-    stays None).  stop_on_line_crossing makes the critical-line crossing
-    terminal (used by decision runs, where crossing below the line
-    already decides global existence).  A slope of +-inf starts at a
-    pole, in the direction where |w| shrinks.  A batch of one of
-    integrate_batch().
+    stays None).  A slope of +-inf starts at a pole, in the direction
+    where |w| shrinks.  A batch of one of integrate_batch().
     """
-    return _first(integrate_batch(params, [init], direction, cfg, stop_on_line_crossing))
+    return _first(integrate_batch(params, [init], direction, cfg))
 
 
 def _piecewise(pieces: Sequence[Callable], joins) -> Callable:

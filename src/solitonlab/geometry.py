@@ -48,12 +48,13 @@ from .classify import (
     integrate_bidirectional,
 )
 from .engine import (
+    DIRECTIONS,
     IntegratorConfig,
     _piecewise,
-    _pole_batch,
     _series_anchored,
     bowl_series_coeffs,
     eval_series,
+    integrate_batch,
     integrate_series,
 )
 from .verify import GridField
@@ -318,6 +319,7 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
     |s - s0| = span first, and further only where that falls short.
     """
     d = -1.0 if params.has_barriers else 1.0
+    direction = DIRECTIONS[0] if d < 0 else DIRECTIONS[1]
     # w near 0 at a steep end needs a finer absolute tolerance, and the
     # height of a steep arm a finer relative one
     tight = replace(cfg, abs_tol=cfg.abs_tol * 1e-4, rel_tol=cfg.rel_tol * 0.1,
@@ -332,7 +334,8 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
         else:
             run = replace(tight, s_max=min(cfg.s_max, s0 + reach))
         full = (run.s_min_eps, run.s_max) == (alpha_floor, cfg.s_max)
-        for sigma, traj in zip(todo, _pole_batch(params, s0, todo, run)):
+        poles = [(s0, sigma * math.inf) for sigma in todo]
+        for sigma, traj in zip(todo, integrate_batch(params, poles, direction, run)):
             if isinstance(traj, Exception):
                 raise traj
             s_end, stop = _steep_end(traj, sigma, d), "steep"

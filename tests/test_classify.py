@@ -308,7 +308,7 @@ def test_one_cache_entry_per_computed_object(monkeypatch):
     compute_bowl.cache_clear()
     compute_separatrix.cache_clear()
     assert compute_bowl(ROT3) is compute_bowl(ROT3, IntegratorConfig())
-    assert compute_bowl(ROT3) is compute_bowl(ROT3, cfg=IntegratorConfig(), order=13)
+    assert compute_bowl(ROT3) is compute_bowl(ROT3, cfg=IntegratorConfig())
     assert compute_separatrix(ROT3) is compute_separatrix(ROT3, IntegratorConfig())
     assert compute_separatrix(ROT3) is compute_separatrix(ROT3, IntegratorConfig(), tol=1e-10)
     assert (compute_bowl.cache_info().currsize, compute_separatrix.cache_info().currsize) == (1, 1)
@@ -631,24 +631,16 @@ def test_separatrix_splits_global_from_blowup(separatrix, sign, exponent):
 @given(n=st.sampled_from([2, 3, 5]), sign=st.sampled_from([-1, 1]),
        exponent=st.floats(-8.0, -1.0))
 def test_decision_shot_verdict_matches_full_run(n, sign, exponent):
-    """A decision shot from the anchor names the same fate as a full run,
-    and a blow-up shot is the full run: the same samples, pole and
-    counters."""
+    """A forward run from the anchor, the decision shot compute_separatrix
+    reads, has no pole exactly when it records a line crossing, and
+    exactly when it starts below the separatrix."""
     params = rotational(n)
     sep = compute_separatrix(params)
-    start = (sep.anchor, sep.value + sign * 10.0 ** exponent)
-    shot = integrate(params, start, "toward_infinity", stop_on_line_crossing=True)
-    full = integrate(params, start, "toward_infinity")
-
-    def pole(traj):
-        term = traj.termination_right
-        return term.s if term is not None and term.kind is TerminationKind.BLOW_UP else None
-
-    assert (pole(shot) is None) == (pole(full) is None) == (sign < 0)
-    if sign > 0:
-        assert pole(shot) == pole(full)
-        assert shot.stats == full.stats
-        assert shot.w.tobytes() == full.w.tobytes()
+    run = integrate(params, (sep.anchor, sep.value + sign * 10.0 ** exponent),
+                    "toward_infinity")
+    term = run.termination_right
+    crossed = any(e.kind is EventKind.CROSSED_LINE_R for e in run.events)
+    assert (term.kind is not TerminationKind.BLOW_UP) == crossed == (sign < 0)
 
 
 def test_limits_report_fields():

@@ -231,7 +231,7 @@ def test_w_arc_after_the_p_chart_starts_at_the_switch():
     on in the w chart from log s; its w arc starts at that s exactly, not
     at exp(log s), one ulp off for this start."""
     one = np.ones(1, dtype=bool)
-    steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.8]), one, one, CFG, False)
+    steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.8]), one, one, CFG)
     s_switch = steps.y1[steps.arc == 0][-1]    # where the p arc ends
     assert [a.in_p for a in arcs] == [True, False] and s_switch != math.exp(math.log(s_switch))
     # the joined lane holds the join once: the w arc's last sample
@@ -243,16 +243,11 @@ def test_w_arc_after_the_p_chart_starts_at_the_switch():
 @pytest.mark.parametrize("s0, direction", [(3.0, "toward_zero"), (1.0, "toward_infinity")])
 def test_barrier_start_crosses_the_line_at_c(s0, direction):
     """The upper barrier meets the critical line w = s/c at s = c: a start
-    on it records that crossing, and with stop_on_line_crossing the run
-    ends there.  The lower barrier never meets it."""
+    on it records that crossing.  The lower barrier never meets it."""
     c = ROT3.fiber_coeff
     traj = integrate(ROT3, (s0, 1.0), direction)
     assert [(e.s, e.w) for e in traj.events] == [(c, 1.0)]
     assert traj.stats.accepted == len(traj.s) - 1
-    shot = integrate(ROT3, (s0, 1.0), direction, stop_on_line_crossing=True)
-    assert [(e.s, e.w) for e in shot.events] == [(c, 1.0)]
-    assert c in (shot.s[0], shot.s[-1])
-    assert (shot.termination_left, shot.termination_right) == (None, None)
     assert integrate(ROT3, (s0, -1.0), direction).events == ()
 
 
@@ -273,13 +268,10 @@ def test_strip_trajectories_stay_in_open_strip():
 
 
 def test_crossing_event_location():
-    traj = integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG,
-                     stop_on_line_crossing=True)
+    traj = integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG)
     hits = [e for e in traj.events if e.kind is EventKind.CROSSED_LINE_R]
     assert len(hits) == 1
     assert hits[0].s == pytest.approx(CROSSING_S, abs=1e-9)
-    # a decision run ends at the crossing, not at a boundary
-    assert traj.termination_right is None
 
 
 def test_crossing_nonterminal_by_default():
@@ -672,15 +664,13 @@ _start = st.tuples(st.floats(0.2, 5.0), st.floats(-3.0, 3.0))
 
 @settings(max_examples=8, deadline=None)
 @given(lane=_start, others=st.lists(_start, min_size=1, max_size=5),
-       where=st.integers(0, 5), direction=st.sampled_from(DIRECTIONS),
-       decide=st.booleans())
-def test_lane_independent_of_batch(lane, others, where, direction, decide):
+       where=st.integers(0, 5), direction=st.sampled_from(DIRECTIONS))
+def test_lane_independent_of_batch(lane, others, where, direction):
     """A lane's samples, events, termination and counters are bit for bit
     the same alone and among other lanes."""
     where = min(where, len(others))
-    (alone,) = integrate_batch(ROT3, [lane], direction, stop_on_line_crossing=decide)
-    batch = integrate_batch(ROT3, others[:where] + [lane] + others[where:], direction,
-                            stop_on_line_crossing=decide)
+    (alone,) = integrate_batch(ROT3, [lane], direction)
+    batch = integrate_batch(ROT3, others[:where] + [lane] + others[where:], direction)
     among = batch[where]
     assert alone.s.tobytes() == among.s.tobytes()
     assert alone.w.tobytes() == among.w.tobytes()
@@ -898,7 +888,7 @@ def test_illinois_matches_the_one_at_a_time_search():
 
 def test_each_batch_is_one_loop(monkeypatch):
     """integrate_batch, integrate_bidirectional_batch, classify_batch,
-    _pole_batch and each round of separatrix shots step all their lanes,
+    a pole batch and each round of separatrix shots step all their lanes,
     in every direction and chart, in one lockstep loop."""
     classify_module = importlib.import_module("solitonlab.classify")
     compute_bowl(ROT3, CFG)    # the cache keys classify_batch reads
@@ -910,7 +900,7 @@ def test_each_batch_is_one_loop(monkeypatch):
     for run in (lambda: integrate_batch(ROT3, grid, "toward_zero"),
                 lambda: integrate_bidirectional_batch(ROT3, grid),
                 lambda: classify_module.classify_batch(ROT3, grid),
-                lambda: engine._pole_batch(ROT3, 2.0, [1.0, -1.0], CFG)):
+                lambda: _pole_batch(ROT3, 2.0, [1.0, -1.0], CFG)):
         calls.clear()
         run()
         assert len(calls) == 1
@@ -1165,11 +1155,11 @@ def test_tail_that_would_grow_is_stepped():
 
 
 def test_terminal_shot_on_a_barrier_is_one_closed_step():
-    """Where the line crossing is terminal, a lane that lands on a barrier
-    the critical line does not meet ahead ends at the bound in one closed
-    step, like any other lane: a start on the upper barrier at s = 3 > c
-    takes its landing step and that one."""
-    shot = integrate(ROT3, (3.0, 1.0), "toward_infinity", stop_on_line_crossing=True)
+    """A decision shot that lands on a barrier the critical line does not
+    meet ahead ends at the bound in one closed step, like any other lane:
+    a start on the upper barrier at s = 3 > c takes its landing step and
+    that one."""
+    shot = integrate(ROT3, (3.0, 1.0), "toward_infinity")
     assert shot.stats.accepted == 2 and shot.stats.rejected == 0
     assert shot.events == ()
     assert shot.termination_right.kind is TerminationKind.REACHED_S_MAX
@@ -1208,19 +1198,26 @@ def test_bidirectional_batch_matches_one_sided_runs(starts):
         _same(traj, merge_bidirectional(down, up))
 
 
+def _pole_batch(params, s0, sigmas, cfg):
+    """Lanes leaving a pole at s0 with sign w = sigma each, in the direction
+    where |w| shrinks."""
+    direction = DIRECTIONS[0] if params.has_barriers else DIRECTIONS[1]
+    return integrate_batch(params, [(s0, sigma * math.inf) for sigma in sigmas], direction, cfg)
+
+
 @pytest.mark.parametrize("params, s0", [(ROT3, 2.0), (rotational(2, eps_prime=1), 1.0)])
 def test_pole_batch_signs_are_independent(params, s0):
     """Both arms leaving a pole in one batch match each arm run alone."""
-    both = engine._pole_batch(params, s0, [1.0, -1.0], CFG)
+    both = _pole_batch(params, s0, [1.0, -1.0], CFG)
     for sigma, traj in zip((1.0, -1.0), both):
-        (alone,) = engine._pole_batch(params, s0, [sigma], CFG)
+        (alone,) = _pole_batch(params, s0, [sigma], CFG)
         _same(traj, alone)
 
 
 def test_pole_lanes_get_the_start_check():
     """A pole start is checked like any other: below the cutoff it is a
     ValueError, not a run."""
-    out = engine._pole_batch(ROT3, 2.0, [1.0, -1.0], IntegratorConfig(s_min_eps=3.0))
+    out = _pole_batch(ROT3, 2.0, [1.0, -1.0], IntegratorConfig(s_min_eps=3.0))
     assert all(isinstance(r, ValueError) and "cutoff" in str(r) for r in out)
 
 

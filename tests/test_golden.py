@@ -10,6 +10,7 @@ CHANGES.md.
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ import pytest
 import solitonlab
 from solitonlab import cli, rotational
 from solitonlab.classify import compute_bowl, compute_separatrix, integrate_bidirectional_batch
-from solitonlab.engine import IntegratorConfig, _pole_batch, integrate_batch
+from solitonlab.engine import IntegratorConfig, integrate_batch
 
 _GRID = ["--s0-grid", "0.5:4:4"]
 
@@ -158,9 +159,9 @@ _BITS_GRIDS = [(n, w) for n in (2, 3) for w in ((-0.95, 0.95), (1.05, 3.0), (-3.
 
 def test_engine_bits():
     """The engine's samples, events, terminations, counters and dense
-    output, bit for bit, on the portrait grids, a decision-shot grid, the
-    bowl, the separatrix and a pole batch; every lane of a grid gets the
-    same bits with the lanes in reverse order."""
+    output, bit for bit, on the portrait grids, the bowl, the separatrix
+    and a pole batch; every lane of a grid gets the same bits with the
+    lanes in reverse order."""
     compute_bowl.cache_clear()
     compute_separatrix.cache_clear()
     digest = hashlib.sha256()
@@ -173,12 +174,10 @@ def test_engine_bits():
     for n, (lo, hi) in _BITS_GRIDS:
         starts = [(s, w) for s in np.linspace(0.5, 4.0, 8) for w in np.linspace(lo, hi, 8)]
         grid(partial(integrate_bidirectional_batch, rotational(n)), starts)
-        if n == 3 and lo == 1.05:
-            grid(lambda st: integrate_batch(rotational(3), st, "toward_infinity",
-                                            stop_on_line_crossing=True), starts)
     params, cfg = rotational(3), IntegratorConfig()
     digest.update(_lane_bytes(compute_bowl(params)))
     sep = compute_separatrix(params)
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
-    grid(lambda sigmas: _pole_batch(params, 2.0, sigmas, cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "6249cbcdcfb355a27d83c7bcc53efc14067b7d7de121d0e2dc0b26138d9756bb"
+    grid(lambda sigmas: integrate_batch(params, [(2.0, sigma * math.inf) for sigma in sigmas],
+                                        "toward_zero", cfg), [1.0, -1.0])
+    assert digest.hexdigest() == "f4600f057002381cf3cf721c98a1022705b81aedcf43bc5e092f2244895f5365"
