@@ -1086,6 +1086,9 @@ def _series_anchored(params: FlowParams, start: PhaseState, order: int,
     """Center-regular trajectory: its order-`order` center series below
     start.s (48 geometric sample nodes from cfg.s_min_eps on), forward
     integration from start, which must sit on the series, beyond it."""
+    if not cfg.s_min_eps < start.s:
+        raise ValueError(f"s_min_eps = {cfg.s_min_eps} must lie below the center "
+                         f"series handoff at s = {start.s}")
     coeffs = bowl_series_coeffs(params, order)
     s_head = _libm(math.exp, np.linspace(math.log(cfg.s_min_eps), math.log(start.s), 49))
     s_head[[0, -1]] = cfg.s_min_eps, start.s

@@ -57,7 +57,7 @@ from .engine import (
     integrate_batch,
     integrate_series,
 )
-from .verify import GridField
+from .verify import GridField, _row_blocks
 
 
 @dataclass
@@ -501,12 +501,15 @@ class HybridField:
         if nodes < 5:
             raise ValueError("need nodes >= 5 for a grid sample")
         ax = np.linspace(-self.extent, self.extent, nodes)
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        values = self.u(X, Y)
         h = float(ax[1] - ax[0])
-        dist_cone = np.minimum(np.abs(X - Y), np.abs(X + Y)) / math.sqrt(2.0)
-        # u is NaN exactly on the excluded quadrants off the cone
-        gmask = (dist_cone <= _TUBE_CELLS * h) | np.isnan(values)
+        values = np.empty((nodes, nodes))
+        gmask = np.empty((nodes, nodes), dtype=bool)
+        for lo, hi in _row_blocks(values.shape):
+            x, block = ax[lo:hi, None], values[lo:hi]
+            block[...] = self.u(x, ax)
+            dist_cone = np.minimum(np.abs(x - ax), np.abs(x + ax)) / math.sqrt(2.0)
+            # u is NaN exactly on the excluded quadrants off the cone
+            np.logical_or(dist_cone <= _TUBE_CELLS * h, np.isnan(block), out=gmask[lo:hi])
         return GridField(axes=(ax, ax), signature=(+1, -1), eps_prime=+1,
                          values=values, mask=gmask)
 

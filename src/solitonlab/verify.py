@@ -14,6 +14,18 @@ refinement, checks profile curves against the reduced ODE, and scans
 piecewise-assembled fields for derivative jumps across the lightcone
 diagonals with one-sided stencils.
 
+Grids are sampled and checked one block of whole axis-0 rows at a time,
+about _BLOCK_NODES = 2^15 nodes per block (_row_blocks), so every
+temporary of a block stays in cache instead of spanning the grid.
+sample_radial_field and HybridField.sample hold only their values and
+mask besides one block's temporaries.  residual_fund_eq runs two passes:
+the first stores W^2 and gathers it at the usable nodes, whose median
+fixes its sign; the second takes the second layer with one halo row on
+each side of a block and writes the residual field.  It holds W^2, the
+field and the usable values gathered for the statistics.  The block size
+changes no output bit: the reductions run over the same gathered arrays
+in the same order as over a whole grid.
+
 The checks consume plain sampled data; nothing depends on how the field
 was produced.  The studies that `solitonlab verify` reports live here
 too: bowl_study and hybrid_study take a builder, check their grid sizes,
@@ -27,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,17 +104,32 @@ class GridField:
         return self.mask
 
 
-def _central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered first difference; the boundary layer comes back NaN."""
-    out = np.full_like(arr, np.nan)
-    lo = [slice(None)] * arr.ndim
-    hi = [slice(None)] * arr.ndim
-    mid = [slice(None)] * arr.ndim
-    lo[axis] = slice(0, -2)
-    hi[axis] = slice(2, None)
-    mid[axis] = slice(1, -1)
-    out[tuple(mid)] = (arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * h)
-    return out
+# verify grids are evaluated this many nodes at a time
+_BLOCK_NODES = 1 << 15
+
+
+def _row_blocks(shape: Tuple[int, ...]) -> Iterator[Tuple[int, int]]:
+    """(lo, hi) ranges of whole axis-0 rows covering a grid of this shape in
+    order, each about _BLOCK_NODES nodes (at least one row)."""
+    rows = max(1, _BLOCK_NODES // math.prod(shape[1:]))
+    for lo in range(0, shape[0], rows):
+        yield lo, min(lo + rows, shape[0])
+
+
+def _inner(arr: np.ndarray, inset: Tuple[int, ...], axis: int = 0,
+           shift: int = 0) -> np.ndarray:
+    """The nodes of arr lying inset[k] cells inside it on each axis k,
+    moved by shift cells along axis."""
+    return arr[tuple(slice(d + (shift if k == axis else 0),
+                           n - d + (shift if k == axis else 0))
+                     for k, (d, n) in enumerate(zip(inset, arr.shape)))]
+
+
+def _centered(arr: np.ndarray, axis: int, h: float,
+              inset: Tuple[int, ...]) -> np.ndarray:
+    """Centered first difference of arr along axis at its inset nodes
+    (_inner; inset[axis] >= 1)."""
+    return (_inner(arr, inset, axis, 1) - _inner(arr, inset, axis, -1)) / (2.0 * h)
 
 
 @dataclass
@@ -129,45 +156,89 @@ def residual_fund_eq(field: GridField) -> ResidualStats:
     unmasked node where eps*(ep + |grad u|^2) falls to _W2_FLOOR raises
     DegeneracyError, since the graph equation degenerates at the
     lightlike locus.
-    """
-    u = field.values
-    hs = field.spacing
-    grads = [_central_diff(u, i, hs[i]) for i in range(u.ndim)]
-    w2_raw = field.eps_prime + sum(
-        sig * g * g for sig, g in zip(field.signature, grads))
 
-    inner1 = np.isfinite(w2_raw)
-    usable1 = inner1 & ~field.excluded()
-    if not np.any(usable1):
+    The grid is read in blocks of rows (_row_blocks), in two passes: the
+    first stores W^2 and gathers it at the usable nodes for the median,
+    the second recomputes the gradients and takes the second layer with
+    one halo row of W^2 on each side of a block.
+    """
+    u, mask = field.values, field.mask
+    n, ndim = u.shape[0], u.ndim
+    signs = tuple(zip(range(ndim), field.signature, field.spacing))
+    one = (1,) * ndim
+    # a block's rows, one and two cells inside the grid on the other axes
+    in1, in2 = (0,) + one[1:], (0,) + (2,) * (ndim - 1)
+
+    def usable(vals: np.ndarray, lo: int, hi: int, inset: Tuple[int, ...]) -> np.ndarray:
+        ok = np.isfinite(vals)
+        if mask is not None:
+            ok &= ~_inner(mask[lo:hi], inset)
+        return ok
+
+    # W^2 on the nodes one cell inside the grid; the boundary layer is
+    # neither written nor read
+    w2_raw = np.empty(u.shape)
+    parts = []
+    for lo, hi in _row_blocks(u.shape):
+        lo, hi = max(lo, 1), min(hi, n - 1)
+        if lo >= hi:
+            continue
+        rows = u[lo - 1:hi + 1]
+        grad2 = 0
+        for i, sig, h in signs:
+            g = _centered(rows, i, h, one)
+            grad2 = grad2 + sig * g * g
+        core = _inner(w2_raw[lo:hi], in1)
+        np.add(field.eps_prime, grad2, out=core)
+        parts.append(core[usable(core, lo, hi, in1)])
+    w2_use = np.concatenate(parts)
+    del parts
+    if not w2_use.size:
         raise ValueError("no unmasked interior nodes to verify")
-    med = float(np.median(w2_raw[usable1]))
+    med = float(np.median(w2_use, overwrite_input=True))
     if med == 0.0:
         raise DegeneracyError("median W^2 is exactly zero on the interior")
     eps = +1 if med > 0.0 else -1
 
-    w2 = eps * w2_raw
-    bad = usable1 & (w2 <= _W2_FLOOR)
-    if np.any(bad):
-        worst = float(np.nanmin(np.where(usable1, w2, np.nan)))
+    w2_use *= eps
+    bad = int(np.count_nonzero(w2_use <= _W2_FLOOR))
+    if bad:
         raise DegeneracyError(
-            f"W^2 (sign {eps:+d}) drops to {worst:.3e} <= floor {_W2_FLOOR:.1e} "
-            f"at {int(np.count_nonzero(bad))} unmasked nodes; the field "
+            f"W^2 (sign {eps:+d}) drops to {float(w2_use.min()):.3e} <= floor "
+            f"{_W2_FLOOR:.1e} at {bad} unmasked nodes; the field "
             "crosses or grazes the lightlike locus")
+    del w2_use
 
-    with np.errstate(invalid="ignore"):
-        w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
-    div = np.zeros_like(u)
-    for i, (sig, g) in enumerate(zip(field.signature, grads)):
-        div = div + _central_diff(sig * g / w, i, hs[i])
-    residual = div - 1.0 / w
-
-    usable2 = np.isfinite(residual) & ~field.excluded()
-    if not np.any(usable2):
+    # the residual on the nodes two cells inside the grid, NaN elsewhere;
+    # a block reads u two rows and W^2 one row beyond it
+    residual = np.full(u.shape, np.nan)
+    parts = []
+    for lo, hi in _row_blocks(u.shape):
+        lo, hi = max(lo, 2), min(hi, n - 2)
+        if lo >= hi:
+            continue
+        rows = u[lo - 2:hi + 2]
+        w2 = eps * _inner(w2_raw[lo - 2:hi + 2], one)
+        with np.errstate(invalid="ignore"):
+            w = np.sqrt(np.where(w2 > 0.0, w2, np.nan))
+        div = 0.0
+        for i, sig, h in signs:
+            # the flux on the core widened by one cell along axis i; w
+            # starts one cell inside rows
+            wide = tuple(1 if k == i else 2 for k in range(ndim))
+            flux = sig * _centered(rows, i, h, wide) / _inner(w, tuple(d - 1 for d in wide))
+            div = div + _centered(flux, i, h, tuple(2 - d for d in wide))
+        core = _inner(residual[lo:hi], in2)
+        np.subtract(div, 1.0 / _inner(w, one), out=core)
+        ok = usable(core, lo, hi, in2)
+        parts.append(np.abs(core[ok]))
+        core[~ok] = np.nan
+    del w2_raw
+    vals = np.concatenate(parts)
+    del parts
+    if not vals.size:
         raise ValueError("no unmasked second-layer interior nodes to verify")
-    vals = residual[usable2]
-    residual = np.where(usable2, residual, np.nan)
-    return ResidualStats(max_abs=float(np.max(np.abs(vals))),
-                         mean_abs=float(np.mean(np.abs(vals))),
+    return ResidualStats(max_abs=float(np.max(vals)), mean_abs=float(np.mean(vals)),
                          field=residual, eps=eps)
 
 
@@ -206,12 +277,14 @@ def residual_keyODE(profile, edge_skip: float = 0.01) -> float:
 
 @dataclass
 class ConvergenceReport:
-    """Residual decay across nested refinements and the estimated order."""
+    """Residual decay across nested refinements and the estimated order;
+    eps holds the sign of W^2 on each grid (ResidualStats.eps)."""
 
     residuals: Tuple[float, ...]
     p_coarse: Optional[float]
     p_fine: Optional[float]
     monotone: bool
+    eps: Tuple[int, ...]
 
     @property
     def defined(self) -> bool:
@@ -238,12 +311,14 @@ def convergence_order(field_h: GridField, field_h2: GridField,
                 raise ValueError("grids must be successive halvings of the first")
             if abs(ax_a[0] - ax_b[0]) > 1e-12 or abs(ax_a[-1] - ax_b[-1]) > 1e-12:
                 raise ValueError("nested grids must share their extent")
-    res = tuple(residual_fund_eq(f).max_abs for f in fields)
+    stats = [residual_fund_eq(f) for f in fields]
+    res = tuple(st.max_abs for st in stats)
+    eps = tuple(st.eps for st in stats)
     monotone = res[1] <= 1.05 * res[0] and res[2] <= 1.05 * res[1]
     if not monotone or any(r == 0.0 for r in res):
-        return ConvergenceReport(res, None, None, monotone)
+        return ConvergenceReport(res, None, None, monotone, eps)
     return ConvergenceReport(res, math.log2(res[0] / res[1]),
-                             math.log2(res[1] / res[2]), monotone)
+                             math.log2(res[1] / res[2]), monotone, eps)
 
 
 # one-sided first/second-layer stencils, O(h^2), forward orientation
@@ -315,16 +390,21 @@ def sample_radial_field(f_of_r, extent: float, nodes: int, ndim: int = 2) -> Gri
 
     The base is Euclidean (signature all +1) and the graph direction has
     metric sign ep = -1, as for rotational(n).  f_of_r must accept a
-    vectorized radius >= 0.  The mask excludes a ball of _AXIS_CELLS = 3
-    grid cells around the symmetry point, where the radial coordinate
-    degenerates.
+    vectorized radius >= 0 and act on it point by point: it is called on
+    one block of grid rows at a time (_row_blocks).  The mask excludes a
+    ball of _AXIS_CELLS = 3 grid cells around the symmetry point, where
+    the radial coordinate degenerates.
     """
     ax = np.linspace(-extent, extent, nodes)
-    grids = np.meshgrid(*([ax] * ndim), indexing="ij")
-    r = np.sqrt(sum(g * g for g in grids))
-    values = np.asarray(f_of_r(r), dtype=float)
     h = ax[1] - ax[0]
-    mask = r <= _AXIS_CELLS * h
+    shape = (nodes,) * ndim
+    values = np.empty(shape)
+    mask = np.empty(shape, dtype=bool)
+    for lo, hi in _row_blocks(shape):
+        grids = np.meshgrid(ax[lo:hi], *([ax] * (ndim - 1)), indexing="ij", sparse=True)
+        r = np.sqrt(sum(g * g for g in grids))
+        values[lo:hi] = f_of_r(r)
+        np.less_equal(r, _AXIS_CELLS * h, out=mask[lo:hi])
     return GridField(axes=(ax,) * ndim, signature=(1,) * ndim,
                      eps_prime=-1, values=values, mask=mask)
 
@@ -383,7 +463,7 @@ def bowl_study(build: Callable[[], Callable], extent: float,
         "p_coarse": rep.p_coarse,
         "p_fine": rep.p_fine,
         "monotone": rep.monotone,
-        "eps": residual_fund_eq(fields[0]).eps,
+        "eps": rep.eps[0],
         "pass": ok,
     }, ok
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from solitonlab import (
     build_wing,
     center_profile_eval,
     center_regular_profile,
+    compute_bowl,
     hybrid_field,
     integrate_bidirectional,
     quadrant_of,
@@ -370,6 +372,24 @@ def test_center_profile_matches_bowl(bowl3):
     s = np.linspace(0.0, 4.0, 17)
     np.testing.assert_allclose(f_eval(s), bowl3.f_dense(s), atol=1e-9)
     np.testing.assert_allclose(w_eval(s[1:]), bowl3.w_dense(s[1:]), atol=1e-9)
+
+
+@pytest.mark.parametrize("s_min_eps", [1e-4, 1e-3, 0.5])
+def test_series_handoff_refuses_s_min_eps_at_or_above_it(s_min_eps):
+    """A center-regular run hands off from its series at s = 1e-4 (the
+    bowl) or 0.5 (center_profile_eval); an s_min_eps at or above the
+    handoff is refused with both numbers named."""
+    cfg = IntegratorConfig(s_min_eps=s_min_eps)
+    with pytest.raises(ValueError, match=re.escape(
+            f"s_min_eps = {s_min_eps} must lie below the center series handoff at s = 0.0001")):
+        compute_bowl(ROT3, cfg)
+    if s_min_eps < 0.5:
+        assert center_profile_eval(ROT3, r_max=2.0, cfg=cfg)[0](1.0) == pytest.approx(
+            BOWL3_F_AT_1, rel=1e-9)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"s_min_eps = {s_min_eps} must lie below the center series handoff at s = 0.5")):
+            center_profile_eval(ROT3, r_max=2.0, cfg=cfg)
 
 
 def test_center_profile_spacelike_wedge():

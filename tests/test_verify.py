@@ -1,5 +1,10 @@
+import tracemalloc
+from contextlib import contextmanager
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solitonlab import (
     DegeneracyError,
@@ -12,6 +17,7 @@ from solitonlab import (
     sample_radial_field,
     smoothness_scan,
 )
+from solitonlab import verify as verify_module
 from solitonlab.geometry import hybrid_field
 from solitonlab.verify import _ONE_SIDED, bowl_study, hybrid_study
 
@@ -293,3 +299,119 @@ def test_studies_build_once_after_their_checks():
                               101, 2)
     assert not ok and report["f2_sign"] == -1 and report["nodes"] == [101, 201, 401]
     assert built == ["bowl", "hybrid"]
+
+
+# --- block-wise evaluation ---
+
+@contextmanager
+def _block_nodes(nodes):
+    saved = verify_module._BLOCK_NODES
+    verify_module._BLOCK_NODES = nodes
+    try:
+        yield
+    finally:
+        verify_module._BLOCK_NODES = saved
+
+
+def _small_blocks(shape, rows):
+    """One row per block, then rows per block (not a divisor of the row
+    count, so the last block is partial)."""
+    row = int(np.prod(shape[1:]))
+    assert shape[0] % rows
+    return (_block_nodes(1), _block_nodes(rows * row))
+
+
+def _residual_or_error(field):
+    try:
+        r = residual_fund_eq(field)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return r.max_abs, r.mean_abs, r.eps, r.field.tobytes()
+
+
+def _sample_bits(field):
+    return field.values.tobytes(), field.excluded().tobytes()
+
+
+@lru_cache(maxsize=None)
+def _profile(n):
+    return bowl_curve(rotational(n)).f_dense
+
+
+@settings(max_examples=12, deadline=None)
+@given(target=st.sampled_from([("bowl", 2), ("bowl", 3), ("hybrid", (1, 2, 3), 1),
+                               ("hybrid", (2, 3), 1), ("hybrid", (4, 1, 2), -1),
+                               ("hybrid", (1, 2, 3, 4), -1)]),
+       nodes=st.integers(7, 41), rows=st.integers(2, 6))
+def test_block_size_changes_no_sample_bit(target, nodes, rows):
+    """sample_radial_field, HybridField.sample and the residual of what
+    they return are the same bit for bit at one row per block and with a
+    partial last block as at the default block size: 2-D and 3-D bowls,
+    hybrids on 2 and 3 quadrants (NaN off the mask) and the f2_sign = -1
+    control."""
+    if nodes % rows == 0:
+        nodes += 1
+    if target[0] == "bowl":
+        f_of_r, ndim = _profile(target[1]), target[1]
+        sample = lambda: sample_radial_field(f_of_r, 1.5, nodes, ndim=ndim)
+    else:
+        hyb = hybrid_field(mask=target[1], extent=1.5, f2_sign=target[2])
+        sample = lambda: hyb.sample(nodes)
+    want = sample()
+    assert np.isnan(want.values).any() == (target[0] == "hybrid" and len(target[1]) < 4)
+    want_residual = _residual_or_error(want)
+    for blocks in _small_blocks(want.values.shape, rows):
+        with blocks:
+            assert _sample_bits(sample()) == _sample_bits(want)
+            assert _residual_or_error(want) == want_residual
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(5, 30), st.integers(5, 30)),
+                       st.tuples(st.integers(5, 12), st.integers(5, 12), st.integers(5, 12))),
+       signs=st.lists(st.sampled_from([-1, 1]), min_size=4, max_size=4),
+       nan_share=st.sampled_from([0.0, 0.01, 0.1]), mask_share=st.sampled_from([0.0, 0.2, 0.9]),
+       slope=st.sampled_from([0.05, 3.0]), rows=st.integers(2, 5), seed=st.integers(0, 2 ** 16))
+def test_block_size_changes_no_residual_bit(shape, signs, nan_share, mask_share, slope,
+                                            rows, seed):
+    """residual_fund_eq gives the same statistics, sign and residual field
+    bit for bit, or raises the same error, at one row per block and with a
+    partial last block as at the default size, on random 2-D and 3-D
+    fields with NaN nodes and masks."""
+    if shape[0] % rows == 0:
+        shape = (shape[0] + 1,) + shape[1:]
+    rng = np.random.default_rng(seed)
+    axes = tuple(np.linspace(-1.0, 1.0, n) for n in shape)
+    values = slope * rng.uniform(-0.1, 0.1, shape)
+    values[rng.random(shape) < nan_share] = np.nan
+    mask = rng.random(shape) < mask_share if mask_share else None
+    field = GridField(axes=axes, signature=tuple(signs[:len(shape)]), eps_prime=signs[-1],
+                      values=values, mask=mask)
+    want = _residual_or_error(field)
+    for blocks in _small_blocks(shape, rows):
+        with blocks:
+            assert _residual_or_error(field) == want
+
+
+def _peak_arrays(fn, nodes):
+    """fn()'s peak traced allocation, in float64 arrays of nodes entries."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * nodes)
+
+
+def test_verify_grids_hold_few_grid_arrays():
+    """Block-wise evaluation keeps the peak memory within a few grid-sized
+    arrays: sampling the 101^3 bowl grid at most 2 (its values and mask
+    included), its residual at most 5 beyond the input, and the 801^2
+    hybrid sample at most 3."""
+    f_of_r = _profile(3)
+    field = sample_radial_field(f_of_r, 2.0, 101, ndim=3)
+    assert _peak_arrays(lambda: sample_radial_field(f_of_r, 2.0, 101, ndim=3), 101 ** 3) <= 2.0
+    assert _peak_arrays(lambda: residual_fund_eq(field), 101 ** 3) <= 5.0
+    hyb = hybrid_field()
+    assert _peak_arrays(lambda: hyb.sample(801), 801 ** 2) <= 3.0
