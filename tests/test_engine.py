@@ -268,12 +268,15 @@ def test_strip_trajectories_stay_in_open_strip():
 
 
 def test_crossing_event_location():
-    """The line crossing is recorded once, at its location, and the run
-    goes on past it to s_max."""
     traj = integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG)
     hits = [e for e in traj.events if e.kind is EventKind.CROSSED_LINE_R]
     assert len(hits) == 1
     assert hits[0].s == pytest.approx(CROSSING_S, abs=1e-9)
+
+
+def test_crossing_nonterminal_by_default():
+    traj = integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG)
+    assert any(e.kind is EventKind.CROSSED_LINE_R for e in traj.events)
     assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
 
 
