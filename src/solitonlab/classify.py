@@ -57,7 +57,6 @@ from .core import (
     FlowParams,
     PhaseState,
     Region,
-    TerminationKind,
     Trajectory,
     causal_sign,
     causal_signs,
@@ -260,7 +259,7 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     """Trace the upper-region threshold solution, then bracket it.
 
     The reported trajectory is the far-field series beyond s_far (its
-    samples at most cfg.max_step apart; CSV rows beyond s_far are these)
+    samples at most 1 apart; CSV rows beyond s_far are these)
     and, below s_far, backward integration from the series value there,
     which contracts onto the separatrix.  s_far is where the truncated
     series is accurate to cfg.abs_tol; where it lies beyond s_max, the
@@ -303,8 +302,7 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
         for w, run in zip(ws, runs):
             if isinstance(run, Exception):
                 raise run
-            end = run.termination_right
-            if end is not None and end.kind is TerminationKind.BLOW_UP:
+            if detect_blowup(run) is not None:
                 blown.append(True)
             elif w == 1.0 or any(e.kind is EventKind.CROSSED_LINE_R for e in run.events):
                 blown.append(False)

@@ -179,8 +179,6 @@ def _require_flag(args, name: str) -> float:
 def cmd_classify(args) -> int:
     s0 = _require_flag(args, "s0")
     w0 = _require_flag(args, "w0")
-    if s0 <= 0.0:
-        raise ValueError("s0 must be positive")
     params = _params_from_args(args)
     cfg = _cfg_from_args(args)
     sc = classify_as_posed(params, s0, w0, cfg)
@@ -226,15 +224,15 @@ def cmd_classify(args) -> int:
 
 # ------------------------------------------------------------ portrait
 
-_PORTRAIT_HEADER = ("traj,s0,w0,class,causal,limit_zero,limit_inf,"
-                    "blowup_s,blowup_sign,critical_s,error\n")
+_PORTRAIT_COLUMNS = ("traj", "s0", "w0", "class", "causal", "limit_zero", "limit_inf",
+                     "blowup_s", "blowup_sign", "critical_s", "error")
+_PORTRAIT_HEADER = ",".join(_PORTRAIT_COLUMNS) + "\n"
 
 
 def _portrait_row(idx: int, s0: float, w0: float, result) -> str:
     """One CSV row from a start's verdict, raw trajectory or error."""
-    vals = {"traj": str(idx), "s0": _fmt(s0), "w0": _fmt(w0), "class": "",
-            "causal": "", "limit_zero": "", "limit_inf": "", "blowup_s": "",
-            "blowup_sign": "", "critical_s": "", "error": ""}
+    vals = dict.fromkeys(_PORTRAIT_COLUMNS, "")
+    vals.update({"traj": str(idx), "s0": _fmt(s0), "w0": _fmt(w0)})
     if isinstance(result, Exception):
         vals["class"] = "error"
         vals["error"] = str(result).replace(",", ";").replace("\n", " ")
@@ -252,10 +250,7 @@ def _portrait_row(idx: int, s0: float, w0: float, result) -> str:
                      "critical_s": ";".join(_fmt(s) for s in crit)})
         if blowup is not None:
             vals["blowup_s"], vals["blowup_sign"] = _fmt(blowup[0]), str(blowup[1])
-    return ",".join(vals[k] for k in ("traj", "s0", "w0", "class", "causal",
-                                      "limit_zero", "limit_inf", "blowup_s",
-                                      "blowup_sign", "critical_s",
-                                      "error")) + "\n"
+    return ",".join(vals[k] for k in _PORTRAIT_COLUMNS) + "\n"
 
 
 _REGION_W0 = {

@@ -97,7 +97,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 1.0
     s_max: float = 100.0
     s_min_eps: float = 1e-10
 
@@ -106,8 +105,6 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive and finite")
         if not 0 < self.s_min_eps < self.s_max < math.inf:
             raise ValueError("need 0 < s_min_eps < s_max < inf")
-        if not self.max_step > 0:
-            raise ValueError("max_step must be positive")
 
 
 class EventKind(Enum):
@@ -139,6 +136,9 @@ _D = _dop853.D
 # scipy's step control; the error estimate is of order 7
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _EXPONENT = -1.0 / 8.0
+# scipy's max_step: no step is longer in its stepping variable, and the
+# separatrix's series samples lie no farther apart
+_MAX_STEP = 1.0
 # an error norm below this is as good as zero: the growth clamp wins
 _TINY = 1e-300
 _EPS = np.finfo(float).eps
@@ -411,7 +411,7 @@ def _initial_step(field: _Field, x0, y0, f0, bound, direction, rtol: float,
     flat1 = (d1 <= 1e-15) & (d2 <= 1e-15)
     h1 = np.where(flat1, np.maximum(1e-6, h0 * 1e-3),
                   _libm(math.pow, 0.01 / np.where(flat1, 1.0, dmax), -_EXPONENT))
-    return np.minimum(np.minimum(np.minimum(100 * h0, h1), span), cfg.max_step)
+    return np.minimum(np.minimum(np.minimum(100 * h0, h1), span), _MAX_STEP)
 
 
 def _stages(field: _Field, heads, cols, at, y, h):
@@ -434,7 +434,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
     initial step, error norm (in the p chart against abs_tol alone),
     SAFETY 0.9, factor clamp [0.2, 10], no growth right after a
-    rejection, max_step, and a minimum step of 10 ulp(x).  Each lane has
+    rejection, _MAX_STEP, and a minimum step of 10 ulp(x).  Each lane has
     its direction (log: toward zero) and chart (in_p), masks of one _Field
     over all lanes still stepping, and steps its x toward its bound
     (_Field.heading).  A lane stops at step collapse and at its bound,
@@ -500,7 +500,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
             cols, heads = [K[:, i] for i in range(_NS + 1)], [K[:, :i] for i in range(_NS + 1)]
 
         it += 1
-        h_abs = np.minimum(h_abs, cfg.max_step)
+        h_abs = np.minimum(h_abs, _MAX_STEP)
         stuck = None
         if np.count_nonzero(h_abs < min_step_cap):
             min_step = 10.0 * np.abs(np.nextafter(x, direction * np.inf) - x)
@@ -685,26 +685,61 @@ def _step_events(field: _Field, steps: _Steps):
     return m[order], y[order], met.s_of(root[order], order)
 
 
-def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts) -> Callable:
+def _extent(arc: _Arc, steps: _Steps, lo: int, hi: int, params: FlowParams,
+            cfg: IntegratorConfig):
+    """An arc's pole, and the one span of s where its steps say nothing.
+
+    The pole is s(0) of a finished p-chart arc whose last step ends at
+    p = 0 with s in the span, else None.  The span is (edge, below, why):
+    s below edge (below) or above it, and the reason; None where the arc
+    reads at every s.  A w-chart arc toward zero, stepped in log s,
+    refuses s <= 0, and an arc that blew up toward zero s below its pole.
+    A finished arc toward infinity refuses s past its far end, its pole or
+    else s_max, unless it settled: its last step is closed, or it took no
+    step and starts on a barrier, w0 = +-1.0, which it reads past its end
+    as a closed step reads its tail.  Past a pole or a far end a rounding
+    sliver of 1e-12 relative still reads."""
+    pole = None
+    if arc.in_p and arc.outcome == _FINISHED and steps.x1[hi - 1] == 0.0:
+        s = float(steps.y1[hi - 1])
+        pole = s if (s >= cfg.s_min_eps if arc.log else s <= cfg.s_max) else None
+    if arc.log and not arc.in_p:    # s below the least positive float is s <= 0
+        return None, (math.ulp(0.0), True, "s must be positive on an arc integrated toward zero")
+    if arc.log:
+        return pole, None if pole is None else (
+            pole - 1e-12 * abs(pole), True,
+            f"s lies below the pole {pole} of an arc that blew up toward zero")
+    if arc.outcome != _FINISHED or (steps.closed[hi - 1] if hi > lo else
+                                    params.has_barriers and abs(arc.y0) == 1.0):
+        return pole, None
+    end = float(cfg.s_max) if pole is None else pole
+    return pole, (end + 1e-12 * abs(end), False,
+                  f"s lies past the far end {end} of an arc that did not settle")
+
+
+def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts, refused) -> Callable:
     """w(s) of one arc from its step interpolants, picking the segment of
     a point as scipy's OdeSolution does (the step that starts there; starts
     holds where each step of the batch starts, in x or in p, signed to
     increase along its arc).  A closed step reads its tail, which holds
     past its end too.  In the p chart a step's s(p) is monotone, and
-    _illinois inverts it.  A w-chart arc toward zero, stepped in log s,
-    refuses s <= 0.  It holds copies of its own steps, so that no result
-    keeps the steps of its whole batch alive."""
+    _illinois inverts it.  An arc with no step reads its start.  Before
+    all that, a query in the arc's refused span (refused, from _extent)
+    raises a ValueError that names it.  It holds copies of its own steps,
+    so that no result keeps the steps of its whole batch alive."""
     F, x0, h, y0, closed, starts = (a[lo:hi].copy() for a in (
         steps.F, steps.x0, steps.h, steps.y0, steps.closed, starts))
     last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
+    edge, below, why = refused or (None, None, None)
 
     def dense(q):
         q = np.asarray(q, dtype=float)
+        if refused:
+            past = q < edge if below else q > edge
+            if past.any():
+                raise ValueError(f"w_at({float(q[past][0])!r}): {why}")
         if last < 0:
             return _scalar_or_array(np.full(q.shape, arc.y0))
-        if arc.log and not arc.in_p and np.any(q <= 0.0):
-            raise ValueError(f"w_at({float(q[q <= 0.0][0])!r}): s must be positive on "
-                             "an arc integrated toward zero")
         x = q.ravel() if arc.in_p or not arc.log else _libm(math.log, q.ravel())
         seg = np.clip(np.searchsorted(starts, sign * x, side="right") - 1, 0, last)
         step = F[seg].T, x0[seg], h[seg], y0[seg]
@@ -740,42 +775,25 @@ def _checked_start(params: FlowParams, init, direction: str,
 
 
 def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, dense: Callable,
-               cfg: IntegratorConfig):
+               pole: Optional[float], cfg: IntegratorConfig):
     """The samples (p, s) of a p-chart arc, in place, and its BLOW_UP end
-    if it has one.  A finished arc ends at its pole s(0) where |w| grows,
-    unless s left the span before: then its last sample moves back to the
-    span end, read from its dense output.  A pole end, p = 0, is sampled
-    at |p| = _P_END on its step's interpolant (at the step's other end
-    where that is nearer)."""
+    if it has one.  A finished arc ends at its pole (_extent) where |w|
+    grows, unless s left the span before: then its last sample moves back
+    to the span end, read from its dense output.  A pole end, p = 0, is
+    sampled at |p| = _P_END on its step's interpolant (at the step's other
+    end where that is nearer)."""
     def sample(k, i, p):
         xs[k], ys[k] = p, _interpolate(steps.F[i], steps.x0[i], steps.h[i], steps.y0[i], p)
 
     if xs[0] == 0.0:    # leaving a pole
         sample(0, lo, math.copysign(min(_P_END, abs(steps.x1[lo])), xs[0]))
-    if arc.outcome != _FINISHED:
-        return None
-    s_end = cfg.s_min_eps if arc.log else cfg.s_max
-    if xs[-1] == 0.0 and (ys[-1] >= s_end if arc.log else ys[-1] <= s_end):
-        far = Termination(TerminationKind.BLOW_UP, s=float(ys[-1]), sign=int(np.sign(arc.x0)))
+    if pole is not None:
         sample(-1, hi - 1, math.copysign(min(_P_END, abs(steps.x0[hi - 1])), arc.x0))
-        return far
-    xs[-1], ys[-1] = 1.0 / dense(s_end), s_end
+        return Termination(TerminationKind.BLOW_UP, s=pole, sign=int(np.sign(arc.x0)))
+    if arc.outcome == _FINISHED:
+        s_end = cfg.s_min_eps if arc.log else cfg.s_max
+        xs[-1], ys[-1] = 1.0 / dense(s_end), s_end
     return None
-
-
-def _refusing(dense: Callable, end: float, below: bool, where: str) -> Callable:
-    """dense, refusing the points below end (below) or above it, where an
-    arc's steps say nothing, but for a rounding sliver of 1e-12 relative;
-    where names the place, with {} for end."""
-    slack = 1e-12 * abs(end)
-
-    def bounded(q):
-        q = np.asarray(q, dtype=float)
-        past = q < end - slack if below else q > end + slack
-        if past.any():
-            raise ValueError(f"w_at({float(q[past][0])!r}): s lies {where.format(end)}")
-        return dense(q)
-    return bounded
 
 
 def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
@@ -787,7 +805,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     toward zero (its arcs reversed) before one toward infinity.
 
     An arc ends at its bound (toward zero at exactly s_min_eps, not at
-    exp(log s_min_eps)), at its pole (_p_samples), or open at its last
+    exp(log s_min_eps)), at its pole (_extent), or open at its last
     sample, where its lane switched chart.  A w-chart arc starts at
     exactly the s its lane starts it at (s0 of its lane, or the last
     sample of the arc before), not at exp(log s).  The arcs join as
@@ -834,8 +852,9 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     for k, l0, l1, b0, e0 in zip(P.tolist(), lo[P].tolist(), hi[P].tolist(), b[P].tolist(),
                                  e[P].tolist()):
         arc = arcs[k]
-        dense.append(_dense_output(arc, steps, l0, l1, starts))
-        far.append(_p_samples(arc, steps, l0, l1, X[b0:e0], Y[b0:e0], dense[-1], cfg)
+        pole, refused = _extent(arc, steps, l0, l1, params, cfg)
+        dense.append(_dense_output(arc, steps, l0, l1, starts, refused))
+        far.append(_p_samples(arc, steps, l0, l1, X[b0:e0], Y[b0:e0], dense[-1], pole, cfg)
                    if arc.in_p else None)
 
     # the samples of all pieces in increasing s: s, and w = 1/p in the p chart
@@ -860,7 +879,6 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     for i, s_end, value in zip(ended, s[tail[ended]].tolist(), w[tail[ended]].tolist()):
         far[i] = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO if rev[i] else
                              TerminationKind.REACHED_S_MAX, s=s_end, value=value)
-    ends = s[tail]
     # collapse occasional duplicate nodes within an arc; drop each join's second copy
     keep = np.empty(s.size, dtype=bool)
     keep[0] = True
@@ -870,16 +888,6 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     kept = np.concatenate(([0], np.cumsum(keep)))
     s, w = s[keep], w[keep]
     joins = s[kept[off + n] - 1]
-
-    for i, (k, l0, l1) in enumerate(zip(P.tolist(), lo[P].tolist(), hi[P].tolist())):
-        arc, end = arcs[k], far[i]
-        if arc.log and end is not None and end.kind is TerminationKind.BLOW_UP:
-            dense[i] = _refusing(dense[i], end.s, True, "below the pole {} of an arc that "
-                                                        "blew up toward zero")
-        elif (not arc.log and arc.outcome != _SWITCHED and l1 > l0
-              and not steps.closed[l1 - 1]):
-            dense[i] = _refusing(dense[i], ends[i] if end is None else end.s, False,
-                                 "past the far end {} of an arc that did not settle")
 
     # events: each group's in order of s, ties in the order of its arcs
     records, event_of_group = [], [0] * first.size
@@ -1195,7 +1203,7 @@ def separatrix_start(params: FlowParams, abs_tol: float = 1e-12) -> PhaseState:
 def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
     """The separatrix over [s_min_eps, s_max]: backward integration from
     its far-field series at s_far, joined where s_far < s_max to the
-    series itself, with samples at most cfg.max_step apart, and cut at
+    series itself, with samples at most _MAX_STEP apart, and cut at
     s_max: the samples below s_max, a last one read from the dense output
     there, and the events up to s_max.
 
@@ -1207,7 +1215,7 @@ def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
     traj = integrate(params, start, "toward_zero", cfg)
     if start.s < cfg.s_max:
         series = partial(_far_series, coeffs)
-        nodes = max(1, math.ceil((cfg.s_max - start.s) / cfg.max_step))
+        nodes = max(1, math.ceil((cfg.s_max - start.s) / _MAX_STEP))
         s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
         traj = merge_bidirectional(traj, Trajectory(params, s_tail, series(s_tail), dense=series))
     k, w_end = np.searchsorted(traj.s, cfg.s_max), float(traj.w_at(cfg.s_max))

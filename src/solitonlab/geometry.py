@@ -33,7 +33,6 @@ import numpy as np
 from .core import (
     FlowParams,
     PhaseState,
-    TerminationKind,
     Trajectory,
     _scalar_or_array,
     boost,
@@ -53,6 +52,7 @@ from .engine import (
     _piecewise,
     _series_anchored,
     bowl_series_coeffs,
+    detect_blowup,
     eval_series,
     integrate_batch,
     integrate_series,
@@ -221,11 +221,9 @@ def _profile(traj: Trajectory, lo: float, hi: float, samples: int,
     else:
         f_dense = _evaluator(_piecewise((partial(eval_series, fc), spline), (lo,)), hi=hi)
         w_dense = _evaluator(traj.w_at, hi=hi)
-    trunc = any(t is not None and t.kind is TerminationKind.BLOW_UP
-                for t in (traj.termination_left, traj.termination_right))
     return ProfileCurve(kind="graph", params=traj.params, s=s_grid, f=f_grid,
-                        w=w_grid, f0=f0, truncated=trunc, f_dense=f_dense,
-                        w_dense=w_dense)
+                        w=w_grid, f0=f0, truncated=detect_blowup(traj) is not None,
+                        f_dense=f_dense, w_dense=w_dense)
 
 
 # resampling nodes of a graph profile (build_graph, the wing and its

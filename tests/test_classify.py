@@ -32,6 +32,7 @@ from solitonlab import (
     separatrix_series_coeffs,
     separatrix_start,
 )
+from solitonlab.engine import _MAX_STEP
 
 ROT3 = rotational(3)
 
@@ -507,7 +508,7 @@ def test_separatrix_cost_independent_of_s_max(n):
         traj = sep.trajectory
         assert traj.s[-1] == s_max
         assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
-        assert np.diff(traj.s[traj.s >= s_far]).max() <= cfg.max_step
+        assert np.diff(traj.s[traj.s >= s_far]).max() <= _MAX_STEP
         runs.append((sep.value, sep.bracket, traj.stats))
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][2].accepted < 200
@@ -585,14 +586,6 @@ def test_classify_above_separatrix_beyond_s_far():
     verdict = classify(params, 99.0, w_ref + 1e-6)
     assert verdict.tag is SolutionClassTag.GAMMA_PLUS_BLOWUP
     assert verdict.blowup is None
-
-
-def test_separatrix_tail_ends_at_s_max_at_any_max_step():
-    cfg = IntegratorConfig(max_step=np.inf)
-    traj = compute_separatrix.__wrapped__(ROT3, cfg).trajectory
-    assert traj.s[-1] == cfg.s_max
-    assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
-    assert traj.w_at(cfg.s_max) == traj.w[-1]
 
 
 @settings(max_examples=20, deadline=None)

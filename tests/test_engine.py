@@ -34,7 +34,7 @@ from solitonlab import (
 )
 from solitonlab import engine
 from solitonlab.classify import integrate_bidirectional
-from solitonlab.engine import DIRECTIONS
+from solitonlab.engine import _MAX_STEP, DIRECTIONS
 
 ROT3 = rotational(3)
 CFG = IntegratorConfig()
@@ -125,12 +125,6 @@ def test_bowl_start_values():
     assert st.w == pytest.approx(0.0003333333259259259, rel=1e-13)
     st2 = bowl_start(rotational(2), 1e-3)
     assert st2.w == pytest.approx(0.0004999999687500013, rel=1e-13)
-
-
-def test_config_rejects_nonpositive_max_step():
-    for max_step in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="max_step"):
-            IntegratorConfig(max_step=max_step)
 
 
 @pytest.mark.parametrize("field", ["rel_tol", "abs_tol"])
@@ -267,17 +261,21 @@ def test_strip_trajectories_stay_in_open_strip():
         assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
 
 
-def test_crossing_event_location():
-    traj = integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG)
-    hits = [e for e in traj.events if e.kind is EventKind.CROSSED_LINE_R]
+@pytest.fixture(scope="module")
+def crossing_run():
+    """A forward run that crosses the critical line once, at CROSSING_S."""
+    return integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG)
+
+
+def test_crossing_event_location(crossing_run):
+    hits = [e for e in crossing_run.events if e.kind is EventKind.CROSSED_LINE_R]
     assert len(hits) == 1
     assert hits[0].s == pytest.approx(CROSSING_S, abs=1e-9)
 
 
-def test_crossing_nonterminal_by_default():
-    traj = integrate(ROT3, (2.0, 1.2), direction="toward_infinity", cfg=CFG)
-    assert any(e.kind is EventKind.CROSSED_LINE_R for e in traj.events)
-    assert traj.termination_right.kind is TerminationKind.REACHED_S_MAX
+def test_crossing_nonterminal_by_default(crossing_run):
+    assert any(e.kind is EventKind.CROSSED_LINE_R for e in crossing_run.events)
+    assert crossing_run.termination_right.kind is TerminationKind.REACHED_S_MAX
 
 
 def test_blow_up_detection_and_pole():
@@ -362,7 +360,7 @@ def test_log_substitution_agrees_with_raw():
     et, ep, c = ROT3.eps_tilde, ROT3.eps_prime, ROT3.fiber_coeff
     ra = solve_ivp(lambda s, y: [(et + ep * y[0] ** 2) * (1.0 - y[0] * et * c / s)],
                    (1.0, CFG.s_min_eps), [-0.5], method="DOP853", rtol=1e-10,
-                   atol=1e-12, max_step=1.0, dense_output=True)
+                   atol=1e-12, max_step=_MAX_STEP, dense_output=True)
     assert abs(lo.w_at(1e-6) - ra.sol(1e-6)[0]) < 1e-10
 
 
@@ -514,6 +512,32 @@ def test_dense_output_refuses_below_a_pole_toward_zero():
     assert w[0] > 100.0 and w[-1] == 5.0
 
 
+def test_no_step_runs_refuse_where_they_say_nothing():
+    """A run that starts at its own bound takes no step, and refuses what
+    a stepped run refuses: toward zero from s_min_eps s <= 0, toward
+    infinity from s_max s past it.  A start on a barrier of a barrier
+    pattern reads the barrier past s_max, as a settled run does; w0 = 1
+    of the barrier-free pattern is no barrier."""
+    down = integrate(ROT3, (CFG.s_min_eps, 0.5), "toward_zero")
+    up = integrate(ROT3, (CFG.s_max, 0.5), "toward_infinity")
+    assert down.stats.accepted == up.stats.accepted == 0
+    for s in (-1.0, 0.0):
+        with pytest.raises(ValueError, match=r"w_at\((-1|0)\.0\): s must be positive"):
+            down.w_at(s)
+    assert down.w_at(CFG.s_min_eps) == 0.5
+    free = integrate(rotational(2, eps_prime=1), (CFG.s_max, 1.0), "toward_infinity")
+    for traj in (up, free):
+        with pytest.raises(ValueError, match=r"w_at\(150\.0\): s lies past the far "
+                                             r"end 100\.0 of an arc that did not settle"):
+            traj.w_at(np.array([50.0, 150.0]))
+    assert up.w_at(CFG.s_max) == 0.5
+    assert up.w_at(CFG.s_max * (1 + 1e-13)) == 0.5
+    for w0 in (1.0, -1.0, 1.0 - BARRIER_TOL / 2):
+        barrier = integrate(ROT3, (CFG.s_max, w0), "toward_infinity")
+        assert barrier.stats.accepted == 0
+        assert barrier.w_at(150.0) == round(w0)
+
+
 def test_settled_forward_arc_reads_its_tail_past_s_max():
     """A forward lane that landed on a barrier ended in a closed step,
     whose tail holds past its end: w_at there is not refused."""
@@ -572,7 +596,7 @@ def _scipy_arc(params, s0, w0, direction, cfg=CFG):
     up.terminal = down.terminal = True
     span = (math.log(s0), math.log(cfg.s_min_eps)) if log else (s0, cfg.s_max)
     sol = solve_ivp(f, span, [w0], method="DOP853", rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, max_step=cfg.max_step, dense_output=True,
+                    atol=cfg.abs_tol, max_step=_MAX_STEP, dense_output=True,
                     events=[cross, up, down])
     pole = None
     if sol.status == 1 or abs(sol.y[0, -1]) > 1000.0 * max(1.0, cfg.s_max / c):

@@ -28,6 +28,7 @@ from solitonlab import (
     smoothness_scan,
     timelike_family_from_strip,
 )
+from solitonlab.engine import _MAX_STEP
 from solitonlab.geometry import _cumulative_simpson, _hermite, _knot_index
 
 ROT3 = rotational(3)
@@ -200,7 +201,7 @@ def _reference_arm(params, s0, y_end, cfg, alpha_floor=1e-4, steep=1e6):
     for ev in events:
         ev.terminal = True
     sol = solve_ivp(f, (0.0, y_end), [s0, 0.0], method="DOP853", rtol=1e-13, atol=1e-15,
-                    max_step=cfg.max_step, dense_output=True, events=events)
+                    max_step=_MAX_STEP, dense_output=True, events=events)
     assert sol.status >= 0
     stop = next((name for name, hits in zip(("contact", "ceiling", "steep"), sol.t_events)
                  if len(hits)), "span")
