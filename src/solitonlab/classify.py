@@ -18,10 +18,13 @@ flipped onto the strip and its evidence flipped back.
 
 Each entry point has a batched form (integrate_bidirectional_batch,
 classify_batch, classify_as_posed_batch) that takes a list of starts,
-integrates both directions of all of them in one lockstep loop, looks
-the bowl and the separatrix up at most once each, and returns one
-verdict, or that start's error, per start.  The scalar functions are
-batches of one.
+integrates both directions of all of them in one lockstep loop, and
+returns one verdict, or that start's error, per start.  The scalar
+functions are batches of one.  classify_batch reads the bowl and the
+separatrix trace, each looked up at most once, from their caches; one
+that is not cached is one more lane of that loop (a lane's bits do not
+depend on its batch), assembled from it and cached.  A classify needs
+the separatrix only at s0, so it never shoots the bracket.
 
 The separatrix is traced backward.  Forward shooting cannot hold it for
 long (nearby solutions diverge like exp(s^2/2c)), and backward
@@ -46,9 +49,11 @@ from __future__ import annotations
 
 import inspect
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import wraps
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,10 +71,11 @@ from .engine import (
     DIRECTIONS,
     EventKind,
     IntegratorConfig,
-    _far_anchored,
+    _far_lane,
     _first,
     _integrate_lanes,
-    _series_anchored,
+    _Lane,
+    _series_lane,
     bowl_start,
     comparison_blowup_bound,
     detect_blowup,
@@ -173,24 +179,100 @@ def _require_strip_form(params: FlowParams, what: str) -> None:
             "map timelike-boost parameters through canonical_strip() first")
 
 
-def _cached(maxsize: int):
-    """lru_cache keyed on the arguments with their defaults filled in, so
-    that every spelling of one call is one entry; cache_clear(),
-    cache_info() and __wrapped__ as lru_cache's."""
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Store:
+    """A least-recently-used store of computed references, keyed on the
+    arguments that computed them, safe to share between threads as an
+    lru_cache is.  get() counts a hit or a miss, as a call of an
+    lru_cache does; put() files a value computed elsewhere."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize, self.data, self.hits, self.misses = maxsize, OrderedDict(), 0, 0
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        """The value filed under key, else None."""
+        with self.lock:
+            value = self.data.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+                self.data.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        with self.lock:
+            self.data[key] = value
+            self.data.move_to_end(key)
+            if len(self.data) > self.maxsize:
+                self.data.popitem(last=False)
+            return value
+
+    def info(self) -> _CacheInfo:
+        with self.lock:
+            return _CacheInfo(self.hits, self.misses, self.maxsize, len(self.data))
+
+    def clear(self) -> None:
+        with self.lock:
+            self.data.clear()
+            self.hits = self.misses = 0
+
+
+# the bowls, the separatrix traces and the bracketed separatrices; classify
+# reads the first two itself, not through the functions that fill them
+_BOWLS, _TRACES, _SEPARATRICES = _Store(32), _Store(32), _Store(8)
+
+
+def _cached(store: _Store, *also: _Store):
+    """Cache a function in store, keyed on its arguments with their
+    defaults filled in, so that every spelling of one call is one entry.
+    cache_info() and __wrapped__ as lru_cache's; cache_clear() empties
+    store and the stores in also."""
     def decorate(fn):
-        signature, cached = inspect.signature(fn), lru_cache(maxsize=maxsize)(fn)
+        signature = inspect.signature(fn)
 
         @wraps(fn)
         def call(*args, **kwargs):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            return cached(*bound.args)
-        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+            key = bound.args
+            value = store.get(key)
+            return store.put(key, fn(*key)) if value is None else value
+
+        def cache_clear() -> None:
+            for each in (store, *also):
+                each.clear()
+        call.cache_info, call.cache_clear = store.info, cache_clear
         return call
     return decorate
 
 
-@_cached(maxsize=32)
+def _bowl_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
+    """The bowl as one forward lane from its series start (_series_lane)."""
+    _require_strip_form(params, "compute_bowl")
+    start = bowl_start(params, _BOWL_S_START, order=_BOWL_ORDER, abs_tol=cfg.abs_tol)
+    return _series_lane(params, start, _BOWL_ORDER, cfg)
+
+
+def _trace_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
+    """The separatrix trace as one backward lane from s_far (_far_lane),
+    for a span that holds the anchor s = c."""
+    _require_strip_form(params, "compute_separatrix")
+    if not cfg.s_min_eps < params.fiber_coeff < cfg.s_max:
+        raise ValueError("anchor s = c must lie inside the integration span")
+    return _far_lane(params, cfg)
+
+
+# per region, the cache of the reference its starts are read against and
+# that reference's lane
+_REFERENCES = {Region.INNER_STRIP: (_BOWLS, _bowl_lane),
+               Region.GAMMA_PLUS: (_TRACES, _trace_lane)}
+
+
+@_cached(_BOWLS)
 def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """The bowl trajectory over [s_min_eps, s_max], series-anchored at the center.
 
@@ -199,9 +281,15 @@ def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig())
     far below the integration tolerance) and integration only runs
     outward.  Results are cached per (params, config).
     """
-    _require_strip_form(params, "compute_bowl")
-    start = bowl_start(params, _BOWL_S_START, order=_BOWL_ORDER, abs_tol=cfg.abs_tol)
-    return _series_anchored(params, start, _BOWL_ORDER, cfg)
+    return _bowl_lane(params, cfg).run(params, cfg)
+
+
+@_cached(_TRACES)
+def _separatrix_trace(params: FlowParams,
+                      cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+    """The backward-traced separatrix (see compute_separatrix), cached
+    per (params, config) whatever tol a bracket around it is shot to."""
+    return _trace_lane(params, cfg).run(params, cfg)
 
 
 def integrate_bidirectional_batch(
@@ -253,17 +341,19 @@ def _evidence(traj: Trajectory, causal: Optional[int] = None) -> dict:
                 causal=traj.causal_sign() if causal is None else causal)
 
 
-@_cached(maxsize=8)
+@_cached(_SEPARATRICES, _TRACES)
 def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig(),
                        tol: float = 1e-10) -> SeparatrixResult:
     """Trace the upper-region threshold solution, then bracket it.
 
-    The reported trajectory is the far-field series beyond s_far (its
-    samples at most 1 apart; CSV rows beyond s_far are these)
+    The reported trajectory, the trace, is the far-field series beyond
+    s_far (its samples at most 1 apart; CSV rows beyond s_far are these)
     and, below s_far, backward integration from the series value there,
     which contracts onto the separatrix.  s_far is where the truncated
     series is accurate to cfg.abs_tol; where it lies beyond s_max, the
-    trace starts there all the same and is cut at s_max.  The traced
+    trace starts there all the same and is cut at s_max.  The trace is
+    cached apart, per (params, cfg), so every tol reads one trace, and
+    classify reads it without a bracket.  The traced
     value at the anchor s = c (where the critical line meets the
     barrier) seeds a window of +-0.49*tol; if its two ends, shot as one
     batch, split into global and blow-up, they are the bracket.  Else the
@@ -280,16 +370,13 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     the separatrix parts from it only near s_decide = sqrt(c^2 + 2c
     ln(1/tol)), so the shots run to at least 2 s_decide, whatever s_max;
     one that ends there undecided raises RuntimeError.  tol must lie in
-    (0, 1].  Results are cached.
+    (0, 1], and the anchor inside (s_min_eps, s_max).  Results are
+    cached; cache_clear() clears the traces too.
     """
-    _require_strip_form(params, "compute_separatrix")
     if not 0.0 < tol <= 1.0:
         raise ValueError(f"separatrix tol must lie in (0, 1], got {tol!r}")
+    traj = _separatrix_trace(params, cfg)
     c = params.fiber_coeff
-    if not cfg.s_min_eps < c < cfg.s_max:
-        raise ValueError("anchor s = c must lie inside the integration span")
-
-    traj = _far_anchored(params, cfg)
     traced = float(traj.w_at(c))
     # a start tol off the separatrix parts from it by O(1) near s_decide
     s_decide = math.sqrt(c * c + 2 * c * math.log(1 / tol))
@@ -342,24 +429,25 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
                    cfg: IntegratorConfig = IntegratorConfig()
                    ) -> List[Union[SolutionClass, Exception]]:
-    """classify() for every start, in one pass over the batch.
+    """classify() for every start, in one lockstep run.
 
     Each start is checked and placed by region on its own.  The bowl is
     looked up once if any start lies in the inner strip, and the
-    separatrix once if any lies in the upper region; each is read at all
-    its starts' s0 in one call.  One batched bidirectional integration
-    serves all the starts that need a trajectory, and their causal signs
-    are taken together.
+    separatrix trace once if any lies in the upper region, each in its
+    own cache.  A reference that is not cached is one more lane of the
+    one run that integrates both directions of the starts; it is
+    assembled from that lane, bit for bit as alone, and cached.  Each
+    reference is then read at all its starts' s0 in one call, and the
+    causal signs of the starts' runs are taken together.
 
     Returns one entry per start: its SolutionClass, or the ValueError or
-    RuntimeError that classify() would raise for it.  A lookup of a
-    reference that fails puts its error into the slot of every start that
-    needed it; a read refused at one start's s0 fails that start only.
+    RuntimeError that classify() would raise for it.  A reference that
+    fails puts its error into the slot of every start that needed it; a
+    read refused at one start's s0 fails that start only.
     """
     _require_strip_form(params, "classify")
     out: List[Optional[Union[SolutionClass, Exception]]] = [None] * len(starts)
-    pending = []    # (slot, init, tag, margin, margin_tol) of the starts to integrate
-    against = {Region.INNER_STRIP: [], Region.GAMMA_PLUS: []}
+    groups = {Region.GAMMA_MINUS: [], Region.INNER_STRIP: [], Region.GAMMA_PLUS: []}
     for i, (s0, w0) in enumerate(starts):
         try:
             init = _checked(float(s0), float(w0), cfg)
@@ -372,21 +460,43 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
             tag = (SolutionClassTag.CONSTANT_PLUS if lim > 0
                    else SolutionClassTag.CONSTANT_MINUS)
             out[i] = SolutionClass(tag, init, lim, lim, (), None, causal_sign(params, lim))
-        elif region is Region.GAMMA_MINUS:
-            pending.append((i, init, SolutionClassTag.GAMMA_MINUS_BLOWUP, None, None))
         else:
-            against[region].append((i, init))
+            groups[region].append((i, init))
 
-    for region, group in against.items():
+    # each reference from its cache, else the lane that computes it
+    refs, cold = {}, []
+    for region, (store, lane) in _REFERENCES.items():
+        if groups[region]:
+            refs[region] = store.get((params, cfg))
+            if refs[region] is None:
+                try:
+                    cold.append((region, store, lane(params, cfg)))
+                except ValueError as exc:
+                    refs[region] = exc
+    # one run: both directions of every start whose reference has not
+    # failed, and one lane per cold reference
+    runs = [(i, init) for region, group in groups.items()
+            if not isinstance(refs.get(region), Exception) for i, init in group]
+    done = _integrate_lanes(
+        params, [init for _, init in runs] + [lane.start for *_, lane in cold],
+        [DIRECTIONS] * len(runs) + [(lane.direction,) for *_, lane in cold], cfg)
+    for (region, store, lane), res in zip(cold, done[len(runs):]):
+        try:
+            refs[region] = store.put((params, cfg), lane.assemble(_first([res])))
+        except (ValueError, RuntimeError) as exc:
+            refs[region] = exc
+    own = dict(zip((i for i, _ in runs), done))
+
+    # (slot, init, tag, margin, margin_tol) of the starts their own run backs
+    backed = [(i, init, SolutionClassTag.GAMMA_MINUS_BLOWUP, None, None)
+              for i, init in groups.pop(Region.GAMMA_MINUS)]
+    for region, group in groups.items():
         if not group:
             continue
-        strip = region is Region.INNER_STRIP
-        try:
-            ref = (compute_bowl(params, cfg) if strip
-                   else compute_separatrix(params, cfg).trajectory)
-        except (ValueError, RuntimeError) as exc:
+        ref, strip = refs[region], region is Region.INNER_STRIP
+        if isinstance(ref, Exception):
             for i, _ in group:
-                out[i] = exc
+                out[i] = ref
             continue
         on_ref = None
         for (i, init), value in zip(group, _read(ref, [init.s for _, init in group])):
@@ -405,11 +515,11 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
             else:
                 tag = (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
                        else SolutionClassTag.GAMMA_PLUS_BLOWUP)
-            pending.append((i, init, tag, margin, tol))
+            backed.append((i, init, tag, margin, tol))
 
-    trajs = integrate_bidirectional_batch(params, [init for _, init, *_ in pending], cfg)
+    trajs = [own[i] for i, *_ in backed]
     causal = iter(causal_signs(params, [t.w for t in trajs if not isinstance(t, Exception)]))
-    for (i, init, tag, margin, tol), traj in zip(pending, trajs):
+    for (i, init, tag, margin, tol), traj in zip(backed, trajs):
         out[i] = traj if isinstance(traj, Exception) else SolutionClass(
             tag, init, **_evidence(traj, next(causal)), margin=margin, margin_tol=tol)
     return out

@@ -63,7 +63,9 @@ a lane like any other: its first step lands on the barrier.
 The regular-at-center solution (slope vanishing at s = 0) is started from
 its Taylor series, and the separatrix of the strip form is ended by its
 far-field asymptotic series; both coefficient recursions live here, as
-does the join of a series part and an integrated arc.
+does the join of a series part and an integrated arc.  Each of the two is
+one ordinary lane (_Lane) and the assembly of the reference from that
+lane's run, so a caller can run it alone or among other lanes.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from itertools import repeat
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -1089,23 +1091,41 @@ def integrate_series(coeffs: np.ndarray, const: float = 0.0) -> np.ndarray:
     return out
 
 
-def _series_anchored(params: FlowParams, start: PhaseState, order: int,
-                     cfg: IntegratorConfig) -> Trajectory:
-    """Center-regular trajectory: its order-`order` center series below
-    start.s (48 geometric sample nodes from cfg.s_min_eps on), forward
-    integration from start, which must sit on the series, beyond it."""
+class _Lane(NamedTuple):
+    """A reference trajectory as one ordinary lane: where and which way
+    the lane runs, and assemble, which makes the reference from that
+    lane's Trajectory.  A caller may run the lane among others
+    (_integrate_lanes); the lane's bits do not depend on its batch."""
+
+    start: PhaseState
+    direction: str
+    assemble: Callable[[Trajectory], Trajectory]
+
+    def run(self, params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
+        """The reference from a run of the lane alone."""
+        return self.assemble(integrate(params, self.start, self.direction, cfg))
+
+
+def _series_lane(params: FlowParams, start: PhaseState, order: int,
+                 cfg: IntegratorConfig) -> _Lane:
+    """Center-regular trajectory: forward integration from start, which
+    must sit on its order-`order` center series, joined to that series
+    below start.s (48 geometric sample nodes from cfg.s_min_eps on)."""
     if not cfg.s_min_eps < start.s:
         raise ValueError(f"s_min_eps = {cfg.s_min_eps} must lie below the center "
                          f"series handoff at s = {start.s}")
-    coeffs = bowl_series_coeffs(params, order)
-    s_head = _libm(math.exp, np.linspace(math.log(cfg.s_min_eps), math.log(start.s), 49))
-    s_head[[0, -1]] = cfg.s_min_eps, start.s
-    w_head = eval_series(coeffs, s_head)
-    left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
-                       value=float(w_head[0]))
-    head = Trajectory(params, s_head, w_head, termination_left=left,
-                      dense=partial(eval_series, coeffs))
-    return merge_bidirectional(head, integrate(params, start, "toward_infinity", cfg))
+
+    def assemble(tail: Trajectory) -> Trajectory:
+        coeffs = bowl_series_coeffs(params, order)
+        s_head = _libm(math.exp, np.linspace(math.log(cfg.s_min_eps), math.log(start.s), 49))
+        s_head[[0, -1]] = cfg.s_min_eps, start.s
+        w_head = eval_series(coeffs, s_head)
+        left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
+                           value=float(w_head[0]))
+        head = Trajectory(params, s_head, w_head, termination_left=left,
+                          dense=partial(eval_series, coeffs))
+        return merge_bidirectional(head, tail)
+    return _Lane(start, "toward_infinity", assemble)
 
 
 def bowl_start(params: FlowParams, s_start: float, order: int = 13,
@@ -1200,7 +1220,7 @@ def separatrix_start(params: FlowParams, abs_tol: float = 1e-12) -> PhaseState:
     return _far_field(params, abs_tol)[0]
 
 
-def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
+def _far_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
     """The separatrix over [s_min_eps, s_max]: backward integration from
     its far-field series at s_far, joined where s_far < s_max to the
     series itself, with samples at most _MAX_STEP apart, and cut at
@@ -1212,16 +1232,20 @@ def _far_anchored(params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
     at large s; starting it at s_far keeps its cost independent of s_max.
     """
     start, coeffs = _far_field(params, cfg.abs_tol)
-    traj = integrate(params, start, "toward_zero", cfg)
-    if start.s < cfg.s_max:
-        series = partial(_far_series, coeffs)
-        nodes = max(1, math.ceil((cfg.s_max - start.s) / _MAX_STEP))
-        s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
-        traj = merge_bidirectional(traj, Trajectory(params, s_tail, series(s_tail), dense=series))
-    k, w_end = np.searchsorted(traj.s, cfg.s_max), float(traj.w_at(cfg.s_max))
-    end = Termination(TerminationKind.REACHED_S_MAX, s=float(cfg.s_max), value=w_end)
-    return replace(traj, s=np.append(traj.s[:k], cfg.s_max), w=np.append(traj.w[:k], w_end),
-                   termination_right=end, events=[e for e in traj.events if e.s <= cfg.s_max])
+
+    def assemble(traj: Trajectory) -> Trajectory:
+        if start.s < cfg.s_max:
+            series = partial(_far_series, coeffs)
+            nodes = max(1, math.ceil((cfg.s_max - start.s) / _MAX_STEP))
+            s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
+            traj = merge_bidirectional(traj, Trajectory(params, s_tail, series(s_tail),
+                                                        dense=series))
+        k, w_end = np.searchsorted(traj.s, cfg.s_max), float(traj.w_at(cfg.s_max))
+        end = Termination(TerminationKind.REACHED_S_MAX, s=float(cfg.s_max), value=w_end)
+        return replace(traj, s=np.append(traj.s[:k], cfg.s_max),
+                       w=np.append(traj.w[:k], w_end), termination_right=end,
+                       events=[e for e in traj.events if e.s <= cfg.s_max])
+    return _Lane(start, "toward_zero", assemble)
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

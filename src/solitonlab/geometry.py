@@ -42,6 +42,7 @@ from .classify import (
     _BOWL_ORDER,
     _BOWL_S_START,
     SolutionClassTag,
+    _separatrix_trace,
     compute_bowl,
     compute_separatrix,
     integrate_bidirectional,
@@ -50,7 +51,7 @@ from .engine import (
     DIRECTIONS,
     IntegratorConfig,
     _piecewise,
-    _series_anchored,
+    _series_lane,
     bowl_series_coeffs,
     detect_blowup,
     eval_series,
@@ -533,7 +534,7 @@ def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
     a = bowl_series_coeffs(params, order)
     run_cfg = replace(cfg, s_max=max(r_max, _SERIES_RADIUS * 2))
     start = PhaseState(_SERIES_RADIUS, float(eval_series(a, _SERIES_RADIUS)))
-    traj = _series_anchored(params, start, order, run_cfg)
+    traj = _series_lane(params, start, order, run_cfg).run(params, run_cfg)
     curve = _profile(traj, _SERIES_RADIUS, run_cfg.s_max, _CENTER_SAMPLES, series=a)
     return curve.f_dense, curve.w_dense
 
@@ -655,8 +656,7 @@ def timelike_family_from_strip(params: FlowParams,
     if tag is SolutionClassTag.BOWL:
         base = bowl_curve(canon, cfg)
     elif tag is SolutionClassTag.SEPARATRIX:
-        sep = compute_separatrix(canon, cfg)
-        base = build_graph(sep.trajectory)
+        base = build_graph(_separatrix_trace(canon, cfg))
     else:
         bowl = compute_bowl(canon, cfg)
         wb = float(bowl.w_at(c))

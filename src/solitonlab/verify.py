@@ -19,12 +19,13 @@ about _BLOCK_NODES = 2^15 nodes per block (_row_blocks), so every
 temporary of a block stays in cache instead of spanning the grid.
 sample_radial_field and HybridField.sample hold only their values and
 mask besides one block's temporaries.  residual_fund_eq runs two passes:
-the first stores W^2 and gathers it at the usable nodes, whose median
-fixes its sign; the second takes the second layer with one halo row on
-each side of a block and writes the residual field.  It holds W^2, the
-field and the usable values gathered for the statistics.  The block size
-changes no output bit: the reductions run over the same gathered arrays
-in the same order as over a whole grid.
+the first stores W^2, gathers it at the usable nodes of each block and
+reads the sign of its median from per-block counts (_median_sign); the
+second takes the second layer with one halo row on each side of a
+block and writes the residual field.  It holds W^2, the field and the
+usable values gathered for the statistics.  The block size changes no
+output bit: the reductions run over the same gathered arrays in the same
+order as over a whole grid.
 
 The checks consume plain sampled data; nothing depends on how the field
 was produced.  The studies that `solitonlab verify` reports live here
@@ -132,6 +133,33 @@ def _centered(arr: np.ndarray, axis: int, h: float,
     return (_inner(arr, inset, axis, 1) - _inner(arr, inset, axis, -1)) / (2.0 * h)
 
 
+def _median_sign(parts: Sequence[np.ndarray]) -> int:
+    """np.sign(np.median(x)) of the concatenation x of parts, which hold
+    no NaN, from the counts of negative and zero values in each part: the
+    sign of the middle value, or of the middle pair where they share it.
+    Where the size is even and the pair straddles zero, the sign of
+    np.mean of that pair, as np.median takes it: the largest negative
+    value or 0, and 0 or the smallest positive value."""
+    neg = not_pos = size = 0
+    for part in parts:
+        neg += int(np.count_nonzero(part < 0.0))
+        not_pos += int(np.count_nonzero(part <= 0.0))
+        size += part.size
+
+    def side(rank: int) -> int:
+        return -1 if rank < neg else 0 if rank < not_pos else 1
+
+    lo, hi = side((size - 1) // 2), side(size // 2)
+    if lo == hi:
+        return hi
+    pair = np.zeros(2)
+    if lo < 0:
+        pair[0] = max(np.max(part, where=part < 0.0, initial=-math.inf) for part in parts)
+    if hi > 0:
+        pair[1] = min(np.min(part, where=part > 0.0, initial=math.inf) for part in parts)
+    return int(np.sign(np.mean(pair)))
+
+
 @dataclass
 class ResidualStats:
     """Residual summary: extremes plus the full field (NaN where undefined)."""
@@ -158,9 +186,9 @@ def residual_fund_eq(field: GridField) -> ResidualStats:
     lightlike locus.
 
     The grid is read in blocks of rows (_row_blocks), in two passes: the
-    first stores W^2 and gathers it at the usable nodes for the median,
-    the second recomputes the gradients and takes the second layer with
-    one halo row of W^2 on each side of a block.
+    first stores W^2 and gathers it at each block's usable nodes for the
+    median's sign, the second recomputes the gradients and takes the
+    second layer with one halo row of W^2 on each side of a block.
     """
     u, mask = field.values, field.mask
     n, ndim = u.shape[0], u.ndim
@@ -178,7 +206,7 @@ def residual_fund_eq(field: GridField) -> ResidualStats:
     # W^2 on the nodes one cell inside the grid; the boundary layer is
     # neither written nor read
     w2_raw = np.empty(u.shape)
-    parts = []
+    parts = []    # W^2 at each block's usable nodes
     for lo, hi in _row_blocks(u.shape):
         lo, hi = max(lo, 1), min(hi, n - 1)
         if lo >= hi:
@@ -191,23 +219,20 @@ def residual_fund_eq(field: GridField) -> ResidualStats:
         core = _inner(w2_raw[lo:hi], in1)
         np.add(field.eps_prime, grad2, out=core)
         parts.append(core[usable(core, lo, hi, in1)])
-    w2_use = np.concatenate(parts)
-    del parts
-    if not w2_use.size:
+    if not any(part.size for part in parts):
         raise ValueError("no unmasked interior nodes to verify")
-    med = float(np.median(w2_use, overwrite_input=True))
-    if med == 0.0:
+    eps = _median_sign(parts)
+    if eps == 0:
         raise DegeneracyError("median W^2 is exactly zero on the interior")
-    eps = +1 if med > 0.0 else -1
 
-    w2_use *= eps
-    bad = int(np.count_nonzero(w2_use <= _W2_FLOOR))
+    bad = sum(int(np.count_nonzero(eps * part <= _W2_FLOOR)) for part in parts)
     if bad:
+        low = min(float((eps * part).min()) for part in parts if part.size)
         raise DegeneracyError(
-            f"W^2 (sign {eps:+d}) drops to {float(w2_use.min()):.3e} <= floor "
+            f"W^2 (sign {eps:+d}) drops to {low:.3e} <= floor "
             f"{_W2_FLOOR:.1e} at {bad} unmasked nodes; the field "
             "crosses or grazes the lightlike locus")
-    del w2_use
+    del parts
 
     # the residual on the nodes two cells inside the grid, NaN elsewhere;
     # a block reads u two rows and W^2 one row beyond it

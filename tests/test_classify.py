@@ -1,4 +1,5 @@
 import importlib
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -31,6 +32,7 @@ from solitonlab import (
     rotational,
     separatrix_series_coeffs,
     separatrix_start,
+    timelike_family_from_strip,
 )
 from solitonlab.engine import _MAX_STEP
 
@@ -256,7 +258,7 @@ def test_a_refused_read_fails_only_its_own_start(monkeypatch):
     every other start what classify gives it alone, and that start the
     error."""
     classify_module = importlib.import_module("solitonlab.classify")
-    bowl, lookup = compute_bowl(ROT3), classify_module.compute_bowl
+    bowl = compute_bowl(ROT3)
 
     def refusing(q):
         q = np.asarray(q, dtype=float)
@@ -264,8 +266,9 @@ def test_a_refused_read_fails_only_its_own_start(monkeypatch):
             raise ValueError(f"w_at({float(q[q > 2.0][0])!r}): refused")
         return bowl.w_at(q)
 
-    monkeypatch.setattr(classify_module, "compute_bowl", lambda params, cfg=IntegratorConfig():
-                        replace(lookup(params, cfg), dense=refusing))
+    # the bowl classify reads from its cache
+    monkeypatch.setitem(classify_module._BOWLS.data, (ROT3, IntegratorConfig()),
+                        replace(bowl, dense=refusing))
     starts = [(1.0, 0.5), (3.0, 0.5), (1.5, -0.5), (3.0, 2.0)]
     got = classify_batch(ROT3, starts)
     assert isinstance(got[1], ValueError) and str(got[1]) == "w_at(3.0): refused"
@@ -280,7 +283,9 @@ def test_batch_results_share_no_memory(monkeypatch):
     those one classify_batch builds, are cut from one batch buffer: each
     result holds its own read-only copy."""
     classify_module = importlib.import_module("solitonlab.classify")
-    built, batch = [], classify_module.integrate_bidirectional_batch
+    compute_bowl(ROT3)    # warm references: the batch runs the starts' lanes only
+    compute_separatrix(ROT3)
+    built, batch = [], classify_module._integrate_lanes
 
     def recording(*args):
         out = batch(*args)
@@ -289,7 +294,7 @@ def test_batch_results_share_no_memory(monkeypatch):
 
     starts = [(s0, w0) for s0 in (0.5, 1.5, 3.0) for w0 in (-2.0, -0.5, 0.5, 1.5, 2.5, 1e5)]
     trajs = integrate_bidirectional_batch(ROT3, starts)
-    monkeypatch.setattr(classify_module, "integrate_bidirectional_batch", recording)
+    monkeypatch.setattr(classify_module, "_integrate_lanes", recording)
     classify_batch(ROT3, starts)
     assert len(built) == len(starts)
     arrays = [a for t in trajs + built for a in (t.s, t.w)]
@@ -313,11 +318,90 @@ def test_one_cache_entry_per_computed_object(monkeypatch):
     assert compute_separatrix(ROT3) is compute_separatrix(ROT3, IntegratorConfig())
     assert compute_separatrix(ROT3) is compute_separatrix(ROT3, IntegratorConfig(), tol=1e-10)
     assert (compute_bowl.cache_info().currsize, compute_separatrix.cache_info().currsize) == (1, 1)
+    trace = importlib.import_module("solitonlab.classify")._separatrix_trace
+    assert trace(ROT3) is trace(ROT3, IntegratorConfig()) is trace(ROT3, cfg=IntegratorConfig())
+    assert compute_separatrix(ROT3).trajectory is trace(ROT3)
+    assert trace.cache_info().currsize == 1
+    hits = (compute_bowl.cache_info(), trace.cache_info())
     calls = []
     advance = engine_module._advance
     monkeypatch.setattr(engine_module, "_advance", lambda *a: calls.append(1) or advance(*a))
     classify_batch(ROT3, [(1.0, 0.5), (2.0, 1.5)])
     assert len(calls) == 1
+    assert [(now.hits - was.hits, now.misses - was.misses) for now, was in zip(
+        (compute_bowl.cache_info(), trace.cache_info()), hits)] == [(1, 0), (1, 0)]
+    # two tols bracket one trace
+    assert compute_separatrix(ROT3, tol=1e-6).trajectory is trace(ROT3)
+    assert trace.cache_info().currsize == 1
+
+
+def test_reference_store_is_least_recently_used():
+    """A reference cache drops the entry read or filed longest ago, and
+    counts a hit or a miss per lookup as lru_cache does."""
+    store = importlib.import_module("solitonlab.classify")._Store(2)
+    store.put("a", 1)
+    store.put("b", 2)
+    assert store.get("a") == 1
+    store.put("c", 3)
+    assert (store.get("b"), store.get("a"), store.get("c")) == (None, 1, 3)
+    assert store.info() == (3, 1, 2, 2)
+    store.clear()
+    assert store.info() == (0, 0, 2, 0)
+
+
+def test_upper_tags_need_no_bracket(monkeypatch):
+    """classify reads the separatrix trace, not its bracket: where every
+    decision shot blows up, so that compute_separatrix raises 'not
+    bracketed', upper starts get the tags, margins and evidence they get
+    when the shots split."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    starts = [(2.0, 1.2), (2.0, SEP_VALUE), (2.0, 1.5), (1.0, 0.5)]
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    split = classify_batch(ROT3, starts)
+    shots = classify_module.integrate_batch
+    monkeypatch.setattr(classify_module, "integrate_batch", lambda params, ws, *a: shots(
+        params, [(s, w + 10.0) for s, w in ws], *a))
+    for cold in (True, False):
+        if cold:
+            compute_bowl.cache_clear()
+            compute_separatrix.cache_clear()
+        assert classify_batch(ROT3, starts) == split
+        with pytest.raises(RuntimeError, match="not bracketed"):
+            compute_separatrix(ROT3)
+    assert [sc.tag.value for sc in split[:3]] == [
+        "gamma_plus_global", "separatrix", "gamma_plus_blowup"]
+
+
+def test_classify_needs_no_cache_methods_on_the_reference_names(monkeypatch):
+    """A per-layer tracer rebinds compute_bowl and compute_separatrix, in
+    every solitonlab module that binds them, to plain wrappers without
+    cache_* attributes.  A cold classify_batch and timelike profiles then
+    come out as they do unwrapped."""
+    starts = [(1.0, 0.5), (1.0, BOWL_W_AT_1), (2.0, 1.5), (2.0, SEP_VALUE), (1.0, -2.0)]
+    timelike = boost(2, region="timelike")
+
+    def cold_results():
+        out = []
+        for tag in ("separatrix", "gamma_plus_global", "bowl"):
+            compute_bowl.cache_clear()
+            compute_separatrix.cache_clear()
+            curve = timelike_family_from_strip(timelike, tag)
+            out.append((curve.s.tobytes(), curve.f.tobytes(), curve.w.tobytes()))
+        compute_bowl.cache_clear()
+        compute_separatrix.cache_clear()
+        return classify_batch(ROT3, starts), out
+
+    plain = cold_results()
+    for fn in (compute_bowl, compute_separatrix):
+        def wrapper(*args, fn=fn, **kwargs):
+            return fn(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "solitonlab" and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+    classify_module = importlib.import_module("solitonlab.classify")
+    assert not hasattr(classify_module.compute_bowl, "cache_clear")
+    assert cold_results() == plain
 
 
 @pytest.mark.parametrize("s_from", [-1.0, np.nan, 101.0])
@@ -480,7 +564,7 @@ def test_separatrix_unsplit_window_raises(monkeypatch):
 
     # solitonlab.classify names the function; the module is in sys.modules
     module = importlib.import_module("solitonlab.classify")
-    monkeypatch.setattr(module, "_far_anchored", lambda params, cfg: FarOff())
+    monkeypatch.setattr(module, "_separatrix_trace", lambda params, cfg: FarOff())
     with pytest.raises(RuntimeError, match="not bracketed"):
         compute_separatrix.__wrapped__(ROT3)
 

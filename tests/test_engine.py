@@ -933,6 +933,7 @@ def test_each_batch_is_one_loop(monkeypatch):
     monkeypatch.setattr(classify_module, "integrate_batch",
                         lambda *a, **k: rounds.append(1) or shots(*a, **k))
     calls.clear()
+    compute_separatrix.cache_clear()    # the trace is cached apart from the bracket
     compute_separatrix.__wrapped__(ROT3, CFG, 1e-13)
     assert len(rounds) >= 2 and len(calls) == 1 + len(rounds)
 
@@ -944,6 +945,89 @@ def stage_calls(monkeypatch):
     stages = engine._stages
     monkeypatch.setattr(engine, "_stages", lambda *a: calls.append(1) or stages(*a))
     return calls
+
+
+def _same_lane(a, b):
+    """a and b have the same samples, events, ends, counters and dense
+    output, bit for bit."""
+    probes = np.linspace(a.s[0], a.s[-1], 9)
+    assert a.s.tobytes() == b.s.tobytes() and a.w.tobytes() == b.w.tobytes()
+    assert (a.events, a.termination_left, a.termination_right, a.stats) == (
+        b.events, b.termination_left, b.termination_right, b.stats)
+    assert np.asarray(a.w_at(probes)).tobytes() == np.asarray(b.w_at(probes)).tobytes()
+
+
+def test_cold_classify_is_one_loop(monkeypatch):
+    """With both caches cleared, a classify_batch over strip, upper and
+    gamma_minus starts runs its starts and the lanes of the bowl and the
+    separatrix trace in one loop, and files each reference bit for bit as
+    it is computed alone, each array its own read-only copy."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    calls = []
+    advance = engine._advance
+    monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(1) or advance(*a))
+    got = classify_module.classify_batch(ROT3, [(1.0, 0.5), (2.0, 1.5), (1.0, -2.0)])
+    assert len(calls) == 1
+    assert [g.tag.value for g in got] == ["above_bowl", "gamma_plus_blowup", "gamma_minus_blowup"]
+    bowl, trace = compute_bowl(ROT3), classify_module._separatrix_trace(ROT3)
+    assert len(calls) == 1
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    _same_lane(bowl, compute_bowl(ROT3))
+    _same_lane(trace, compute_separatrix(ROT3).trajectory)
+    arrays = [bowl.s, bowl.w, trace.s, trace.w]
+    assert all(a.flags.owndata and not a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_cold_upper_classify_costs_the_trace(stage_calls, monkeypatch):
+    """A cold upper classify at the anchor takes no more lockstep
+    iterations than the separatrix trace alone; compute_separatrix after
+    it fires only its shot rounds, one loop each."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    compute_separatrix.cache_clear()
+    classify_module._separatrix_trace(ROT3)
+    alone = len(stage_calls)
+    compute_separatrix.cache_clear()
+    stage_calls.clear()
+    classify_module.classify(ROT3, ROT3.fiber_coeff, 1.5)
+    assert 0 < len(stage_calls) <= alone
+    calls, rounds = [], []
+    advance, shots = engine._advance, classify_module.integrate_batch
+    monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(1) or advance(*a))
+    monkeypatch.setattr(classify_module, "integrate_batch",
+                        lambda *a, **k: rounds.append(1) or shots(*a, **k))
+    compute_separatrix(ROT3)
+    assert len(rounds) >= 1 and len(calls) == len(rounds)
+
+
+def test_cache_clear_leaves_nothing_warm(monkeypatch):
+    """compute_bowl.cache_clear() and compute_separatrix.cache_clear()
+    empty every reference cache, the separatrix trace's too: the next
+    classify and compute_separatrix compute everything again."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    starts = [(1.0, 0.5), (2.0, 1.5)]
+    classify_module.classify_batch(ROT3, starts)
+    compute_separatrix(ROT3)
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    stores = (classify_module._BOWLS, classify_module._TRACES, classify_module._SEPARATRICES)
+    assert [store.info()[::3] for store in stores] == [(0, 0)] * 3
+    calls, rounds = [], []
+    advance, shots = engine._advance, classify_module.integrate_batch
+    monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(len(a[1])) or advance(*a))
+    monkeypatch.setattr(classify_module, "integrate_batch",
+                        lambda *a, **k: rounds.append(1) or shots(*a, **k))
+    classify_module.classify_batch(ROT3, starts)
+    assert calls == [2 * len(starts) + 2]    # both references are lanes again
+    assert [store.info()[:2] for store in stores] == [(0, 1), (0, 1), (0, 0)]
+    compute_bowl.cache_clear()
+    compute_separatrix.cache_clear()
+    calls.clear()
+    compute_separatrix(ROT3)
+    assert len(calls) == 1 + len(rounds)
 
 
 @pytest.mark.parametrize("grid, most", [((-0.95, 0.95), 50), ((1.05, 3.0), 45)])

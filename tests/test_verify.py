@@ -19,7 +19,7 @@ from solitonlab import (
 )
 from solitonlab import verify as verify_module
 from solitonlab.geometry import hybrid_field
-from solitonlab.verify import _ONE_SIDED, bowl_study, hybrid_study
+from solitonlab.verify import _ONE_SIDED, _median_sign, bowl_study, hybrid_study
 
 
 def _grid(extent, nodes):
@@ -95,6 +95,38 @@ def test_residual_degenerate_gradient_raises():
     ax, X, _ = _grid(1.0, 21)
     with pytest.raises(DegeneracyError):
         residual_fund_eq(_field(1.0 * X, ax))
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-300, -1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.one_of(_TIES, st.floats(-1e300, 1e300)), min_size=1, max_size=40),
+       cuts=st.lists(st.integers(0, 40), max_size=4))
+def test_median_sign_is_the_sign_of_the_median(x, cuts):
+    """The sign residual_fund_eq reads from per-block counts is
+    np.sign(np.median(x)) over zeros, ties, subnormal middle pairs, odd and
+    even sizes, and any cut of x into blocks, empty ones included."""
+    x = np.array(x)
+    parts = np.split(x, sorted(min(c, x.size) for c in cuts))
+    assert _median_sign(parts) == np.sign(np.median(x))
+
+
+def test_residual_median_sign_from_a_straddling_pair():
+    """Where the usable W^2 has even size and its middle pair straddles
+    zero, the sign is that of the pair's mean, as in the median.  Here
+    u depends on x alone, with centered slopes 0.995 on the first two
+    interior rows and 1.28 on the last two: W^2 = |grad u|^2 - 1 is
+    about -0.01 at 8 of the 16 interior nodes and 0.64 at the other 8,
+    so the median is about 0.31 and eps = +1, and the floor check then
+    refuses the 8 negative nodes."""
+    ax, _, _ = _grid(1.0, 6)
+    rise = 2 * (ax[1] - ax[0])
+    f = np.array([0.0, 0.0, rise * 0.995, rise * 0.995, 0.0, 0.0])
+    f[4:] = f[2:4] + rise * 1.28
+    u = np.repeat(f[:, None], 6, axis=1)
+    with pytest.raises(DegeneracyError, match=r"sign \+1\) drops to -9\.9\d+e-03 .* at 8 "):
+        residual_fund_eq(_field(u, ax))
 
 
 def test_residual_mask_excludes_region():
