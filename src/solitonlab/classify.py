@@ -12,9 +12,10 @@ above and below.  The distinguished solutions are
   divides blow-up from global existence in the upper outer region.
 
 classify() names the solution through an initial condition by comparing
-against these two and integrating both ways for endpoint evidence.
-classify_as_posed() is the one place where the timelike pattern is
-flipped onto the strip and its evidence flipped back.
+against these two and integrating both ways for endpoint evidence; a
+gamma_minus verdict also carries the comparison bound on its pole
+(blowup_bound).  classify_as_posed_batch() is the one place where the
+timelike pattern is flipped onto the strip and its evidence flipped back.
 
 Each entry point has a batched form (integrate_bidirectional_batch,
 classify_batch, classify_as_posed_batch) that takes a list of starts,
@@ -129,6 +130,9 @@ class SolutionClass:
     margin_tol the tolerance it was compared with: within it the start is
     that solution, else its sign picks the side.  Both are None where no
     reference decides the tag (the barrier constants and gamma_minus).
+    blowup_bound is comparison_blowup_bound() at the canonical start, an
+    upper bound on the pole s of a gamma_minus_blowup start; None for
+    every other tag.
     """
 
     tag: SolutionClassTag
@@ -140,6 +144,7 @@ class SolutionClass:
     causal: int
     margin: Optional[float] = None
     margin_tol: Optional[float] = None
+    blowup_bound: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,7 @@ def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig())
     far below the integration tolerance) and integration only runs
     outward.  Results are cached per (params, config).
     """
-    return _bowl_lane(params, cfg).run(params, cfg)
+    return _bowl_lane(params, cfg).run()
 
 
 @_cached(_TRACES)
@@ -289,7 +294,7 @@ def _separatrix_trace(params: FlowParams,
                       cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """The backward-traced separatrix (see compute_separatrix), cached
     per (params, config) whatever tol a bracket around it is shot to."""
-    return _trace_lane(params, cfg).run(params, cfg)
+    return _trace_lane(params, cfg).run()
 
 
 def integrate_bidirectional_batch(
@@ -487,8 +492,9 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
             refs[region] = exc
     own = dict(zip((i for i, _ in runs), done))
 
-    # (slot, init, tag, margin, margin_tol) of the starts their own run backs
-    backed = [(i, init, SolutionClassTag.GAMMA_MINUS_BLOWUP, None, None)
+    # (slot, init, tag, the verdict's other fields) of the starts their own run backs
+    backed = [(i, init, SolutionClassTag.GAMMA_MINUS_BLOWUP,
+               {"blowup_bound": comparison_blowup_bound(params, *init)})
               for i, init in groups.pop(Region.GAMMA_MINUS)]
     for region, group in groups.items():
         if not group:
@@ -515,13 +521,13 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
             else:
                 tag = (SolutionClassTag.GAMMA_PLUS_GLOBAL if margin < 0
                        else SolutionClassTag.GAMMA_PLUS_BLOWUP)
-            backed.append((i, init, tag, margin, tol))
+            backed.append((i, init, tag, {"margin": margin, "margin_tol": tol}))
 
     trajs = [own[i] for i, *_ in backed]
     causal = iter(causal_signs(params, [t.w for t in trajs if not isinstance(t, Exception)]))
-    for (i, init, tag, margin, tol), traj in zip(backed, trajs):
+    for (i, init, tag, fields), traj in zip(backed, trajs):
         out[i] = traj if isinstance(traj, Exception) else SolutionClass(
-            tag, init, **_evidence(traj, next(causal)), margin=margin, margin_tol=tol)
+            tag, init, **_evidence(traj, next(causal)), **fields)
     return out
 
 
@@ -570,7 +576,8 @@ def classify(params: FlowParams, s0: float, w0: float,
 def classify_as_posed_batch(
         params: FlowParams, starts: Sequence[Tuple[float, float]],
         cfg: IntegratorConfig = IntegratorConfig()) -> List[Union[SolutionClass, Exception]]:
-    """classify_as_posed() for every start, through one classify_batch()."""
+    """classify_as_posed() for every start, through one classify_batch().
+    blowup_bound is an s value and passes through unflipped."""
     canon, flip = params.canonical_strip()
     verdicts = classify_batch(canon, [(s0, flip * w0) for s0, w0 in starts], cfg)
     out: List[Union[SolutionClass, Exception]] = []
@@ -592,13 +599,7 @@ def classify_as_posed(params: FlowParams, s0: float, w0: float,
     The tag names the class on canonical_strip(), where the timelike
     pattern (et = -1, ep = +1) is mirrored by w -> -w.  The initial state,
     limits, blow-up sign and causal sign (of ep + et*w^2, which the flip
-    negates) come back for the equation as posed.
+    negates) come back for the equation as posed; blowup_bound, an s
+    value, is the canonical start's.
     """
     return _first(classify_as_posed_batch(params, [(s0, w0)], cfg))
-
-
-def blowup_bound_as_posed(params: FlowParams, s0: float, w0: float) -> float:
-    """comparison_blowup_bound() for a start of any sign pattern with barriers
-    whose canonical image lies below the lower barrier."""
-    canon, flip = params.canonical_strip()
-    return comparison_blowup_bound(canon, s0, flip * w0)

@@ -25,8 +25,6 @@ from . import mesh
 from .core import FlowParams, Trajectory, boost, rotational
 from .engine import IntegratorConfig
 from .classify import (
-    SolutionClassTag,
-    blowup_bound_as_posed,
     classify_as_posed,
     classify_as_posed_batch,
     compute_separatrix,
@@ -107,6 +105,13 @@ def _add_integrator(sp) -> None:
     sp.add_argument("--abs-tol", type=float, default=1e-12)
     sp.add_argument("--s-max", type=float, default=100.0,
                     help="integration span ceiling")
+
+
+def _add_hybrid(sp) -> None:
+    sp.add_argument("--order", type=int, default=12)
+    sp.add_argument("--nodes", type=int, default=201)
+    sp.add_argument("--extent", type=float, default=2.0)
+    sp.add_argument("--quadrants", default="1,2,3,4")
 
 
 def _add_params(sp, default_n: int = 3) -> None:
@@ -198,8 +203,8 @@ def cmd_classify(args) -> int:
         "blowup_s": None if sc.blowup is None else sc.blowup[0],
         "blowup_sign": None if sc.blowup is None else sc.blowup[1],
     }
-    if sc.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP:
-        report["blowup_bound"] = blowup_bound_as_posed(params, s0, w0)
+    if sc.blowup_bound is not None:
+        report["blowup_bound"] = sc.blowup_bound
 
     if args.json:
         text = json.dumps(report, sort_keys=True, indent=2,
@@ -368,12 +373,14 @@ def _parse_quadrants(spec: str) -> Tuple[int, ...]:
                          f"got {spec!r}")
 
 
+def _hybrid(args, cfg: IntegratorConfig, f2_sign: int = +1):
+    """The hybrid field and its grid sample from the hybrid flags (_add_hybrid)."""
+    return build_hybrid(order=args.order, mask=_parse_quadrants(args.quadrants),
+                        extent=args.extent, nodes=args.nodes, cfg=cfg, f2_sign=f2_sign)
+
+
 def cmd_hybrid(args) -> int:
-    cfg = _cfg_from_args(args)
-    hyb, grid = build_hybrid(order=args.order,
-                             mask=_parse_quadrants(args.quadrants),
-                             extent=args.extent, nodes=args.nodes, cfg=cfg,
-                             f2_sign=-1 if args.mismatch else +1)
+    hyb, grid = _hybrid(args, _cfg_from_args(args), -1 if args.mismatch else +1)
     x, y = grid.axes
     lines = [f"# field: hybrid\n# quadrants: {args.quadrants}\n",
              f"# f2_sign: {hyb.f2_sign}\n",
@@ -407,33 +414,28 @@ def _profile_csv_fallback(s, f, params, what: str) -> str:
 
 def cmd_mesh(args) -> int:
     cfg = _cfg_from_args(args)
-    meta_cmd = "command: " + " ".join(args.raw_argv)
+    meta = ["command: " + " ".join(args.raw_argv)]
     n_t, n_p = args.theta_samples, args.profile_samples
     if n_t < 3 or n_p < 2:
         raise ValueError("need --theta-samples >= 3 and --profile-samples >= 2")
 
+    if args.target == "hybrid":
+        # height field over the Lorentzian plane; the lightcone is its two diagonals
+        hyb, grid = _hybrid(args, cfg)
+        x, y = grid.axes
+        cones = [f"cone_{name}: " + " ".join(map(str, (k + 1).tolist()))
+                 for name, k in zip(("main", "anti"), mesh.diagonals(len(x)))]
+        meta += [f"quadrants: {args.quadrants}", f"f2_sign: {hyb.f2_sign}", "class: hybrid"]
+        _emit(_obj_text(meta, *mesh.height_field(x, y, grid.values), cones), args.out)
+        return 0
+
+    # every other target is one profile z(r), revolved or boost-swept
     if args.target == "bowl":
         _check_span(args.span, cfg)
         params = _params_from_args(args)
-        f_of = center_regular_profile(params, args.span, cfg)[0]
-        s = np.linspace(args.span / n_p, args.span, n_p)
-        f = np.asarray(f_of(s), dtype=float)
-        if args.n != 2:
-            _emit(_profile_csv_fallback(s, f, params, "bowl"), args.out)
-            return 0
-        meta = [meta_cmd, f"params: {_params_line(params)}", "class: bowl"]
-        if args.action == "boost":
-            timelike = args.region == "timelike_T"
-            try:
-                surface = mesh.boost_sweep(s, f, n_t, args.theta_max, timelike)
-            except ValueError as exc:
-                raise ValueError(f"--theta-max: {exc}") from exc
-        else:
-            surface = mesh.revolve(s, f, n_t)
-        _emit(_obj_text(meta, *surface), args.out)
-        return 0
-
-    if args.target in ("spindle", "wing"):
+        r = np.linspace(args.span / n_p, args.span, n_p)
+        z = np.asarray(center_regular_profile(params, args.span, cfg)[0](r), dtype=float)
+    else:
         if args.action == "boost":
             raise ValueError(f"mesh {args.target} revolves a rotational profile; "
                              "--action boost is not supported")
@@ -441,37 +443,24 @@ def cmd_mesh(args) -> int:
         if args.target == "spindle":
             curve = build_spindle(params, args.s0, cfg)
         else:
-            curve = build_wing(params, args.s0, args.y0, cfg,
-                               y_span=args.y_span).wing
-        y, alpha = resample_wing(curve, n_p)
-        if args.n != 2:
-            _emit(_profile_csv_fallback(alpha, y, params, args.target),
-                  args.out)
-            return 0
-        meta = [meta_cmd, f"params: {_params_line(params)}",
-                f"class: {args.target}"]
-        surface = mesh.revolve(alpha, y, n_t)
-        if args.target == "spindle":
-            # close the ends at the extrapolated axis contacts
-            surface = mesh.cap_ends(surface, n_t, curve.contact_y)
-            meta.append("closed: both axis contacts capped")
-        _emit(_obj_text(meta, *surface), args.out)
+            curve = build_wing(params, args.s0, args.y0, cfg, y_span=args.y_span).wing
+        z, r = resample_wing(curve, n_p)
+    if params.n != 2:
+        _emit(_profile_csv_fallback(r, z, params, args.target), args.out)
         return 0
-
-    # hybrid height field over the Lorentzian plane
-    hyb, grid = build_hybrid(order=args.order,
-                             mask=_parse_quadrants(args.quadrants),
-                             extent=args.extent, nodes=args.nodes, cfg=cfg)
-    x, y = grid.axes
-    m = len(x)
-    cone_main = [i * m + i for i in range(m)]
-    cone_anti = [i * m + (m - 1 - i) for i in range(m)]
-    extra = ["cone_main: " + " ".join(str(k + 1) for k in cone_main),
-             "cone_anti: " + " ".join(str(k + 1) for k in cone_anti)]
-    meta = [meta_cmd, f"quadrants: {args.quadrants}",
-            f"f2_sign: {hyb.f2_sign}", "class: hybrid"]
-    _emit(_obj_text(meta, *mesh.height_field(x, y, grid.values), extra),
-          args.out)
+    meta += [f"params: {_params_line(params)}", f"class: {args.target}"]
+    if args.action == "boost":
+        try:
+            surface = mesh.boost_sweep(r, z, n_t, args.theta_max, params.eps_tilde < 0)
+        except ValueError as exc:
+            raise ValueError(f"--theta-max: {exc}") from exc
+    else:
+        surface = mesh.revolve(r, z, n_t)
+    if args.target == "spindle":
+        # close the ends at the extrapolated axis contacts
+        surface = mesh.cap_ends(surface, n_t, curve.contact_y)
+        meta.append("closed: both axis contacts capped")
+    _emit(_obj_text(meta, *surface), args.out)
     return 0
 
 
@@ -560,10 +549,7 @@ def build_parser():
     table["spindle"] = (sp, cmd_spindle)
 
     sp = subs.add_parser("hybrid", help="glued lightcone field to CSV")
-    sp.add_argument("--order", type=int, default=12)
-    sp.add_argument("--nodes", type=int, default=201)
-    sp.add_argument("--extent", type=float, default=2.0)
-    sp.add_argument("--quadrants", default="1,2,3,4")
+    _add_hybrid(sp)
     sp.add_argument("--mismatch", action="store_true",
                     help="flip the top/bottom piece sign (negative control)")
     _add_integrator(sp)
@@ -581,10 +567,7 @@ def build_parser():
     sp.add_argument("--s0", type=float, default=1.0)
     sp.add_argument("--y0", type=float, default=0.0)
     sp.add_argument("--y-span", type=float, default=None)
-    sp.add_argument("--order", type=int, default=12)
-    sp.add_argument("--nodes", type=int, default=201)
-    sp.add_argument("--extent", type=float, default=2.0)
-    sp.add_argument("--quadrants", default="1,2,3,4")
+    _add_hybrid(sp)
     _add_params(sp, default_n=2)
     _add_integrator(sp)
     _add_out(sp)

@@ -1092,18 +1092,21 @@ def integrate_series(coeffs: np.ndarray, const: float = 0.0) -> np.ndarray:
 
 
 class _Lane(NamedTuple):
-    """A reference trajectory as one ordinary lane: where and which way
-    the lane runs, and assemble, which makes the reference from that
-    lane's Trajectory.  A caller may run the lane among others
-    (_integrate_lanes); the lane's bits do not depend on its batch."""
+    """A reference trajectory as one ordinary lane: the equation and
+    config it runs under, where and which way it runs, and assemble,
+    which makes the reference from that lane's Trajectory.  A caller may
+    run the lane among others (_integrate_lanes); the lane's bits do not
+    depend on its batch."""
 
+    params: FlowParams
     start: PhaseState
     direction: str
+    cfg: IntegratorConfig
     assemble: Callable[[Trajectory], Trajectory]
 
-    def run(self, params: FlowParams, cfg: IntegratorConfig) -> Trajectory:
+    def run(self) -> Trajectory:
         """The reference from a run of the lane alone."""
-        return self.assemble(integrate(params, self.start, self.direction, cfg))
+        return self.assemble(integrate(self.params, self.start, self.direction, self.cfg))
 
 
 def _series_lane(params: FlowParams, start: PhaseState, order: int,
@@ -1125,7 +1128,7 @@ def _series_lane(params: FlowParams, start: PhaseState, order: int,
         head = Trajectory(params, s_head, w_head, termination_left=left,
                           dense=partial(eval_series, coeffs))
         return merge_bidirectional(head, tail)
-    return _Lane(start, "toward_infinity", assemble)
+    return _Lane(params, start, "toward_infinity", cfg, assemble)
 
 
 def bowl_start(params: FlowParams, s_start: float, order: int = 13,
@@ -1245,7 +1248,7 @@ def _far_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
         return replace(traj, s=np.append(traj.s[:k], cfg.s_max),
                        w=np.append(traj.w[:k], w_end), termination_right=end,
                        events=[e for e in traj.events if e.s <= cfg.s_max])
-    return _Lane(start, "toward_zero", assemble)
+    return _Lane(params, start, "toward_zero", cfg, assemble)
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

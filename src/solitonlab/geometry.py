@@ -44,7 +44,6 @@ from .classify import (
     SolutionClassTag,
     _separatrix_trace,
     compute_bowl,
-    compute_separatrix,
     integrate_bidirectional,
 )
 from .engine import (
@@ -534,7 +533,7 @@ def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
     a = bowl_series_coeffs(params, order)
     run_cfg = replace(cfg, s_max=max(r_max, _SERIES_RADIUS * 2))
     start = PhaseState(_SERIES_RADIUS, float(eval_series(a, _SERIES_RADIUS)))
-    traj = _series_lane(params, start, order, run_cfg).run(params, run_cfg)
+    traj = _series_lane(params, start, order, run_cfg).run()
     curve = _profile(traj, _SERIES_RADIUS, run_cfg.s_max, _CENTER_SAMPLES, series=a)
     return curve.f_dense, curve.w_dense
 
@@ -671,11 +670,10 @@ def timelike_family_from_strip(params: FlowParams,
         elif tag is SolutionClassTag.CONSTANT_MINUS:
             state = (c, -1.0)
         else:
-            sep = compute_separatrix(canon, cfg)
-            if tag is SolutionClassTag.GAMMA_PLUS_GLOBAL:
-                state = (sep.anchor, 0.5 * (1.0 + sep.value))
-            else:
-                state = (sep.anchor, sep.value + 1.0)
+            # the trace's value at the anchor: a start O(1) off it needs no bracket
+            ws = float(_separatrix_trace(canon, cfg).w_at(c))
+            state = (c, 0.5 * (1.0 + ws) if tag is SolutionClassTag.GAMMA_PLUS_GLOBAL
+                     else ws + 1.0)
         traj = integrate_bidirectional(canon, state[0], state[1], cfg)
         base = build_graph(traj)
 

@@ -79,3 +79,10 @@ def height_field(x: np.ndarray, y: np.ndarray, u: np.ndarray):
     keep = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
     faces = _quad_faces(len(x), len(y), closed=False)
     return verts.reshape(-1, 3), faces[np.repeat(keep.ravel(), 2)]
+
+
+def diagonals(n: int):
+    """Zero-based vertices on the two diagonals of an n x n height_field
+    lattice: (x[i], y[i]) and (x[i], y[n - 1 - i]), in order of i."""
+    i = np.arange(n)
+    return i * n + i, i * n + (n - 1 - i)

@@ -19,6 +19,7 @@ from solitonlab import (
     boost,
     classify,
     classify_as_posed,
+    classify_as_posed_batch,
     classify_batch,
     comparison_blowup_bound,
     compute_bowl,
@@ -34,6 +35,7 @@ from solitonlab import (
     separatrix_start,
     timelike_family_from_strip,
 )
+from solitonlab.classify import _critical_points
 from solitonlab.engine import _MAX_STEP
 
 ROT3 = rotational(3)
@@ -788,3 +790,43 @@ def test_flip_matches_posed_equation(w_lo, w_hi, s0, u):
         assert sc.blowup[0] == pytest.approx(rep.blowup[0], rel=1e-9)
         assert sc.blowup[1] == rep.blowup[1]
     assert sc.causal == traj.causal_sign()
+
+
+@settings(max_examples=10, deadline=None)
+@given(starts=st.lists(st.tuples(st.floats(0.2, 5.0),
+                                 st.one_of(st.floats(-0.99, 0.99), st.floats(1.01, 20.0),
+                                           st.floats(-20.0, -1.01))),
+                       min_size=2, max_size=6))
+def test_flip_gives_the_posed_evidence_exactly(starts):
+    """The timelike run from (s0, w0) is the canonical run from (s0, -w0)
+    mirrored bit for bit, so a verdict its own run backs carries the
+    evidence of the as-posed run exactly, not only to a tolerance."""
+    runs = integrate_bidirectional_batch(TIMELIKE2, starts)
+    for sc, traj in zip(classify_as_posed_batch(TIMELIKE2, starts), runs):
+        if sc.tag in (SolutionClassTag.BOWL, SolutionClassTag.SEPARATRIX):
+            continue    # read off the reference, not the start's run
+        rep = limits_report(traj)
+        assert (sc.limit_at_zero, sc.limit_at_infinity) == (rep.at_zero, rep.at_infinity)
+        assert sc.blowup == rep.blowup
+        assert sc.critical_points == _critical_points(traj)
+        assert sc.causal == traj.causal_sign()
+
+
+def test_blowup_bound_is_the_canonical_comparison_bound():
+    """A gamma_minus_blowup verdict carries comparison_blowup_bound() at its
+    canonical start, unflipped when posed timelike; every other verdict
+    carries None."""
+    starts = [(1.0, -2.0), (0.5, 0.3), (2.0, 1.5), (1.0, 1.0), (3.0, -1.0), (0.3, -7.0),
+              (2.0, 1.2), (4.0, -1.05), (1.0, BOWL_W_AT_1), (2.0, SEP_VALUE)]
+    for params, flip in ((ROT3, 1), (boost(3, region="timelike"), -1)):
+        posed = [(s0, flip * w0) for s0, w0 in starts]
+        verdicts = classify_as_posed_batch(params, posed)
+        tags = {sc.tag for sc in verdicts}
+        assert SolutionClassTag.GAMMA_MINUS_BLOWUP in tags and len(tags) >= 6
+        for (s0, w0), sc in zip(starts, verdicts):
+            if sc.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP:
+                canon = params.canonical_strip()[0]
+                assert sc.blowup_bound == comparison_blowup_bound(canon, s0, w0)
+                assert s0 < sc.blowup[0] <= sc.blowup_bound
+            else:
+                assert sc.blowup_bound is None

@@ -1360,3 +1360,47 @@ def test_switch_goes_on_from_the_step_end(n, s0, w0):
     assert rest.termination_right == traj.termination_right
     probes = np.linspace(traj.s[i], traj.s[-1], 9)[1:]
     assert np.asarray(rest.w_at(probes)).tobytes() == np.asarray(traj.w_at(probes)).tobytes()
+
+
+# --- the timelike pattern is the canonical strip mirrored ---
+
+TIMELIKE2 = boost(2, region="timelike")
+
+_mirror_start = st.tuples(
+    st.floats(0.2, 5.0),
+    st.one_of(st.floats(-0.99, 0.99), st.floats(1.01, 20.0), st.floats(-20.0, -1.01),
+              st.sampled_from([1.0, -1.0, 1e4, -1e4, math.inf, -math.inf])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(starts=st.lists(_mirror_start, min_size=2, max_size=6),
+       direction=st.sampled_from(DIRECTIONS))
+def test_timelike_runs_mirror_the_canonical_strip(starts, direction):
+    """A boost(2, "timelike") run from (s, w) is the canonical strip run
+    from (s, -w) with every slope negated, bit for bit: samples, events,
+    terminations, counters and dense output, for starts in every region,
+    on the barriers and at poles, in batches.  Poles start only toward
+    zero, where |w| shrinks; elsewhere both runs refuse them alike."""
+    canon, flip = TIMELIKE2.canonical_strip()
+    assert flip == -1
+    posed = integrate_batch(TIMELIKE2, starts, direction)
+    mirrored = integrate_batch(canon, [(s, -w) for s, w in starts], direction)
+    for (s0, w0), a, b in zip(starts, posed, mirrored):
+        if math.isinf(w0) and direction == "toward_infinity":
+            assert isinstance(a, ValueError) and isinstance(b, ValueError)
+            continue
+        assert isinstance(a, Trajectory) and isinstance(b, Trajectory)
+        # == and array_equal, not bytes: the flip turns 0.0 into -0.0
+        assert np.array_equal(a.s, b.s)
+        assert np.array_equal(a.w, -b.w)
+        assert [(e.kind, e.s, e.w) for e in a.events] == [(e.kind, e.s, -e.w) for e in b.events]
+        for ta, tb in ((a.termination_left, b.termination_left),
+                       (a.termination_right, b.termination_right)):
+            assert (ta is None) == (tb is None)
+            if ta is not None:
+                assert (ta.kind, ta.s) == (tb.kind, tb.s)
+                assert ta.value == (None if tb.value is None else -tb.value)
+                assert ta.sign == (None if tb.sign is None else -tb.sign)
+        assert a.stats == b.stats
+        probes = np.linspace(a.s[0], a.s[-1], 9)
+        assert np.array_equal(a.w_at(probes), -np.asarray(b.w_at(probes)))

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -10,6 +11,7 @@ from scipy.interpolate import CubicHermiteSpline
 from solitonlab import (
     IntegratorConfig,
     ProfileCurve,
+    SolutionClassTag,
     boost,
     bowl_curve,
     build_graph,
@@ -18,7 +20,9 @@ from solitonlab import (
     build_wing,
     center_profile_eval,
     center_regular_profile,
+    classify_as_posed,
     compute_bowl,
+    compute_separatrix,
     hybrid_field,
     integrate_bidirectional,
     quadrant_of,
@@ -438,6 +442,31 @@ def test_timelike_family_rejects_unknown_class():
     tl = boost(2, region="timelike")
     with pytest.raises(ValueError):
         timelike_family_from_strip(tl, "saddle")
+
+
+@pytest.mark.parametrize("tag", list(SolutionClassTag), ids=lambda tag: tag.value)
+def test_timelike_family_realizes_each_class(tag):
+    """Each member of the timelike family is of the class it was asked
+    for: classified as posed at its sample nearest the anchor s = c."""
+    tl = boost(2, region="timelike")
+    prof = timelike_family_from_strip(tl, tag)
+    k = int(np.argmin(np.abs(prof.s - tl.fiber_coeff)))
+    assert classify_as_posed(tl, float(prof.s[k]), float(prof.w[k])).tag is tag
+
+
+def test_timelike_family_fires_no_separatrix_shots(monkeypatch):
+    """The gamma_plus members start O(1) off the separatrix, placed by the
+    cached trace's value at the anchor, so a cold build fires no decision
+    shots (classify.integrate_batch)."""
+    def no_shots(*args, **kwargs):
+        raise AssertionError("separatrix decision shot fired")
+    monkeypatch.setattr(importlib.import_module("solitonlab.classify"), "integrate_batch",
+                        no_shots)
+    tl = boost(2, region="timelike")
+    for tag in ("gamma_plus_global", "gamma_plus_blowup"):
+        compute_bowl.cache_clear()
+        compute_separatrix.cache_clear()
+        assert timelike_family_from_strip(tl, tag).params == tl
 
 
 def test_keyode_residual_needs_dense_slope(bowl3):

@@ -55,3 +55,20 @@ def test_height_field_skips_nonfinite_quads():
     assert faces.tolist() == _loop_faces(4, 5, closed=False, ok=np.isfinite(u))
     assert verts[1 * 5 + 2, 2] == 0.0
     assert verts[3 * 5 + 4].tolist() == [1.0, 1.0, 2.0]
+
+
+def test_diagonals_are_the_height_field_diagonals():
+    """diagonals(n) are the height_field vertices at (x[i], y[i]) and
+    (x[i], y[n - 1 - i]): on a symmetric square grid, where y = x and
+    y = -x."""
+    for n in (2, 5, 6):
+        ax = np.linspace(-1.0, 1.0, n) ** 3
+        ax = (ax - ax[::-1]) / 2    # exactly odd, so -x is on the grid
+        verts, _ = mesh.height_field(ax, ax, np.zeros((n, n)))
+        main, anti = mesh.diagonals(n)
+        np.testing.assert_array_equal(verts[main, :2], np.column_stack([ax, ax]))
+        np.testing.assert_array_equal(verts[anti, :2], np.column_stack([ax, ax[::-1]]))
+        on_main = np.flatnonzero(verts[:, 0] == verts[:, 1])
+        on_anti = np.flatnonzero(verts[:, 0] == -verts[:, 1])
+        assert main.tolist() == on_main.tolist()
+        assert sorted(anti.tolist()) == on_anti.tolist()
