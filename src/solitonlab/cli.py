@@ -420,6 +420,8 @@ def cmd_mesh(args) -> int:
         raise ValueError("need --theta-samples >= 3 and --profile-samples >= 2")
 
     if args.target == "hybrid":
+        # the field does not read the parameter flags, but they are checked as for every target
+        _params_from_args(args)
         # height field over the Lorentzian plane; the lightcone is its two diagonals
         hyb, grid = _hybrid(args, cfg)
         x, y = grid.axes

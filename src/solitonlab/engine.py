@@ -74,7 +74,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -124,6 +124,25 @@ class EventRecord:
 
 DIRECTIONS = ("toward_zero", "toward_infinity")
 
+
+def _f64(value) -> np.ndarray:
+    """value as a read-only float64 0-d array."""
+    a = np.array(value, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+# Constants that enter a numpy call once per stage, per lockstep iteration
+# or per Illinois iteration are float64 0-d arrays, built once: here at
+# module level, per params in _coeffs, per config in _advance.  numpy
+# applies the same float64 operation to a Python float operand (NEP 50),
+# so no bit moves, but it converts the float on every call, and at the
+# 1-128 lanes of a batch that doubles the call (about 1.0 against 0.5 us).
+# They are read-only, since every integration in the process shares them.
+# Python-level arithmetic and math-module arguments stay Python floats.
+_ZERO, _HALF, _ONE, _TWO, _MINUS_ONE = map(_f64, (0.0, 0.5, 1.0, 2.0, -1.0))
+_NAN, _NEG_INF = _f64(math.nan), _f64(-math.inf)
+
 # DOP853: 12 stages, the step-end slope as a 13th, 3 more for dense output
 _NS = _dop853.N_STAGES
 _A_ROWS = [_dop853.A[i, :i] for i in range(_NS)]
@@ -131,29 +150,49 @@ _B = _dop853.B
 _C = np.append(_dop853.C[:_NS], 1.0)
 # the abscissae of stages 1.._NS - 1; stage _NS reads the last, _C[_NS - 1] == _C[_NS]
 _C_AT = _C[1:_NS, None]
+# the row of those abscissae each stage reads
+_STAGE_ROW = [min(i, _NS - 1) - 1 for i in range(_NS + 1)]
 _E = np.stack([_dop853.E5, _dop853.E3])
 _A_DENSE = _dop853.A[_NS + 1:]
 _C_DENSE = _dop853.C[_NS + 1:]
 _D = _dop853.D
-# scipy's step control; the error estimate is of order 7
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+# scipy's step control; the error estimate is of order 7, its norm weighs
+# the third-order estimate by _E3_WEIGHT
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = map(_f64, (0.9, 0.2, 10.0))
 _EXPONENT = -1.0 / 8.0
+_E3_WEIGHT = _f64(0.01)
 # scipy's max_step: no step is longer in its stepping variable, and the
 # separatrix's series samples lie no farther apart
-_MAX_STEP = 1.0
+_MAX_STEP = _f64(1.0)
 # an error norm below this is as good as zero: the growth clamp wins
-_TINY = 1e-300
+_TINY = _f64(1e-300)
 _EPS = np.finfo(float).eps
+# scipy's select_initial_step: the norms below which a start is flat (d0
+# and d1, then d1 and d2), the step taken there, its factor 0.01, and the
+# factors 1e-3 and 100 on its first guess h0
+_FLAT0, _FLAT1, _H_FLAT = map(_f64, (1e-5, 1e-15, 1e-6))
+_H0_FACTOR, _H_SHRINK, _H_GROW = map(_f64, (0.01, 1e-3, 100.0))
+# _illinois stops where its bracket is narrower than this times 1 + |x|
+_ILLINOIS_TOL = _f64(4 * _EPS)
 
 # a lane is in the p chart, p = 1/w, while |w| is at or past _switch_level
-_W_SWITCH = 2.0
+_W_SWITCH = _f64(2.0)
 # a p-chart arc samples its pole end, p = 0, at |p| = _P_END (|w| = 1e6)
 _P_END = 1e-6
 # trial stages of a rejected step can overshoot far; the w chart reads
 # slopes beyond this as this, which keeps the arithmetic finite
-_W_CAP = 1e10
+_W_CAP, _NEG_W_CAP = _f64(1e10), _f64(-1e10)
+# a closed step reads |u| below e^_TAIL_FLOOR as 0 (_tail)
+_TAIL_FLOOR, _LN2 = _f64(-40.0), _f64(math.log(2.0))
 
 Result = Union[Trajectory, Exception]
+
+
+@lru_cache(maxsize=64)
+def _coeffs(params: FlowParams) -> Tuple[np.ndarray, ...]:
+    """et, ep, et*c, c and 2*ep of params, as float64 0-d arrays (_f64)."""
+    et, ep, c = params.eps_tilde, params.eps_prime, params.fiber_coeff
+    return tuple(map(_f64, (et, ep, et * c, c, 2.0 * ep)))
 
 
 def _switch_level(params: FlowParams, s, w):
@@ -162,8 +201,9 @@ def _switch_level(params: FlowParams, s, w):
     w = s*et/c never reaches (there ds/dp has no singular point and |w| is
     monotone past 1), and max(_W_SWITCH, 2s/c) on the line's side, which
     keeps the p chart off the line, p*s = et*c."""
-    return np.where(np.asarray(w) * params.eps_tilde < 0.0, _W_SWITCH,
-                    np.maximum(_W_SWITCH, 2.0 * np.asarray(s) / params.fiber_coeff))
+    et, _, _, c, _ = _coeffs(params)
+    return np.where(np.asarray(w) * et < _ZERO, _W_SWITCH,
+                    np.maximum(_W_SWITCH, _TWO * np.asarray(s) / c))
 
 
 class _Field:
@@ -188,9 +228,8 @@ class _Field:
 
     def __init__(self, params: FlowParams, log: np.ndarray, in_p: np.ndarray) -> None:
         self.params, self.log, self.in_p = params, log, in_p
-        self.et, self.ep, self.c = (float(params.eps_tilde), params.eps_prime,
-                                    params.fiber_coeff)
-        self.etc = params.eps_tilde * params.fiber_coeff
+        self.et, self.ep, self.etc, self.c, _ = _coeffs(params)
+        self.ep_negative = params.eps_prime < 0
         self.in_w = ~in_p
         # the points whose x is log s
         self.exp = log & self.in_w
@@ -217,10 +256,10 @@ class _Field:
         """What rate() reads of stepping-variable values x: (L, D) at s,
         None for 1 where all points share it, and p = x."""
         # p-chart points read as s = 1 in the w chart
-        s = np.where(self.in_p, 1.0, self.s_of(x)) if self.any_p else self.s_of(x)
+        s = np.where(self.in_p, _ONE, self.s_of(x)) if self.any_p else self.s_of(x)
         if self.all_log or not self.any_log:
             return (s, None, x) if self.all_log else (None, s, x)
-        return np.where(self.exp, s, 1.0), np.where(self.exp, 1.0, s), x
+        return np.where(self.exp, s, _ONE), np.where(self.exp, _ONE, s), x
 
     def __call__(self, x, z, out=None):
         return self.rate(*self.at(x), z, out)
@@ -230,15 +269,15 @@ class _Field:
         (et + ep*w^2)(L - w*etc/D) in the w chart,
         -p*s / ((et*p^2 + ep)(p*s - etc)) in the p chart."""
         if not self.all_p:
-            w = np.minimum(np.maximum(z, -_W_CAP), _W_CAP)
+            w = np.minimum(np.maximum(z, _NEG_W_CAP), _W_CAP)
             ww = w * w
-            a = self.et - ww if self.ep < 0 else self.et + ww
+            a = self.et - ww if self.ep_negative else self.et + ww
             t = w * self.etc
-            out = np.multiply(a, (1.0 if L is None else L) - (t if D is None else t / D), out=out)
+            out = np.multiply(a, (_ONE if L is None else L) - (t if D is None else t / D), out=out)
             if not self.any_p:
                 return out
             # w-chart points read as p = s = 0, where the field is 0
-            p, z = np.where(self.in_p, p, 0.0), np.where(self.in_p, z, 0.0)
+            p, z = np.where(self.in_p, p, _ZERO), np.where(self.in_p, z, _ZERO)
         f = np.divide(-p * z, (self.et * p * p + self.ep) * (p * z - self.etc),
                       out=out if self.all_p else None)
         if self.all_p:
@@ -270,14 +309,14 @@ class _Field:
             end[at] = np.abs(y[at]) >= _switch_level(self.params, self.s_of(x[at], at), y[at])
         at = self.p_shrinks
         if at.size:
-            end[at] = np.abs(x[at]) * _switch_level(self.params, y[at], x[at]) >= 1.0
+            end[at] = np.abs(x[at]) * _switch_level(self.params, y[at], x[at]) >= _ONE
         return end
 
     def events(self, x, y, s=None, at=slice(None)):
         """The critical line w - s*et/c at points (x, y) (of the points at,
         at their s if given), NaN in the p chart."""
         cross = y - (self.s_of(x, at) if s is None else s) * self.et / self.c
-        return np.where(self.in_p[at], np.nan, cross) if self.any_p else cross
+        return np.where(self.in_p[at], _NAN, cross) if self.any_p else cross
 
 
 def _switch(field: _Field, x, y):
@@ -312,7 +351,7 @@ def _growth(norm):
 
 def _straddles(g_old, g_new):
     """scipy's event activity test: g reaches or crosses zero."""
-    return np.sign(g_old) * np.sign(g_new) <= 0.0
+    return np.sign(g_old) * np.sign(g_new) <= _ZERO
 
 
 def _tail_rows(params: FlowParams, s1, y1):
@@ -323,11 +362,12 @@ def _tail_rows(params: FlowParams, s1, y1):
     u' = 2*ep*sigma*u*(1 - sigma*et*c/s), so u(s) = u1*exp(E(s)) with
     E(s) = 2*ep*sigma*((s - s1) - sigma*et*c*ln(s/s1)); the dropped O(u^2)
     terms move w by about u1^2."""
-    sigma = np.copysign(1.0, y1)
+    et, _, _, c, two_ep = _coeffs(params)
+    sigma = np.copysign(_ONE, y1)
     F = np.zeros((y1.size, 3 + len(_D)))
     F[:, 0], F[:, 1], F[:, 2] = sigma, y1 - sigma, s1
-    F[:, 3] = 2.0 * params.eps_prime * sigma
-    F[:, 4] = sigma * params.eps_tilde * params.fiber_coeff
+    F[:, 3] = two_ep * sigma
+    F[:, 4] = sigma * et * c
     F[:, 5] = _libm(lambda u: math.log(u) if u else 0.0, np.abs(F[:, 1]))
     return F
 
@@ -342,9 +382,9 @@ def _tail_peak(F, s_end):
     s_end, -inf at u1 = 0.  In a barrier pattern E'' = -2c/s^2, so E is
     concave, and its largest value over the span lies at s1 (E = 0), at
     s_end, or at its stationary point sigma*et*c clipped into the span."""
-    top = np.clip(F[4], np.minimum(F[2], s_end), np.maximum(F[2], s_end))
-    peak = np.maximum(np.maximum(_tail_exponent(F, s_end), _tail_exponent(F, top)), 0.0)
-    return np.where(F[1] != 0.0, F[5] + peak, -math.inf)
+    top = np.minimum(np.maximum(F[4], np.minimum(F[2], s_end)), np.maximum(F[2], s_end))
+    peak = np.maximum(np.maximum(_tail_exponent(F, s_end), _tail_exponent(F, top)), _ZERO)
+    return np.where(F[1] != _ZERO, F[5] + peak, _NEG_INF)
 
 
 def _tail(F, s):
@@ -357,9 +397,9 @@ def _tail(F, s):
     and ln(s/s1) < q*ln 2 where frexp splits s/s1 into f*2^q with f < 1."""
     w = np.array(F[0], dtype=float)
     q = np.frexp(s / F[2])[1]
-    live = (F[1] != 0.0) & (F[5] + F[3] * (s - F[2]) - F[3] * F[4] * math.log(2.0) * q >= -40.0)
+    live = (F[1] != _ZERO) & (F[5] + F[3] * (s - F[2]) - F[3] * F[4] * _LN2 * q >= _TAIL_FLOOR)
     if np.count_nonzero(live):
-        u = _libm(math.exp, np.minimum(F[5][live] + _tail_exponent(F[:, live], s[live]), 0.0))
+        u = _libm(math.exp, np.minimum(F[5][live] + _tail_exponent(F[:, live], s[live]), _ZERO))
         w[live] += np.copysign(u, F[1][live])
     return w
 
@@ -391,29 +431,28 @@ def _interpolate(F, x0, h, y0, x):
     """The DOP853 dense output at x of steps with coefficient rows F[0..6]
     (arrays aligned by step, or the floats of one step)."""
     u = (x - x0) / h
-    out = 0.0
+    out = _ZERO
     for i in range(7):
-        out = (out + F[6 - i]) * (u if i % 2 == 0 else 1.0 - u)
+        out = (out + F[6 - i]) * (u if i % 2 == 0 else _ONE - u)
     return out + y0
 
 
-def _initial_step(field: _Field, x0, y0, f0, bound, direction, rtol: float,
-                  cfg: IntegratorConfig):
+def _initial_step(field: _Field, x0, y0, f0, bound, direction, abs_tol, rtol):
     """scipy's select_initial_step for an order-7 error estimate, per lane."""
     span = np.abs(bound - x0)
-    scale = cfg.abs_tol + np.abs(y0) * rtol
+    scale = abs_tol + np.abs(y0) * rtol
     d0, d1 = np.abs(y0) / scale, np.abs(f0) / scale
-    flat0 = (d0 < 1e-5) | (d1 < 1e-5)
-    h0 = np.minimum(np.where(flat0, 1e-6, 0.01 * d0 / np.where(flat0, 1.0, d1)), span)
-    h0 = np.where(h0 > 0.0, h0, 1e-6)    # only lanes already at the bound
+    flat0 = (d0 < _FLAT0) | (d1 < _FLAT0)
+    h0 = np.minimum(np.where(flat0, _H_FLAT, _H0_FACTOR * d0 / np.where(flat0, _ONE, d1)), span)
+    h0 = np.where(h0 > _ZERO, h0, _H_FLAT)    # only lanes already at the bound
     y1 = y0 + h0 * direction * f0
     f1 = field(x0 + h0 * direction, y1)
     d2 = np.abs(f1 - f0) / scale / h0
     dmax = np.maximum(d1, d2)
-    flat1 = (d1 <= 1e-15) & (d2 <= 1e-15)
-    h1 = np.where(flat1, np.maximum(1e-6, h0 * 1e-3),
-                  _libm(math.pow, 0.01 / np.where(flat1, 1.0, dmax), -_EXPONENT))
-    return np.minimum(np.minimum(np.minimum(100 * h0, h1), span), _MAX_STEP)
+    flat1 = (d1 <= _FLAT1) & (d2 <= _FLAT1)
+    h1 = np.where(flat1, np.maximum(_H_FLAT, h0 * _H_SHRINK),
+                  _libm(math.pow, _H0_FACTOR / np.where(flat1, _ONE, dmax), -_EXPONENT))
+    return np.minimum(np.minimum(np.minimum(_H_GROW * h0, h1), span), _MAX_STEP)
 
 
 def _stages(field: _Field, heads, cols, at, y, h):
@@ -425,8 +464,9 @@ def _stages(field: _Field, heads, cols, at, y, h):
     for i in range(1, _NS + 1):
         y_i = y + (np.vecdot(heads[i], _A_ROWS[i]) * h if i < _NS else
                    h * np.vecdot(heads[_NS], _B))
-        j = min(i, _NS - 1) - 1
-        field.rate(None if L is None else L[j], None if D is None else D[j], p[j], y_i, cols[i])
+        j = _STAGE_ROW[i]
+        field.rate(None if L is None else L[j], None if D is None else D[j],
+                   p[j] if field.any_p else None, y_i, cols[i])
     return y_i, cols[_NS]
 
 
@@ -472,7 +512,9 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
                                 [], [], 0)
     # u*: a tail's dropped O(u^2) terms move w by about u*^2 = abs_tol
     u_star = math.sqrt(cfg.abs_tol)
-    ln_u_star = math.log(u_star)
+    # the config as the loop's operands (_f64)
+    abs_tol, rtol, s_min, s_max, min_step_cap, ln_u_star, u_star = map(_f64, (
+        cfg.abs_tol, rtol, cfg.s_min_eps, cfg.s_max, min_step_cap, math.log(u_star), u_star))
     while keep is None or keep.size:
         if keep is not None:
             # copies: the last step's arrays are on record
@@ -495,7 +537,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
                 at = _Field(params, log[new], in_p[new])
                 f[new] = at(x[new], y[new])
                 h_abs[new] = _initial_step(at, x[new], y[new], f[new], bound[new],
-                                           direction[new], rtol, cfg)
+                                           direction[new], abs_tol, rtol)
                 grow_cap[new], rejects[new], start_it[new] = _MAX_FACTOR, 0, it
             capped, keep = True, None
             K = np.empty((arc.size, _NS + 1))
@@ -520,13 +562,13 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
         if field.any_p:
             # w = 1/p hangs on s - s(0), which is O(p^2 s), not on s: a
             # p-chart step holds the error of s to abs_tol alone
-            y_big = np.where(field.in_p, 0.0, y_big)
-        err = np.vecdot(K[:, None, :], _E) / (cfg.abs_tol + y_big * rtol)[:, None]
+            y_big = np.where(field.in_p, _ZERO, y_big)
+        err = np.vecdot(K[:, None, :], _E) / (abs_tol + y_big * rtol)[:, None]
         err *= err
         e5 = err[:, 0]
-        denom = np.maximum(e5 + 0.01 * err[:, 1], _TINY)   # 0 only when e5 is
+        denom = np.maximum(e5 + _E3_WEIGHT * err[:, 1], _TINY)   # 0 only when e5 is
         norm = h_abs * e5 / np.sqrt(denom)
-        ok = norm < 1.0
+        ok = norm < _ONE
         if stuck is not None:
             ok &= ~stuck
         grow = _growth(norm)
@@ -542,7 +584,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
         else:
             records.append(tuple(a[ok] for a in step))
             x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
-            grow_cap, capped = np.where(ok, _MAX_FACTOR, 1.0), True
+            grow_cap, capped = np.where(ok, _MAX_FACTOR, _ONE), True
             rejects += ~ok if stuck is None else ~ok & ~stuck
 
         done = ok & (x_new == bound)
@@ -550,18 +592,18 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
             # a p lane is done at its pole or where s leaves the span; where
             # |w| shrinks its bound lies past the switch
             done = np.where(field.in_p, done & field.grows | ok & np.where(
-                log, y_new <= cfg.s_min_eps, y_new >= cfg.s_max), done)
+                log, y_new <= s_min, y_new >= s_max), done)
         ended = ok & field.ended(x_new, y_new)
         stop = done
         # a lane whose linearised tail stays within u* of its barrier settles
         settled = False
         if params.has_barriers:
-            near = (np.abs(np.abs(y_new) - 1.0) < u_star).nonzero()[0]
+            near = (np.abs(np.abs(y_new) - _ONE) < u_star).nonzero()[0]
             if near.size:
                 near = near[(ok & ~stop & field.in_w)[near]]
             if near.size:
                 tail = _tail_rows(params, field.s_of(x_new[near], near), y_new[near])
-                s_end = np.where(log[near], cfg.s_min_eps, cfg.s_max)
+                s_end = np.where(log[near], s_min, s_max)
                 closes = _tail_peak(tail.T, s_end) <= ln_u_star
                 settled, near = np.zeros(ok.size, dtype=bool), near[closes]
                 settled[near] = True
@@ -634,23 +676,23 @@ def _illinois(g, a, b):
     end nearer zero."""
     ga, gb = g(a), g(b)
     root = np.where(np.abs(ga) <= np.abs(gb), a, b)
-    at = np.flatnonzero((ga != 0.0) & (gb != 0.0) & ((ga > 0.0) != (gb > 0.0)))
+    at = np.flatnonzero((ga != _ZERO) & (gb != _ZERO) & ((ga > _ZERO) != (gb > _ZERO)))
     a, b, ga, gb = a[at], b[at], ga[at], gb[at]
     kept = np.zeros(at.size)    # +1: a kept last time, -1: b kept
     for _ in range(200):
         if not at.size:
             break
         mid = b - gb * (b - a) / (gb - ga)
-        mid = np.where((mid - a) * (mid - b) < 0.0, mid, 0.5 * (a + b))
+        mid = np.where((mid - a) * (mid - b) < _ZERO, mid, _HALF * (a + b))
         root[at] = mid
         gm = g(root)[at]
-        right = (gm > 0.0) == (ga > 0.0)    # the zero lies in [mid, b]
-        gb = np.where(right & (kept == -1), 0.5 * gb, gb)
-        ga = np.where(~right & (kept == 1), 0.5 * ga, ga)
+        right = (gm > _ZERO) == (ga > _ZERO)    # the zero lies in [mid, b]
+        gb = np.where(right & (kept == _MINUS_ONE), _HALF * gb, gb)
+        ga = np.where(~right & (kept == _ONE), _HALF * ga, ga)
         a, b = np.where(right, mid, a), np.where(right, b, mid)
         ga, gb = np.where(right, gm, ga), np.where(right, gb, gm)
-        kept = np.where(right, -1.0, 1.0)
-        go = (gm != 0.0) & (np.abs(b - a) > 4 * _EPS * (1.0 + np.abs(mid)))
+        kept = np.where(right, _MINUS_ONE, _ONE)
+        go = (gm != _ZERO) & (np.abs(b - a) > _ILLINOIS_TOL * (_ONE + np.abs(mid)))
         at, a, b, ga, gb, kept = (v[go] for v in (at, a, b, ga, gb, kept))
     return root
 

@@ -378,6 +378,21 @@ def test_mesh_boost_bad_theta_max_exits_2(theta_max, capsys):
     assert captured.err.startswith("error: ") and "--theta-max" in captured.err
 
 
+@pytest.mark.parametrize("flags", [["--region", "bogus", "--action", "boost"],
+                                   ["--region", "bogus"]])
+def test_mesh_hybrid_checks_the_parameter_flags(flags, capsys):
+    """mesh hybrid builds its field without the parameter flags, but a bad
+    region exits 2 with the message mesh bowl gives for it."""
+    errs = []
+    for target in (["hybrid", "--nodes", "11"], ["bowl"]):
+        assert main(["mesh", *target, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: region 'bogus' is not valid")
+
+
 def _cli_subprocess(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(solitonlab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
