@@ -12,10 +12,11 @@ above and below.  The distinguished solutions are
   divides blow-up from global existence in the upper outer region.
 
 classify() names the solution through an initial condition by comparing
-against these two and integrating both ways for endpoint evidence; a
-gamma_minus verdict also carries the comparison bound on its pole
-(blowup_bound).  classify_as_posed_batch() is the one place where the
-timelike pattern is flipped onto the strip and its evidence flipped back.
+against these two, or by its region, and reads its evidence off the
+start's own run both ways, a barrier start's too, or the reference it
+lies on (_evidence); a gamma_minus verdict also carries the comparison
+bound on its pole (blowup_bound).  classify_as_posed_batch() is the one
+place where the timelike pattern is flipped onto the strip and its evidence flipped back.
 
 Each entry point has a batched form (integrate_bidirectional_batch,
 classify_batch, classify_as_posed_batch) that takes a list of starts,
@@ -64,7 +65,6 @@ from .core import (
     PhaseState,
     Region,
     Trajectory,
-    causal_sign,
     causal_signs,
     region_of,
 )
@@ -271,6 +271,11 @@ def _trace_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
     return _far_lane(params, cfg)
 
 
+# the tag of a start its region alone names
+_FIXED_TAGS = {Region.BARRIER_PLUS: SolutionClassTag.CONSTANT_PLUS,
+               Region.BARRIER_MINUS: SolutionClassTag.CONSTANT_MINUS,
+               Region.GAMMA_MINUS: SolutionClassTag.GAMMA_MINUS_BLOWUP}
+
 # per region, the cache of the reference its starts are read against and
 # that reference's lane
 _REFERENCES = {Region.INNER_STRIP: (_BOWLS, _bowl_lane),
@@ -338,8 +343,8 @@ def _critical_points(traj: Trajectory) -> Tuple[float, ...]:
 
 
 def _evidence(traj: Trajectory, causal: Optional[int] = None) -> dict:
-    """The evidence fields of a SolutionClass read off traj, with its
-    causal sign where already known."""
+    """The evidence fields of a SolutionClass, or of an untagged portrait
+    row, read off traj, with its causal sign where already known."""
     rep = limits_report(traj)
     return dict(limit_at_zero=rep.at_zero, limit_at_infinity=rep.at_infinity,
                 critical_points=_critical_points(traj), blowup=rep.blowup,
@@ -375,8 +380,9 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     the separatrix parts from it only near s_decide = sqrt(c^2 + 2c
     ln(1/tol)), so the shots run to at least 2 s_decide, whatever s_max;
     one that ends there undecided raises RuntimeError.  tol must lie in
-    (0, 1], and the anchor inside (s_min_eps, s_max).  Results are
-    cached; cache_clear() clears the traces too.
+    (0, 1], and the anchor inside (s_min_eps, s_max); a tol below the
+    float spacing where the bracket closes raises ValueError.  Results
+    are cached; cache_clear() clears the traces too.
     """
     if not 0.0 < tol <= 1.0:
         raise ValueError(f"separatrix tol must lie in (0, 1], got {tol!r}")
@@ -412,7 +418,8 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
             ws = np.unique(w_low + (w_high - w_low) * np.arange(1, k + 1) / (k + 1))
             ws = ws[(ws > w_low) & (ws < w_high)]
             if not ws.size:
-                break
+                raise ValueError(f"separatrix tol {tol!r} is below the float spacing "
+                                 f"{w_high - w_low!r} at the anchor value {w_low!r}")
             # the first blow-up, w_high if none, and the global start below it
             j = int(np.argmax(np.append(blows_up(ws), True)))
             ends = np.concatenate(([w_low], ws, [w_high]))
@@ -452,21 +459,14 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
     """
     _require_strip_form(params, "classify")
     out: List[Optional[Union[SolutionClass, Exception]]] = [None] * len(starts)
-    groups = {Region.GAMMA_MINUS: [], Region.INNER_STRIP: [], Region.GAMMA_PLUS: []}
+    groups = {region: [] for region in Region}
     for i, (s0, w0) in enumerate(starts):
         try:
             init = _checked(float(s0), float(w0), cfg)
         except ValueError as exc:
             out[i] = exc
             continue
-        region = region_of(init.w)
-        if region is Region.BARRIER_PLUS or region is Region.BARRIER_MINUS:
-            lim = 1.0 if region is Region.BARRIER_PLUS else -1.0
-            tag = (SolutionClassTag.CONSTANT_PLUS if lim > 0
-                   else SolutionClassTag.CONSTANT_MINUS)
-            out[i] = SolutionClass(tag, init, lim, lim, (), None, causal_sign(params, lim))
-        else:
-            groups[region].append((i, init))
+        groups[region_of(init.w)].append((i, init))
 
     # each reference from its cache, else the lane that computes it
     refs, cold = {}, []
@@ -493,9 +493,9 @@ def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],
     own = dict(zip((i for i, _ in runs), done))
 
     # (slot, init, tag, the verdict's other fields) of the starts their own run backs
-    backed = [(i, init, SolutionClassTag.GAMMA_MINUS_BLOWUP,
-               {"blowup_bound": comparison_blowup_bound(params, *init)})
-              for i, init in groups.pop(Region.GAMMA_MINUS)]
+    backed = [(i, init, tag, {"blowup_bound": comparison_blowup_bound(params, *init)}
+               if region is Region.GAMMA_MINUS else {})
+              for region, tag in _FIXED_TAGS.items() for i, init in groups.pop(region)]
     for region, group in groups.items():
         if not group:
             continue
@@ -566,9 +566,9 @@ def classify(params: FlowParams, s0: float, w0: float,
     Strip initial conditions are compared against the bowl at s0; upper
     outer ones against the separatrix.  Evidence (endpoint limits,
     critical points, blow-up pole, causal type) comes from integrating
-    both ways, except for the two distinguished solutions themselves,
-    whose canonical trajectories are reused.  A batch of one of
-    classify_batch().
+    both ways, a barrier start too, except for the two distinguished
+    solutions themselves, whose canonical trajectories are reused.  A
+    batch of one of classify_batch().
     """
     return _first(classify_batch(params, [(s0, w0)], cfg))
 

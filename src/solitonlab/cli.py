@@ -25,11 +25,11 @@ from . import mesh
 from .core import FlowParams, Trajectory, boost, rotational
 from .engine import IntegratorConfig
 from .classify import (
+    _evidence,
     classify_as_posed,
     classify_as_posed_batch,
     compute_separatrix,
     integrate_bidirectional_batch,
-    limits_report,
 )
 from .geometry import (
     bowl_curve,
@@ -210,19 +210,16 @@ def cmd_classify(args) -> int:
         text = json.dumps(report, sort_keys=True, indent=2,
                           allow_nan=True) + "\n"
     else:
-        lines = [f"class: {report['class']}"]
-        for key in ("s0", "w0", "n", "eps_prime", "eps_tilde", "fiber_coeff",
-                    "causal_sign", "limit_at_zero", "limit_at_infinity"):
-            v = report[key]
-            lines.append(f"{key}: {_fmt(v) if isinstance(v, float) else v}")
-        lines.append("critical_points: "
-                     + ";".join(_fmt(s) for s in report["critical_points"]))
-        if report["blowup_s"] is not None:
-            lines.append(f"blowup_s: {_fmt(report['blowup_s'])}")
-            lines.append(f"blowup_sign: {report['blowup_sign']}")
-        if "blowup_bound" in report:
-            lines.append(f"blowup_bound: {_fmt(report['blowup_bound'])}")
-        text = "\n".join(lines) + "\n"
+        # in key order: floats fixed, lists joined by ";", no line for a None
+        lines = []
+        for key, v in report.items():
+            if isinstance(v, list):
+                v = ";".join(map(_fmt, v))
+            elif isinstance(v, float):
+                v = _fmt(v)
+            if v is not None:
+                lines.append(f"{key}: {v}\n")
+        text = "".join(lines)
     _emit(text, args.out)
     return 0
 
@@ -242,19 +239,15 @@ def _portrait_row(idx: int, s0: float, w0: float, result) -> str:
         vals["class"] = "error"
         vals["error"] = str(result).replace(",", ";").replace("\n", " ")
     else:
-        if isinstance(result, Trajectory):
-            # no barrier structure: report raw trajectory data untagged
-            rep = limits_report(result)
-            tag, causal, crit = "untagged", result.causal_sign(), ()
-            limits, blowup = (rep.at_zero, rep.at_infinity), rep.blowup
-        else:
-            tag, causal, crit = result.tag.value, result.causal, result.critical_points
-            limits, blowup = (result.limit_at_zero, result.limit_at_infinity), result.blowup
-        vals.update({"class": tag, "causal": str(causal),
-                     "limit_zero": _fmt(limits[0]), "limit_inf": _fmt(limits[1]),
-                     "critical_s": ";".join(_fmt(s) for s in crit)})
-        if blowup is not None:
-            vals["blowup_s"], vals["blowup_sign"] = _fmt(blowup[0]), str(blowup[1])
+        # no barrier structure: the run's own evidence, untagged
+        tag, ev = (("untagged", _evidence(result)) if isinstance(result, Trajectory)
+                   else (result.tag.value, vars(result)))
+        s_star, sign = ev["blowup"] or (None, "")
+        vals.update({"class": tag, "causal": str(ev["causal"]),
+                     "limit_zero": _fmt(ev["limit_at_zero"]),
+                     "limit_inf": _fmt(ev["limit_at_infinity"]),
+                     "blowup_s": _fmt(s_star), "blowup_sign": str(sign),
+                     "critical_s": ";".join(map(_fmt, ev["critical_points"]))})
     return ",".join(vals[k] for k in _PORTRAIT_COLUMNS) + "\n"
 
 

@@ -1,4 +1,5 @@
 import importlib
+import math
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -35,7 +36,7 @@ from solitonlab import (
     separatrix_start,
     timelike_family_from_strip,
 )
-from solitonlab.classify import _critical_points
+from solitonlab.classify import _critical_points, _evidence
 from solitonlab.engine import _MAX_STEP
 
 ROT3 = rotational(3)
@@ -171,6 +172,33 @@ def test_constant_classes_are_lightlike():
     assert classify(ROT3, 2.0, -1.0).causal == 0
 
 
+_EVIDENCE_FIELDS = ("limit_at_zero", "limit_at_infinity", "critical_points", "blowup", "causal")
+
+
+@pytest.mark.parametrize("params, w0, tag", [
+    (ROT3, 1.0, SolutionClassTag.CONSTANT_PLUS),
+    (ROT3, 1.0 + 5e-13, SolutionClassTag.CONSTANT_PLUS),
+    (ROT3, 1.0 - 5e-13, SolutionClassTag.CONSTANT_PLUS),
+    (ROT3, -1.0, SolutionClassTag.CONSTANT_MINUS),
+    (ROT3, -1.0 + 5e-13, SolutionClassTag.CONSTANT_MINUS),
+    (boost(3, region="timelike"), -1.0, SolutionClassTag.CONSTANT_PLUS),
+    (boost(3, region="timelike"), 1.0 - 5e-13, SolutionClassTag.CONSTANT_MINUS)])
+@pytest.mark.parametrize("s0", [1.0, 2.0, 3.0])
+def test_constant_verdicts_read_their_own_run(params, w0, tag, s0):
+    """A start within BARRIER_TOL of a barrier is a lane like any other:
+    its verdict carries _evidence() of its own run as posed, which the
+    engine puts on the barrier, so constant_plus records the crossing of
+    the critical line at s = c whichever side of it s0 lies on."""
+    sc = classify_as_posed(params, s0, w0)
+    traj = integrate_bidirectional(params, s0, w0)
+    assert sc.tag is tag and sc.init == (s0, w0)
+    assert {k: getattr(sc, k) for k in _EVIDENCE_FIELDS} == _evidence(traj)
+    barrier = math.copysign(1.0, w0)
+    assert sc.limit_at_zero == sc.limit_at_infinity == barrier and sc.causal == 0
+    c = params.fiber_coeff
+    assert sc.critical_points == ((c,) if tag is SolutionClassTag.CONSTANT_PLUS else ())
+
+
 def test_strip_trichotomy_near_bowl(bowl):
     wb = bowl.w_at(1.0)
     assert classify(ROT3, 1.0, wb - 1e-6).tag is SolutionClassTag.BELOW_BOWL
@@ -253,6 +281,27 @@ def test_margins_are_read_against_the_references(separatrix):
     assert strip.tag is SolutionClassTag.ABOVE_BOWL
     assert strip.margin == 0.5 - float(compute_bowl(ROT3, cfg).w_at(1.0))
     assert below.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP and below.margin is None
+
+
+def test_a_reference_that_cannot_be_built_fails_only_its_starts():
+    """At s_max = 3 the separatrix anchor s = c = 4 of rotational(5) lies
+    outside the span, so its lane is refused before the run; at s_max =
+    5e-5 the bowl's series handoff s = 1e-4 does, so its lane fails in
+    the run.  Either way the starts that read that reference get its
+    ValueError and every other start is still classified."""
+    params = rotational(5)
+    strip, upper, upper2, lower = classify_batch(
+        params, [(1.0, 0.5), (1.0, 2.0), (2.0, 1.5), (1.0, -2.0)], IntegratorConfig(s_max=3.0))
+    for got in (upper, upper2):
+        assert isinstance(got, ValueError)
+        assert str(got) == "anchor s = c must lie inside the integration span"
+    assert strip.tag is SolutionClassTag.ABOVE_BOWL
+    assert lower.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
+    strip, lower, barrier = classify_batch(
+        params, [(2e-5, 0.5), (2e-5, -2.0), (2e-5, 1.0)], IntegratorConfig(s_max=5e-5))
+    assert isinstance(strip, ValueError) and "beyond the span ceiling" in str(strip)
+    assert lower.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
+    assert barrier.tag is SolutionClassTag.CONSTANT_PLUS
 
 
 def test_a_refused_read_fails_only_its_own_start(monkeypatch):
@@ -479,6 +528,21 @@ def test_gamma_minus_edges_blow_up_before_bound(n, s0, gap):
 def test_separatrix_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         compute_separatrix(ROT3, tol=tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_separatrix_refuses_a_tol_below_the_float_spacing(n):
+    """No bracket of two floats near w(c) is narrower than their spacing,
+    math.ulp of the value: a tol below it is refused by name, and a tol of
+    exactly that spacing is met."""
+    params = rotational(n)
+    for tol in (1e-17, 1e-16):
+        with pytest.raises(ValueError, match=f"tol {tol!r} is below the float spacing"):
+            compute_separatrix(params, tol=tol)
+    ulp = math.ulp(compute_separatrix(params).value)
+    sep = compute_separatrix(params, tol=ulp)
+    assert sep.bracket[1] - sep.bracket[0] == ulp
+    _assert_valid_bracket(params, sep, ulp)
 
 
 def _forward_end(params, s0: float, w0: float) -> TerminationKind:

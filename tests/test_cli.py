@@ -12,10 +12,11 @@ from hypothesis import given, strategies as st
 
 import solitonlab
 from solitonlab import (IntegratorConfig, boost, classify_as_posed, detect_blowup,
-                        integrate_bidirectional, mesh, rotational)
+                        integrate_bidirectional, integrate_bidirectional_batch, mesh,
+                        rotational)
 from solitonlab import cli, geometry, verify
 from solitonlab.cli import _fmt_array, main
-from solitonlab.classify import compute_bowl, compute_separatrix
+from solitonlab.classify import _evidence, compute_bowl, compute_separatrix
 from solitonlab.geometry import build_hybrid, build_spindle, center_regular_profile
 
 GM_BLOWUP_S = 1.0632503268240918
@@ -58,6 +59,43 @@ def test_classify_constant(tmp_path):
     code, text = run(tmp_path, "classify", "--s0", "1", "--w0", "1")
     assert code == 0
     assert text.splitlines()[0] == "class: constant_plus"
+
+
+def test_classify_constant_reports_its_crossing(tmp_path):
+    """A barrier start's verdict is read off its own run, which crosses
+    the critical line w = s/c at s = c = 2."""
+    code, text = run(tmp_path, "classify", "--s0", "1", "--w0", "1")
+    assert code == 0
+    assert "critical_points: 2\n" in text
+
+
+def test_classify_text_prints_the_json_report(tmp_path):
+    """The text report is the JSON report's keys, a line each, less the
+    null ones: floats in %.17g, lists joined by ";"."""
+    for w0 in ("-2", "0.5", "1", "1.5"):
+        code, text = run(tmp_path, "classify", "--s0", "2", f"--w0={w0}")
+        assert code == 0
+        code, js = run(tmp_path, "classify", "--s0", "2", f"--w0={w0}", "--json")
+        assert code == 0
+        got = dict(ln.split(": ", 1) for ln in text.splitlines())
+        want = {k: v for k, v in json.loads(js).items() if v is not None}
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            if isinstance(v, list):
+                assert got[key] == ";".join("%.17g" % x for x in v)
+            elif isinstance(v, float):
+                assert got[key] == "%.17g" % v
+            else:
+                assert got[key] == str(v)
+
+
+def test_classify_reference_outside_the_span_exits_2(capsys):
+    """The separatrix of rotational(5) is anchored at s = c = 4, outside
+    an s_max of 3: an upper start has no reference to be read against."""
+    assert main(["classify", "--n", "5", "--s-max", "3", "--s0", "1", "--w0", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: anchor s = c must lie inside the integration span\n"
 
 
 def test_classify_timelike_flip(tmp_path):
@@ -203,6 +241,25 @@ def test_portrait_barrier_free_blows_up_toward_zero(tmp_path):
         assert 0.0 < pole[0] < s0
 
 
+def test_portrait_untagged_rows_carry_their_evidence(tmp_path):
+    """An untagged row holds its own run's evidence, the critical-line
+    crossings included, as a verdict does."""
+    code, text = run(tmp_path, "portrait", "--action", "boost", "--region", "spacelike_S",
+                     "--n", "2", "--s0-grid", "0.5:4:4", "--w0-grid=-3:3:5")
+    assert code == 0
+    header, *lines = text.splitlines()
+    rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+    assert len(rows) == 20 and any(row["critical_s"] for row in rows)
+    starts = [(float(row["s0"]), float(row["w0"])) for row in rows]
+    for row, traj in zip(rows, integrate_bidirectional_batch(boost(2), starts)):
+        ev = _evidence(traj)
+        assert row["class"] == "untagged"
+        assert row["critical_s"] == ";".join("%.17g" % s for s in ev["critical_points"])
+        assert row["causal"] == str(ev["causal"])
+        assert (row["limit_zero"], row["limit_inf"]) == (
+            "%.17g" % ev["limit_at_zero"], "%.17g" % ev["limit_at_infinity"])
+
+
 # --- profile emitters ---
 
 def test_bowl_csv(tmp_path):
@@ -267,6 +324,14 @@ def test_separatrix_rejects_zero_tol(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "tol" in err
     assert "Traceback" not in err
+
+
+def test_separatrix_tol_below_the_float_spacing_exits_2(capsys):
+    """No bracket around w(c) near 1.39 is narrower than 2.2e-16."""
+    assert main(["separatrix", "--n", "3", "--tol", "1e-17"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: separatrix tol 1e-17 is below the float spacing")
 
 
 def test_spindle_csv(tmp_path):

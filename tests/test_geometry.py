@@ -242,6 +242,32 @@ def test_wing_matches_the_wing_chart(params, s0, y_span, stops):
             assert abs(wing.contact_y[k] - contact_y) <= 1e-9
 
 
+def test_wing_arm_short_of_its_span_runs_again(monkeypatch):
+    """On rotational(5, eps_prime=1) from s0 = 1 the rising arm of a
+    y_span = 0.5 wing is short of its span at s = s0 + 0.5, where the
+    first pass stops it, so it alone runs again to s_max: two engine calls.
+    The rerun arm matches the wing equation integrated in y within 2e-10.
+    The steep arm is left out: its end lies past the reference's (see
+    test_wing_matches_the_wing_chart)."""
+    geometry = importlib.import_module("solitonlab.geometry")
+    calls, integrate_batch = [], geometry.integrate_batch
+
+    def counted(params, poles, direction, cfg):
+        calls.append((tuple(poles), cfg.s_max))
+        return integrate_batch(params, poles, direction, cfg)
+
+    monkeypatch.setattr(geometry, "integrate_batch", counted)
+    params, cfg = rotational(5, eps_prime=1), IntegratorConfig()
+    wing = build_wing(params, 1.0, 0.0, cfg, y_span=0.5).wing
+    assert calls == [(((1.0, -math.inf), (1.0, math.inf)), 1.5), (((1.0, math.inf),), 100.0)]
+    assert wing.arm_stop == ("steep", "span")
+    sol, stop, _ = _reference_arm(params, 1.0, 0.5, cfg)
+    assert stop == "span"
+    y = wing.y[wing.y >= 0.0]
+    assert y.max() == 0.5
+    assert np.max(np.abs(wing.alpha[wing.y >= 0.0] - sol.sol(y)[0])) <= 2e-10
+
+
 @pytest.mark.parametrize("kwargs, name", [
     (dict(y_span=0.0), "y_span"), (dict(y_span=-1.0), "y_span"),
     (dict(y_span=math.nan), "y_span"), (dict(y_span=math.inf), "y_span"),

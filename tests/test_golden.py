@@ -40,7 +40,7 @@ GOLDEN = [
      "09953197119e5d959f1db98f73816b2bb777859839a885c74c113d7fb9fac03d"),
     (["portrait", "--action", "boost", "--n", "2", "--region", "spacelike_S",
       "--s0-grid", "0.5:4:2", "--w0-grid=-3:3:2"], 0,
-     "d75e94742e6bf32af4d78a22d6bb4f1dc2966d9d1a050e7c5b1f4600bfcac77a"),
+     "985828cd334809f0c0c597c413cf22ab49b7890b4d06338d0550b8cb92d998f5"),
     (["classify", "--s0", "1", "--w0", "0.5"], 0,
      "6e31e534841f09d0c63b741a801846ae4d494c5cfbef2f6231b68aada0f18d5c"),
     (["classify", "--s0", "2", "--w0", "3", "--json"], 0,
