@@ -16,7 +16,8 @@ against these two, or by its region, and reads its evidence off the
 start's own run both ways, a barrier start's too, or the reference it
 lies on (_evidence); a gamma_minus verdict also carries the comparison
 bound on its pole (blowup_bound).  classify_as_posed_batch() is the one
-place where the timelike pattern is flipped onto the strip and its evidence flipped back.
+place where the timelike pattern is flipped onto the strip and its
+evidence flipped back.
 
 Each entry point has a batched form (integrate_bidirectional_batch,
 classify_batch, classify_as_posed_batch) that takes a list of starts,
