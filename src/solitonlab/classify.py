@@ -33,19 +33,21 @@ The separatrix is traced backward.  Forward shooting cannot hold it for
 long (nearby solutions diverge like exp(s^2/2c)), and backward
 integration contracts onto it at the same rate, which makes a long
 backward run stiff.  Far out it is its own asymptotic series,
-w ~ s/c + sum_k a_k s^(1-2k) (engine.separatrix_series_coeffs), trusted
-from s_far on (about 8 to 15 for n = 2..5, see engine.separatrix_start):
-beyond s_far the trajectory is series samples, and the integration runs
-backward from the series value at s_far, so its cost does not depend on
-s_max; where s_far lies beyond s_max the trace is cut there.  The traced
+w ~ s/c + sum_k a_k s^(1-2k) (engine.separatrix_series_coeffs), which
+diverges; its diagonal Padé approximant is trusted from about s = 3.1,
+4.3, 4.9 and 5.7 for n = 2..5 on (see engine.separatrix_start), where
+the series itself needs s_far = 8.3 to 14.9.  Beyond that start the
+trajectory is samples of the approximant, and the integration runs
+backward from its value there, so its cost does not depend on s_max;
+where the start lies beyond s_max the trace is cut there.  The traced
 value at the anchor s = c, where the critical line crosses the barrier,
-is right to about 1e-11, so at the default tolerance one batched pair of
-forward shots at traced +-0.49*tol, split into global and blow-up, is
-the bracket.  Else one loop widens that window 1e3-fold until its ends
-split, then narrows it by k-section rounds of as many starts as bring it
-below the tolerance.  A shot is an ordinary forward run, read by how it
-ends: it blows up, or it crosses below the critical line, which it never
-crosses back, and exists globally.
+is right to about 2e-12 or better, so at the default tolerance one
+batched pair of forward shots at traced +-0.49*tol, split into global
+and blow-up, is the bracket.  Else one loop widens that window 1e3-fold
+until its ends split, then narrows it by k-section rounds of as many
+starts as bring it below the tolerance.  A shot is an ordinary forward
+run, read by how it ends: it blows up, or it crosses below the critical
+line, which it never crosses back, and exists globally.
 """
 
 from __future__ import annotations
@@ -155,7 +157,10 @@ class SeparatrixResult:
     value is the midpoint of the final bracket for w(anchor); the traced
     value when the first pair splits.  bracket is that (global, blow-up)
     pair, of width <= the requested tolerance; shots counts the decision
-    shots fired.
+    shots fired.  The bracket holds the engine's discretised shots, which
+    run at the config's tolerances, to tol.  At the default tol it holds
+    the equation's value too; at tol of about 1e-11 and below it can miss
+    it, since the shots' own error moves a start's fate by about 1e-11.
     """
 
     value: float
@@ -257,15 +262,19 @@ def _cached(store: _Store, *also: _Store):
 
 
 def _bowl_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
-    """The bowl as one forward lane from its series start (_series_lane)."""
+    """The bowl as one forward lane from its series start (_series_lane),
+    for a span that holds the series handoff s = _BOWL_S_START."""
     _require_strip_form(params, "compute_bowl")
+    if not _BOWL_S_START < cfg.s_max:
+        raise ValueError(f"s_max = {cfg.s_max} must lie above the bowl's center "
+                         f"series handoff at s = {_BOWL_S_START}")
     start = bowl_start(params, _BOWL_S_START, order=_BOWL_ORDER, abs_tol=cfg.abs_tol)
     return _series_lane(params, start, _BOWL_ORDER, cfg)
 
 
 def _trace_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
-    """The separatrix trace as one backward lane from s_far (_far_lane),
-    for a span that holds the anchor s = c."""
+    """The separatrix trace as one backward lane from its far-field
+    start (_far_lane), for a span that holds the anchor s = c."""
     _require_strip_form(params, "compute_separatrix")
     if not cfg.s_min_eps < params.fiber_coeff < cfg.s_max:
         raise ValueError("anchor s = c must lie inside the integration span")
@@ -357,12 +366,15 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
                        tol: float = 1e-10) -> SeparatrixResult:
     """Trace the upper-region threshold solution, then bracket it.
 
-    The reported trajectory, the trace, is the far-field series beyond
-    s_far (its samples at most 1 apart; CSV rows beyond s_far are these)
-    and, below s_far, backward integration from the series value there,
-    which contracts onto the separatrix.  s_far is where the truncated
-    series is accurate to cfg.abs_tol; where it lies beyond s_max, the
-    trace starts there all the same and is cut at s_max.  The trace is
+    The reported trajectory, the trace, is the far-field formula beyond
+    its start (its samples at most 1 apart; CSV rows beyond the start are
+    these) and, below the start, backward integration from the formula's
+    value there, which contracts onto the separatrix.  The formula is the
+    diagonal Padé approximant of the far-field series, and the start the
+    smallest s from which it satisfies the phase equation to cfg.abs_tol
+    with no pole (about 3.1, 4.3, 4.9 and 5.7 for n = 2..5; see
+    engine.separatrix_start); where it lies beyond s_max, the trace
+    starts there all the same and is cut at s_max.  The trace is
     cached apart, per (params, cfg), so every tol reads one trace, and
     classify reads it without a bracket.  The traced
     value at the anchor s = c (where the critical line meets the

@@ -61,11 +61,15 @@ A start within BARRIER_TOL of a barrier is put on it, w0 = +-1.0, and is
 a lane like any other: its first step lands on the barrier.
 
 The regular-at-center solution (slope vanishing at s = 0) is started from
-its Taylor series, and the separatrix of the strip form is ended by its
-far-field asymptotic series; both coefficient recursions live here, as
-does the join of a series part and an integrated arc.  Each of the two is
-one ordinary lane (_Lane) and the assembly of the reference from that
-lane's run, so a caller can run it alone or among other lanes.
+its Taylor series, and the separatrix of the strip form is ended by the
+diagonal Padé approximant of its divergent far-field series, which stays
+accurate much nearer the origin than the series (separatrix_start: from
+s of about 3.1, 4.3, 4.9 and 5.7 for rotational n = 2..5, where the
+order-30 series needs 8.3 to 14.9); both coefficient recursions live
+here, as do the approximant and the join of a closed formula and an
+integrated arc.  Each of the two is one ordinary lane (_Lane) and the
+assembly of the reference from that lane's run, so a caller can run it
+alone or among other lanes.
 """
 
 from __future__ import annotations
@@ -1226,65 +1230,142 @@ def separatrix_series_coeffs(params: FlowParams, order: int) -> np.ndarray:
     return a
 
 
-def _far_series(coeffs: np.ndarray, s):
-    """The far-field series s * sum_k b_k s^(-2k) at s."""
-    s = np.asarray(s, dtype=float)
-    return _scalar_or_array(s * eval_series(coeffs, 1.0 / (s * s)))
+# orders of the far-field series and of the diagonal Padé approximant that
+# resums it from coefficients b_0..b_(2*_PADE)
+_FAR_ORDER, _PADE = 30, 18
+# the trace's start is the first of this many nodes, evenly spaced over
+# (0, s_far], from which the approximant passes the start rule (_far_field)
+_START_NODES = 400
 
 
-# terms a_k kept of the separatrix's far-field series
-_FAR_ORDER = 30
+class _FarFormula(NamedTuple):
+    """The separatrix beyond the trace's start as one closed formula,
+    w(s) = s * P(t) / Q(t) in t = scale / s^2: the diagonal Padé
+    approximant of the far-field series (Baker & Graves-Morris, Padé
+    Approximants, 2nd ed. 1996), or the truncated series itself, Q = 1.
+    p and q are ascending coefficients in t."""
+
+    p: np.ndarray
+    q: np.ndarray
+    scale: float
+
+    def _at(self, s):
+        t = self.scale / (s * s)
+        return t, eval_series(self.p, t), eval_series(self.q, t)
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        _, P, Q = self._at(s)
+        return _scalar_or_array(s * (P / Q))
+
+    def defect(self, c: float, s: np.ndarray) -> np.ndarray:
+        """|w' - f(s, w)| / |w'| of the formula at s > 0, in closed form:
+        w' = r - 2t r_t with r = P/Q, and f = (1 - w^2)(1 - c*w/s) on the
+        strip form, where 1 - c*w/s = (Q - c*P)/Q is taken from that
+        polynomial with its constant term 1 - c*b_0 = 0 dropped, so the
+        defect is not lost to cancellation as s grows."""
+        t, P, Q = self._at(s)
+        dP = eval_series(np.polynomial.polynomial.polyder(self.p), t)
+        dQ = eval_series(np.polynomial.polynomial.polyder(self.q), t)
+        gap = np.polynomial.polynomial.polysub(self.q, c * self.p)
+        gap[0] = 0.0
+        r = P / Q
+        slope = r - 2.0 * t * (dP * Q - P * dQ) / (Q * Q)
+        w = s * r
+        rhs = (1.0 - w * w) * (eval_series(gap, t) / Q)
+        return np.abs(slope - rhs) / np.abs(slope)
 
 
-def _far_field(params: FlowParams, abs_tol: float) -> Tuple[PhaseState, np.ndarray]:
-    """Start of the backward separatrix trace, at s_far, and the far-field
-    series coefficients to use from there on.
+def _pade(a: np.ndarray, scale: float) -> _FarFormula:
+    """The [_PADE/_PADE] approximant of sum a_k t^k, from a[0..2*_PADE]:
+    Q = 1 + q_1 t + ... makes Q * sum a_k t^k - P vanish through t^(2*_PADE),
+    a Toeplitz system for q_1..q_M, and P is the product's head."""
+    m = _PADE
+    k = np.arange(m + 1, 2 * m + 1)
+    q = np.append(1.0, np.linalg.solve(a[k[:, None] - np.arange(1, m + 1)], -a[k]))
+    return _FarFormula(np.convolve(a[:m + 1], q)[:m + 1], q, scale)
 
-    A truncation after a_K leaves a defect of about |a_{K+1}| s^(-2K)
-    times the slope scale 1/c in the phase equation, and a value error of
-    about |a_{K+1}| s^(-2K-1).  s_far is where the first two omitted terms
-    of the order-_FAR_ORDER series, read as that defect, sum to abs_tol
-    (one fixed-point step from the one-term root, which lands just beyond
-    the two-term one); past s_far the series satisfies the equation to
-    abs_tol relative and its value is off by less than abs_tol / s_far.
-    Below s_far the omitted terms grow like (s_far/s)^(2K+1), so the trace
-    starts there and nowhere nearer, whatever the span.
+
+def _far_field(params: FlowParams, abs_tol: float) -> Tuple[PhaseState, _FarFormula]:
+    """Start of the backward separatrix trace, and the closed formula the
+    trace joins beyond it.
+
+    The far-field series truncated after a_K leaves a defect of about
+    |a_{K+1}| s^(-2K) times the slope scale 1/c in the phase equation.
+    s_far is where the first two omitted terms of the order-_FAR_ORDER
+    series, read as that defect, sum to abs_tol (one fixed-point step from
+    the one-term root, which lands just beyond the two-term one); below it
+    the omitted terms grow like (s_far/s)^(2K+1).
+
+    The diagonal Padé approximant of the same series, through b_(2*_PADE),
+    stays accurate much nearer the origin.  It is built in float64 in
+    t = scale/s^2, with scale = max_k |b_k|^(1/k), which brings every
+    coefficient to at most 1 in size.  Its start is chosen a posteriori:
+    the smallest node s of _START_NODES evenly over (0, s_far] from which
+    on, up to s_far, its closed-form defect (_FarFormula.defect) is within
+    abs_tol relative (a NaN fails), and beyond the s = sqrt(scale/t) of
+    every real zero t > 0 of its denominator (a zero within sqrt(eps)
+    relative of the axis counts as real: rounding splits a double zero by
+    about that much).  Beyond s_far it agrees with the series to far below
+    abs_tol.  Where the rule finds no node below s_far (as where a real
+    pole lies past it), the trace starts at s_far on the order-_FAR_ORDER
+    series, written as the formula with Q = 1.  For rotational(n), n = 2..5,
+    the start is about 3.1, 4.3, 4.9 and 5.7, against s_far 8.3, 11.2, 13.1
+    and 14.9.  Either way the start does not depend on the span.
     """
-    b = separatrix_series_coeffs(params, _FAR_ORDER + 2)
-    first, second = abs(b[-2]), abs(b[-1])
-    s = (first / abs_tol) ** (0.5 / _FAR_ORDER)
-    s = ((first + second / (s * s)) / abs_tol) ** (0.5 / _FAR_ORDER)
-    return PhaseState(float(s), float(_far_series(b[:-2], s))), b[:-2]
+    c = params.fiber_coeff
+    b = separatrix_series_coeffs(params, 2 * _PADE)
+    first, second = abs(b[_FAR_ORDER + 1]), abs(b[_FAR_ORDER + 2])
+    s_far = (first / abs_tol) ** (0.5 / _FAR_ORDER)
+    s_far = ((first + second / (s_far * s_far)) / abs_tol) ** (0.5 / _FAR_ORDER)
+    # libm's pow, as in _libm: numpy's SIMD power would move the formula's bits
+    scale = max(abs(x) ** (1.0 / k) for k, x in enumerate(b.tolist()) if k)
+    a = np.array([x / scale ** k for k, x in enumerate(b.tolist())])
+    start, formula = s_far, _FarFormula(a[:_FAR_ORDER + 1], np.ones(1), scale)
+    s = s_far * np.arange(1, _START_NODES + 1) / _START_NODES
+    pade = _pade(a, scale)
+    poles = np.roots(pade.q[::-1])
+    real = poles[(np.abs(poles.imag) <= math.sqrt(_EPS) * np.abs(poles)) & (poles.real > 0)]
+    # the nodes where the approximant fails, and those at or below a real pole
+    bad = (~(pade.defect(c, s) <= abs_tol)
+           | (s * s <= scale / np.min(real.real, initial=math.inf)))
+    j = _START_NODES - int(np.argmax(bad[::-1])) if bad.any() else 0
+    if j < _START_NODES - 1:
+        start, formula = float(s[j]), pade
+    return PhaseState(float(start), float(formula(start))), formula
 
 
 def separatrix_start(params: FlowParams, abs_tol: float = 1e-12) -> PhaseState:
-    """Series start on the separatrix at s_far, the nearest s where its
-    order-30 far-field series can be trusted to abs_tol (see _far_field).
-    For rotational(n), n = 2..5, s_far is about 8.3, 11.2, 13.1 and 14.9.
+    """Start on the separatrix of the backward trace: the nearest s from
+    which its far-field formula, the diagonal Padé approximant of the
+    far-field series, satisfies the phase equation to abs_tol relative
+    (see _far_field), and the formula's value there.  For rotational(n),
+    n = 2..5, s is about 3.1, 4.3, 4.9 and 5.7; where the approximant gains
+    nothing it is s_far, where the order-30 series is trusted.
     """
     return _far_field(params, abs_tol)[0]
 
 
 def _far_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
     """The separatrix over [s_min_eps, s_max]: backward integration from
-    its far-field series at s_far, joined where s_far < s_max to the
-    series itself, with samples at most _MAX_STEP apart, and cut at
-    s_max: the samples below s_max, a last one read from the dense output
-    there, and the events up to s_max.
+    its far-field formula's start (_far_field), joined where the start lies
+    below s_max to the formula itself, with samples at most _MAX_STEP
+    apart, and cut at s_max: the samples below s_max, a last one read from
+    the dense output there, and the events up to s_max.
 
     Nearby solutions contract onto the separatrix at rate s/c going
     backward, which makes that integration stiff for an explicit stepper
-    at large s; starting it at s_far keeps its cost independent of s_max.
+    at large s; starting it where the formula is trusted keeps its cost
+    independent of s_max.
     """
-    start, coeffs = _far_field(params, cfg.abs_tol)
+    start, formula = _far_field(params, cfg.abs_tol)
 
     def assemble(traj: Trajectory) -> Trajectory:
         if start.s < cfg.s_max:
-            series = partial(_far_series, coeffs)
             nodes = max(1, math.ceil((cfg.s_max - start.s) / _MAX_STEP))
             s_tail = np.linspace(start.s, cfg.s_max, nodes + 1)
-            traj = merge_bidirectional(traj, Trajectory(params, s_tail, series(s_tail),
-                                                        dense=series))
+            traj = merge_bidirectional(traj, Trajectory(params, s_tail, formula(s_tail),
+                                                        dense=formula))
         k, w_end = np.searchsorted(traj.s, cfg.s_max), float(traj.w_at(cfg.s_max))
         end = Termination(TerminationKind.REACHED_S_MAX, s=float(cfg.s_max), value=w_end)
         return replace(traj, s=np.append(traj.s[:k], cfg.s_max),

@@ -6,7 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from solitonlab import (
@@ -30,14 +31,12 @@ from solitonlab import (
     integrate_bidirectional,
     integrate_bidirectional_batch,
     limits_report,
-    rhs,
     rotational,
-    separatrix_series_coeffs,
     separatrix_start,
     timelike_family_from_strip,
 )
 from solitonlab.classify import _critical_points, _evidence
-from solitonlab.engine import _MAX_STEP
+from solitonlab.engine import _MAX_STEP, _far_field
 
 ROT3 = rotational(3)
 
@@ -285,10 +284,11 @@ def test_margins_are_read_against_the_references(separatrix):
 
 def test_a_reference_that_cannot_be_built_fails_only_its_starts():
     """At s_max = 3 the separatrix anchor s = c = 4 of rotational(5) lies
-    outside the span, so its lane is refused before the run; at s_max =
-    5e-5 the bowl's series handoff s = 1e-4 does, so its lane fails in
-    the run.  Either way the starts that read that reference get its
-    ValueError and every other start is still classified."""
+    outside the span, and at s_max = 5e-5 the bowl's series handoff
+    s = 1e-4 does, so that reference's lane is refused before the run,
+    with a message that names the anchor or the handoff.  Either way the
+    starts that read that reference get its ValueError and every other
+    start is still classified."""
     params = rotational(5)
     strip, upper, upper2, lower = classify_batch(
         params, [(1.0, 0.5), (1.0, 2.0), (2.0, 1.5), (1.0, -2.0)], IntegratorConfig(s_max=3.0))
@@ -299,7 +299,9 @@ def test_a_reference_that_cannot_be_built_fails_only_its_starts():
     assert lower.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
     strip, lower, barrier = classify_batch(
         params, [(2e-5, 0.5), (2e-5, -2.0), (2e-5, 1.0)], IntegratorConfig(s_max=5e-5))
-    assert isinstance(strip, ValueError) and "beyond the span ceiling" in str(strip)
+    assert isinstance(strip, ValueError)
+    assert str(strip) == ("s_max = 5e-05 must lie above the bowl's center series "
+                          "handoff at s = 0.0001")
     assert lower.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
     assert barrier.tag is SolutionClassTag.CONSTANT_PLUS
 
@@ -597,9 +599,10 @@ def test_separatrix_small_s_max(n, s_max):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_separatrix_s_max_below_s_far_first_pair_is_the_bracket(n):
-    """At s_max = 6, below s_far (about 13 and 15), the trace still starts
-    at s_far, so it is as close at the anchor as at the default span: the
-    first pair of shots is the bracket, on the LSODA value."""
+    """At s_max = 6, below s_far (about 13 and 15), the trace starts where
+    it starts at the default span (about 4.9 and 5.7), so it is as close at
+    the anchor: the first pair of shots is the bracket, on the LSODA
+    value."""
     sep = compute_separatrix(rotational(n), IntegratorConfig(s_max=6.0))
     assert sep.bracket[1] - sep.bracket[0] <= 1e-10
     for w in (sep.value, *sep.bracket):
@@ -609,16 +612,25 @@ def test_separatrix_s_max_below_s_far_first_pair_is_the_bracket(n):
 
 @pytest.mark.parametrize("n", sorted(LSODA_SEP_2_TO_5))
 def test_separatrix_first_pair_is_the_bracket(n):
-    """At the default tol the trace is close enough that the pair of shots
-    at traced +-0.49*tol splits: two decision shots, and value is the
-    traced value.  At tol = 1e-12 the pair does not split."""
+    """The first pair of shots, at traced +-0.49*tol, is the bracket
+    exactly when it splits into global and blow-up: then two decision shots
+    were fired and the bracket is that pair, else more.  At the default tol
+    the trace is close enough that it splits, at s_max 100 and 200 alike,
+    and value is the traced value."""
     params = rotational(n)
     for s_max in (100.0, 200.0):
         sep = compute_separatrix(params, IntegratorConfig(s_max=s_max))
         assert sep.shots == 2
         assert sep.value == pytest.approx(float(sep.trajectory.w_at(sep.anchor)),
                                           rel=1e-15, abs=0)
-    assert compute_separatrix(params, tol=1e-12).shots > 2
+    for tol in (1e-10, 1e-12):
+        sep = compute_separatrix(params, tol=tol)
+        traced = float(sep.trajectory.w_at(sep.anchor))
+        pair = (max(1.0, traced - 0.49 * tol), traced + 0.49 * tol)
+        splits = [_forward_end(params, sep.anchor, w) for w in pair] == [
+            TerminationKind.REACHED_S_MAX, TerminationKind.BLOW_UP]
+        assert (sep.shots == 2) == splits
+        assert (sep.bracket == pair) == splits
 
 
 def test_separatrix_unsplit_window_raises(monkeypatch):
@@ -645,10 +657,17 @@ def test_separatrix_window_clipped_at_barrier():
 
 # --- the far field: series tail beyond s_far ---
 
-@pytest.mark.parametrize("n", sorted(LSODA_SEP))
+# accepted steps of the backward trace from s_far on the order-30 series,
+# before it started on the far-field series' Padé approximant
+_TRACE_STEPS_FROM_S_FAR = {2: 119, 3: 108, 4: 98, 5: 93}
+
+
+@pytest.mark.parametrize("n", sorted(LSODA_SEP_2_TO_5))
 def test_separatrix_cost_independent_of_s_max(n):
-    """The backward arc starts at s_far whatever s_max is: the same value
-    and the same solver counters at s_max 100, 200 and 1000."""
+    """The backward arc starts at the same point whatever s_max is: the
+    same value and the same solver counters at s_max 100, 200 and 1000.
+    Started on the approximant, it takes at most half the accepted steps
+    of a start at s_far."""
     params = rotational(n)
     s_far = separatrix_start(params).s
     runs = []
@@ -661,7 +680,7 @@ def test_separatrix_cost_independent_of_s_max(n):
         assert np.diff(traj.s[traj.s >= s_far]).max() <= _MAX_STEP
         runs.append((sep.value, sep.bracket, traj.stats))
     assert runs[0] == runs[1] == runs[2]
-    assert runs[0][2].accepted < 200
+    assert 2 * runs[0][2].accepted <= _TRACE_STEPS_FROM_S_FAR[n]
 
 
 @pytest.mark.parametrize("n", sorted(LSODA_SEP))
@@ -686,14 +705,17 @@ def test_separatrix_tail_matches_stiff_reference(n):
 
 
 def test_separatrix_below_s_far():
-    """With s_max below s_far the trace still starts at s_far and is cut at
-    s_max.  At n = 2, s_max = 6 its end is about 3e-12 off a stiff
-    reference; the order-30 series there would be off by about 7e-6."""
+    """With s_max below the trace's start (about 3.1 at n = 2) the trace
+    still starts there and is cut at s_max: below s_max it is the trace of
+    the default span, bit for bit, and its end is on a stiff reference."""
     params = rotational(2)
-    c, s_max = params.fiber_coeff, 6.0
-    assert separatrix_start(params).s > s_max
+    c = params.fiber_coeff
+    s_max = 0.5 * (c + separatrix_start(params).s)
     sep = compute_separatrix.__wrapped__(params, IntegratorConfig(s_max=s_max))
     traj = sep.trajectory
+    probes = np.linspace(traj.s[0], s_max, 201)
+    np.testing.assert_array_equal(traj.w_at(probes),
+                                  compute_separatrix(params).trajectory.w_at(probes))
     ref = solve_ivp(lambda s, y: (1.0 - y * y) * (1.0 - c * y / s), (400.0, s_max),
                     [400.0 / c], method="Radau", rtol=1e-13, atol=1e-14,
                     jac=lambda s, y: [[-2.0 * y[0] * (1.0 - c * y[0] / s)
@@ -702,7 +724,7 @@ def test_separatrix_below_s_far():
     assert traj.s[-1] == s_max
     assert abs(traj.w[-1] - ref.y[0, -1]) <= 1e-10
     assert abs(traj.w_at(c) - LSODA_SEP[2]) <= 1e-9
-    # the shots only run to s_max = 6, so the bracket is not checked at s_max = 100
+    # the shots only run to s_max, so the bracket is not checked at s_max = 100
     assert sep.bracket[1] - sep.bracket[0] <= 1e-10
 
 
@@ -739,20 +761,32 @@ def test_classify_above_separatrix_beyond_s_far():
 
 
 @settings(max_examples=20, deadline=None)
-@given(c=st.floats(0.5, 8.0), stretch=st.floats(1.0, 3.0))
-def test_far_series_solves_the_phase_equation(c, stretch):
-    """From s_far on, the derivative of the truncated far-field series is
-    the phase equation's right-hand side at the series value."""
-    params = FlowParams(n=3, fiber_coeff=c)
-    b = separatrix_series_coeffs(params, 30)
-    start = separatrix_start(params)
-    s = start.s * stretch
-    k = np.arange(b.size)
-    w = float(np.sum(b * s ** (1.0 - 2.0 * k)))
-    slope = float(np.sum(b * (1.0 - 2.0 * k) * s ** (-2.0 * k)))
-    assert slope == pytest.approx(float(rhs(params, s, w)), rel=1e-12)
-    assert start.w == pytest.approx(float(np.sum(b * start.s ** (1.0 - 2.0 * k))),
-                                    rel=1e-15)
+@given(c=st.floats(0.5, 8.0), frac=st.floats(0.0, 1.0))
+# the [18/18] approximant of c = 4.625 has a real pole at s = 31.5
+@example(c=4.625, frac=0.5)
+def test_far_formula_solves_the_phase_equation(c, frac):
+    """From the trace's start up to s_max, the formula the trace joins
+    there, w = s P(t)/Q(t) in t = scale/s^2 (the far-field series' Padé
+    approximant, or the series itself, Q = 1, where a real pole of the
+    approximant lies in the span, as for c in about [4.62, 4.65]),
+    satisfies the phase equation to abs_tol relative, and Q has no zero in
+    the span.  The slope is taken by the quotient rule, and 1 - c*w/s as
+    (Q - c*P)/Q with its zero constant term 1 - c*b_0 dropped, so rounding
+    does not swamp the defect at large s."""
+    params, cfg = FlowParams(n=3, fiber_coeff=c), IntegratorConfig()
+    start, formula = _far_field(params, cfg.abs_tol)
+    assert start == separatrix_start(params, cfg.abs_tol)
+    assert start.w == formula(start.s)
+    P, Q = Polynomial(formula.p), Polynomial(formula.q)
+    assert np.all(Q(np.linspace(0.0, formula.scale / start.s ** 2, 2001)) > 0)
+    s = start.s * (cfg.s_max / start.s) ** frac
+    t = formula.scale / (s * s)
+    r = P(t) / Q(t)
+    slope = r - 2.0 * t * (P.deriv()(t) * Q(t) - P(t) * Q.deriv()(t)) / Q(t) ** 2
+    gap = (Q - c * P).coef
+    gap[0] = 0.0
+    f = (1.0 - (s * r) ** 2) * Polynomial(gap)(t) / Q(t)
+    assert abs(slope - f) <= cfg.abs_tol * abs(slope)
 
 
 @settings(max_examples=8, deadline=None)

@@ -98,6 +98,17 @@ def test_classify_reference_outside_the_span_exits_2(capsys):
     assert captured.err == "error: anchor s = c must lie inside the integration span\n"
 
 
+def test_classify_bowl_handoff_outside_the_span_exits_2(capsys):
+    """The bowl leaves its center series at s = 1e-4, beyond an s_max of
+    5e-5: a strip start has no reference, and the message names the
+    handoff, not the start."""
+    assert main(["classify", "--s0", "2e-5", "--w0", "0.5", "--s-max", "5e-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: s_max = 5e-05 must lie above the bowl's center "
+                            "series handoff at s = 0.0001\n")
+
+
 def test_classify_timelike_flip(tmp_path):
     code, text = run(tmp_path, "classify", "--action", "boost",
                      "--region", "timelike_T", "--s0", "1", "--w0", "0.4")

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from solitonlab import FlowParams, rotational
 from solitonlab import engine
@@ -137,9 +138,15 @@ _PARAMS = st.builds(lambda et, ep, c: FlowParams(n=3, eps_prime=ep, eps_tilde=et
 _MASK = st.sampled_from(["none", "all", "mixed"])
 
 
+def _floats(elements, shape):
+    """A float64 array of the given shape over an element strategy, drawn
+    whole rather than value by value."""
+    return hnp.arrays(float, shape, elements=elements)
+
+
 def _mask(kind, n, draw):
     if kind == "mixed":
-        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        return draw(hnp.arrays(bool, n))
     return np.full(n, kind == "all")
 
 
@@ -152,17 +159,16 @@ def test_rate_is_the_float_expression_bit_for_bit(params, log_kind, p_kind, data
     barrier and barrier-free patterns, with +-0, NaN, +-inf, subnormals
     and |w| past _W_CAP."""
     log, in_p = _mask(log_kind, n, data.draw), _mask(p_kind, n, data.draw)
-    x = np.array([data.draw(_LOG_X if lg and not p else _VALUES) for lg, p in zip(log, in_p)])
-    z = np.array(data.draw(st.lists(_VALUES, min_size=n, max_size=n)))
+    x = np.where(log & ~in_p, data.draw(_floats(_LOG_X, n)), data.draw(_floats(_VALUES, n)))
+    z = data.draw(_floats(_VALUES, n))
     field = engine._Field(params, log, in_p)
     assert _bits(field, x, z) == _bits(_rate_ref, params, log, in_p, x, z)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_VALUES, min_size=1, max_size=20))
-def test_growth_is_the_float_expression_bit_for_bit(norms):
+@given(_floats(_VALUES, st.integers(1, 20)))
+def test_growth_is_the_float_expression_bit_for_bit(norm):
     """_growth over every sign and special value, not only scipy's norms."""
-    norm = np.array(norms)
     assert _bits(engine._growth, norm) == _bits(_growth_ref, norm)
 
 
@@ -171,7 +177,7 @@ def test_growth_is_the_float_expression_bit_for_bit(norms):
 def test_switch_level_is_the_float_expression_bit_for_bit(params, data, n):
     """_switch_level on arrays and on Python floats, both signs of et,
     with s and w at every special value (2s overflows past 9e307)."""
-    s, w =(np.array(data.draw(st.lists(_VALUES, min_size=n, max_size=n))) for _ in range(2))
+    s, w = data.draw(_floats(_VALUES, (2, n)))
     assert _bits(engine._switch_level, params, s, w) == _bits(_switch_level_ref, params, s, w)
     assert (_bits(engine._switch_level, params, float(s[0]), float(w[0]))
             == _bits(_switch_level_ref, params, float(s[0]), float(w[0])))
@@ -185,15 +191,14 @@ def test_barrier_tail_is_the_float_expression_bit_for_bit(params, data, n):
     every row, against both span ends."""
     near = st.builds(lambda sign, u: sign + u, st.sampled_from([1.0, -1.0]),
                      st.one_of(st.floats(-1e-6, 1e-6), st.sampled_from([0.0, -0.0, 5e-324])))
-    s1 = np.array(data.draw(st.lists(_POSITIVE, min_size=n, max_size=n)))
-    y1 = np.array(data.draw(st.lists(st.one_of(near, _VALUES), min_size=n, max_size=n)))
+    s1 = data.draw(_floats(_POSITIVE, n))
+    y1 = data.draw(_floats(st.one_of(near, _VALUES), n))
     rows = engine._tail_rows(params, s1, y1)
     assert _bits(lambda: rows) == _bits(_tail_rows_ref, params, s1, y1)
-    drawn = np.array([data.draw(st.lists(_POSITIVE if k == 2 else _VALUES, min_size=n,
-                                         max_size=n)) for k in range(7)])
-    s = np.array(data.draw(st.lists(_POSITIVE, min_size=n, max_size=n)))
-    s_end = np.where(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
-                     1e-10, 100.0)
+    drawn = data.draw(_floats(_VALUES, (7, n)))
+    drawn[2] = data.draw(_floats(_POSITIVE, n))
+    s = data.draw(_floats(_POSITIVE, n))
+    s_end = np.where(data.draw(hnp.arrays(bool, n)), 1e-10, 100.0)
     for F in (rows.T, drawn):
         assert _bits(engine._tail_peak, F, s_end) == _bits(_tail_peak_ref, F, s_end)
         assert _bits(engine._tail, F, s) == _bits(_tail_ref, F, s)

@@ -54,9 +54,9 @@ GOLDEN = [
     (["classify", "--s0", "1", "--w0=-1e300"], 0,
      "54c16876bc4593d4e6a6fae88b50b4227b8c337c344f491cdfd2d85bae5bf659"),
     (["separatrix", "--n", "3"], 0,
-     "f8278adac85cfc2528d640b93853f8b66ba97fbefa194d43b67c48528bc1f39c"),
+     "c43afdef12685517351508539fb7df0aae6f217e622cc57f5e07ddbc7e8e6753"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
-     "84e9f322df6c69b47e3b8cd3b66faef57fd1d8ec021611ccf7d08ec6d3126737"),
+     "a747a205e23b9143c7ca50d4af66944e4f7982c2b853790290b63c10720be850"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
      "8f95f3acc75933324bafc83ee3b00c67c56998a82ce804869efa88ce9f46afa7"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
@@ -180,4 +180,4 @@ def test_engine_bits():
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
     grid(lambda sigmas: integrate_batch(params, [(2.0, sigma * math.inf) for sigma in sigmas],
                                         "toward_zero", cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "f4600f057002381cf3cf721c98a1022705b81aedcf43bc5e092f2244895f5365"
+    assert digest.hexdigest() == "3b03f292de08e3766e82a2b45c6246821aa560a39fb4e0e9dd529990231c08cb"
