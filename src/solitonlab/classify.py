@@ -45,9 +45,10 @@ is right to about 2e-12 or better, so at the default tolerance one
 batched pair of forward shots at traced +-0.49*tol, split into global
 and blow-up, is the bracket.  Else one loop widens that window 1e3-fold
 until its ends split, then narrows it by k-section rounds of as many
-starts as bring it below the tolerance.  A shot is an ordinary forward
-run, read by how it ends: it blows up, or it crosses below the critical
-line, which it never crosses back, and exists globally.
+starts as bring it below the tolerance.  A shot is a forward lane that
+stops at the first step that decides it: a step across the critical
+line, below which it never crosses back and exists globally, or a step
+end from which a fence argument proves that it blows up.
 """
 
 from __future__ import annotations
@@ -76,18 +77,24 @@ from .engine import (
     EventKind,
     IntegratorConfig,
     _far_lane,
+    _Field,
     _first,
     _integrate_lanes,
     _Lane,
     _series_lane,
+    _straddles,
     bowl_start,
     comparison_blowup_bound,
     detect_blowup,
-    integrate_batch,
 )
 
 # starts per k-section round of compute_separatrix
 _SHOTS = 64
+# the verdicts of a decision shot (_shot_verdicts): it exists globally, or it blows up
+_GLOBAL, _BLOWS_UP = 1, 2
+# a forward point with w > 1 blows up where the field is at least w/s;
+# the blow-up verdict asks for this many times that (see compute_separatrix)
+_FENCE_MARGIN = 2.0
 # compute_bowl's series handoff s and series order
 _BOWL_S_START, _BOWL_ORDER = 1e-4, 13
 # a strip start within this of the bowl is the bowl; an upper start within
@@ -384,15 +391,36 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     solution), until its ends split (RuntimeError past half-width 1), and
     k-section narrows it to width tol: each round shoots as many inner
     starts (at most 64) as take it below tol, plus one, and keeps the step
-    from the last global start below the first blow-up.  A shot is one
-    lane of an ordinary forward batch from (c, w), on or above the
-    critical line w = s/c: it is a blow-up if it ends in one, global if it
-    starts on the barrier w = 1 or records a line crossing (below the line,
-    with w > 1, the slope falls while the line rises, so the run never
-    crosses back and never blows up).  A start tol off
-    the separatrix parts from it only near s_decide = sqrt(c^2 + 2c
-    ln(1/tol)), so the shots run to at least 2 s_decide, whatever s_max;
-    one that ends there undecided raises RuntimeError.  tol must lie in
+    from the last global start below the first blow-up.
+
+    A shot is one lane of a forward decision batch from (c, w), on or
+    above the critical line w = s/c, and it stops at the first accepted
+    step that decides it; no trajectory is built.  With
+    f(s, w) = (w^2 - 1)(c*w/s - 1), the field of the strip form:
+
+    * global: the ends of a step straddle the line, by the test that
+      records a line crossing (a start on the barrier w = 1 starts on the
+      line, so its first step does).  Below
+      the line, with w > 1, the slope falls while the line rises, so the
+      run never crosses back and never blows up.
+    * blow-up: a step ends at a point (s, w), in either chart, with w > 1
+      and f(s, w) >= 2w/s.  The fence argument (Hubbard & West,
+      Differential Equations: A Dynamical Systems Approach, Part I, 1991,
+      ch. 1) shows that f >= w/s suffices: then f > 0, so k = c*w/s > 1.
+      On the ray w = k*s/c through the point f = (k^2 s^2/c^2 - 1)(k - 1)
+      grows with s, so it stays at least the ray's slope k/c = w/s, and the
+      ray is a lower fence.  Above the ray c*w/s >= k, so
+      w' >= (k - 1)(w^2 - 1), whose solution from w > 1 has a finite pole.
+      The factor 2 (_FENCE_MARGIN) keeps the verdict off the rule's edge:
+      the bare rule still holds at least 1.7% below the step's w, where
+      that step's own error is at most 6.3e-7 of w (245 blow-up verdicts,
+      n = 2 to 20 and c in [0.5, 8], rel_tol 1e-10 to 1e-6); it costs
+      about 5 more accepted steps than the bare rule.
+
+    A start tol off the separatrix parts from it only near
+    s_decide = sqrt(c^2 + 2c ln(1/tol)), so the shots may run to at least
+    2 s_decide, whatever s_max; one that ends there undecided, or fails by
+    step collapse before its verdict, raises RuntimeError.  tol must lie in
     (0, 1], and the anchor inside (s_min_eps, s_max); a tol below the
     float spacing where the bracket closes raises ValueError.  Results
     are cached; cache_clear() clears the traces too.
@@ -406,22 +434,6 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     s_decide = math.sqrt(c * c + 2 * c * math.log(1 / tol))
     shot_cfg = replace(cfg, s_max=max(cfg.s_max, 2 * s_decide))
 
-    def blows_up(ws: np.ndarray) -> np.ndarray:
-        # global: the barrier itself, or a run that crosses below the critical line
-        runs = integrate_batch(params, [(c, w) for w in ws], "toward_infinity", shot_cfg)
-        blown = []
-        for w, run in zip(ws, runs):
-            if isinstance(run, Exception):
-                raise run
-            if detect_blowup(run) is not None:
-                blown.append(True)
-            elif w == 1.0 or any(e.kind is EventKind.CROSSED_LINE_R for e in run.events):
-                blown.append(False)
-            else:
-                raise RuntimeError(f"decision shot from w = {w!r} at the anchor "
-                                   f"reached s = {shot_cfg.s_max!r} undecided")
-        return np.array(blown)
-
     # grow a window around the trace until its ends split, then narrow it
     h, shots, split = 0.49 * tol, 0, False
     while not split or w_high - w_low > tol:
@@ -434,13 +446,13 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
                 raise ValueError(f"separatrix tol {tol!r} is below the float spacing "
                                  f"{w_high - w_low!r} at the anchor value {w_low!r}")
             # the first blow-up, w_high if none, and the global start below it
-            j = int(np.argmax(np.append(blows_up(ws), True)))
+            j = int(np.argmax(np.append(_shoot(params, ws, shot_cfg), True)))
             ends = np.concatenate(([w_low], ws, [w_high]))
             w_low, w_high = float(ends[j]), float(ends[j + 1])
         else:
             w_low, w_high = max(1.0, traced - h), traced + h
             ws = np.array([w_low, w_high])
-            split = tuple(blows_up(ws)) == (False, True)
+            split = tuple(_shoot(params, ws, shot_cfg)) == (False, True)
             if not split and h * 1e3 > 1.0:
                 raise RuntimeError(f"backward-traced separatrix value {traced!r} is not "
                                    f"bracketed by [{w_low!r}, {w_high!r}] at the anchor")
@@ -449,6 +461,43 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
 
     return SeparatrixResult(value=0.5 * (w_low + w_high), bracket=(w_low, w_high),
                             anchor=c, trajectory=traj, shots=shots)
+
+
+def _shot_verdicts(field: _Field, ok, x0, y0, x1, y1) -> np.ndarray:
+    """The stop test of the decision shots (engine._advance): per step
+    from (x0, y0) to (x1, y1), _GLOBAL where its ends straddle the critical
+    line (the test that records a CROSSED_LINE_R event), _BLOWS_UP where
+    it ends at a point (s, w), in either chart (w = 1/p in the p chart),
+    with w > 1 and f(s, w) = (w^2 - 1)(c*w/s - 1) >= _FENCE_MARGIN * w/s,
+    and 0 where it decides nothing or ok is False."""
+    c = field.params.fiber_coeff
+    crossed = _straddles(field.events(x0, y0), field.events(x1, y1))
+    s, w = field.s_of(x1), y1
+    # steps not in ok may be wild, and a pole, p = 0, reads w = +-inf
+    with np.errstate(all="ignore"):
+        if field.any_p:
+            s, w = np.where(field.in_p, y1, s), np.where(field.in_p, 1.0 / x1, w)
+        blows = (w > 1.0) & ((w * w - 1.0) * (c * w / s - 1.0) >= _FENCE_MARGIN * w / s)
+    return np.where(ok & crossed, _GLOBAL, np.where(ok & blows, _BLOWS_UP, 0))
+
+
+def _shoot(params: FlowParams, ws: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    """Whether each decision shot, forward from the anchor (c, w) for w in
+    ws, blows up: one decision batch, each lane stopped at its verdict
+    (_shot_verdicts), no trajectory built.  A start on the barrier w = 1
+    is global: it starts on the critical line, which its first step
+    straddles.  A shot that fails raises its error, and one that reaches
+    cfg.s_max undecided a RuntimeError."""
+    c = params.fiber_coeff
+    verdicts = _integrate_lanes(params, [(c, w) for w in ws.tolist()],
+                                [("toward_infinity",)] * ws.size, cfg, _shot_verdicts)
+    for w, verdict in zip(ws.tolist(), verdicts):
+        if isinstance(verdict, Exception):
+            raise verdict
+        if not verdict:
+            raise RuntimeError(f"decision shot from w = {w!r} at the anchor "
+                               f"reached s = {cfg.s_max!r} undecided")
+    return np.array(verdicts) == _BLOWS_UP
 
 
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],

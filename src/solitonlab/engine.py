@@ -19,9 +19,12 @@ interpolant of every stepped step, the tail formula of a closed one),
 solver counters, and its events: crossing the critical line, located on
 the step's dense output after the loop (Shampine & Thompson, "Event
 location for ODEs", 2000).  An event is a record, never an end: every
-lane runs to its bound, its pole or a step collapse.  A lane that fails
-(step collapse) comes back as its own exception and does not stop the
-others.
+lane runs to its bound, its pole or a step collapse.  The one exception is
+a decision batch (the separatrix's decision shots), whose caller passes a
+stop test: each of its lanes ends at the first accepted step that gives it
+a verdict, and the batch returns those verdicts, no trajectories.  A lane
+that fails (step collapse) comes back as its own exception and does not
+stop the others.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
@@ -414,13 +417,14 @@ def _tail(F, s):
 _Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed s1")
 
 # how a lane's stepping in one chart ended: at its bound, at step
-# collapse, or past the end of the chart, open at its last sample, where
-# the lane goes on in the next chart
-_FINISHED, _COLLAPSED, _SWITCHED = range(3)
+# collapse, past the end of the chart, open at its last sample, where
+# the lane goes on in the next chart, or at the step that gave the lane of
+# a decision batch its verdict
+_FINISHED, _COLLAPSED, _SWITCHED, _DECIDED = range(4)
 
 # one chart of one lane: its direction and chart, its start (x, y), how
-# stepping ended (_FINISHED, _COLLAPSED or _SWITCHED), attempts and
-# accepted steps
+# stepping ended (_FINISHED, _COLLAPSED, _SWITCHED or _DECIDED), attempts
+# and accepted steps
 _Arc = namedtuple("_Arc", "lane log in_p x0 y0 outcome attempts accepted",
                   defaults=(_FINISHED, 0, 0))
 
@@ -474,7 +478,8 @@ def _stages(field: _Field, heads, cols, at, y, h):
     return y_i, cols[_NS]
 
 
-def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
+def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
+             decide: Optional[Callable] = None):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
@@ -500,8 +505,21 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
     where a lane stops or switches, the stopped lanes are dropped and the
     field is rebuilt.
 
-    Returns the steps (_Steps) and the arcs (_Arc): lane k's first arc at
-    index k, later arcs after all first ones.
+    decide, if given, makes this a decision batch.  It is called as
+    decide(field, ok, x0, y0, x1, y1) on every step of the lanes of field,
+    each step from (x0, y0) to (x1, y1) in its lane's stepping variable and
+    chart, and returns a verdict per lane: 0 where the step decides
+    nothing, and 0 wherever ok, the mask of the steps it reads, is False.
+    It reads the accepted steps, and where a lane settles, its closed step
+    as well, unless the step before it decided.  A lane ends, outcome
+    _DECIDED, at the first step that gives it a verdict; a collapse before
+    that still ends it as _COLLAPSED, and a lane that reaches its end
+    undecided ends as it would without the test.  A decision batch keeps
+    no steps.
+
+    Returns the steps (_Steps), or with decide each lane's verdict (0 where
+    none), and the arcs (_Arc): lane k's first arc at index k, later arcs
+    after all first ones.
     """
     rtol = max(cfg.rel_tol, 100 * _EPS)
     arcs = list(map(_Arc, range(x.size), log.tolist(), in_p.tolist(), x.tolist(), y.tolist()))
@@ -514,6 +532,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
     # (a p-chart lane never starts at its bound)
     keep, records, tails, it = (np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))),
                                 [], [], 0)
+    verdicts = np.zeros(x.size, dtype=int)
     # u*: a tail's dropped O(u^2) terms move w by about u*^2 = abs_tol
     u_star = math.sqrt(cfg.abs_tol)
     # the config as the loop's operands (_f64)
@@ -580,13 +599,18 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
         h_abs = h_abs * np.minimum(np.maximum(grow, _MIN_FACTOR), grow_cap)
 
         step = (arc, x, h, y, x_new, y_new, K.copy())
-        if np.count_nonzero(ok) == ok.size:
+        whole = np.count_nonzero(ok) == ok.size
+        if decide is not None:
+            verdict = decide(field, ok, x, y, x_new, y_new)
+        elif whole:
             records.append(step)
+        else:
+            records.append(tuple(a[ok] for a in step))
+        if whole:
             x, y, f = x_new, y_new, step[-1][:, _NS]
             if capped:
                 grow_cap, capped = np.full(arc.size, _MAX_FACTOR), False
         else:
-            records.append(tuple(a[ok] for a in step))
             x, y, f = np.where(ok, x_new, x), np.where(ok, y_new, y), np.where(ok, f_new, f)
             grow_cap, capped = np.where(ok, _MAX_FACTOR, _ONE), True
             rejects += ~ok if stuck is None else ~ok & ~stuck
@@ -612,6 +636,17 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
                 settled, near = np.zeros(ok.size, dtype=bool), near[closes]
                 settled[near] = True
                 stop = stop | settled
+                if near.size:
+                    tail, y_end = tail[closes], y_new.copy()
+                    y_end[near] = _tail(tail.T, s_end[closes])
+        if decide is not None:
+            if np.count_nonzero(settled):
+                # a settled lane's closed step is one more accepted step
+                settled = settled & (verdict == 0)
+                verdict = np.where(settled, decide(field, settled, x_new, y_new, bound, y_end),
+                                   verdict)
+            decided = verdict != 0
+            stop = stop | decided
         if stuck is not None:
             stop = stop | stuck
         # lanes switch where they ended and did not stop
@@ -620,17 +655,19 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig):
         switch = ended & ~stop
         # a settled lane ends in one closed step to its bound
         tries = it - start_it - (0 if stuck is None else stuck) + settled
-        if np.count_nonzero(settled):
-            tail, y_end = tail[closes], y_new.copy()
-            y_end[near] = _tail(tail.T, s_end[closes])
+        if decide is None and np.count_nonzero(settled):
             tails.append((arc[near], x_new[near], (bound - x_new)[near], y_new[near],
                           bound[near], y_end[near], tail))
         outcome = np.select([done | settled, switch], [_FINISHED, _SWITCHED], _COLLAPSED)
+        if decide is not None:
+            outcome[decided] = _DECIDED
+            for k in decided.nonzero()[0].tolist():
+                verdicts[arcs[arc[k]].lane] = verdict[k]
         for k in (stop | switch).nonzero()[0].tolist():
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
         keep = (~stop).nonzero()[0]
-    return _collect(params, arcs, records, tails), arcs
+    return (_collect(params, arcs, records, tails) if decide is None else verdicts), arcs
 
 
 def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -> _Steps:
@@ -881,9 +918,7 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     group = np.asarray(group)
     dead = np.zeros(group[-1] + 1, dtype=bool)
     dead[group[lane[outcome == _COLLAPSED]]] = True
-    out: List[Optional[Result]] = [RuntimeError(
-        "integrator failed before any terminal event: Required step size is less than "
-        "spacing between numbers.") if d else None for d in dead.tolist()]
+    out: List[Optional[Result]] = [_collapse() if d else None for d in dead.tolist()]
     index = np.arange(len(arcs))
     P = np.lexsort((np.where(log, -index, index), lane))
     P = P[~dead[group[lane[P]]]]
@@ -966,9 +1001,22 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     return out
 
 
+def _collapse() -> RuntimeError:
+    """The error of a lane that failed by step collapse."""
+    return RuntimeError("integrator failed before any terminal event: Required step size "
+                        "is less than spacing between numbers.")
+
+
+def _verdicts(verdict, arcs: List[_Arc]) -> List[Union[int, Exception]]:
+    """Per lane of a decision batch its verdict (0 where it ended
+    undecided), or the RuntimeError of a step collapse."""
+    collapsed = {a.lane for a in arcs if a.outcome == _COLLAPSED}
+    return [_collapse() if k in collapsed else v for k, v in enumerate(verdict.tolist())]
+
+
 def _integrate_lanes(params: FlowParams, starts: Sequence,
-                     directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig
-                     ) -> List[Result]:
+                     directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig,
+                     decide: Optional[Callable] = None) -> List[Union[Result, int]]:
     """integrate() of each start in each of its directions (a tuple in the
     order of DIRECTIONS), all lanes in one lockstep run: per start one
     Trajectory over all its lanes and their arcs (_arcs), as
@@ -977,7 +1025,9 @@ def _integrate_lanes(params: FlowParams, starts: Sequence,
     the w chart or, at or past the switch level (past it where |w|
     shrinks, where the p chart ends at the level), in the p chart at
     p = 1/w0 (+-0 from a pole, w0 = +-inf).  A start within BARRIER_TOL of
-    a barrier starts on it."""
+    a barrier starts on it.  With a stop test decide (see _advance) the
+    run is a decision batch: each start has one direction and gets its
+    lane's verdict (_verdicts) instead of a Trajectory."""
     out: List[Optional[Result]] = [None] * len(starts)
     lanes, slots = [], []
     for i, (init, sides) in enumerate(zip(starts, directions)):
@@ -997,8 +1047,9 @@ def _integrate_lanes(params: FlowParams, starts: Sequence,
     level = _switch_level(params, s, y)
     in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
     x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
-    steps, arcs = _advance(params, x, y, log, in_p, cfg)
-    for i, res in zip(slots, _arcs(params, steps, arcs, s.tolist(), group, cfg)):
+    steps, arcs = _advance(params, x, y, log, in_p, cfg, decide)
+    for i, res in zip(slots, _arcs(params, steps, arcs, s.tolist(), group, cfg)
+                      if decide is None else _verdicts(steps, arcs)):
         out[i] = res
     return out
 

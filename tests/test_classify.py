@@ -36,7 +36,7 @@ from solitonlab import (
     timelike_family_from_strip,
 )
 from solitonlab.classify import _critical_points, _evidence
-from solitonlab.engine import _MAX_STEP, _far_field
+from solitonlab.engine import _MAX_STEP, _far_field, _Field, detect_blowup
 
 ROT3 = rotational(3)
 
@@ -47,7 +47,7 @@ GP_CROSSING_S = 2.4391949731195406    # line crossing of the (2, 1.2) orbit
 GP_BLOWUP_S = 2.8708136089142045      # pole of the (2, 1.5) orbit
 GM_BLOWUP_S = 1.0632503268240918      # pole of the (1, -2) orbit
 SEP_VALUE = 1.390627106179388         # threshold slope at anchor s = 2
-SEP_DEFECT_50 = 0.03996810142501772   # c*w(50) - 50 on the dense output
+SEP_DEFECT_50 = 0.0399681018510024    # c*w(50) - 50, the far-field series in mpmath
 # separatrix w(c) for rotational(n) by an independent LSODA bisection
 LSODA_SEP = {2: 1.5470570400484722, 5: 1.2781160995707248}
 LSODA_SEP_2_TO_5 = {**LSODA_SEP, 3: 1.390627106195109, 4: 1.3203257162015776}
@@ -412,9 +412,9 @@ def test_upper_tags_need_no_bracket(monkeypatch):
     compute_bowl.cache_clear()
     compute_separatrix.cache_clear()
     split = classify_batch(ROT3, starts)
-    shots = classify_module.integrate_batch
-    monkeypatch.setattr(classify_module, "integrate_batch", lambda params, ws, *a: shots(
-        params, [(s, w + 10.0) for s, w in ws], *a))
+    shots = classify_module._shoot
+    monkeypatch.setattr(classify_module, "_shoot",
+                        lambda params, ws, *a: shots(params, ws + 10.0, *a))
     for cold in (True, False):
         if cold:
             compute_bowl.cache_clear()
@@ -465,7 +465,7 @@ def test_separatrix_asymptote_defect_needs_s_in_span(separatrix, s_from):
 
 def test_separatrix_asymptote_defect(separatrix):
     d50 = separatrix.asymptote_defect(50.0)
-    assert d50 == pytest.approx(SEP_DEFECT_50, rel=1e-6)
+    assert d50 == pytest.approx(SEP_DEFECT_50, rel=1e-12)
     assert d50 < 0.05
     # the defect |c*w(s) - s| shrinks toward the critical line
     assert separatrix.asymptote_defect(20.0) > d50
@@ -818,6 +818,66 @@ def test_decision_shot_verdict_matches_full_run(n, sign, exponent):
     term = run.termination_right
     crossed = any(e.kind is EventKind.CROSSED_LINE_R for e in run.events)
     assert (term.kind is not TerminationKind.BLOW_UP) == crossed == (sign < 0)
+
+
+def _decided_shot(params, w0, cfg):
+    """compute_separatrix's decision shot from (c, w0): its verdict, the
+    steps its stop test read with ok set ((x0, y0, x1, y1) in order), and
+    the arguments of its lockstep loop."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    engine_module = importlib.import_module("solitonlab.engine")
+    verdicts, advance, read, loop = classify_module._shot_verdicts, engine_module._advance, [], []
+
+    def reading(field, ok, *ends):
+        read.append([a[ok] for a in ends])
+        verdict = verdicts(field, ok, *ends)
+        assert not verdict[~ok].any()    # only the steps it reads decide
+        return verdict
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(classify_module, "_shot_verdicts", reading)
+        monkeypatch.setattr(engine_module, "_advance", lambda *a: loop.append(a) or advance(*a))
+        (blown,) = classify_module._shoot(params, np.array([w0]), cfg)
+    return bool(blown), [np.concatenate(a) for a in zip(*read)], loop[0][:6]
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=st.floats(0.5, 8.0), sign=st.sampled_from([-1, 1]), exponent=st.floats(-12.0, -1.0))
+@example(c=2.0, sign=-1, exponent=0.0)    # clipped to the barrier: w0 = 1.0
+def test_decision_shot_stops_at_its_verdict(c, sign, exponent):
+    """A decision shot from the anchor, offset from the traced w(c) and
+    clipped at the barrier as compute_separatrix places them, stops at the
+    first step that decides it.  Its verdict is the full run's (a pole, or
+    a located line crossing, the barrier start included), and the steps it
+    took up to its verdict are the full run's first steps, bit for bit."""
+    params, cfg = FlowParams(n=3, fiber_coeff=c), IntegratorConfig()
+    trace = importlib.import_module("solitonlab.classify")._separatrix_trace(params, cfg)
+    w0 = max(1.0, float(trace.w_at(c)) + sign * 10.0 ** exponent)
+    blown, read, loop = _decided_shot(params, w0, cfg)
+    run = integrate(params, (c, w0), "toward_infinity", cfg)
+    crossed = any(e.kind is EventKind.CROSSED_LINE_R for e in run.events)
+    assert blown == (run.termination_right.kind is TerminationKind.BLOW_UP) != crossed
+    full, _ = importlib.import_module("solitonlab.engine")._advance(*loop)
+    k = read[0].size
+    assert 0 < k <= full.x1.size
+    assert k < full.x1.size or not blown
+    for got, want in zip(read, (full.x0, full.y0, full.x1, full.y1)):
+        assert got.tobytes() == want[:k].tobytes()
+
+
+def test_decision_shot_decides_in_the_p_chart():
+    """A shot that starts at or past the switch level, in the p chart, is
+    read there as w = 1/p: it blows up, as its full run does, at its first
+    step.  A p-chart step that ends at a pole reads w = +inf at p = +0, a
+    blow-up, and w = -inf at p = -0, no verdict."""
+    blown, read, loop = _decided_shot(ROT3, 5.0, IntegratorConfig())
+    assert loop[4].tolist() == [True]    # in_p
+    assert blown and read[0].size == 1
+    assert detect_blowup(integrate(ROT3, (ROT3.fiber_coeff, 5.0), "toward_infinity"))
+    classify_module = importlib.import_module("solitonlab.classify")
+    field = _Field(ROT3, np.array([False, False]), np.array([True, True]))
+    ends = [np.array(v) for v in ((0.1, -0.1), (3.0, 3.0), (0.0, -0.0), (3.5, 3.5))]
+    got = classify_module._shot_verdicts(field, np.array([True, True]), *ends)
+    assert got.tolist() == [classify_module._BLOWS_UP, 0]
 
 
 def test_limits_report_fields():

@@ -929,8 +929,8 @@ def test_each_batch_is_one_loop(monkeypatch):
         run()
         assert len(calls) == 1
     rounds = []
-    shots = classify_module.integrate_batch
-    monkeypatch.setattr(classify_module, "integrate_batch",
+    shots = classify_module._shoot
+    monkeypatch.setattr(classify_module, "_shoot",
                         lambda *a, **k: rounds.append(1) or shots(*a, **k))
     calls.clear()
     compute_separatrix.cache_clear()    # the trace is cached apart from the bracket
@@ -995,9 +995,9 @@ def test_cold_upper_classify_costs_the_trace(stage_calls, monkeypatch):
     classify_module.classify(ROT3, ROT3.fiber_coeff, 1.5)
     assert 0 < len(stage_calls) <= alone
     calls, rounds = [], []
-    advance, shots = engine._advance, classify_module.integrate_batch
+    advance, shots = engine._advance, classify_module._shoot
     monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(1) or advance(*a))
-    monkeypatch.setattr(classify_module, "integrate_batch",
+    monkeypatch.setattr(classify_module, "_shoot",
                         lambda *a, **k: rounds.append(1) or shots(*a, **k))
     compute_separatrix(ROT3)
     assert len(rounds) >= 1 and len(calls) == len(rounds)
@@ -1016,9 +1016,9 @@ def test_cache_clear_leaves_nothing_warm(monkeypatch):
     stores = (classify_module._BOWLS, classify_module._TRACES, classify_module._SEPARATRICES)
     assert [store.info()[::3] for store in stores] == [(0, 0)] * 3
     calls, rounds = [], []
-    advance, shots = engine._advance, classify_module.integrate_batch
+    advance, shots = engine._advance, classify_module._shoot
     monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(len(a[1])) or advance(*a))
-    monkeypatch.setattr(classify_module, "integrate_batch",
+    monkeypatch.setattr(classify_module, "_shoot",
                         lambda *a, **k: rounds.append(1) or shots(*a, **k))
     classify_module.classify_batch(ROT3, starts)
     assert calls == [2 * len(starts) + 2]    # both references are lanes again
@@ -1088,6 +1088,53 @@ def test_large_n_cost(stage_calls, run, most):
     chart reaches from |w| = 2, at most 45, and the separatrix 170."""
     run()
     assert len(stage_calls) <= most
+
+
+# lockstep iterations of compute_separatrix for n = 2..5 while every
+# decision shot ran to its pole or its closed barrier tail: a cold call,
+# and the shots alone at tol 1e-12
+_COLD_SEPARATRIX_ITERATIONS = {2: 128, 3: 122, 4: 118, 5: 116}
+_SHOT_ITERATIONS_AT_1E_12 = {2: 350, 3: 338, 4: 340, 5: 335}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_decision_shots_stop_at_their_verdicts(stage_calls, n):
+    """A decision shot stops at the step that decides it: a cold
+    compute_separatrix takes at most 3/4 of the lockstep iterations it took
+    when every shot ran on, the first pair at tol 1e-10 (the trace warm) at
+    most 45 (it took 83-85), and the shots at tol 1e-12 at most 0.6 of what
+    they took."""
+    params = rotational(n)
+    compute_separatrix.cache_clear()
+    compute_separatrix(params)
+    assert len(stage_calls) <= 0.75 * _COLD_SEPARATRIX_ITERATIONS[n]
+    stage_calls.clear()
+    assert compute_separatrix.__wrapped__(params, CFG, 1e-10).shots == 2
+    assert len(stage_calls) <= 45
+    stage_calls.clear()
+    compute_separatrix.__wrapped__(params, CFG, 1e-12)
+    assert len(stage_calls) <= 0.6 * _SHOT_ITERATIONS_AT_1E_12[n]
+
+
+def test_stop_test_reads_the_closed_step():
+    """A lane of a decision batch that settles undecided has its closed step
+    read as one more accepted step: a stop test that decides only there
+    ends the lane _DECIDED with the counters of its full run, and one that
+    never decides leaves it the outcome and counters it has without a
+    test, verdict 0."""
+    x, y, log, in_p = (np.array([v]) for v in (1.0, 0.5, False, False))
+    steps, arcs = engine._advance(ROT3, x, y, log, in_p, CFG)
+    (full,) = arcs
+    assert steps.closed[-1] and full.outcome == engine._FINISHED
+
+    def at_the_end(field, ok, x0, y0, x1, y1):
+        return np.where(ok & (x1 == CFG.s_max), 7, 0)
+    verdicts, (arc,) = engine._advance(ROT3, x, y, log, in_p, CFG, at_the_end)
+    assert verdicts.tolist() == [7]
+    assert arc == full._replace(outcome=engine._DECIDED)
+    verdicts, (arc,) = engine._advance(ROT3, x, y, log, in_p, CFG,
+                                       lambda field, ok, *ends: np.zeros(ok.size, dtype=int))
+    assert verdicts.tolist() == [0] and arc == full
 
 
 def test_libm_cost_per_iteration_and_step_end(stage_calls, monkeypatch):

@@ -483,11 +483,10 @@ def test_timelike_family_realizes_each_class(tag):
 def test_timelike_family_fires_no_separatrix_shots(monkeypatch):
     """The gamma_plus members start O(1) off the separatrix, placed by the
     cached trace's value at the anchor, so a cold build fires no decision
-    shots (classify.integrate_batch)."""
+    shots (classify._shoot)."""
     def no_shots(*args, **kwargs):
         raise AssertionError("separatrix decision shot fired")
-    monkeypatch.setattr(importlib.import_module("solitonlab.classify"), "integrate_batch",
-                        no_shots)
+    monkeypatch.setattr(importlib.import_module("solitonlab.classify"), "_shoot", no_shots)
     tl = boost(2, region="timelike")
     for tag in ("gamma_plus_global", "gamma_plus_blowup"):
         compute_bowl.cache_clear()
