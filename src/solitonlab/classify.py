@@ -5,8 +5,8 @@ profiles, and the timelike boost family after its slope flip) the phase
 plane splits into the invariant strip |w| < 1 and the outer regions
 above and below.  The distinguished solutions are
 
-* the bowl: the unique strip solution with w -> 0 as s -> 0, started
-  from its center Taylor series and integrated outward;
+* the bowl: the unique strip solution with w -> 0 as s -> 0, the
+  center-regular lane (engine._series_lane) of the strip form;
 * the separatrix: the unique outer solution above w = +1 that stays
   above the critical line w = s/c for all s and grows along it; it
   divides blow-up from global existence in the upper outer region.
@@ -83,7 +83,6 @@ from .engine import (
     _Lane,
     _series_lane,
     _straddles,
-    bowl_start,
     comparison_blowup_bound,
     detect_blowup,
 )
@@ -95,8 +94,6 @@ _GLOBAL, _BLOWS_UP = 1, 2
 # a forward point with w > 1 blows up where the field is at least w/s;
 # the blow-up verdict asks for this many times that (see compute_separatrix)
 _FENCE_MARGIN = 2.0
-# compute_bowl's series handoff s and series order
-_BOWL_S_START, _BOWL_ORDER = 1e-4, 13
 # a strip start within this of the bowl is the bowl; an upper start within
 # this, relative to max(1, |w|), of the separatrix is the separatrix
 _BOWL_TOL = 1e-9
@@ -269,14 +266,9 @@ def _cached(store: _Store, *also: _Store):
 
 
 def _bowl_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
-    """The bowl as one forward lane from its series start (_series_lane),
-    for a span that holds the series handoff s = _BOWL_S_START."""
+    """The bowl as the strip form's center-regular lane (_series_lane)."""
     _require_strip_form(params, "compute_bowl")
-    if not _BOWL_S_START < cfg.s_max:
-        raise ValueError(f"s_max = {cfg.s_max} must lie above the bowl's center "
-                         f"series handoff at s = {_BOWL_S_START}")
-    start = bowl_start(params, _BOWL_S_START, order=_BOWL_ORDER, abs_tol=cfg.abs_tol)
-    return _series_lane(params, start, _BOWL_ORDER, cfg)
+    return _series_lane(params, cfg)
 
 
 def _trace_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
@@ -303,10 +295,10 @@ _REFERENCES = {Region.INNER_STRIP: (_BOWLS, _bowl_lane),
 def compute_bowl(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """The bowl trajectory over [s_min_eps, s_max], series-anchored at the center.
 
-    The center limit w -> 0 is backward-unstable, so below s = _BOWL_S_START
-    the trajectory is its order-_BOWL_ORDER Taylor series (accurate there
-    far below the integration tolerance) and integration only runs
-    outward.  Results are cached per (params, config).
+    The center limit w -> 0 is backward-unstable, so below the handoff of
+    its center-regular lane (engine._series_lane, s = 0.5 for c >= 1) the
+    trajectory is its Taylor series and integration only runs outward.
+    Results are cached per (params, config).
     """
     return _bowl_lane(params, cfg).run()
 

@@ -63,8 +63,10 @@ where the field is 0, is the case u1 = 0, and reads the barrier exactly.
 A start within BARRIER_TOL of a barrier is put on it, w0 = +-1.0, and is
 a lane like any other: its first step lands on the barrier.
 
-The regular-at-center solution (slope vanishing at s = 0) is started from
-its Taylor series, and the separatrix of the strip form is ended by the
+The center-regular solution (slope vanishing at s = 0) of any sign
+pattern, the bowl and every center-regular profile, is one lane: its
+Taylor series up to a handoff it picks itself, then forward integration
+(_series_lane).  The separatrix of the strip form is ended by the
 diagonal Padé approximant of its divergent far-field series, which stays
 accurate much nearer the origin than the series (separatrix_start: from
 s of about 3.1, 4.3, 4.9 and 5.7 for rotational n = 2..5, where the
@@ -1206,25 +1208,44 @@ class _Lane(NamedTuple):
         return self.assemble(integrate(self.params, self.start, self.direction, self.cfg))
 
 
-def _series_lane(params: FlowParams, start: PhaseState, order: int,
-                 cfg: IntegratorConfig) -> _Lane:
-    """Center-regular trajectory: forward integration from start, which
-    must sit on its order-`order` center series, joined to that series
-    below start.s (48 geometric sample nodes from cfg.s_min_eps on)."""
-    if not cfg.s_min_eps < start.s:
+# a center-regular lane's series order, and its farthest handoff
+_SERIES_ORDER, _HANDOFF = 12, 0.5
+
+
+def _omitted(params: FlowParams, order: int) -> Tuple[np.ndarray, float, int]:
+    """The center series to `order`, and |a_k| and k of its first omitted
+    term |a_k| s^k, the estimate of its truncation error."""
+    a = bowl_series_coeffs(params, order + 2)
+    k = order + 1 + order % 2
+    return a[:order + 1], abs(float(a[k])), k
+
+
+def _series_lane(params: FlowParams, cfg: IntegratorConfig,
+                 order: int = _SERIES_ORDER) -> _Lane:
+    """The center-regular trajectory of any sign pattern: its center series
+    up to the handoff (48 geometric nodes from cfg.s_min_eps on), then
+    forward integration.  The handoff is min(_HANDOFF, s_max/2), moved in
+    to where the first omitted term meets abs_tol if it exceeds it there
+    (0.5 for every c >= 1 at order 12 and the default abs_tol).  The
+    patterns (et, ep) and (-et, -ep) give mirror lanes, bit for bit."""
+    a, next_term, k = _omitted(params, order)
+    s_h = min(_HANDOFF, cfg.s_max / 2)
+    if next_term * s_h ** k > cfg.abs_tol:
+        s_h = (cfg.abs_tol / next_term) ** (1.0 / k)
+    if not cfg.s_min_eps < s_h:
         raise ValueError(f"s_min_eps = {cfg.s_min_eps} must lie below the center "
-                         f"series handoff at s = {start.s}")
+                         f"series handoff at s = {s_h}")
 
     def assemble(tail: Trajectory) -> Trajectory:
-        coeffs = bowl_series_coeffs(params, order)
-        s_head = _libm(math.exp, np.linspace(math.log(cfg.s_min_eps), math.log(start.s), 49))
-        s_head[[0, -1]] = cfg.s_min_eps, start.s
-        w_head = eval_series(coeffs, s_head)
+        s_head = _libm(math.exp, np.linspace(math.log(cfg.s_min_eps), math.log(s_h), 49))
+        s_head[[0, -1]] = cfg.s_min_eps, s_h
+        w_head = eval_series(a, s_head)
         left = Termination(TerminationKind.DOMAIN_BOUNDARY_ZERO, s=float(s_head[0]),
                            value=float(w_head[0]))
         head = Trajectory(params, s_head, w_head, termination_left=left,
-                          dense=partial(eval_series, coeffs))
+                          dense=partial(eval_series, a))
         return merge_bidirectional(head, tail)
+    start = PhaseState(s_h, float(eval_series(a, s_h)))
     return _Lane(params, start, "toward_infinity", cfg, assemble)
 
 
@@ -1240,15 +1261,12 @@ def bowl_start(params: FlowParams, s_start: float, order: int = 13,
         raise ValueError("series start needs s_start >= 0")
     if s_start == 0.0:
         return PhaseState(0.0, 0.0)
-    a_ext = bowl_series_coeffs(params, order + 2)
-    next_term = abs(a_ext[-1] if (order + 2) % 2 == 1 else a_ext[-2])
-    k_next = order + 2 if (order + 2) % 2 == 1 else order + 1
-    if next_term * s_start ** k_next > abs_tol:
+    a, next_term, k = _omitted(params, order)
+    if next_term * s_start ** k > abs_tol:
         raise ValueError(
-            f"series truncation {next_term * s_start ** k_next:.3e} at "
+            f"series truncation {next_term * s_start ** k:.3e} at "
             f"s = {s_start} exceeds {abs_tol:.1e}; lower s_start or raise order")
-    w = float(eval_series(a_ext[:order + 1], s_start))
-    return PhaseState(s_start, w)
+    return PhaseState(s_start, float(eval_series(a, s_start)))
 
 
 def separatrix_series_coeffs(params: FlowParams, order: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 Three kinds of geometric output:
 
 * graph profiles f(s): quadrature of a slope trajectory, with dense
-  evaluators (cubic Hermite between fine samples, Taylor series inside
-  the center handoff radius for the bowl);
+  evaluators (cubic Hermite between fine samples, and the integrated
+  Taylor series inside the handoff of a center-regular lane);
 * wing profiles alpha(y): an apex (alpha' = 0) is a pole of the graph
   slope w = f'(s), so each arm is a graph solution leaving that pole,
   integrated by the engine; alpha(y) is the inverse of its height, and
@@ -32,15 +32,12 @@ import numpy as np
 
 from .core import (
     FlowParams,
-    PhaseState,
     Trajectory,
     _scalar_or_array,
     boost,
     rhs_wing,
 )
 from .classify import (
-    _BOWL_ORDER,
-    _BOWL_S_START,
     SolutionClassTag,
     _separatrix_trace,
     compute_bowl,
@@ -49,6 +46,7 @@ from .classify import (
 from .engine import (
     DIRECTIONS,
     IntegratorConfig,
+    _SERIES_ORDER,
     _piecewise,
     _series_lane,
     bowl_series_coeffs,
@@ -245,18 +243,24 @@ def build_graph(trajectory: Trajectory, f0: float = 0.0) -> ProfileCurve:
     return _profile(trajectory, s0, s1, _GRAPH_SAMPLES, f0)
 
 
-def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> ProfileCurve:
-    """The bowl profile with evaluators valid on all of [0, s_max].
+def _center_curve(params: FlowParams, cfg: IntegratorConfig, samples: int,
+                  order: int = _SERIES_ORDER,
+                  traj: Optional[Trajectory] = None) -> ProfileCurve:
+    """The center-regular profile on [0, cfg.s_max] from its lane
+    (engine._series_lane), the series below the lane's handoff; traj is
+    the lane's run when the caller holds it already."""
+    lane = _series_lane(params, cfg, order)
+    return _profile(lane.run() if traj is None else traj, lane.start.s, cfg.s_max,
+                    samples, series=bowl_series_coeffs(params, order))
 
-    Inside the series handoff radius the height comes from the integrated
-    center Taylor series (f(0) = 0); outside, from Simpson quadrature of
-    the cached bowl trajectory on a fine grid.  The sampling is dense
-    enough that interpolation error stays near rounding, which matters
-    when the curve seeds finite-difference fields.
+
+def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> ProfileCurve:
+    """The bowl profile with evaluators valid on all of [0, s_max]: the
+    center-regular profile (_center_curve) of the cached bowl trajectory.
+    The sampling is dense enough that interpolation error stays near
+    rounding, which matters when the curve seeds finite-difference fields.
     """
-    traj = compute_bowl(params, cfg)
-    return _profile(traj, _BOWL_S_START, cfg.s_max, _BOWL_SAMPLES,
-                    series=bowl_series_coeffs(params, _BOWL_ORDER))
+    return _center_curve(params, cfg, _BOWL_SAMPLES, traj=compute_bowl(params, cfg))
 
 
 @dataclass
@@ -512,41 +516,27 @@ class HybridField:
                          values=values, mask=gmask)
 
 
-# center-regular profiles are their center series out to this radius
-_SERIES_RADIUS = 0.5
 # the lightcone tube masked in a hybrid grid sample is this many cells wide
 _TUBE_CELLS = 3
 
 
 def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
                         cfg: IntegratorConfig = IntegratorConfig()) -> Tuple[Callable, Callable]:
-    """Dense (height, slope) evaluators on [0, r_max] for the center-regular
-    profile of any sign pattern.
-
-    Works where bowl_curve cannot: sign patterns without barriers (for
-    instance the Euclidean rotational case, or the spacelike side of the
-    boost reduction) also admit exactly one profile with vanishing center
-    slope, anchored here by its center series and continued by forward
-    integration, which is stable toward the large-s attractor for every
+    """Dense (height, slope) evaluators on [0, max(r_max, 1)] for the
+    center-regular profile of any sign pattern, with barriers or without:
+    its lane (_center_curve) run to max(r_max, 1) in place of s_max.
+    Forward integration is stable toward the large-s attractor for every
     pattern.
     """
-    a = bowl_series_coeffs(params, order)
-    run_cfg = replace(cfg, s_max=max(r_max, _SERIES_RADIUS * 2))
-    start = PhaseState(_SERIES_RADIUS, float(eval_series(a, _SERIES_RADIUS)))
-    traj = _series_lane(params, start, order, run_cfg).run()
-    curve = _profile(traj, _SERIES_RADIUS, run_cfg.s_max, _CENTER_SAMPLES, series=a)
+    run_cfg = replace(cfg, s_max=max(r_max, 1.0))
+    curve = _center_curve(params, run_cfg, _CENTER_SAMPLES, order)
     return curve.f_dense, curve.w_dense
 
 
 def _as_posed(curve: ProfileCurve, params: FlowParams) -> ProfileCurve:
-    """A graph built on params.canonical_strip(), mapped back to params.
-
-    The timelike pattern mirrors onto the canonical strip under f -> -f,
-    so its profile is the canonical one negated; this is the one place
-    where profiles are flipped.  Canonical parameters pass through.
-    """
-    if params.canonical_strip()[1] == +1:
-        return curve
+    """A graph built on the canonical strip, mapped back to the timelike
+    pattern params, which mirrors onto it under f -> -f: the canonical
+    profile negated.  This is the one place where profiles are flipped."""
     return ProfileCurve(kind="graph", params=params, s=curve.s, f=-curve.f,
                         w=-curve.w, f0=-curve.f0, truncated=curve.truncated,
                         f_dense=_evaluator(curve.f_dense, -1.0),
@@ -557,16 +547,10 @@ def center_regular_profile(params: FlowParams, span: float,
                            cfg: IntegratorConfig = IntegratorConfig()
                            ) -> Tuple[Callable, Callable]:
     """Dense (height, slope) evaluators, valid at least on [0, span], for
-    the center-regular profile of any sign pattern as posed.
-
-    Patterns with barriers use the bowl of canonical_strip() (valid on
-    [0, s_max]), flipped back for the timelike pattern; the others use
-    center_profile_eval out to a little beyond span.
-    """
-    if not params.has_barriers:
-        return center_profile_eval(params, r_max=span * 1.01 + 0.5, cfg=cfg)
-    curve = _as_posed(bowl_curve(params.canonical_strip()[0], cfg), params)
-    return curve.f_dense, curve.w_dense
+    the center-regular profile of any sign pattern as posed:
+    center_profile_eval out to a little beyond span.  The timelike lane
+    mirrors the canonical one bit for bit, so nothing is flipped here."""
+    return center_profile_eval(params, r_max=span * 1.01 + 0.5, cfg=cfg)
 
 
 def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
@@ -576,8 +560,9 @@ def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
 
     The two pieces are the center-regular profiles of the boost reduction
     on the spacelike and timelike sides of the cone (both with vanishing
-    center slope, evaluated by series inside _SERIES_RADIUS = 0.5 and by
-    integration beyond), each built once here.  mask picks 2, 3 or 4
+    center slope, read from center_profile_eval), each built once here.
+    extent may not pass cfg.s_max, as a profile's span may not: the
+    pieces run to a little beyond it.  mask picks 2, 3 or 4
     cyclically adjacent quadrants.  f2_sign = -1 deliberately breaks the
     gluing (a control for the smoothness scan: the order-2 transverse
     jump then persists under refinement instead of decaying).
@@ -587,8 +572,8 @@ def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
         raise ValueError("f2_sign must be +-1")
     if order < 5:
         raise ValueError("need series order >= 5 for a faithful gluing test")
-    if not 0.0 < extent < math.inf:
-        raise ValueError("extent must be positive and finite")
+    if not 0.0 < extent <= cfg.s_max:
+        raise ValueError(f"extent must lie in (0, s_max = {cfg.s_max:g}]; raise --s-max")
     p1 = boost(2, "spacelike")
     p2 = boost(2, "timelike")
     r_need = extent * 1.05 + 0.5

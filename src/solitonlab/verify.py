@@ -326,7 +326,7 @@ def convergence_order(field_h: GridField, field_h2: GridField,
     raised).  Grids must share their extent and be successive halvings.
 
     Coarse grids can be pre-asymptotic: the n = 3 bowl at h = 0.16, 0.08,
-    0.04 on extent 2 gives p_fine = 1.708, while h = 0.08, 0.04, 0.02 on
+    0.04 on extent 2 gives p_fine = 1.707, while h = 0.08, 0.04, 0.02 on
     extent 1 gives orders 1.99 and 2.00.
     """
     fields = (field_h, field_h2, field_h4)

@@ -284,8 +284,8 @@ def test_margins_are_read_against_the_references(separatrix):
 
 def test_a_reference_that_cannot_be_built_fails_only_its_starts():
     """At s_max = 3 the separatrix anchor s = c = 4 of rotational(5) lies
-    outside the span, and at s_max = 5e-5 the bowl's series handoff
-    s = 1e-4 does, so that reference's lane is refused before the run,
+    outside the span, and at s_min_eps = 0.5 the bowl's series handoff
+    s = 0.5 does, so that reference's lane is refused before the run,
     with a message that names the anchor or the handoff.  Either way the
     starts that read that reference get its ValueError and every other
     start is still classified."""
@@ -298,10 +298,10 @@ def test_a_reference_that_cannot_be_built_fails_only_its_starts():
     assert strip.tag is SolutionClassTag.ABOVE_BOWL
     assert lower.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
     strip, lower, barrier = classify_batch(
-        params, [(2e-5, 0.5), (2e-5, -2.0), (2e-5, 1.0)], IntegratorConfig(s_max=5e-5))
+        params, [(1.0, 0.5), (1.0, -2.0), (1.0, 1.0)], IntegratorConfig(s_min_eps=0.5))
     assert isinstance(strip, ValueError)
-    assert str(strip) == ("s_max = 5e-05 must lie above the bowl's center series "
-                          "handoff at s = 0.0001")
+    assert str(strip) == ("s_min_eps = 0.5 must lie below the center series "
+                          "handoff at s = 0.5")
     assert lower.tag is SolutionClassTag.GAMMA_MINUS_BLOWUP
     assert barrier.tag is SolutionClassTag.CONSTANT_PLUS
 

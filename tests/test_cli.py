@@ -98,15 +98,15 @@ def test_classify_reference_outside_the_span_exits_2(capsys):
     assert captured.err == "error: anchor s = c must lie inside the integration span\n"
 
 
-def test_classify_bowl_handoff_outside_the_span_exits_2(capsys):
-    """The bowl leaves its center series at s = 1e-4, beyond an s_max of
-    5e-5: a strip start has no reference, and the message names the
-    handoff, not the start."""
-    assert main(["classify", "--s0", "2e-5", "--w0", "0.5", "--s-max", "5e-5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: s_max = 5e-05 must lie above the bowl's center "
-                            "series handoff at s = 0.0001\n")
+def test_classify_bowl_handoff_moves_inside_a_small_span(capsys):
+    """The bowl leaves its center series at min(0.5, s_max/2) or nearer the
+    center, so any span holds the handoff: a strip start at s_max = 5e-5
+    or 0.3 is classified against the bowl."""
+    for s0, s_max in (("2e-5", "5e-5"), ("0.2", "0.3")):
+        assert main(["classify", "--s0", s0, "--w0", "0.5", "--s-max", s_max]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "class: above_bowl"
+        assert captured.err == ""
 
 
 def test_classify_timelike_flip(tmp_path):
@@ -482,11 +482,13 @@ def _cli_subprocess(*argv):
     ("classify", "--s0", "1", "--w0=0.5", "--rel-tol", "nan"),
     ("hybrid", "--extent", "inf"),
     ("verify", "hybrid", "--extent", "inf"),
+    ("hybrid", "--extent", "1e300"),
+    ("verify", "hybrid", "--extent", "1e300"),
 ])
 def test_non_finite_span_exits_2(argv):
-    """An infinite span or a NaN tolerance would keep the integrator
-    stepping forever; the subprocess timeout keeps a hang from stalling
-    the suite."""
+    """An infinite span, a NaN tolerance or a hybrid extent beyond s_max
+    would keep the integrator stepping (nearly) forever; the subprocess
+    timeout keeps a hang from stalling the suite."""
     done = _cli_subprocess(*argv)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ")

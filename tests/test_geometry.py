@@ -9,6 +9,7 @@ from scipy.integrate import cumulative_simpson, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from solitonlab import (
+    FlowParams,
     IntegratorConfig,
     ProfileCurve,
     SolutionClassTag,
@@ -18,12 +19,14 @@ from solitonlab import (
     build_hybrid,
     build_spindle,
     build_wing,
+    bowl_start,
     center_profile_eval,
     center_regular_profile,
     classify_as_posed,
     compute_bowl,
     compute_separatrix,
     hybrid_field,
+    integrate,
     integrate_bidirectional,
     quadrant_of,
     residual_keyODE,
@@ -405,22 +408,63 @@ def test_center_profile_matches_bowl(bowl3):
     np.testing.assert_allclose(w_eval(s[1:]), bowl3.w_dense(s[1:]), atol=1e-9)
 
 
-@pytest.mark.parametrize("s_min_eps", [1e-4, 1e-3, 0.5])
+@pytest.mark.parametrize("s_min_eps", [1e-4, 1e-3, 0.49, 0.5, 0.7])
 def test_series_handoff_refuses_s_min_eps_at_or_above_it(s_min_eps):
-    """A center-regular run hands off from its series at s = 1e-4 (the
-    bowl) or 0.5 (center_profile_eval); an s_min_eps at or above the
-    handoff is refused with both numbers named."""
+    """Every center-regular run hands off from its series by one rule
+    (engine._series_lane): for rotational(3) at s_max >= 1 that is s = 0.5,
+    the bowl's and center_profile_eval's alike.  An s_min_eps at or above
+    the handoff is refused with both numbers named; below it, both build
+    the one profile."""
     cfg = IntegratorConfig(s_min_eps=s_min_eps)
-    with pytest.raises(ValueError, match=re.escape(
-            f"s_min_eps = {s_min_eps} must lie below the center series handoff at s = 0.0001")):
-        compute_bowl(ROT3, cfg)
     if s_min_eps < 0.5:
+        assert bowl_curve(ROT3, cfg).f_dense(1.0) == pytest.approx(BOWL3_F_AT_1, rel=1e-9)
         assert center_profile_eval(ROT3, r_max=2.0, cfg=cfg)[0](1.0) == pytest.approx(
             BOWL3_F_AT_1, rel=1e-9)
-    else:
-        with pytest.raises(ValueError, match=re.escape(
-                f"s_min_eps = {s_min_eps} must lie below the center series handoff at s = 0.5")):
-            center_profile_eval(ROT3, r_max=2.0, cfg=cfg)
+        return
+    refusal = re.escape(f"s_min_eps = {s_min_eps} must lie below the center series "
+                        "handoff at s = 0.5")
+    with pytest.raises(ValueError, match=refusal):
+        compute_bowl(ROT3, cfg)
+    with pytest.raises(ValueError, match=refusal):
+        center_profile_eval(ROT3, r_max=2.0, cfg=cfg)
+
+
+def test_series_handoff_moves_inside_a_small_span():
+    """The handoff is at most s_max/2, so a span below 1 still holds it:
+    at s_max = 0.3 the bowl hands off at 0.15."""
+    with pytest.raises(ValueError, match=re.escape("handoff at s = 0.15")):
+        compute_bowl(ROT3, IntegratorConfig(s_min_eps=0.2, s_max=0.3))
+    bowl = compute_bowl(ROT3, IntegratorConfig(s_max=0.3))
+    assert bowl.s_span[1] == 0.3
+    assert float(bowl.w_at(0.2)) == pytest.approx(float(compute_bowl(ROT3).w_at(0.2)), abs=1e-12)
+
+
+# (eps_tilde, eps_prime) -> {c: bound on max |w - reference| over [1e-3, 3]}, about
+# 3x the errors measured: strip form 2.8e-10, 6.5e-10, 4.9e-11, 2.5e-12 and
+# et = ep = +1 1.8e-8, 9.5e-9, 4.0e-10, 5.1e-12 for c = 0.1, 0.3, 1, 4
+_CENTER_W_BOUNDS = {(+1, -1): {0.1: 1e-9, 0.3: 2e-9, 1.0: 2e-10, 4.0: 1e-11},
+                    (+1, +1): {0.1: 6e-8, 0.3: 3e-8, 1.0: 1.2e-9, 4.0: 2e-11}}
+
+
+_CENTER_CASES = [(signs, c) for signs, bounds in _CENTER_W_BOUNDS.items() for c in bounds]
+
+
+@pytest.mark.parametrize("signs, c", _CENTER_CASES,
+                         ids=[f"et{et:+d}-ep{ep:+d}-c{c}" for (et, ep), c in _CENTER_CASES])
+def test_center_profile_is_accurate_at_any_fiber_coefficient(signs, c):
+    """A small fiber coefficient c shrinks the center series' radius; the
+    lane's handoff moves in to where the series' first omitted term meets
+    abs_tol, so w stays within a few times 1e-10 (strip form) or 1e-8
+    (et = ep = +1, where w grows like s/c) of an independent reference: a
+    rel_tol 1e-13 run from the order-13 series at s = 1e-3.  With the
+    handoff fixed at 0.5, c = 0.1 read 6.1e-8 and 2.2e-6."""
+    params = FlowParams(n=3, eps_tilde=signs[0], eps_prime=signs[1], fiber_coeff=c)
+    ref = integrate(params, bowl_start(params, 1e-3, order=13, abs_tol=1e-16),
+                    "toward_infinity", IntegratorConfig(rel_tol=1e-13, abs_tol=1e-16, s_max=5.0))
+    w = center_profile_eval(params, r_max=3.0)[1]
+    s = np.linspace(1e-3, 3.0, 3001)
+    err = np.max(np.abs(np.asarray(w(s)) - np.asarray(ref.w_at(s))))
+    assert err <= _CENTER_W_BOUNDS[signs][c]
 
 
 def test_center_profile_spacelike_wedge():
@@ -429,19 +473,27 @@ def test_center_profile_spacelike_wedge():
     assert f_eval(0.0) == 0.0
 
 
-def test_center_regular_profile_as_posed(bowl2):
-    s = np.linspace(0.0, 3.0, 13)
-    f_tl, w_tl = center_regular_profile(boost(2, region="timelike"), 3.0)
-    np.testing.assert_array_equal(f_tl(s), -bowl2.f_dense(s))
-    np.testing.assert_array_equal(w_tl(s), -bowl2.w_dense(s))
-    assert f_tl(1.0) == -bowl2.f_dense(1.0)
-    f_rot = center_regular_profile(rotational(2), 3.0)[0]
-    np.testing.assert_array_equal(f_rot(s), bowl2.f_dense(s))
+def test_center_regular_profile_as_posed(monkeypatch):
+    """Every pattern reads one lane.  The timelike pattern's lane mirrors
+    the canonical strip's bit for bit, so its profile is the rotational
+    one negated with no flip in the code path (_as_posed is never
+    called); a pattern without barriers is center_profile_eval as is."""
+    def flip(*args):
+        raise AssertionError("center_regular_profile flipped a profile")
+    monkeypatch.setattr(importlib.import_module("solitonlab.geometry"), "_as_posed", flip)
     sp = boost(2, region="spacelike")
-    f_eval, w_eval = center_profile_eval(sp, r_max=3.0 * 1.01 + 0.5)
-    f_sp, w_sp = center_regular_profile(sp, 3.0)
-    np.testing.assert_array_equal(f_sp(s), f_eval(s))
-    np.testing.assert_array_equal(w_sp(s), w_eval(s))
+    for span in (3.0, 99.0):
+        s = np.linspace(0.0, span, 13)
+        f_tl, w_tl = center_regular_profile(boost(2, region="timelike"), span)
+        f_rot, w_rot = center_regular_profile(rotational(2), span)
+        np.testing.assert_array_equal(f_tl(s), -f_rot(s))
+        np.testing.assert_array_equal(w_tl(s), -w_rot(s))
+        assert f_tl(1.0) == -f_rot(1.0)
+        assert f_rot(1.0) == pytest.approx(BOWL2_F_AT_1, rel=1e-9)
+        f_eval, w_eval = center_profile_eval(sp, r_max=span * 1.01 + 0.5)
+        f_sp, w_sp = center_regular_profile(sp, span)
+        np.testing.assert_array_equal(f_sp(s), f_eval(s))
+        np.testing.assert_array_equal(w_sp(s), w_eval(s))
 
 
 # --- timelike profiles transported from the canonical strip ---
