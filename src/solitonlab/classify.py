@@ -48,7 +48,9 @@ until its ends split, then narrows it by k-section rounds of as many
 starts as bring it below the tolerance.  A shot is a forward lane that
 stops at the first step that decides it: a step across the critical
 line, below which it never crosses back and exists globally, or a step
-end from which a fence argument proves that it blows up.
+end from which a fence argument proves that it blows up.  Where the
+trace is not cached, the first pair joins the trace's own loop at the
+step that passes c, so a cold bracket is one loop.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import threading
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import wraps
+from functools import partial, wraps
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,6 +82,7 @@ from .engine import (
     _Field,
     _first,
     _integrate_lanes,
+    _Join,
     _Lane,
     _series_lane,
     _straddles,
@@ -377,8 +380,12 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     cached apart, per (params, cfg), so every tol reads one trace, and
     classify reads it without a bracket.  The traced
     value at the anchor s = c (where the critical line meets the
-    barrier) seeds a window of +-0.49*tol; if its two ends, shot as one
-    batch, split into global and blow-up, they are the bracket.  Else the
+    barrier) seeds a window of +-0.49*tol (_window); if its two ends, shot
+    as one batch, split into global and blow-up, they are the bracket.
+    Where the trace is not cached, that first pair and the trace share
+    one loop (_fire): the pair joins the trace's lane at the step that
+    passes c, with the w(c) the trace then reads, and the trace is filed
+    once that loop ends, even where the bracket then fails.  Else the
     window grows 1e3-fold, clipped below at the barrier w = 1 (a global
     solution), until its ends split (RuntimeError past half-width 1), and
     k-section narrows it to width tol: each round shoots as many inner
@@ -419,9 +426,10 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     """
     if not 0.0 < tol <= 1.0:
         raise ValueError(f"separatrix tol must lie in (0, 1], got {tol!r}")
-    traj = _separatrix_trace(params, cfg)
+    trace = _TRACES.get((params, cfg))
+    if trace is None:
+        trace = _trace_lane(params, cfg)
     c = params.fiber_coeff
-    traced = float(traj.w_at(c))
     # a start tol off the separatrix parts from it by O(1) near s_decide
     s_decide = math.sqrt(c * c + 2 * c * math.log(1 / tol))
     shot_cfg = replace(cfg, s_max=max(cfg.s_max, 2 * s_decide))
@@ -437,22 +445,29 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
             if not ws.size:
                 raise ValueError(f"separatrix tol {tol!r} is below the float spacing "
                                  f"{w_high - w_low!r} at the anchor value {w_low!r}")
+            blown, ws, trace = _fire(params, ws, shot_cfg, trace)
             # the first blow-up, w_high if none, and the global start below it
-            j = int(np.argmax(np.append(_shoot(params, ws, shot_cfg), True)))
+            j = int(np.argmax(np.append(blown, True)))
             ends = np.concatenate(([w_low], ws, [w_high]))
             w_low, w_high = float(ends[j]), float(ends[j + 1])
         else:
-            w_low, w_high = max(1.0, traced - h), traced + h
-            ws = np.array([w_low, w_high])
-            split = tuple(_shoot(params, ws, shot_cfg)) == (False, True)
+            blown, ws, trace = _fire(params, partial(_window, h), shot_cfg, trace)
+            w_low, w_high = ws.tolist()
+            split = tuple(blown) == (False, True)
             if not split and h * 1e3 > 1.0:
-                raise RuntimeError(f"backward-traced separatrix value {traced!r} is not "
-                                   f"bracketed by [{w_low!r}, {w_high!r}] at the anchor")
+                raise RuntimeError(f"backward-traced separatrix value {float(trace.w_at(c))!r} "
+                                   f"is not bracketed by [{w_low!r}, {w_high!r}] at the anchor")
             h *= 1e3
         shots += ws.size
 
     return SeparatrixResult(value=0.5 * (w_low + w_high), bracket=(w_low, w_high),
-                            anchor=c, trajectory=traj, shots=shots)
+                            anchor=c, trajectory=trace, shots=shots)
+
+
+def _window(h: float, w: float) -> np.ndarray:
+    """The pair of decision-shot starts around the traced w(c): w +- h,
+    clipped below at the barrier w = 1 (a global solution)."""
+    return np.array([max(1.0, w - h), w + h])
 
 
 def _shot_verdicts(field: _Field, ok, x0, y0, x1, y1) -> np.ndarray:
@@ -479,10 +494,17 @@ def _shoot(params: FlowParams, ws: np.ndarray, cfg: IntegratorConfig) -> np.ndar
     (_shot_verdicts), no trajectory built.  A start on the barrier w = 1
     is global: it starts on the critical line, which its first step
     straddles.  A shot that fails raises its error, and one that reaches
-    cfg.s_max undecided a RuntimeError."""
+    cfg.s_max undecided a RuntimeError (_blown)."""
     c = params.fiber_coeff
-    verdicts = _integrate_lanes(params, [(c, w) for w in ws.tolist()],
-                                [("toward_infinity",)] * ws.size, cfg, _shot_verdicts)
+    return _blown(ws, _integrate_lanes(params, [(c, w) for w in ws.tolist()],
+                                       [("toward_infinity",)] * ws.size, cfg, _shot_verdicts),
+                  cfg)
+
+
+def _blown(ws: np.ndarray, verdicts: list, cfg: IntegratorConfig) -> np.ndarray:
+    """Whether each shot from ws blows up, by its verdict; a shot that
+    failed raises its error, and one that reached cfg.s_max undecided a
+    RuntimeError."""
     for w, verdict in zip(ws.tolist(), verdicts):
         if isinstance(verdict, Exception):
             raise verdict
@@ -490,6 +512,43 @@ def _shoot(params: FlowParams, ws: np.ndarray, cfg: IntegratorConfig) -> np.ndar
             raise RuntimeError(f"decision shot from w = {w!r} at the anchor "
                                f"reached s = {cfg.s_max!r} undecided")
     return np.array(verdicts) == _BLOWS_UP
+
+
+class _Round(NamedTuple):
+    """A round of decision shots (_fire): whether each blows up, their
+    starts w at the anchor, and the trace that placed them."""
+
+    blown: np.ndarray
+    ws: np.ndarray
+    trace: Trajectory
+
+
+def _fire(params: FlowParams, ws, cfg: IntegratorConfig,
+          trace: Union[Trajectory, _Lane]) -> _Round:
+    """One round of compute_separatrix's decision shots from the anchor:
+    at ws, or where ws is a rule (_window), at the starts it gives from
+    the trace's w(c).  trace is the separatrix trace, or where it is not
+    cached yet its lane (_trace_lane).
+
+    A trace places the shots, a batch of their own (_shoot).  A lane and
+    the shots run in one loop instead: they join it at the step that
+    passes c, from its w(c) as the trace reads it (engine._Join), or
+    where c lies at or past the lane's start, from its far-field formula
+    at the first iteration.  The lane runs under the shots' config, whose
+    s_max a toward-zero lane does not read.  The trace is assembled under
+    its own config and filed in its cache before any shot is read, so
+    that a trace that fails raises its error, and one that does not
+    stays cached whatever the shots do."""
+    c = params.fiber_coeff
+    if not isinstance(trace, _Lane):
+        ws = ws(float(trace.w_at(c))) if callable(ws) else ws
+        return _Round(_shoot(params, ws, cfg), ws, trace)
+    join = _Join(0, c, ws, float(trace.far(c)) if c >= trace.start.s else None)
+    done = _integrate_lanes(params, [trace.start], [(trace.direction,)], cfg, _shot_verdicts,
+                            join)
+    traj = _TRACES.put((params, trace.cfg), trace.assemble(_first(done[:1])))
+    ws = ws(float(traj.w_at(c)))
+    return _Round(_blown(ws, done[1:], cfg), ws, traj)
 
 
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],

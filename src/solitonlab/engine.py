@@ -22,9 +22,12 @@ location for ODEs", 2000).  An event is a record, never an end: every
 lane runs to its bound, its pole or a step collapse.  The one exception is
 a decision batch (the separatrix's decision shots), whose caller passes a
 stop test: each of its lanes ends at the first accepted step that gives it
-a verdict, and the batch returns those verdicts, no trajectories.  A lane
-that fails (step collapse) comes back as its own exception and does not
-stop the others.
+a verdict, and the batch returns those verdicts, no trajectories.  Decision
+lanes may also join a loop of ordinary lanes mid-way (_Join): they start
+from one lane's w at some s, read on the step that passes s, at the
+iteration after it, so that the first separatrix shots share the loop of
+the trace they start from.  A lane that fails (step collapse) comes back
+as its own exception and does not stop the others.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
@@ -257,6 +260,8 @@ class _Field:
         if self.all_log or not self.any_log:
             return _libm(math.exp, x) if self.all_log else x
         log = self.exp[at]
+        if not np.count_nonzero(log):
+            return x
         s = x.copy()
         s[..., log] = _libm(math.exp, x[..., log])
         return s
@@ -480,8 +485,50 @@ def _stages(field: _Field, heads, cols, at, y, h):
     return y_i, cols[_NS]
 
 
+class _Join(NamedTuple):
+    """Decision lanes that join a lockstep loop mid-way (_advance).  They
+    start toward infinity at s, at the slopes rule(w) gives (an array),
+    where w is the w at s of lane, a w-chart lane of the loop, as its
+    Trajectory.w_at reads it there.  Where that is known before the loop
+    (w is given: a lane's reference reads it off a formula past the lane's
+    start), they start at the first iteration."""
+
+    lane: int
+    s: float
+    rule: Callable
+    w: Optional[float] = None
+
+
+def _start_charts(params: FlowParams, s, w, log):
+    """(x, y, in_p) of lanes that start at (s, w), toward zero where log: on
+    the barrier where w lies within BARRIER_TOL of one, then in the w chart
+    or, at or past the switch level (past it where |w| shrinks, where the p
+    chart ends at the level), in the p chart at p = 1/w (+-0 from a pole,
+    w = +-inf)."""
+    s, w = np.array(s, dtype=float), np.array(w, dtype=float)
+    if params.has_barriers:
+        w = np.where(np.abs(np.abs(w) - 1.0) <= BARRIER_TOL, np.copysign(1.0, w), w)
+    level = _switch_level(params, s, w)
+    in_p = np.where(log != params.has_barriers, np.abs(w) >= level, np.abs(w) > level)
+    x, log = s.copy(), np.broadcast_to(log, s.shape)
+    x[log] = _libm(math.log, s[log])
+    x[in_p], w[in_p] = 1.0 / w[in_p], s[in_p]
+    return x, w, in_p
+
+
+def _read_step(params: FlowParams, log: bool, step, k: int, x) -> float:
+    """w at x on the w-chart step of lane k of a lockstep iteration,
+    step = (arc, x0, h, y0, x1, y1, stages), as the lane's _dense_output
+    reads it: the interpolant of _dense, by _interpolate."""
+    x0, h, y0, _, y1, K = (a[k:k + 1] for a in step[1:])
+    Kd = np.empty((1, _NS + 1 + len(_C_DENSE)))
+    Kd[:, :_NS + 1] = K
+    F = _dense(_Field(params, np.array([log]), np.zeros(1, dtype=bool)), x0, h, y0, y1, Kd)
+    return float(_interpolate(F.T, x0, h, y0, np.array([x]))[0])
+
+
 def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
-             decide: Optional[Callable] = None):
+             decide: Optional[Callable] = None, join: Optional[_Join] = None):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
@@ -508,24 +555,41 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     field is rebuilt.
 
     decide, if given, makes this a decision batch.  It is called as
-    decide(field, ok, x0, y0, x1, y1) on every step of the lanes of field,
-    each step from (x0, y0) to (x1, y1) in its lane's stepping variable and
-    chart, and returns a verdict per lane: 0 where the step decides
-    nothing, and 0 wherever ok, the mask of the steps it reads, is False.
+    decide(field, ok, x0, y0, x1, y1) on every step of the decision lanes,
+    the lanes of field, each step from (x0, y0) to (x1, y1) in its lane's
+    stepping variable and chart, and returns a verdict per lane: 0 where
+    the step decides nothing, and 0 wherever ok, the mask of the steps it
+    reads, is False.
     It reads the accepted steps, and where a lane settles, its closed step
     as well, unless the step before it decided.  A lane ends, outcome
     _DECIDED, at the first step that gives it a verdict; a collapse before
     that still ends it as _COLLAPSED, and a lane that reaches its end
-    undecided ends as it would without the test.  A decision batch keeps
+    undecided ends as it would without the test.  A decision lane keeps
     no steps.
 
+    join (a _Join, with decide) starts the decision lanes mid-loop; they
+    are numbered after the lanes of x, which keep their steps.  They wait
+    on the w-chart steps of lane join.lane, for the accepted step whose
+    segment holds x = log s (s where that lane runs toward infinity) by
+    the rule of _dense_output: from its start up to but not including its
+    end, in the lane's stepping order; or the closed step the lane settles
+    in from an end at or before s.  w at s is read on that step's
+    interpolant (_read_step) or tail, and at the next iteration the lanes
+    start from (s, rule(w)) in their charts (_start_charts) with fresh
+    initial steps, as a lane that switches chart does.  Where join.w is
+    given they start at the first iteration.  A lane that collapses before
+    s starts none of them.
+
     Returns the steps (_Steps), or with decide each lane's verdict (0 where
-    none), and the arcs (_Arc): lane k's first arc at index k, later arcs
-    after all first ones.
+    none), or with join both, (steps, verdicts); and the arcs (_Arc): lane
+    k's first arc at index k, later arcs and the first arcs of the lanes
+    that join after all first ones of x.
     """
     rtol = max(cfg.rel_tol, 100 * _EPS)
     arcs = list(map(_Arc, range(x.size), log.tolist(), in_p.tolist(), x.tolist(), y.tolist()))
     arc, switch = np.arange(x.size), np.zeros(x.size, dtype=bool)
+    # the lanes decide reads: all lanes of a decision batch, else those that join
+    decides = np.full(x.size, decide is not None and join is None)
     f, h_abs, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(5))
     x_min = math.log(cfg.s_min_eps)
     # no lane's minimum step 10*ulp(x) can exceed this
@@ -535,26 +599,66 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     keep, records, tails, it = (np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))),
                                 [], [], 0)
     verdicts = np.zeros(x.size, dtype=int)
+    # the join: the position of the lane it waits on (None once it has
+    # passed s or stopped), that lane's x at s, and w at s once read
+    source = x_at = None
+    joined = None if join is None else join.w
+    if join is not None and joined is None:
+        source = join.lane
+        toward = -1.0 if log[source] else 1.0
+        x_at = math.log(join.s) if log[source] else float(join.s)
+
+    def read(ok, *ends):
+        """decide on the steps of the decision lanes, 0 on the others."""
+        if not mixed:
+            return decide(field, ok, *ends)
+        verdict = np.zeros(ok.size, dtype=int)
+        verdict[deciding] = decide(deciders, ok[deciding], *(a[deciding] for a in ends))
+        return verdict
+
     # u*: a tail's dropped O(u^2) terms move w by about u*^2 = abs_tol
     u_star = math.sqrt(cfg.abs_tol)
     # the config as the loop's operands (_f64)
     abs_tol, rtol, s_min, s_max, min_step_cap, ln_u_star, u_star = map(_f64, (
         cfg.abs_tol, rtol, cfg.s_min_eps, cfg.s_max, min_step_cap, math.log(u_star), u_star))
-    while keep is None or keep.size:
+    while keep is None or keep.size or joined is not None:
         if keep is not None:
+            if source is not None:
+                source = int(np.searchsorted(keep, source)) if source in keep else None
             # copies: the last step's arrays are on record
-            arc, x, y, f, h_abs, grow_cap, rejects, start_it, log, in_p, switch = (
+            arc, x, y, f, h_abs, grow_cap, rejects, start_it, log, in_p, switch, decides = (
                 a[keep] for a in (arc, x, y, f, h_abs, grow_cap, rejects, start_it, log, in_p,
-                                  switch))
+                                  switch, decides))
             # lanes that start a chart: all at first, then the switched ones
             new = switch.nonzero()[0] if it else np.arange(arc.size)
-            if it:
+            if it and new.size:
                 x[new], y[new], in_p[new] = _switch(_Field(params, log[new], in_p[new]),
                                                     x[new], y[new])
                 for k in new.tolist():
                     arcs.append(_Arc(arcs[arc[k]].lane, bool(log[k]), bool(in_p[k]),
                                      float(x[k]), float(y[k])))
                     arc[k] = len(arcs) - 1
+            if joined is not None:
+                w0 = np.asarray(join.rule(joined), dtype=float)
+                x0, y0, p0 = _start_charts(params, np.full(w0.size, join.s), w0, False)
+                lanes = np.arange(verdicts.size, verdicts.size + w0.size)
+                verdicts = np.append(verdicts, np.zeros(w0.size, dtype=int))
+                new = np.append(new, np.arange(arc.size, arc.size + w0.size))
+                arc = np.append(arc, np.arange(len(arcs), len(arcs) + w0.size))
+                arcs.extend(map(_Arc, lanes.tolist(), repeat(False), p0.tolist(), x0.tolist(),
+                                y0.tolist()))
+                x, y, in_p = np.append(x, x0), np.append(y, y0), np.append(in_p, p0)
+                log, switch = (np.append(a, np.zeros(w0.size, dtype=bool)) for a in (log, switch))
+                decides = np.append(decides, np.ones(w0.size, dtype=bool))
+                f, h_abs, grow_cap, rejects, start_it = (
+                    np.append(a, np.zeros(w0.size)) for a in (f, h_abs, grow_cap, rejects,
+                                                              start_it))
+                joined = None
+            n_decide = np.count_nonzero(decides)
+            mixed = 0 < n_decide < arc.size
+            if mixed:    # decide reads its lanes alone
+                deciding = decides.nonzero()[0]
+                deciders = _Field(params, log[deciding], in_p[deciding])
             field = _Field(params, log, in_p)
             direction, bound = field.heading(x, cfg)
             dir_bound = direction * bound
@@ -602,12 +706,14 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
 
         step = (arc, x, h, y, x_new, y_new, K.copy())
         whole = np.count_nonzero(ok) == ok.size
-        if decide is not None:
-            verdict = decide(field, ok, x, y, x_new, y_new)
-        elif whole:
-            records.append(step)
-        else:
-            records.append(tuple(a[ok] for a in step))
+        if n_decide:
+            verdict = read(ok, x, y, x_new, y_new)
+        if n_decide < ok.size:
+            if whole and not mixed:
+                records.append(step)
+            else:
+                kept = ok & ~decides if mixed else ok
+                records.append(tuple(a[kept] for a in step))
         if whole:
             x, y, f = x_new, y_new, step[-1][:, _NS]
             if capped:
@@ -641,27 +747,38 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                 if near.size:
                     tail, y_end = tail[closes], y_new.copy()
                     y_end[near] = _tail(tail.T, s_end[closes])
-        if decide is not None:
+        if source is not None and ok[source] and not in_p[source]:
+            # the join's segment: the step that ends past s, else the closed
+            # step the lane settles in from a step end at or before s
+            if toward * x_at < toward * x_new[source]:
+                joined = _read_step(params, bool(log[source]), step, source, x_at)
+            elif np.count_nonzero(settled) and settled[source]:
+                row = int(np.searchsorted(near, source))
+                joined = float(_tail(tail[row:row + 1].T, np.array([float(join.s)]))[0])
+            source = None if joined is not None else source
+        if n_decide:
             if np.count_nonzero(settled):
                 # a settled lane's closed step is one more accepted step
                 settled = settled & (verdict == 0)
-                verdict = np.where(settled, decide(field, settled, x_new, y_new, bound, y_end),
-                                   verdict)
+                verdict = np.where(settled, read(settled, x_new, y_new, bound, y_end), verdict)
             decided = verdict != 0
             stop = stop | decided
         if stuck is not None:
             stop = stop | stuck
         # lanes switch where they ended and did not stop
-        if not (np.count_nonzero(stop) or np.count_nonzero(ended)):
+        if not (np.count_nonzero(stop) or np.count_nonzero(ended)) and joined is None:
             continue
         switch = ended & ~stop
         # a settled lane ends in one closed step to its bound
         tries = it - start_it - (0 if stuck is None else stuck) + settled
-        if decide is None and np.count_nonzero(settled):
-            tails.append((arc[near], x_new[near], (bound - x_new)[near], y_new[near],
-                          bound[near], y_end[near], tail))
+        if n_decide < ok.size and np.count_nonzero(settled):
+            own = near[~decides[near]] if mixed else near
+            if own.size:
+                rows = tail[~decides[near]] if mixed else tail
+                tails.append((arc[own], x_new[own], (bound - x_new)[own], y_new[own],
+                              bound[own], y_end[own], rows))
         outcome = np.select([done | settled, switch], [_FINISHED, _SWITCHED], _COLLAPSED)
-        if decide is not None:
+        if n_decide:
             outcome[decided] = _DECIDED
             for k in decided.nonzero()[0].tolist():
                 verdicts[arcs[arc[k]].lane] = verdict[k]
@@ -669,7 +786,8 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
         keep = (~stop).nonzero()[0]
-    return (_collect(params, arcs, records, tails) if decide is None else verdicts), arcs
+    steps = None if decide is not None and join is None else _collect(params, arcs, records, tails)
+    return (steps if decide is None else verdicts if join is None else (steps, verdicts)), arcs
 
 
 def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -> _Steps:
@@ -918,11 +1036,14 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     # the arcs of each live group in increasing s: by lane, then in stepping
     # order toward infinity and against it toward zero
     group = np.asarray(group)
+    # the lanes of the groups: those that join a loop come after them
+    own = lane < group.size
     dead = np.zeros(group[-1] + 1, dtype=bool)
-    dead[group[lane[outcome == _COLLAPSED]]] = True
+    dead[group[lane[(outcome == _COLLAPSED) & own]]] = True
     out: List[Optional[Result]] = [_collapse() if d else None for d in dead.tolist()]
     index = np.arange(len(arcs))
     P = np.lexsort((np.where(log, -index, index), lane))
+    P = P[own[P]]
     P = P[~dead[group[lane[P]]]]
     if not P.size:
         return out
@@ -1018,18 +1139,19 @@ def _verdicts(verdict, arcs: List[_Arc]) -> List[Union[int, Exception]]:
 
 def _integrate_lanes(params: FlowParams, starts: Sequence,
                      directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig,
-                     decide: Optional[Callable] = None) -> List[Union[Result, int]]:
+                     decide: Optional[Callable] = None,
+                     join: Optional[_Join] = None) -> List[Union[Result, int]]:
     """integrate() of each start in each of its directions (a tuple in the
     order of DIRECTIONS), all lanes in one lockstep run: per start one
     Trajectory over all its lanes and their arcs (_arcs), as
     merge_bidirectional would join them, or the first exception
-    integrate() would raise for one of its directions.  A lane starts in
-    the w chart or, at or past the switch level (past it where |w|
-    shrinks, where the p chart ends at the level), in the p chart at
-    p = 1/w0 (+-0 from a pole, w0 = +-inf).  A start within BARRIER_TOL of
-    a barrier starts on it.  With a stop test decide (see _advance) the
-    run is a decision batch: each start has one direction and gets its
-    lane's verdict (_verdicts) instead of a Trajectory."""
+    integrate() would raise for one of its directions.  Each lane starts
+    in its chart (_start_charts).  With a stop test decide (see _advance)
+    the run is a decision batch: each start has one direction and gets its
+    lane's verdict (_verdicts) instead of a Trajectory.  With a join as
+    well, the starts' lanes are stepped as without decide, join.lane
+    numbers them in order of starts and directions, and the verdicts of
+    the lanes that join follow the starts' results."""
     out: List[Optional[Result]] = [None] * len(starts)
     lanes, slots = [], []
     for i, (init, sides) in enumerate(zip(starts, directions)):
@@ -1038,22 +1160,19 @@ def _integrate_lanes(params: FlowParams, starts: Sequence,
         except ValueError as exc:
             out[i] = exc
             continue
-        for (s, w), log in checked:
-            if params.has_barriers and abs(abs(w) - 1.0) <= BARRIER_TOL:
-                w = math.copysign(1.0, w)
-            lanes.append((len(slots), math.log(s) if log else s, s, w, log))
+        lanes.extend((len(slots), s, w, log) for (s, w), log in checked)
         slots.append(i)
     if not lanes:
         return out
-    group, x, s, y, log = (np.array(a) for a in zip(*lanes))
-    level = _switch_level(params, s, y)
-    in_p = np.where(log != params.has_barriers, np.abs(y) >= level, np.abs(y) > level)
-    x[in_p], y[in_p] = 1.0 / y[in_p], s[in_p]
-    steps, arcs = _advance(params, x, y, log, in_p, cfg, decide)
-    for i, res in zip(slots, _arcs(params, steps, arcs, s.tolist(), group, cfg)
-                      if decide is None else _verdicts(steps, arcs)):
+    group, s, w, log = (np.array(a) for a in zip(*lanes))
+    x, y, in_p = _start_charts(params, s, w, log)
+    done, arcs = _advance(params, x, y, log, in_p, cfg, decide, join)
+    if join is not None:
+        done, verdict = done
+    for i, res in zip(slots, _verdicts(done, arcs) if decide is not None and join is None
+                      else _arcs(params, done, arcs, s.tolist(), group, cfg)):
         out[i] = res
-    return out
+    return out if join is None else out + _verdicts(verdict, arcs)[s.size:]
 
 
 def _first(results: List[Result]):
@@ -1195,13 +1314,16 @@ class _Lane(NamedTuple):
     config it runs under, where and which way it runs, and assemble,
     which makes the reference from that lane's Trajectory.  A caller may
     run the lane among others (_integrate_lanes); the lane's bits do not
-    depend on its batch."""
+    depend on its batch.  far, where given, is the reference's closed
+    formula from the lane's start on, against its direction, where the
+    reference reads no step of its lane."""
 
     params: FlowParams
     start: PhaseState
     direction: str
     cfg: IntegratorConfig
     assemble: Callable[[Trajectory], Trajectory]
+    far: Optional[Callable] = None
 
     def run(self) -> Trajectory:
         """The reference from a run of the lane alone."""
@@ -1440,7 +1562,7 @@ def _far_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
         return replace(traj, s=np.append(traj.s[:k], cfg.s_max),
                        w=np.append(traj.w[:k], w_end), termination_right=end,
                        events=[e for e in traj.events if e.s <= cfg.s_max])
-    return _Lane(params, start, "toward_zero", cfg, assemble)
+    return _Lane(params, start, "toward_zero", cfg, assemble, formula)
 
 
 def detect_blowup(traj: Trajectory) -> Optional[Tuple[float, int]]:

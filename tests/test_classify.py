@@ -642,7 +642,9 @@ def test_separatrix_unsplit_window_raises(monkeypatch):
 
     # solitonlab.classify names the function; the module is in sys.modules
     module = importlib.import_module("solitonlab.classify")
-    monkeypatch.setattr(module, "_separatrix_trace", lambda params, cfg: FarOff())
+    traces = module._Store(1)
+    traces.put((ROT3, IntegratorConfig()), FarOff())
+    monkeypatch.setattr(module, "_TRACES", traces)
     with pytest.raises(RuntimeError, match="not bracketed"):
         compute_separatrix.__wrapped__(ROT3)
 

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from solitonlab import (
@@ -913,7 +913,8 @@ def test_illinois_matches_the_one_at_a_time_search():
 def test_each_batch_is_one_loop(monkeypatch):
     """integrate_batch, integrate_bidirectional_batch, classify_batch,
     a pole batch and each round of separatrix shots step all their lanes,
-    in every direction and chart, in one lockstep loop."""
+    in every direction and chart, in one lockstep loop; the first round of
+    a cold compute_separatrix carries the trace's lane."""
     classify_module = importlib.import_module("solitonlab.classify")
     compute_bowl(ROT3, CFG)    # the cache keys classify_batch reads
     compute_separatrix(ROT3, CFG)
@@ -928,14 +929,15 @@ def test_each_batch_is_one_loop(monkeypatch):
         calls.clear()
         run()
         assert len(calls) == 1
-    rounds = []
-    shots = classify_module._shoot
-    monkeypatch.setattr(classify_module, "_shoot",
-                        lambda *a, **k: rounds.append(1) or shots(*a, **k))
-    calls.clear()
+    rounds, joins = [], []
+    fire = classify_module._fire
+    monkeypatch.setattr(classify_module, "_fire",
+                        lambda *a, **k: rounds.append(1) or fire(*a, **k))
+    monkeypatch.setattr(engine, "_advance",
+                        lambda *a: joins.append(a[7] is not None) or advance(*a))
     compute_separatrix.cache_clear()    # the trace is cached apart from the bracket
     compute_separatrix.__wrapped__(ROT3, CFG, 1e-13)
-    assert len(rounds) >= 2 and len(calls) == 1 + len(rounds)
+    assert len(rounds) >= 2 and joins == [True] + [False] * (len(rounds) - 1)
 
 
 @pytest.fixture
@@ -1026,8 +1028,150 @@ def test_cache_clear_leaves_nothing_warm(monkeypatch):
     compute_bowl.cache_clear()
     compute_separatrix.cache_clear()
     calls.clear()
+    fire = classify_module._fire
+    monkeypatch.setattr(classify_module, "_fire",
+                        lambda *a, **k: rounds.append(1) or fire(*a, **k))
     compute_separatrix(ROT3)
-    assert len(calls) == 1 + len(rounds)
+    assert calls == [1] and rounds == [1]    # the trace's lane, which the pair joins
+    assert [store.info()[1::2] for store in stores] == [(0, 0), (1, 1), (1, 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 20), exponent=st.floats(-12.0, -6.0),
+       span=st.sampled_from(["c + 1", 100.0, 200.0]))
+@example(n=3, exponent=-13.0, span=100.0)    # rounds after the first pair
+@example(n=2, exponent=-10.0, span=3.0)      # the trace starts at 3.06, beyond s_max
+def test_joined_pair_matches_a_cached_trace(n, exponent, span):
+    """A cold compute_separatrix, whose first shot pair joins the trace's
+    loop, starts that pair from the trace's w(c) bit for bit, gives the
+    (value, bracket, shots) of a call whose trace is cached, and files a
+    trace that is the trace computed alone."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    params, tol = rotational(n), 10.0 ** exponent
+    cfg = IntegratorConfig(s_max=params.fiber_coeff + 1.0 if span == "c + 1" else span)
+    compute_separatrix.cache_clear()
+    read, window = [], classify_module._window
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(classify_module, "_window",
+                            lambda h, w: read.append(w) or window(h, w))
+        cold = compute_separatrix.__wrapped__(params, cfg, tol)
+    # the loop's read, then the round's own from the filed trace
+    assert read[0] == read[1] == float(cold.trajectory.w_at(params.fiber_coeff))
+    warm = compute_separatrix.__wrapped__(params, cfg, tol)
+    assert repr((cold.value, cold.bracket, cold.shots)) == repr(
+        (warm.value, warm.bracket, warm.shots))
+    assert cold.trajectory is warm.trajectory is classify_module._separatrix_trace(params, cfg)
+    compute_separatrix.cache_clear()
+    _same_lane(cold.trajectory, classify_module._separatrix_trace(params, cfg))
+
+
+def _lane_and_join(s0, w0, log, s, monkeypatch):
+    """The steps and arcs of the lane from (s0, w0) (toward zero where
+    log) alone, then with a lane joining it at s that decides at its first
+    accepted step: the w it joined at, the steps and arcs of that run, and
+    the x0 of every step _read_step read w on."""
+    log = np.array([log])
+    x, y, in_p = engine._start_charts(ROT3, [s0], [w0], log)
+    alone = engine._advance(ROT3, x, y, log, in_p, CFG)
+    got, read = [], []
+    read_step = engine._read_step
+    monkeypatch.setattr(engine, "_read_step",
+                        lambda *a: read.append(a[2][1][a[3]]) or read_step(*a))
+    (steps, verdicts), arcs = engine._advance(
+        ROT3, x, y, log, in_p, CFG, lambda field, ok, *ends: np.where(ok, 7, 0),
+        engine._Join(0, s, lambda w: got.append(w) or [w + 0.5]))
+    assert verdicts.tolist() == [0, 7] and [a.lane for a in arcs] == [0, 1]
+    for a, b in zip(alone[0], steps):
+        assert a.tobytes() == b.tobytes()
+    assert alone[1] == arcs[:1]
+    (traj,) = engine._arcs(ROT3, steps, arcs, [s0], [0], CFG)
+    return got, traj, steps, read
+
+
+def test_join_at_a_step_end_reads_the_next_step(monkeypatch):
+    """Where a step of the lane a join waits on ends at log s exactly, w_at
+    reads s on the step that starts there, and so does the join: it waits
+    for that step and reads its start, that step end's w, bit for bit.
+    The lane keeps its steps, bit for bit as alone."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    lane = classify_module._trace_lane(ROT3, CFG)
+    x, y, in_p = engine._start_charts(ROT3, [lane.start.s], [lane.start.w], np.array([True]))
+    steps, _ = engine._advance(ROT3, x, y, np.array([True]), in_p, CFG)
+    # a step end above c that exp and log carry back to itself
+    k = next(i for i, x1 in enumerate(steps.x1.tolist())
+             if x1 > math.log(ROT3.fiber_coeff) and math.log(math.exp(x1)) == x1)
+    s = math.exp(steps.x1[k])
+    got, traj, joined, read = _lane_and_join(*lane.start, True, s, monkeypatch)
+    assert read == [steps.x1[k]] and got == [steps.y1[k]] == [float(traj.w_at(s))]
+
+
+def test_join_reads_a_closed_step(monkeypatch):
+    """A join at an s past the step end where its lane settles reads w on
+    the closed step, from its tail, as w_at does.  (A separatrix trace
+    settles far below c: its tail from above c would grow to a peak at c.)"""
+    s = integrate(ROT3, (1.0, 0.5), "toward_infinity").s[-2] + 0.5    # where it settles, + 0.5
+    got, traj, steps, read = _lane_and_join(1.0, 0.5, False, s, monkeypatch)
+    assert steps.closed[-1] and traj.s[-2] < s
+    assert read == [] and got == [float(traj.w_at(s))] and 0.0 < 1.0 - got[0] < 1e-6
+
+
+def test_anchor_past_the_trace_start_joins_at_once(monkeypatch):
+    """Where the anchor c lies at or above the trace's start, the trace
+    reads c on its far-field formula, and the first pair starts at the
+    first iteration from that value.  No rotational n from 2 to 1000 gets
+    there; c = 15.3 does (its trace starts at 15.10).  The bracket is the
+    one a cached trace gives."""
+    params = FlowParams(n=3, fiber_coeff=15.3)
+    classify_module = importlib.import_module("solitonlab.classify")
+    assert classify_module._trace_lane(params, CFG).start.s < params.fiber_coeff
+    joins, advance = [], engine._advance
+    monkeypatch.setattr(engine, "_advance", lambda *a: joins.append(a[7]) or advance(*a))
+    compute_separatrix.cache_clear()
+    cold = compute_separatrix.__wrapped__(params)
+    warm = compute_separatrix.__wrapped__(params)
+    assert joins[0].w == float(cold.trajectory.w_at(params.fiber_coeff)) and joins[1:] == [None]
+    assert repr((cold.value, cold.bracket, cold.shots)) == repr(
+        (warm.value, warm.bracket, warm.shots))
+
+
+def test_trace_that_collapses_before_c_raises_its_error(monkeypatch):
+    """A trace lane that fails by step collapse before it passes c starts
+    no shot: a cold compute_separatrix raises the error the trace alone
+    raises, and files no trace."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    # stages far off on the trace's steps below w = 1.6 (w(c) = 1.39, its start 2.5)
+    stages = engine._stages
+
+    def off(field, heads, cols, at, y, h):
+        out = stages(field, heads, cols, at, y, h)
+        for col in cols[1:]:
+            col[field.log & (y < 1.6)] = 1e6
+        return out
+    monkeypatch.setattr(engine, "_stages", off)
+    compute_separatrix.cache_clear()
+    with pytest.raises(RuntimeError) as alone:
+        classify_module._separatrix_trace.__wrapped__(ROT3, CFG)
+    monkeypatch.setattr(engine, "_read_step", None)    # no lane joins
+    with pytest.raises(RuntimeError) as cold:
+        compute_separatrix.__wrapped__(ROT3)
+    assert str(cold.value) == str(alone.value) and "before any terminal event" in str(alone.value)
+    assert classify_module._TRACES.info().currsize == 0
+
+
+def test_cold_call_files_the_trace_when_bracketing_raises(monkeypatch):
+    """A cold compute_separatrix looks its trace up once, a miss, and files
+    the trace it runs even where no window splits: the trace is then the
+    one every later call reads."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    window = classify_module._window
+    monkeypatch.setattr(classify_module, "_window", lambda h, w: window(h, w + 10.0))
+    compute_separatrix.cache_clear()
+    with pytest.raises(RuntimeError, match="not bracketed"):
+        compute_separatrix(ROT3)
+    assert classify_module._TRACES.info()[:2] == (0, 1)
+    assert classify_module._TRACES.info().currsize == 1
+    monkeypatch.undo()
+    assert compute_separatrix(ROT3).trajectory is classify_module._separatrix_trace(ROT3)
 
 
 @pytest.mark.parametrize("grid, most", [((-0.95, 0.95), 50), ((1.05, 3.0), 45)])
@@ -1077,7 +1221,7 @@ def test_landed_lane_does_not_depend_on_s_max(s0, w0):
     (partial(integrate_bidirectional_batch, rotational(100), _gamma_grid(-0.95, 0.95)), 300),
     (partial(integrate_bidirectional_batch, rotational(100), _gamma_grid(1.05, 3.0)), 45),
     (partial(integrate_bidirectional_batch, rotational(100), _gamma_grid(-3.0, -1.05)), 45),
-    (partial(compute_separatrix.__wrapped__, rotational(100)), 170)],
+    (partial(compute_separatrix.__wrapped__, rotational(100)), 90)],
     ids=["strip", "gamma_plus", "gamma_minus", "separatrix"])
 def test_large_n_cost(stage_calls, run, most):
     """At n = 100 (c = 99) a lane settled near a barrier contracts at rate
@@ -1085,7 +1229,9 @@ def test_large_n_cost(stage_calls, run, most):
     both directions, took about 800 lockstep iterations, and the
     separatrix (its backward trace and its shots) 1022.  With closed tails
     the strip grid takes at most 300, the gamma grids, whose poles the p
-    chart reaches from |w| = 2, at most 45, and the separatrix 170."""
+    chart reaches from |w| = 2, at most 45.  The separatrix, its trace and
+    its first pair in one loop, takes at most 90 (86: the trace starts at
+    s = 138.9 and passes c after about 40 iterations; 105 in two loops)."""
     run()
     assert len(stage_calls) <= most
 
@@ -1114,6 +1260,20 @@ def test_decision_shots_stop_at_their_verdicts(stage_calls, n):
     stage_calls.clear()
     compute_separatrix.__wrapped__(params, CFG, 1e-12)
     assert len(stage_calls) <= 0.6 * _SHOT_ITERATIONS_AT_1E_12[n]
+
+
+@pytest.mark.parametrize("n, most", [(2, 66), (3, 60), (4, 55), (5, 51)])
+def test_cold_separatrix_is_one_loop(stage_calls, monkeypatch, n, most):
+    """A cold compute_separatrix at the default tol is one lockstep loop:
+    its first shot pair joins the trace's lane at the step that passes c,
+    so the call takes the trace's iterations down to c plus the pair's,
+    64 / 58 / 53 / 49 for n = 2..5, where the trace and then the pair took
+    86 / 80 / 76 / 72."""
+    calls, advance = [], engine._advance
+    monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(1) or advance(*a))
+    compute_separatrix.cache_clear()
+    assert compute_separatrix.__wrapped__(rotational(n)).shots == 2
+    assert len(calls) == 1 and len(stage_calls) <= most
 
 
 def test_stop_test_reads_the_closed_step():

@@ -85,6 +85,14 @@ GOLDEN = [
      "6b922f4973c5874de3711ca3345cd512a205fd0c6a2b16ca6a984bec17e2752f"),
     (["mesh", "hybrid", "--nodes", "21", "--quadrants", "2,3,4"], 0,
      "e7db49a695f56767cd7e0dfc62d866b60f271f5d625b2f8f0a3356b990a444de"),
+    # separatrix shots beyond s_max; a trace that passes c on its first
+    # step; rounds after the first pair
+    (["separatrix", "--n", "3", "--s-max", "5"], 0,
+     "1a35fedf3b74d0cd70f1920702c5f6ff7d4d5f2d4b4d6af33a1dc59594a937be"),
+    (["separatrix", "--n", "20"], 0,
+     "e8d662c9af4549017580f0e99012fdb74e117cdb80718ea83699b9fda64a99cd"),
+    (["separatrix", "--n", "3", "--tol", "1e-13"], 0,
+     "d77dfa15c48c1e51414db6d28418c708d4004249cce9983bc97d681c6141580c"),
 ]
 
 
