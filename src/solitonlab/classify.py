@@ -42,15 +42,17 @@ backward from its value there, so its cost does not depend on s_max;
 where the start lies beyond s_max the trace is cut there.  The traced
 value at the anchor s = c, where the critical line crosses the barrier,
 is right to about 2e-12 or better, so at the default tolerance one
-batched pair of forward shots at traced +-0.49*tol, split into global
-and blow-up, is the bracket.  Else one loop widens that window 1e3-fold
+pair of forward shots at traced +-0.49*tol, split into global and
+blow-up, is the bracket.  Else one loop widens that window 1e3-fold
 until its ends split, then narrows it by k-section rounds of as many
-starts as bring it below the tolerance.  A shot is a forward lane that
-stops at the first step that decides it: a step across the critical
-line, below which it never crosses back and exists globally, or a step
-end from which a fence argument proves that it blows up.  Where the
-trace is not cached, the first pair joins the trace's own loop at the
-step that passes c, so a cold bracket is one loop.
+starts as bring it below the tolerance.  A shot is a forward decision
+lane that stops at the first step that decides it: a step across the
+critical line, below which it never crosses back and exists globally, or
+a step end from which a fence argument proves that it blows up.  Every
+round of shots joins the trace at c: a cached trace gives them its w(c)
+at the first iteration of their loop, and where the trace is not cached,
+the first pair joins the trace's own loop at the step that passes c, so
+a cold bracket is one loop.
 """
 
 from __future__ import annotations
@@ -381,20 +383,21 @@ def compute_separatrix(params: FlowParams, cfg: IntegratorConfig = IntegratorCon
     classify reads it without a bracket.  The traced
     value at the anchor s = c (where the critical line meets the
     barrier) seeds a window of +-0.49*tol (_window); if its two ends, shot
-    as one batch, split into global and blow-up, they are the bracket.
-    Where the trace is not cached, that first pair and the trace share
-    one loop (_fire): the pair joins the trace's lane at the step that
-    passes c, with the w(c) the trace then reads, and the trace is filed
-    once that loop ends, even where the bracket then fails.  Else the
-    window grows 1e3-fold, clipped below at the barrier w = 1 (a global
-    solution), until its ends split (RuntimeError past half-width 1), and
-    k-section narrows it to width tol: each round shoots as many inner
-    starts (at most 64) as take it below tol, plus one, and keeps the step
-    from the last global start below the first blow-up.
+    in one round, split into global and blow-up, they are the bracket.
+    Each round (_fire) is one loop, in which its shots join the trace:
+    a cached trace gives them its w(c) at the first iteration, and where
+    the trace is not cached, the first pair joins the trace's lane at the
+    step that passes c, with the w(c) the trace then reads, and the trace
+    is filed once that loop ends, even where the bracket then fails.  Else
+    the window grows 1e3-fold, clipped below at the barrier w = 1 (a
+    global solution), until its ends split (RuntimeError past half-width
+    1), and k-section narrows it to width tol: each round shoots as many
+    inner starts (at most 64) as take it below tol, plus one, and keeps
+    the step from the last global start below the first blow-up.
 
-    A shot is one lane of a forward decision batch from (c, w), on or
-    above the critical line w = s/c, and it stops at the first accepted
-    step that decides it; no trajectory is built.  With
+    A shot is a forward decision lane of a join (engine._Join) from
+    (c, w), on or above the critical line w = s/c, and it stops at the
+    first accepted step that decides it; no trajectory is built.  With
     f(s, w) = (w^2 - 1)(c*w/s - 1), the field of the strip form:
 
     * global: the ends of a step straddle the line, by the test that
@@ -488,67 +491,48 @@ def _shot_verdicts(field: _Field, ok, x0, y0, x1, y1) -> np.ndarray:
     return np.where(ok & crossed, _GLOBAL, np.where(ok & blows, _BLOWS_UP, 0))
 
 
-def _shoot(params: FlowParams, ws: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    """Whether each decision shot, forward from the anchor (c, w) for w in
-    ws, blows up: one decision batch, each lane stopped at its verdict
-    (_shot_verdicts), no trajectory built.  A start on the barrier w = 1
-    is global: it starts on the critical line, which its first step
-    straddles.  A shot that fails raises its error, and one that reaches
-    cfg.s_max undecided a RuntimeError (_blown)."""
+def _fire(params: FlowParams, ws, cfg: IntegratorConfig,
+          trace: Union[Trajectory, _Lane]) -> Tuple[np.ndarray, np.ndarray, Trajectory]:
+    """One round of compute_separatrix's decision shots, forward from the
+    anchor (c, w) for w in ws, or where ws is a rule (_window), at the
+    starts it gives from the trace's w(c): whether each blows up, the
+    starts, and the trace.  trace is the separatrix trace, or where it is
+    not cached yet its lane (_trace_lane).
+
+    The shots are the decision lanes of one join (engine._Join), each
+    stopped at its verdict (_shot_verdicts), no trajectory built.  On a
+    trace they start at the first iteration of a loop of their own, from
+    the trace's w(c).  A lane runs in their loop: they join it at the
+    step that passes c, from its w(c) as the trace reads it, or where c
+    lies at or past the lane's start, from its far-field formula at the
+    first iteration.  The lane runs under the shots' config, whose s_max a
+    toward-zero lane does not read, and its trace is assembled under its
+    own config and filed in its cache before any shot is read, so that a
+    trace that fails raises its error, and one that does not stays cached
+    whatever the shots do.  A start on the barrier w = 1 is global: it
+    starts on the critical line, which its first step straddles.  A shot
+    that fails raises its error, and one that reaches cfg.s_max undecided
+    a RuntimeError."""
     c = params.fiber_coeff
-    return _blown(ws, _integrate_lanes(params, [(c, w) for w in ws.tolist()],
-                                       [("toward_infinity",)] * ws.size, cfg, _shot_verdicts),
-                  cfg)
-
-
-def _blown(ws: np.ndarray, verdicts: list, cfg: IntegratorConfig) -> np.ndarray:
-    """Whether each shot from ws blows up, by its verdict; a shot that
-    failed raises its error, and one that reached cfg.s_max undecided a
-    RuntimeError."""
-    for w, verdict in zip(ws.tolist(), verdicts):
+    rule = ws if callable(ws) else lambda w: ws
+    if isinstance(trace, _Lane):
+        lanes, w = [trace], float(trace.far(c)) if c >= trace.start.s else None
+    else:
+        lanes, w = [], float(trace.w_at(c))
+    done = _integrate_lanes(params, [lane.start for lane in lanes],
+                            [(lane.direction,) for lane in lanes], cfg,
+                            _Join(0, c, rule, _shot_verdicts, w))
+    if lanes:
+        trace = _TRACES.put((params, trace.cfg), trace.assemble(_first(done[:1])))
+        w = float(trace.w_at(c))
+    ws, verdicts = rule(w), done[len(lanes):]
+    for start, verdict in zip(ws.tolist(), verdicts):
         if isinstance(verdict, Exception):
             raise verdict
         if not verdict:
-            raise RuntimeError(f"decision shot from w = {w!r} at the anchor "
+            raise RuntimeError(f"decision shot from w = {start!r} at the anchor "
                                f"reached s = {cfg.s_max!r} undecided")
-    return np.array(verdicts) == _BLOWS_UP
-
-
-class _Round(NamedTuple):
-    """A round of decision shots (_fire): whether each blows up, their
-    starts w at the anchor, and the trace that placed them."""
-
-    blown: np.ndarray
-    ws: np.ndarray
-    trace: Trajectory
-
-
-def _fire(params: FlowParams, ws, cfg: IntegratorConfig,
-          trace: Union[Trajectory, _Lane]) -> _Round:
-    """One round of compute_separatrix's decision shots from the anchor:
-    at ws, or where ws is a rule (_window), at the starts it gives from
-    the trace's w(c).  trace is the separatrix trace, or where it is not
-    cached yet its lane (_trace_lane).
-
-    A trace places the shots, a batch of their own (_shoot).  A lane and
-    the shots run in one loop instead: they join it at the step that
-    passes c, from its w(c) as the trace reads it (engine._Join), or
-    where c lies at or past the lane's start, from its far-field formula
-    at the first iteration.  The lane runs under the shots' config, whose
-    s_max a toward-zero lane does not read.  The trace is assembled under
-    its own config and filed in its cache before any shot is read, so
-    that a trace that fails raises its error, and one that does not
-    stays cached whatever the shots do."""
-    c = params.fiber_coeff
-    if not isinstance(trace, _Lane):
-        ws = ws(float(trace.w_at(c))) if callable(ws) else ws
-        return _Round(_shoot(params, ws, cfg), ws, trace)
-    join = _Join(0, c, ws, float(trace.far(c)) if c >= trace.start.s else None)
-    done = _integrate_lanes(params, [trace.start], [(trace.direction,)], cfg, _shot_verdicts,
-                            join)
-    traj = _TRACES.put((params, trace.cfg), trace.assemble(_first(done[:1])))
-    ws = ws(float(traj.w_at(c)))
-    return _Round(_blown(ws, done[1:], cfg), ws, traj)
+    return np.array(verdicts) == _BLOWS_UP, ws, trace
 
 
 def classify_batch(params: FlowParams, starts: Sequence[Tuple[float, float]],

@@ -153,6 +153,8 @@ def _parse_grid(spec: str, what: str) -> np.ndarray:
         lo, hi, count = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise ValueError(f"{what} must look like lo:hi:count, got {spec!r}")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{what} bounds must be finite, got {spec!r}")
     if count < 0:
         raise ValueError(f"{what} count must be >= 0")
     if count == 0:
@@ -291,6 +293,8 @@ def cmd_bowl(args) -> int:
     params = _params_from_args(args)
     cfg = _cfg_from_args(args)
     _check_span(args.span, cfg)
+    if args.samples < 0:
+        raise ValueError("need --samples >= 0")
     f_of, w_of = center_regular_profile(params, args.span, cfg)
     s = np.linspace(0.0, args.span, args.samples)
     f = np.asarray(f_of(s), dtype=float)

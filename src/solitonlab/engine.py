@@ -20,14 +20,15 @@ solver counters, and its events: crossing the critical line, located on
 the step's dense output after the loop (Shampine & Thompson, "Event
 location for ODEs", 2000).  An event is a record, never an end: every
 lane runs to its bound, its pole or a step collapse.  The one exception is
-a decision batch (the separatrix's decision shots), whose caller passes a
-stop test: each of its lanes ends at the first accepted step that gives it
-a verdict, and the batch returns those verdicts, no trajectories.  Decision
-lanes may also join a loop of ordinary lanes mid-way (_Join): they start
-from one lane's w at some s, read on the step that passes s, at the
-iteration after it, so that the first separatrix shots share the loop of
-the trace they start from.  A lane that fails (step collapse) comes back
-as its own exception and does not stop the others.
+the decision lanes of a join (_Join), the separatrix's decision shots:
+the join carries a stop test, and each of its lanes ends at the first
+accepted step that gives it a verdict and returns that verdict, no
+trajectory.  They start from a w given at some s, in a loop that may
+have no other lanes, or from one lane's w at s, read on that lane's step
+that passes s, at the iteration after it, so that the first separatrix
+shots share the loop of the trace they start from.  A lane that fails
+(step collapse) comes back as its own exception and does not stop the
+others.
 
 Each end is classified by how it terminated: reaching the span end,
 reaching the s -> 0 cutoff, or blowing up, where the chart w fails.  One
@@ -425,8 +426,8 @@ _Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed s1")
 
 # how a lane's stepping in one chart ended: at its bound, at step
 # collapse, past the end of the chart, open at its last sample, where
-# the lane goes on in the next chart, or at the step that gave the lane of
-# a decision batch its verdict
+# the lane goes on in the next chart, or at the step that gave a decision
+# lane (_Join) its verdict
 _FINISHED, _COLLAPSED, _SWITCHED, _DECIDED = range(4)
 
 # one chart of one lane: its direction and chart, its start (x, y), how
@@ -486,16 +487,19 @@ def _stages(field: _Field, heads, cols, at, y, h):
 
 
 class _Join(NamedTuple):
-    """Decision lanes that join a lockstep loop mid-way (_advance).  They
+    """Decision lanes that join a lockstep loop (_advance), each stopped at
+    the first step to which decide, their stop test, gives a verdict.  They
     start toward infinity at s, at the slopes rule(w) gives (an array),
     where w is the w at s of lane, a w-chart lane of the loop, as its
     Trajectory.w_at reads it there.  Where that is known before the loop
-    (w is given: a lane's reference reads it off a formula past the lane's
-    start), they start at the first iteration."""
+    (w is given: read off a reference, or off a formula past the start of
+    the reference's lane), they start at the first iteration, and the
+    loop needs no lanes of its own."""
 
     lane: int
     s: float
     rule: Callable
+    decide: Callable
     w: Optional[float] = None
 
 
@@ -528,7 +532,7 @@ def _read_step(params: FlowParams, log: bool, step, k: int, x) -> float:
 
 
 def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
-             decide: Optional[Callable] = None, join: Optional[_Join] = None):
+             join: Optional[_Join] = None):
     """Step all lanes in lockstep until each one is done.
 
     Lane by lane this is scipy's RungeKutta._step_impl for DOP853: the
@@ -554,43 +558,44 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     where a lane stops or switches, the stopped lanes are dropped and the
     field is rebuilt.
 
-    decide, if given, makes this a decision batch.  It is called as
-    decide(field, ok, x0, y0, x1, y1) on every step of the decision lanes,
-    the lanes of field, each step from (x0, y0) to (x1, y1) in its lane's
-    stepping variable and chart, and returns a verdict per lane: 0 where
-    the step decides nothing, and 0 wherever ok, the mask of the steps it
-    reads, is False.
-    It reads the accepted steps, and where a lane settles, its closed step
-    as well, unless the step before it decided.  A lane ends, outcome
+    join, if given, adds decision lanes (_Join), numbered after the lanes
+    of x.  They wait on the w-chart steps of lane join.lane, for the
+    accepted step whose segment holds x = log s (s where that lane runs
+    toward infinity) by the rule of _dense_output: from its start up to
+    but not including its end, in the lane's stepping order; or the closed
+    step the lane settles in from an end at or before s.  w at s is read
+    on that step's interpolant (_read_step) or tail, and at the next
+    iteration the lanes start from (s, rule(w)) in their charts
+    (_start_charts) with fresh initial steps, as a lane that switches
+    chart does.  Where join.w is given they start at the first iteration,
+    and x may be empty.  A lane that collapses before s starts none of
+    them.
+
+    join.decide, the stop test, is called as decide(field, ok, x0, y0, x1,
+    y1) on every step of the decision lanes, the lanes of field, each step
+    from (x0, y0) to (x1, y1) in its lane's stepping variable and chart,
+    and returns a verdict per lane: 0 where the step decides nothing, and
+    0 wherever ok, the mask of the steps it reads, is False.  It reads the
+    accepted steps, and where a lane settles, its closed step as well,
+    unless the step before it decided.  A decision lane ends, outcome
     _DECIDED, at the first step that gives it a verdict; a collapse before
-    that still ends it as _COLLAPSED, and a lane that reaches its end
-    undecided ends as it would without the test.  A decision lane keeps
-    no steps.
+    that still ends it as _COLLAPSED, and one that reaches its end
+    undecided ends as it would without the test.  A decision lane keeps no
+    steps.
 
-    join (a _Join, with decide) starts the decision lanes mid-loop; they
-    are numbered after the lanes of x, which keep their steps.  They wait
-    on the w-chart steps of lane join.lane, for the accepted step whose
-    segment holds x = log s (s where that lane runs toward infinity) by
-    the rule of _dense_output: from its start up to but not including its
-    end, in the lane's stepping order; or the closed step the lane settles
-    in from an end at or before s.  w at s is read on that step's
-    interpolant (_read_step) or tail, and at the next iteration the lanes
-    start from (s, rule(w)) in their charts (_start_charts) with fresh
-    initial steps, as a lane that switches chart does.  Where join.w is
-    given they start at the first iteration.  A lane that collapses before
-    s starts none of them.
-
-    Returns the steps (_Steps), or with decide each lane's verdict (0 where
-    none), or with join both, (steps, verdicts); and the arcs (_Arc): lane
-    k's first arc at index k, later arcs and the first arcs of the lanes
-    that join after all first ones of x.
+    Returns (steps, verdicts, arcs): the steps (_Steps) of the lanes of x,
+    None where x is empty; each lane's verdict, 0 on the lanes of x and on
+    a decision lane that ended undecided; and the arcs (_Arc): lane k's
+    first arc at index k, later arcs and the first arcs of the decision
+    lanes after all first ones of x.
     """
     rtol = max(cfg.rel_tol, 100 * _EPS)
     arcs = list(map(_Arc, range(x.size), log.tolist(), in_p.tolist(), x.tolist(), y.tolist()))
-    arc, switch = np.arange(x.size), np.zeros(x.size, dtype=bool)
-    # the lanes decide reads: all lanes of a decision batch, else those that join
-    decides = np.full(x.size, decide is not None and join is None)
-    f, h_abs, grow_cap, rejects, start_it = (np.zeros(x.size) for _ in range(5))
+    own = x.size
+    arc, switch = np.arange(own), np.zeros(own, dtype=bool)
+    # the decision lanes: those that join
+    decides = np.zeros(own, dtype=bool)
+    f, h_abs, grow_cap, rejects, start_it = (np.zeros(own) for _ in range(5))
     x_min = math.log(cfg.s_min_eps)
     # no lane's minimum step 10*ulp(x) can exceed this
     min_step_cap = 10.0 * 2.0 ** -52 * float(np.max(np.abs(np.append(x, (cfg.s_max, x_min)))))
@@ -598,7 +603,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     # (a p-chart lane never starts at its bound)
     keep, records, tails, it = (np.flatnonzero(in_p | (x != np.where(log, x_min, cfg.s_max))),
                                 [], [], 0)
-    verdicts = np.zeros(x.size, dtype=int)
+    verdicts = np.zeros(own, dtype=int)
     # the join: the position of the lane it waits on (None once it has
     # passed s or stopped), that lane's x at s, and w at s once read
     source = x_at = None
@@ -609,11 +614,11 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
         x_at = math.log(join.s) if log[source] else float(join.s)
 
     def read(ok, *ends):
-        """decide on the steps of the decision lanes, 0 on the others."""
+        """The stop test on the steps of the decision lanes, 0 on the others."""
         if not mixed:
-            return decide(field, ok, *ends)
+            return join.decide(field, ok, *ends)
         verdict = np.zeros(ok.size, dtype=int)
-        verdict[deciding] = decide(deciders, ok[deciding], *(a[deciding] for a in ends))
+        verdict[deciding] = join.decide(deciders, ok[deciding], *(a[deciding] for a in ends))
         return verdict
 
     # u*: a tail's dropped O(u^2) terms move w by about u*^2 = abs_tol
@@ -772,11 +777,11 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
         # a settled lane ends in one closed step to its bound
         tries = it - start_it - (0 if stuck is None else stuck) + settled
         if n_decide < ok.size and np.count_nonzero(settled):
-            own = near[~decides[near]] if mixed else near
-            if own.size:
+            kept = near[~decides[near]] if mixed else near
+            if kept.size:
                 rows = tail[~decides[near]] if mixed else tail
-                tails.append((arc[own], x_new[own], (bound - x_new)[own], y_new[own],
-                              bound[own], y_end[own], rows))
+                tails.append((arc[kept], x_new[kept], (bound - x_new)[kept], y_new[kept],
+                              bound[kept], y_end[kept], rows))
         outcome = np.select([done | settled, switch], [_FINISHED, _SWITCHED], _COLLAPSED)
         if n_decide:
             outcome[decided] = _DECIDED
@@ -786,8 +791,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             arcs[arc[k]] = arcs[arc[k]]._replace(outcome=int(outcome[k]), attempts=int(tries[k]),
                                                  accepted=int(tries[k] - rejects[k]))
         keep = (~stop).nonzero()[0]
-    steps = None if decide is not None and join is None else _collect(params, arcs, records, tails)
-    return (steps if decide is None else verdicts if join is None else (steps, verdicts)), arcs
+    return _collect(params, arcs, records, tails) if own else None, verdicts, arcs
 
 
 def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -> _Steps:
@@ -1130,28 +1134,20 @@ def _collapse() -> RuntimeError:
                         "is less than spacing between numbers.")
 
 
-def _verdicts(verdict, arcs: List[_Arc]) -> List[Union[int, Exception]]:
-    """Per lane of a decision batch its verdict (0 where it ended
-    undecided), or the RuntimeError of a step collapse."""
-    collapsed = {a.lane for a in arcs if a.outcome == _COLLAPSED}
-    return [_collapse() if k in collapsed else v for k, v in enumerate(verdict.tolist())]
-
-
 def _integrate_lanes(params: FlowParams, starts: Sequence,
                      directions: Sequence[Tuple[str, ...]], cfg: IntegratorConfig,
-                     decide: Optional[Callable] = None,
                      join: Optional[_Join] = None) -> List[Union[Result, int]]:
     """integrate() of each start in each of its directions (a tuple in the
     order of DIRECTIONS), all lanes in one lockstep run: per start one
     Trajectory over all its lanes and their arcs (_arcs), as
     merge_bidirectional would join them, or the first exception
     integrate() would raise for one of its directions.  Each lane starts
-    in its chart (_start_charts).  With a stop test decide (see _advance)
-    the run is a decision batch: each start has one direction and gets its
-    lane's verdict (_verdicts) instead of a Trajectory.  With a join as
-    well, the starts' lanes are stepped as without decide, join.lane
-    numbers them in order of starts and directions, and the verdicts of
-    the lanes that join follow the starts' results."""
+    in its chart (_start_charts).  The decision lanes of a join (see
+    _advance), where given, share the run; join.lane numbers the starts'
+    lanes in order of starts and directions, and each decision lane's
+    verdict (0 where it ended undecided), or the RuntimeError of its step
+    collapse, follows the starts' results.  Where join.w is given there
+    may be no starts."""
     out: List[Optional[Result]] = [None] * len(starts)
     lanes, slots = [], []
     for i, (init, sides) in enumerate(zip(starts, directions)):
@@ -1162,17 +1158,18 @@ def _integrate_lanes(params: FlowParams, starts: Sequence,
             continue
         lanes.extend((len(slots), s, w, log) for (s, w), log in checked)
         slots.append(i)
-    if not lanes:
+    if not lanes and (join is None or join.w is None):
         return out
-    group, s, w, log = (np.array(a) for a in zip(*lanes))
+    group, s, w, log = np.array(lanes, dtype=float).reshape(-1, 4).T
+    group, log = group.astype(int), log.astype(bool)
     x, y, in_p = _start_charts(params, s, w, log)
-    done, arcs = _advance(params, x, y, log, in_p, cfg, decide, join)
-    if join is not None:
-        done, verdict = done
-    for i, res in zip(slots, _verdicts(done, arcs) if decide is not None and join is None
-                      else _arcs(params, done, arcs, s.tolist(), group, cfg)):
-        out[i] = res
-    return out if join is None else out + _verdicts(verdict, arcs)[s.size:]
+    steps, verdicts, arcs = _advance(params, x, y, log, in_p, cfg, join)
+    if lanes:
+        for i, res in zip(slots, _arcs(params, steps, arcs, s.tolist(), group, cfg)):
+            out[i] = res
+    collapsed = {a.lane for a in arcs if a.outcome == _COLLAPSED}
+    return out + [_collapse() if k in collapsed else v
+                  for k, v in enumerate(verdicts[s.size:].tolist(), s.size)]
 
 
 def _first(results: List[Result]):

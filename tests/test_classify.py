@@ -359,6 +359,39 @@ def test_separatrix_cached():
     assert compute_separatrix(ROT3) is compute_separatrix(ROT3)
 
 
+# (n, tol, value, bracket, shots) of compute_separatrix(rotational(n), tol=tol),
+# floats as float.hex()
+SEPARATRIX_PINS = [
+    (2, 1e-10, "0x1.8c0bee201110fp+0", ("0x1.8c0bee1fdb30bp+0", "0x1.8c0bee2046f13p+0"), 2),
+    (2, 1e-12, "0x1.8c0bee201ad14p+0", ("0x1.8c0bee201a547p+0", "0x1.8c0bee201b4e1p+0"), 84),
+    (2, 1e-13, "0x1.8c0bee201ad14p+0", ("0x1.8c0bee201ac4cp+0", "0x1.8c0bee201addcp+0"), 84),
+    (3, 1e-10, "0x1.640023560dee0p+0", ("0x1.64002355d80dcp+0", "0x1.6400235643ce4p+0"), 2),
+    (3, 1e-12, "0x1.6400235612ce3p+0", ("0x1.6400235612516p+0", "0x1.64002356134b0p+0"), 84),
+    (3, 1e-13, "0x1.6400235612ce2p+0", ("0x1.6400235612c1bp+0", "0x1.6400235612daap+0"), 84),
+    (4, 1e-10, "0x1.5200ddbb2b400p+0", ("0x1.5200ddbaf55fcp+0", "0x1.5200ddbb61204p+0"), 2),
+    (4, 1e-12, "0x1.5200ddbb2e2cep+0", ("0x1.5200ddbb2db01p+0", "0x1.5200ddbb2ea9bp+0"), 84),
+    (4, 1e-13, "0x1.5200ddbb2e2cep+0", ("0x1.5200ddbb2e207p+0", "0x1.5200ddbb2e396p+0"), 84),
+    (5, 1e-10, "0x1.47329de025e4ep+0", ("0x1.47329ddff004ap+0", "0x1.47329de05bc52p+0"), 2),
+    (5, 1e-12, "0x1.47329de028d1cp+0", ("0x1.47329de02854fp+0", "0x1.47329de0294e9p+0"), 84),
+    (5, 1e-13, "0x1.47329de028550p+0", ("0x1.47329de028488p+0", "0x1.47329de028617p+0"), 84),
+]
+
+
+@pytest.mark.parametrize("n, tol, value, bracket, shots", SEPARATRIX_PINS)
+def test_separatrix_bracket_and_shots_are_pinned(n, tol, value, bracket, shots):
+    """value, bracket and shot count, bit for bit, of a cold call (no trace
+    cached) and of one that reads the cached trace."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    for cold in (True, False):
+        if cold:
+            compute_separatrix.cache_clear()
+        else:
+            classify_module._SEPARATRICES.clear()
+        res = compute_separatrix(rotational(n), tol=tol)
+        assert (res.value.hex(), tuple(b.hex() for b in res.bracket), res.shots) == (
+            value, bracket, shots)
+
+
 def test_one_cache_entry_per_computed_object(monkeypatch):
     """Every spelling of a call, defaults left out or written out, is one
     cache entry: after warming without cfg, classify_batch (which passes
@@ -412,9 +445,10 @@ def test_upper_tags_need_no_bracket(monkeypatch):
     compute_bowl.cache_clear()
     compute_separatrix.cache_clear()
     split = classify_batch(ROT3, starts)
-    shots = classify_module._shoot
-    monkeypatch.setattr(classify_module, "_shoot",
-                        lambda params, ws, *a: shots(params, ws + 10.0, *a))
+    # every round of a bracket that never splits is a window, a rule of the traced w(c)
+    fire = classify_module._fire
+    monkeypatch.setattr(classify_module, "_fire",
+                        lambda params, ws, *a: fire(params, lambda w: ws(w) + 10.0, *a))
     for cold in (True, False):
         if cold:
             compute_bowl.cache_clear()
@@ -823,12 +857,15 @@ def test_decision_shot_verdict_matches_full_run(n, sign, exponent):
 
 
 def _decided_shot(params, w0, cfg):
-    """compute_separatrix's decision shot from (c, w0): its verdict, the
-    steps its stop test read with ok set ((x0, y0, x1, y1) in order), and
-    the arguments of its lockstep loop."""
+    """compute_separatrix's decision shot from (c, w0), a round on the
+    cached trace: its verdict, the steps its stop test read with ok set
+    ((x0, y0, x1, y1) in order), and the arguments of a lockstep loop that
+    runs it as an ordinary lane, from where it started."""
     classify_module = importlib.import_module("solitonlab.classify")
     engine_module = importlib.import_module("solitonlab.engine")
-    verdicts, advance, read, loop = classify_module._shot_verdicts, engine_module._advance, [], []
+    trace = classify_module._separatrix_trace(params, cfg)
+    verdicts, charts, read = classify_module._shot_verdicts, engine_module._start_charts, []
+    loop = []
 
     def reading(field, ok, *ends):
         read.append([a[ok] for a in ends])
@@ -837,9 +874,13 @@ def _decided_shot(params, w0, cfg):
         return verdict
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(classify_module, "_shot_verdicts", reading)
-        monkeypatch.setattr(engine_module, "_advance", lambda *a: loop.append(a) or advance(*a))
-        (blown,) = classify_module._shoot(params, np.array([w0]), cfg)
-    return bool(blown), [np.concatenate(a) for a in zip(*read)], loop[0][:6]
+        # the last start is the join's: the shot's
+        monkeypatch.setattr(engine_module, "_start_charts",
+                            lambda *a: loop.append(charts(*a)) or loop[-1])
+        (blown,), _, _ = classify_module._fire(params, np.array([w0]), cfg, trace)
+    x, y, in_p = loop[-1]
+    return (bool(blown), [np.concatenate(a) for a in zip(*read)],
+            (params, x, y, np.zeros(1, dtype=bool), in_p, cfg))
 
 
 @settings(max_examples=30, deadline=None)
@@ -858,7 +899,7 @@ def test_decision_shot_stops_at_its_verdict(c, sign, exponent):
     run = integrate(params, (c, w0), "toward_infinity", cfg)
     crossed = any(e.kind is EventKind.CROSSED_LINE_R for e in run.events)
     assert blown == (run.termination_right.kind is TerminationKind.BLOW_UP) != crossed
-    full, _ = importlib.import_module("solitonlab.engine")._advance(*loop)
+    full, _, _ = importlib.import_module("solitonlab.engine")._advance(*loop)
     k = read[0].size
     assert 0 < k <= full.x1.size
     assert k < full.x1.size or not blown

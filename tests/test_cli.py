@@ -426,6 +426,8 @@ def test_hybrid_quadrant_subset(tmp_path):
     ["verify", "bowl", "--h", "0,0,0"],
     ["mesh", "bowl", "--span", "0"],
     ["mesh", "bowl", "--span", "nan"],
+    ["portrait", "--s0-grid", "1:inf:2"],
+    ["portrait", "--s0-grid", "nan:2:3"],
 ])
 def test_bad_grid_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -586,6 +588,13 @@ def test_mesh_spindle_bytes_match_row_formatting(capsys):
     meta = ["command: solitonlab mesh spindle", _PARAMS_N2, "class: spindle",
             "closed: both axis contacts capped"]
     assert text == _old_obj_text(meta, *surface)
+
+
+def test_bowl_negative_samples_exits_2(capsys):
+    """A negative --samples is refused by name, before any profile is built."""
+    assert main(["bowl", "--samples", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--samples" in err and "Traceback" not in err
 
 
 def test_bowl_csv_bytes_match_row_formatting(capsys):

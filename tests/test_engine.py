@@ -225,7 +225,7 @@ def test_w_arc_after_the_p_chart_starts_at_the_switch():
     on in the w chart from log s; its w arc starts at that s exactly, not
     at exp(log s), one ulp off for this start."""
     one = np.ones(1, dtype=bool)
-    steps, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.8]), one, one, CFG)
+    steps, _, arcs = engine._advance(ROT3, np.array([1e-4]), np.array([3.8]), one, one, CFG)
     s_switch = steps.y1[steps.arc == 0][-1]    # where the p arc ends
     assert [a.in_p for a in arcs] == [True, False] and s_switch != math.exp(math.log(s_switch))
     # the joined lane holds the join once: the w arc's last sample
@@ -933,8 +933,9 @@ def test_each_batch_is_one_loop(monkeypatch):
     fire = classify_module._fire
     monkeypatch.setattr(classify_module, "_fire",
                         lambda *a, **k: rounds.append(1) or fire(*a, **k))
+    # whether the loop has lanes of its own: the trace's
     monkeypatch.setattr(engine, "_advance",
-                        lambda *a: joins.append(a[7] is not None) or advance(*a))
+                        lambda *a: joins.append(a[1].size > 0) or advance(*a))
     compute_separatrix.cache_clear()    # the trace is cached apart from the bracket
     compute_separatrix.__wrapped__(ROT3, CFG, 1e-13)
     assert len(rounds) >= 2 and joins == [True] + [False] * (len(rounds) - 1)
@@ -997,10 +998,10 @@ def test_cold_upper_classify_costs_the_trace(stage_calls, monkeypatch):
     classify_module.classify(ROT3, ROT3.fiber_coeff, 1.5)
     assert 0 < len(stage_calls) <= alone
     calls, rounds = [], []
-    advance, shots = engine._advance, classify_module._shoot
+    advance, fire = engine._advance, classify_module._fire
     monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(1) or advance(*a))
-    monkeypatch.setattr(classify_module, "_shoot",
-                        lambda *a, **k: rounds.append(1) or shots(*a, **k))
+    monkeypatch.setattr(classify_module, "_fire",
+                        lambda *a, **k: rounds.append(1) or fire(*a, **k))
     compute_separatrix(ROT3)
     assert len(rounds) >= 1 and len(calls) == len(rounds)
 
@@ -1018,19 +1019,16 @@ def test_cache_clear_leaves_nothing_warm(monkeypatch):
     stores = (classify_module._BOWLS, classify_module._TRACES, classify_module._SEPARATRICES)
     assert [store.info()[::3] for store in stores] == [(0, 0)] * 3
     calls, rounds = [], []
-    advance, shots = engine._advance, classify_module._shoot
+    advance, fire = engine._advance, classify_module._fire
     monkeypatch.setattr(engine, "_advance", lambda *a: calls.append(len(a[1])) or advance(*a))
-    monkeypatch.setattr(classify_module, "_shoot",
-                        lambda *a, **k: rounds.append(1) or shots(*a, **k))
+    monkeypatch.setattr(classify_module, "_fire",
+                        lambda *a, **k: rounds.append(1) or fire(*a, **k))
     classify_module.classify_batch(ROT3, starts)
     assert calls == [2 * len(starts) + 2]    # both references are lanes again
     assert [store.info()[:2] for store in stores] == [(0, 1), (0, 1), (0, 0)]
     compute_bowl.cache_clear()
     compute_separatrix.cache_clear()
     calls.clear()
-    fire = classify_module._fire
-    monkeypatch.setattr(classify_module, "_fire",
-                        lambda *a, **k: rounds.append(1) or fire(*a, **k))
     compute_separatrix(ROT3)
     assert calls == [1] and rounds == [1]    # the trace's lane, which the pair joins
     assert [store.info()[1::2] for store in stores] == [(0, 0), (1, 1), (1, 1)]
@@ -1077,13 +1075,14 @@ def _lane_and_join(s0, w0, log, s, monkeypatch):
     read_step = engine._read_step
     monkeypatch.setattr(engine, "_read_step",
                         lambda *a: read.append(a[2][1][a[3]]) or read_step(*a))
-    (steps, verdicts), arcs = engine._advance(
-        ROT3, x, y, log, in_p, CFG, lambda field, ok, *ends: np.where(ok, 7, 0),
-        engine._Join(0, s, lambda w: got.append(w) or [w + 0.5]))
+    steps, verdicts, arcs = engine._advance(
+        ROT3, x, y, log, in_p, CFG,
+        engine._Join(0, s, lambda w: got.append(w) or [w + 0.5],
+                     lambda field, ok, *ends: np.where(ok, 7, 0)))
     assert verdicts.tolist() == [0, 7] and [a.lane for a in arcs] == [0, 1]
     for a, b in zip(alone[0], steps):
         assert a.tobytes() == b.tobytes()
-    assert alone[1] == arcs[:1]
+    assert alone[2] == arcs[:1]
     (traj,) = engine._arcs(ROT3, steps, arcs, [s0], [0], CFG)
     return got, traj, steps, read
 
@@ -1096,7 +1095,7 @@ def test_join_at_a_step_end_reads_the_next_step(monkeypatch):
     classify_module = importlib.import_module("solitonlab.classify")
     lane = classify_module._trace_lane(ROT3, CFG)
     x, y, in_p = engine._start_charts(ROT3, [lane.start.s], [lane.start.w], np.array([True]))
-    steps, _ = engine._advance(ROT3, x, y, np.array([True]), in_p, CFG)
+    steps, _, _ = engine._advance(ROT3, x, y, np.array([True]), in_p, CFG)
     # a step end above c that exp and log carry back to itself
     k = next(i for i, x1 in enumerate(steps.x1.tolist())
              if x1 > math.log(ROT3.fiber_coeff) and math.log(math.exp(x1)) == x1)
@@ -1125,7 +1124,9 @@ def test_anchor_past_the_trace_start_joins_at_once(monkeypatch):
     classify_module = importlib.import_module("solitonlab.classify")
     assert classify_module._trace_lane(params, CFG).start.s < params.fiber_coeff
     joins, advance = [], engine._advance
-    monkeypatch.setattr(engine, "_advance", lambda *a: joins.append(a[7]) or advance(*a))
+    # the join of a loop with lanes of its own: the trace's
+    monkeypatch.setattr(engine, "_advance",
+                        lambda *a: joins.append(a[6] if a[1].size else None) or advance(*a))
     compute_separatrix.cache_clear()
     cold = compute_separatrix.__wrapped__(params)
     warm = compute_separatrix.__wrapped__(params)
@@ -1277,23 +1278,27 @@ def test_cold_separatrix_is_one_loop(stage_calls, monkeypatch, n, most):
 
 
 def test_stop_test_reads_the_closed_step():
-    """A lane of a decision batch that settles undecided has its closed step
-    read as one more accepted step: a stop test that decides only there
-    ends the lane _DECIDED with the counters of its full run, and one that
-    never decides leaves it the outcome and counters it has without a
-    test, verdict 0."""
+    """A decision lane that settles undecided has its closed step read as
+    one more accepted step: a stop test that decides only there ends the
+    lane _DECIDED with the counters of its full run, and one that never
+    decides leaves it the outcome and counters it has without a test,
+    verdict 0."""
     x, y, log, in_p = (np.array([v]) for v in (1.0, 0.5, False, False))
-    steps, arcs = engine._advance(ROT3, x, y, log, in_p, CFG)
+    steps, _, arcs = engine._advance(ROT3, x, y, log, in_p, CFG)
     (full,) = arcs
     assert steps.closed[-1] and full.outcome == engine._FINISHED
 
+    def joined(decide):
+        """The lane as the one decision lane of a loop with none of its own."""
+        return engine._advance(ROT3, x[:0], y[:0], log[:0], in_p[:0], CFG,
+                               engine._Join(0, 1.0, lambda w: [w], decide, 0.5))[1:]
+
     def at_the_end(field, ok, x0, y0, x1, y1):
         return np.where(ok & (x1 == CFG.s_max), 7, 0)
-    verdicts, (arc,) = engine._advance(ROT3, x, y, log, in_p, CFG, at_the_end)
+    verdicts, (arc,) = joined(at_the_end)
     assert verdicts.tolist() == [7]
     assert arc == full._replace(outcome=engine._DECIDED)
-    verdicts, (arc,) = engine._advance(ROT3, x, y, log, in_p, CFG,
-                                       lambda field, ok, *ends: np.zeros(ok.size, dtype=int))
+    verdicts, (arc,) = joined(lambda field, ok, *ends: np.zeros(ok.size, dtype=int))
     assert verdicts.tolist() == [0] and arc == full
 
 
