@@ -7,8 +7,9 @@ format each distinct float once and reuse its text wherever it repeats;
 the bytes are those of formatting every entry on its own.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration or domain
-error.  Configuration may come from flags or from a JSON file passed as
---config (keys are the flag destinations); explicit flags win.
+error, or a request too large to allocate.  Configuration may come from
+flags or from a JSON file passed as --config (keys are the flag
+destinations, values checked as the flags'); explicit flags win.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ def _add_integrator(sp) -> None:
 
 
 def _add_hybrid(sp) -> None:
-    sp.add_argument("--order", type=int, default=12)
     sp.add_argument("--nodes", type=int, default=201)
     sp.add_argument("--extent", type=float, default=2.0)
     sp.add_argument("--quadrants", default="1,2,3,4")
@@ -346,9 +346,7 @@ def _wing_csv(curve, params: FlowParams, label: str) -> str:
 def cmd_wing(args) -> int:
     s0 = _require_flag(args, "s0")
     params = _params_from_args(args)
-    cfg = _cfg_from_args(args)
-    res = build_wing(params, s0, args.y0, cfg, y_span=args.y_span,
-                     alpha_floor=args.alpha_floor)
+    res = build_wing(params, s0, _cfg_from_args(args), y_span=args.y_span)
     _emit(_wing_csv(res.wing, params, "wing"), args.out)
     return 0
 
@@ -356,8 +354,7 @@ def cmd_wing(args) -> int:
 def cmd_spindle(args) -> int:
     s0 = _require_flag(args, "s0")
     params = rotational(args.n)
-    cfg = _cfg_from_args(args)
-    curve = build_spindle(params, s0, cfg, alpha_floor=args.alpha_floor)
+    curve = build_spindle(params, s0, _cfg_from_args(args))
     _emit(_wing_csv(curve, params, "spindle"), args.out)
     return 0
 
@@ -372,8 +369,8 @@ def _parse_quadrants(spec: str) -> Tuple[int, ...]:
 
 def _hybrid(args, cfg: IntegratorConfig, f2_sign: int = +1):
     """The hybrid field and its grid sample from the hybrid flags (_add_hybrid)."""
-    return build_hybrid(order=args.order, mask=_parse_quadrants(args.quadrants),
-                        extent=args.extent, nodes=args.nodes, cfg=cfg, f2_sign=f2_sign)
+    return build_hybrid(mask=_parse_quadrants(args.quadrants), extent=args.extent,
+                        nodes=args.nodes, cfg=cfg, f2_sign=f2_sign)
 
 
 def cmd_hybrid(args) -> int:
@@ -439,10 +436,8 @@ def cmd_mesh(args) -> int:
             raise ValueError(f"mesh {args.target} revolves a rotational profile; "
                              "--action boost is not supported")
         params = _params_from_args(args)
-        if args.target == "spindle":
-            curve = build_spindle(params, args.s0, cfg)
-        else:
-            curve = build_wing(params, args.s0, args.y0, cfg, y_span=args.y_span).wing
+        curve = (build_spindle(params, args.s0, cfg) if args.target == "spindle"
+                 else build_wing(params, args.s0, cfg, y_span=args.y_span).wing)
         z, r = resample_wing(curve, n_p)
     if params.n != 2:
         _emit(_profile_csv_fallback(r, z, params, args.target), args.out)
@@ -473,8 +468,7 @@ def cmd_verify(args) -> int:
                                 _parse_h_list(args.h), args.n)
     elif args.target == "hybrid":
         sign = -1 if args.mismatch else +1
-        report, ok = hybrid_study(lambda: hybrid_field(12, extent=args.extent, cfg=cfg,
-                                                       f2_sign=sign),
+        report, ok = hybrid_study(lambda: hybrid_field(extent=args.extent, cfg=cfg, f2_sign=sign),
                                   args.nodes, args.order)
     else:
         report, ok = const_study()
@@ -531,9 +525,7 @@ def build_parser():
 
     sp = subs.add_parser("wing", help="wing profile to CSV")
     sp.add_argument("--s0", type=float, default=None)
-    sp.add_argument("--y0", type=float, default=0.0)
     sp.add_argument("--y-span", type=float, default=None)
-    sp.add_argument("--alpha-floor", type=float, default=1e-4)
     _add_params(sp)
     _add_integrator(sp)
     _add_out(sp)
@@ -542,7 +534,6 @@ def build_parser():
     sp = subs.add_parser("spindle", help="closed rotational wing to CSV")
     sp.add_argument("--s0", type=float, default=None)
     sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--alpha-floor", type=float, default=1e-4)
     _add_integrator(sp)
     _add_out(sp)
     table["spindle"] = (sp, cmd_spindle)
@@ -564,7 +555,6 @@ def build_parser():
     sp.add_argument("--theta-max", type=float, default=1.5,
                     help="boost meshes: hyperbolic angle half-range")
     sp.add_argument("--s0", type=float, default=1.0)
-    sp.add_argument("--y0", type=float, default=0.0)
     sp.add_argument("--y-span", type=float, default=None)
     _add_hybrid(sp)
     _add_params(sp, default_n=2)
@@ -594,6 +584,27 @@ def build_parser():
 _shared_parser = functools.cache(build_parser)
 
 
+def _config_value(action: argparse.Action, value):
+    """A --config value for action's destination, checked as its flag's:
+    true or false for a switch, null only over a None default, text for an
+    untyped flag, else text or a number that the flag's type takes as text;
+    and one of the flag's choices."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:    # a switch
+        ok = isinstance(value, bool)
+    else:
+        ok = isinstance(value, str) or (action.type is not None and type(value) in (int, float))
+    if ok and action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            ok = False
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ValueError(f"config key {action.dest!r}: invalid value {value!r}")
+    return value
+
+
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
     parser, table = _shared_parser()
@@ -604,10 +615,11 @@ def main(argv=None) -> int:
                 overrides = json.load(fh)
             if not isinstance(overrides, dict):
                 raise ValueError("--config must hold a JSON object")
-            valid = {a.dest for a in table[args.command][0]._actions}
-            unknown = sorted(set(overrides) - valid)
+            actions = {a.dest: a for a in table[args.command][0]._actions}
+            unknown = sorted(set(overrides) - set(actions))
             if unknown:
                 raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            overrides = {k: _config_value(actions[k], v) for k, v in overrides.items()}
             # the file's defaults go on a parser of this call's own
             parser, table = build_parser()
             table[args.command][0].set_defaults(**overrides)
@@ -622,7 +634,7 @@ def main(argv=None) -> int:
     args.raw_argv = ["solitonlab"] + raw
     try:
         return table[args.command][1](args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1339,15 +1339,15 @@ def _omitted(params: FlowParams, order: int) -> Tuple[np.ndarray, float, int]:
     return a[:order + 1], abs(float(a[k])), k
 
 
-def _series_lane(params: FlowParams, cfg: IntegratorConfig,
-                 order: int = _SERIES_ORDER) -> _Lane:
+def _series_lane(params: FlowParams, cfg: IntegratorConfig) -> _Lane:
     """The center-regular trajectory of any sign pattern: its center series
-    up to the handoff (48 geometric nodes from cfg.s_min_eps on), then
-    forward integration.  The handoff is min(_HANDOFF, s_max/2), moved in
-    to where the first omitted term meets abs_tol if it exceeds it there
-    (0.5 for every c >= 1 at order 12 and the default abs_tol).  The
-    patterns (et, ep) and (-et, -ep) give mirror lanes, bit for bit."""
-    a, next_term, k = _omitted(params, order)
+    to order _SERIES_ORDER up to the handoff (48 geometric nodes from
+    cfg.s_min_eps on), then forward integration.  The handoff is
+    min(_HANDOFF, s_max/2), moved in to where the first omitted term meets
+    abs_tol if it exceeds it there (0.5 for every c >= 1 and the default
+    abs_tol).  The patterns (et, ep) and (-et, -ep) give mirror lanes, bit
+    for bit."""
+    a, next_term, k = _omitted(params, _SERIES_ORDER)
     s_h = min(_HANDOFF, cfg.s_max / 2)
     if next_term * s_h ** k > cfg.abs_tol:
         s_h = (cfg.abs_tol / next_term) ** (1.0 / k)

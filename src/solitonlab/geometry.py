@@ -244,14 +244,13 @@ def build_graph(trajectory: Trajectory, f0: float = 0.0) -> ProfileCurve:
 
 
 def _center_curve(params: FlowParams, cfg: IntegratorConfig, samples: int,
-                  order: int = _SERIES_ORDER,
                   traj: Optional[Trajectory] = None) -> ProfileCurve:
     """The center-regular profile on [0, cfg.s_max] from its lane
     (engine._series_lane), the series below the lane's handoff; traj is
     the lane's run when the caller holds it already."""
-    lane = _series_lane(params, cfg, order)
+    lane = _series_lane(params, cfg)
     return _profile(lane.run() if traj is None else traj, lane.start.s, cfg.s_max,
-                    samples, series=bowl_series_coeffs(params, order))
+                    samples, series=bowl_series_coeffs(params, _SERIES_ORDER))
 
 
 def bowl_curve(params: FlowParams, cfg: IntegratorConfig = IntegratorConfig()) -> ProfileCurve:
@@ -276,6 +275,8 @@ class WingResult:
 _STEEP = 1e6
 # the branches of a wing leave out the nodes within this of its apex
 _APEX_PAD = 1e-3
+# a wing arm that reaches the axis stops at this height above it (contact)
+_ALPHA_FLOOR = 1e-4
 
 
 def _steep_end(traj: Trajectory, sigma: float, d: float) -> Optional[float]:
@@ -293,7 +294,7 @@ def _steep_end(traj: Trajectory, sigma: float, d: float) -> Optional[float]:
 
 def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float):
     """An arm at _GRAPH_SAMPLES nodes uniform in t = sqrt(|s - s0|) on
-    [0, t_end]: t, s, w, u = |y - y0| and du/dt.  With s = s0 + d*t^2,
+    [0, t_end]: t, s, w, u = |y| and du/dt.  With s = s0 + d*t^2,
     u = int 2t*|w| dt, whose integrand is smooth and is sqrt(2*s0/c) at
     the apex, the pole of w.  Nodes whose s rounds onto s0 (t = 0, and
     more on a short arm) take these apex limits."""
@@ -307,35 +308,34 @@ def _arm_nodes(traj: Trajectory, s0: float, d: float, sigma: float, t_end: float
     return t, s, w, _cumulative_simpson(du, t), du
 
 
-def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float,
-               alpha_floor: float):
+def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float):
     """The arm where y falls and the one where it rises, each as its
     trajectory, _arm_nodes up to its stop, and the stop.
 
     Each arm is the graph solution w(s) leaving the pole at s0 in the
     direction d where |w| shrinks (the two as one batch), so alpha = s
     falls from a maximum apex (et*ep = -1) and rises from a minimum.  It
-    stops at the axis floor (contact), at the ceiling s_max, at
-    |alpha'| = _STEEP (steep) or at |y - y0| = span, whichever comes
-    first.  As |y - y0| >= |s - s0| while |w| >= 1, the arms run to
-    |s - s0| = span first, and further only where that falls short.
+    stops at the axis floor _ALPHA_FLOOR (contact), at the ceiling s_max,
+    at |alpha'| = _STEEP (steep) or at |y| = span, whichever comes first.
+    As |y| >= |s - s0| while |w| >= 1, the arms run to |s - s0| = span
+    first, and further only where that falls short.
     """
     d = -1.0 if params.has_barriers else 1.0
     direction = DIRECTIONS[0] if d < 0 else DIRECTIONS[1]
     # w near 0 at a steep end needs a finer absolute tolerance, and the
     # height of a steep arm a finer relative one
     tight = replace(cfg, abs_tol=cfg.abs_tol * 1e-4, rel_tol=cfg.rel_tol * 0.1,
-                    s_min_eps=alpha_floor)
+                    s_min_eps=_ALPHA_FLOOR)
     arms = {}
     for reach in (span, math.inf):
         todo = [sigma for sigma in (-d, d) if sigma not in arms]
         if not todo:
             break
         if d < 0:
-            run = replace(tight, s_min_eps=max(alpha_floor, s0 - reach))
+            run = replace(tight, s_min_eps=max(_ALPHA_FLOOR, s0 - reach))
         else:
             run = replace(tight, s_max=min(cfg.s_max, s0 + reach))
-        full = (run.s_min_eps, run.s_max) == (alpha_floor, cfg.s_max)
+        full = (run.s_min_eps, run.s_max) == (_ALPHA_FLOOR, cfg.s_max)
         poles = [(s0, sigma * math.inf) for sigma in todo]
         for sigma, traj in zip(todo, integrate_batch(params, poles, direction, run)):
             if isinstance(traj, Exception):
@@ -354,46 +354,42 @@ def _wing_arms(params: FlowParams, s0: float, cfg: IntegratorConfig, span: float
     return d, (arms[-d], arms[d])
 
 
-def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
+def build_wing(params: FlowParams, s0: float,
                cfg: IntegratorConfig = IntegratorConfig(),
-               y_span: Optional[float] = None, alpha_floor: float = 1e-4) -> WingResult:
-    """Wing profile through the apex (y0, s0), with inverted branches.
+               y_span: Optional[float] = None) -> WingResult:
+    """Wing profile through the apex (0, s0), with inverted branches.
 
-    The apex is a strict extremum (alpha''(y0) = ep*et*c/s0), a pole of
-    the graph slope w = 1/alpha'.  Each arm is the graph solution leaving
-    that pole, by the engine; its height y = y0 + int w ds is Simpson
-    quadrature in t = sqrt(|s - s0|), where the integrand is smooth, and
-    alpha(y) on _GRAPH_SAMPLES // 2 points per arm is the cubic Hermite
-    inverse.  Arms stop at the axis floor (lightlike contact, extrapolated
-    touch point recorded), at the height ceiling s_max, at a vertical tangent
-    (|alpha'| = 1e6; the wing continues past it only as a graph over the
-    height, i.e. in the inverted branch), or at y0 +- y_span; arm_stop
-    records which.  y_span, if given, must be positive and finite, and
-    alpha_floor positive.  The branches are the arms as graphs f(s) at
-    their nodes more than _APEX_PAD = 1e-3 from the apex, with the
-    engine's dense slope.
+    The apex is at y = 0 (the wing equation does not involve y), a strict
+    extremum (alpha''(0) = ep*et*c/s0) and a pole of the graph slope
+    w = 1/alpha'.  Each arm is the graph solution leaving that pole, by the
+    engine; its height y = int w ds is Simpson quadrature in
+    t = sqrt(|s - s0|), where the integrand is smooth, and alpha(y) on
+    _GRAPH_SAMPLES // 2 points per arm is the cubic Hermite inverse.  Arms
+    stop at the axis floor alpha = 1e-4 (lightlike contact, extrapolated
+    touch point recorded), at the height ceiling s_max, at a vertical
+    tangent (|alpha'| = 1e6; the wing continues past it only as a graph
+    over the height, i.e. in the inverted branch), or at y = +-y_span;
+    arm_stop records which.  s0 must lie between the floor and s_max, and
+    y_span, if given, be positive and finite.  The branches are the arms
+    as graphs f(s) at their nodes more than _APEX_PAD = 1e-3 from the
+    apex, with the engine's dense slope.
 
     The translation direction breaks the y -> -y symmetry, so the two
     arms differ: a rotational spindle, for instance, is egg-shaped rather
     than mirror-symmetric.
     """
-    if s0 <= 0.0:
-        raise ValueError("apex height s0 must be positive")
-    if not alpha_floor > 0.0:
-        raise ValueError(f"alpha_floor must be positive, got {alpha_floor}")
+    if not _ALPHA_FLOOR < s0 < cfg.s_max:
+        raise ValueError(f"apex height s0 = {s0} must lie between the axis floor "
+                         f"{_ALPHA_FLOOR} and s_max = {cfg.s_max}")
     if y_span is not None and not 0.0 < y_span < math.inf:
         raise ValueError(f"y_span must be positive and finite, got {y_span}")
-    if not alpha_floor < s0 < cfg.s_max:
-        raise ValueError(f"apex height s0 = {s0} must lie between alpha_floor = "
-                         f"{alpha_floor} and s_max = {cfg.s_max}")
     span = cfg.s_max if y_span is None else float(y_span)
-    d, arms = _wing_arms(params, s0, cfg, span, alpha_floor)
+    d, arms = _wing_arms(params, s0, cfg, span)
     parts, contact_y, branches = [], [], []
     for side, (traj, (t, s, w, u, du), stop) in zip((-1.0, 1.0), arms):
-        y = y0 + side * u
-        y_g = np.linspace(y0, y0 + side * span if stop == "span" else y[-1],
-                          _GRAPH_SAMPLES // 2)
-        t_g = _hermite(u, t, 1.0 / du)(np.abs(y_g - y0))
+        y = 0.0 + side * u    # the apex height 0.0 turns the left arm's -0.0 into 0.0
+        y_g = np.linspace(0.0, side * span if stop == "span" else y[-1], _GRAPH_SAMPLES // 2)
+        t_g = _hermite(u, t, 1.0 / du)(np.abs(y_g))
         a_g = s0 + d * t_g * t_g
         parts.append((y_g, a_g, np.where(t_g > 0.0, 1.0 / traj.w_at(a_g), 0.0)))
         contact_y.append(float(y[-1] - s[-1] * w[-1]) if stop == "contact" else None)
@@ -407,28 +403,27 @@ def build_wing(params: FlowParams, s0: float, y0: float = 0.0,
     (y_l, a_l, ap_l), (y_r, a_r, ap_r) = parts
     wing = ProfileCurve(kind="wing", params=params, y=np.concatenate([y_l[:0:-1], y_r]),
                         alpha=np.concatenate([a_l[:0:-1], a_r]),
-                        alpha_prime=np.concatenate([ap_l[:0:-1], ap_r]), apex=(y0, s0),
+                        alpha_prime=np.concatenate([ap_l[:0:-1], ap_r]), apex=(0.0, s0),
                         contact=tuple(stop == "contact" for *_, stop in arms),
                         contact_y=tuple(contact_y), arm_stop=tuple(stop for *_, stop in arms))
     return WingResult(wing=wing, branches=tuple(branches))
 
 
 def build_spindle(params: FlowParams, s0: float,
-                  cfg: IntegratorConfig = IntegratorConfig(),
-                  alpha_floor: float = 1e-4) -> ProfileCurve:
+                  cfg: IntegratorConfig = IntegratorConfig()) -> ProfileCurve:
     """Closed wing profile touching the axis at both ends.
 
     Requires an apex that is a strict maximum (rhs_wing(s0, 0) < 0, the
     rotational timelike regime); both arms then descend to the axis at
-    finite height with slope tending to a lightlike +-1.  The arms are
-    searched out to |y| = s_max.  The profile is reported down to
-    alpha = alpha_floor with the two axis touch points extrapolated
-    linearly.
+    finite height with slope tending to a lightlike +-1.  The arms, from
+    the apex at y = 0, are searched out to |y| = s_max.  The profile is
+    reported down to alpha = 1e-4 with the two axis touch points
+    extrapolated linearly.
     """
     if rhs_wing(params, s0, 0.0) >= 0.0:
         raise ValueError("no spindle: the apex is not a maximum for these "
                          "parameters (rhs_wing(s0, 0) >= 0)")
-    wing = build_wing(params, s0, 0.0, cfg, alpha_floor=alpha_floor).wing
+    wing = build_wing(params, s0, cfg).wing
     if not all(wing.contact):
         raise ValueError("no spindle: the arms stopped at {} and {}, not both at the "
                          "axis, within |y| <= {:g}".format(*wing.arm_stop, cfg.s_max))
@@ -479,13 +474,13 @@ class HybridField:
     the lightcone; outside the mask it evaluates to NaN.  u_tilde lifts
     to higher dimension by rotational symmetry in the spatial slot:
     u_tilde(xvec, y) = u(|xvec|, y).  coeffs_f1/coeffs_f2 are the height
-    Taylor coefficients at the origin (f2 as built, before any sign flip).
+    Taylor coefficients at the origin, to order 13 (f2 as built, before
+    any sign flip).
     The profiles hold on the square [-extent, extent]^2, and sample(nodes)
     reads u on a grid over it: one field, built once by hybrid_field,
     samples any number of grids.
     """
 
-    order: int
     mask: Tuple[int, ...]
     f2_sign: int
     coeffs_f1: np.ndarray
@@ -520,16 +515,16 @@ class HybridField:
 _TUBE_CELLS = 3
 
 
-def center_profile_eval(params: FlowParams, order: int = 12, r_max: float = 5.0,
+def center_profile_eval(params: FlowParams, r_max: float = 5.0,
                         cfg: IntegratorConfig = IntegratorConfig()) -> Tuple[Callable, Callable]:
     """Dense (height, slope) evaluators on [0, max(r_max, 1)] for the
     center-regular profile of any sign pattern, with barriers or without:
-    its lane (_center_curve) run to max(r_max, 1) in place of s_max.
-    Forward integration is stable toward the large-s attractor for every
-    pattern.
+    its lane (_center_curve, the order-12 center series up to the handoff)
+    run to max(r_max, 1) in place of s_max.  Forward integration is stable
+    toward the large-s attractor for every pattern.
     """
     run_cfg = replace(cfg, s_max=max(r_max, 1.0))
-    curve = _center_curve(params, run_cfg, _CENTER_SAMPLES, order)
+    curve = _center_curve(params, run_cfg, _CENTER_SAMPLES)
     return curve.f_dense, curve.w_dense
 
 
@@ -553,8 +548,8 @@ def center_regular_profile(params: FlowParams, span: float,
     return center_profile_eval(params, r_max=span * 1.01 + 0.5, cfg=cfg)
 
 
-def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
-                 extent: float = 2.0, cfg: IntegratorConfig = IntegratorConfig(),
+def hybrid_field(mask: Sequence[int] = (1, 2, 3, 4), extent: float = 2.0,
+                 cfg: IntegratorConfig = IntegratorConfig(),
                  f2_sign: int = +1) -> HybridField:
     """The glued lightcone-invariant graph on [-extent, extent]^2.
 
@@ -570,17 +565,10 @@ def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
     qs = _validate_mask(mask)
     if f2_sign not in (-1, +1):
         raise ValueError("f2_sign must be +-1")
-    if order < 5:
-        raise ValueError("need series order >= 5 for a faithful gluing test")
     if not 0.0 < extent <= cfg.s_max:
         raise ValueError(f"extent must lie in (0, s_max = {cfg.s_max:g}]; raise --s-max")
-    p1 = boost(2, "spacelike")
-    p2 = boost(2, "timelike")
-    r_need = extent * 1.05 + 0.5
-    f1 = center_profile_eval(p1, order, r_need, cfg)[0]
-    f2 = center_profile_eval(p2, order, r_need, cfg)[0]
-    a1 = bowl_series_coeffs(p1, order)
-    a2 = bowl_series_coeffs(p2, order)
+    p1, p2 = boost(2, "spacelike"), boost(2, "timelike")
+    f1, f2 = (center_profile_eval(p, extent * 1.05 + 0.5, cfg)[0] for p in (p1, p2))
 
     def u(x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -598,22 +586,21 @@ def hybrid_field(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
         r_sp = np.sqrt(np.sum(xvec * xvec, axis=-1))
         return u(r_sp, y)
 
-    return HybridField(order=order, mask=qs, f2_sign=f2_sign,
-                       coeffs_f1=integrate_series(a1),
-                       coeffs_f2=integrate_series(a2),
+    return HybridField(mask=qs, f2_sign=f2_sign,
+                       coeffs_f1=integrate_series(bowl_series_coeffs(p1, _SERIES_ORDER)),
+                       coeffs_f2=integrate_series(bowl_series_coeffs(p2, _SERIES_ORDER)),
                        params_side=p1, params_topbottom=p2, extent=float(extent),
                        u=u, u_tilde=u_tilde)
 
 
-def build_hybrid(order: int = 12, mask: Sequence[int] = (1, 2, 3, 4),
-                 extent: float = 2.0, nodes: int = 201,
-                 cfg: IntegratorConfig = IntegratorConfig(),
+def build_hybrid(mask: Sequence[int] = (1, 2, 3, 4), extent: float = 2.0,
+                 nodes: int = 201, cfg: IntegratorConfig = IntegratorConfig(),
                  f2_sign: int = +1) -> Tuple[HybridField, GridField]:
-    """hybrid_field(order, mask, extent, cfg, f2_sign) and its sample on a
+    """hybrid_field(mask, extent, cfg, f2_sign) and its sample on a
     nodes x nodes grid (HybridField.sample)."""
     if nodes < 5:
         raise ValueError("need nodes >= 5 for a grid sample")
-    hyb = hybrid_field(order, mask, extent, cfg, f2_sign)
+    hyb = hybrid_field(mask, extent, cfg, f2_sign)
     return hyb, hyb.sample(nodes)
 
 

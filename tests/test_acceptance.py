@@ -85,7 +85,7 @@ def strip_grid():
 
 @pytest.fixture(scope="module")
 def hybrid_triple():
-    grids = [build_hybrid(order=12, nodes=n, extent=2.0)[1]
+    grids = [build_hybrid(nodes=n, extent=2.0)[1]
              for n in (101, 201, 401)]
     return grids
 
@@ -200,7 +200,7 @@ def test_criterion_6_hybrid_gluing(hybrid_triple):
         o2[2 * k - 1] / (2 * k) == (-1) ** k * (o1[2 * k - 1] / (2 * k))
         for k in range(1, 5))
 
-    hyb, _ = build_hybrid(order=12, nodes=101, extent=2.0)
+    hyb, _ = build_hybrid(nodes=101, extent=2.0)
     float_err = max(abs(hyb.coeffs_f2[2 * k] - (-1) ** k * hyb.coeffs_f1[2 * k])
                     for k in range(0, 5))
 
@@ -209,8 +209,8 @@ def test_criterion_6_hybrid_gluing(hybrid_triple):
     decays = all(scans[1][q] <= scans[0][q] / 3.0 or scans[1][q] < 1e-8
                  for q in (1, 2))
 
-    _, bad = build_hybrid(order=12, nodes=101, extent=2.0, f2_sign=-1)
-    _, bad2 = build_hybrid(order=12, nodes=201, extent=2.0, f2_sign=-1)
+    _, bad = build_hybrid(nodes=101, extent=2.0, f2_sign=-1)
+    _, bad2 = build_hybrid(nodes=201, extent=2.0, f2_sign=-1)
     j1 = smoothness_scan(bad, max_order=2)[2]
     j2 = smoothness_scan(bad2, max_order=2)[2]
     mismatch_persists = j2 > 0.5 * j1 and j2 > 0.1

@@ -923,6 +923,19 @@ def test_decision_shot_decides_in_the_p_chart():
     assert got.tolist() == [classify_module._BLOWS_UP, 0]
 
 
+def test_undecided_decision_shot_raises(monkeypatch):
+    """A decision shot that reaches s_max with no verdict from its stop
+    test is an error that names its start, not a verdict."""
+    classify_module = importlib.import_module("solitonlab.classify")
+    cfg = IntegratorConfig(s_max=5.0)
+    trace = classify_module._separatrix_trace(ROT3, cfg)
+    monkeypatch.setattr(classify_module, "_shot_verdicts",
+                        lambda field, ok, *ends: np.zeros(ok.shape, dtype=int))
+    w0 = float(trace.w_at(ROT3.fiber_coeff)) - 0.1
+    with pytest.raises(RuntimeError, match=rf"shot from w = {w0!r} .* reached s = 5\.0 undecided"):
+        classify_module._fire(ROT3, np.array([w0]), cfg, trace)
+
+
 def test_limits_report_fields():
     traj = integrate_bidirectional(ROT3, 1.0, -0.5)
     rep = limits_report(traj)

@@ -364,8 +364,7 @@ def test_wing_requires_s0(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("arg", ["--y-span=-1", "--y-span=0", "--y-span=nan", "--y-span=inf",
-                                 "--alpha-floor=0"])
+@pytest.mark.parametrize("arg", ["--y-span=-1", "--y-span=0", "--y-span=nan", "--y-span=inf"])
 def test_wing_bad_span_or_floor_exits_2(arg, capsys):
     assert main(["wing", "--s0", "2", arg]) == 2
     assert arg[2:].split("=")[0].replace("-", "_") in capsys.readouterr().err
@@ -546,7 +545,7 @@ _PARAMS_N2 = "params: n=2 eps_prime=-1 eps_tilde=1 fiber_coeff=1"
 def test_hybrid_csv_bytes_match_row_formatting(capsys):
     # quadrants 1,2 leave NaN nodes; the +diagonal holds exact cone zeros
     text = _stdout(capsys, "hybrid", "--nodes", "21", "--quadrants", "1,2")
-    _, grid = build_hybrid(order=12, mask=(1, 2), extent=2.0, nodes=21,
+    _, grid = build_hybrid(mask=(1, 2), extent=2.0, nodes=21,
                            cfg=IntegratorConfig())
     x, y = grid.axes
     lines = ["# field: hybrid\n# quadrants: 1,2\n", "# f2_sign: 1\n", "x,y,u\n"]
@@ -559,7 +558,7 @@ def test_hybrid_csv_bytes_match_row_formatting(capsys):
 
 def test_mesh_hybrid_bytes_match_row_formatting(capsys):
     text = _stdout(capsys, "mesh", "hybrid", "--nodes", "21")
-    _, grid = build_hybrid(order=12, extent=2.0, nodes=21, cfg=IntegratorConfig())
+    _, grid = build_hybrid(extent=2.0, nodes=21, cfg=IntegratorConfig())
     x, y = grid.axes
     m = len(x)
     extra = ["cone_main: " + " ".join(str(i * m + i + 1) for i in range(m)),
@@ -876,6 +875,51 @@ def test_unknown_config_key_rejected(tmp_path):
     cfgf.write_text(json.dumps({"s0": 1.0, "w0": -2.0, "bogus_key": 1}))
     code, _ = run(tmp_path, "classify", "--config", str(cfgf))
     assert code == 2
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"n": 2.5}, "n"), ({"json": "no"}, "json"), ({"rel_tol": None}, "rel_tol"),
+    ({"action": "nope"}, "action"), ({"s0": [1], "w0": 0.5}, "s0")])
+def test_config_values_are_checked_as_their_flags(values, key, tmp_path, capsys):
+    """A config value goes through its flag's type and choices: a switch
+    takes true or false, null stands only where the default is None, and
+    anything else is refused by key on one line, exit 2."""
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps(values))
+    extra = () if "s0" in values else ("--s0", "1", "--w0", "0.5")
+    assert main(["classify", *extra, "--config", str(cfgf)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and repr(key) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["hybrid", "--order", "12"], ["mesh", "hybrid", "--order", "12"],
+    ["wing", "--s0", "1", "--y0", "0"], ["mesh", "wing", "--y0", "0"],
+    ["wing", "--s0", "1", "--alpha-floor", "1e-4"],
+    ["spindle", "--s0", "1", "--alpha-floor", "1e-4"]])
+def test_retired_knobs_are_unrecognised(argv, tmp_path, capsys):
+    """The center series order, the wing's axis floor and its apex height
+    are fixed: their flags and config keys are refused, exit 2."""
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    flag = argv[-2]
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({flag[2:].replace("-", "_"): argv[-1]}))
+    assert main([*argv[:-2], "--config", str(cfgf)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hybrid", "--nodes", "10000000"], ["mesh", "hybrid", "--nodes", "10000000"],
+    ["bowl", "--samples", "100000000000000"],
+    ["portrait", "--s0-grid", "1:2:100000000000000"]])
+def test_request_too_large_to_allocate_exits_2(argv, capsys):
+    """Each asks for 728 TiB, more than a 47-bit address space maps, so the
+    allocation fails at once: an error line and exit 2, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
 
 
 def _in_process(*argv):

@@ -65,7 +65,7 @@ def spindle():
 
 @pytest.fixture(scope="module")
 def hybrid_161():
-    return build_hybrid(order=12, nodes=161, extent=2.0)
+    return build_hybrid(nodes=161, extent=2.0)
 
 
 # --- rotationally invariant graphs ---
@@ -228,7 +228,7 @@ def test_wing_matches_the_wing_chart(params, s0, y_span, stops):
     contacts within 1e-9.  A steep arm's last y lies a few 1e-12 past the
     reference's; the reference reads its end value there."""
     cfg = IntegratorConfig()
-    wing = build_wing(params, s0, 0.0, cfg, y_span=y_span).wing
+    wing = build_wing(params, s0, cfg, y_span=y_span).wing
     span = cfg.s_max if y_span is None else y_span
     assert wing.arm_stop == stops
     for k, (side, y_end) in enumerate(((wing.y <= 0.0, -span), (wing.y >= 0.0, span))):
@@ -261,7 +261,7 @@ def test_wing_arm_short_of_its_span_runs_again(monkeypatch):
 
     monkeypatch.setattr(geometry, "integrate_batch", counted)
     params, cfg = rotational(5, eps_prime=1), IntegratorConfig()
-    wing = build_wing(params, 1.0, 0.0, cfg, y_span=0.5).wing
+    wing = build_wing(params, 1.0, cfg, y_span=0.5).wing
     assert calls == [(((1.0, -math.inf), (1.0, math.inf)), 1.5), (((1.0, math.inf),), 100.0)]
     assert wing.arm_stop == ("steep", "span")
     sol, stop, _ = _reference_arm(params, 1.0, 0.5, cfg)
@@ -273,18 +273,13 @@ def test_wing_arm_short_of_its_span_runs_again(monkeypatch):
 
 @pytest.mark.parametrize("kwargs, name", [
     (dict(y_span=0.0), "y_span"), (dict(y_span=-1.0), "y_span"),
-    (dict(y_span=math.nan), "y_span"), (dict(y_span=math.inf), "y_span"),
-    (dict(alpha_floor=0.0), "alpha_floor")])
+    (dict(y_span=math.nan), "y_span"), (dict(y_span=math.inf), "y_span")])
 def test_wing_rejects_bad_span_and_floor(kwargs, name):
-    """A y_span that is not positive and finite, or an alpha_floor that is
-    not positive, is refused by name before any integration (a negative
-    span once ran the arms from a cutoff above the apex without end).
-    build_spindle takes no y_span."""
+    """A y_span that is not positive and finite is refused by name before
+    any integration (a negative span once ran the arms from a cutoff above
+    the apex without end)."""
     with pytest.raises(ValueError, match=name):
         build_wing(ROT3, 2.0, **kwargs)
-    if "y_span" not in kwargs:
-        with pytest.raises(ValueError, match=name):
-            build_spindle(rotational(2), 1.0, **kwargs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -363,7 +358,7 @@ def test_hybrid_mismatch_jumps_are_finite_size():
     """Flipping the sign of the top/bottom pieces misaligns odd orders at
     the cone: the order-1 jump equals sqrt(2)*p and the order-2 jump
     32*p^2*d1 at cone position p (closed forms from the quartic term)."""
-    _, grid = build_hybrid(order=12, nodes=161, extent=2.0, f2_sign=-1)
+    _, grid = build_hybrid(nodes=161, extent=2.0, f2_sign=-1)
     jumps = smoothness_scan(grid, max_order=2)
     h = 4.0 / 160
     p_max = 2.0 - 4 * h
@@ -373,7 +368,7 @@ def test_hybrid_mismatch_jumps_are_finite_size():
 
 
 def test_hybrid_quadrant_mask():
-    hyb, _ = build_hybrid(order=8, nodes=81, extent=2.0, mask=(1, 2))
+    hyb, _ = build_hybrid(nodes=81, extent=2.0, mask=(1, 2))
     assert np.isfinite(hyb.u(1.0, 0.0))
     assert np.isfinite(hyb.u(0.0, 1.0))
     assert np.isnan(hyb.u(-1.0, 0.0))
@@ -383,12 +378,7 @@ def test_hybrid_quadrant_mask():
 @pytest.mark.parametrize("mask", [(1, 3), (2, 4), (1,), (0, 1), (1, 5)])
 def test_hybrid_mask_validation(mask):
     with pytest.raises(ValueError):
-        build_hybrid(order=8, nodes=81, extent=2.0, mask=mask)
-
-
-def test_hybrid_order_floor():
-    with pytest.raises(ValueError):
-        build_hybrid(order=3, nodes=81, extent=2.0)
+        build_hybrid(nodes=81, extent=2.0, mask=mask)
 
 
 @pytest.mark.parametrize("x, y, q", [
@@ -643,11 +633,11 @@ def test_uniform_hermite_is_the_searched_hermite(samples):
 def test_hybrid_field_samples_like_build_hybrid():
     """One HybridField samples any grid over its square, bit for bit as
     build_hybrid samples it, mask and axes included."""
-    hyb = hybrid_field(order=12, mask=(1, 2, 3), extent=1.5)
+    hyb = hybrid_field(mask=(1, 2, 3), extent=1.5)
     assert hyb.extent == 1.5
     for nodes in (21, 41):
         grid = hyb.sample(nodes)
-        _, ref = build_hybrid(order=12, mask=(1, 2, 3), extent=1.5, nodes=nodes)
+        _, ref = build_hybrid(mask=(1, 2, 3), extent=1.5, nodes=nodes)
         assert np.array_equal(grid.values, ref.values, equal_nan=True)
         assert np.array_equal(grid.mask, ref.mask)
         assert all(np.array_equal(a, b) for a, b in zip(grid.axes, ref.axes))

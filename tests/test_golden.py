@@ -93,6 +93,10 @@ GOLDEN = [
      "e8d662c9af4549017580f0e99012fdb74e117cdb80718ea83699b9fda64a99cd"),
     (["separatrix", "--n", "3", "--tol", "1e-13"], 0,
      "d77dfa15c48c1e51414db6d28418c708d4004249cce9983bc97d681c6141580c"),
+    # a revolved wing, with its apex at y = 0
+    (["mesh", "wing", "--s0", "1", "--y-span", "0.5", "--theta-samples", "8",
+      "--profile-samples", "20"], 0,
+     "4582278e38a441137632ef228ff4596ec459b48916f871be0698f0413a9733ff"),
 ]
 
 

@@ -192,6 +192,19 @@ def test_convergence_order_zero_for_resolution_independent_error():
     assert abs(rep.p_fine) < 0.05
 
 
+def test_convergence_order_undefined_for_growing_residual():
+    """A kink along y = 0 leaves a residual about 1/h there, which doubles
+    under each halving: the report is not monotone and has no order."""
+    fields = []
+    for nodes in (21, 41, 81):
+        ax, X, Y = _grid(1.0, nodes)
+        fields.append(_field(0.3 * X + 0.1 * np.abs(Y), ax))
+    rep = convergence_order(*fields)
+    assert rep.residuals[0] < rep.residuals[1] < rep.residuals[2]
+    assert rep.monotone is False
+    assert rep.p_coarse is None and rep.p_fine is None and not rep.defined
+
+
 # --- lightcone smoothness scan ---
 
 def test_scan_kink_jump_closed_form():
@@ -216,7 +229,7 @@ def test_scan_smooth_polynomial_is_exact():
 def test_scan_matched_hybrid_jumps_decay_quadratically():
     j = []
     for nodes in (81, 161):
-        _, grid = build_hybrid(order=12, nodes=nodes, extent=2.0)
+        _, grid = build_hybrid(nodes=nodes, extent=2.0)
         j.append(smoothness_scan(grid, max_order=2))
     for q in (1, 2):
         assert j[0][q] == 0.0 or j[1][q] / j[0][q] < 1.0 / 3.0, q
