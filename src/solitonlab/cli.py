@@ -41,7 +41,7 @@ from .geometry import (
     hybrid_field,
     resample_wing,
 )
-from .verify import bowl_study, const_study, hybrid_study
+from .verify import bowl_study, check_grid, const_study, hybrid_study
 
 
 def _fmt(x) -> str:
@@ -368,7 +368,9 @@ def _parse_quadrants(spec: str) -> Tuple[int, ...]:
 
 
 def _hybrid(args, cfg: IntegratorConfig, f2_sign: int = +1):
-    """The hybrid field and its grid sample from the hybrid flags (_add_hybrid)."""
+    """The hybrid field and its grid sample from the hybrid flags
+    (_add_hybrid), its --nodes^2 grid held to verify's cap first."""
+    check_grid(args.nodes, 2, "lower --nodes")
     return build_hybrid(mask=_parse_quadrants(args.quadrants), extent=args.extent,
                         nodes=args.nodes, cfg=cfg, f2_sign=f2_sign)
 

@@ -266,12 +266,14 @@ class SolverStats:
     of a bidirectional run, as merge_bidirectional sums the records of
     the trajectories it joins.  A trajectory no stepper produced (hand-built
     samples, a series part) carries zeros.  A lane that settles near a
-    barrier w = +-1 (it lands on it exactly, or its linearised tail stays
-    within sqrt(abs_tol) of it up to the bound) ends in one closed step to
-    its bound, written from the tail's formula, not stepped.  closed counts
-    these steps.  Each is also one attempt and one accepted step, with the
-    rhs_evals of a stepped one, so accepted is still the number of
-    sampling intervals.  A start on a barrier lands on its first step.
+    barrier w = +-1 (it lands on it exactly, or its second-order tail
+    stays within abs_tol^(1/3) of it up to the bound; where 2c is not a
+    whole number up to 256, its linear tail within sqrt(abs_tol)) ends in
+    one closed step to its bound, written from the tail's formula, not
+    stepped.  closed counts these steps.  Each is also one attempt and one
+    accepted step, with the rhs_evals of a stepped one, so accepted is
+    still the number of sampling intervals.  A start on a barrier lands on
+    its first step.
     """
 
     accepted: int = 0

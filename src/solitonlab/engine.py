@@ -54,16 +54,22 @@ is one loop; the arcs of the two charts are joined at that step end.
 The barriers w = +-1 of the patterns with et*ep = -1 are exact solutions,
 and most strip solutions settle onto one, in either direction.  With
 u = w - sigma near the barrier sigma, the linearised equation has the
-closed solution u(s) = u1*exp(2*ep*sigma*((s - s1) - sigma*et*c*ln(s/s1)))
-from (s1, sigma + u1); the dropped O(u^2) terms move w by about u1^2.
-Once an accepted w-chart step of a lane ends where that solution stays
-within u* = sqrt(abs_tol) of the barrier up to the lane's bound, the lane
-ends in one closed step to its bound, written from the formula, not
-stepped: its samples, its dense output and the critical-line events on it
-all come from the formula (libm's exp and log, taken in log space, so no
-term overflows and the bits do not depend on numpy's dispatch), and its
-cost does not depend on s_max.  A step that ends at w = +-1.0 exactly,
-where the field is 0, is the case u1 = 0, and reads the barrier exactly.
+closed solution u1*e^E, E(s) = 2*ep*sigma*((s - s1) - sigma*et*c*ln(s/s1)),
+from (s1, sigma + u1).  The tail adds the second-order term of the
+regular perturbation series in u1 (Bender & Orszag 1978, ch. 7),
+u1^2*e^E*[(3*sigma/2)*(e^E - 1) - 2*ep*I(s)], with I the integral of e^E
+from s1 to s, an incomplete gamma function, summed in closed form where
+2c is a whole number up to 256 (_tail_rows, _tail_integral); the dropped
+O(u1^3) terms move w by about u1^3.  Once an accepted w-chart step of a
+lane ends where that tail stays within u* = abs_tol^(1/3) of the barrier
+up to the lane's bound, the lane ends in one closed step to its bound,
+written from the formula, not stepped: its samples, its dense output and
+the critical-line events on it all come from the formula (libm's exp and
+log, taken in log space, so no term overflows and the bits do not depend
+on numpy's dispatch), and its cost does not depend on s_max.  For other c
+the tail is the linear one, and u* = sqrt(abs_tol) (_u_star).  A step that
+ends at w = +-1.0 exactly, where the field is 0, is the case u1 = 0, and
+reads the barrier exactly.
 A start within BARRIER_TOL of a barrier is put on it, w0 = +-1.0, and is
 a lane like any other: its first step lands on the barrier.
 
@@ -197,6 +203,11 @@ _P_END = 1e-6
 _W_CAP, _NEG_W_CAP = _f64(1e10), _f64(-1e10)
 # a closed step reads |u| below e^_TAIL_FLOOR as 0 (_tail)
 _TAIL_FLOOR, _LN2 = _f64(-40.0), _f64(math.log(2.0))
+# a tail has its second-order term where m = 2c is a whole number up to
+# _TAIL_M_MAX, which bounds the terms of _tail_integral's sums
+_TAIL_M_MAX, _THREE_HALVES = map(_f64, (256.0, 1.5))
+# the series takes ceil(sqrt(_SERIES_SCALE*m)) + _SERIES_EXTRA terms (_series_terms)
+_SERIES_SCALE, _SERIES_EXTRA = map(_f64, (80.0, 12.0))
 
 Result = Union[Trajectory, Exception]
 
@@ -369,14 +380,22 @@ def _straddles(g_old, g_new):
     return np.sign(g_old) * np.sign(g_new) <= _ZERO
 
 
-def _tail_rows(params: FlowParams, s1, y1):
-    """The rows F of closed steps from (s1, y1), w = y1 near a barrier
-    sigma = +-1, one row per step as _dense gives them: sigma,
-    u1 = y1 - sigma, s1, 2*ep*sigma, sigma*et*c, ln|u1| (0 at u1 = 0)
-    and 0.  Linearised about the barrier, u = w - sigma solves
-    u' = 2*ep*sigma*u*(1 - sigma*et*c/s), so u(s) = u1*exp(E(s)) with
-    E(s) = 2*ep*sigma*((s - s1) - sigma*et*c*ln(s/s1)); the dropped O(u^2)
-    terms move w by about u1^2."""
+def _tail_rows(params: FlowParams, s1, y1, s_end):
+    """The rows F of closed steps from (s1, y1) to s_end, w = y1 near a
+    barrier sigma = +-1, one row per step as _dense gives them: sigma,
+    u1 = y1 - sigma, s1, k = 2*ep*sigma, sigma*et*c, ln|u1| (0 at u1 = 0)
+    and s_end.
+
+    With u = w - sigma the phase equation reads u' = a*u + b*u^2 + c*u^3/s,
+    where a = E'(s) for E(s) = k*((s - s1) - sigma*et*c*ln(s/s1)) and
+    b = (3*sigma/2)*E' - 2*ep.  In a barrier pattern -k*sigma*et*c = 2c = m,
+    so e^E(r) = e^(k(r - s1))*(r/s1)^m.  The regular perturbation series in
+    u1 (Bender & Orszag 1978, ch. 7) gives, to second order, u = L + L*B:
+    the linear part L = u1*e^E (_tail_linear) and
+    B = (3*sigma/2)*(L - u1) - 2*ep*V, with V = u1 times the integral of
+    e^E(r) from s1 to s (_tail_integral).  The dropped terms are O(u1^3).
+    Where m is not a whole number in [1, _TAIL_M_MAX] (_whole), the tail is
+    L alone, whose dropped terms are O(u1^2) (_u_star)."""
     et, _, _, c, two_ep = _coeffs(params)
     sigma = np.copysign(_ONE, y1)
     F = np.zeros((y1.size, 3 + len(_D)))
@@ -384,7 +403,22 @@ def _tail_rows(params: FlowParams, s1, y1):
     F[:, 3] = two_ep * sigma
     F[:, 4] = sigma * et * c
     F[:, 5] = _libm(lambda u: math.log(u) if u else 0.0, np.abs(F[:, 1]))
+    F[:, 6] = s_end
     return F
+
+
+def _whole(m):
+    """Whether tails with m = 2c have their second-order term: m a whole
+    number in [1, _TAIL_M_MAX]."""
+    return (m >= _ONE) & (m <= _TAIL_M_MAX) & (m == np.floor(m))
+
+
+def _u_star(params: FlowParams, abs_tol: float) -> float:
+    """The |u| within which a lane's tail must stay up to its bound for the
+    lane to close: abs_tol^(1/3) where the tail has its second-order term,
+    whose dropped O(u^3) terms then move w by about abs_tol, else
+    sqrt(abs_tol), where the linear tail's O(u^2) terms do."""
+    return abs_tol ** (1.0 / 3.0) if _whole(2.0 * params.fiber_coeff) else math.sqrt(abs_tol)
 
 
 def _tail_exponent(F, s):
@@ -392,30 +426,125 @@ def _tail_exponent(F, s):
     return F[3] * ((s - F[2]) - F[4] * _libm(math.log, s / F[2]))
 
 
-def _tail_peak(F, s_end):
-    """ln of the largest |u| of closed steps with rows F on their way to
-    s_end, -inf at u1 = 0.  In a barrier pattern E'' = -2c/s^2, so E is
-    concave, and its largest value over the span lies at s1 (E = 0), at
-    s_end, or at its stationary point sigma*et*c clipped into the span."""
-    top = np.minimum(np.maximum(F[4], np.minimum(F[2], s_end)), np.maximum(F[2], s_end))
-    peak = np.maximum(np.maximum(_tail_exponent(F, s_end), _tail_exponent(F, top)), _ZERO)
-    return np.where(F[1] != _ZERO, F[5] + peak, _NEG_INF)
+def _tail_linear(F, s):
+    """The linear part L = u1*exp(E(s)) of closed steps with rows F, taken
+    in log space so that no term overflows, its exponent read no higher
+    than 0 (|L| <= 1)."""
+    return np.copysign(_libm(math.exp, np.minimum(F[5] + _tail_exponent(F, s), _ZERO)), F[1])
+
+
+def _tail_integral(F, s, L):
+    """V = u1 times the integral of e^E(r) from s1 to s, on closed steps
+    with rows F that have a second-order term at s (_tail), L their linear
+    part at s.  The integral is a difference of incomplete gamma
+    functions.  Each of its two forms below is read at s and at s1, with
+    terms no larger than the integral of |u1*e^E| they sum to, which the
+    closed step bounds, so V does not cancel:
+
+    * where |k|*r <= m over the span (e^E rises with r there), the Kummer
+      series of u1 times the integral from 0 to r,
+      r*L(r) * sum_n (-k*r)^n / ((m + 1)(m + 2)...(m + 1 + n)),
+      whose terms fall by |k*r|/(m + 1 + n) < 1 each: its first
+      _series_terms(m) + 1 of them leave out less than 1e-17 of it.  It is
+      not read where |k|*r > m, past the span's far end;
+    * elsewhere the finite sum, the exact antiderivative,
+      L(r) * sum_j (-1)^j m!/(m - j)! / (k^(j + 1) r^j), j = 0..m:
+      where k < 0 its terms have one sign, u1 times minus the integral
+      from r to infinity; where k > 0 toward zero, k*s1 > m and they fall
+      from the first; where k > 0 toward infinity the tail grows, and a
+      u1 small enough to close keeps them below u*/k.
+
+    The terms of both are running products of the first (_running_sum), so
+    none overflows where the sum does not, and a row's bits depend on that
+    row alone."""
+    m, k = -F[3] * F[4], F[3]
+    series = np.abs(k) * np.maximum(F[2], F[6]) <= m
+    r, X = np.stack((s, F[2])), np.stack((L, F[1]))
+    y = (-k * r)[..., None]
+    size = np.where(series, _series_terms(m), m)
+    j, m = np.arange(np.max(size)), m[:, None]
+    ratio = np.where(series[:, None], y / (m + _TWO + j), (m - j) / y)
+    total = _running_sum(np.where(series, r * X / (m[:, 0] + _ONE), X / k), ratio,
+                         size.astype(int))
+    return total[0] - total[1]
+
+
+def _series_terms(m):
+    """How many terms past the first the series of _tail_integral takes:
+    where |k*r| <= m they fall by m/(m + 1 + n) at most, and within
+    sqrt(80*m) + 12 of them leave out less than 1e-17 of the sum, for every
+    whole m from 1 to _TAIL_M_MAX (checked in mpmath)."""
+    return np.ceil(np.sqrt(_SERIES_SCALE * m)) + _SERIES_EXTRA
+
+
+def _running_sum(first, ratios, size):
+    """Per row k (the last but one axis), the sum of the terms first,
+    first*ratios[0], first*ratios[0]*ratios[1], ..., up to the one of
+    size[k] ratios: each term the one before it times its ratio, summed
+    from the first on, so that no ratio past a row's size reaches it."""
+    terms = np.cumprod(np.concatenate((first[..., None], ratios), axis=-1), axis=-1)
+    return np.cumsum(terms, axis=-1)[..., np.arange(size.size), size]
+
+
+def _tail_peak(F):
+    """A bound on ln|u| of closed steps with rows F on their way to s_end,
+    -inf at u1 = 0.  In a barrier pattern E'' = -2c/s^2, so E is concave.
+    Where E falls from s1 on (E'(s1) points away from the span), the
+    largest ln|L| over the span, P, is ln|u1|; elsewhere it lies at s1
+    (E = 0), at s_end, or at E's stationary point sigma*et*c clipped into
+    the span.  Where the tail has its second-order term and P <= 0,
+    |L - u1| <= e^P and |V| <= |V(s_end)|, so ln|u| <= P + x with
+    x = 1.5*e^P + |k*V(s_end)| (ln(1 + x) <= x): where E falls, E lies
+    below its tangent at s1 and |V(s_end)| <= |u1/E'(s1)|; elsewhere V(s_end)
+    is taken in full (_tail_integral)."""
+    s_end, m = F[6], -F[3] * F[4]
+    slope = F[3] + m / F[2]    # E'(s1)
+    falls = slope * (s_end - F[2]) < _ZERO
+    second = _whole(m)
+    ln_u = np.where(F[1] != _ZERO, F[5], _NEG_INF)
+    ln_u += np.where(falls & second, np.abs(F[1]) * (
+        _THREE_HALVES + np.abs(F[3] / np.where(falls, slope, _ONE))), _ZERO)
+    rest = (~falls).nonzero()[0]
+    if rest.size:
+        G, s_end = F[:, rest], s_end[rest]
+        E_end = _tail_exponent(G, s_end)
+        top = np.minimum(np.maximum(G[4], np.minimum(G[2], s_end)), np.maximum(G[2], s_end))
+        ln_u[rest] += np.maximum(np.maximum(E_end, _tail_exponent(G, top)), _ZERO)
+        at = rest[second[rest] & (ln_u[rest] <= _ZERO) & (G[1] != _ZERO)]
+        if at.size:
+            G, s_end = F[:, at], F[6][at]
+            V = _tail_integral(G, s_end, _tail_linear(G, s_end))
+            ln_u[at] += _THREE_HALVES * _libm(math.exp, ln_u[at]) + np.abs(G[3] * V)
+    return ln_u
 
 
 def _tail(F, s):
-    """w at s on closed steps with rows F: sigma + u1*exp(E(s)), taken in
-    log space so that no term overflows.  On a step |u| stays below u*;
-    beyond its ends the exponent is read no higher than 0, |u| <= 1.
-    Where |u| < e^-40, sigma + u rounds to sigma, and w is sigma without a
-    call to libm.  Those points are found from a bound on E that takes no
-    logarithm: E = 2*ep*sigma*(s - s1) + 2c*ln(s/s1) in a barrier pattern,
-    and ln(s/s1) < q*ln 2 where frexp splits s/s1 into f*2^q with f < 1."""
+    """w at s on closed steps with rows F: sigma + L + L*B (_tail_rows),
+    L taken in log space so that no term overflows.  A step's tail is read
+    on its side of s1: on the step, where |u| stays below u*, and past its
+    far end, where the exponent of L is read no higher than 0, |L| <= 1,
+    and a series form of V is not read past |k|*s = m, where B is 0.
+    There |B| < 1, so where |L| < e^-40, sigma + u rounds to sigma, and w is
+    sigma without a call to libm.  Those points are found from a bound on
+    E that takes no logarithm: E = k*(s - s1) + m*ln(s/s1) in a barrier
+    pattern, and ln(s/s1) < q*ln 2 where frexp splits s/s1 into f*2^q with
+    f < 1."""
     w = np.array(F[0], dtype=float)
     q = np.frexp(s / F[2])[1]
     live = (F[1] != _ZERO) & (F[5] + F[3] * (s - F[2]) - F[3] * F[4] * _LN2 * q >= _TAIL_FLOOR)
     if np.count_nonzero(live):
-        u = _libm(math.exp, np.minimum(F[5][live] + _tail_exponent(F[:, live], s[live]), _ZERO))
-        w[live] += np.copysign(u, F[1][live])
+        F, s = F[:, live], s[live]
+        u = _tail_linear(F, s)
+        # the points with a second-order term: m whole, u1 != 0, and s
+        # where _tail_integral reads its form
+        m, k = -F[3] * F[4], np.abs(F[3])
+        at = (_whole(m) & (F[1] != _ZERO)
+              & ((k * np.maximum(F[2], F[6]) > m) | (k * s <= m))).nonzero()[0]
+        if at.size:
+            G, L = F[:, at], u[at]
+            V = _tail_integral(G, s[at], L)
+            u[at] = L + L * (G[0] * (_THREE_HALVES * (L - G[1]) - G[3] * V))
+        w[live] += u
     return w
 
 
@@ -549,12 +678,13 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     where |w| grows, the p chart where it shrinks) ends its arc there,
     open, and the lane goes on from that step end in the other chart with
     a fresh initial step, as a new arc.  In a barrier pattern a lane
-    settles once its accepted w-chart step ends within u* = sqrt(abs_tol)
-    of a barrier sigma and the linearised tail from there (_tail_rows)
-    stays within u* of it up to the bound; a step that ends at w = +-1.0
-    exactly, where the field is 0, is the case u1 = 0.  One closed step to
-    the bound follows, written from the tail's formula, counted as one
-    attempt and one accepted step, and finishes the arc.  After a step
+    settles once its accepted w-chart step ends within u* (_u_star:
+    abs_tol^(1/3), or sqrt(abs_tol) where 2c is not whole) of a barrier
+    sigma and the tail from there (_tail_rows) stays within u* of it up to
+    the bound (_tail_peak); a step that ends at w = +-1.0 exactly, where
+    the field is 0, is the case u1 = 0.  One closed step to the bound
+    follows, written from the tail's formula, counted as one attempt and
+    one accepted step, and finishes the arc.  After a step
     where a lane stops or switches, the stopped lanes are dropped and the
     field is rebuilt.
 
@@ -621,8 +751,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
         verdict[deciding] = join.decide(deciders, ok[deciding], *(a[deciding] for a in ends))
         return verdict
 
-    # u*: a tail's dropped O(u^2) terms move w by about u*^2 = abs_tol
-    u_star = math.sqrt(cfg.abs_tol)
+    u_star = _u_star(params, cfg.abs_tol)
     # the config as the loop's operands (_f64)
     abs_tol, rtol, s_min, s_max, min_step_cap, ln_u_star, u_star = map(_f64, (
         cfg.abs_tol, rtol, cfg.s_min_eps, cfg.s_max, min_step_cap, math.log(u_star), u_star))
@@ -743,9 +872,9 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
             if near.size:
                 near = near[(ok & ~stop & field.in_w)[near]]
             if near.size:
-                tail = _tail_rows(params, field.s_of(x_new[near], near), y_new[near])
                 s_end = np.where(log[near], s_min, s_max)
-                closes = _tail_peak(tail.T, s_end) <= ln_u_star
+                tail = _tail_rows(params, field.s_of(x_new[near], near), y_new[near], s_end)
+                closes = _tail_peak(tail.T) <= ln_u_star
                 settled, near = np.zeros(ok.size, dtype=bool), near[closes]
                 settled[near] = True
                 stop = stop | settled
@@ -782,7 +911,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                 rows = tail[~decides[near]] if mixed else tail
                 tails.append((arc[kept], x_new[kept], (bound - x_new)[kept], y_new[kept],
                               bound[kept], y_end[kept], rows))
-        outcome = np.select([done | settled, switch], [_FINISHED, _SWITCHED], _COLLAPSED)
+        outcome = np.where(done | settled, _FINISHED, np.where(switch, _SWITCHED, _COLLAPSED))
         if n_decide:
             outcome[decided] = _DECIDED
             for k in decided.nonzero()[0].tolist():

@@ -447,11 +447,16 @@ def _second_order(rep: ConvergenceReport) -> bool:
                 and 1.7 <= rep.p_coarse <= 2.3 and 1.7 <= rep.p_fine <= 2.3)
 
 
-def _check_grid(nodes: int, ndim: int, remedy: str) -> None:
-    """Refuse a verify grid of nodes^ndim points beyond 5,000,000 before
+# the most nodes a grid may have: verify's grids and the hybrid field's
+MAX_GRID_NODES = 5_000_000
+
+
+def check_grid(nodes: int, ndim: int, remedy: str) -> None:
+    """Refuse a grid of nodes^ndim points beyond MAX_GRID_NODES before
     anything is allocated."""
-    if nodes ** ndim > 5_000_000:
-        raise ValueError(f"grid too large for this base dimension; {remedy}")
+    if nodes ** ndim > MAX_GRID_NODES:
+        raise ValueError(f"grid too large: {nodes}^{ndim} nodes, at most "
+                         f"{MAX_GRID_NODES:,}; {remedy}")
 
 
 def _nodes_for(extent: float, h: float) -> int:
@@ -476,7 +481,7 @@ def bowl_study(build: Callable[[], Callable], extent: float,
     orders in [1.7, 2.3]).
     """
     nodes = [_nodes_for(extent, h) for h in hs]
-    _check_grid(max(nodes), ndim, "coarsen --h or shrink --extent")
+    check_grid(max(nodes), ndim, "coarsen --h or shrink --extent")
     f_of_r = build()
     fields = [sample_radial_field(f_of_r, extent, nn, ndim=ndim) for nn in nodes]
     rep = convergence_order(*fields)
@@ -507,7 +512,7 @@ def hybrid_study(build: Callable[[], "HybridField"], nodes: int,
     if not 0 <= max_order <= MAX_JUMP_ORDER:
         raise ValueError(f"--order must lie in 0..{MAX_JUMP_ORDER}, got {max_order}")
     node_seq = [nodes, 2 * nodes - 1, 4 * nodes - 3]
-    _check_grid(node_seq[-1], 2, "lower --nodes")
+    check_grid(node_seq[-1], 2, "lower --nodes")
     if nodes < 5:
         raise ValueError("need nodes >= 5 for a grid sample")
     hyb = build()

@@ -911,7 +911,33 @@ def test_retired_knobs_are_unrecognised(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["hybrid", "--nodes", "10000000"], ["mesh", "hybrid", "--nodes", "10000000"],
+    ["hybrid", "--nodes", "2237"], ["mesh", "hybrid", "--nodes", "2237"],
+    ["hybrid", "--nodes", "10000000"], ["mesh", "hybrid", "--nodes", "10000000"]])
+def test_hybrid_grid_over_the_node_cap_exits_2(argv, monkeypatch, capsys):
+    """A hybrid grid of --nodes^2 points is held to verify's cap,
+    verify.MAX_GRID_NODES: 2237^2 is the first size past it, refused with
+    exit 2 before the field is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid over the cap was built")
+
+    monkeypatch.setattr(cli, "build_hybrid", refuse)
+    assert 2236 ** 2 <= verify.MAX_GRID_NODES < 2237 ** 2
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid too large") and "--nodes" in err
+
+
+def test_hybrid_grid_at_the_node_cap_is_built(monkeypatch, capsys):
+    """2236^2 nodes lie within the cap: the CLI goes on to build them."""
+    def stop(**kwargs):
+        raise RuntimeError(f"building {kwargs['nodes']} nodes")
+
+    monkeypatch.setattr(cli, "build_hybrid", stop)
+    assert main(["mesh", "hybrid", "--nodes", "2236"]) == 2
+    assert capsys.readouterr().err == "error: building 2236 nodes\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["bowl", "--samples", "100000000000000"],
     ["portrait", "--s0-grid", "1:2:100000000000000"]])
 def test_request_too_large_to_allocate_exits_2(argv, capsys):

@@ -56,18 +56,18 @@ GOLDEN = [
     (["separatrix", "--n", "3"], 0,
      "c43afdef12685517351508539fb7df0aae6f217e622cc57f5e07ddbc7e8e6753"),
     (["separatrix", "--n", "2", "--format", "csv"], 0,
-     "a747a205e23b9143c7ca50d4af66944e4f7982c2b853790290b63c10720be850"),
+     "fcb6e16e4ae4aa704016d85a0ab017dfeb409ef468bbaf3eaa58577941374908"),
     (["wing", "--s0", "2", "--y-span", "0.5"], 0,
      "8f95f3acc75933324bafc83ee3b00c67c56998a82ce804869efa88ce9f46afa7"),
     (["wing", "--n", "2", "--eps-prime", "1", "--s0", "1", "--y-span", "3"], 0,
      "7d0eed5a525634a572dc4067aa3a29f6e7acc98f56a636ab757e838dcfea6170"),
     (["spindle", "--s0", "1", "--n", "2"], 0,
-     "f5116cf61389678b1b2d528b3db986ffe4c0a0ef711df5a65814116b034392d6"),
+     "04e9389db274f55d1d091a599eeedff7c794df57b43ab8a4fd767660e722325b"),
     (["bowl", "--n", "3", "--samples", "51"], 0,
      "495471c41a744db65f23a080308b51e9e0240850b514003290fb848b5302684b"),
     (["mesh", "spindle", "--n", "2", "--s0", "1", "--theta-samples", "8",
       "--profile-samples", "16"], 0,
-     "167942de619c407e92a9978b0594a91351be92cce6a91de092d387beb0bd38be"),
+     "b672bcc11b0cd6a5de329551175e66e3d8b91d091d28354fb43f53ff05fb71b0"),
     (["mesh", "hybrid", "--nodes", "21"], 0,
      "78c73dea9dbf36a86d65684a5913302727438f08b9b264740a379ee01bf46e6b"),
     (["verify", "hybrid", "--nodes", "21"], 1,
@@ -192,4 +192,4 @@ def test_engine_bits():
     digest.update(_lane_bytes(sep.trajectory) + repr((sep.value, sep.bracket, sep.shots)).encode())
     grid(lambda sigmas: integrate_batch(params, [(2.0, sigma * math.inf) for sigma in sigmas],
                                         "toward_zero", cfg), [1.0, -1.0])
-    assert digest.hexdigest() == "8df7a2e197680ce5e6302e999e20a1c65a249a9c8ab798d214f4c7eb6c598e32"
+    assert digest.hexdigest() == "764ff6d983996b46ece3e3e4f6dcd6e17790c53314dc85b2797397eef624cfe9"
