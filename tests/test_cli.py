@@ -938,6 +938,8 @@ def test_hybrid_grid_at_the_node_cap_is_built(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["portrait", "--w0-grid", "1:2:100000000000000"],
+    ["mesh", "bowl", "--theta-samples", "100000000000000"],
     ["bowl", "--samples", "100000000000000"],
     ["portrait", "--s0-grid", "1:2:100000000000000"]])
 def test_request_too_large_to_allocate_exits_2(argv, capsys):
