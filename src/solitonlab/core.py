@@ -273,7 +273,10 @@ class SolverStats:
     stepped.  closed counts these steps.  Each is also one attempt and one
     accepted step, with the rhs_evals of a stepped one, so accepted is
     still the number of sampling intervals.  A start on a barrier lands on
-    its first step.
+    its first step.  rhs_evals counts the 3 dense-output evaluations of
+    each accepted step, as scipy's dense_output=True run makes them, whether
+    or not the trajectory's dense output is ever read (it is built at its
+    first read).
     """
 
     accepted: int = 0

@@ -15,7 +15,8 @@ integrate() is a batch of one.  The two directions:
   integrator coast to s = 1e-10 and beyond without step collapse.
 
 Each lane carries its own dense output (the seventh-degree DOP853
-interpolant of every stepped step, the tail formula of a closed one),
+interpolant of every stepped step, the tail formula of a closed one,
+built from the trajectory's own copy of its steps at its first read),
 solver counters, and its events: crossing the critical line, located on
 the step's dense output after the loop (Shampine & Thompson, "Event
 location for ODEs", 2000).  An event is a record, never an end: every
@@ -548,10 +549,15 @@ def _tail(F, s):
     return w
 
 
-# accepted steps grouped by arc, each arc's in the order taken, with the
-# seven dense-output coefficient rows F of every step; on a closed step
-# (closed) F holds its tail (_tail_rows) instead; s1 is _Field.s_of(x1)
-_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 F closed s1")
+# accepted steps grouped by arc, each arc's in the order taken: one row of
+# the table T per step, its columns x0 h y0 y1, the _NS + 1 stage slopes K
+# of a stepped step (on a closed step (closed) its tail rows F, _tail_rows,
+# in the first seven, _F), x1 and s1 = _Field.s_of(x1); the fields x0, h,
+# y0, x1, y1 and s1 are views of T's columns
+_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 closed s1 T")
+_X0, _H, _Y0, _Y1 = range(4)
+_K, _F = slice(4, 5 + _NS), slice(4, 7 + len(_D))
+_X1, _S1 = 5 + _NS, 6 + _NS
 
 # how a lane's stepping in one chart ended: at its bound, at step
 # collapse, past the end of the chart, open at its last sample, where
@@ -924,28 +930,46 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
 
 
 def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -> _Steps:
-    """Group the accepted steps by arc and build their dense output, for
-    all stepped steps (records, with their stages) at once; closed steps
-    (tails, with their rows F) come last in their arcs; s1 is taken here,
-    once per batch."""
+    """Group the accepted steps by arc into one table (_Steps), in one
+    sorting gather: stepped steps (records) with their stages, closed steps
+    (tails) with their rows F, last in their arcs.  s1 is taken here, once
+    per batch.  No dense output is built here: _dense_rows builds the rows
+    of the steps a reader asks for."""
     if not records:
         records = [(np.zeros(0, dtype=int),) + (np.zeros(0),) * 5 + (np.zeros((0, _NS + 1)),)]
-    parts = list(zip(*records))
+    stepped = len(records)
+    parts = list(zip(*records, *tails))
     records.clear()    # the steps live on in parts, and only until copied
-    arc, x0, h, y0, x1, y1 = (np.concatenate(a) for a in parts[:6])
-    Kd = np.empty((arc.size, _NS + 1 + len(_C_DENSE)))
-    np.concatenate(parts.pop(), out=Kd[:, :_NS + 1])
-    del parts
-    field = _arc_field(params, arcs, arc)
-    F = _dense(field, x0, h, y0, y1, Kd)
-    steps = [arc, x0, h, y0, x1, y1, F, np.zeros(arc.size, dtype=bool)]
+    arc = np.concatenate(parts[0])
+    T = np.zeros((arc.size, _S1 + 1))
+    for col, part in zip((_X0, _H, _Y0, _X1, _Y1), parts[1:6]):
+        np.concatenate(part, out=T[:, col])
+    n = sum(a.size for a in parts[0][:stepped])
+    np.concatenate(parts[6][:stepped], out=T[:n, _K])
     if tails:
-        closed = list(map(np.concatenate, zip(*tails)))
-        steps = [np.concatenate(a) for a in zip(steps, closed + [np.ones(closed[0].size, bool)])]
-        field = _arc_field(params, arcs, steps[0])
-    steps.append(field.s_of(steps[4]))
-    order = np.argsort(steps[0], kind="stable")
-    return _Steps(*(a[order] for a in steps))
+        np.concatenate(parts[6][stepped:], out=T[n:, _F])
+    del parts
+    T[:, _S1] = _arc_field(params, arcs, arc).s_of(T[:, _X1])
+    order = np.argsort(arc, kind="stable")
+    T = T[order]
+    return _Steps(arc[order], *(T[:, k] for k in (_X0, _H, _Y0, _X1, _Y1)), order >= n,
+                  T[:, _S1], T)
+
+
+def _dense_rows(params: FlowParams, T, closed, log, in_p):
+    """The rows F of the steps with table rows T (_Steps), closed mask and
+    charts (log, in_p): _dense of the stepped ones, the tail rows of the
+    closed ones.  A row depends on its own step alone, so each is the same
+    bit for bit whatever steps are asked for with it."""
+    F = T[:, _F].copy()
+    at = (~closed).nonzero()[0]
+    if at.size:
+        S = T[at] if at.size < closed.size else T
+        Kd = np.empty((at.size, _NS + 1 + len(_C_DENSE)))
+        Kd[:, :_NS + 1] = S[:, _K]
+        F[at] = _dense(_Field(params, log[at], in_p[at]), S[:, _X0], S[:, _H], S[:, _Y0],
+                       S[:, _Y1], Kd)
+    return F
 
 
 def _dense(field: _Field, x0, h, y0, y1, Kd):
@@ -995,7 +1019,8 @@ def _step_events(field: _Field, steps: _Steps):
     """The line crossings met on steps: step index and the (w, s) of
     each, located on the step's interpolant, or its tail on a closed step
     (_illinois), each step's in the order met.  A step starts where the
-    one before it in its arc ends."""
+    one before it in its arc ends.  Only the steps where the line changes
+    sign get their rows F (_dense_rows)."""
     g1 = field.events(steps.x1, steps.y1, steps.s1)
     g0, head = np.empty_like(g1), np.ones(g1.size, dtype=bool)
     g0[1:], head[1:] = g1[:-1], steps.arc[1:] != steps.arc[:-1]
@@ -1005,7 +1030,8 @@ def _step_events(field: _Field, steps: _Steps):
     if not m.size:
         return m, np.zeros(0), np.zeros(0)
     met = _Field(field.params, field.log[m], field.in_p[m])
-    F, tail = steps.F[m].T, steps.closed[m]
+    tail = steps.closed[m]
+    F = _dense_rows(field.params, steps.T[m], tail, met.log, met.in_p).T
     stepped = F[:, ~tail], steps.x0[m][~tail], steps.h[m][~tail], steps.y0[m][~tail]
     closed = np.count_nonzero(tail)
 
@@ -1055,19 +1081,20 @@ def _extent(arc: _Arc, steps: _Steps, lo: int, hi: int, params: FlowParams,
                   f"s lies past the far end {end} of an arc that did not settle")
 
 
-def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts, refused) -> Callable:
-    """w(s) of one arc from its step interpolants, picking the segment of
-    a point as scipy's OdeSolution does (the step that starts there; starts
-    holds where each step of the batch starts, in x or in p, signed to
-    increase along its arc).  A closed step reads its tail, which holds
-    past its end too.  In the p chart a step's s(p) is monotone, and
-    _illinois inverts it.  An arc with no step reads its start.  Before
-    all that, a query in the arc's refused span (refused, from _extent)
-    raises a ValueError that names it.  It holds copies of its own steps,
-    so that no result keeps the steps of its whole batch alive."""
-    F, x0, h, y0, closed, starts = (a[lo:hi].copy() for a in (
-        steps.F, steps.x0, steps.h, steps.y0, steps.closed, starts))
-    last, sign = hi - lo - 1, -1.0 if arc.log else 1.0
+def _dense_output(arc: _Arc, T, F, closed, refused) -> Callable:
+    """w(s) of one arc from its step interpolants: T its steps' rows of a
+    step table (columns x0, h and y0 as in _Steps), F their rows
+    (_dense_rows) and closed their closed mask.  It picks the segment of a
+    point as scipy's OdeSolution does: the step that starts there, in x or
+    in p.  A closed step reads its tail, which holds past its end too.  In
+    the p chart a step's s(p) is monotone, and _illinois inverts it.  An arc
+    with no step reads its start.  Before all that, a query in the arc's
+    refused span (refused, from _extent) raises a ValueError that names
+    it.  It keeps the arrays it is given."""
+    x0, h, y0 = T[:, _X0], T[:, _H], T[:, _Y0]
+    last, sign = closed.size - 1, -1.0 if arc.log else 1.0
+    # where each step starts, signed to increase along the arc
+    starts = sign * (y0 if arc.in_p else x0)
     edge, below, why = refused or (None, None, None)
 
     def dense(q):
@@ -1095,6 +1122,39 @@ def _dense_output(arc: _Arc, steps: _Steps, lo: int, hi: int, starts, refused) -
     return dense
 
 
+class _LazyDense:
+    """The dense output of one Trajectory, built at its first call from the
+    trajectory's own copy of its steps: T, their rows of a step table up to
+    x1 (_Steps), each piece's in its stepping order; pieces, each as (arc,
+    number of steps, whether the last is closed, refused span), in
+    increasing s; and joins, the s where each piece meets the next.  The
+    first call builds the rows F of all the steps (_dense_rows), one
+    _dense_output per piece and their _piecewise join, and drops the
+    stages.  It holds no array of its batch."""
+
+    __slots__ = ("params", "T", "pieces", "joins", "read")
+
+    def __init__(self, params: FlowParams, T, pieces, joins) -> None:
+        self.params, self.T, self.pieces, self.joins, self.read = params, T, pieces, joins, None
+
+    def __call__(self, q):
+        if self.read is None:
+            self.read = self._build()
+        return self.read(q)
+
+    def _build(self) -> Callable:
+        arcs, n, settled, refused = zip(*self.pieces)
+        end = np.cumsum(n)
+        closed = np.zeros(self.T.shape[0], dtype=bool)
+        closed[end[np.array(settled)] - 1] = True    # a closed step ends its arc
+        log, in_p = (np.repeat([getattr(a, k) for a in arcs], n) for k in ("log", "in_p"))
+        F = _dense_rows(self.params, self.T, closed, log, in_p)
+        X, self.T = self.T[:, :_Y1].copy(), None    # x0, h and y0 stay
+        dense = [_dense_output(a, X[e - k:e], F[e - k:e], closed[e - k:e], r)
+                 for a, k, e, r in zip(arcs, n, end.tolist(), refused)]
+        return dense[0] if len(dense) == 1 else _piecewise(dense, self.joins)
+
+
 def _checked_start(params: FlowParams, init, direction: str,
                    cfg: IntegratorConfig) -> Tuple[float, float]:
     """(s0, w0) of a start; w0 = +-inf, a pole, is a start only in the
@@ -1112,16 +1172,19 @@ def _checked_start(params: FlowParams, init, direction: str,
     return s0, w0
 
 
-def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, dense: Callable,
+def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, rows: Callable, ends,
                pole: Optional[float], cfg: IntegratorConfig):
     """The samples (p, s) of a p-chart arc, in place, and its BLOW_UP end
     if it has one.  A finished arc ends at its pole (_extent) where |w|
     grows, unless s left the span before: then its last sample moves back
-    to the span end, read from its dense output.  A pole end, p = 0, is
-    sampled at |p| = _P_END on its step's interpolant (at the step's other
-    end where that is nearer)."""
+    to the span end, read from its dense output, which is built here from
+    the rows of its steps, rows(slice(lo, hi)) (_dense_rows).  A pole end,
+    p = 0, is sampled at |p| = _P_END on its step's interpolant (at the
+    step's other end where that is nearer).  ends yields the rows F of the
+    steps it samples on, in order: the first where the arc leaves a pole,
+    the last where it ends at one."""
     def sample(k, i, p):
-        xs[k], ys[k] = p, _interpolate(steps.F[i], steps.x0[i], steps.h[i], steps.y0[i], p)
+        xs[k], ys[k] = p, _interpolate(next(ends), steps.x0[i], steps.h[i], steps.y0[i], p)
 
     if xs[0] == 0.0:    # leaving a pole
         sample(0, lo, math.copysign(min(_P_END, abs(steps.x1[lo])), xs[0]))
@@ -1129,7 +1192,8 @@ def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, dense: Callab
         sample(-1, hi - 1, math.copysign(min(_P_END, abs(steps.x0[hi - 1])), arc.x0))
         return Termination(TerminationKind.BLOW_UP, s=pole, sign=int(np.sign(arc.x0)))
     if arc.outcome == _FINISHED:
-        s_end = cfg.s_min_eps if arc.log else cfg.s_max
+        s_end, at = cfg.s_min_eps if arc.log else cfg.s_max, slice(lo, hi)
+        dense = _dense_output(arc, steps.T[at], rows(at), steps.closed[at], None)
         xs[-1], ys[-1] = 1.0 / dense(s_end), s_end
     return None
 
@@ -1149,8 +1213,9 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     sample of the arc before), not at exp(log s).  The arcs join as
     merge_bidirectional joins them: each arc's samples with occasional
     duplicate nodes collapsed and, but for the lowest arc, without its
-    first sample, the join; one _piecewise evaluator of the arcs' dense
-    outputs; the events of all arcs in order of s; the counters summed.
+    first sample, the join; one dense output over the arcs, built at its
+    first read from the group's own copy of its steps (_LazyDense); the
+    events of all arcs in order of s; the counters summed.
     """
     lane, log, in_p, x0, y0, outcome, attempts, accepted = map(np.array, zip(*arcs))
     step_log, step_p = log[steps.arc], in_p[steps.arc]
@@ -1185,16 +1250,28 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     g_of = group[lane[P]]
     first = np.concatenate(([0], np.flatnonzero(g_of[1:] != g_of[:-1]) + 1, [P.size]))
 
-    # where a point's segment starts, increasing along each arc
-    starts = np.where(step_log, -1.0, 1.0) * np.where(step_p, steps.y0, steps.x0)
-    dense, far = [], []
-    for k, l0, l1, b0, e0 in zip(P.tolist(), lo[P].tolist(), hi[P].tolist(), b[P].tolist(),
-                                 e[P].tolist()):
+    def rows(at):
+        """The rows F of the steps at (_dense_rows)."""
+        return _dense_rows(params, steps.T[at], steps.closed[at], step_log[at], step_p[at])
+
+    # each piece as its dense output reads it: arc, steps, whether the last
+    # is closed, refused span (_LazyDense); and the steps of the p-chart
+    # pieces that _p_samples samples on, whose rows are built in one call
+    pieces, poles, ends = [], [], []
+    l0s, l1s = lo[P].tolist(), hi[P].tolist()
+    for k, l0, l1 in zip(P.tolist(), l0s, l1s):
         arc = arcs[k]
         pole, refused = _extent(arc, steps, l0, l1, params, cfg)
-        dense.append(_dense_output(arc, steps, l0, l1, starts, refused))
-        far.append(_p_samples(arc, steps, l0, l1, X[b0:e0], Y[b0:e0], dense[-1], pole, cfg)
-                   if arc.in_p else None)
+        pieces.append((arc, l1 - l0, l1 > l0 and bool(steps.closed[l1 - 1]), refused))
+        poles.append(pole)
+        if arc.in_p and arc.x0 == 0.0:    # leaving a pole
+            ends.append(l0)
+        if pole is not None:
+            ends.append(l1 - 1)
+    ends = iter(rows(ends)) if ends else None
+    far = [_p_samples(arc, steps, l0, l1, X[b0:e0], Y[b0:e0], rows, ends, pole, cfg)
+           if arc.in_p else None for (arc, *_), l0, l1, b0, e0, pole in zip(
+               pieces, l0s, l1s, b[P].tolist(), e[P].tolist(), poles)]
 
     # the samples of all pieces in increasing s: s, and w = 1/p in the p chart
     n = e[P] - b[P]
@@ -1247,12 +1324,14 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     first = first.tolist()
     for gi, (g, st) in enumerate(zip(g_of[first[:-1]].tolist(), stats)):
         i, t = first[gi], first[gi + 1] - 1
+        # the group's own copy of its steps, its pieces' in order
+        own = [steps.T[l0:l1, :_X1] for l0, l1 in zip(l0s[i:t + 1], l1s[i:t + 1])]
+        own = own[0].copy() if i == t else np.concatenate(own)
         out[g] = Trajectory(params, s[bounds[gi]:bounds[gi + 1]], w[bounds[gi]:bounds[gi + 1]],
                             termination_left=far[i] if rev[i] else None,
                             termination_right=None if rev[t] else far[t],
                             events=records[event_of_group[gi]:event_of_group[gi + 1]],
-                            dense=dense[i] if i == t else _piecewise(dense[i:t + 1],
-                                                                     joins[i:t]),
+                            dense=_LazyDense(params, own, pieces[i:t + 1], joins[i:t].tolist()),
                             stats=SolverStats(*st))
     return out
 

@@ -1,5 +1,7 @@
+import gc
 import importlib
 import math
+import types
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -15,11 +17,13 @@ from solitonlab import (
     EventKind,
     FlowParams,
     IntegratorConfig,
+    SolutionClassTag,
     TerminationKind,
     Trajectory,
     boost,
     bowl_series_coeffs,
     bowl_start,
+    classify_batch,
     comparison_blowup_bound,
     compute_bowl,
     compute_separatrix,
@@ -544,6 +548,98 @@ def test_settled_forward_arc_reads_its_tail_past_s_max():
     traj = integrate(ROT3, (3.0, 1.0), "toward_infinity")
     assert traj.stats.closed == 1
     assert traj.w_at(150.0) == 1.0
+
+
+# --- dense output built at its first read ---
+
+# the 8x8 gamma_minus grid of a portrait: both directions of every start
+# in one batch, each forward lane with a p arc to its pole
+GAMMA_MINUS = [(s0, w0) for s0 in np.linspace(0.5, 4.0, 8).tolist()
+               for w0 in np.linspace(-3.0, -1.05, 8).tolist()]
+
+
+def _reachable_arrays(root):
+    """The ndarrays reachable from root by gc.get_referents, and their
+    bases, not descending into function globals, modules or classes."""
+    seen, todo, arrays = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+            todo.extend([] if obj.base is None else [obj.base])
+            continue
+        refs = gc.get_referents(obj)
+        if isinstance(obj, types.FunctionType):
+            refs = [r for r in refs if r is not obj.__globals__ and r is not obj.__builtins__]
+        todo.extend(refs)
+    return arrays
+
+
+@pytest.mark.parametrize("batch", [
+    lambda: integrate_bidirectional_batch(ROT3, GAMMA_MINUS),
+    lambda: integrate_batch(ROT3, GAMMA_MINUS, "toward_infinity")], ids=["both", "one_arc"])
+def test_no_result_keeps_its_batch_alive(batch):
+    """A Trajectory's dense output holds its own copy of its steps, before
+    its first read and after: no array reachable from it has more rows
+    than the trajectory has steps, though its batch has 64 or 128 lanes.
+    The first read drops the stages: no array as wide is left.  The first
+    start's forward lane is one p arc to its pole."""
+    (traj, *_) = batch()
+    assert detect_blowup(traj) is not None
+
+    def held():
+        arrays = [a for a in _reachable_arrays(traj.dense) if a.ndim]
+        return max(a.shape[0] for a in arrays), max(a.shape[-1] for a in arrays if a.ndim == 2)
+    rows, width = held()
+    assert 0 < rows <= traj.stats.accepted and width > engine._NS
+    traj.w_at(np.linspace(*traj.s_span, 5))
+    rows, width = held()
+    assert 0 < rows <= traj.stats.accepted and width <= engine._NS
+
+
+LAZY_STARTS = [(1.0, 0.5), (2.0, -0.9), (3.0, 1.0), (1.0, -2.0), (2.0, -20.0), (0.3, 0.2),
+               (2.0, 1.2), (1.0, 1.5)]
+
+
+def test_lazy_reads_equal_lone_reads_in_any_order():
+    """w_at of every start of a batch, at 40 points over its span, is its
+    lone run's w_at bit for bit, whichever start of the batch is read
+    first: strip, barrier, blow-up and steep starts, read in order on one
+    batch and in reverse order on another."""
+    probes = [np.geomspace(*integrate_bidirectional(ROT3, s0, w0).s_span, 40)
+              for s0, w0 in LAZY_STARTS]
+    lone = [integrate_bidirectional(ROT3, s0, w0).w_at(q).tobytes()
+            for (s0, w0), q in zip(LAZY_STARTS, probes)]
+    for order in (slice(None), slice(None, None, -1)):
+        batch = list(zip(integrate_bidirectional_batch(ROT3, LAZY_STARTS), probes, lone))
+        for traj, q, want in batch[order]:
+            assert traj.w_at(q).tobytes() == want
+
+
+def test_classify_batch_builds_only_the_rows_it_reads(monkeypatch):
+    """A classify_batch of the gamma_minus grid reads no dense output: it
+    builds the rows F of its event steps (none here: the grid never meets
+    the critical line) and of at most two end steps per p arc (_dense,
+    counted by row), and no arc's evaluator."""
+    rows, events, built, arcs = [], [], [], []
+    dense, step_events = engine._dense, engine._step_events
+    dense_output, advance = engine._dense_output, engine._advance
+    monkeypatch.setattr(engine, "_dense", lambda field, x0, *a: rows.append(x0.size)
+                        or dense(field, x0, *a))
+    monkeypatch.setattr(engine, "_step_events", lambda *a: (
+        lambda found: events.append(found[0].size) or found)(step_events(*a)))
+    monkeypatch.setattr(engine, "_dense_output", lambda *a: built.append(a) or dense_output(*a))
+    monkeypatch.setattr(engine, "_advance", lambda *a, **k: (
+        lambda done: arcs.extend(done[2]) or done)(advance(*a, **k)))
+    verdicts = classify_batch(ROT3, GAMMA_MINUS)
+    assert {v.tag for v in verdicts} == {SolutionClassTag.GAMMA_MINUS_BLOWUP}
+    p_arcs = sum(a.in_p for a in arcs)
+    assert p_arcs >= len(GAMMA_MINUS)
+    assert 0 < sum(rows) <= sum(events) + 2 * p_arcs
+    assert built == []
 
 
 def test_integrator_config_immutable():
