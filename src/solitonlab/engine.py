@@ -552,9 +552,9 @@ def _tail(F, s):
 # accepted steps grouped by arc, each arc's in the order taken: one row of
 # the table T per step, its columns x0 h y0 y1, the _NS + 1 stage slopes K
 # of a stepped step (on a closed step (closed) its tail rows F, _tail_rows,
-# in the first seven, _F), x1 and s1 = _Field.s_of(x1); the fields x0, h,
-# y0, x1, y1 and s1 are views of T's columns
-_Steps = namedtuple("_Steps", "arc x0 h y0 x1 y1 closed s1 T")
+# in the first seven, _F), x1 and s1 = _Field.s_of(x1); the fields x0, y0,
+# x1, y1 and s1 are views of T's columns
+_Steps = namedtuple("_Steps", "arc x0 y0 x1 y1 closed s1 T")
 _X0, _H, _Y0, _Y1 = range(4)
 _K, _F = slice(4, 5 + _NS), slice(4, 7 + len(_D))
 _X1, _S1 = 5 + _NS, 6 + _NS
@@ -579,8 +579,7 @@ def _arc_field(params: FlowParams, arcs: List[_Arc], ids) -> _Field:
 
 
 def _interpolate(F, x0, h, y0, x):
-    """The DOP853 dense output at x of steps with coefficient rows F[0..6]
-    (arrays aligned by step, or the floats of one step)."""
+    """The DOP853 dense output at x of steps with coefficient rows F[0..6]."""
     u = (x - x0) / h
     out = _ZERO
     for i in range(7):
@@ -655,17 +654,6 @@ def _start_charts(params: FlowParams, s, w, log):
     return x, w, in_p
 
 
-def _read_step(params: FlowParams, log: bool, step, k: int, x) -> float:
-    """w at x on the w-chart step of lane k of a lockstep iteration,
-    step = (arc, x0, h, y0, x1, y1, stages), as the lane's _dense_output
-    reads it: the interpolant of _dense, by _interpolate."""
-    x0, h, y0, _, y1, K = (a[k:k + 1] for a in step[1:])
-    Kd = np.empty((1, _NS + 1 + len(_C_DENSE)))
-    Kd[:, :_NS + 1] = K
-    F = _dense(_Field(params, np.array([log]), np.zeros(1, dtype=bool)), x0, h, y0, y1, Kd)
-    return float(_interpolate(F.T, x0, h, y0, np.array([x]))[0])
-
-
 def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
              join: Optional[_Join] = None):
     """Step all lanes in lockstep until each one is done.
@@ -700,7 +688,7 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
     toward infinity) by the rule of _dense_output: from its start up to
     but not including its end, in the lane's stepping order; or the closed
     step the lane settles in from an end at or before s.  w at s is read
-    on that step's interpolant (_read_step) or tail, and at the next
+    on that step as the lane's dense output reads it (_read), and at the next
     iteration the lanes start from (s, rule(w)) in their charts
     (_start_charts) with fresh initial steps, as a lane that switches
     chart does.  Where join.w is given they start at the first iteration,
@@ -741,13 +729,14 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
                                 [], [], 0)
     verdicts = np.zeros(own, dtype=int)
     # the join: the position of the lane it waits on (None once it has
-    # passed s or stopped), that lane's x at s, and w at s once read
-    source = x_at = None
+    # passed s or stopped), s and that lane's x at s, and w at s once read
+    source = x_at = s_at = None
     joined = None if join is None else join.w
     if join is not None and joined is None:
         source = join.lane
         toward = -1.0 if log[source] else 1.0
-        x_at = math.log(join.s) if log[source] else float(join.s)
+        s_at = np.array([join.s], dtype=float)
+        x_at = _libm(math.log, s_at) if log[source] else s_at
 
     def read(ok, *ends):
         """The stop test on the steps of the decision lanes, 0 on the others."""
@@ -890,11 +879,14 @@ def _advance(params: FlowParams, x, y, log, in_p, cfg: IntegratorConfig,
         if source is not None and ok[source] and not in_p[source]:
             # the join's segment: the step that ends past s, else the closed
             # step the lane settles in from a step end at or before s
-            if toward * x_at < toward * x_new[source]:
-                joined = _read_step(params, bool(log[source]), step, source, x_at)
-            elif np.count_nonzero(settled) and settled[source]:
-                row = int(np.searchsorted(near, source))
-                joined = float(_tail(tail[row:row + 1].T, np.array([float(join.s)]))[0])
+            k, closed = source, toward * x_at >= toward * x_new[source]
+            if not closed[0] or np.count_nonzero(settled) and settled[k]:
+                # the step as one row of a step table up to x1 (_Steps)
+                T = np.concatenate(([a[k] for a in step[1:4] + step[5:6]], step[6][k]))[None]
+                if closed[0]:
+                    T[:, _F] = tail[np.searchsorted(near, k)]
+                F = _dense_rows(params, T, closed, log[k:k + 1], in_p[k:k + 1])
+                joined = float(_read(T, F, closed, in_p[k:k + 1], x_at, s_at)[0])
             source = None if joined is not None else source
         if n_decide:
             if np.count_nonzero(settled):
@@ -952,7 +944,7 @@ def _collect(params: FlowParams, arcs: List[_Arc], records: list, tails: list) -
     T[:, _S1] = _arc_field(params, arcs, arc).s_of(T[:, _X1])
     order = np.argsort(arc, kind="stable")
     T = T[order]
-    return _Steps(arc[order], *(T[:, k] for k in (_X0, _H, _Y0, _X1, _Y1)), order >= n,
+    return _Steps(arc[order], *(T[:, k] for k in (_X0, _Y0, _X1, _Y1)), order >= n,
                   T[:, _S1], T)
 
 
@@ -965,16 +957,16 @@ def _dense_rows(params: FlowParams, T, closed, log, in_p):
     at = (~closed).nonzero()[0]
     if at.size:
         S = T[at] if at.size < closed.size else T
-        Kd = np.empty((at.size, _NS + 1 + len(_C_DENSE)))
-        Kd[:, :_NS + 1] = S[:, _K]
-        F[at] = _dense(_Field(params, log[at], in_p[at]), S[:, _X0], S[:, _H], S[:, _Y0],
-                       S[:, _Y1], Kd)
+        F[at] = _dense(_Field(params, log[at], in_p[at]),
+                       *(S[:, k] for k in (_X0, _H, _Y0, _Y1, _K)))
     return F
 
 
-def _dense(field: _Field, x0, h, y0, y1, Kd):
-    """scipy's Dop853DenseOutput coefficients of steps whose stages fill
-    the first _NS + 1 columns of Kd; the rest of Kd is scratch."""
+def _dense(field: _Field, x0, h, y0, y1, K):
+    """scipy's Dop853DenseOutput coefficients of steps with stages K (from
+    _stages), in scratch that holds them and the stages dense output adds."""
+    Kd = np.empty((h.size, _NS + 1 + len(_C_DENSE)))
+    Kd[:, :_NS + 1] = K
     for i, (a, c) in enumerate(zip(_A_DENSE, _C_DENSE), start=_NS + 1):
         dy = np.vecdot(Kd[:, :i], a[:i]) * h
         field(x0 + c * h, y0 + dy, Kd[:, i])
@@ -1015,10 +1007,37 @@ def _illinois(g, a, b):
     return root
 
 
+def _read(T, F, closed, invert, x, s):
+    """w at points on accepted steps, one step per point: T their rows of a
+    step table (x0, h and y0 as in _Steps), F their rows (_dense_rows), x
+    and s the points in the stepping variable and in s.  A closed step
+    reads its tail at s (_tail); a p-chart step in invert, w = 1/p at the p
+    where its s(p), monotone on a step, is s (_illinois); any other step
+    its interpolant at x: w in the w chart, s in the p chart."""
+    step = F.T, T[:, _X0], T[:, _H], T[:, _Y0]
+    stepped = ~(closed | invert)
+    if np.count_nonzero(stepped) == stepped.size:
+        return _interpolate(*step, x)
+    w = np.empty(s.shape)
+    at = stepped.nonzero()[0]
+    if at.size:
+        w[at] = _interpolate(*(a[..., at] for a in step), x[at])
+    at = closed.nonzero()[0]
+    if at.size:
+        w[at] = _tail(step[0][:, at], s[at])
+    at = invert.nonzero()[0]
+    if at.size:
+        G, x0, h, y0, s = (a[..., at] for a in step + (s,))
+        p = _illinois(lambda p: _interpolate(G, x0, h, y0, p) - s, x0, x0 + h)
+        with np.errstate(divide="ignore"):    # at a pole w is +-inf
+            w[at] = 1.0 / p
+    return w
+
+
 def _step_events(field: _Field, steps: _Steps):
     """The line crossings met on steps: step index and the (w, s) of
-    each, located on the step's interpolant, or its tail on a closed step
-    (_illinois), each step's in the order met.  A step starts where the
+    each, located on the step as its dense output reads it (_read,
+    _illinois), each step's in the order met.  A step starts where the
     one before it in its arc ends.  Only the steps where the line changes
     sign get their rows F (_dense_rows)."""
     g1 = field.events(steps.x1, steps.y1, steps.s1)
@@ -1030,95 +1049,82 @@ def _step_events(field: _Field, steps: _Steps):
     if not m.size:
         return m, np.zeros(0), np.zeros(0)
     met = _Field(field.params, field.log[m], field.in_p[m])
-    tail = steps.closed[m]
-    F = _dense_rows(field.params, steps.T[m], tail, met.log, met.in_p).T
-    stepped = F[:, ~tail], steps.x0[m][~tail], steps.h[m][~tail], steps.y0[m][~tail]
-    closed = np.count_nonzero(tail)
+    T, closed = steps.T[m], steps.closed[m]
+    F = _dense_rows(field.params, T, closed, met.log, met.in_p)
 
-    def w(x):
-        if not closed:
-            return _interpolate(*stepped, x)
-        y = np.empty(x.shape)
-        y[~tail] = _interpolate(*stepped, x[~tail])
-        y[tail] = _tail(F[:, tail], met.s_of(x[tail], tail))
-        return y
+    def line(x):
+        s = met.s_of(x)
+        return met.events(x, _read(T, F, closed, met.in_p, x, s), s)
 
-    root = _illinois(lambda x: met.events(x, w(x)), steps.x0[m], steps.x1[m])
-    y = w(root)
+    root = _illinois(line, steps.x0[m], steps.x1[m])
+    s = met.s_of(root)
+    y = _read(T, F, closed, met.in_p, root, s)
     order = np.lexsort((np.where(met.log, -root, root), m))
-    return m[order], y[order], met.s_of(root[order], order)
+    return m[order], y[order], s[order]
 
 
 def _extent(arc: _Arc, steps: _Steps, lo: int, hi: int, params: FlowParams,
-            cfg: IntegratorConfig):
-    """An arc's pole, and the one span of s where its steps say nothing.
+            cfg: IntegratorConfig, start: Optional[float]):
+    """An arc's pole, and the spans of s where its steps say nothing.
 
     The pole is s(0) of a finished p-chart arc whose last step ends at
-    p = 0 with s in the span, else None.  The span is (edge, below, why):
-    s below edge (below) or above it, and the reason; None where the arc
-    reads at every s.  A w-chart arc toward zero, stepped in log s,
-    refuses s <= 0, and an arc that blew up toward zero s below its pole.
-    A finished arc toward infinity refuses s past its far end, its pole or
-    else s_max, unless it settled: its last step is closed, or it took no
-    step and starts on a barrier, w0 = +-1.0, which it reads past its end
-    as a closed step reads its tail.  Past a pole or a far end a rounding
-    sliver of 1e-12 relative still reads."""
-    pole = None
+    p = 0 with s in the span, else None.  Each span is (edge, below, why):
+    s below edge (below) or above it, and the reason.  A w-chart arc toward
+    zero, stepped in log s, refuses s <= 0, and an arc that blew up toward
+    zero s below its pole.  A finished arc toward infinity refuses s past
+    its far end, its pole or else s_max, unless it settled: its last step
+    is closed, or it took no step and starts on a barrier, w0 = +-1.0,
+    which it reads past its end as a closed step reads its tail.  The
+    first arc of a lane, which starts at s = start, refuses s before that
+    start where it took a step, whose interpolant would be extrapolated
+    there.  Past a pole, a far end or a start a rounding sliver of 1e-12
+    relative still reads."""
+    pole, spans = None, []
     if arc.in_p and arc.outcome == _FINISHED and steps.x1[hi - 1] == 0.0:
         s = float(steps.y1[hi - 1])
         pole = s if (s >= cfg.s_min_eps if arc.log else s <= cfg.s_max) else None
     if arc.log and not arc.in_p:    # s below the least positive float is s <= 0
-        return None, (math.ulp(0.0), True, "s must be positive on an arc integrated toward zero")
-    if arc.log:
-        return pole, None if pole is None else (
-            pole - 1e-12 * abs(pole), True,
-            f"s lies below the pole {pole} of an arc that blew up toward zero")
-    if arc.outcome != _FINISHED or (steps.closed[hi - 1] if hi > lo else
-                                    params.has_barriers and abs(arc.y0) == 1.0):
-        return pole, None
-    end = float(cfg.s_max) if pole is None else pole
-    return pole, (end + 1e-12 * abs(end), False,
-                  f"s lies past the far end {end} of an arc that did not settle")
+        spans.append((math.ulp(0.0), True, "s must be positive on an arc integrated toward zero"))
+    elif arc.log and pole is not None:
+        spans.append((pole - 1e-12 * abs(pole), True,
+                      f"s lies below the pole {pole} of an arc that blew up toward zero"))
+    elif not arc.log and arc.outcome == _FINISHED and not (
+            steps.closed[hi - 1] if hi > lo else params.has_barriers and abs(arc.y0) == 1.0):
+        end = float(cfg.s_max) if pole is None else pole
+        spans.append((end + 1e-12 * abs(end), False,
+                      f"s lies past the far end {end} of an arc that did not settle"))
+    if start is not None and hi > lo:
+        spans.append((start + (1e-12 if arc.log else -1e-12) * start, not arc.log,
+                      f"s lies {'above' if arc.log else 'below'} the start {start} of an arc "
+                      f"integrated toward {'zero' if arc.log else 'infinity'}"))
+    return pole, spans
 
 
 def _dense_output(arc: _Arc, T, F, closed, refused) -> Callable:
-    """w(s) of one arc from its step interpolants: T its steps' rows of a
-    step table (columns x0, h and y0 as in _Steps), F their rows
-    (_dense_rows) and closed their closed mask.  It picks the segment of a
-    point as scipy's OdeSolution does: the step that starts there, in x or
-    in p.  A closed step reads its tail, which holds past its end too.  In
-    the p chart a step's s(p) is monotone, and _illinois inverts it.  An arc
-    with no step reads its start.  Before all that, a query in the arc's
-    refused span (refused, from _extent) raises a ValueError that names
-    it.  It keeps the arrays it is given."""
-    x0, h, y0 = T[:, _X0], T[:, _H], T[:, _Y0]
+    """w(s) of one arc from its steps: T their rows of a step table
+    (columns x0, h and y0 as in _Steps), F their rows (_dense_rows) and
+    closed their closed mask.  It picks the segment of a point as scipy's
+    OdeSolution does, the step that starts there, in x or in p, and reads
+    w on it (_read).  A closed step's tail holds past its end too.  An arc
+    with no step reads its start.  NaN reads NaN.  Before all that, a
+    query in a refused span of the arc (refused, from _extent) raises a
+    ValueError that names it.  It keeps the arrays it is given."""
     last, sign = closed.size - 1, -1.0 if arc.log else 1.0
     # where each step starts, signed to increase along the arc
-    starts = sign * (y0 if arc.in_p else x0)
-    edge, below, why = refused or (None, None, None)
+    starts = sign * (T[:, _Y0] if arc.in_p else T[:, _X0])
 
     def dense(q):
         q = np.asarray(q, dtype=float)
-        if refused:
+        for edge, below, why in refused:
             past = q < edge if below else q > edge
             if past.any():
                 raise ValueError(f"w_at({float(q[past][0])!r}): {why}")
-        if last < 0:
-            return _scalar_or_array(np.full(q.shape, arc.y0))
-        x = q.ravel() if arc.in_p or not arc.log else _libm(math.log, q.ravel())
+        s = q.ravel()
+        x = s if arc.in_p or not arc.log else _libm(math.log, s)
         seg = np.clip(np.searchsorted(starts, sign * x, side="right") - 1, 0, last)
-        step = F[seg].T, x0[seg], h[seg], y0[seg]
-        if not arc.in_p:
-            tail = closed[seg]
-            if not tail.any():
-                return _scalar_or_array(_interpolate(*step, x).reshape(q.shape))
-            w = np.empty(x.shape)
-            w[~tail] = _interpolate(*(a[..., ~tail] for a in step), x[~tail])
-            w[tail] = _tail(step[0][:, tail], q.ravel()[tail])
-            return _scalar_or_array(w.reshape(q.shape))
-        p = _illinois(lambda p: _interpolate(*step, p) - x, x0[seg], x0[seg] + h[seg])
-        with np.errstate(divide="ignore"):    # at a pole w is +-inf
-            return _scalar_or_array((1.0 / p).reshape(q.shape))
+        w = (_read(T[seg], F[seg], closed[seg], np.full(seg.size, arc.in_p), x, s) if last >= 0
+             else np.full(s.shape, arc.y0))
+        return _scalar_or_array(np.where(np.isnan(s), s, w).reshape(q.shape))
     return dense
 
 
@@ -1126,7 +1132,7 @@ class _LazyDense:
     """The dense output of one Trajectory, built at its first call from the
     trajectory's own copy of its steps: T, their rows of a step table up to
     x1 (_Steps), each piece's in its stepping order; pieces, each as (arc,
-    number of steps, whether the last is closed, refused span), in
+    number of steps, whether the last is closed, refused spans), in
     increasing s; and joins, the s where each piece meets the next.  The
     first call builds the rows F of all the steps (_dense_rows), one
     _dense_output per piece and their _piecewise join, and drops the
@@ -1170,32 +1176,6 @@ def _checked_start(params: FlowParams, init, direction: str,
     if direction == "toward_infinity" and s0 > cfg.s_max:
         raise ValueError(f"initial s {s0} lies beyond the span ceiling s_max = {cfg.s_max}")
     return s0, w0
-
-
-def _p_samples(arc: _Arc, steps: _Steps, lo: int, hi: int, xs, ys, rows: Callable, ends,
-               pole: Optional[float], cfg: IntegratorConfig):
-    """The samples (p, s) of a p-chart arc, in place, and its BLOW_UP end
-    if it has one.  A finished arc ends at its pole (_extent) where |w|
-    grows, unless s left the span before: then its last sample moves back
-    to the span end, read from its dense output, which is built here from
-    the rows of its steps, rows(slice(lo, hi)) (_dense_rows).  A pole end,
-    p = 0, is sampled at |p| = _P_END on its step's interpolant (at the
-    step's other end where that is nearer).  ends yields the rows F of the
-    steps it samples on, in order: the first where the arc leaves a pole,
-    the last where it ends at one."""
-    def sample(k, i, p):
-        xs[k], ys[k] = p, _interpolate(next(ends), steps.x0[i], steps.h[i], steps.y0[i], p)
-
-    if xs[0] == 0.0:    # leaving a pole
-        sample(0, lo, math.copysign(min(_P_END, abs(steps.x1[lo])), xs[0]))
-    if pole is not None:
-        sample(-1, hi - 1, math.copysign(min(_P_END, abs(steps.x0[hi - 1])), arc.x0))
-        return Termination(TerminationKind.BLOW_UP, s=pole, sign=int(np.sign(arc.x0)))
-    if arc.outcome == _FINISHED:
-        s_end, at = cfg.s_min_eps if arc.log else cfg.s_max, slice(lo, hi)
-        dense = _dense_output(arc, steps.T[at], rows(at), steps.closed[at], None)
-        xs[-1], ys[-1] = 1.0 / dense(s_end), s_end
-    return None
 
 
 def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
@@ -1250,28 +1230,31 @@ def _arcs(params: FlowParams, steps: _Steps, arcs: List[_Arc], s0: List[float],
     g_of = group[lane[P]]
     first = np.concatenate(([0], np.flatnonzero(g_of[1:] != g_of[:-1]) + 1, [P.size]))
 
-    def rows(at):
-        """The rows F of the steps at (_dense_rows)."""
-        return _dense_rows(params, steps.T[at], steps.closed[at], step_log[at], step_p[at])
-
     # each piece as its dense output reads it: arc, steps, whether the last
-    # is closed, refused span (_LazyDense); and the steps of the p-chart
-    # pieces that _p_samples samples on, whose rows are built in one call
-    pieces, poles, ends = [], [], []
+    # is closed, refused spans (_LazyDense); its pole end (_extent); and its
+    # p-chart samples read on a step, as (step, sample, p): a start leaving
+    # a pole and a pole end at |p| = _P_END (or the step's other end, where
+    # nearer), and the span end where a finished arc left the span (p NaN)
+    pieces, far, reads = [], [], []
     l0s, l1s = lo[P].tolist(), hi[P].tolist()
-    for k, l0, l1 in zip(P.tolist(), l0s, l1s):
+    for k, l0, l1, b0, e0 in zip(P.tolist(), l0s, l1s, b[P].tolist(), e[P].tolist()):
         arc = arcs[k]
-        pole, refused = _extent(arc, steps, l0, l1, params, cfg)
+        pole, refused = _extent(arc, steps, l0, l1, params, cfg, s0[k] if k < len(s0) else None)
         pieces.append((arc, l1 - l0, l1 > l0 and bool(steps.closed[l1 - 1]), refused))
-        poles.append(pole)
+        far.append(None if pole is None else Termination(
+            TerminationKind.BLOW_UP, s=pole, sign=int(np.sign(arc.x0))))
         if arc.in_p and arc.x0 == 0.0:    # leaving a pole
-            ends.append(l0)
-        if pole is not None:
-            ends.append(l1 - 1)
-    ends = iter(rows(ends)) if ends else None
-    far = [_p_samples(arc, steps, l0, l1, X[b0:e0], Y[b0:e0], rows, ends, pole, cfg)
-           if arc.in_p else None for (arc, *_), l0, l1, b0, e0, pole in zip(
-               pieces, l0s, l1s, b[P].tolist(), e[P].tolist(), poles)]
+            reads.append((l0, b0, math.copysign(min(_P_END, abs(steps.x1[l0])), arc.x0)))
+        if arc.in_p and (pole is not None or arc.outcome == _FINISHED):
+            reads.append((l1 - 1, e0 - 1, math.nan if pole is None else
+                          math.copysign(min(_P_END, abs(steps.x0[l1 - 1])), arc.x0)))
+    if reads:    # in one read: s at p on a step's interpolant, or w at the span end
+        on, at, p = map(np.array, zip(*reads))
+        T, closed = steps.T[on], steps.closed[on]
+        end, s_end = np.isnan(p), np.where(step_log[on], cfg.s_min_eps, cfg.s_max)
+        y = _read(T, _dense_rows(params, T, closed, step_log[on], step_p[on]), closed, end, p,
+                  s_end)
+        X[at], Y[at] = np.where(end, 1.0 / y, p), np.where(end, s_end, y)
 
     # the samples of all pieces in increasing s: s, and w = 1/p in the p chart
     n = e[P] - b[P]

@@ -418,8 +418,11 @@ def sample_radial_field(f_of_r, extent: float, nodes: int, ndim: int = 2) -> Gri
     vectorized radius >= 0 and act on it point by point: it is called on
     one block of grid rows at a time (_row_blocks).  The mask excludes a
     ball of _AXIS_CELLS = 3 grid cells around the symmetry point, where
-    the radial coordinate degenerates.
+    the radial coordinate degenerates.  nodes must be at least 5, as for
+    every grid sample, and is checked before f_of_r is called.
     """
+    if nodes < 5:
+        raise ValueError("need nodes >= 5 for a grid sample")
     ax = np.linspace(-extent, extent, nodes)
     h = ax[1] - ax[0]
     shape = (nodes,) * ndim

@@ -405,7 +405,11 @@ def test_merge_calls_each_side_only_on_its_own_points():
     q = np.array([0.2, 1.5, 0.7, 1.0, 4.0])
     w = merged.w_at(q)
     assert sorted(calls) == [("down", [0.2, 0.7]), ("up", [1.5, 1.0, 4.0])]
-    assert np.array_equal(w, np.where(q < 1.0, down.w_at(q), up.w_at(q)))
+    # each side read at its own points: neither reads past its start
+    below = q < 1.0
+    want = np.empty(q.shape)
+    want[below], want[~below] = down.w_at(q[below]), up.w_at(q[~below])
+    assert np.array_equal(w, want)
     for name, s, side in (("down", 0.3, down), ("up", 1.0, up), ("up", 2.0, up)):
         calls.clear()
         got = merged.w_at(s)
@@ -548,6 +552,65 @@ def test_settled_forward_arc_reads_its_tail_past_s_max():
     traj = integrate(ROT3, (3.0, 1.0), "toward_infinity")
     assert traj.stats.closed == 1
     assert traj.w_at(150.0) == 1.0
+
+
+@pytest.mark.parametrize("init, direction, past, sliver", [
+    ((1.0, 0.5), "toward_infinity", (0.5, 0.9), 1.0 - 1e-13),
+    ((1.0, 0.5), "toward_zero", (1.5, 2.0), 1.0 + 1e-13),
+    # a wing arm: leaves the pole w = inf toward zero, in the p chart
+    ((1.0, math.inf), "toward_zero", (1.5, 1.0 + 1e-9), 1.0 + 1e-13),
+])
+def test_one_sided_run_refuses_s_before_its_start(init, direction, past, sliver):
+    """A one-sided run says nothing before its start, where its first
+    step's interpolant would be extrapolated (3.6e8 at s = 0.5 forward
+    from (1, 0.5)): w_at there is refused by name.  At its start, and in
+    the rounding sliver of 1e-12 relative past it, it reads as before."""
+    traj = integrate(ROT3, init, direction)
+    side = "below" if direction == "toward_infinity" else "above"
+    for s in past + (np.array([traj.s[len(traj.s) // 2], past[0]]),):
+        with pytest.raises(ValueError, match=rf"w_at\({past[0] if np.ndim(s) else s!r}\): s "
+                                             rf"lies {side} the start 1\.0 of an arc "
+                                             rf"integrated {direction.replace('_', ' ')}"):
+            traj.w_at(s)
+    assert traj.w_at(1.0) == init[1] and np.isfinite(traj.w_at(traj.s[len(traj.s) // 2]))
+    assert abs(traj.w_at(sliver)) > 0.49
+    if math.isfinite(init[1]):    # both directions, joined at the start, read on both sides
+        both = integrate_bidirectional(ROT3, *init)
+        assert np.all(np.isfinite(both.w_at(np.array([0.5, 0.9, 1.0, 1.5, 2.0]))))
+
+
+def test_w_at_nan_reads_nan_on_every_trajectory():
+    """NaN reads NaN whatever the kind of arc or step it falls on: a
+    stepped arc, a settled arc (its closed step), a forward blow-up (its
+    p arc to the pole), a p arc that leaves a pole, a run with no step,
+    the bowl and the separatrix trace; in an array, beside other points."""
+    runs = [integrate(rotational(100), (1.0, 0.5), "toward_infinity"),
+            integrate(ROT3, (1.0, 0.5), "toward_infinity"),
+            integrate(ROT3, (1.0, 5.0), "toward_infinity"),
+            integrate(ROT3, (1.0, math.inf), "toward_zero"),
+            integrate(ROT3, (CFG.s_max, 0.5), "toward_infinity"),
+            compute_bowl(ROT3), compute_separatrix(ROT3).trajectory]
+    assert runs[0].stats.closed == 0 and runs[1].stats.closed == 1
+    assert detect_blowup(runs[2]) is not None and runs[4].stats.accepted == 0
+    for traj in runs:
+        assert math.isnan(traj.w_at(math.nan))
+        w = traj.w_at(np.array([math.nan, traj.s[-1]]))
+        assert math.isnan(w[0]) and w[1] == traj.w_at(traj.s[-1])
+
+
+@pytest.mark.parametrize("w0", [110.0, 400.0, 1400.0])
+def test_p_arc_that_leaves_the_span_ends_at_s_max(w0):
+    """A forward start at s0 = 99.99999 with w0 from about 110 to 1500 is
+    in the p chart and crosses s = 100 before its pole: its last sample
+    moves back to s_max exactly, read on its last step, and its far end
+    is REACHED_S_MAX with that sample's w, which w_at reads there too."""
+    traj = integrate(ROT3, (99.99999, w0), "toward_infinity")
+    assert detect_blowup(traj) is None and traj.w[-1] > w0
+    assert traj.s[-1] == 100.0
+    end = traj.termination_right
+    assert end.kind is TerminationKind.REACHED_S_MAX
+    assert type(end.s) is float and end.s == 100.0 and end.value == traj.w[-1]
+    assert abs(traj.w_at(100.0) - traj.w[-1]) <= math.ulp(traj.w[-1])
 
 
 # --- dense output built at its first read ---
@@ -1163,18 +1226,19 @@ def _lane_and_join(s0, w0, log, s, monkeypatch):
     """The steps and arcs of the lane from (s0, w0) (toward zero where
     log) alone, then with a lane joining it at s that decides at its first
     accepted step: the w it joined at, the steps and arcs of that run, and
-    the x0 of every step _read_step read w on."""
+    the x0 of every stepped step the loop read w on (_read)."""
     log = np.array([log])
     x, y, in_p = engine._start_charts(ROT3, [s0], [w0], log)
     alone = engine._advance(ROT3, x, y, log, in_p, CFG)
     got, read = [], []
-    read_step = engine._read_step
-    monkeypatch.setattr(engine, "_read_step",
-                        lambda *a: read.append(a[2][1][a[3]]) or read_step(*a))
+    reader = engine._read
+    monkeypatch.setattr(engine, "_read", lambda T, F, closed, *a: read.extend(
+        T[~closed, engine._X0].tolist()) or reader(T, F, closed, *a))
     steps, verdicts, arcs = engine._advance(
         ROT3, x, y, log, in_p, CFG,
         engine._Join(0, s, lambda w: got.append(w) or [w + 0.5],
                      lambda field, ok, *ends: np.where(ok, 7, 0)))
+    monkeypatch.setattr(engine, "_read", reader)
     assert verdicts.tolist() == [0, 7] and [a.lane for a in arcs] == [0, 1]
     for a, b in zip(alone[0], steps):
         assert a.tobytes() == b.tobytes()
@@ -1249,7 +1313,14 @@ def test_trace_that_collapses_before_c_raises_its_error(monkeypatch):
     compute_separatrix.cache_clear()
     with pytest.raises(RuntimeError) as alone:
         classify_module._separatrix_trace.__wrapped__(ROT3, CFG)
-    monkeypatch.setattr(engine, "_read_step", None)    # no lane joins
+    reader, advance = engine._read, engine._advance
+
+    def unread(*a):    # the loop reads w on no step: no lane joins
+        monkeypatch.setattr(engine, "_read", None)
+        done = advance(*a)
+        monkeypatch.setattr(engine, "_read", reader)
+        return done
+    monkeypatch.setattr(engine, "_advance", unread)
     with pytest.raises(RuntimeError) as cold:
         compute_separatrix.__wrapped__(ROT3)
     assert str(cold.value) == str(alone.value) and "before any terminal event" in str(alone.value)

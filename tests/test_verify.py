@@ -310,6 +310,16 @@ def test_sample_radial_field_values():
     assert field.signature == (1, 1)
 
 
+@pytest.mark.parametrize("nodes", [0, 1, 2, 4])
+def test_sample_radial_field_refuses_fewer_than_5_nodes(nodes):
+    """Fewer than 5 nodes are refused up front, as HybridField.sample
+    refuses them, before f_of_r sees any radius."""
+    calls = []
+    with pytest.raises(ValueError, match="nodes >= 5"):
+        sample_radial_field(lambda r: calls.append(r) or r, extent=1.0, nodes=nodes)
+    assert calls == []
+
+
 def test_sample_radial_field_masks_axis_cells():
     prof = bowl_curve(rotational(3))
     field = sample_radial_field(prof.f_dense, extent=1.0, nodes=21)
